@@ -217,7 +217,6 @@ def _cmd_run(argv: list) -> int:
         run_experiment,
         write_bench_summary,
     )
-    from repro.vector import BACKENDS, ENGINES, MASK_MODES, RECEPTION_MODES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
@@ -233,53 +232,7 @@ def _cmd_run(argv: list) -> int:
     parser.add_argument(
         "--list", action="store_true", help="list runnable experiments"
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="scalar",
-        help=(
-            "simulation engine: 'scalar' steps each task's slot loop in "
-            "Python; 'vector' batches all seeds of a grid cell into one "
-            "NumPy lockstep run (default: scalar)"
-        ),
-    )
-    parser.add_argument(
-        "--reception",
-        choices=RECEPTION_MODES,
-        default="auto",
-        help=(
-            "vector-engine reception kernel: 'dense' ((n,n) adjacency "
-            "product), 'sparse' (CSR scatter, O(edges) memory) or "
-            "'auto' (edge-density heuristic, the default); part of the "
-            "cached task identity"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help=(
-            "vector-engine array kernels: 'numpy' (default "
-            "formulations), 'numba' (JIT-compiled inner loops; silently "
-            "falls back to numpy when the wheel is unavailable — "
-            "results are bit-identical), 'cupy' (GPU stub, not yet "
-            "implemented) or 'auto' (numba when importable); part of "
-            "the cached task identity"
-        ),
-    )
-    parser.add_argument(
-        "--mask",
-        choices=MASK_MODES,
-        default="auto",
-        help=(
-            "vector-engine active-set mask: 'on' restricts per-slot "
-            "work (coin draws, reception scatter, backlog updates) to "
-            "the provably-awake stations, 'off' runs the full-width "
-            "loop, 'auto' enables it at n >= 1024; the modes are "
-            "distributionally (not bitwise) equivalent, so this is "
-            "part of the cached task identity"
-        ),
-    )
+    _add_grid_args(parser)
     parser.add_argument(
         "--workers",
         type=int,
@@ -293,15 +246,6 @@ def _cmd_run(argv: list) -> int:
         help="result-cache directory (hits replay without executing)",
     )
     parser.add_argument(
-        "--seed", type=int, default=7, help="experiment root seed"
-    )
-    parser.add_argument(
-        "--replications",
-        type=int,
-        default=5,
-        help="replications per grid case",
-    )
-    parser.add_argument(
         "--run-dir",
         metavar="DIR",
         default=None,
@@ -312,11 +256,6 @@ def _cmd_run(argv: list) -> int:
         metavar="FILE",
         default=None,
         help="also write the BENCH-style summary JSON to FILE",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="miniature grid (CI smoke / quick sanity)",
     )
     parser.add_argument(
         "--no-progress",
@@ -450,6 +389,7 @@ def _cmd_scenario(argv: list) -> int:
         parse_scenario,
         run_scenario,
     )
+    from repro.vector import BACKENDS
 
     if argv and argv[0] == "list":
         found = discover_scenarios()
@@ -520,7 +460,7 @@ def _cmd_scenario(argv: list) -> int:
         help="override the spec's [engine] kind",
     )
     parser.add_argument(
-        "--backend", choices=("numpy", "numba", "cupy", "auto"),
+        "--backend", choices=BACKENDS,
         default=None,
         help="override the spec's [engine] backend (vector engine only)",
     )
@@ -626,7 +566,6 @@ def _cmd_scenario(argv: list) -> int:
 
 def _cmd_service(argv: list) -> int:
     import argparse
-    import json
 
     from repro.errors import ConfigurationError
     from repro.runner.defs import service_metrics, service_sources, sweep_metrics
@@ -742,14 +681,7 @@ def _cmd_service(argv: list) -> int:
             f"in-flight peak {metrics['in_flight_peak']}"
         )
     if args.json:
-        import os
-
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, metrics)
         print(f"service json: {args.json}")
     return 0
 
@@ -761,7 +693,6 @@ def _cmd_profile(argv: list) -> int:
     from repro import profiling
     from repro.errors import ConfigurationError
     from repro.runner import registered_ids, run_experiment
-    from repro.vector import BACKENDS, ENGINES, MASK_MODES, RECEPTION_MODES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
@@ -775,17 +706,7 @@ def _cmd_profile(argv: list) -> int:
         ),
     )
     parser.add_argument("exp_id", help="experiment id (see run --list)")
-    parser.add_argument("--engine", choices=ENGINES, default="scalar")
-    parser.add_argument(
-        "--reception", choices=RECEPTION_MODES, default="auto"
-    )
-    parser.add_argument("--backend", choices=BACKENDS, default="auto")
-    parser.add_argument("--mask", choices=MASK_MODES, default="auto")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--replications", type=int, default=5)
-    parser.add_argument(
-        "--quick", action="store_true", help="miniature grid"
-    )
+    _add_grid_args(parser)
     parser.add_argument(
         "--json",
         metavar="FILE",
@@ -840,7 +761,6 @@ def _cmd_profile(argv: list) -> int:
 
 def _cmd_chaos(argv: list) -> int:
     import argparse
-    import json
 
     from repro.errors import ConfigurationError
     from repro.runner.chaos import run_chaos, run_coord_chaos, run_fleet_chaos
@@ -930,68 +850,251 @@ def _cmd_chaos(argv: list) -> int:
     if args.fleet and args.coord:
         print("--fleet and --coord are mutually exclusive", file=sys.stderr)
         return 2
+    # Each scenario's own default worker count is the CLI's default.
+    knobs = {} if args.workers is None else {"workers": args.workers}
+    if args.coord:
+        scenario = run_coord_chaos
+    elif args.fleet:
+        scenario = run_fleet_chaos
+    else:
+        scenario = run_chaos
+        knobs["timeout"] = args.timeout
     try:
-        if args.coord:
-            report = run_coord_chaos(
-                seed=args.seed,
-                workers=args.workers if args.workers is not None else 3,
-                replications=args.replications,
-                quick=args.quick,
-                base_dir=args.dir,
-                keep=args.dir is not None,
-                progress=not args.no_progress,
-            )
-        elif args.fleet:
-            report = run_fleet_chaos(
-                seed=args.seed,
-                workers=args.workers if args.workers is not None else 3,
-                replications=args.replications,
-                quick=args.quick,
-                base_dir=args.dir,
-                keep=args.dir is not None,
-                progress=not args.no_progress,
-            )
-        else:
-            report = run_chaos(
-                seed=args.seed,
-                workers=args.workers if args.workers is not None else 2,
-                replications=args.replications,
-                quick=args.quick,
-                timeout=args.timeout,
-                base_dir=args.dir,
-                keep=args.dir is not None,
-                progress=not args.no_progress,
-            )
+        report = scenario(
+            seed=args.seed,
+            replications=args.replications,
+            quick=args.quick,
+            base_dir=args.dir,
+            keep=args.dir is not None,
+            progress=not args.no_progress,
+            **knobs,
+        )
     except ConfigurationError as exc:
         print(f"cannot run chaos: {exc}", file=sys.stderr)
         return 2
     print(report.summary())
     if args.json:
-        import os
-
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, report.to_json())
         print(f"chaos json: {args.json}")
     return 0 if report.ok else 1
 
 
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as sorted, indented JSON, creating parent dirs."""
+    import json
+    import os
+
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def _retry_policy(retries):
+    """The ``--retries`` fault policy, or None for the default one."""
+    from repro.runner.policy import FaultPolicy
+
+    return FaultPolicy(max_retries=retries) if retries is not None else None
+
+
+def _add_grid_args(parser) -> None:
+    """The experiment-grid options of ``run``, ``profile`` and ``submit``."""
+    from repro.vector import BACKENDS, ENGINES, MASK_MODES, RECEPTION_MODES
+
+    parser.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default="scalar",
+        help=(
+            "simulation engine: 'scalar' steps each task's slot loop in "
+            "Python; 'vector' batches all seeds of a grid cell into one "
+            "NumPy lockstep run (default: scalar)"
+        ),
+    )
+    parser.add_argument(
+        "--reception",
+        choices=RECEPTION_MODES,
+        default="auto",
+        help=(
+            "vector-engine reception kernel: 'dense' ((n,n) adjacency "
+            "product), 'sparse' (CSR scatter, O(edges) memory) or "
+            "'auto' (edge-density heuristic, the default); part of the "
+            "cached task identity"
+        ),
+    )
+    parser.add_argument(
+        "--backend",
+        choices=BACKENDS,
+        default="auto",
+        help=(
+            "vector-engine array kernels: 'numpy' (default "
+            "formulations), 'numba' (JIT-compiled inner loops; silently "
+            "falls back to numpy when the wheel is unavailable — "
+            "results are bit-identical) or 'auto' (numba when "
+            "importable); part of the cached task identity"
+        ),
+    )
+    parser.add_argument(
+        "--mask",
+        choices=MASK_MODES,
+        default="auto",
+        help=(
+            "vector-engine active-set mask: 'on' restricts per-slot "
+            "work (coin draws, reception scatter, backlog updates) to "
+            "the provably-awake stations, 'off' runs the full-width "
+            "loop, 'auto' enables it at n >= 1024; the modes are "
+            "distributionally (not bitwise) equivalent, so this is "
+            "part of the cached task identity"
+        ),
+    )
+    parser.add_argument(
+        "--seed", type=int, default=7, help="experiment root seed"
+    )
+    parser.add_argument(
+        "--replications",
+        type=int,
+        default=5,
+        help="replications per grid case",
+    )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="miniature grid (CI smoke / quick sanity)",
+    )
+
+
+def _submit_grid(args):
+    """The ``(tasks, options)`` a queue ``submit`` enqueues.
+
+    Raises :class:`~repro.errors.ConfigurationError` for an unknown
+    experiment, an invalid engine knob, or a vector engine the
+    experiment does not implement.
+    """
+    from repro.errors import ConfigurationError
+    from repro.runner import registered_ids
+    from repro.runner.executor import experiment_grid
+
+    if args.exp_id not in registered_ids():
+        raise ConfigurationError(
+            f"unknown experiment {args.exp_id!r}; runnable: "
+            f"{', '.join(registered_ids())}"
+        )
+    _defn, tasks, options = experiment_grid(
+        args.exp_id,
+        seed=args.seed,
+        replications=args.replications,
+        engine=args.engine,
+        reception=args.reception,
+        backend=args.backend,
+        mask=args.mask,
+        **({"quick": True} if args.quick else {}),
+    )
+    return tasks, options
+
+
+def _add_worker_args(parser, *, heartbeat) -> None:
+    """The options ``fleet worker``/``coord worker`` share."""
+    parser.add_argument(
+        "--host", default=None,
+        help="worker identity (default: <hostname>-<pid>-<nonce>)",
+    )
+    parser.add_argument(
+        "--heartbeat", type=float, default=heartbeat, metavar="SECONDS",
+        help=(
+            "lease heartbeat interval (default: "
+            f"{'ttl/4' if heartbeat is None else heartbeat})"
+        ),
+    )
+    parser.add_argument(
+        "--poll", type=float, default=0.5,
+        help="re-claim interval when every pending task is leased",
+    )
+    parser.add_argument(
+        "--throttle", type=float, default=0.0, metavar="SECONDS",
+        help="sleep before each fresh execution (chaos/testing)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=None,
+        help=(
+            "retry budget per task (default 2); a fleet worker also "
+            "charges lease steals to it"
+        ),
+    )
+    parser.add_argument(
+        "--max-tasks", type=int, default=None,
+        help=(
+            "stop after running this many tasks (executed or "
+            "quarantined; cache replays do not count) instead of "
+            "draining the queue"
+        ),
+    )
+    parser.add_argument(
+        "--no-progress", action="store_true",
+        help="suppress the per-task progress lines",
+    )
+
+
+def _run_worker(make_worker) -> int:
+    """Drain with ``make_worker()`` and print its one-line summary.
+
+    Exits 1 when outcomes were left stranded in the coordinator outbox.
+    """
+    from repro.errors import ConfigurationError
+
+    try:
+        stats = make_worker().run()
+    except ConfigurationError as exc:
+        print(f"cannot start worker: {exc}", file=sys.stderr)
+        return 2
+    stranded = (
+        f", {stats.stranded} stranded in the outbox" if stats.stranded else ""
+    )
+    print(
+        f"[{stats.host}] done: {stats.executed} executed, "
+        f"{stats.cache_hits} cache hits, {stats.lease_reclaims} lease "
+        f"reclaims, {stats.retries} retries, {stats.quarantined} "
+        f"quarantined{stranded} in {stats.wall_time:.1f}s"
+    )
+    return 1 if stats.stranded else 0
+
+
+def _add_status_args(parser) -> None:
+    parser.add_argument(
+        "--json", metavar="FILE", default=None,
+        help="also write the status JSON to FILE",
+    )
+    parser.add_argument(
+        "--watch", type=float, default=None, metavar="SECONDS",
+        help="re-render every SECONDS until the queue drains",
+    )
+
+
+def _watch_status(read, args) -> int:
+    """Print ``read()``'s status view, every ``--watch`` s until drained.
+
+    ``read`` returns ``(text, json_payload, drained)``; ``--json``
+    rewrites the payload on every pass.
+    """
+    import time
+
+    while True:
+        text, payload, drained = read()
+        print(text)
+        if args.json:
+            _write_json(args.json, payload)
+        if args.watch is None or drained:
+            return 0
+        time.sleep(args.watch)
+        print()
+
+
 def _cmd_fleet(argv: list) -> int:
     import argparse
-    import json
-    import time as _time
 
     from repro.errors import ConfigurationError
-    from repro.runner.fleet import (
-        FleetQueue,
-        FleetWorker,
-        fleet_status,
-    )
-    from repro.runner.policy import FaultPolicy
-    from repro.vector import BACKENDS, ENGINES, MASK_MODES, RECEPTION_MODES
+    from repro.runner.fleet import FleetQueue, FleetWorker, fleet_status
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
@@ -1008,133 +1111,41 @@ def _cmd_fleet(argv: list) -> int:
         "submit", help="populate a queue directory with an experiment grid"
     )
     p_submit.add_argument("exp_id", help="experiment id (see run --list)")
+    _add_grid_args(p_submit)
     p_submit.add_argument(
         "--queue", required=True, metavar="DIR",
         help="queue directory (created; must be visible to every worker)",
-    )
-    p_submit.add_argument("--seed", type=int, default=7)
-    p_submit.add_argument("--replications", type=int, default=5)
-    p_submit.add_argument("--engine", choices=ENGINES, default="scalar")
-    p_submit.add_argument(
-        "--reception", choices=RECEPTION_MODES, default="auto"
-    )
-    p_submit.add_argument("--backend", choices=BACKENDS, default="auto")
-    p_submit.add_argument("--mask", choices=MASK_MODES, default="auto")
-    p_submit.add_argument(
-        "--quick", action="store_true", help="miniature grid"
     )
 
     p_worker = sub.add_parser(
         "worker", help="pull and execute tasks until the queue drains"
     )
     p_worker.add_argument("queue", metavar="QUEUE", help="queue directory")
-    p_worker.add_argument(
-        "--host", default=None,
-        help="fleet host identity (default: <hostname>-<pid>)",
-    )
+    _add_worker_args(p_worker, heartbeat=None)
     p_worker.add_argument(
         "--ttl", type=float, default=30.0,
         help="lease expiry: a lease untouched this long is reclaimed",
     )
     p_worker.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="lease refresh interval (default: ttl/4)",
-    )
-    p_worker.add_argument(
-        "--poll", type=float, default=0.5,
-        help="rescan interval when every pending task is leased",
-    )
-    p_worker.add_argument(
-        "--throttle", type=float, default=0.0, metavar="SECONDS",
-        help="sleep before each fresh execution (chaos/testing)",
-    )
-    p_worker.add_argument(
-        "--retries", type=int, default=None,
-        help="retry budget per task, shared with lease steals (default 2)",
-    )
-    p_worker.add_argument(
         "--skew", type=float, default=0.0, metavar="SECONDS",
         help="stamp lease times with a skewed clock (chaos/testing)",
-    )
-    p_worker.add_argument(
-        "--max-tasks", type=int, default=None,
-        help="stop after this many tasks instead of draining the queue",
-    )
-    p_worker.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the per-task progress lines",
     )
 
     p_status = sub.add_parser(
         "status", help="merge every host's journal into one report"
     )
     p_status.add_argument("queue", metavar="QUEUE", help="queue directory")
-    p_status.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="also write the merged status JSON to FILE",
-    )
-    p_status.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
-        help="re-render every SECONDS until the queue drains",
-    )
+    _add_status_args(p_status)
 
     args = parser.parse_args(argv)
 
     if args.subcommand == "submit":
-        import dataclasses
-
         from repro import __version__
-        from repro.runner import get_experiment, registered_ids
-        from repro.vector.engine import (
-            validate_backend,
-            validate_mask,
-            validate_reception,
-        )
 
-        if args.exp_id not in registered_ids():
-            print(
-                f"unknown experiment {args.exp_id!r}; runnable: "
-                f"{', '.join(registered_ids())}",
-                file=sys.stderr,
-            )
-            return 2
-        validate_reception(args.reception)
-        validate_backend(args.backend)
-        validate_mask(args.mask)
-        defn = get_experiment(args.exp_id)
-        options = {"quick": True} if args.quick else {}
         try:
-            tasks = defn.tasks(args.seed, args.replications, **options)
-            if args.engine != "scalar":
-                if not defn.supports_vector:
-                    raise ConfigurationError(
-                        f"experiment {args.exp_id!r} has no vector-engine "
-                        "implementation"
-                    )
-                tasks = [
-                    dataclasses.replace(
-                        spec,
-                        engine=args.engine,
-                        reception=args.reception,
-                        backend=args.backend,
-                        mask=args.mask,
-                    )
-                    for spec in tasks
-                ]
+            tasks, options = _submit_grid(args)
             queue = FleetQueue(args.queue)
-            fresh = queue.submit(
-                tasks,
-                version=__version__,
-                options={
-                    "seed": args.seed,
-                    "replications": args.replications,
-                    "engine": args.engine,
-                    "reception": args.reception,
-                    "backend": args.backend,
-                    "mask": args.mask,
-                    **options,
-                },
-            )
+            fresh = queue.submit(tasks, version=__version__, options=options)
         except ConfigurationError as exc:
             print(f"cannot submit {args.exp_id!r}: {exc}", file=sys.stderr)
             return 2
@@ -1149,16 +1160,11 @@ def _cmd_fleet(argv: list) -> int:
         return 0
 
     if args.subcommand == "worker":
-        policy = (
-            FaultPolicy(max_retries=args.retries)
-            if args.retries is not None
-            else None
-        )
-        try:
-            worker = FleetWorker(
+        return _run_worker(
+            lambda: FleetWorker(
                 args.queue,
                 host=args.host,
-                policy=policy,
+                policy=_retry_policy(args.retries),
                 ttl=args.ttl,
                 heartbeat_interval=args.heartbeat,
                 poll_interval=args.poll,
@@ -1167,45 +1173,21 @@ def _cmd_fleet(argv: list) -> int:
                 max_tasks=args.max_tasks,
                 progress=not args.no_progress,
             )
-            stats = worker.run()
-        except ConfigurationError as exc:
-            print(f"cannot start worker: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"[{stats.host}] drained: {stats.executed} executed, "
-            f"{stats.cache_hits} cache hits, {stats.lease_reclaims} "
-            f"lease reclaims, {stats.retries} retries, "
-            f"{stats.quarantined} quarantined in {stats.wall_time:.1f}s"
         )
-        return 0
 
-    # status
-    while True:
-        try:
-            status = fleet_status(args.queue)
-        except ConfigurationError as exc:
-            print(f"cannot read queue: {exc}", file=sys.stderr)
-            return 2
-        print(status.summary())
-        if args.json:
-            import os as _os
+    def read():
+        status = fleet_status(args.queue)
+        return status.summary(), status.to_json(), status.done
 
-            parent = _os.path.dirname(args.json)
-            if parent:
-                _os.makedirs(parent, exist_ok=True)
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(status.to_json(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        if args.watch is None or status.done:
-            return 0
-        _time.sleep(args.watch)
-        print()
+    try:
+        return _watch_status(read, args)
+    except ConfigurationError as exc:
+        print(f"cannot read queue: {exc}", file=sys.stderr)
+        return 2
 
 
 def _cmd_coord(argv: list) -> int:
     import argparse
-    import json
-    import time as _time
 
     from repro.errors import ConfigurationError
     from repro.runner.client import (
@@ -1220,8 +1202,6 @@ def _cmd_coord(argv: list) -> int:
         format_coord_status,
         submit_tasks,
     )
-    from repro.runner.policy import FaultPolicy
-    from repro.vector import BACKENDS, ENGINES, MASK_MODES, RECEPTION_MODES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro coord",
@@ -1258,41 +1238,28 @@ def _cmd_coord(argv: list) -> int:
         help="retry budget per task, shared with lease steals (default 2)",
     )
 
+    def add_address_args(parser) -> None:
+        parser.add_argument(
+            "--dir", default=None, metavar="DIR",
+            help="coordinator state dir (reads coord.json for the address)",
+        )
+        parser.add_argument(
+            "--addr", default=None, metavar="HOST:PORT",
+            help="explicit coordinator address (no state dir needed)",
+        )
+
     p_submit = sub.add_parser(
         "submit", help="send an experiment grid to the coordinator"
     )
     p_submit.add_argument("exp_id", help="experiment id (see run --list)")
-    p_submit.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="coordinator state dir (reads coord.json for the address)",
-    )
-    p_submit.add_argument(
-        "--addr", default=None, metavar="HOST:PORT",
-        help="explicit coordinator address (no state dir needed)",
-    )
-    p_submit.add_argument("--seed", type=int, default=7)
-    p_submit.add_argument("--replications", type=int, default=5)
-    p_submit.add_argument("--engine", choices=ENGINES, default="scalar")
-    p_submit.add_argument(
-        "--reception", choices=RECEPTION_MODES, default="auto"
-    )
-    p_submit.add_argument("--backend", choices=BACKENDS, default="auto")
-    p_submit.add_argument("--mask", choices=MASK_MODES, default="auto")
-    p_submit.add_argument(
-        "--quick", action="store_true", help="miniature grid"
-    )
+    _add_grid_args(p_submit)
+    add_address_args(p_submit)
 
     p_worker = sub.add_parser(
         "worker", help="claim and execute tasks over the wire"
     )
-    p_worker.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="coordinator state dir (reads coord.json for the address)",
-    )
-    p_worker.add_argument(
-        "--addr", default=None, metavar="HOST:PORT",
-        help="explicit coordinator address (no state dir needed)",
-    )
+    add_address_args(p_worker)
+    _add_worker_args(p_worker, heartbeat=2.0)
     p_worker.add_argument(
         "--outbox", default=None, metavar="DIR",
         help=(
@@ -1300,26 +1267,6 @@ def _cmd_coord(argv: list) -> int:
             "is unreachable (default: <dir>/outbox; required with "
             "--addr alone)"
         ),
-    )
-    p_worker.add_argument(
-        "--host", default=None,
-        help="worker identity (default: <hostname>-<pid>-<nonce>)",
-    )
-    p_worker.add_argument(
-        "--heartbeat", type=float, default=2.0, metavar="SECONDS",
-        help="lease heartbeat interval (default: 2.0)",
-    )
-    p_worker.add_argument(
-        "--poll", type=float, default=0.5,
-        help="re-claim interval when every pending task is leased",
-    )
-    p_worker.add_argument(
-        "--throttle", type=float, default=0.0, metavar="SECONDS",
-        help="sleep before each fresh execution (chaos/testing)",
-    )
-    p_worker.add_argument(
-        "--retries", type=int, default=None,
-        help="retry budget per task (default 2)",
     )
     p_worker.add_argument(
         "--request-timeout", type=float, default=5.0, metavar="SECONDS",
@@ -1332,14 +1279,6 @@ def _cmd_coord(argv: list) -> int:
             "before spooling to the outbox and exiting cleanly"
         ),
     )
-    p_worker.add_argument(
-        "--max-tasks", type=int, default=None,
-        help="stop after this many tasks instead of draining the queue",
-    )
-    p_worker.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress the per-task progress lines",
-    )
 
     p_status = sub.add_parser(
         "status", help="coordinator status (live TCP, else journal replay)"
@@ -1348,30 +1287,18 @@ def _cmd_coord(argv: list) -> int:
         "--dir", required=True, metavar="DIR",
         help="coordinator state directory",
     )
-    p_status.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="also write the status JSON to FILE",
-    )
-    p_status.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
-        help="re-render every SECONDS until the queue drains",
-    )
+    _add_status_args(p_status)
 
     args = parser.parse_args(argv)
 
     if args.subcommand == "serve":
-        policy = (
-            FaultPolicy(max_retries=args.retries)
-            if args.retries is not None
-            else None
-        )
         try:
             server = CoordServer(
                 args.dir,
                 host=args.host,
                 port=args.port,
                 ttl=args.ttl,
-                policy=policy,
+                policy=_retry_policy(args.retries),
             )
             host, port = server.start()
         except (ConfigurationError, OSError) as exc:
@@ -1407,61 +1334,14 @@ def _cmd_coord(argv: list) -> int:
         address = parse_address(args.addr) if args.addr else None
 
     if args.subcommand == "submit":
-        import dataclasses
-
         from repro import __version__
-        from repro.runner import get_experiment, registered_ids
-        from repro.vector.engine import (
-            validate_backend,
-            validate_mask,
-            validate_reception,
-        )
 
-        if args.exp_id not in registered_ids():
-            print(
-                f"unknown experiment {args.exp_id!r}; runnable: "
-                f"{', '.join(registered_ids())}",
-                file=sys.stderr,
-            )
-            return 2
-        validate_reception(args.reception)
-        validate_backend(args.backend)
-        validate_mask(args.mask)
-        defn = get_experiment(args.exp_id)
-        options = {"quick": True} if args.quick else {}
         client = None
         try:
-            tasks = defn.tasks(args.seed, args.replications, **options)
-            if args.engine != "scalar":
-                if not defn.supports_vector:
-                    raise ConfigurationError(
-                        f"experiment {args.exp_id!r} has no vector-engine "
-                        "implementation"
-                    )
-                tasks = [
-                    dataclasses.replace(
-                        spec,
-                        engine=args.engine,
-                        reception=args.reception,
-                        backend=args.backend,
-                        mask=args.mask,
-                    )
-                    for spec in tasks
-                ]
+            tasks, options = _submit_grid(args)
             client = CoordClient(args.dir, address=address)
             fresh = submit_tasks(
-                client,
-                tasks,
-                version=__version__,
-                options={
-                    "seed": args.seed,
-                    "replications": args.replications,
-                    "engine": args.engine,
-                    "reception": args.reception,
-                    "backend": args.backend,
-                    "mask": args.mask,
-                    **options,
-                },
+                client, tasks, version=__version__, options=options
             )
         except ConfigurationError as exc:
             print(f"cannot submit {args.exp_id!r}: {exc}", file=sys.stderr)
@@ -1480,17 +1360,12 @@ def _cmd_coord(argv: list) -> int:
         return 0
 
     if args.subcommand == "worker":
-        policy = (
-            FaultPolicy(max_retries=args.retries)
-            if args.retries is not None
-            else None
-        )
-        try:
-            worker = CoordWorker(
+        return _run_worker(
+            lambda: CoordWorker(
                 args.dir,
                 host=args.host,
                 address=address,
-                policy=policy,
+                policy=_retry_policy(args.retries),
                 heartbeat_interval=args.heartbeat,
                 poll_interval=args.poll,
                 throttle=args.throttle,
@@ -1500,42 +1375,16 @@ def _cmd_coord(argv: list) -> int:
                 max_tasks=args.max_tasks,
                 progress=not args.no_progress,
             )
-            stats = worker.run()
-        except ConfigurationError as exc:
-            print(f"cannot start worker: {exc}", file=sys.stderr)
-            return 2
-        stranded = (
-            f", {stats.stranded} stranded in the outbox"
-            if stats.stranded
-            else ""
         )
-        print(
-            f"[{stats.host}] done: {stats.executed} executed, "
-            f"{stats.cache_hits} cache hits, {stats.retries} retries, "
-            f"{stats.quarantined} quarantined{stranded} in "
-            f"{stats.wall_time:.1f}s"
-        )
-        return 1 if stats.stranded else 0
 
-    # status
-    while True:
+    def read():
         payload = coord_status(args.dir)
-        print(format_coord_status(payload))
-        if args.json:
-            import os as _os
+        drained = int(payload.get("total", 0)) > 0 and not payload.get(
+            "pending"
+        )
+        return format_coord_status(payload), payload, drained
 
-            parent = _os.path.dirname(args.json)
-            if parent:
-                _os.makedirs(parent, exist_ok=True)
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        total = int(payload.get("total", 0))
-        drained = total > 0 and int(payload.get("pending", 0)) == 0
-        if args.watch is None or drained:
-            return 0
-        _time.sleep(args.watch)
-        print()
+    return _watch_status(read, args)
 
 
 def _cmd_vector_check(argv: list) -> int:
@@ -1606,19 +1455,23 @@ def main(argv: list) -> int:
         return _cmd_fleet(argv[1:])
     if command == "coord":
         return _cmd_coord(argv[1:])
-    seed = int(argv[1]) if len(argv) > 1 else 7
-    if command == "demo":
-        _cmd_demo(seed)
-    elif command == "timeline":
-        _cmd_timeline(seed)
-    elif command == "congestion":
-        _cmd_congestion(seed)
-    elif command == "map":
-        _cmd_map(seed)
-    elif command == "resilience":
-        _cmd_resilience(seed)
-    elif command == "vector-check":
+    if command == "vector-check":
         return _cmd_vector_check(argv[1:])
+    seeded = {
+        "demo": _cmd_demo,
+        "timeline": _cmd_timeline,
+        "congestion": _cmd_congestion,
+        "map": _cmd_map,
+        "resilience": _cmd_resilience,
+    }
+    if command in seeded:
+        try:
+            seed = int(argv[1]) if len(argv) > 1 else 7
+        except ValueError:
+            print(f"{command}: seed must be an integer, got {argv[1]!r}",
+                  file=sys.stderr)
+            return 2
+        seeded[command](seed)
     elif command == "experiments":
         from repro.analysis.experiments import registry_table
 

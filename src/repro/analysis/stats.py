@@ -59,7 +59,7 @@ def quantile(samples: Sequence[float], p: float) -> float:
     ``linear``): the p-quantile of n samples sits at rank
     ``p·(n−1)`` of the sorted data, interpolating between the two
     nearest order statistics.  This is the ground truth the streaming
-    :class:`repro.service.streaming.P2Quantile` sketch is validated
+    :class:`repro.analysis.sketches.P2Quantile` sketch is validated
     against.
     """
     if not samples:

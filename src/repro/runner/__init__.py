@@ -39,6 +39,12 @@ anywhere with a TCP route drain it; ``run_coord_chaos`` proves it
 under frame-level network faults, a partitioned worker and a
 coordinator kill-and-restart.
 
+Both backends run one worker loop (:mod:`repro.runner.drain`): claim,
+execute under the fault policy, commit or quarantine, with a heartbeat
+thread keeping the lease alive.  The lease directory and the TCP client
+are its two transports, and their status views and merged reports are
+built by the same shared functions.
+
 The CLI front ends are ``python -m repro run <EXP_ID> --workers N
 [--engine vector]``, ``python -m repro fleet submit|worker|status``
 and ``python -m repro coord serve|submit|worker|status``; runnable
@@ -75,11 +81,11 @@ from repro.runner.executor import (
     run_experiment,
     run_tasks,
 )
+from repro.runner.drain import WorkerReport
 from repro.runner.fleet import (
     FleetQueue,
     FleetStatus,
     FleetWorker,
-    WorkerReport,
     fleet_report,
     fleet_status,
 )

@@ -70,6 +70,12 @@ can double-execute), every fault type provably fired, the merged
 report matches the clean control bit for bit, and a warm replay over
 the coordinator's result cache executes zero tasks.
 
+All three scenarios run in one frame: the clean single-process control
+and its ``control_clean`` verdict first, the scenario's own faults and
+verdicts next, the warm ``replay`` verdict last.  The fleet and coord
+scenarios also share their worker-subprocess environment, drain wait
+and ``results_match`` verdict.
+
 CLI front end: ``python -m repro chaos [--quick] [--fleet] [--coord]``.
 """
 
@@ -86,9 +92,9 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.rng import child_rng
@@ -240,26 +246,20 @@ class ChaosReport:
         return "\n".join(lines)
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "workers": self.workers,
-            "tasks": self.tasks,
-            "plan": self.plan,
-            "ok": self.ok,
-            "verdicts": [
-                {"name": v.name, "passed": v.passed, "detail": v.detail}
-                for v in self.verdicts
-            ],
-            "control_failures": self.control_failures,
-            "chaos_failures": self.chaos_failures,
-            "quarantined": self.quarantined,
-            "control_wall": self.control_wall,
-            "chaos_wall": self.chaos_wall,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _canonical(metrics: Dict[str, Any]) -> str:
     return json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+
+
+def _mismatches(control_by_key: Dict[str, str], outcomes) -> List[str]:
+    """Keys of ``outcomes`` whose metrics differ from the control's."""
+    return [
+        o.key
+        for o in outcomes
+        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
+    ]
 
 
 def run_chaos(
@@ -297,86 +297,51 @@ def run_chaos(
             f"cannot corrupt {corrupt_count} of {preseed_count} "
             "pre-seeded entries"
         )
-    if replications is None:
-        replications = 6 if quick else 10
     if timeout is None:
         timeout = 3.0 if quick else 6.0
-
-    import repro
-
-    version = repro.__version__
-    defn = get_experiment("E3")
-    tasks = defn.tasks(seed, replications, quick=True)
-    labels = [spec.label() for spec in tasks]
-    keys = [spec.key(version) for spec in tasks]
-    total = len(tasks)
-
-    base = (
-        Path(base_dir)
-        if base_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    cleanup = base_dir is None and not keep
-    try:
-        return _run_scenario(
-            base=base,
-            tasks=tasks,
-            labels=labels,
-            keys=keys,
-            total=total,
-            seed=seed,
-            workers=workers,
+    return _run_frame(
+        "pool",
+        lambda run: _pool_faults(
+            run,
             timeout=timeout,
-            progress=progress,
-            preseed_count=min(preseed_count, total),
+            preseed_count=preseed_count,
             corrupt_count=corrupt_count,
             crash_fraction=crash_fraction,
             flaky_count=flaky_count,
             hang_count=hang_count,
             hang_seconds=hang_seconds,
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(base, ignore_errors=True)
+        ),
+        seed=seed,
+        workers=workers,
+        replications=replications,
+        quick=quick,
+        base_dir=base_dir,
+        keep=keep,
+        progress=progress,
+        control_workers=workers,
+    )
 
 
-def _run_scenario(
+def _pool_faults(
+    run: _ChaosRun,
     *,
-    base: Path,
-    tasks: List[TaskSpec],
-    labels: List[str],
-    keys: List[str],
-    total: int,
-    seed: int,
-    workers: int,
     timeout: float,
-    progress: bool,
     preseed_count: int,
     corrupt_count: int,
     crash_fraction: float,
     flaky_count: int,
     hang_count: int,
     hang_seconds: float,
-) -> ChaosReport:
-    # -- 1. control: the same tasks, same entry point, no faults -------
-    control_cache = ResultCache(base / "control-cache")
-    control = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=workers,
-        cache=control_cache,
-        telemetry=RunTelemetry(base / "control-run"),
-        progress=progress,
-    )
-    control_by_key = {o.key: _canonical(dict(o.metrics)) for o in control.outcomes}
-
+) -> ResultCache:
     # -- 2. pre-seed the chaos cache, then corrupt part of it ----------
+    base, keys, total = run.base, run.keys, run.total
+    labels = [spec.label() for spec in run.tasks]
+    preseed_count = min(preseed_count, total)
     chaos_cache = ResultCache(base / "chaos-cache")
     ordered = sorted(range(total), key=lambda i: labels[i])
     preseed = ordered[:preseed_count]
     for index in preseed:
-        record = control_cache.get(keys[index])
+        record = run.control_cache.get(keys[index])
         if record is not None:
             chaos_cache.put(keys[index], record)
     for position, index in enumerate(preseed[:corrupt_count]):
@@ -403,7 +368,7 @@ def _run_scenario(
             f"tasks, {need} faults planned"
         )
     picks = list(eligible)
-    child_rng(seed, "chaos-plan").shuffle(picks)
+    child_rng(run.report.seed, "chaos-plan").shuffle(picks)
     hang = picks[:hang_count]
     crash = picks[hang_count:hang_count + crash_count]
     flaky = picks[
@@ -421,44 +386,21 @@ def _run_scenario(
         json.dumps(plan, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    report = ChaosReport(
-        seed=seed,
-        workers=workers,
-        tasks=total,
-        plan={**plan, "corrupt_entries": corrupt_count},
-    )
-    report.control_failures = control.failure_summary()
-    report.control_wall = control.wall_time
-    control_clean = (
-        not control.quarantined
-        and control.executed == total
-        and control.retries == 0
-        and control.pool_rebuilds == 0
-    )
-    report.verdicts.append(
-        ChaosVerdict(
-            "control_clean",
-            control_clean,
-            f"executed {control.executed}/{total}, "
-            f"{len(control.quarantined)} quarantined, "
-            f"{control.retries} retries, "
-            f"{control.pool_rebuilds} pool rebuilds",
-        )
-    )
-
     # -- 4. the chaotic run --------------------------------------------
     saved = os.environ.get(ENV_VAR)
     os.environ[ENV_VAR] = str(inject_dir)
     try:
         chaotic = run_tasks(
-            tasks,
+            run.tasks,
             chaos_run_task,
-            workers=workers,
+            workers=run.report.workers,
             cache=chaos_cache,
             telemetry=RunTelemetry(base / "chaos-run"),
             checkpoint=base / "chaos-checkpoint.jsonl",
-            progress=progress,
-            policy=FaultPolicy(timeout=timeout, max_retries=2, seed=seed),
+            progress=run.progress,
+            policy=FaultPolicy(
+                timeout=timeout, max_retries=2, seed=run.report.seed
+            ),
         )
     finally:
         if saved is None:
@@ -466,6 +408,8 @@ def _run_scenario(
         else:
             os.environ[ENV_VAR] = saved
 
+    report = run.report
+    report.plan.update(plan, corrupt_entries=corrupt_count)
     report.chaos_failures = chaotic.failure_summary()
     report.chaos_wall = chaotic.wall_time
     report.quarantined = [q.to_record() for q in chaotic.quarantined]
@@ -505,15 +449,9 @@ def _run_scenario(
         )
     )
 
-    hang_keys = {keys[i] for i in range(total) if labels[i] in hang}
-    mismatches = [
-        key
-        for key, outcome in (
-            (o.key, o) for o in chaotic.outcomes
-        )
-        if control_by_key.get(key) != _canonical(dict(outcome.metrics))
-    ]
-    expected_outcomes = total - len(hang_keys)
+    run.rerun = {keys[i] for i in range(total) if labels[i] in hang}
+    mismatches = _mismatches(run.control_by_key, chaotic.outcomes)
+    expected_outcomes = total - len(run.rerun)
     report.verdicts.append(
         ChaosVerdict(
             "results_match",
@@ -523,38 +461,229 @@ def _run_scenario(
         )
     )
 
-    # -- 5. clean replay over the warm chaos cache ---------------------
-    replay = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=chaos_cache,
-        telemetry=RunTelemetry(base / "replay-run"),
-        progress=progress,
+    return chaos_cache
+
+
+# ----------------------------------------------------------------------
+# The frame every chaos scenario shares
+# ----------------------------------------------------------------------
+
+
+def _worker_env() -> Dict[str, str]:
+    """The environment of worker subprocesses: this checkout on
+    ``PYTHONPATH`` and no fault injection — queue chaos breaks hosts and
+    networks, not tasks."""
+    import repro
+
+    src_root = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(src_root), env.get("PYTHONPATH", "")) if part
     )
-    replay_mismatches = [
-        o.key
-        for o in replay.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    replay_ok = (
-        replay.executed == len(hang_keys)
-        and replay.cache_hits == total - len(hang_keys)
-        and len(replay.outcomes) == total
-        and not replay_mismatches
-        and not replay.quarantined
-    )
-    report.verdicts.append(
-        ChaosVerdict(
-            "replay",
-            replay_ok,
-            f"executed {replay.executed} (want {len(hang_keys)}), "
-            f"{replay.cache_hits} cache hits "
-            f"(want {total - len(hang_keys)}), "
-            f"{len(replay_mismatches)} mismatches vs control",
+    env.pop(ENV_VAR, None)
+    return env
+
+
+@dataclass
+class _ChaosRun:
+    """One chaos run: its grid, clean control, worker logs and report."""
+
+    base: Path
+    tasks: List[TaskSpec]
+    keys: List[str]
+    version: str
+    progress: bool
+    report: ChaosReport
+    control_cache: ResultCache
+    control_by_key: Dict[str, str] = field(default_factory=dict)
+    #: Keys the final replay must execute again (the quarantined hang).
+    rerun: Set[str] = field(default_factory=set)
+    env: Dict[str, str] = field(default_factory=_worker_env)
+    logs: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def total(self) -> int:
+        return len(self.tasks)
+
+    def spawn(self, args: List[str], log_name: str) -> subprocess.Popen:
+        """Start ``python -m repro <args>``, logging to ``<log_name>.log``."""
+        log = self.logs.get(log_name)
+        if log is None:
+            log = self.logs[log_name] = (
+                self.base / f"{log_name}.log"
+            ).open("w", encoding="utf-8")
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            env=self.env,
+            cwd=str(self.base),
+            stdout=log,
+            stderr=subprocess.STDOUT,
         )
+
+    def record_merge(self, merged: RunReport, started: float) -> None:
+        """Record the drained run's merged report and wall time."""
+        self.report.chaos_wall = time.monotonic() - started
+        self.report.chaos_failures = merged.failure_summary()
+        self.report.quarantined = [q.to_record() for q in merged.quarantined]
+
+    def results_match(self, merged: RunReport) -> ChaosVerdict:
+        merged_keys = [o.key for o in merged.outcomes]
+        mismatches = _mismatches(self.control_by_key, merged.outcomes)
+        return ChaosVerdict(
+            "results_match",
+            not mismatches
+            and len(merged_keys) == self.total
+            and len(set(merged_keys)) == self.total,
+            f"{len(merged_keys)}/{self.total} outcomes "
+            f"({len(set(merged_keys))} distinct), "
+            f"{len(mismatches)} metric mismatches vs control",
+        )
+
+    def replay(self, cache: ResultCache) -> ChaosVerdict:
+        """Clean replay over the run's result cache: only ``rerun``
+        executes, everything else is a cache hit matching the control."""
+        replay = run_tasks(
+            self.tasks,
+            chaos_run_task,
+            workers=0,
+            cache=cache,
+            telemetry=RunTelemetry(self.base / "replay-run"),
+            progress=self.progress,
+        )
+        mismatches = _mismatches(self.control_by_key, replay.outcomes)
+        hits = self.total - len(self.rerun)
+        return ChaosVerdict(
+            "replay",
+            replay.executed == len(self.rerun)
+            and replay.cache_hits == hits
+            and len(replay.outcomes) == self.total
+            and not mismatches
+            and not replay.quarantined,
+            f"executed {replay.executed} (want {len(self.rerun)}), "
+            f"{replay.cache_hits} cache hits (want {hits}), "
+            f"{len(mismatches)} mismatches vs control",
+        )
+
+
+def _wait_drained(
+    procs: List[subprocess.Popen], timeout: float
+) -> List[int]:
+    """Exit codes of ``procs``, waited out within ``timeout`` s in all.
+
+    A process still running at the deadline is killed and reported -9.
+    """
+    deadline = time.monotonic() + timeout
+    codes: List[int] = []
+    for proc in procs:
+        try:
+            codes.append(
+                proc.wait(timeout=max(1.0, deadline - time.monotonic()))
+            )
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            codes.append(-9)
+    return codes
+
+
+def _kill_all(procs: List[subprocess.Popen]) -> None:
+    for proc in procs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+def _outcome_count(journal: Path) -> int:
+    """Outcome lines in a journal that may be torn or still growing."""
+    try:
+        return journal.read_text("utf-8").count('"kind": "outcome"')
+    except OSError:
+        return 0
+
+
+def _run_frame(
+    mode: str,
+    scenario,
+    *,
+    seed: int,
+    workers: int,
+    replications: Optional[int],
+    quick: bool,
+    base_dir: Optional[os.PathLike],
+    keep: bool,
+    progress: bool,
+    control_workers: int = 0,
+) -> ChaosReport:
+    """The frame every chaos scenario runs in.
+
+    Runs the E3 quick grid once clean (the control, with
+    ``control_workers`` pool workers, and its ``control_clean``
+    verdict), then hands ``scenario`` a :class:`_ChaosRun` to inject
+    its faults, run the grid through them and append its own verdicts.
+    ``scenario`` returns the result cache the chaotic run filled, which
+    the final ``replay`` verdict re-runs the grid against.
+    """
+    if replications is None:
+        replications = 6 if quick else 10
+
+    import repro
+
+    version = repro.__version__
+    tasks = get_experiment("E3").tasks(seed, replications, quick=True)
+    base = (
+        Path(base_dir)
+        if base_dir is not None
+        else Path(tempfile.mkdtemp(prefix=f"repro-{mode}-chaos-"))
     )
-    return report
+    base.mkdir(parents=True, exist_ok=True)
+    run = _ChaosRun(
+        base=base,
+        tasks=tasks,
+        keys=[spec.key(version) for spec in tasks],
+        version=version,
+        progress=progress,
+        report=ChaosReport(
+            seed=seed, workers=workers, tasks=len(tasks), plan={}
+        ),
+        control_cache=ResultCache(base / "control-cache"),
+    )
+    try:
+        control = run_tasks(
+            tasks,
+            chaos_run_task,
+            workers=control_workers,
+            cache=run.control_cache,
+            telemetry=RunTelemetry(base / "control-run"),
+            progress=progress,
+        )
+        run.control_by_key = {
+            o.key: _canonical(dict(o.metrics)) for o in control.outcomes
+        }
+        run.report.control_failures = control.failure_summary()
+        run.report.control_wall = control.wall_time
+        run.report.verdicts.append(
+            ChaosVerdict(
+                "control_clean",
+                control.executed == run.total
+                and not control.quarantined
+                and control.retries == 0
+                and control.pool_rebuilds == 0,
+                f"executed {control.executed}/{run.total}, "
+                f"{len(control.quarantined)} quarantined, "
+                f"{control.retries} retries, "
+                f"{control.pool_rebuilds} pool rebuilds",
+            )
+        )
+        try:
+            cache = scenario(run)
+        finally:
+            for log in run.logs.values():
+                log.close()
+        run.report.verdicts.append(run.replay(cache))
+        return run.report
+    finally:
+        if base_dir is None and not keep:
+            shutil.rmtree(base, ignore_errors=True)
 
 
 # ----------------------------------------------------------------------
@@ -585,15 +714,6 @@ def _leases_held_by(queue, host: str) -> List[str]:
         if record is not None and record.host == host:
             held.append(key)
     return held
-
-
-def _journal_outcome_count(queue, host: str) -> int:
-    path = queue.journal_path(host)
-    try:
-        text = path.read_text("utf-8")
-    except OSError:
-        return 0
-    return text.count('"kind": "outcome"')
 
 
 def run_fleet_chaos(
@@ -631,145 +751,66 @@ def run_fleet_chaos(
             "fleet chaos needs >= 2 worker hosts: one is killed "
             "mid-sweep and the rest must finish the job"
         )
-    if replications is None:
-        replications = 6 if quick else 10
-
-    import repro
-
-    version = repro.__version__
-    defn = get_experiment("E3")
-    tasks = defn.tasks(seed, replications, quick=True)
-    keys = [spec.key(version) for spec in tasks]
-    total = len(tasks)
-
-    base = (
-        Path(base_dir)
-        if base_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-fleet-chaos-"))
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    cleanup = base_dir is None and not keep
-    try:
-        return _run_fleet_scenario(
-            base=base,
-            tasks=tasks,
-            keys=keys,
-            total=total,
-            seed=seed,
-            workers=workers,
-            progress=progress,
-            ttl=ttl,
-            throttle=throttle,
-            skew=skew,
-            poll=poll,
+    return _run_frame(
+        "fleet",
+        lambda run: _fleet_faults(
+            run, ttl=ttl, throttle=throttle, skew=skew, poll=poll,
             drain_timeout=drain_timeout,
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(base, ignore_errors=True)
+        ),
+        seed=seed,
+        workers=workers,
+        replications=replications,
+        quick=quick,
+        base_dir=base_dir,
+        keep=keep,
+        progress=progress,
+    )
 
 
-def _run_fleet_scenario(
+def _fleet_faults(
+    run: _ChaosRun,
     *,
-    base: Path,
-    tasks: List[TaskSpec],
-    keys: List[str],
-    total: int,
-    seed: int,
-    workers: int,
-    progress: bool,
     ttl: float,
     throttle: float,
     skew: float,
     poll: float,
     drain_timeout: float,
-) -> ChaosReport:
+) -> ResultCache:
     from repro.runner.fleet import FleetQueue, fleet_report, fleet_status
 
-    import repro
-
-    version = repro.__version__
-
-    # -- 1. control: the same grid, single process, no faults ----------
-    control = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=ResultCache(base / "control-cache"),
-        telemetry=RunTelemetry(base / "control-run"),
-        progress=progress,
-    )
-    control_by_key = {
-        o.key: _canonical(dict(o.metrics)) for o in control.outcomes
-    }
-
     # -- 2. submit the grid to a shared queue directory ----------------
-    queue = FleetQueue(base / "queue")
-    queue.submit(tasks, version=version, options={"seed": seed})
+    report = run.report
+    queue = FleetQueue(run.base / "queue")
+    queue.submit(run.tasks, version=run.version, options={"seed": report.seed})
 
     # -- 3. launch the worker hosts ------------------------------------
-    hosts = [f"host{i}" for i in range(workers)]
+    hosts = [f"host{i}" for i in range(report.workers)]
     victim, skew_host = hosts[0], hosts[-1]
-    src_root = Path(repro.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part
-        for part in (str(src_root), env.get("PYTHONPATH", ""))
-        if part
+    report.plan.update(
+        mode="fleet",
+        hosts=hosts,
+        victim=victim,
+        skew_host=skew_host,
+        skew=skew,
+        ttl=ttl,
+        throttle=throttle,
+        corrupt_lease=None,
     )
-    env.pop(ENV_VAR, None)  # fleet hosts run the clean task function
-    procs: List[subprocess.Popen] = []
-    log_handles = []
     started = time.monotonic()
+    procs: List[subprocess.Popen] = []
     for host in hosts:
-        cmd = [
-            sys.executable, "-m", "repro", "fleet", "worker",
-            str(queue.root),
+        args = [
+            "fleet", "worker", str(queue.root),
             "--host", host,
             "--ttl", f"{ttl:g}",
             "--poll", f"{poll:g}",
             "--throttle", f"{throttle:g}",
         ]
         if host == skew_host and skew:
-            cmd += ["--skew", f"{skew:g}"]
-        log = (base / f"{host}.log").open("w", encoding="utf-8")
-        log_handles.append(log)
-        procs.append(
-            subprocess.Popen(
-                cmd, env=env, cwd=str(base),
-                stdout=log, stderr=subprocess.STDOUT,
-            )
-        )
-
-    report = ChaosReport(
-        seed=seed,
-        workers=workers,
-        tasks=total,
-        plan={
-            "mode": "fleet",
-            "hosts": hosts,
-            "victim": victim,
-            "skew_host": skew_host,
-            "skew": skew,
-            "ttl": ttl,
-            "throttle": throttle,
-            "corrupt_lease": None,
-        },
-    )
-    report.control_failures = control.failure_summary()
-    report.control_wall = control.wall_time
-    report.verdicts.append(
-        ChaosVerdict(
-            "control_clean",
-            control.executed == total and not control.quarantined,
-            f"executed {control.executed}/{total}, "
-            f"{len(control.quarantined)} quarantined",
-        )
-    )
+            args += ["--skew", f"{skew:g}"]
+        procs.append(run.spawn(args, host))
 
     killed = False
-    corrupted: Optional[str] = None
-    survivor_rcs: List[int] = []
     try:
         # -- 4. SIGKILL the victim while it holds a lease --------------
         # A naive "saw a lease, pull the trigger" races: if this process
@@ -786,7 +827,7 @@ def _run_fleet_scenario(
             if victim_proc.poll() is not None:
                 break  # drained its share before we could pull the plug
             warmed = (
-                _journal_outcome_count(queue, victim) >= 1
+                _outcome_count(queue.journal_path(victim)) >= 1
                 or time.monotonic() - started > 1.0
             )
             if not warmed:
@@ -828,67 +869,36 @@ def _run_fleet_scenario(
             report.plan["corrupt_lease"] = corrupted
 
         # -- 6. let the survivors drain the queue ----------------------
-        drain_deadline = time.monotonic() + drain_timeout
-        for proc in procs[1:]:
-            budget = max(1.0, drain_deadline - time.monotonic())
-            try:
-                survivor_rcs.append(proc.wait(timeout=budget))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-                survivor_rcs.append(-9)
+        survivor_rcs = _wait_drained(procs[1:], drain_timeout)
     finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        for log in log_handles:
-            log.close()
-    report.chaos_wall = time.monotonic() - started
+        _kill_all(procs)
 
     # -- 7. verdicts over the merged state -----------------------------
     status = fleet_status(queue)
     merged = fleet_report(queue)
-    report.chaos_failures = merged.failure_summary()
-    report.quarantined = [q.to_record() for q in merged.quarantined]
-
+    run.record_merge(merged, started)
     leftover_leases = list(queue.leases().keys())
     merged_keys = [o.key for o in merged.outcomes]
     complete_ok = (
         status.pending == 0
         and not leftover_leases
         and not merged.quarantined
-        and len(merged_keys) == total
-        and set(merged_keys) == set(keys)
+        and len(merged_keys) == run.total
+        and set(merged_keys) == set(run.keys)
         and all(rc == 0 for rc in survivor_rcs)
     )
     report.verdicts.append(
         ChaosVerdict(
             "fleet_complete",
             complete_ok,
-            f"{len(merged_keys)}/{total} tasks done "
+            f"{len(merged_keys)}/{run.total} tasks done "
             f"({len(set(merged_keys))} distinct), {status.pending} "
             f"pending, {len(leftover_leases)} leftover leases, "
             f"{len(merged.quarantined)} quarantined, survivor exit "
             f"codes {survivor_rcs}",
         )
     )
-
-    mismatches = [
-        o.key
-        for o in merged.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    report.verdicts.append(
-        ChaosVerdict(
-            "results_match",
-            not mismatches and len(merged_keys) == len(set(merged_keys)),
-            f"{len(mismatches)} metric mismatches vs control, "
-            f"{len(merged_keys) - len(set(merged_keys))} double-counted "
-            "tasks in the merged report",
-        )
-    )
-
+    report.verdicts.append(run.results_match(merged))
     recovery_ok = (
         killed
         and merged.lease_reclaims >= 1
@@ -905,37 +915,7 @@ def _run_fleet_scenario(
             f"{merged.duplicates_merged} duplicates merged",
         )
     )
-
-    # -- 8. clean replay over the fleet's shared cache -----------------
-    replay = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=queue.cache(),
-        telemetry=RunTelemetry(base / "replay-run"),
-        progress=progress,
-    )
-    replay_mismatches = [
-        o.key
-        for o in replay.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    replay_ok = (
-        replay.executed == 0
-        and replay.cache_hits == total
-        and not replay_mismatches
-        and not replay.quarantined
-    )
-    report.verdicts.append(
-        ChaosVerdict(
-            "replay",
-            replay_ok,
-            f"executed {replay.executed} (want 0), {replay.cache_hits} "
-            f"cache hits (want {total}), {len(replay_mismatches)} "
-            "mismatches vs control",
-        )
-    )
-    return report
+    return queue.cache()
 
 
 # ----------------------------------------------------------------------
@@ -1156,20 +1136,6 @@ class _FaultProxy:
                     pass
 
 
-def _coord_journal_outcomes(state_dir: Path) -> List[Dict[str, Any]]:
-    from repro.runner.coord import JOURNAL_NAME
-    from repro.runner.telemetry import _read_jsonl
-
-    path = state_dir / JOURNAL_NAME
-    if not path.exists():
-        return []
-    return [
-        entry
-        for entry in _read_jsonl(path, strict=False)
-        if entry.get("kind") == "outcome"
-    ]
-
-
 def run_coord_chaos(
     *,
     seed: int = 7,
@@ -1202,139 +1168,64 @@ def run_coord_chaos(
             "coord chaos needs >= 2 workers: one is partitioned and "
             "the rest must keep the queue moving"
         )
-    if replications is None:
-        replications = 6 if quick else 10
-
-    import repro
-
-    version = repro.__version__
-    defn = get_experiment("E3")
-    tasks = defn.tasks(seed, replications, quick=True)
-    keys = [spec.key(version) for spec in tasks]
-    total = len(tasks)
-
-    base = (
-        Path(base_dir)
-        if base_dir is not None
-        else Path(tempfile.mkdtemp(prefix="repro-coord-chaos-"))
-    )
-    base.mkdir(parents=True, exist_ok=True)
-    cleanup = base_dir is None and not keep
-    try:
-        return _run_coord_scenario(
-            base=base,
-            tasks=tasks,
-            keys=keys,
-            total=total,
-            seed=seed,
-            workers=workers,
-            progress=progress,
-            ttl=ttl,
-            throttle=throttle,
+    return _run_frame(
+        "coord",
+        lambda run: _coord_faults(
+            run, ttl=ttl, throttle=throttle,
             partition_seconds=partition_seconds,
             drain_timeout=drain_timeout,
-            version=version,
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(base, ignore_errors=True)
+        ),
+        seed=seed,
+        workers=workers,
+        replications=replications,
+        quick=quick,
+        base_dir=base_dir,
+        keep=keep,
+        progress=progress,
+    )
 
 
-def _run_coord_scenario(
+def _coord_faults(
+    run: _ChaosRun,
     *,
-    base: Path,
-    tasks: List[TaskSpec],
-    keys: List[str],
-    total: int,
-    seed: int,
-    workers: int,
-    progress: bool,
     ttl: float,
     throttle: float,
     partition_seconds: float,
     drain_timeout: float,
-    version: str,
-) -> ChaosReport:
-    import repro
+) -> ResultCache:
     from repro.runner.client import CoordClient, CoordinatorUnreachable
     from repro.runner.coord import JOURNAL_NAME, coord_report, coord_status
     from repro.runner.coord import submit_tasks
     from repro.runner.telemetry import _read_jsonl
 
-    state = base / "coord-state"
+    report = run.report
+    state = run.base / "coord-state"
     coord_port = _free_port()
-
-    # -- 1. control: the same grid, single process, no faults ----------
-    control = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=ResultCache(base / "control-cache"),
-        telemetry=RunTelemetry(base / "control-run"),
-        progress=progress,
-    )
-    control_by_key = {
-        o.key: _canonical(dict(o.metrics)) for o in control.outcomes
-    }
-
-    src_root = Path(repro.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part
-        for part in (str(src_root), env.get("PYTHONPATH", ""))
-        if part
-    )
-    env.pop(ENV_VAR, None)  # workers run the clean task function
-
-    def spawn_coord(log):
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "coord", "serve",
-                "--dir", str(state),
-                "--port", str(coord_port),
-                "--ttl", f"{ttl:g}",
-            ],
-            env=env, cwd=str(base),
-            stdout=log, stderr=subprocess.STDOUT,
-        )
-
-    hosts = [f"chost{i}" for i in range(workers)]
+    serve = [
+        "coord", "serve",
+        "--dir", str(state),
+        "--port", str(coord_port),
+        "--ttl", f"{ttl:g}",
+    ]
+    hosts = [f"chost{i}" for i in range(report.workers)]
     partition_host = hosts[-1]
     schedule = _FaultSchedule()
-    report = ChaosReport(
-        seed=seed,
-        workers=workers,
-        tasks=total,
-        plan={
-            "mode": "coord",
-            "hosts": hosts,
-            "partition_host": partition_host,
-            "partition": partition_seconds,
-            "ttl": ttl,
-            "throttle": throttle,
-            "coord_port": coord_port,
-            "faults": {},
-        },
-    )
-    report.control_failures = control.failure_summary()
-    report.control_wall = control.wall_time
-    report.verdicts.append(
-        ChaosVerdict(
-            "control_clean",
-            control.executed == total and not control.quarantined,
-            f"executed {control.executed}/{total}, "
-            f"{len(control.quarantined)} quarantined",
-        )
+    report.plan.update(
+        mode="coord",
+        hosts=hosts,
+        partition_host=partition_host,
+        partition=partition_seconds,
+        ttl=ttl,
+        throttle=throttle,
+        coord_port=coord_port,
+        faults={},
     )
 
     started = time.monotonic()
-    coord_log = (base / "coord.log").open("w", encoding="utf-8")
-    log_handles = [coord_log]
-    coord_proc = spawn_coord(coord_log)
+    coord_proc = run.spawn(serve, "coord")
     procs: List[subprocess.Popen] = []
     faulty = partitioned = None
     killed = restarted = False
-    worker_rcs: List[int] = []
     try:
         # -- 2. wait for the coordinator, submit the grid --------------
         admin = CoordClient(
@@ -1344,45 +1235,43 @@ def _run_coord_scenario(
         )
         admin.request({"op": "ping"})
         submit_tasks(
-            admin, tasks, version=version, options={"seed": seed}
+            admin, run.tasks, version=run.version,
+            options={"seed": report.seed},
         )
 
         # -- 3. fault proxies between the workers and the port ---------
         faulty = _FaultProxy(
-            ("127.0.0.1", coord_port), schedule=schedule, seed=seed
+            ("127.0.0.1", coord_port), schedule=schedule, seed=report.seed
         )
         partitioned = _FaultProxy(("127.0.0.1", coord_port))
 
         # -- 4. the workers, reachable only through the proxies --------
         for host in hosts:
             proxy = partitioned if host == partition_host else faulty
-            cmd = [
-                sys.executable, "-m", "repro", "coord", "worker",
-                "--addr", f"127.0.0.1:{proxy.port}",
-                "--outbox", str(base / "outbox"),
-                "--host", host,
-                "--poll", "0.1",
-                "--heartbeat", "0.5",
-                "--throttle", f"{throttle:g}",
-                "--request-timeout", "1.5",
-                "--offline-budget", "60",
-                "--no-progress",
-            ]
-            log = (base / f"{host}.log").open("w", encoding="utf-8")
-            log_handles.append(log)
             procs.append(
-                subprocess.Popen(
-                    cmd, env=env, cwd=str(base),
-                    stdout=log, stderr=subprocess.STDOUT,
+                run.spawn(
+                    [
+                        "coord", "worker",
+                        "--addr", f"127.0.0.1:{proxy.port}",
+                        "--outbox", str(run.base / "outbox"),
+                        "--host", host,
+                        "--poll", "0.1",
+                        "--heartbeat", "0.5",
+                        "--throttle", f"{throttle:g}",
+                        "--request-timeout", "1.5",
+                        "--offline-budget", "60",
+                        "--no-progress",
+                    ],
+                    host,
                 )
             )
 
         # -- 5. mid-run: partition one worker, SIGKILL the coordinator -
-        def outcome_count() -> int:
-            return len(_coord_journal_outcomes(state))
-
         warm_deadline = time.monotonic() + drain_timeout / 2
-        while time.monotonic() < warm_deadline and outcome_count() < 2:
+        while (
+            time.monotonic() < warm_deadline
+            and _outcome_count(state / JOURNAL_NAME) < 2
+        ):
             time.sleep(0.05)
         partitioned.partition(partition_seconds)
         if coord_proc.poll() is None:
@@ -1392,7 +1281,7 @@ def _run_coord_scenario(
             killed = True
         coord_proc.wait()
         time.sleep(0.5)
-        coord_proc = spawn_coord(coord_log)
+        coord_proc = run.spawn(serve, "coord")
         try:
             admin.request({"op": "ping"}, offline_budget=20.0)
             restarted = True
@@ -1400,15 +1289,7 @@ def _run_coord_scenario(
             restarted = False
 
         # -- 6. wait for the drain -------------------------------------
-        drain_deadline = time.monotonic() + drain_timeout
-        for proc in procs:
-            budget = max(1.0, drain_deadline - time.monotonic())
-            try:
-                worker_rcs.append(proc.wait(timeout=budget))
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-                worker_rcs.append(-9)
+        worker_rcs = _wait_drained(procs, drain_timeout)
 
         # -- 7. stop the coordinator cleanly ---------------------------
         try:
@@ -1416,30 +1297,18 @@ def _run_coord_scenario(
         except (CoordinatorUnreachable, OSError):
             pass
         admin.close()
-        try:
-            coord_proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:
-            coord_proc.kill()
-            coord_proc.wait()
+        _wait_drained([coord_proc], 5.0)
     finally:
-        for proc in [coord_proc] + procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+        _kill_all([coord_proc] + procs)
         for proxy in (faulty, partitioned):
             if proxy is not None:
                 proxy.close()
-        for log in log_handles:
-            log.close()
-    report.chaos_wall = time.monotonic() - started
     report.plan["faults"] = dict(schedule.counts)
 
     # -- 8. verdicts over the journal ----------------------------------
     status = coord_status(state)
     merged = coord_report(state)
-    report.chaos_failures = merged.failure_summary()
-    report.quarantined = [q.to_record() for q in merged.quarantined]
-
+    run.record_merge(merged, started)
     journal_entries = _read_jsonl(state / JOURNAL_NAME, strict=False)
     starts = sum(
         1 for e in journal_entries if e.get("kind") == "coord_start"
@@ -1457,7 +1326,7 @@ def _run_coord_scenario(
         ChaosVerdict(
             "coord_complete",
             complete_ok,
-            f"{status['completed']}/{total} done, {status['pending']} "
+            f"{status['completed']}/{run.total} done, {status['pending']} "
             f"pending, {len(merged.quarantined)} quarantined; "
             f"coordinator killed={killed} restarted={restarted} "
             f"({starts} journal starts); worker exit codes {worker_rcs}",
@@ -1473,14 +1342,14 @@ def _run_coord_scenario(
     multiples = {k: c for k, c in fresh_counts.items() if c != 1}
     exactly_once = (
         not multiples
-        and len(fresh_counts) == total
-        and set(fresh_counts) == set(keys)
+        and len(fresh_counts) == run.total
+        and set(fresh_counts) == set(run.keys)
     )
     report.verdicts.append(
         ChaosVerdict(
             "exactly_once",
             exactly_once,
-            f"{len(fresh_counts)}/{total} tasks executed, "
+            f"{len(fresh_counts)}/{run.total} tasks executed, "
             f"{len(multiples)} executed more than once "
             f"({sum(fresh_counts.values())} fresh outcomes journaled)",
         )
@@ -1506,51 +1375,5 @@ def _run_coord_scenario(
         )
     )
 
-    merged_keys = [o.key for o in merged.outcomes]
-    mismatches = [
-        o.key
-        for o in merged.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    report.verdicts.append(
-        ChaosVerdict(
-            "results_match",
-            not mismatches
-            and len(merged_keys) == total
-            and len(set(merged_keys)) == total,
-            f"{len(merged_keys)}/{total} outcomes "
-            f"({len(set(merged_keys))} distinct), "
-            f"{len(mismatches)} metric mismatches vs control",
-        )
-    )
-
-    # -- 9. warm replay over the coordinator's result cache ------------
-    replay = run_tasks(
-        tasks,
-        chaos_run_task,
-        workers=0,
-        cache=ResultCache(state / "results"),
-        telemetry=RunTelemetry(base / "replay-run"),
-        progress=progress,
-    )
-    replay_mismatches = [
-        o.key
-        for o in replay.outcomes
-        if control_by_key.get(o.key) != _canonical(dict(o.metrics))
-    ]
-    replay_ok = (
-        replay.executed == 0
-        and replay.cache_hits == total
-        and not replay_mismatches
-        and not replay.quarantined
-    )
-    report.verdicts.append(
-        ChaosVerdict(
-            "replay",
-            replay_ok,
-            f"executed {replay.executed} (want 0), {replay.cache_hits} "
-            f"cache hits (want {total}), {len(replay_mismatches)} "
-            "mismatches vs control",
-        )
-    )
-    return report
+    report.verdicts.append(run.results_match(merged))
+    return ResultCache(state / "results")

@@ -13,13 +13,14 @@ waiting for.  When the coordinator stays unreachable past
 :class:`CoordinatorUnreachable` — the worker's cue to degrade, not a
 crash.
 
-:class:`CoordWorker` mirrors the :class:`~repro.runner.fleet.
-FleetWorker` claim→execute→commit→release loop over the wire, with two
-twists the shared-filesystem worker never needed:
+:class:`CoordWorker` is the shared drain loop of :mod:`repro.runner.
+drain` over this module's :class:`TcpTransport`, with two twists the
+shared-filesystem transport never needed:
 
 * **Leases live on the coordinator.**  The worker just heartbeats its
-  active key; TTL accounting, expiry and the steal-count retry budget
-  are server-side, so a clock-skewed worker cannot corrupt them.
+  active key; TTL accounting, expiry, the steal-count retry budget and
+  cache replays are server-side, so a clock-skewed worker cannot
+  corrupt them.
 * **Commits go through a local outbox.**  Each computed outcome is
   spooled (fsynced) to a per-worker JSONL file *before* the commit is
   sent and acknowledged after.  If the coordinator stays unreachable
@@ -40,18 +41,25 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.runner.coord import read_discovery
-from repro.runner.fleet import WorkerReport, default_host_name
-from repro.runner.policy import FaultPolicy, QuarantineRecord
+from repro.runner.drain import (
+    DRAINED,
+    WAIT,
+    DrainWorker,
+    QueueUnreachable,
+    WorkerReport,
+    default_host_name,
+)
+from repro.runner.policy import FaultPolicy
 from repro.runner.task import TaskSpec
 from repro.runner.telemetry import _read_jsonl
 from repro.runner.wire import FrameDecoder, encode_frame
 
 
-class CoordinatorUnreachable(RuntimeError):
+class CoordinatorUnreachable(QueueUnreachable):
     """The coordinator did not answer within the offline budget."""
 
 
@@ -271,15 +279,110 @@ class Outbox:
 # ----------------------------------------------------------------------
 
 
-class CoordWorker:
+class TcpTransport:
+    """The coordinator transport of the drain loop (one per worker)."""
+
+    def __init__(
+        self,
+        client: CoordClient,
+        host: str,
+        *,
+        outbox_dir: Path,
+        heartbeat_interval: float,
+        poll_interval: float,
+    ) -> None:
+        self.client = client
+        self.host = host
+        self.outbox_dir = outbox_dir
+        self.outbox = Outbox(outbox_dir / f"{host}.jsonl")
+        self.heartbeat_interval = heartbeat_interval
+        self.poll_interval = poll_interval
+        self.report: Optional[WorkerReport] = None
+
+    def start(self, report: WorkerReport) -> str:
+        """Flush every stranded outbox, then wait for a submitted grid."""
+        self.report = report
+        self._flush_outboxes()
+        while True:
+            hello = self.client.request({"op": "hello", "host": self.host})
+            if hello.get("submitted"):
+                return str(hello.get("version", ""))
+            time.sleep(self.poll_interval)
+
+    def stop(self) -> None:
+        self.client.close()
+        self.outbox.close()
+
+    def heartbeat(self, key: str) -> None:
+        try:
+            # Best-effort with a short budget: a missed heartbeat is
+            # survivable (the TTL is several intervals wide) and must
+            # not pin the shared client in a long retry loop.
+            self.client.request(
+                {"op": "heartbeat", "host": self.host, "key": key},
+                offline_budget=self.heartbeat_interval,
+            )
+        except (CoordinatorUnreachable, OSError):
+            pass
+
+    def claim(self) -> Union[Tuple[str, TaskSpec], str]:
+        response = self.client.request({"op": "claim", "host": self.host})
+        self.report.cache_hits += int(response.get("replayed", 0) or 0)
+        task = response.get("task")
+        if task is None:
+            return DRAINED if response.get("drained") else WAIT
+        return str(task["key"]), TaskSpec.from_record(task["spec"])
+
+    def commit(self, key: str, record: Dict[str, Any]) -> None:
+        # Spool first: once these bytes are on local disk the outcome
+        # survives both our crash and the coordinator's absence.
+        self.outbox.spool(key, record)
+        try:
+            self._send("commit", key, record)
+        except CoordinatorUnreachable:
+            self.report.stranded += 1
+            raise
+        self.outbox.ack(key)
+
+    def quarantine(self, key: str, record: Dict[str, Any]) -> None:
+        self._send("quarantine", key, record)
+
+    def _send(self, op: str, key: str, record: Dict[str, Any]) -> None:
+        self.client.request(
+            {"op": op, "host": self.host, "key": key, "record": record}
+        )
+
+    def _flush_outboxes(self) -> None:
+        """Commit every unacknowledged entry in the outbox directory.
+
+        Scans *all* outbox files, not just this worker's: host names
+        carry a per-process nonce, so a crashed predecessor's spool has
+        a different filename but the same obligation.  Commits are
+        idempotent, so flushing a file twice (or racing another worker
+        over it) is harmless.
+        """
+        for path in sorted(self.outbox_dir.glob("*.jsonl")):
+            pending = Outbox.pending_in(path)
+            if not pending:
+                continue
+            spool = Outbox(path)
+            try:
+                for key in sorted(pending):
+                    self._send("commit", key, pending[key])
+                    spool.ack(key)
+            finally:
+                spool.close()
+
+
+class CoordWorker(DrainWorker):
     """One worker draining a coordinator over TCP (no shared FS needed).
 
-    Mirrors :class:`~repro.runner.fleet.FleetWorker`: same retry
-    policy, same quarantine categories, same record shape — so
-    ``coord_report`` and ``fleet_report`` are interchangeable.  The
-    worker only needs the coordinator's address (via ``root``'s
-    discovery file or an explicit ``address``) and a *local* directory
-    for its outbox spool.
+    The drain loop is :class:`~repro.runner.drain.DrainWorker`'s — same
+    retry policy, same quarantine categories, same record shape as
+    :class:`~repro.runner.fleet.FleetWorker` — so ``coord_report`` and
+    ``fleet_report`` are interchangeable.  The worker only needs the
+    coordinator's address (via ``root``'s discovery file or an explicit
+    ``address``) and a *local* directory for its outbox spool.
     """
 
     def __init__(
@@ -299,12 +402,12 @@ class CoordWorker:
         max_tasks: Optional[int] = None,
         progress: bool = False,
     ) -> None:
-        self.host = host if host is not None else default_host_name()
-        self.policy = policy if policy is not None else FaultPolicy()
-        self.client = CoordClient(
+        host = host if host is not None else default_host_name()
+        policy = policy if policy is not None else FaultPolicy()
+        client = CoordClient(
             root,
             address=address,
-            policy=self.policy,
+            policy=policy,
             timeout=request_timeout,
             offline_budget=offline_budget,
         )
@@ -315,241 +418,20 @@ class CoordWorker:
                     "has no view of the coordinator state dir"
                 )
             outbox_dir = Path(root) / "outbox"
-        self.outbox_dir = Path(outbox_dir)
-        self.outbox = Outbox(self.outbox_dir / f"{self.host}.jsonl")
-        self.heartbeat_interval = heartbeat_interval
-        self.poll_interval = poll_interval
-        self.throttle = throttle
-        self.run_fn = run_fn
-        self.max_tasks = max_tasks
-        self.progress = progress
-        self.report = WorkerReport(host=self.host)
-        self._active_key: Optional[str] = None
-        self._stop_heartbeat = threading.Event()
-
-    # -- heartbeat thread ----------------------------------------------
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stop_heartbeat.wait(self.heartbeat_interval):
-            key = self._active_key
-            if key is None:
-                continue
-            try:
-                # Best-effort with a short budget: a missed heartbeat
-                # is survivable (the TTL is several intervals wide) and
-                # must not pin the shared client in a long retry loop.
-                self.client.request(
-                    {"op": "heartbeat", "host": self.host, "key": key},
-                    offline_budget=self.heartbeat_interval,
-                )
-            except (CoordinatorUnreachable, OSError):
-                pass
-
-    # -- task execution (same contract as FleetWorker) ------------------
-
-    def _call(self, spec: TaskSpec) -> Mapping[str, Any]:
-        if self.run_fn is not None:
-            return self.run_fn(spec)
-        from repro.runner.registry import (
-            run_registered_batch,
-            run_registered_task,
+        super().__init__(
+            TcpTransport(
+                client,
+                host,
+                outbox_dir=Path(outbox_dir),
+                heartbeat_interval=heartbeat_interval,
+                poll_interval=poll_interval,
+            ),
+            host,
+            policy=policy,
+            heartbeat_interval=heartbeat_interval,
+            poll_interval=poll_interval,
+            throttle=throttle,
+            run_fn=run_fn,
+            max_tasks=max_tasks,
+            progress=progress,
         )
-
-        if spec.engine != "scalar":
-            return run_registered_batch(spec.exp_id, [spec])[0]
-        return run_registered_task(spec.exp_id, spec)
-
-    def _execute(
-        self, spec: TaskSpec, key: str
-    ) -> Optional[Tuple[Dict[str, Any], float]]:
-        attempts = 0
-        while True:
-            started = time.perf_counter()
-            try:
-                metrics = dict(self._call(spec))
-            except Exception as exc:
-                attempts += 1
-                if attempts > self.policy.max_retries:
-                    self._quarantine(
-                        spec,
-                        key,
-                        category="error",
-                        attempts=attempts,
-                        detail=(
-                            f"task {spec.label()} failed on {self.host}: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                    return None
-                self.report.retries += 1
-                time.sleep(self.policy.backoff_delay(key, attempts))
-                continue
-            wall = time.perf_counter() - started
-            if (
-                self.policy.timeout is not None
-                and wall > self.policy.timeout
-            ):
-                self.report.overruns += 1
-            return metrics, wall
-
-    def _quarantine(
-        self,
-        spec: TaskSpec,
-        key: str,
-        *,
-        category: str,
-        attempts: int,
-        detail: str,
-    ) -> None:
-        record = QuarantineRecord(
-            spec=spec.to_record(),
-            key=key,
-            label=spec.label(),
-            category=category,
-            attempts=attempts,
-            detail=detail,
-        ).to_record()
-        self.client.request(
-            {
-                "op": "quarantine",
-                "host": self.host,
-                "key": key,
-                "record": record,
-            }
-        )
-        self.report.quarantined += 1
-
-    # -- commit through the outbox -------------------------------------
-
-    def _commit(self, key: str, record: Dict[str, Any]) -> None:
-        # Spool first: once these bytes are on local disk the outcome
-        # survives both our crash and the coordinator's absence.
-        self.outbox.spool(key, record)
-        try:
-            self.client.request(
-                {
-                    "op": "commit",
-                    "host": self.host,
-                    "key": key,
-                    "record": record,
-                }
-            )
-        except CoordinatorUnreachable:
-            self.report.stranded += 1
-            raise
-        self.outbox.ack(key)
-
-    def _flush_outboxes(self) -> int:
-        """Commit every unacknowledged entry in the outbox directory.
-
-        Scans *all* outbox files, not just this worker's: host names
-        carry a per-process nonce, so a crashed predecessor's spool has
-        a different filename but the same obligation.  Commits are
-        idempotent, so flushing a file twice (or racing another worker
-        over it) is harmless.
-        """
-        flushed = 0
-        if not self.outbox_dir.is_dir():
-            return 0
-        for path in sorted(self.outbox_dir.glob("*.jsonl")):
-            pending = Outbox.pending_in(path)
-            if not pending:
-                continue
-            spool = Outbox(path)
-            try:
-                for key in sorted(pending):
-                    self.client.request(
-                        {
-                            "op": "commit",
-                            "host": self.host,
-                            "key": key,
-                            "record": pending[key],
-                        }
-                    )
-                    spool.ack(key)
-                    flushed += 1
-            finally:
-                spool.close()
-        return flushed
-
-    # -- the drain loop ------------------------------------------------
-
-    def run(self) -> WorkerReport:
-        """Drain the coordinator; return what this worker did.
-
-        Exits cleanly in three ways: the queue drained, ``max_tasks``
-        was reached, or the coordinator stayed unreachable past the
-        offline budget — in which case any computed-but-uncommitted
-        outcome is already spooled and ``report.stranded`` says so.
-        """
-        started = time.perf_counter()
-        self._stop_heartbeat.clear()
-        beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
-        done = 0
-        try:
-            self._flush_outboxes()
-            version = ""
-            while True:
-                hello = self.client.request(
-                    {"op": "hello", "host": self.host}
-                )
-                if hello.get("submitted"):
-                    version = str(hello.get("version", ""))
-                    break
-                time.sleep(self.poll_interval)
-            beat.start()
-            while True:
-                if self.max_tasks is not None and done >= self.max_tasks:
-                    break
-                response = self.client.request(
-                    {"op": "claim", "host": self.host}
-                )
-                self.report.cache_hits += int(
-                    response.get("replayed", 0) or 0
-                )
-                task = response.get("task")
-                if task is None:
-                    if response.get("drained"):
-                        break
-                    time.sleep(self.poll_interval)
-                    continue
-                key = str(task["key"])
-                spec = TaskSpec.from_record(task["spec"])
-                self._active_key = key
-                try:
-                    if self.throttle:
-                        time.sleep(self.throttle)
-                    result = self._execute(spec, key)
-                    if result is None:
-                        done += 1
-                        continue  # quarantined (op already sent)
-                    metrics, wall = result
-                    record = {
-                        "spec": spec.to_record(),
-                        "metrics": metrics,
-                        "wall_time": wall,
-                        "version": version,
-                    }
-                    self.report.executed += 1
-                    self._commit(key, record)
-                    done += 1
-                    if self.progress:
-                        print(
-                            f"[{self.host}] {spec.label()} done in "
-                            f"{wall:.2f}s",
-                            flush=True,
-                        )
-                finally:
-                    self._active_key = None
-        except CoordinatorUnreachable:
-            # Graceful degradation: anything computed is spooled in the
-            # outbox; exit cleanly and let the next run flush it.
-            pass
-        finally:
-            self._stop_heartbeat.set()
-            if beat.is_alive():
-                beat.join(timeout=2.0)
-            self.client.close()
-            self.outbox.close()
-        self.report.wall_time = time.perf_counter() - started
-        return self.report

@@ -69,11 +69,17 @@ from repro.errors import ConfigurationError
 from repro.runner.atomicio import atomic_write_json
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint
-from repro.runner.executor import RunReport, TaskOutcome
-from repro.runner.fleet import HostStatus
+from repro.runner.drain import (
+    HostStatus,
+    build_report,
+    check_grid,
+    fold_host_entry,
+    render_status,
+)
+from repro.runner.executor import RunReport
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.task import TaskSpec
-from repro.runner.telemetry import _read_jsonl, merge_task_records
+from repro.runner.telemetry import _read_jsonl
 from repro.runner.wire import FrameDecoder, encode_frame
 
 DISCOVERY_NAME = "coord.json"
@@ -125,19 +131,14 @@ class _JournalState:
         self.lease_expiries = 0
         self.hosts: Dict[str, HostStatus] = {}
 
-    def _host(self, name: str) -> HostStatus:
-        return self.hosts.setdefault(name, HostStatus(host=name))
-
     def apply(self, entry: Dict[str, Any]) -> None:
         kind = entry.get("kind")
-        stamp = entry.get("time_unix")
         host = entry.get("host")
         if host:
-            status = self._host(str(host))
-            if stamp is not None:
-                status.last_seen_unix = stamp
-                if status.started_unix is None:
-                    status.started_unix = stamp
+            name = str(host)
+            fold_host_entry(
+                self.hosts.setdefault(name, HostStatus(host=name)), entry
+            )
         if kind == "manifest":
             self.manifest = {
                 k: v for k, v in entry.items() if k != "kind"
@@ -151,20 +152,11 @@ class _JournalState:
             self.done[key] = entry
             self.tasks.pop(key, None)
             self.leases.pop(key, None)
-            if host:
-                status = self._host(str(host))
-                status.outcomes += 1
-                if entry.get("cached"):
-                    status.cached += 1
-                else:
-                    status.fresh += 1
         elif kind == "quarantine":
             key = entry["key"]
             self.quarantined[key] = entry["record"]
             self.tasks.pop(key, None)
             self.leases.pop(key, None)
-            if host:
-                self._host(str(host)).quarantines += 1
         elif kind == "lease":
             self.leases[entry["key"]] = (
                 str(entry.get("host", "?")),
@@ -175,8 +167,6 @@ class _JournalState:
             self.leases.pop(key, None)
             self.steals[key] = int(entry.get("steal_count", 0))
             self.lease_expiries += 1
-            if host:
-                self._host(str(host)).lease_reclaims += 1
         elif kind == "lease_released":
             self.leases.pop(entry["key"], None)
         elif kind == "coord_start":
@@ -298,10 +288,7 @@ class CoordServer:
         self.recovered_leases = len(self._deadlines)
         self.journal = SweepCheckpoint(self.journal_path, fsync=True)
         self.cache = ResultCache(self.root / RESULTS_DIR, fsync=True)
-        self._record(
-            {"kind": "coord_start", "pid": os.getpid(),
-             "time_unix": time.time()}
-        )
+        self._record("coord_start", pid=os.getpid())
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
@@ -341,8 +328,10 @@ class CoordServer:
 
     # -- journal write-through -----------------------------------------
 
-    def _record(self, entry: Dict[str, Any]) -> None:
-        """Journal ``entry`` (fsynced), then fold it into live state."""
+    def _record(self, kind: str, **fields: Any) -> None:
+        """Journal one ``kind`` entry stamped with the wall clock
+        (fsynced), then fold it into live state."""
+        entry = {"kind": kind, **fields, "time_unix": time.time()}
         self.journal._append(entry)
         self.state.apply(entry)
 
@@ -445,13 +434,7 @@ class CoordServer:
             lease = self._deadlines.pop(key)
             steals = lease.steal_count + 1
             self._record(
-                {
-                    "kind": "lease_expired",
-                    "key": key,
-                    "host": lease.host,
-                    "steal_count": steals,
-                    "time_unix": time.time(),
-                }
+                "lease_expired", key=key, host=lease.host, steal_count=steals
             )
             if (
                 steals > self.policy.max_retries
@@ -476,13 +459,7 @@ class CoordServer:
                     ),
                 ).to_record()
                 self._record(
-                    {
-                        "kind": "quarantine",
-                        "key": key,
-                        "record": record,
-                        "host": lease.host,
-                        "time_unix": time.time(),
-                    }
+                    "quarantine", key=key, record=record, host=lease.host
                 )
 
     # -- request dispatch ----------------------------------------------
@@ -514,9 +491,7 @@ class CoordServer:
 
     def _op_hello(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         host = str(msg.get("host", "?"))
-        self._record(
-            {"kind": "worker_hello", "host": host, "time_unix": time.time()}
-        )
+        self._record("worker_hello", host=host)
         manifest = self.state.manifest or {}
         return {
             "submitted": self.state.manifest is not None,
@@ -530,15 +505,12 @@ class CoordServer:
         if not tasks:
             raise ConfigurationError("cannot submit an empty task grid")
         self._record(
-            {
-                "kind": "manifest",
-                "exp_id": msg.get("exp_id"),
-                "version": msg.get("version", ""),
-                "total": len(tasks),
-                "keys": [t["key"] for t in tasks],
-                "options": msg.get("options", {}),
-                "time_unix": time.time(),
-            }
+            "manifest",
+            exp_id=msg.get("exp_id"),
+            version=msg.get("version", ""),
+            total=len(tasks),
+            keys=[t["key"] for t in tasks],
+            options=msg.get("options", {}),
         )
         fresh = 0
         for task in tasks:
@@ -549,7 +521,7 @@ class CoordServer:
                 or key in self.state.quarantined
             ):
                 continue  # idempotent resubmit
-            self._record({"kind": "task", "key": key, "spec": task["spec"]})
+            self._record("task", key=key, spec=task["spec"])
             fresh += 1
         return {"fresh": fresh, "total": len(tasks)}
 
@@ -588,15 +560,8 @@ class CoordServer:
                 # Server-side replay: a previous run (or a stranded
                 # worker's flushed outbox) already committed this key.
                 self._record(
-                    {
-                        "kind": "outcome",
-                        "key": key,
-                        "record": cached,
-                        "host": host,
-                        "cached": True,
-                        "source": "cache",
-                        "time_unix": time.time(),
-                    }
+                    "outcome", key=key, record=cached, host=host,
+                    cached=True, source="cache",
                 )
                 replayed += 1
                 continue
@@ -604,15 +569,7 @@ class CoordServer:
             # Journal the grant BEFORE answering: a coordinator killed
             # between the two restores this lease on restart instead of
             # granting the task twice (the exactly-once linchpin).
-            self._record(
-                {
-                    "kind": "lease",
-                    "key": key,
-                    "host": host,
-                    "steal_count": steals,
-                    "time_unix": time.time(),
-                }
-            )
+            self._record("lease", key=key, host=host, steal_count=steals)
             self._deadlines[key] = _Lease(
                 host, steals, time.monotonic() + self.ttl
             )
@@ -651,15 +608,9 @@ class CoordServer:
         # a crash between the two replays the cache hit, never re-runs.
         self.cache.put(key, record)
         self._record(
-            {
-                "kind": "outcome",
-                "key": key,
-                "record": record,
-                "host": host,
-                "cached": bool(msg.get("cached", False)),
-                "source": str(msg.get("source", "fresh")),
-                "time_unix": time.time(),
-            }
+            "outcome", key=key, record=record, host=host,
+            cached=bool(msg.get("cached", False)),
+            source=str(msg.get("source", "fresh")),
         )
         self._deadlines.pop(key, None)
         return {}
@@ -672,15 +623,7 @@ class CoordServer:
         record = msg.get("record")
         if not isinstance(record, dict):
             raise ConfigurationError("quarantine needs a record object")
-        self._record(
-            {
-                "kind": "quarantine",
-                "key": key,
-                "record": record,
-                "host": host,
-                "time_unix": time.time(),
-            }
-        )
+        self._record("quarantine", key=key, record=record, host=host)
         self._deadlines.pop(key, None)
         return {}
 
@@ -692,13 +635,8 @@ class CoordServer:
             return {"released": False}
         del self._deadlines[key]
         self._record(
-            {
-                "kind": "lease_released",
-                "key": key,
-                "host": host,
-                "steal_count": lease.steal_count,
-                "time_unix": time.time(),
-            }
+            "lease_released", key=key, host=host,
+            steal_count=lease.steal_count,
         )
         return {"released": True}
 
@@ -751,125 +689,40 @@ def coord_status(
 
 def format_coord_status(payload: Dict[str, Any]) -> str:
     """Render a status payload the way ``fleet status`` renders its view."""
-    total = int(payload.get("total", 0))
-    completed = int(payload.get("completed", 0))
-    quarantined = int(payload.get("quarantined", 0))
-    pending = int(payload.get("pending", 0))
-    finished = completed + quarantined
-    frac = finished / total if total else 1.0
-    bar = "#" * int(round(30 * frac))
     reach = "live" if payload.get("reachable") else "offline (journal)"
-    lines = [
+    return render_status(
         f"coord {payload.get('exp_id', '?')} @ "
         f"{payload.get('state_dir', '?')} [{reach}]",
-        f"[{bar:<30}] {finished}/{total} "
-        f"({completed} completed, {quarantined} quarantined, "
-        f"{pending} pending, {payload.get('in_flight', 0)} in flight)",
-    ]
-    live_rate = 0.0
-    for record in payload.get("hosts", []):
-        host = HostStatus(
-            host=str(record.get("host", "?")),
-            outcomes=int(record.get("outcomes", 0)),
-            fresh=int(record.get("fresh", 0)),
-            cached=int(record.get("cached", 0)),
-            quarantines=int(record.get("quarantines", 0)),
-            lease_reclaims=int(record.get("lease_reclaims", 0)),
-            started_unix=record.get("started_unix"),
-            last_seen_unix=record.get("last_seen_unix"),
-            finished=bool(record.get("finished")),
-        )
-        rate = host.throughput()
-        if rate is not None:
-            live_rate += rate
-        rate_str = f"{rate:.2f}/s" if rate is not None else "--/s"
-        lines.append(
-            f"  {host.host:<24} {host.outcomes:>4} outcomes "
-            f"({host.fresh} fresh, {host.cached} cached) @ {rate_str}, "
-            f"{host.lease_reclaims} expiries, "
-            f"{host.quarantines} quarantines"
-        )
-    if pending and live_rate > 0:
-        lines.append(
-            f"eta: ~{pending / live_rate:.0f}s for {pending} pending at "
-            f"{live_rate:.2f} tasks/s"
-        )
-    lines.append(
-        f"failure taxonomy: {quarantined} quarantined, "
-        f"{payload.get('lease_expiries', 0)} lease expiries, "
-        f"{payload.get('restarts', 0)} coordinator starts"
+        total=int(payload.get("total", 0)),
+        completed=int(payload.get("completed", 0)),
+        quarantined=int(payload.get("quarantined", 0)),
+        pending=int(payload.get("pending", 0)),
+        in_flight=int(payload.get("in_flight", 0)),
+        hosts=[HostStatus(**record) for record in payload.get("hosts", [])],
+        reclaims="expiries",
+        taxonomy=[
+            f"{payload.get('quarantined', 0)} quarantined",
+            f"{payload.get('lease_expiries', 0)} lease expiries",
+            f"{payload.get('restarts', 0)} coordinator starts",
+        ],
+        quarantine_records=payload.get("quarantine_records", []),
     )
-    for record in payload.get("quarantine_records", []):
-        lines.append(
-            f"  quarantined {record.get('label')} "
-            f"[{record.get('category')}] {record.get('detail')}"
-        )
-    return "\n".join(lines)
 
 
 def coord_report(root: os.PathLike) -> RunReport:
     """The merged :class:`RunReport` of a coordinator run, in grid order.
 
-    Built offline from the journal, exactly as :func:`~repro.runner.
-    fleet.fleet_report` builds the fleet's — so chaos can compare the
-    two backends' outputs bit for bit against the same control.
+    Built offline from the journal by the same
+    :func:`~repro.runner.drain.build_report` as the fleet's — so chaos
+    can compare the two backends' outputs bit for bit against the same
+    control.  Every lease expiry counts as a host failure.
     """
     state = _replay_journal(Path(root) / JOURNAL_NAME)
-    manifest = state.manifest or {}
-    merged, duplicates = merge_task_records(list(state.done.values()))
-    by_key = {entry["key"]: entry for entry in merged if "key" in entry}
-    ordered_keys = [
-        str(key) for key in manifest.get("keys", sorted(by_key))
-    ]
-    outcomes: List[TaskOutcome] = []
-    executed = 0
-    cache_hits = 0
-    for key in ordered_keys:
-        entry = by_key.get(key)
-        if entry is None:
-            continue
-        record = entry.get("record", {})
-        cached = bool(entry.get("cached"))
-        if cached:
-            cache_hits += 1
-        else:
-            executed += 1
-        outcomes.append(
-            TaskOutcome(
-                spec=TaskSpec.from_record(record["spec"]),
-                metrics=record.get("metrics", {}),
-                wall_time=float(record.get("wall_time", 0.0)),
-                cached=cached,
-                key=key,
-                source=str(entry.get("source", "fresh")),
-            )
-        )
-    stamps = [
-        h.started_unix
-        for h in state.hosts.values()
-        if h.started_unix is not None
-    ]
-    ends = [
-        h.last_seen_unix
-        for h in state.hosts.values()
-        if h.last_seen_unix is not None
-    ]
-    wall = max(0.0, max(ends) - min(stamps)) if stamps and ends else 0.0
-    return RunReport(
-        exp_id=str(manifest.get("exp_id", "?")),
-        version=str(manifest.get("version", "?")),
-        workers=len(state.hosts),
-        outcomes=outcomes,
-        executed=executed,
-        cache_hits=cache_hits,
-        wall_time=wall,
-        quarantined=[
-            QuarantineRecord.from_record(record)
-            for record in state.quarantined.values()
-        ],
-        duplicates_merged=duplicates,
-        lease_reclaims=state.lease_expiries,
-        hosts_seen=len(state.hosts),
+    return build_report(
+        state.manifest or {},
+        list(state.done.values()),
+        state.quarantined.values(),
+        list(state.hosts.values()),
         host_failures=state.lease_expiries,
     )
 
@@ -880,13 +733,7 @@ def submit_tasks(
 ) -> int:
     """Submit a grid through an open :class:`~repro.runner.client.
     CoordClient`; returns how many tasks were new to the coordinator."""
-    if not tasks:
-        raise ConfigurationError("cannot submit an empty task grid")
-    exp_ids = {spec.exp_id for spec in tasks}
-    if len(exp_ids) != 1:
-        raise ConfigurationError(
-            f"one coordinator holds one experiment, got {sorted(exp_ids)}"
-        )
+    check_grid(tasks)
     response = client.request(
         {
             "op": "submit",

@@ -71,6 +71,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.registry import (
+    ExperimentDef,
     get_experiment,
     run_registered_batch,
     run_registered_task,
@@ -406,10 +407,9 @@ class _Execution:
                 f"task {spec.label()} {category} after {attempts} "
                 f"attempt(s): {detail}"
             )
-        record = QuarantineRecord(
-            spec=spec.to_record(),
-            key=self.keys[index],
-            label=spec.label(),
+        record = QuarantineRecord.for_task(
+            spec,
+            self.keys[index],
             category=category,
             attempts=attempts,
             detail=detail,
@@ -1030,6 +1030,65 @@ def run_tasks(
     return report
 
 
+def experiment_grid(
+    exp_id: str,
+    *,
+    seed: int,
+    replications: int,
+    engine: str = "scalar",
+    reception: str = "auto",
+    backend: str = "auto",
+    mask: str = "auto",
+    **options: Any,
+) -> Tuple[ExperimentDef, List[TaskSpec], Dict[str, Any]]:
+    """A registered experiment's task grid for one engine setting.
+
+    Returns the definition, the grid (with the vector-engine knobs set
+    on every task when ``engine`` is not ``"scalar"``) and the run
+    options that describe it.  Shared by :func:`run_experiment` and the
+    queue backends' ``submit``.
+    """
+    import dataclasses
+
+    from repro.vector.engine import (
+        validate_backend,
+        validate_mask,
+        validate_reception,
+    )
+
+    validate_engine(engine)
+    validate_reception(reception)
+    validate_backend(backend)
+    validate_mask(mask)
+    defn = get_experiment(exp_id)
+    tasks = defn.tasks(seed, replications, **options)
+    if engine != "scalar":
+        if not defn.supports_vector:
+            raise ConfigurationError(
+                f"experiment {exp_id!r} has no vector-engine "
+                "implementation; run it with engine='scalar'"
+            )
+        tasks = [
+            dataclasses.replace(
+                spec,
+                engine=engine,
+                reception=reception,
+                backend=backend,
+                mask=mask,
+            )
+            for spec in tasks
+        ]
+    return defn, tasks, {
+        "seed": seed,
+        "replications": replications,
+        "engine": engine,
+        "reception": reception,
+        "backend": backend,
+        "mask": mask,
+        **options,
+    }
+
+
 def run_experiment(
     exp_id: str,
     *,
@@ -1069,20 +1128,18 @@ def run_experiment(
     ``policy`` is given; ``checkpoint`` journals completed tasks for
     resumption after an interruption.
     """
-    import dataclasses
     import functools
 
-    from repro.vector.engine import (
-        validate_backend,
-        validate_mask,
-        validate_reception,
+    defn, tasks, grid_options = experiment_grid(
+        exp_id,
+        seed=seed,
+        replications=replications,
+        engine=engine,
+        reception=reception,
+        backend=backend,
+        mask=mask,
+        **options,
     )
-
-    validate_engine(engine)
-    validate_reception(reception)
-    validate_backend(backend)
-    validate_mask(mask)
-    defn = get_experiment(exp_id)
     if policy is None:
         defaults = FaultPolicy()
         policy = FaultPolicy(
@@ -1092,24 +1149,7 @@ def run_experiment(
             ),
             quarantine=quarantine,
         )
-    tasks = defn.tasks(seed, replications, **options)
     batch_fn: Optional[BatchFn] = None
-    if engine != "scalar":
-        if not defn.supports_vector:
-            raise ConfigurationError(
-                f"experiment {exp_id!r} has no vector-engine "
-                "implementation; run it with engine='scalar'"
-            )
-        tasks = [
-            dataclasses.replace(
-                spec,
-                engine=engine,
-                reception=reception,
-                backend=backend,
-                mask=mask,
-            )
-            for spec in tasks
-        ]
     if defn.supports_vector:
         batch_fn = functools.partial(run_registered_batch, exp_id)
     run_fn = functools.partial(run_registered_task, exp_id)
@@ -1123,13 +1163,5 @@ def run_experiment(
         progress=progress,
         batch_fn=batch_fn,
         policy=policy,
-        options={
-            "seed": seed,
-            "replications": replications,
-            "engine": engine,
-            "reception": reception,
-            "backend": backend,
-            "mask": mask,
-            **options,
-        },
+        options=grid_options,
     )

@@ -21,16 +21,18 @@ processes on any number of machines drain it, and ``fleet status``
 merges the per-host journals into one progress / failure-taxonomy view
 at any time during or after the run.
 
-Per task, a worker: claims the lease create-exclusively, heartbeats its
-mtime while executing, commits the outcome to the shared cache with a
-crash-consistent same-directory ``os.replace``, journals it, removes the
-task file, and releases the lease.  Every step is atomic or idempotent,
-so a worker — or its entire host — can be SIGKILLed between any two
-steps: the task is either still pending, or claimed by a lease that goes
-stale and is reclaimed within one TTL, or already committed — in which
-case the re-claimer replays the cache hit instead of re-executing.  No
-task is ever lost; duplicate journal records are merged last-write-wins
-by content key at read time and counted as ``duplicates_merged``.
+A worker is the shared drain loop of :mod:`repro.runner.drain` over
+this module's :class:`LeaseTransport`.  Per task, it claims the lease
+create-exclusively, heartbeats its mtime while executing, commits the
+outcome to the shared cache with a crash-consistent same-directory
+``os.replace``, journals it, removes the task file, and releases the
+lease.  Every step is atomic or idempotent, so a worker — or its entire
+host — can be SIGKILLed between any two steps: the task is either still
+pending, or claimed by a lease that goes stale and is reclaimed within
+one TTL, or already committed — in which case the re-claimer replays
+the cache hit instead of re-executing.  No task is ever lost; duplicate
+journal records are merged last-write-wins by content key at read time
+and counted as ``duplicates_merged``.
 
 The steal count carried on each lease folds host death into the
 existing :class:`~repro.runner.policy.FaultPolicy` retry budget: a task
@@ -48,18 +50,38 @@ from __future__ import annotations
 
 import json
 import os
-import socket
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
 from repro.runner.atomicio import atomic_write_json
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint
-from repro.runner.executor import RunReport, TaskOutcome
+from repro.runner.drain import (
+    DRAINED,
+    WAIT,
+    DrainWorker,
+    HostStatus,
+    WorkerReport,
+    build_report,
+    check_grid,
+    default_host_name,
+    fold_host_entry,
+    render_status,
+)
+from repro.runner.executor import RunReport
 from repro.runner.lease import LeaseDir, LeaseObserver
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.task import TaskSpec
@@ -72,25 +94,6 @@ RESULTS_DIR = "results"
 QUARANTINE_DIR = "quarantine"
 HOSTS_DIR = "hosts"
 JOURNAL_NAME = "journal.jsonl"
-
-
-#: Per-process random nonce folded into :func:`default_host_name`.
-#: Computed once per interpreter (fork inherits it, but forked children
-#: differ by pid; a fresh interpreter draws a fresh nonce).
-_HOST_NONCE = os.urandom(2).hex()
-
-
-def default_host_name() -> str:
-    """A per-worker host identity: ``<hostname>-<pid>-<nonce>``.
-
-    One OS host may deliberately run several workers; each is its own
-    fleet "host" with its own journal stream and lease identity.  The
-    random per-process nonce keeps a restarted worker that recycles a
-    dead predecessor's PID from inheriting its journal stream and lease
-    identity — without it, ``fleet status`` would mis-merge the two
-    incarnations into one host taxonomy entry.
-    """
-    return f"{socket.gethostname()}-{os.getpid()}-{_HOST_NONCE}"
 
 
 class FleetQueue:
@@ -120,13 +123,7 @@ class FleetQueue:
         the shared cache is skipped by workers as a cache hit, not
         re-executed.
         """
-        if not tasks:
-            raise ConfigurationError("cannot submit an empty task grid")
-        exp_ids = {spec.exp_id for spec in tasks}
-        if len(exp_ids) != 1:
-            raise ConfigurationError(
-                f"one queue holds one experiment, got {sorted(exp_ids)}"
-            )
+        check_grid(tasks)
         self.tasks_dir.mkdir(parents=True, exist_ok=True)
         (self.root / LEASES_DIR).mkdir(parents=True, exist_ok=True)
         (self.root / RESULTS_DIR).mkdir(parents=True, exist_ok=True)
@@ -248,60 +245,202 @@ class FleetQueue:
             return []
 
 
-@dataclass
-class WorkerReport:
-    """What one worker (fleet or coordinator-attached) did.
+def _as_queue(queue: Union[FleetQueue, os.PathLike, str]) -> FleetQueue:
+    return queue if isinstance(queue, FleetQueue) else FleetQueue(queue)
 
-    ``stranded`` is coordinator-specific: outcomes a worker computed but
-    could not commit before its coordinator stayed unreachable past the
-    offline budget — spooled to the local outbox and committed by the
-    next worker run instead of lost.
+
+class LeaseTransport:
+    """The lease-directory transport of the drain loop (one per worker).
+
+    ``claim`` scans the pending task files in a host-dependent rotation
+    (so simultaneous workers start at different points and rarely
+    collide on claims), claims each create-exclusively or reclaims it
+    once its lease has gone stale, and finishes on the spot every task
+    that needs no run: one its previous owner already retired, one whose
+    steal count has spent the retry budget (quarantined as a crash), and
+    one already in the shared cache (replayed).  After each full pass it
+    reaps moot leases; a pass that made no progress answers ``WAIT``
+    while tasks remain, which is also how the worker watches rivals'
+    leases for staleness.
     """
 
-    host: str
-    executed: int = 0
-    cache_hits: int = 0
-    retries: int = 0
-    lease_reclaims: int = 0
-    quarantined: int = 0
-    overruns: int = 0
-    stranded: int = 0
-    wall_time: float = 0.0
+    def __init__(
+        self,
+        queue: FleetQueue,
+        host: str,
+        *,
+        ttl: float,
+        clock_skew: float,
+        max_retries: int,
+    ) -> None:
+        self.queue = queue
+        self.host = host
+        self.ttl = ttl
+        self.max_retries = max_retries
+        self.leases = queue.leases(clock_skew=clock_skew)
+        self.observer = LeaseObserver(ttl)
+        self.cache = queue.cache()
+        self.report: Optional[WorkerReport] = None
+        self._journal: Optional[SweepCheckpoint] = None
+        self._scan: Optional[Iterator[str]] = None
+        self._progressed = False
 
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "host": self.host,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "retries": self.retries,
-            "lease_reclaims": self.lease_reclaims,
-            "quarantined": self.quarantined,
-            "overruns": self.overruns,
-            "stranded": self.stranded,
-            "wall_time": self.wall_time,
-        }
+    def start(self, report: WorkerReport) -> str:
+        self.report = report
+        version = str(self.queue.manifest().get("version", ""))
+        # fsync=True: journaling an outcome is the step that lets the
+        # merge layer trust "this task is done" after any crash.
+        self._journal = SweepCheckpoint(
+            self.queue.journal_path(self.host), fsync=True
+        )
+        self._journal.append_event(
+            "host_start",
+            host=self.host,
+            pid=os.getpid(),
+            ttl=self.ttl,
+            time_unix=time.time(),
+        )
+        return version
+
+    def stop(self) -> None:
+        if self._journal is None:
+            return
+        self._journal.append_event(
+            "host_finish",
+            host=self.host,
+            stats=self.report.to_record(),
+            time_unix=time.time(),
+        )
+        self._journal.close()
+        self._journal = None
+
+    def heartbeat(self, key: str) -> None:
+        self.leases.heartbeat(key)
+
+    def claim(self) -> Union[Tuple[str, TaskSpec], str]:
+        while True:
+            if self._scan is None:
+                pending = self.queue.pending_keys()
+                if not pending:
+                    self._reap_moot_leases()
+                    return DRAINED
+                offset = hash(self.host) % len(pending)
+                self._scan = iter(pending[offset:] + pending[:offset])
+                self._progressed = False
+            for key in self._scan:
+                task = self._try_claim(key)
+                if task is not None:
+                    return task
+            self._scan = None
+            self._reap_moot_leases()
+            if not self._progressed and self.queue.pending_keys():
+                return WAIT
+
+    def commit(self, key: str, record: Dict[str, Any]) -> None:
+        """Commit order matters: cache, journal, *then* retire the task
+        file, then release the lease — a kill between any two steps
+        leaves the queue recoverable (at worst a replayed cache hit)."""
+        self.cache.put(key, record)
+        self._journal_outcome(key, record, cached=False, source="fresh")
+        self._finish(key)
+
+    def quarantine(self, key: str, record: Dict[str, Any]) -> None:
+        self.queue.put_quarantine(key, record)
+        self._journal.append_quarantine(key, record)
+        self._finish(key)
+
+    def _try_claim(self, key: str) -> Optional[Tuple[str, TaskSpec]]:
+        """Claim ``key``; the task if it needs running, else None."""
+        task_record = self.queue.read_task(key)
+        if task_record is None:
+            return None  # completed (or retired) by someone else
+        stolen = None
+        if not self.leases.claim(key, self.host):
+            stolen = self.leases.reclaim(key, self.host, self.observer)
+            if stolen is None:
+                return None  # live owner elsewhere, or lost the race
+            self.report.lease_reclaims += 1
+            self._journal.append_event(
+                "lease_reclaim",
+                key=key,
+                host=self.host,
+                victim_host=stolen.host,
+                steal_count=stolen.steal_count + 1,
+                time_unix=time.time(),
+            )
+        if not self.queue.task_path(key).exists():
+            # Retired between our pending scan and the claim: the
+            # previous owner committed, removed the task file and
+            # released.  Only the lease holder retires a task, so now
+            # that *we* hold the lease this check is race-free.
+            self.leases.release(key)
+            return None
+        self._progressed = True
+        spec = TaskSpec.from_record(task_record["spec"])
+        if stolen is not None and stolen.steal_count + 1 > self.max_retries:
+            # The steal count folds into the retry budget: hosts keep
+            # dying (or wedging) on this task.
+            self.quarantine(
+                key,
+                QuarantineRecord.for_task(
+                    spec,
+                    key,
+                    category="crash",
+                    attempts=stolen.steal_count + 1,
+                    detail=(
+                        f"lease stolen {stolen.steal_count + 1} times "
+                        f"(last victim {stolen.host}); hosts keep dying "
+                        "on this task"
+                    ),
+                ).to_record(),
+            )
+            self.report.quarantined += 1
+            return None
+        record = self.cache.get(key)
+        if record is not None:
+            # A dead (or racing) host already committed: replay.
+            self._journal_outcome(key, record, cached=True, source="cache")
+            self.report.cache_hits += 1
+            self._finish(key)
+            return None
+        return key, spec
+
+    def _journal_outcome(
+        self, key: str, record: Dict[str, Any], cached: bool, source: str
+    ) -> None:
+        self._journal.append_event(
+            "outcome", key=key, record=record, host=self.host,
+            cached=cached, source=source, time_unix=time.time(),
+        )
+
+    def _finish(self, key: str) -> None:
+        self.queue.remove_task(key)
+        self.leases.release(key)
+
+    def _reap_moot_leases(self) -> None:
+        """Unlink leases whose task is already retired.
+
+        A host killed between retiring the task file and releasing the
+        lease leaves a lease that refers to nothing.  The work is
+        committed, so any worker may clear it immediately — no TTL wait.
+        """
+        for key in self.leases.keys():
+            if not self.queue.task_path(key).exists():
+                self.leases.release(key)
+                self.observer.forget(key)
 
 
-class FleetWorker:
+class FleetWorker(DrainWorker):
     """One pull-mode worker draining a fleet queue until it is empty.
 
-    Tasks execute inline in this process (a fleet already shards across
-    processes and machines; each worker is one lane).  ``run_fn``
-    overrides the registry lookup — tests inject counting stubs; the CLI
-    leaves it None so specs resolve through
-    :func:`~repro.runner.registry.run_registered_task` (or the batch
-    entry point, as a singleton batch, for ``engine="vector"`` tasks).
-
+    The drain loop is :class:`~repro.runner.drain.DrainWorker`'s; this
+    wires it to the queue directory through a :class:`LeaseTransport`.
     ``ttl`` is the lease expiry interval: a lease whose mtime sits
     unchanged for one TTL of this worker's monotonic clock is treated as
     orphaned and stolen.  The heartbeat thread refreshes the active
     lease every ``ttl/4`` by default, so only a dead or wedged host goes
     stale.  ``clock_skew`` (chaos/testing) makes this worker stamp lease
     times as if its wall clock were wrong by that many seconds.
-
-    ``throttle`` sleeps that long before each fresh execution — chaos
-    and tests use it to hold tasks in flight long enough to kill hosts
-    mid-task; production leaves it 0.
     """
 
     def __init__(
@@ -319,352 +458,36 @@ class FleetWorker:
         max_tasks: Optional[int] = None,
         progress: bool = False,
     ) -> None:
-        self.queue = queue if isinstance(queue, FleetQueue) else FleetQueue(queue)
-        self.host = host if host is not None else default_host_name()
-        self.policy = policy if policy is not None else FaultPolicy()
         if ttl <= 0:
             raise ConfigurationError(f"ttl must be positive, got {ttl}")
-        self.ttl = ttl
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None else ttl / 4.0
+        host = host if host is not None else default_host_name()
+        policy = policy if policy is not None else FaultPolicy()
+        super().__init__(
+            LeaseTransport(
+                _as_queue(queue),
+                host,
+                ttl=ttl,
+                clock_skew=clock_skew,
+                max_retries=policy.max_retries,
+            ),
+            host,
+            policy=policy,
+            heartbeat_interval=(
+                heartbeat_interval
+                if heartbeat_interval is not None
+                else ttl / 4.0
+            ),
+            poll_interval=poll_interval,
+            throttle=throttle,
+            run_fn=run_fn,
+            max_tasks=max_tasks,
+            progress=progress,
         )
-        self.poll_interval = poll_interval
-        self.throttle = throttle
-        self.run_fn = run_fn
-        self.max_tasks = max_tasks
-        self.progress = progress
-        self.leases = self.queue.leases(clock_skew=clock_skew)
-        self.observer = LeaseObserver(ttl)
-        self.cache = self.queue.cache()
-        self.report = WorkerReport(host=self.host)
-        self._active_key: Optional[str] = None
-        self._stop_heartbeat = threading.Event()
-        self._journal: Optional[SweepCheckpoint] = None
-
-    # -- journal -------------------------------------------------------
-
-    def _journal_outcome(
-        self, key: str, record: Dict[str, Any], cached: bool, source: str
-    ) -> None:
-        self._journal._append(
-            {
-                "kind": "outcome",
-                "key": key,
-                "record": record,
-                "host": self.host,
-                "cached": cached,
-                "source": source,
-                "time_unix": time.time(),
-            }
-        )
-
-    # -- heartbeat thread ----------------------------------------------
-
-    def _heartbeat_loop(self) -> None:
-        while not self._stop_heartbeat.wait(self.heartbeat_interval):
-            key = self._active_key
-            if key is not None:
-                self.leases.heartbeat(key)
-
-    # -- task execution ------------------------------------------------
-
-    def _call(self, spec: TaskSpec) -> Mapping[str, Any]:
-        if self.run_fn is not None:
-            return self.run_fn(spec)
-        from repro.runner.registry import (
-            run_registered_batch,
-            run_registered_task,
-        )
-
-        if spec.engine != "scalar":
-            return run_registered_batch(spec.exp_id, [spec])[0]
-        return run_registered_task(spec.exp_id, spec)
-
-    def _execute(
-        self, spec: TaskSpec, key: str
-    ) -> Optional[Tuple[Dict[str, Any], float]]:
-        """Run one task with the policy's retry budget; None if given up."""
-        attempts = 0
-        while True:
-            started = time.perf_counter()
-            try:
-                metrics = dict(self._call(spec))
-            except Exception as exc:
-                attempts += 1
-                if attempts > self.policy.max_retries:
-                    self._quarantine(
-                        spec,
-                        key,
-                        category="error",
-                        attempts=attempts,
-                        detail=(
-                            f"task {spec.label()} failed on {self.host}: "
-                            f"{type(exc).__name__}: {exc}"
-                        ),
-                    )
-                    return None
-                self.report.retries += 1
-                time.sleep(self.policy.backoff_delay(key, attempts))
-                continue
-            wall = time.perf_counter() - started
-            if self.policy.timeout is not None and wall > self.policy.timeout:
-                # Inline execution cannot preempt; overruns are counted
-                # (the fleet's watchdog against *dead* hosts is the
-                # lease TTL, not this budget).
-                self.report.overruns += 1
-            return metrics, wall
-
-    def _quarantine(
-        self,
-        spec: TaskSpec,
-        key: str,
-        *,
-        category: str,
-        attempts: int,
-        detail: str,
-    ) -> None:
-        record = QuarantineRecord(
-            spec=spec.to_record(),
-            key=key,
-            label=spec.label(),
-            category=category,
-            attempts=attempts,
-            detail=detail,
-        )
-        self.queue.put_quarantine(key, record.to_record())
-        self._journal.append_quarantine(key, record.to_record())
-        self.report.quarantined += 1
-
-    # -- per-task protocol ---------------------------------------------
-
-    def _finish(self, key: str) -> None:
-        """Commit order matters: journal, *then* retire the task file,
-        then release the lease — a kill between any two steps leaves the
-        queue recoverable (at worst a replayed cache hit)."""
-        self.queue.remove_task(key)
-        self.leases.release(key)
-
-    def _try_task(self, key: str, version: str) -> bool:
-        """Claim and finish one task; True if this worker made progress."""
-        task_record = self.queue.read_task(key)
-        if task_record is None:
-            return False  # completed (or retired) by someone else
-        stolen = None
-        if not self.leases.claim(key, self.host):
-            stolen = self.leases.reclaim(key, self.host, self.observer)
-            if stolen is None:
-                return False  # live owner elsewhere, or lost the race
-            self.report.lease_reclaims += 1
-            steal_count = stolen.steal_count + 1
-            self._journal.append_event(
-                "lease_reclaim",
-                key=key,
-                host=self.host,
-                victim_host=stolen.host,
-                steal_count=steal_count,
-                time_unix=time.time(),
-            )
-        try:
-            if not self.queue.task_path(key).exists():
-                # Retired between our pending scan and the claim: the
-                # previous owner committed, removed the task file and
-                # released.  Only the lease holder retires a task, so
-                # now that *we* hold the lease this check is race-free.
-                self.leases.release(key)
-                return False
-            spec = TaskSpec.from_record(task_record["spec"])
-            if stolen is not None and (
-                stolen.steal_count + 1 > self.policy.max_retries
-            ):
-                # The steal count folds into the retry budget: hosts
-                # keep dying (or wedging) on this task.
-                self._quarantine(
-                    spec,
-                    key,
-                    category="crash",
-                    attempts=stolen.steal_count + 1,
-                    detail=(
-                        f"lease stolen {stolen.steal_count + 1} times "
-                        f"(last victim {stolen.host}); hosts keep dying "
-                        "on this task"
-                    ),
-                )
-                self._finish(key)
-                return True
-            self._active_key = key
-            try:
-                record = self.cache.get(key)
-                if record is not None:
-                    # A dead (or racing) host already committed: replay.
-                    self._journal_outcome(
-                        key, record, cached=True, source="cache"
-                    )
-                    self.report.cache_hits += 1
-                    self._finish(key)
-                    return True
-                if self.throttle:
-                    time.sleep(self.throttle)
-                result = self._execute(spec, key)
-                if result is None:  # quarantined
-                    self._finish(key)
-                    return True
-                metrics, wall = result
-                record = {
-                    "spec": spec.to_record(),
-                    "metrics": metrics,
-                    "wall_time": wall,
-                    "version": version,
-                }
-                self.cache.put(key, record)
-                self._journal_outcome(
-                    key, record, cached=False, source="fresh"
-                )
-                self.report.executed += 1
-                self._finish(key)
-                if self.progress:
-                    print(
-                        f"[{self.host}] {spec.label()} done in {wall:.2f}s",
-                        flush=True,
-                    )
-                return True
-            finally:
-                self._active_key = None
-        except BaseException:
-            # Interrupted mid-task: leave the lease to expire naturally
-            # (releasing it here could hand a half-journaled task to a
-            # rival while we unwind).
-            raise
-
-    def _reap_moot_leases(self) -> None:
-        """Unlink leases whose task is already retired.
-
-        A host killed between retiring the task file and releasing the
-        lease leaves a lease that refers to nothing.  The work is
-        committed, so any worker may clear it immediately — no TTL wait.
-        """
-        for key in self.leases.keys():
-            if not self.queue.task_path(key).exists():
-                self.leases.release(key)
-                self.observer.forget(key)
-
-    # -- the drain loop ------------------------------------------------
-
-    def run(self) -> WorkerReport:
-        """Drain the queue: loop until no task files remain.
-
-        Each pass scans the pending tasks in a host-dependent rotation
-        (so simultaneous workers start at different points and rarely
-        collide on claims), then reaps moot leases; if a pass made no
-        progress — everything pending is leased to live owners — the
-        worker sleeps ``poll_interval`` and rescans, which is also how
-        it watches rivals' leases for staleness.
-        """
-        started = time.perf_counter()
-        version = str(self.queue.manifest().get("version", ""))
-        # fsync=True: journaling an outcome is the step that lets the
-        # merge layer trust "this task is done" after any crash.
-        self._journal = SweepCheckpoint(
-            self.queue.journal_path(self.host), fsync=True
-        )
-        self._journal.append_event(
-            "host_start",
-            host=self.host,
-            pid=os.getpid(),
-            ttl=self.ttl,
-            time_unix=time.time(),
-        )
-        self._stop_heartbeat.clear()
-        beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
-        beat.start()
-        done = 0
-        try:
-            while True:
-                pending = self.queue.pending_keys()
-                if not pending:
-                    break
-                offset = hash(self.host) % len(pending)
-                rotated = pending[offset:] + pending[:offset]
-                progressed = False
-                for key in rotated:
-                    if (
-                        self.max_tasks is not None
-                        and done >= self.max_tasks
-                    ):
-                        return self._shutdown(started, done)
-                    if self._try_task(key, version):
-                        progressed = True
-                        done += 1
-                self._reap_moot_leases()
-                if not progressed and self.queue.pending_keys():
-                    time.sleep(self.poll_interval)
-            self._reap_moot_leases()
-        finally:
-            self._stop_heartbeat.set()
-            beat.join(timeout=2.0)
-        return self._shutdown(started, done)
-
-    def _shutdown(self, started: float, done: int) -> WorkerReport:
-        self._stop_heartbeat.set()
-        self.report.wall_time = time.perf_counter() - started
-        self._journal.append_event(
-            "host_finish",
-            host=self.host,
-            stats=self.report.to_record(),
-            time_unix=time.time(),
-        )
-        self._journal.close()
-        return self.report
 
 
 # ----------------------------------------------------------------------
 # Status merge and the merged run report
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class HostStatus:
-    """One host's contribution, merged from its journal stream."""
-
-    host: str
-    outcomes: int = 0
-    fresh: int = 0
-    cached: int = 0
-    quarantines: int = 0
-    lease_reclaims: int = 0
-    started_unix: Optional[float] = None
-    last_seen_unix: Optional[float] = None
-    finished: bool = False
-
-    def throughput(self) -> Optional[float]:
-        """Outcomes per second over this host's observed lifetime.
-
-        None until the host has both produced an outcome and been seen
-        for a measurable interval — a freshly-started host has no rate
-        yet, and inventing one would poison the fleet ETA.
-        """
-        if (
-            self.outcomes == 0
-            or self.started_unix is None
-            or self.last_seen_unix is None
-        ):
-            return None
-        span = self.last_seen_unix - self.started_unix
-        if span <= 0:
-            return None
-        return self.outcomes / span
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "host": self.host,
-            "outcomes": self.outcomes,
-            "fresh": self.fresh,
-            "cached": self.cached,
-            "quarantines": self.quarantines,
-            "lease_reclaims": self.lease_reclaims,
-            "started_unix": self.started_unix,
-            "last_seen_unix": self.last_seen_unix,
-            "finished": self.finished,
-        }
 
 
 @dataclass
@@ -691,126 +514,65 @@ class FleetStatus:
         return self.pending == 0
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "queue_dir": self.queue_dir,
-            "exp_id": self.exp_id,
-            "version": self.version,
-            "total": self.total,
-            "pending": self.pending,
-            "completed": self.completed,
-            "quarantined": self.quarantined,
-            "duplicates_merged": self.duplicates_merged,
-            "lease_reclaims": self.lease_reclaims,
-            "host_failures": self.host_failures,
-            "done": self.done,
-            "hosts": [h.to_record() for h in self.hosts],
-            "leased": dict(self.leased),
-            "orphan_leases": list(self.orphan_leases),
-            "quarantine_records": list(self.quarantine_records),
-        }
+        return {**asdict(self), "done": self.done}
 
     def summary(self) -> str:
-        finished = self.completed + self.quarantined
-        frac = finished / self.total if self.total else 1.0
-        bar = "#" * int(round(30 * frac))
-        lines = [
-            f"fleet {self.exp_id} @ {self.queue_dir}",
-            f"[{bar:<30}] {finished}/{self.total} "
-            f"({self.completed} completed, {self.quarantined} quarantined, "
-            f"{self.pending} pending, {len(self.leased)} in flight)",
-        ]
-        live_rate = 0.0
-        for host in self.hosts:
-            state = "finished" if host.finished else "running"
-            rate = host.throughput()
-            if rate is not None and not host.finished:
-                live_rate += rate
-            rate_str = f"{rate:.2f}/s" if rate is not None else "--/s"
-            lines.append(
-                f"  {host.host:<24} {host.outcomes:>4} outcomes "
-                f"({host.fresh} fresh, {host.cached} cached) "
-                f"@ {rate_str}, "
-                f"{host.lease_reclaims} reclaims, "
-                f"{host.quarantines} quarantines [{state}]"
-            )
-        if self.pending and live_rate > 0:
-            eta = self.pending / live_rate
-            lines.append(
-                f"eta: ~{eta:.0f}s for {self.pending} pending at "
-                f"{live_rate:.2f} tasks/s across live hosts"
-            )
-        elif self.pending and self.leased:
-            lines.append(
-                f"eta: unknown ({self.pending} pending, no live "
-                "throughput measured yet)"
-            )
-        lines.append(
-            f"failure taxonomy: {self.quarantined} quarantined, "
-            f"{self.lease_reclaims} lease reclaims, "
-            f"{self.host_failures} host failures, "
-            f"{self.duplicates_merged} duplicates merged"
-        )
+        notes = []
         if self.orphan_leases:
-            lines.append(
+            notes.append(
                 f"  {len(self.orphan_leases)} orphan lease(s) awaiting "
                 "reclaim: " + ", ".join(k[:12] for k in self.orphan_leases)
             )
-        for record in self.quarantine_records:
-            lines.append(
-                f"  quarantined {record.get('label')} "
-                f"[{record.get('category')}] {record.get('detail')}"
-            )
-        return "\n".join(lines)
+        return render_status(
+            f"fleet {self.exp_id} @ {self.queue_dir}",
+            total=self.total,
+            completed=self.completed,
+            quarantined=self.quarantined,
+            pending=self.pending,
+            in_flight=len(self.leased),
+            hosts=self.hosts,
+            reclaims="reclaims",
+            taxonomy=[
+                f"{self.quarantined} quarantined",
+                f"{self.lease_reclaims} lease reclaims",
+                f"{self.host_failures} host failures",
+                f"{self.duplicates_merged} duplicates merged",
+            ],
+            notes=notes,
+            quarantine_records=self.quarantine_records,
+        )
 
 
 def _merged_journal(
     queue: FleetQueue,
-) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]], List[HostStatus]]:
-    """All hosts' journal lines: (outcome records, events, host stats).
+) -> Tuple[List[Dict[str, Any]], Set[str], List[HostStatus]]:
+    """All hosts' journals: (outcome entries, reclaimed-from hosts, stats).
 
     Journals are read leniently (``strict=False``): a SIGKILLed host may
     have torn its final line, and that is interruption, not damage.
     """
     outcomes: List[Dict[str, Any]] = []
-    events: List[Dict[str, Any]] = []
+    victims: Set[str] = set()
     hosts: List[HostStatus] = []
     for host in queue.hosts():
         status = HostStatus(host=host)
         for entry in _read_jsonl(queue.journal_path(host), strict=False):
+            fold_host_entry(status, entry)
             kind = entry.get("kind")
-            stamp = entry.get("time_unix")
-            if stamp is not None:
-                status.last_seen_unix = stamp
             if kind == "outcome":
                 outcomes.append(entry)
-                status.outcomes += 1
-                if entry.get("cached"):
-                    status.cached += 1
-                else:
-                    status.fresh += 1
-            elif kind == "quarantine":
-                events.append(entry)
-                status.quarantines += 1
-            elif kind == "lease_reclaim":
-                events.append(entry)
-                status.lease_reclaims += 1
-            elif kind == "host_start":
-                status.started_unix = stamp
-            elif kind == "host_finish":
-                status.finished = True
+            elif kind == "lease_reclaim" and entry.get("victim_host"):
+                victims.add(entry["victim_host"])
         hosts.append(status)
-    return outcomes, events, hosts
+    return outcomes, victims, hosts
 
 
 def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
     """Merge manifest, journals, leases and quarantine into one view."""
-    queue = (
-        queue_dir if isinstance(queue_dir, FleetQueue) else FleetQueue(queue_dir)
-    )
+    queue = _as_queue(queue_dir)
     manifest = queue.manifest()
-    outcomes, events, hosts = _merged_journal(queue)
+    outcomes, victims, hosts = _merged_journal(queue)
     merged, duplicates = merge_task_records(outcomes)
-    pending = queue.pending_keys()
     quarantine = queue.quarantined()
     leases = queue.leases()
     leased: Dict[str, str] = {}
@@ -822,18 +584,12 @@ def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
             leased[key] = owner
         else:
             orphans.append(key)
-    victims = {
-        event["victim_host"]
-        for event in events
-        if event.get("kind") == "lease_reclaim"
-        and event.get("victim_host")
-    }
     return FleetStatus(
         queue_dir=str(queue.root),
         exp_id=str(manifest.get("exp_id", "?")),
         version=str(manifest.get("version", "?")),
         total=int(manifest.get("total", 0)),
-        pending=len(pending),
+        pending=len(queue.pending_keys()),
         completed=len(
             {entry.get("key") for entry in merged} - set(quarantine)
         ),
@@ -851,72 +607,17 @@ def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
 def fleet_report(queue_dir: os.PathLike) -> RunReport:
     """The merged :class:`RunReport` of a fleet run, in grid order.
 
-    Built from the union of the per-host journals, deduplicated
-    last-write-wins by content key; the manifest's key list restores
-    grid order, so ``summary_table()`` is bit-comparable with a
-    single-process run of the same grid.
+    Built by :func:`~repro.runner.drain.build_report` from the union of
+    the per-host journals; a host failure is a host some lease was
+    reclaimed from.
     """
-    queue = (
-        queue_dir if isinstance(queue_dir, FleetQueue) else FleetQueue(queue_dir)
-    )
+    queue = _as_queue(queue_dir)
     manifest = queue.manifest()
-    outcomes_raw, events, hosts = _merged_journal(queue)
-    merged, duplicates = merge_task_records(outcomes_raw)
-    by_key: Dict[str, Dict[str, Any]] = {
-        entry["key"]: entry for entry in merged if "key" in entry
-    }
-    quarantine = queue.quarantined()
-    ordered_keys = [
-        str(key) for key in manifest.get("keys", sorted(by_key))
-    ]
-    outcomes: List[TaskOutcome] = []
-    executed = 0
-    cache_hits = 0
-    for key in ordered_keys:
-        entry = by_key.get(key)
-        if entry is None:
-            continue
-        record = entry.get("record", {})
-        cached = bool(entry.get("cached"))
-        if cached:
-            cache_hits += 1
-        else:
-            executed += 1
-        outcomes.append(
-            TaskOutcome(
-                spec=TaskSpec.from_record(record["spec"]),
-                metrics=record.get("metrics", {}),
-                wall_time=float(record.get("wall_time", 0.0)),
-                cached=cached,
-                key=key,
-                source=str(entry.get("source", "fresh")),
-            )
-        )
-    wall = 0.0
-    stamps = [h.started_unix for h in hosts if h.started_unix is not None]
-    ends = [h.last_seen_unix for h in hosts if h.last_seen_unix is not None]
-    if stamps and ends:
-        wall = max(0.0, max(ends) - min(stamps))
-    victims = {
-        event["victim_host"]
-        for event in events
-        if event.get("kind") == "lease_reclaim"
-        and event.get("victim_host")
-    }
-    return RunReport(
-        exp_id=str(manifest.get("exp_id", "?")),
-        version=str(manifest.get("version", "?")),
-        workers=len(hosts),
-        outcomes=outcomes,
-        executed=executed,
-        cache_hits=cache_hits,
-        wall_time=wall,
-        quarantined=[
-            QuarantineRecord.from_record(record)
-            for record in quarantine.values()
-        ],
-        duplicates_merged=duplicates,
-        lease_reclaims=sum(h.lease_reclaims for h in hosts),
-        hosts_seen=len(hosts),
+    outcomes, victims, hosts = _merged_journal(queue)
+    return build_report(
+        manifest,
+        outcomes,
+        queue.quarantined().values(),
+        hosts,
         host_failures=len(victims),
     )

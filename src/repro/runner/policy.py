@@ -137,6 +137,20 @@ class QuarantineRecord:
         }
 
     @classmethod
+    def for_task(
+        cls, spec, key: str, *, category: str, attempts: int, detail: str
+    ) -> "QuarantineRecord":
+        """The record for giving up on task ``spec`` (a ``TaskSpec``)."""
+        return cls(
+            spec=spec.to_record(),
+            key=key,
+            label=spec.label(),
+            category=category,
+            attempts=attempts,
+            detail=detail,
+        )
+
+    @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "QuarantineRecord":
         return cls(
             spec=dict(record["spec"]),

@@ -76,7 +76,7 @@ class TaskSpec:
         Ignored by the scalar engine.
     ``backend``
         Array-kernel backend of the vector engine: ``"numpy"``,
-        ``"numba"``, ``"cupy"`` or ``"auto"``.  Like ``reception``,
+        ``"numba"`` or ``"auto"``.  Like ``reception``,
         backends are bit-identical in outcome but the *requested* knob
         joins the task identity so cached records state how they were
         produced.  Ignored by the scalar engine.

@@ -35,6 +35,7 @@ from repro.scenario.schema import (
     check_unknown_tables,
     validate_table,
 )
+from repro.vector.backend import BACKENDS
 
 ARRIVAL_KINDS = ("none", "bernoulli", "poisson", "burst")
 FAULT_KINDS = ("none", "churn", "fading", "outage", "jammer")
@@ -117,9 +118,7 @@ ENGINE_FIELDS = {
     "reception": Field(
         (str,), default="auto", choices=("dense", "sparse", "auto")
     ),
-    "backend": Field(
-        (str,), default="auto", choices=("numpy", "numba", "cupy", "auto")
-    ),
+    "backend": Field((str,), default="auto", choices=BACKENDS),
     "mask": Field((str,), default="auto", choices=("on", "off", "auto")),
     "idle_scheduling": Field((bool,), default=True),
 }

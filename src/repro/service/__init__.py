@@ -4,8 +4,9 @@ The subsystem that runs the protocols the way §4 analyzes them — as an
 open queueing system under an unbounded arrival stream — instead of as
 bounded k-message runs:
 
-* :mod:`~repro.service.streaming` — O(1) estimators (Welford moments,
-  P² quantile sketches, windowed rate counters);
+* :mod:`~repro.analysis.sketches` — the O(1) estimators it streams
+  into (Welford moments, P² quantile sketches, windowed rate counters),
+  shared with the scenario KPI processor and re-exported here;
 * :mod:`~repro.service.drift` — the backlog-drift stability test;
 * :mod:`~repro.service.loop` — the service loop itself: per-slot
   arrival injection, delivery absorption, warmup truncation, no
@@ -19,6 +20,7 @@ KPIs) and E20 (saturation sweep) are registered in
 :mod:`repro.runner.defs`.
 """
 
+from repro.analysis.sketches import P2Quantile, RateWindow, Welford
 from repro.service.drift import BacklogDriftDetector, DriftVerdict
 from repro.service.loop import (
     SERVICE_DEDUP_WINDOW,
@@ -26,7 +28,6 @@ from repro.service.loop import (
     ServiceKPIs,
     run_service,
 )
-from repro.service.streaming import P2Quantile, RateWindow, Welford
 from repro.service.sweep import (
     OracleComparison,
     SweepPoint,

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
+from repro.analysis.sketches import Welford
 from repro.errors import ConfigurationError
-from repro.service.streaming import Welford
 
 
 @dataclass(frozen=True)

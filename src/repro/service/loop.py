@@ -11,8 +11,8 @@ Constant-memory contract
 Peak memory is independent of the horizon.  Nothing per-message is
 retained:
 
-* sojourn times feed :class:`~repro.service.streaming.Welford` moments
-  and :class:`~repro.service.streaming.P2Quantile` sketches the moment
+* sojourn times feed :class:`~repro.analysis.sketches.Welford` moments
+  and :class:`~repro.analysis.sketches.P2Quantile` sketches the moment
   a message is delivered, then the delivery record is dropped (the
   root's ``delivered`` list is drained and cleared every slot);
 * the submit-slot map covers only *in-flight* messages — bounded by
@@ -20,7 +20,7 @@ retained:
   regime (its observed peak is reported as ``in_flight_peak``);
 * queue lengths are sampled once per phase into a
   :class:`~repro.service.drift.BacklogDriftDetector` and windowed
-  :class:`~repro.service.streaming.RateWindow` counters, all O(1);
+  :class:`~repro.analysis.sketches.RateWindow` counters, all O(1);
 * transport-layer duplicate suppression runs with a bounded
   ``dedup_window`` instead of the closed-run unbounded set.
 
@@ -35,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.analysis.sketches import P2Quantile, RateWindow, Welford
 from repro.core.collection import build_collection_network
 from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.service.drift import BacklogDriftDetector, DriftVerdict
-from repro.service.streaming import P2Quantile, RateWindow, Welford
 from repro.workloads.arrivals import ArrivalProcess
 
 #: Transport dedup-set bound used by service runs: a duplicate is a

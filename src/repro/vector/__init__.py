@@ -5,7 +5,7 @@ radio layer (batched reception), :mod:`~repro.vector.decay` the batched
 Decay primitive, :mod:`~repro.vector.collection` the pipelined §4
 protocol, and :mod:`~repro.vector.check` the scalar-equivalence harness
 (exact invariants + KS test).  :mod:`~repro.vector.backend` supplies the
-pluggable array kernels (numpy default, optional numba JIT, cupy stub)
+pluggable array kernels (numpy default, optional numba JIT)
 behind the ``backend=`` knob, and the ``mask=`` knob selects the
 active-set lockstep loop whose per-slot work scales with the awake
 population instead of B·n.

@@ -14,9 +14,6 @@ Both are pure array kernels, so they live behind one small interface:
   bit-identical, so the fallback changes wall-clock only, never a
   result.  (The resolved name stays observable via
   ``KernelBackend.name`` so benchmarks can report what actually ran.)
-* ``cupy`` — a stub behind the same interface, reserved for GPU
-  offload.  Selecting it raises a
-  :class:`~repro.errors.ConfigurationError` until real kernels exist.
 * ``auto`` — numba when importable, else numpy.
 
 The *requested* backend is part of every task's cache identity (see
@@ -36,7 +33,7 @@ from repro.errors import ConfigurationError
 
 #: The array backends a task may select.  ``auto`` resolves per
 #: environment (numba when importable, else numpy).
-BACKENDS: Tuple[str, ...] = ("numpy", "numba", "cupy", "auto")
+BACKENDS: Tuple[str, ...] = ("numpy", "numba", "auto")
 
 
 def validate_backend(backend: str) -> str:
@@ -271,15 +268,9 @@ def resolve_backend(backend: str = "auto") -> KernelBackend:
     ``numba`` (explicit or via ``auto``) falls back to numpy when the
     wheel is missing — results are bit-identical either way, so the
     fallback is silent and only the resolved :attr:`KernelBackend.name`
-    records it.  ``cupy`` is a stub and always raises.
+    records it.
     """
     validate_backend(backend)
-    if backend == "cupy":
-        raise ConfigurationError(
-            "the cupy backend is a stub: GPU kernels are not implemented "
-            "yet (and cupy is typically not installed); use --backend "
-            "numpy, numba or auto"
-        )
     use_numba = backend in ("numba", "auto") and numba_available()
     if use_numba:
         kernels = _build_numba_kernels()

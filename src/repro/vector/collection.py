@@ -116,8 +116,8 @@ class BatchCollection:
         task identity.  The masked loop always scatters over the CSR
         arrays (there is no dense formulation of O(awake) work).
     backend:
-        Array-kernel backend (``"numpy"``/``"numba"``/``"cupy"``/
-        ``"auto"``) for the CSR scatter and the masked Decay step; see
+        Array-kernel backend (``"numpy"``/``"numba"``/``"auto"``) for
+        the CSR scatter and the masked Decay step; see
         :mod:`repro.vector.backend`.  Backends are bit-identical.
     mask:
         Active-set mask mode: ``"on"`` (O(awake) masked loop), ``"off"``

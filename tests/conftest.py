@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +56,55 @@ def small_test_graphs():
         ("grid3x3", grid(3, 3)),
         ("rgg16", random_geometric(16, radius=0.45, rng=rng)),
     ]
+
+
+class _LoopbackCoordinator:
+    """A TCP coordinator on a loopback port, serving from a thread."""
+
+    def __init__(self, root, **kwargs):
+        from repro.runner import CoordServer
+
+        kwargs.setdefault("ttl", 10.0)
+        kwargs.setdefault("tick", 0.05)
+        self.server = CoordServer(root, **kwargs)
+        self.root = Path(root)
+        self.address = self.server.start()
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, daemon=True
+        )
+        self.thread.start()
+
+    def stop(self):
+        from repro.runner import CoordClient, CoordinatorUnreachable
+
+        if not self.thread.is_alive():
+            return
+        client = CoordClient(self.root, timeout=2.0, offline_budget=5.0)
+        try:
+            client.request({"op": "stop"})
+        except (CoordinatorUnreachable, OSError):
+            pass
+        finally:
+            client.close()
+        self.thread.join(timeout=5.0)
+        self.server.close()
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def coord_server():
+    """Start loopback coordinators as ``coord_server(root, **kwargs)``.
+
+    Each one serves from a thread until its ``stop()`` — or until the
+    test ends, when every coordinator still running is stopped.
+    """
+    started = []
+
+    def start(root, **kwargs):
+        box = _LoopbackCoordinator(root, **kwargs)
+        started.append(box)
+        return box
+
+    yield start
+    for box in started:
+        box.stop()

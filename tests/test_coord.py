@@ -6,16 +6,17 @@ drives it with real :class:`CoordClient`/:class:`CoordWorker` instances
 the multi-process scenario with network faults and SIGKILL).  The tests
 state the backend's contracts directly: idempotent submit/claim/commit,
 journal write-through recovery (including restored in-flight leases),
-lease expiry folding into the quarantine budget, server-side cache
-replay, the stranded-outcome outbox, and a server that survives raw
-garbage on its port.
+lease expiry folding into the quarantine budget, the stranded-outcome
+outbox, and a server that survives raw garbage on its port.  The
+worker-loop contracts both backends share (exactly-once draining,
+retry-then-quarantine, cache replay, ``max_tasks``) live in
+``test_drain.py``.
 """
 
 from __future__ import annotations
 
 import json
 import socket
-import threading
 import time
 from pathlib import Path
 
@@ -24,9 +25,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runner import (
     CoordClient,
-    CoordServer,
     CoordWorker,
-    CoordinatorUnreachable,
     FaultPolicy,
     Outbox,
     coord_report,
@@ -34,7 +33,6 @@ from repro.runner import (
     submit_tasks,
     task_grid,
 )
-from repro.runner.cache import ResultCache
 from repro.runner.client import parse_address
 from repro.runner.coord import JOURNAL_NAME, format_coord_status
 from repro.runner.telemetry import _read_jsonl
@@ -59,42 +57,9 @@ def _journal(root: Path, kind: str):
     ]
 
 
-class _Server:
-    """A coordinator on a loopback port, serving from a thread."""
-
-    def __init__(self, root, **kwargs):
-        kwargs.setdefault("ttl", 10.0)
-        kwargs.setdefault("tick", 0.05)
-        self.server = CoordServer(root, **kwargs)
-        self.root = Path(root)
-        self.address = self.server.start()
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
-        self.thread.start()
-
-    def stop(self):
-        if not self.thread.is_alive():
-            return
-        client = CoordClient(self.root, timeout=2.0, offline_budget=5.0)
-        try:
-            client.request({"op": "stop"})
-        except (CoordinatorUnreachable, OSError):
-            pass
-        finally:
-            client.close()
-        self.thread.join(timeout=5.0)
-        self.server.close()
-        assert not self.thread.is_alive()
-
-
 @pytest.fixture
-def served(tmp_path):
-    box = _Server(tmp_path / "coord")
-    try:
-        yield box
-    finally:
-        box.stop()
+def served(coord_server, tmp_path):
+    return coord_server(tmp_path / "coord")
 
 
 @pytest.fixture
@@ -193,93 +158,13 @@ def test_heartbeat_reports_lost_lease(served, client):
 
 
 # ----------------------------------------------------------------------
-# Draining workers
-# ----------------------------------------------------------------------
-
-
-def test_workers_drain_exactly_once(served, client):
-    tasks = _grid(8)
-    submit_tasks(client, tasks, version=VERSION)
-    reports = []
-
-    def drain(name):
-        worker = CoordWorker(
-            served.root, host=name, run_fn=_value,
-            poll_interval=0.05, progress=False,
-        )
-        reports.append(worker.run())
-
-    threads = [
-        threading.Thread(target=drain, args=(f"w{i}",)) for i in range(2)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert sum(r.executed for r in reports) == 8
-    assert sum(r.quarantined for r in reports) == 0
-    merged = coord_report(served.root)
-    assert len(merged.outcomes) == 8
-    assert {o.key for o in merged.outcomes} == {
-        s.key(VERSION) for s in tasks
-    }
-    by_key = {s.key(VERSION): s for s in tasks}
-    for outcome in merged.outcomes:
-        assert dict(outcome.metrics) == _value(by_key[outcome.key])
-
-
-def test_failed_task_retries_then_quarantines(served, client):
-    submit_tasks(client, _grid(1), version=VERSION)
-
-    def explode(spec):
-        raise RuntimeError("injected failure")
-
-    worker = CoordWorker(
-        served.root, host="w0", run_fn=explode,
-        policy=FaultPolicy(max_retries=1, backoff_base=0.01),
-        poll_interval=0.05, progress=False,
-    )
-    report = worker.run()
-    assert report.quarantined == 1 and report.retries == 1
-    merged = coord_report(served.root)
-    assert len(merged.quarantined) == 1
-    assert merged.quarantined[0].category == "error"
-    status = coord_status(served.root)
-    assert status["quarantined"] == 1 and status["pending"] == 0
-
-
-def test_server_side_cache_replay(served, client):
-    tasks = _grid(2)
-    submit_tasks(client, tasks, version=VERSION)
-    # One key was already committed by an earlier run: the coordinator
-    # replays it from its cache at claim time, no worker executes it.
-    key = tasks[0].key(VERSION)
-    ResultCache(served.root / "results", fsync=True).put(
-        key,
-        {"spec": tasks[0].to_record(), "metrics": {"v": 9},
-         "wall_time": 0.0, "version": VERSION},
-    )
-    worker = CoordWorker(
-        served.root, host="w0", run_fn=_value,
-        poll_interval=0.05, progress=False,
-    )
-    report = worker.run()
-    assert report.executed == 1
-    assert report.cache_hits == 1
-    replays = [
-        e for e in _journal(served.root, "outcome") if e.get("cached")
-    ]
-    assert [e["key"] for e in replays] == [key]
-
-
-# ----------------------------------------------------------------------
 # Crash recovery
 # ----------------------------------------------------------------------
 
 
-def test_journal_recovery_restores_done_and_leases(tmp_path):
+def test_journal_recovery_restores_done_and_leases(coord_server, tmp_path):
     root = tmp_path / "coord"
-    box = _Server(root)
+    box = coord_server(root)
     client = CoordClient(root, timeout=2.0, offline_budget=10.0)
     tasks = _grid(3)
     submit_tasks(client, tasks, version=VERSION)
@@ -294,7 +179,7 @@ def test_journal_recovery_restores_done_and_leases(tmp_path):
     client.close()
     box.stop()
 
-    revived = _Server(root)
+    revived = coord_server(root)
     try:
         # The committed task stays done, the in-flight lease is restored
         # with a fresh TTL, the third task is still pending.
@@ -309,9 +194,9 @@ def test_journal_recovery_restores_done_and_leases(tmp_path):
         revived.stop()
 
 
-def test_lease_expiry_requeues_then_quarantines(tmp_path):
+def test_lease_expiry_requeues_then_quarantines(coord_server, tmp_path):
     root = tmp_path / "coord"
-    box = _Server(root, ttl=0.25, policy=FaultPolicy(max_retries=1))
+    box = coord_server(root, ttl=0.25, policy=FaultPolicy(max_retries=1))
     client = CoordClient(root, timeout=2.0, offline_budget=10.0)
     try:
         submit_tasks(client, _grid(1), version=VERSION)
@@ -438,9 +323,9 @@ def test_client_discards_mismatched_rids(served, client):
     assert a["ok"] and "total" in b
 
 
-def test_status_offline_fallback_and_format(tmp_path):
+def test_status_offline_fallback_and_format(coord_server, tmp_path):
     root = tmp_path / "coord"
-    box = _Server(root)
+    box = coord_server(root)
     client = CoordClient(root, timeout=2.0, offline_budget=10.0)
     submit_tasks(client, _grid(2), version=VERSION)
     live = coord_status(root)

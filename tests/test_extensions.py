@@ -342,6 +342,16 @@ class TestCli:
         from repro.__main__ import main
 
         assert main(["bogus"]) == 2
+        # The command is checked before its seed is parsed.
+        assert main(["bogus", "xyz"]) == 2
+        assert "unknown command 'bogus'" in capsys.readouterr().err
+
+    def test_non_integer_seed_is_a_one_line_error(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["demo", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "demo: seed must be an integer, got 'abc'"
 
     def test_help(self, capsys):
         from repro.__main__ import main

@@ -2,12 +2,13 @@
 
 Lease tests exercise the protocol directly (claim races, heartbeat
 freshness, expiry reclaim, steal-budget exhaustion, corrupt records);
-worker tests run two in-process :class:`FleetWorker` instances against
-one queue directory and assert the exactly-once contract — every task
-executed once, none lost, none double-counted — plus the crash-consistent
-replay of a host that died between committing a result and retiring its
-task.  Everything runs with injected task functions; no subprocesses
-(the chaos harness covers the real multi-process scenario).
+worker tests run in-process :class:`FleetWorker` instances against one
+queue directory for what only the lease directory does: dead-host
+reclaim, the steal budget, moot-lease reaping.  The worker-loop
+contracts both backends share (exactly-once draining, retry-then-
+quarantine, cache replay, ``max_tasks``) live in ``test_drain.py``.
+Everything runs with injected task functions; no subprocesses (the
+chaos harness covers the real multi-process scenario).
 """
 
 from __future__ import annotations
@@ -210,45 +211,6 @@ class TestQueue:
 
 
 class TestWorkers:
-    def test_two_workers_drain_one_queue_exactly_once(self, tmp_path):
-        queue = FleetQueue(tmp_path / "q")
-        specs = _grid(8)
-        queue.submit(specs, version=VERSION)
-        keys = [spec.key(VERSION) for spec in specs]
-
-        executions = []
-        lock = threading.Lock()
-
-        def run_fn(spec):
-            with lock:
-                executions.append(spec.key(VERSION))
-            time.sleep(0.01)  # hold the lease long enough to contend
-            return _value(spec)
-
-        workers = [
-            FleetWorker(
-                queue, host, run_fn=run_fn, ttl=10.0, poll_interval=0.01
-            )
-            for host in ("alpha", "beta")
-        ]
-        threads = [threading.Thread(target=w.run) for w in workers]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        # Exactly once: every task executed, none twice, queue empty.
-        assert sorted(executions) == sorted(keys)
-        assert queue.pending_keys() == []
-        assert queue.leases().keys() == []
-        merged = fleet_report(queue)
-        assert len(merged.outcomes) == 8
-        assert merged.executed == 8 and merged.duplicates_merged == 0
-        assert merged.hosts_seen == 2 and merged.host_failures == 0
-        status = fleet_status(queue)
-        assert status.done and status.completed == 8
-        assert sum(w.report.executed for w in workers) == 8
-
     def test_fleet_report_matches_inline_run_bitwise(self, tmp_path):
         specs = _grid(6)
         inline = run_tasks(specs, _value, version=VERSION)
@@ -314,69 +276,6 @@ class TestWorkers:
         assert len(merged.quarantined) == 1 and not merged.outcomes
         status = fleet_status(queue)
         assert status.quarantined == 1 and status.done
-
-    def test_failing_task_retries_then_quarantines(self, tmp_path):
-        queue = FleetQueue(tmp_path / "q")
-        specs = _grid(2)
-        queue.submit(specs, version=VERSION)
-        attempts = []
-
-        def run_fn(spec):
-            if spec.params["idx"] == 0:
-                attempts.append(spec.params["idx"])
-                raise RuntimeError("permanently broken")
-            return _value(spec)
-
-        worker = FleetWorker(
-            queue, "alpha", run_fn=run_fn,
-            policy=FaultPolicy(max_retries=1, backoff_base=0.0, jitter=0.0),
-        )
-        stats = worker.run()
-        assert len(attempts) == 2  # first try + one retry
-        assert stats.executed == 1 and stats.quarantined == 1
-        assert stats.retries == 1
-        merged = fleet_report(queue)
-        assert len(merged.outcomes) == 1
-        assert merged.quarantined[0].category == "error"
-
-    def test_commit_then_crash_replays_as_cache_hit(self, tmp_path):
-        # A host died after committing a result to the shared cache and
-        # journaling it, but before retiring the task file and releasing
-        # the lease.  The reclaimer must replay the cache hit (never
-        # recompute), and the merge must fold the duplicate journal
-        # record away — counted, not double-counted.
-        queue = FleetQueue(tmp_path / "q")
-        specs = _grid(4)
-        queue.submit(specs, version=VERSION)
-        key0 = specs[0].key(VERSION)
-        committed = _record(specs[0])
-        queue.cache().put(key0, committed)
-        journal = SweepCheckpoint(queue.journal_path("deadhost"))
-        journal.append_event("host_start", host="deadhost", time_unix=0.0)
-        journal.append_event(
-            "outcome", key=key0, record=committed, host="deadhost",
-            cached=False, source="fresh", time_unix=0.0,
-        )
-        journal.close()
-        queue.leases().claim(key0, "deadhost")
-
-        executed = []
-
-        def run_fn(spec):
-            executed.append(spec.key(VERSION))
-            return _value(spec)
-
-        stats = FleetWorker(
-            queue, "alpha", run_fn=run_fn, ttl=0.15, poll_interval=0.03
-        ).run()
-        assert key0 not in executed  # replayed, not recomputed
-        assert stats.cache_hits == 1 and stats.executed == 3
-        merged = fleet_report(queue)
-        assert len(merged.outcomes) == 4
-        assert [o.key for o in merged.outcomes].count(key0) == 1
-        assert merged.duplicates_merged == 1
-        status = fleet_status(queue)
-        assert status.duplicates_merged == 1 and status.done
 
     def test_moot_lease_of_retired_task_is_reaped(self, tmp_path):
         # Killed after retiring the task file but before releasing the

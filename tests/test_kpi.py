@@ -3,8 +3,8 @@
 KPIs must pool correctly (ratios from summed counters, not means of
 ratios), agree between the in-memory report path and the telemetry-file
 path, and land in a flat JSON file whose top-level scalars the
-regression gate can consume.  The sketch move to repro.analysis must
-keep the old repro.service.streaming imports working.
+regression gate can consume.  The streaming sketches live in
+repro.analysis and are re-exported by repro.service.
 """
 
 from __future__ import annotations
@@ -187,11 +187,3 @@ class TestSketchesMove:
             q.add(float(x))
         assert q.value == pytest.approx(6.0, abs=1.0)
         assert RateWindow is not None
-
-    def test_service_streaming_shim_still_works(self):
-        from repro.service.streaming import P2Quantile, RateWindow, Welford
-        from repro.analysis import sketches
-
-        assert Welford is sketches.Welford
-        assert P2Quantile is sketches.P2Quantile
-        assert RateWindow is sketches.RateWindow

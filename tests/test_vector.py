@@ -367,7 +367,7 @@ class TestBackends:
     def test_validate_backend(self):
         from repro.vector import BACKENDS, validate_backend
 
-        assert BACKENDS == ("numpy", "numba", "cupy", "auto")
+        assert BACKENDS == ("numpy", "numba", "auto")
         for name in BACKENDS:
             assert validate_backend(name) == name
         with pytest.raises(ConfigurationError):
@@ -378,14 +378,32 @@ class TestBackends:
 
         names = available_backends()
         assert names[0] == "numpy"
-        assert "cupy" not in names  # stub only: never auto-selected
+        assert "cupy" not in names
 
-    def test_cupy_backend_is_an_explicit_stub(self):
-        from repro.vector import resolve_backend
+    def test_cupy_backend_fails_validation(self, tmp_path):
+        # There are no GPU kernels: "cupy" is an unknown backend like
+        # any other, and every entry point names the valid ones.
+        import json
 
-        with pytest.raises(ConfigurationError) as err:
-            resolve_backend("cupy")
-        assert "cupy" in str(err.value)
+        from repro.scenario import ValidationError, parse_scenario
+        from repro.vector import resolve_backend, validate_backend
+
+        for check in (validate_backend, resolve_backend):
+            with pytest.raises(ConfigurationError) as err:
+                check("cupy")
+            assert "'numpy', 'numba', 'auto'" in str(err.value)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "scenario": {"name": "gpu"},
+            "topology": {"name": "path-4"},
+            "protocol": {"kind": "collection"},
+            "arrivals": {"kind": "none", "messages": 2},
+            "engine": {"kind": "vector", "backend": "cupy"},
+        }))
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(spec)
+        assert err.value.path == "engine.backend"
+        assert "'numpy', 'numba', 'auto'" in str(err.value)
 
     def test_numba_request_falls_back_silently(self):
         # Without numba installed the request resolves to the numpy
