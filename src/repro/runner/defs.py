@@ -469,7 +469,7 @@ E19_QUICK_CELLS = (
 
 
 def service_sources(topology: str, source_mode: str, seed: int):
-    """Build (graph, tree, sources) for one service cell.
+    """Build (graph, tree, sources) for one service or scenario cell.
 
     ``source_mode``: ``"tail"`` = the single deepest station, ``"bottom"``
     = every deepest-level station, ``"all"`` = every non-root station.
@@ -507,31 +507,25 @@ def service_metrics(
     ``queue_ratio``) against `repro.queueing.analysis`.
     """
     from repro.core.slots import SlotStructure, decay_budget
-    from repro.rng import derive_seed
     from repro.service import (
         compare_with_oracle,
         measure_capacity,
         run_service,
     )
-    from repro.workloads import BernoulliArrivals, PoissonArrivals
+    from repro.workloads.arrivals import arrivals_for
 
     graph, tree, sources = service_sources(topology, source_mode, seed)
     phase_length = SlotStructure(
         decay_budget(graph.max_degree()), 3, True
     ).phase_length
-    if arrival == "bernoulli":
-        arrivals = BernoulliArrivals(
-            sources, rate, phase_length, seed=derive_seed(seed, "arrivals")
-        )
-    elif arrival == "poisson":
-        arrivals = PoissonArrivals.per_phase_rate(
-            sources, rate, phase_length, seed=derive_seed(seed, "arrivals")
-        )
-    else:
+    if arrival not in ("bernoulli", "poisson"):
         raise ConfigurationError(
             f"unknown arrival process {arrival!r} "
             "(expected 'bernoulli' or 'poisson')"
         )
+    arrivals = arrivals_for(
+        {"arrival": arrival, "rate": rate}, sources, phase_length, seed
+    )
     kpis = run_service(
         graph, tree, arrivals, seed=seed,
         horizon_slots=phases * phase_length,

@@ -45,80 +45,52 @@ count slots (jam windows are sub-phase phenomena).
 
 from __future__ import annotations
 
-import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.core.collection import (
     build_collection_network,
     expected_collection_slots,
 )
 from repro.errors import ConfigurationError
-from repro.graphs import reference_bfs_tree
 from repro.graphs.graph import Graph, NodeId
-from repro.analysis.sketches import P2Quantile, Welford
 from repro.rng import child_rng, derive_seed
 from repro.runner.registry import ExperimentDef
 from repro.runner.task import TaskSpec
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    BernoulliArrivals,
-    BurstArrivals,
-    PoissonArrivals,
+from repro.workloads.arrivals import arrivals_for
+from repro.workloads.driver import (
+    Drive,
+    FlowAccumulator,
+    collection_hooks,
+    p2p_hooks,
 )
-
-#: Sojourn quantiles every latency-measuring driver reports.
-SOJOURN_QUANTILES = (0.5, 0.9, 0.99)
 
 
 # ----------------------------------------------------------------------
 # Reconstruction helpers (case scalars -> objects)
 # ----------------------------------------------------------------------
 
-def _topology(name: str, seed: int):
-    from repro.runner.defs import build_topology
+def _cell(params: Dict[str, Any], seed: int):
+    """(graph, tree, sources) of a case, by the same source rule as the
+    service cells."""
+    from repro.runner.defs import service_sources
 
-    graph = build_topology(name, random.Random(seed))
-    tree = reference_bfs_tree(graph, 0)
-    return graph, tree
-
-
-def _source_nodes(tree, mode: str) -> List[NodeId]:
-    if mode == "tail":
-        return [max(tree.nodes, key=lambda v: (tree.level[v], v))]
-    if mode == "bottom":
-        return [n for n in tree.nodes if tree.level[n] == tree.depth]
-    if mode == "all":
-        return [n for n in tree.nodes if n != tree.root]
-    raise ConfigurationError(f"unknown source mode {mode!r}")
+    return service_sources(
+        params["topology"], params.get("sources", "tail"), seed
+    )
 
 
-def _make_arrivals(
-    params: Dict[str, Any],
-    sources: List[NodeId],
-    phase_length: int,
-    seed: int,
-) -> Optional[ArrivalProcess]:
-    kind = params.get("arrival", "none")
-    arrival_seed = derive_seed(seed, "arrivals")
-    if kind == "none":
-        return None
-    if kind == "bernoulli":
-        return BernoulliArrivals(
-            sources, params["rate"], phase_length, seed=arrival_seed
-        )
-    if kind == "poisson":
-        return PoissonArrivals.per_phase_rate(
-            sources, params["rate"], phase_length, seed=arrival_seed
-        )
-    if kind == "burst":
-        return BurstArrivals(
-            sources,
-            period=params["period"] * phase_length,
-            bursts=params["bursts"],
-            jitter=params.get("jitter", 0),
-            seed=arrival_seed,
-        )
-    raise ConfigurationError(f"unknown arrival kind {kind!r}")
+def _phase_length(graph: Graph, classes: int) -> int:
+    """Collection's phase length, a function of Δ and the class count."""
+    from repro.core.slots import SlotStructure, decay_budget
+
+    return SlotStructure(
+        decay_budget(graph.max_degree()), classes, True
+    ).phase_length
+
+
+def _closed_messages(sources: List[NodeId], k: int) -> Dict[NodeId, List[Any]]:
+    """The closed workload: ``k`` messages per source, all at slot 0."""
+    return {node: [f"m{node}-{i}" for i in range(k)] for node in sources}
 
 
 def _closed_workload(
@@ -128,10 +100,9 @@ def _closed_workload(
     seed: int,
 ) -> Dict[NodeId, List[Any]]:
     """Slot-0 submissions for the closed protocol kinds."""
-    arrivals = _make_arrivals(params, sources, phase_length, seed)
+    arrivals = arrivals_for(params, sources, phase_length, seed)
     if arrivals is None:
-        k = params.get("messages", 4)
-        return {node: [f"m{node}-{i}" for i in range(k)] for node in sources}
+        return _closed_messages(sources, params.get("messages", 4))
     horizon = params["horizon_phases"] * phase_length
     workload: Dict[NodeId, List[Any]] = {}
     for slot in range(horizon):
@@ -197,123 +168,68 @@ def _make_failures(params: Dict[str, Any], graph: Graph, tree, phase_length: int
 
 
 # ----------------------------------------------------------------------
-# KPI accumulation shared by the latency-measuring drivers
+# collection and p2p (streamed or closed, through the drive loop)
 # ----------------------------------------------------------------------
 
-class FlowAccumulator:
-    """Streams per-message sojourns and per-source flow counters."""
+def _drive_flow(
+    params: Dict[str, Any],
+    seed: int,
+    cell,
+    network,
+    phase_length: int,
+    hooks,
+    acc: FlowAccumulator,
+    horizon_phases: int,
+) -> None:
+    """Feed one network its closed workload or its arrival stream, drain
+    it, and fold the outcome into ``acc``."""
+    graph, tree, sources = cell
+    network.idle_scheduling = params.get("idle_scheduling", True)
+    arrivals = arrivals_for(params, sources, phase_length, seed)
+    horizon_slots = 0 if arrivals is None else horizon_phases * phase_length
+    # Set per network: a mobility epoch's re-sampled field may change Δ.
+    acc.phase_length = phase_length
+    acc.warmup_slots = int(
+        horizon_slots * params.get("warmup_fraction", 0.0)
+    )
+    drive = Drive(network, hooks, acc)
+    if arrivals is None:
+        closed = _closed_messages(sources, params.get("messages", 4))
+        for node, payloads in closed.items():
+            for payload in payloads:
+                drive.submit(node, payload)
+    else:
+        drive.run(arrivals, horizon_slots)
+    # Drain: no new arrivals; bounded by what is actually left, because
+    # a faulty run may have wedged messages below a dead region (the
+    # repair layer freezes buffers at stations it declares partitioned).
+    budget = _drain_cap(
+        len(drive.in_flight), tree.depth, graph.max_degree(),
+        params.get("classes", 3),
+    )
+    acc.lost += drive.drain(budget, stall=_STALL_SLOTS)
+    acc.slots += network.slot
+    acc.absorb_stats(network.stats)
 
-    def __init__(self) -> None:
-        self.sojourn = Welford()
-        self.sketches = {p: P2Quantile(p) for p in SOJOURN_QUANTILES}
-        self.submitted_by: Dict[NodeId, int] = {}
-        self.delivered_by: Dict[NodeId, int] = {}
-        self.submitted = 0
-        self.delivered = 0
-        self.measured = 0
-        self.slots = 0
-        self.lost = 0
-        self.stats = {
-            "transmissions": 0, "deliveries": 0, "collisions": 0,
-            "busy_slots": 0, "dropped": 0,
-        }
-
-    def note_submitted(self, origin: NodeId) -> None:
-        self.submitted += 1
-        self.submitted_by[origin] = self.submitted_by.get(origin, 0) + 1
-
-    def note_delivered(
-        self, origin: NodeId, sojourn_phases: float, measured: bool
-    ) -> None:
-        self.delivered += 1
-        self.delivered_by[origin] = self.delivered_by.get(origin, 0) + 1
-        if measured:
-            self.measured += 1
-            self.sojourn.add(sojourn_phases)
-            for sketch in self.sketches.values():
-                sketch.add(sojourn_phases)
-
-    def absorb_stats(self, stats) -> None:
-        self.stats["transmissions"] += stats.transmissions
-        self.stats["deliveries"] += stats.deliveries
-        self.stats["collisions"] += stats.collisions
-        self.stats["dropped"] += stats.dropped
-        self.stats["busy_slots"] += sum(
-            c.busy_slots for c in stats.per_channel.values()
-        )
-
-    def metrics(self, phase_length: int) -> Dict[str, Any]:
-        phases = self.slots / phase_length if phase_length else 0.0
-        out: Dict[str, Any] = {
-            "submitted": self.submitted,
-            "delivered": self.delivered,
-            "lost": self.lost,
-            "delivery_ratio": (
-                self.delivered / self.submitted if self.submitted else 1.0
-            ),
-            "slots": self.slots,
-            "phases": phases,
-            "sojourn_mean_phases": (
-                self.sojourn.mean if self.sojourn.count else float("nan")
-            ),
-            "sojourn_stddev_phases": self.sojourn.stddev,
-            "jain_fairness": jain_fairness(
-                [self.delivered_by.get(s, 0) for s in self.submitted_by]
-            ),
-            "utilization": (
-                self.stats["busy_slots"] / self.slots if self.slots else 0.0
-            ),
-            "collision_rate": (
-                self.stats["collisions"] / self.stats["transmissions"]
-                if self.stats["transmissions"] else 0.0
-            ),
-            "transmissions": self.stats["transmissions"],
-            "collisions": self.stats["collisions"],
-            "dropped": self.stats["dropped"],
-        }
-        for p, sketch in sorted(self.sketches.items()):
-            out[f"sojourn_p{int(round(p * 100))}_phases"] = sketch.value
-        return out
-
-
-def jain_fairness(shares: List[float]) -> float:
-    """Jain's fairness index over per-flow shares: (Σx)²/(n·Σx²)."""
-    if not shares:
-        return 1.0
-    total = float(sum(shares))
-    squares = float(sum(x * x for x in shares))
-    if squares == 0.0:
-        return 1.0
-    return (total * total) / (len(shares) * squares)
-
-
-# ----------------------------------------------------------------------
-# collection (streaming / closed / faulty / mobile)
-# ----------------------------------------------------------------------
 
 def _drive_collection_epoch(
     params: Dict[str, Any],
     seed: int,
     acc: FlowAccumulator,
     horizon_phases: int,
-) -> int:
-    """One epoch of (possibly streaming) collection; returns phase length."""
+) -> None:
+    """One epoch of (possibly streaming, faulty) collection."""
     classes = params.get("classes", 3)
-    graph, tree = _topology(params["topology"], seed)
-    sources = _source_nodes(tree, params.get("sources", "tail"))
-    failures = None
-    fault = params.get("fault", "none")
-    if fault != "none":
+    cell = _cell(params, seed)
+    graph, tree, _sources = cell
+    if params.get("fault", "none") != "none":
         from repro.core.repair import build_resilient_collection_network
 
-        # Phase length depends only on Δ and the class count; compute it
-        # from a slot structure before wiring the faulty network.
-        from repro.core.slots import SlotStructure, decay_budget
-
-        phase_length = SlotStructure(
-            decay_budget(graph.max_degree()), classes, True
-        ).phase_length
-        failures = _make_failures(params, graph, tree, phase_length, seed)
+        # The fault schedule is in phases, so it needs the phase length
+        # before the faulty network is wired.
+        failures = _make_failures(
+            params, graph, tree, _phase_length(graph, classes), seed
+        )
         network, processes, slots, _registry = (
             build_resilient_collection_network(
                 graph, tree, {}, seed, failures=failures,
@@ -324,70 +240,10 @@ def _drive_collection_epoch(
         network, processes, slots = build_collection_network(
             graph, tree, {}, seed, level_classes=classes
         )
-    network.idle_scheduling = params.get("idle_scheduling", True)
-    phase_length = slots.phase_length
-    root = processes[tree.root]
-
-    arrivals = _make_arrivals(params, sources, phase_length, seed)
-    in_flight: Dict[Tuple[NodeId, int], int] = {}
-    warmup_slots = 0
-    if arrivals is None:
-        for node in sources:
-            for i in range(params.get("messages", 4)):
-                msg_id = processes[node].submit(f"m{node}-{i}")
-                in_flight[msg_id] = 0
-                acc.note_submitted(node)
-        horizon_slots = 0
-    else:
-        horizon_slots = horizon_phases * phase_length
-        warmup_slots = int(
-            horizon_slots * params.get("warmup_fraction", 0.0)
-        )
-
-    def pump(now: int) -> None:
-        if root.delivered:
-            for message in root.delivered:
-                submitted_at = in_flight.pop(message.msg_id, None)
-                if submitted_at is None:
-                    continue
-                acc.note_delivered(
-                    message.origin,
-                    (now - submitted_at) / phase_length,
-                    measured=submitted_at >= warmup_slots,
-                )
-            root.delivered.clear()
-
-    slot = 0
-    while slot < horizon_slots:
-        if arrivals is not None:
-            for node, payload in arrivals.arrivals_at(slot):
-                msg_id = processes[node].submit(payload)
-                in_flight[msg_id] = slot
-                acc.note_submitted(node)
-        network.step()
-        pump(network.slot)
-        slot += 1
-    # Drain: no new arrivals; bounded by what is actually left, because
-    # a faulty run may have wedged messages below a dead region (the
-    # repair layer freezes buffers at stations it declares partitioned).
-    drain_cap = _drain_cap(
-        len(in_flight), tree.depth, graph.max_degree(), classes
+    _drive_flow(
+        params, seed, cell, network, slots.phase_length,
+        collection_hooks(processes, tree.root), acc, horizon_phases,
     )
-    drained_at = slot
-    progress_at = slot
-    while in_flight and slot - drained_at < drain_cap:
-        if slot - progress_at >= _STALL_SLOTS:
-            break  # nothing delivered for a long window: wedged for good
-        before = len(in_flight)
-        network.step()
-        pump(network.slot)
-        if len(in_flight) < before:
-            progress_at = slot
-        slot += 1
-    acc.lost += len(in_flight)
-    acc.slots += network.slot
-    acc.absorb_stats(network.stats)
-    return phase_length
 
 
 #: Drain stall window: a drain that has delivered nothing for this many
@@ -403,8 +259,6 @@ def _drain_cap(remaining: int, depth: int, max_degree: int, classes: int) -> int
     keeps a permanently wedged message (a dead cut vertex) from turning
     the drain into an unbounded spin — leftovers count as ``lost``.
     """
-    if remaining == 0:
-        return 0
     return min(
         200_000,
         max(
@@ -420,100 +274,42 @@ def _collection_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     epochs = params.get("mobility_epochs", 1)
     horizon = params.get("horizon_phases", 0)
     acc = FlowAccumulator()
-    phase_length = 1
     for epoch in range(epochs):
         epoch_seed = seed if epochs == 1 else derive_seed(seed, "epoch", epoch)
         share = horizon // epochs + (1 if epoch < horizon % epochs else 0)
-        phase_length = _drive_collection_epoch(params, epoch_seed, acc, share)
-    metrics = acc.metrics(phase_length)
+        _drive_collection_epoch(params, epoch_seed, acc, share)
+    metrics = acc.metrics()
     metrics["epochs"] = epochs
     return metrics
 
 
-# ----------------------------------------------------------------------
-# p2p (streaming / closed)
-# ----------------------------------------------------------------------
-
 def _p2p_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    from repro.core.point_to_point import build_p2p_network, p2p_reference_slots
+    """Each message goes to a seed-derived random station other than its
+    origin; sojourns are measured at the destination."""
+    from repro.core.point_to_point import build_p2p_network
 
-    graph, tree = _topology(params["topology"], seed)
+    cell = _cell(params, seed)
+    graph, tree, _sources = cell
     tree.assign_dfs_intervals()
-    sources = _source_nodes(tree, params.get("sources", "tail"))
     network, processes, slots = build_p2p_network(
         graph, tree, seed, level_classes=params.get("classes", 3)
     )
-    network.idle_scheduling = params.get("idle_scheduling", True)
-    phase_length = slots.phase_length
     nodes = sorted(tree.nodes)
     dest_rng = child_rng(seed, "p2p-dest")
 
-    acc = FlowAccumulator()
-    in_flight: Dict[Tuple[NodeId, int], int] = {}
-    seen: Dict[NodeId, int] = {node: 0 for node in nodes}
-
-    def submit(origin: NodeId, payload: Any, slot: int) -> None:
+    def destination_of(origin: NodeId, payload: Any) -> NodeId:
         dest = origin
         while dest == origin:
             dest = nodes[dest_rng.randrange(len(nodes))]
-        msg_id = processes[origin].submit(tree.dfs_number[dest], payload)
-        in_flight[msg_id] = slot
-        acc.note_submitted(origin)
+        return dest
 
-    arrivals = _make_arrivals(params, sources, phase_length, seed)
-    warmup_slots = 0
-    if arrivals is None:
-        for node in sources:
-            for i in range(params.get("messages", 4)):
-                submit(node, f"m{node}-{i}", 0)
-        horizon_slots = 0
-    else:
-        horizon_slots = params["horizon_phases"] * phase_length
-        warmup_slots = int(
-            horizon_slots * params.get("warmup_fraction", 0.0)
-        )
-
-    def pump(now: int) -> None:
-        for node in nodes:
-            delivered = processes[node].delivered
-            while seen[node] < len(delivered):
-                message = delivered[seen[node]]
-                seen[node] += 1
-                submitted_at = in_flight.pop(message.msg_id, None)
-                if submitted_at is None:
-                    continue
-                acc.note_delivered(
-                    message.origin,
-                    (now - submitted_at) / phase_length,
-                    measured=submitted_at >= warmup_slots,
-                )
-
-    slot = 0
-    while slot < horizon_slots:
-        for node, payload in arrivals.arrivals_at(slot):
-            submit(node, payload, slot)
-        network.step()
-        pump(network.slot)
-        slot += 1
-    drain_cap = _drain_cap(
-        len(in_flight), tree.depth, graph.max_degree(),
-        params.get("classes", 3),
+    acc = FlowAccumulator()
+    _drive_flow(
+        params, seed, cell, network, slots.phase_length,
+        p2p_hooks(processes, tree, destination_of), acc,
+        params.get("horizon_phases", 0),
     )
-    drained_at = slot
-    progress_at = slot
-    while in_flight and slot - drained_at < drain_cap:
-        if slot - progress_at >= _STALL_SLOTS:
-            break
-        before = len(in_flight)
-        network.step()
-        pump(network.slot)
-        if len(in_flight) < before:
-            progress_at = slot
-        slot += 1
-    acc.lost += len(in_flight)
-    acc.slots += network.slot
-    acc.absorb_stats(network.stats)
-    return acc.metrics(phase_length)
+    return acc.metrics()
 
 
 # ----------------------------------------------------------------------
@@ -523,16 +319,10 @@ def _p2p_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 def _broadcast_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     from repro.core.broadcast import run_broadcast
 
-    graph, tree = _topology(params["topology"], seed)
-    sources = _source_nodes(tree, params.get("sources", "tail"))
-    from repro.core.slots import SlotStructure, decay_budget
-
-    phase_length = SlotStructure(
-        decay_budget(graph.max_degree()),
-        params.get("classes", 3),
-        True,
-    ).phase_length
-    workload = _closed_workload(params, sources, phase_length, seed)
+    graph, tree, sources = _cell(params, seed)
+    workload = _closed_workload(
+        params, sources, _phase_length(graph, params.get("classes", 3)), seed
+    )
     result = run_broadcast(
         graph, tree, workload, seed,
         level_classes=params.get("classes", 3),
@@ -557,14 +347,8 @@ def _broadcast_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 def _tdma_task(
     params: Dict[str, Any], seed: int, spatial: bool
 ) -> Dict[str, Any]:
-    graph, tree = _topology(params["topology"], seed)
-    sources = _source_nodes(tree, params.get("sources", "tail"))
-    from repro.core.slots import SlotStructure, decay_budget
-
-    phase_length = SlotStructure(
-        decay_budget(graph.max_degree()), 3, True
-    ).phase_length
-    workload = _closed_workload(params, sources, phase_length, seed)
+    graph, tree, sources = _cell(params, seed)
+    workload = _closed_workload(params, sources, _phase_length(graph, 3), seed)
     if not workload:
         workload = {sources[0]: ["m0"]}
     if spatial:
@@ -700,21 +484,17 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
         grouped.setdefault(cell, []).append(index)
 
     for cell, indices in grouped.items():
-        topology, source_mode, messages, classes = cell[:4]
+        messages, classes = cell[2:4]
         reception, backend, mask = cell[4:]
         buckets: Dict[Graph, List[int]] = {}
-        trees: Dict[Graph, Any] = {}
+        realized: Dict[Graph, Any] = {}
         for index in indices:
-            graph, tree = _topology(topology, specs[index].seed)
+            graph, tree, sources = _cell(specs[index].params, specs[index].seed)
             buckets.setdefault(graph, []).append(index)
-            trees.setdefault(graph, tree)
+            realized.setdefault(graph, (tree, sources))
         for graph, positions in buckets.items():
-            tree = trees[graph]
-            sources = _source_nodes(tree, source_mode)
-            workload = {
-                node: [f"m{node}-{i}" for i in range(messages)]
-                for node in sources
-            }
+            tree, sources = realized[graph]
+            workload = _closed_messages(sources, messages)
             batch = run_collection_batch(
                 graph,
                 tree,
@@ -730,19 +510,17 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
             origins = simulation.message_origins
             delivered = simulation.delivered_slots()
             for b, index in enumerate(positions):
-                acc = FlowAccumulator()
+                acc = FlowAccumulator(phase_length)
                 # Same submission order as the scalar closed path, so
                 # jain_fairness iterates flows identically.
                 for node in sources:
                     for _ in range(messages):
-                        acc.note_submitted(node)
+                        acc.on_submit(None, node, 0)
                 for slot, gid in delivered[b]:
                     # Closed runs have no warmup: every sojourn counts.
-                    acc.note_delivered(
-                        origins[gid], slot / phase_length, measured=True
-                    )
+                    acc.on_deliver(gid, origins[gid], 0, slot)
                 acc.slots = int(batch.completion_slots[b])
-                metrics = acc.metrics(phase_length)
+                metrics = acc.metrics()
                 for name in _SCALAR_ONLY_METRICS:
                     metrics.pop(name, None)
                 metrics["epochs"] = 1

@@ -8,8 +8,8 @@ bounded k-message runs:
   into (Welford moments, P² quantile sketches, windowed rate counters),
   shared with the scenario KPI processor and re-exported here;
 * :mod:`~repro.service.drift` — the backlog-drift stability test;
-* :mod:`~repro.service.loop` — the service loop itself: per-slot
-  arrival injection, delivery absorption, warmup truncation, no
+* :mod:`~repro.service.loop` — the service KPIs over the shared drive
+  loop (:class:`~repro.workloads.driver.Drive`): warmup truncation, no
   per-message retention;
 * :mod:`~repro.service.sweep` — capacity probing, saturation sweeps
   locating the stability knee, and the `repro.queueing` tandem oracle
@@ -24,7 +24,6 @@ from repro.analysis.sketches import P2Quantile, RateWindow, Welford
 from repro.service.drift import BacklogDriftDetector, DriftVerdict
 from repro.service.loop import (
     SERVICE_DEDUP_WINDOW,
-    ArrivalAdapter,
     ServiceKPIs,
     run_service,
 )
@@ -39,7 +38,6 @@ from repro.service.sweep import (
 )
 
 __all__ = [
-    "ArrivalAdapter",
     "BacklogDriftDetector",
     "DriftVerdict",
     "OracleComparison",

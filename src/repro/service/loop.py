@@ -4,7 +4,9 @@ Every other harness in the repo runs a *closed* experiment — k messages
 in, convergecast, done.  This loop runs the collection protocol as the
 §4 analysis actually models it: an open system fed by an unbounded
 per-station arrival stream (Bernoulli per phase, or Poisson in
-continuous time), observed in steady state over a long horizon.
+continuous time), observed in steady state over a long horizon.  The
+slot loop is the shared :class:`~repro.workloads.driver.Drive`; this
+module is its service sink and the per-phase backlog sampling.
 
 Constant-memory contract
 ------------------------
@@ -33,15 +35,16 @@ transient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
-from repro.analysis.sketches import P2Quantile, RateWindow, Welford
+from repro.analysis.sketches import RateWindow, Welford
 from repro.core.collection import build_collection_network
 from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
-from repro.graphs.graph import Graph, NodeId
+from repro.graphs.graph import Graph
 from repro.service.drift import BacklogDriftDetector, DriftVerdict
 from repro.workloads.arrivals import ArrivalProcess
+from repro.workloads.driver import Drive, FlowAccumulator, collection_hooks
 
 #: Transport dedup-set bound used by service runs: a duplicate is a
 #: retransmission after a lost ack and arrives within a couple of phases
@@ -52,50 +55,35 @@ from repro.workloads.arrivals import ArrivalProcess
 #: not the horizon — sizes the dedup state.
 SERVICE_DEDUP_WINDOW = 256
 
-#: Default quantiles the sojourn sketches track.
-SOJOURN_QUANTILES = (0.5, 0.9, 0.99)
+#: Width of the throughput windows, in phases.
+WINDOW_PHASES = 16
 
 
-class ArrivalAdapter:
-    """Feeds an :class:`ArrivalProcess` into live collection processes.
+class _ServiceFlow(FlowAccumulator):
+    """The service sink: flow counters plus the throughput window and the
+    in-flight peak."""
 
-    The adapter is the only place submit slots are remembered, and only
-    while a message is in flight: ``note_delivered`` pops the entry and
-    returns the sojourn.  Its peak size — reported for the
-    constant-memory acceptance check — tracks the protocol backlog, not
-    the horizon.
-    """
-
-    def __init__(self, arrivals: ArrivalProcess, processes) -> None:
-        self.arrivals = arrivals
-        self.processes = processes
-        self._in_flight: Dict[Tuple[NodeId, int], int] = {}
-        self.submitted = 0
+    def __init__(self, phase_length: int, warmup_slots: int) -> None:
+        super().__init__(phase_length, warmup_slots)
+        self.throughput = RateWindow(WINDOW_PHASES * phase_length)
+        self.served = 0  # deliveries after warmup, whenever submitted
         self.in_flight_peak = 0
 
-    def inject(self, slot: int) -> int:
-        """Submit this slot's arrivals; returns how many were injected."""
-        count = 0
-        for source, payload in self.arrivals.arrivals_at(slot):
-            process = self.processes.get(source)
-            if process is None:
-                raise ConfigurationError(f"unknown source {source!r}")
-            msg_id = process.submit(payload)
-            self._in_flight[msg_id] = slot
-            count += 1
-        if count:
-            self.submitted += count
-            if len(self._in_flight) > self.in_flight_peak:
-                self.in_flight_peak = len(self._in_flight)
-        return count
+    def on_submit(self, key, origin, slot: int) -> None:
+        super().on_submit(key, origin, slot)
+        self.in_flight_peak = max(
+            self.in_flight_peak, self.submitted - self.delivered
+        )
 
-    def note_delivered(self, msg_id: Tuple[NodeId, int]) -> Optional[int]:
-        """Forget a delivered message; returns its submit slot."""
-        return self._in_flight.pop(msg_id, None)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._in_flight)
+    def on_deliver(self, key, origin, submitted_slot: int, now: int) -> None:
+        super().on_deliver(key, origin, submitted_slot, now)
+        if now >= self.warmup_slots:
+            # Throughput counts every post-warmup delivery: in an
+            # oversaturated system the messages coming out now were
+            # submitted long ago, and they are exactly the served
+            # traffic a capacity probe must measure.
+            self.served += 1
+            self.throughput.record(now)
 
 
 @dataclass
@@ -172,10 +160,6 @@ def run_service(
     horizon_slots: int,
     warmup_fraction: float = 0.25,
     level_classes: int = 3,
-    quantiles: Tuple[float, ...] = SOJOURN_QUANTILES,
-    sample_every_phases: int = 1,
-    window_phases: int = 16,
-    dedup_window: Optional[int] = SERVICE_DEDUP_WINDOW,
 ) -> ServiceKPIs:
     """Stream arrivals through collection for ``horizon_slots`` slots.
 
@@ -190,76 +174,45 @@ def run_service(
         raise ConfigurationError(
             f"warmup_fraction must be in [0,1), got {warmup_fraction}"
         )
-    if sample_every_phases < 1 or window_phases < 1:
-        raise ConfigurationError("sampling cadence must be >= 1 phase")
 
     network, processes, slots = build_collection_network(
         graph, tree, sources={}, seed=seed, level_classes=level_classes,
-        dedup_window=dedup_window,
+        dedup_window=SERVICE_DEDUP_WINDOW,
     )
-    root_process = processes[tree.root]
     non_root = [p for node, p in processes.items() if node != tree.root]
     phase_length = slots.phase_length
     warmup_slots = int(horizon_slots * warmup_fraction)
 
-    adapter = ArrivalAdapter(arrivals, processes)
-    sojourn = Welford()
-    sketches = {p: P2Quantile(p) for p in quantiles}
+    flow = _ServiceFlow(phase_length, warmup_slots)
+    drive = Drive(network, collection_hooks(processes, tree.root), flow)
     queue = Welford()
     drift = BacklogDriftDetector(warmup_slots, horizon_slots)
-    throughput = RateWindow(window_phases * phase_length)
-    measured_delivered = 0
-    delivered = 0
-    delivered_post_warmup = 0
-    sample_every_slots = sample_every_phases * phase_length
+    # Sample the backlog once per phase, right after the phase's first slot.
+    for slot in range(0, horizon_slots, phase_length):
+        drive.run(arrivals, slot + 1)
+        backlog = sum(p.backlog for p in non_root)
+        drift.observe(slot, backlog)
+        if slot >= warmup_slots:
+            queue.add(backlog)
+    drive.run(arrivals, horizon_slots)
 
-    for slot in range(horizon_slots):
-        adapter.inject(slot)
-        network.step()
-        now = network.slot
-        if root_process.delivered:
-            for message in root_process.delivered:
-                delivered += 1
-                submitted_slot = adapter.note_delivered(message.msg_id)
-                if now >= warmup_slots:
-                    # Throughput counts every post-warmup delivery: in an
-                    # oversaturated system the messages coming out now
-                    # were submitted long ago, and they are exactly the
-                    # served traffic a capacity probe must measure.
-                    delivered_post_warmup += 1
-                    throughput.record(now)
-                if submitted_slot is None or submitted_slot < warmup_slots:
-                    continue  # warmup truncation for the sojourn KPIs
-                measured_delivered += 1
-                sojourn_phases = (now - submitted_slot) / phase_length
-                sojourn.add(sojourn_phases)
-                for sketch in sketches.values():
-                    sketch.add(sojourn_phases)
-            root_process.delivered.clear()
-        if slot % sample_every_slots == 0:
-            backlog = sum(p.backlog for p in non_root)
-            drift.observe(slot, backlog)
-            if slot >= warmup_slots:
-                queue.add(backlog)
-
-    throughput.finish(horizon_slots)
-    final_backlog = sum(p.backlog for p in non_root)
+    flow.throughput.finish(horizon_slots)
     return ServiceKPIs(
         horizon_slots=horizon_slots,
         warmup_slots=warmup_slots,
         phase_length=phase_length,
         depth=tree.depth,
-        submitted=adapter.submitted,
-        delivered=delivered,
-        measured_delivered=measured_delivered,
-        offered_per_phase=adapter.submitted / max(1, horizon_slots // phase_length),
-        throughput_per_phase=delivered_post_warmup * phase_length
+        submitted=flow.submitted,
+        delivered=flow.delivered,
+        measured_delivered=flow.measured,
+        offered_per_phase=flow.submitted / max(1, horizon_slots // phase_length),
+        throughput_per_phase=flow.served * phase_length
         / max(1, horizon_slots - warmup_slots),
-        sojourn=sojourn,
-        sojourn_quantiles={p: s.value for p, s in sketches.items()},
+        sojourn=flow.sojourn,
+        sojourn_quantiles={p: s.value for p, s in flow.sketches.items()},
         queue=queue,
         drift=drift.verdict(),
-        in_flight_peak=adapter.in_flight_peak,
-        final_backlog=final_backlog,
-        throughput_windows=throughput,
+        in_flight_peak=flow.in_flight_peak,
+        final_backlog=sum(p.backlog for p in non_root),
+        throughput_windows=flow.throughput,
     )

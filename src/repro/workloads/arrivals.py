@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.graph import NodeId
-from repro.rng import child_rng
+from repro.rng import child_rng, derive_seed
 
 
 class ArrivalProcess:
@@ -269,3 +269,39 @@ class BurstArrivals(ArrivalProcess):
             (source, ("burst", burst, source))
             for source in self._burst_offsets(burst).get(within, ())
         ]
+
+
+def arrivals_for(
+    params: Dict[str, Any],
+    sources: Sequence[NodeId],
+    phase_length: int,
+    seed: int,
+) -> Optional[ArrivalProcess]:
+    """The arrival process a cell's scalars name, seeded from ``seed``.
+
+    ``params["arrival"]``: ``"none"`` (a closed workload; returns None),
+    ``"bernoulli"`` or ``"poisson"`` at ``rate`` messages per source per
+    phase, or ``"burst"`` (``bursts`` flashes every ``period`` phases,
+    ``jitter`` slots of spread).
+    """
+    kind = params.get("arrival", "none")
+    arrival_seed = derive_seed(seed, "arrivals")
+    if kind == "none":
+        return None
+    if kind == "bernoulli":
+        return BernoulliArrivals(
+            sources, params["rate"], phase_length, seed=arrival_seed
+        )
+    if kind == "poisson":
+        return PoissonArrivals.per_phase_rate(
+            sources, params["rate"], phase_length, seed=arrival_seed
+        )
+    if kind == "burst":
+        return BurstArrivals(
+            sources,
+            period=params["period"] * phase_length,
+            bursts=params["bursts"],
+            jitter=params.get("jitter", 0),
+            seed=arrival_seed,
+        )
+    raise ConfigurationError(f"unknown arrival kind {kind!r}")

@@ -25,7 +25,8 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.scenario.discovery import unknown_experiment_message
-from repro.scenario.runtime import jain_fairness, run_scenario_task
+from repro.scenario.runtime import run_scenario_task
+from repro.workloads.driver import jain_fairness
 
 
 def write_spec(tmp_path, text, name="spec.toml"):

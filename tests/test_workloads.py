@@ -304,17 +304,21 @@ class TestStreamingBroadcast:
         assert result.mean_latency > 0
 
     def test_latency_counted_from_submission(self):
+        """Completion is checked every slot, so latencies are exact."""
         from repro.workloads import run_streaming_broadcast
 
-        graph = path(4)
-        tree = reference_bfs_tree(graph, 0)
-        schedule = DeterministicSchedule([(40, 3, "late")])
-        result = run_streaming_broadcast(
-            graph, tree, schedule, seed=1, horizon_slots=60
-        )
-        record = result.records[0]
-        assert record.submitted_slot == 40
-        assert record.everywhere_slot > 40
+        for graph, (slot, source), seed, horizon, latency in (
+            (path(4), (40, 3), 1, 60, 83),
+            (star(6), (3, 2), 5, 20, 106),
+        ):
+            tree = reference_bfs_tree(graph, 0)
+            schedule = DeterministicSchedule([(slot, source, "late")])
+            result = run_streaming_broadcast(
+                graph, tree, schedule, seed=seed, horizon_slots=horizon
+            )
+            record = result.records[0]
+            assert record.submitted_slot == slot
+            assert record.latency == latency
 
 
 class TestStreamingWithSingleClass:
