@@ -40,7 +40,7 @@ from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree, reference_bfs_tree
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.network import RadioNetwork
-from repro.radio.process import Process
+from repro.radio.process import QUIET_FOREVER, Process
 from repro.radio.transmission import Transmission
 from repro.rng import RngFactory
 
@@ -138,6 +138,40 @@ class BFSSetupProcess(Process):
                 EXPANSION_CHANNEL,
             )
         return None
+
+    def quiet_until(self, slot: int) -> int:
+        wake = self._expansion_wake(slot)
+        if self._confirm_lane is not None:
+            wake = min(wake, self._confirm_lane.next_active_slot(slot))
+        return wake
+
+    def _expansion_wake(self, slot: int) -> int:
+        """The first slot >= ``slot`` the expansion machine does work in.
+
+        An unjoined station waits for the JOIN reception that wakes it;
+        a joined one announces only during its own stage, and within it
+        sleeps out an invocation whose Decay session died (a dead session
+        draws no coin).
+        """
+        if self.level is None:
+            return QUIET_FOREVER
+        stage = self._stage(slot)
+        if stage < self.level:
+            return self.level * self.stage_slots
+        if stage > self.level:
+            return QUIET_FOREVER
+        invocation = self._invocation(slot)
+        session = self._session
+        if (
+            invocation == self._session_invocation
+            and session is not None
+            and not session.alive
+        ):
+            boundary = (invocation + 1) * self.budget
+            if boundary >= (self.level + 1) * self.stage_slots:
+                return QUIET_FOREVER
+            return boundary
+        return slot
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
         if channel == EXPANSION_CHANNEL:

@@ -138,11 +138,14 @@ class BroadcastProcess(Process):
     def submit(self, payload: Any) -> None:
         """Initiate a broadcast of ``payload`` from this station."""
         if self.info.is_root:
+            # Picked up when the root next prepares a superphase, which
+            # is always one of its wake slots.
             self._sequence(self.info.node_id, payload)
         else:
             self._send_up(
                 BroadcastSubmission(origin=self.info.node_id, body=payload)
             )
+            self.wake()  # revoke any idle declaration: there is traffic now
 
     def _send_up(self, payload: Any) -> None:
         message = DataMessage(
@@ -285,6 +288,43 @@ class BroadcastProcess(Process):
             stamped = replace(message, sender_level=self.info.level)
             return Transmission(stamped, self.down_channel)
         return None
+
+    def quiet_until(self, slot: int) -> int:
+        return min(
+            self.up_lane.next_active_slot(slot), self._relay_wake(slot)
+        )
+
+    def _relay_wake(self, slot: int) -> int:
+        """The first own distribution data slot >= ``slot`` that does work.
+
+        The first own data slot of every superphase runs
+        :meth:`_prepare_superphase` (relay pick, NACKs, checkpoint acks),
+        so it is always a wake slot.  After it, a station with nothing to
+        relay is silent until the next superphase, and one whose Decay
+        session died is silent until the next phase: a dead session
+        draws no coin.
+        """
+        dist, level = self.dist_slots, self.info.level
+        own = dist.next_data_slot_for(slot, level)
+        index = self.superphase(own)
+        if index != self._prepared_superphase:
+            return own
+        message = self._current_tx if self.info.is_root else self._relay
+        if message is None:
+            return dist.next_data_slot_for(
+                (index + 1) * self.superphase_slots, level
+            )
+        phase = dist.phase_of(own)
+        session = self._session
+        if (
+            phase == self._session_phase
+            and session is not None
+            and not session.alive
+        ):
+            return dist.next_data_slot_for(
+                dist.first_slot_of_phase(phase + 1), level
+            )
+        return own
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
         if channel == self.down_channel:

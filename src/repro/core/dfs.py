@@ -38,7 +38,7 @@ from repro.errors import ProtocolError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.network import RadioNetwork
-from repro.radio.process import Process
+from repro.radio.process import QUIET_FOREVER, Process
 from repro.radio.transmission import Transmission
 
 TOKEN_CHANNEL = 0
@@ -227,6 +227,10 @@ class DfsPreparationProcess(Process):
             # interval when it returns).
             self._descent_counter[token.next_holder] = token.dfs_number  # type: ignore[index]
         return Transmission(token, TOKEN_CHANNEL)
+
+    def quiet_until(self, slot: int) -> int:
+        # Only the token holder transmits; receiving the token wakes us.
+        return slot if self._holding is not None else QUIET_FOREVER
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
         if channel != TOKEN_CHANNEL or not isinstance(payload, TokenMessage):

@@ -31,7 +31,7 @@ from repro.core.slots import decay_budget
 from repro.errors import ConfigurationError
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.network import RadioNetwork
-from repro.radio.process import Process
+from repro.radio.process import QUIET_FOREVER, Process
 from repro.radio.transmission import Transmission
 from repro.rng import RngFactory
 
@@ -266,6 +266,35 @@ class BitElectionProcess(Process):
                 self.channel,
             )
         return None
+
+    def quiet_until(self, slot: int) -> int:
+        """Exact idle declaration.
+
+        :meth:`on_slot` closes the previous round lazily, and a reception
+        that came before that close would be credited to the wrong bit.
+        So every station is polled at the first slot of every round; in
+        between, a station that neither sources nor has heard the signal
+        sleeps to the next round, and one whose Decay session died sleeps
+        to the next invocation (a dead session draws no coin).
+        """
+        round_index = self._round(slot)
+        if round_index >= self.id_bits:
+            return QUIET_FOREVER
+        if self._finalized_round < round_index - 1:
+            return slot
+        if not (
+            self._heard_this_round or self._is_signal_source(round_index)
+        ):
+            return (round_index + 1) * self.window_slots
+        invocation = slot // self.budget
+        session = self._session
+        if (
+            invocation == self._session_invocation
+            and session is not None
+            and not session.alive
+        ):
+            return (invocation + 1) * self.budget
+        return slot
 
     def on_receive(self, slot: int, channel: int, payload) -> None:
         if channel != self.channel:

@@ -90,6 +90,7 @@ class PointToPointProcess(Process):
             payload=payload,
         )
         self._route(message)
+        self.wake()  # revoke any idle declaration: there is traffic now
         return msg_id
 
     # ------------------------------------------------------------------
@@ -126,6 +127,13 @@ class PointToPointProcess(Process):
         if down is not None:
             actions.append(down)
         return actions or None
+
+    def quiet_until(self, slot: int) -> int:
+        # The two lanes are this process's only slot-driven state.
+        return min(
+            self.up_lane.next_active_slot(slot),
+            self.down_lane.next_active_slot(slot),
+        )
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
         if channel == self.up_channel:

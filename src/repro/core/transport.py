@@ -15,6 +15,7 @@ One :class:`TransportLane` manages one direction of traffic on one channel
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -26,22 +27,32 @@ except ImportError:  # pragma: no cover
     _Protocol = object  # type: ignore[assignment,misc]
 
 from repro.core.decay import DecaySession
-
-
-class SessionLike(_Protocol):
-    """What a per-phase retransmission session must provide."""
-
-    def should_transmit(self) -> bool:  # pragma: no cover - protocol
-        ...
-
-    def kill(self) -> None:  # pragma: no cover - protocol
-        ...
 from repro.core.messages import AckMessage, DataMessage
 from repro.core.slots import SlotStructure
 from repro.errors import ConfigurationError, ProtocolError
 from repro.graphs.graph import NodeId
 from repro.radio.process import QUIET_FOREVER
 from repro.radio.transmission import Transmission
+
+
+class SessionLike(_Protocol):
+    """What a per-phase retransmission session must provide.
+
+    A session that is not :attr:`alive` must stay silent for the rest of
+    its phase *without drawing a coin* in :meth:`should_transmit`: the
+    lane relies on that to sleep through a dead session's remaining data
+    slots (see :meth:`TransportLane.next_active_slot`).
+    """
+
+    @property
+    def alive(self) -> bool:  # pragma: no cover - protocol
+        ...
+
+    def should_transmit(self) -> bool:  # pragma: no cover - protocol
+        ...
+
+    def kill(self) -> None:  # pragma: no cover - protocol
+        ...
 
 
 @dataclass(frozen=True)
@@ -125,8 +136,10 @@ class TransportLane:
         self._rng = rng
         # The per-phase retransmission policy: the paper's Decay by
         # default; ablations (E12) plug in alternatives such as ALOHA.
-        self._session_factory = session_factory or (
-            lambda: DecaySession(self.slots.decay_budget, self._rng)
+        # A partial, not a lambda over self, so a finished lane is freed
+        # by reference counting rather than left as cyclic garbage.
+        self._session_factory = session_factory or functools.partial(
+            DecaySession, slots.decay_budget, rng
         )
         self.buffer: Deque[DataMessage] = deque()
         # Phase from which each buffered message may be transmitted: §4.1
@@ -390,20 +403,30 @@ class TransportLane:
 
         The lane's activity is fully slot-determined: a scheduled ack
         fires at its due slot, and buffered data may only be transmitted
-        in this level class's data slots (§2.2) — every Decay session
-        consumes one ``should_transmit`` coin per own data slot, so while
-        the buffer is non-empty the lane must be polled on *every* own
-        data slot (skipping one would shift the coin stream).  All other
-        slots are provable no-ops, which is what feeds the engine's
-        :meth:`~repro.radio.process.Process.quiet_until` fast path.  A
-        reception re-wakes the owning process immediately, so new ack
-        duty / forwarded traffic is never missed.
+        in this level class's data slots (§2.2).  A live session draws
+        one ``should_transmit`` coin per own data slot, so it must be
+        polled on each of them (skipping one would shift the coin
+        stream).  Once the lane has opened the current phase with no
+        session or a dead one — the coin fell, the head was acked or
+        retargeted, arrived mid-phase, or is backing off — it does
+        nothing until the next phase begins: a dead session draws no
+        coin.  All other slots are provable no-ops, which is what feeds
+        the engine's :meth:`~repro.radio.process.Process.quiet_until`
+        fast path.  A reception re-wakes the owning process immediately,
+        so new ack duty / forwarded traffic is never missed.
         """
         wake = QUIET_FOREVER
         if self._pending_ack is not None and self._pending_ack[0] >= slot:
             wake = self._pending_ack[0]
         if self.buffer and not self.muted:
-            data = self.slots.next_data_slot_for(slot, self.level)
+            slots = self.slots
+            phase = slots.phase_of(slot)
+            start = slot
+            if self._session_phase == phase and (
+                self._session is None or not self._session.alive
+            ):
+                start = slots.first_slot_of_phase(phase + 1)
+            data = slots.next_data_slot_for(start, self.level)
             if data < wake:
                 wake = data
         return wake

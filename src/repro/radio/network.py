@@ -20,14 +20,16 @@ Idle-aware scheduling
 ---------------------
 The paper's own slot structure guarantees long deterministic silences: a
 station at BFS level i may transmit data only in its level class's slots
-(2 of every 3 slots are someone else's, §2.2), and a station with an
-empty buffer transmits nothing at all.  Polling every process every slot
-is therefore O(n) of wasted work per slot at scale.  A process may
-declare those silences via :meth:`~repro.radio.process.Process.
-quiet_until`; the engine keeps a min-heap of wake slots and skips
-sleeping processes entirely — a reception (or collision callback) wakes
-a process immediately, so reactive traffic is never delayed.  Processes
-that do not implement the hint are polled every slot, exactly as before.
+(2 of every 3 slots are someone else's, §2.2), a station whose Decay
+coin has fallen is silent until its next invocation (§1.4), and a
+station with an empty buffer transmits nothing at all.  Polling every
+process every slot is therefore O(n) of wasted work per slot at scale.
+A process may declare those silences via :meth:`~repro.radio.process.
+Process.quiet_until`; the engine keeps a min-heap of wake slots and
+skips sleeping processes entirely — a reception (or collision callback)
+wakes a process immediately, so reactive traffic is never delayed.
+Processes that do not implement the hint are polled every slot, exactly
+as before.
 The fast path is bypassed whenever a failure model is attached (crash
 schedules must be consulted per slot) or ``idle_scheduling`` is False.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import weakref
 from collections import defaultdict
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -164,7 +167,17 @@ class RadioNetwork:
         if node not in self.graph:
             raise ConfigurationError(f"no station {node!r} in topology")
         self._processes[node] = process
-        process._waker = lambda: self._wake_external(node)
+        # The waker holds the network weakly: a strong reference would
+        # make every network cyclic garbage (network -> process -> waker
+        # -> network) that only the cycle collector frees.
+        network = weakref.ref(self)
+
+        def waker() -> None:
+            live = network()
+            if live is not None:
+                live._wake_external(node)
+
+        process._waker = waker
         self._attachment_validated = False
         self._wake_valid = False
 

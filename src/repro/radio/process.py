@@ -84,9 +84,14 @@ class Process:
 
         The default returns ``slot`` — no declaration, polled every
         slot — so subclasses are unaffected unless they opt in.  The
-        paper's slot structure makes exact declarations easy: a node at
-        BFS level i owns only the class ``i mod 3`` data slots (§2.2),
-        so at least 2 of every 3 slot-pairs are declarable silence.
+        paper's schedule makes exact declarations easy: a node at BFS
+        level i owns only the class ``i mod 3`` data slots (§2.2), so at
+        least 2 of every 3 slot-pairs are declarable silence; and Decay
+        repeats only "until coin = 0" (§1.4), so once its coin has
+        fallen a station is silent until its next invocation — a dead
+        session draws no coin, so sleeping through it shifts no coin
+        stream.  Each protocol of the paper's stack declares the
+        silences that apply to it.
 
         If *external* events can change what this process would do —
         e.g. an application submitting a message mid-run (§1.4's
@@ -102,7 +107,8 @@ class Process:
         *outside* the engine's callbacks (application-level submission,
         test harness pokes) while a run is in progress; otherwise the
         engine may keep honouring a now-stale quiet declaration.  A no-op
-        when not attached to an idle-scheduling engine.
+        when not attached to an idle-scheduling engine, or once that
+        engine has been freed (it is held weakly).
         """
         if self._waker is not None:
             self._waker()

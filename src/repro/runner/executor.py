@@ -315,15 +315,16 @@ def _run_chunk(
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcefully stop a pool, including hung or wedged workers."""
+    # _processes is a CPython internal (pid -> Process); stable across
+    # 3.8+ and the only way to reach a *hung* worker, which a plain
+    # shutdown would wait on forever.  Read it before shutdown(), which
+    # sets it to None.
+    process_map = getattr(pool, "_processes", None)
+    processes = list(process_map.values()) if process_map else []
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
-    # _processes is a CPython internal (pid -> Process); stable across
-    # 3.8+ and the only way to reach a *hung* worker, which a plain
-    # shutdown would wait on forever.
-    process_map = getattr(pool, "_processes", None)
-    processes = list(process_map.values()) if process_map else []
     for proc in processes:
         try:
             proc.terminate()

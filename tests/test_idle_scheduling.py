@@ -12,14 +12,23 @@ from types import MappingProxyType
 
 import pytest
 
+from repro.baselines import aloha_session_factory
 from repro.core import (
+    BitElectionProcess,
     CollectionProcess,
     SlotStructure,
+    build_broadcast_network,
     build_collection_network,
+    run_bit_election,
     run_collection,
+    run_dfs_preparation,
+    run_point_to_point,
+    run_ranking,
+    run_setup,
 )
 from repro.core.transport import TransportLane
 from repro.graphs import balanced_tree, layered_band, path, reference_bfs_tree
+from repro.profiling import profiled
 from repro.radio import (
     PermanentCrashes,
     Process,
@@ -170,8 +179,9 @@ class TestScheduleArithmetic:
         assert lane.next_active_slot(0) == QUIET_FOREVER
 
     def test_lane_wakes_on_every_own_data_slot_while_loaded(self):
-        # A loaded lane consumes one Decay coin per own data slot, so it
-        # must be polled on each of them — and on nothing else.
+        # A loaded lane with a live (here: not yet opened) session draws
+        # one Decay coin per own data slot, so it must be polled on each
+        # of them — and on nothing else.
         from repro.core.messages import DataMessage
 
         slots = SlotStructure(decay_budget=2, level_classes=3)
@@ -198,6 +208,102 @@ class TestScheduleArithmetic:
             assert all(
                 not slots.is_data_slot_for(s, 2) for s in range(slot, wake)
             )
+
+    def test_election_station_is_polled_at_every_round_start(self):
+        # on_slot closes the previous round lazily; a reception before
+        # that close would be credited to the wrong bit, so a station
+        # that sleeps through a round must still wake at the next one's
+        # first slot, even while its view of the last round is stale.
+        station = BitElectionProcess(
+            node_id=0b001,  # a signal source only in the last round
+            id_bits=3,
+            budget=2,
+            window_invocations=2,
+            rng=RngFactory(3).for_node(1),
+        )
+        window = station.window_slots
+        assert station.quiet_until(0) == window  # silent all of round 0
+        assert station.quiet_until(window) == window  # round 1 not closed
+        assert station.quiet_until(3 * window) == QUIET_FOREVER  # horizon
+
+
+def _prepared_band():
+    graph = layered_band(4, 3)
+    tree = reference_bfs_tree(graph, 0)
+    tree.assign_dfs_intervals()
+    return graph, tree
+
+
+def _bit_election(seed):
+    return run_bit_election(layered_band(4, 3), seed)
+
+
+def _bfs_setup(seed):
+    result = run_setup(layered_band(4, 3), 0, seed)
+    return (
+        result.slots,
+        result.attempts,
+        result.tree.parent,
+        result.tree.level,
+    )
+
+
+def _dfs_preparation(seed):
+    graph = layered_band(4, 3)
+    return run_dfs_preparation(graph, reference_bfs_tree(graph, 0))
+
+
+def _point_to_point(seed):
+    graph, tree = _prepared_band()
+    pairs = [(11, 9, "a"), (3, 10, "b"), (10, 0, "c"), (0, 7, "d")]
+    result = run_point_to_point(graph, tree, pairs, seed)
+    return result.slots, result.delivered
+
+
+def _broadcast_with_checkpoints(seed):
+    graph, tree = _prepared_band()
+    network, processes = build_broadcast_network(
+        graph, tree, seed, checkpoint_interval=2
+    )
+    root = processes[0]
+    processes[11].submit("a")
+    root.submit("b")
+    network.run(300)
+    processes[7].submit("c")  # mid-run: submit() must revoke the sleep
+    network.run(
+        400_000,
+        until=lambda net: all(p.has_prefix(3) for p in processes.values())
+        and len(root.checkpoint_acks.get(1, ())) == len(processes) - 1,
+        check_every=8,
+    )
+    return (
+        network.slot,
+        root.resends_served,
+        root.checkpoint_acks,
+        [p.delivered_in_order() for p in processes.values()],
+    )
+
+
+def _ranking(seed):
+    graph, tree = _prepared_band()
+    result = run_ranking(graph, tree, seed)
+    return result.slots, result.collect_slots, result.ranks
+
+
+def _aloha_collection(seed):
+    # An ALOHA session never dies on its own, so a loaded lane must
+    # still wake on every own data slot until its head is acked.
+    graph, tree = _prepared_band()
+    network, processes, _ = build_collection_network(
+        graph, tree, {11: ["a", "b"], 6: ["c"]}, seed
+    )
+    for process in processes.values():
+        process.lane._session_factory = aloha_session_factory(
+            1.0 / graph.max_degree(), process.lane._rng
+        )
+    root = processes[0]
+    network.run(200_000, until=lambda net: len(root.delivered) == 3)
+    return network.slot, [m.msg_id for m in root.delivered]
 
 
 class TestProtocolEquivalence:
@@ -245,6 +351,56 @@ class TestProtocolEquivalence:
         )
         assert [m.payload for m in root.delivered] == ["first", "second"]
         assert network.slot > quiet_start
+
+    # Every paper protocol declares exact silences: each run is repeated
+    # with the fast path off, and slots, per-channel stats and results
+    # must be identical while the idle run skips at least as many
+    # station-slots as it polls.
+    @staticmethod
+    def _run(monkeypatch, idle, protocol, seed):
+        networks = []
+        original = RadioNetwork.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            self.idle_scheduling = idle
+            networks.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RadioNetwork, "__init__", init)
+            with profiled() as profile:
+                result = protocol(seed)
+        fingerprint = (
+            result,
+            [net.slot for net in networks],
+            [net.stats.per_channel for net in networks],
+        )
+        return fingerprint, profile.counters
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            _bit_election,
+            _bfs_setup,
+            _dfs_preparation,
+            _point_to_point,
+            _broadcast_with_checkpoints,
+            _ranking,
+            _aloha_collection,
+        ],
+        ids=lambda protocol: protocol.__name__.lstrip("_"),
+    )
+    def test_paper_protocol_identical_with_and_without_fast_path(
+        self, monkeypatch, protocol, seed
+    ):
+        idle, idle_counters = self._run(monkeypatch, True, protocol, seed)
+        legacy, legacy_counters = self._run(
+            monkeypatch, False, protocol, seed
+        )
+        assert idle == legacy
+        assert legacy_counters.get("skipped", 0) == 0
+        assert idle_counters["skipped"] >= idle_counters["polled"]
 
 
 class TestProcessesView:

@@ -1,9 +1,13 @@
 """Unit tests for the radio simulation engine (model semantics of §1.1)."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core import build_collection_network
 from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
-from repro.graphs import Graph, path, star
+from repro.graphs import Graph, path, reference_bfs_tree, star
 from repro.radio import (
     CollisionEvent,
     DeliverEvent,
@@ -422,3 +426,29 @@ class TestMultiChannelReception:
         # other (one transceiver per channel, §1.4).
         assert net.process(0).heard == [(0, 1, "down")]
         assert net.process(1).heard == [(0, 0, "up")]
+
+
+class TestLifetime:
+    def test_finished_network_is_freed_by_reference_counting(self):
+        # No reference cycle may keep a finished run alive until the
+        # cycle collector happens to run: callers that keep many results
+        # (sweeps, benchmarks) would otherwise hold every network too.
+        graph = path(4)
+        tree = reference_bfs_tree(graph, 0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            network, processes, _ = build_collection_network(
+                graph, tree, {3: ["x"]}, seed=1
+            )
+            network.run(200)
+            network_ref = weakref.ref(network)
+            lane_ref = weakref.ref(processes[2].lane)
+            source = processes[3]
+            del network, processes
+            assert network_ref() is None
+            assert lane_ref() is None
+            source.submit("late")  # wake() once the network is gone: no-op
+        finally:
+            if enabled:
+                gc.enable()

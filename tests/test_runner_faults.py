@@ -17,6 +17,7 @@ pure and the failures first-attempt-only where needed).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -243,6 +244,19 @@ class TestCrashRecovery:
         assert len(report.quarantined) == 1
         assert report.quarantined[0].category == "timeout"
         assert {o.spec.params["idx"] for o in report.outcomes} == {0, 2, 3}
+
+    def test_timed_out_worker_does_not_outlive_run_tasks(self, tmp_path):
+        # Quarantining the hung task is not enough: the watchdog must
+        # terminate the worker running it, or the worker keeps a core
+        # busy until the task ends by itself.
+        before = set(multiprocessing.active_children())
+        tasks = _grid(tmp_path, n=4)
+        policy = FaultPolicy(timeout=1.0, backoff_base=0.001)
+        report = run_tasks(
+            tasks, hang_metric, workers=2, chunk_size=1, policy=policy
+        )
+        assert report.timeouts >= 1
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_pool_construction_failure_degrades_to_inline(
         self, tmp_path, monkeypatch

@@ -17,6 +17,7 @@ from repro.core import (
     TransportLane,
     run_collection,
 )
+from repro.core.decay import DecaySession
 from repro.core.messages import AckMessage
 from repro.errors import ProtocolError
 from repro.graphs import (
@@ -151,6 +152,33 @@ class TestTransportLaneUnit:
                 transmissions += 1
         assert transmissions >= 4  # at least one per phase
         assert lane.backlog == 1  # never acked, never dropped
+
+    def test_dead_session_sleeps_to_next_phase(self):
+        # Once the head's session dies mid-phase the lane is silent for
+        # the rest of the phase (a dead session draws no coin), so its
+        # next active slot is its first own data slot of the next phase.
+        class CoinAlwaysFalls(random.Random):
+            def random(self):
+                return 0.0
+
+        slots = SlotStructure(decay_budget=4, level_classes=3)
+        lane = TransportLane(
+            node_id="me",
+            level=1,
+            slots=slots,
+            rng=random.Random(0),
+            channel=0,
+            session_factory=lambda: DecaySession(4, CoinAlwaysFalls()),
+        )
+        lane.enqueue(data(("me", 0), "me", "parent"))
+        first = slots.next_data_slot_for(0, 1)
+        assert lane.next_active_slot(0) == first
+        assert lane.on_slot(first) is not None  # transmits, then dies
+        next_phase = slots.next_data_slot_for(slots.first_slot_of_phase(1), 1)
+        assert lane.next_active_slot(first + 1) == next_phase
+        for t in range(first + 1, next_phase):
+            assert lane.on_slot(t) is None
+        assert lane.on_slot(next_phase) is not None  # a fresh session
 
 
 def ack_determinism_scenario(graph, sources, seed):

@@ -246,7 +246,9 @@ class TestStreamingP2p:
             horizon_slots=80,
         )
         assert result.delivered == 3
-        assert all(r.latency is not None for r in result.records)
+        # A submission must wake its sleeping source at once: the
+        # latencies are those of a run that polls every station.
+        assert [r.latency for r in result.records] == [75, 35, 39]
 
     def test_unknown_destination_rejected(self):
         from repro.errors import ConfigurationError
