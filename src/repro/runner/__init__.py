@@ -2,7 +2,7 @@
 
 An experiment is a grid of pure ``(topology × workload × seed)`` tasks
 (:mod:`repro.runner.task`); the executor (:mod:`repro.runner.executor`)
-runs a grid inline (``workers=0``) or sharded over a process pool, with
+runs a grid inline (``workers=0``) or sharded over child processes, with
 a content-addressed on-disk result cache (:mod:`repro.runner.cache`)
 making interrupted sweeps resumable and repeat runs near-free, and run
 telemetry (:mod:`repro.runner.telemetry`) recording per-task JSONL,
@@ -14,9 +14,9 @@ reference slot loop) or ``"vector"`` (the NumPy lockstep batch of
 The engine is part of the task identity and hence the cache key.
 
 Execution is fault tolerant: a :mod:`~repro.runner.policy.FaultPolicy`
-sets per-task watchdog timeouts, bounded retries with deterministic
-backoff, and quarantine of tasks that keep failing (crashed workers are
-recovered by rebuilding the pool and bisecting the affected chunks); a
+sets per-attempt watchdog timeouts, bounded retries with deterministic
+backoff, and quarantine of tasks that keep failing (a crashed or hung
+pool child is pinned to the task it was running and replaced); a
 :mod:`~repro.runner.checkpoint.SweepCheckpoint` journal makes an
 interrupted sweep resume from completed-task state.  The chaos harness
 (:mod:`repro.runner.chaos`) proves all of this on a real grid with

@@ -5,10 +5,10 @@ clean (the control), once with faults injected — and checks that the
 chaotic run converges to the control bit for bit:
 
 * ~10% of the tasks **crash their worker process** on first attempt
-  (``os._exit``), exercising ``BrokenProcessPool`` recovery, bisection
-  and retry;
+  (``os._exit``), exercising crash attribution, child replacement and
+  retry;
 * one task **hangs** (sleeps far past the watchdog budget), exercising
-  timeout expiry, pool rebuild and quarantine;
+  deadline expiry, child replacement and quarantine;
 * one task raises a **transient exception** on first attempt,
   exercising in-band retry with backoff;
 * two pre-seeded **cache entries are corrupted** (one torn file, one
@@ -18,10 +18,10 @@ chaotic run converges to the control bit for bit:
 Verdicts (all must pass): the control run is clean; the hang — and only
 the hang — is quarantined, as a timeout; both corrupt entries are
 detected; every surviving metric is byte-identical per content key to
-the control; the run recorded at least one pool rebuild and one retry;
-and a final clean replay over the warm chaos cache executes exactly the
-hang task and replays everything else from cache, again matching the
-control exactly.
+the control; the run recorded at least one pool rebuild (a replacement
+child) and one retry; and a final clean replay over the warm chaos
+cache executes exactly the hang task and replays everything else from
+cache, again matching the control exactly.
 
 Fault injection travels to worker processes via the ``REPRO_CHAOS_DIR``
 environment variable (inherited at pool fork): it names a directory

@@ -41,7 +41,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.runner.coord import read_discovery
@@ -313,7 +313,7 @@ class TcpTransport:
         self.client.close()
         self.outbox.close()
 
-    def heartbeat(self, key: str) -> None:
+    def heartbeat(self, key: str, delay: float = 0.0) -> None:
         try:
             # Best-effort with a short budget: a missed heartbeat is
             # survivable (the TTL is several intervals wide) and must
@@ -325,13 +325,13 @@ class TcpTransport:
         except (CoordinatorUnreachable, OSError):
             pass
 
-    def claim(self) -> Union[Tuple[str, TaskSpec], str]:
+    def claim(self) -> Union[List[Tuple[str, TaskSpec]], str]:
         response = self.client.request({"op": "claim", "host": self.host})
         self.report.cache_hits += int(response.get("replayed", 0) or 0)
         task = response.get("task")
         if task is None:
             return DRAINED if response.get("drained") else WAIT
-        return str(task["key"]), TaskSpec.from_record(task["spec"])
+        return [(str(task["key"]), TaskSpec.from_record(task["spec"]))]
 
     def commit(self, key: str, record: Dict[str, Any]) -> None:
         # Spool first: once these bytes are on local disk the outcome

@@ -1,23 +1,30 @@
-"""One drain loop for both multi-host queue backends.
+"""One drain loop for all four execution gears.
 
-A worker drains a queue the same way whether the queue is a shared
-lease directory (:mod:`repro.runner.fleet`) or a TCP coordinator
-(:mod:`repro.runner.client`): claim a task, execute it under the fault
-policy's retry budget while a heartbeat thread keeps its lease alive,
-commit the outcome (or a quarantine record), and repeat until the queue
-reports drained.  :class:`DrainWorker` is that loop.  What differs
-between the backends is a small duck-typed *transport*:
+A worker drains a queue the same way whether the queue is the task list
+of an inline run, the parent of a local process pool
+(:mod:`repro.runner.executor`), a shared lease directory
+(:mod:`repro.runner.fleet`) or a TCP coordinator
+(:mod:`repro.runner.client`): claim a unit of work, execute it under the
+fault policy's retry budget, commit each task's outcome (or a
+quarantine record) as soon as it is settled, and repeat until the queue
+reports drained.  :class:`DrainWorker` is that loop, and the only code
+that calls a task function or retries one after it raised.  What
+differs between the gears is a small duck-typed *transport*:
 
 ``start(report) -> version``
     Ready the queue side and return the submitted grid's code version.
     ``report`` is the worker's :class:`WorkerReport`; the transport adds
     the counts only it can see (lease reclaims, cache replays, stranded
     commits).
-``claim() -> (key, spec) | WAIT | DRAINED``
-    The next task this worker should run; ``WAIT`` while every pending
-    task is leased to a live owner; ``DRAINED`` once none is left.
-``heartbeat(key)``
-    Keep the lease on ``key`` alive (called from the heartbeat thread).
+``claim() -> [(key, spec), ...] | WAIT | DRAINED``
+    The next *unit* this worker should run: one task on the fleet and
+    the coordinator, a chunk of scalar tasks or one vector sub-batch on
+    the local gears.  ``WAIT`` while every pending task is leased to a
+    live owner; ``DRAINED`` once none is left.
+``heartbeat(key, delay=0.0)``
+    Keep the lease on ``key`` alive.  Called from the heartbeat thread,
+    and before each retry's backoff sleep with that sleep's ``delay``,
+    so a watchdog can restart the task's deadline past the sleep.
 ``commit(key, record)``
     Durably record a computed outcome and give up the lease.
 ``quarantine(key, record)``
@@ -26,12 +33,14 @@ between the backends is a small duck-typed *transport*:
     Release the transport's resources; called once, however the loop
     ends.
 
-A transport raises :class:`QueueUnreachable` when its queue stays out of
-reach past its offline budget; the loop then ends cleanly.
+A unit's tasks are settled in claim order, one commit or quarantine
+each, so the first unsettled task of a unit is the one its worker is
+running.  A transport raises :class:`QueueUnreachable` when its queue
+stays out of reach past its offline budget; the loop then ends cleanly.
 
-The module also holds what the two backends' status and report layers
-share: the per-host journal fold (:func:`fold_host_entry`), the status
-text view (:func:`render_status`) and the merged
+The module also holds what the two queue backends' status and report
+layers share: the per-host journal fold (:func:`fold_host_entry`), the
+status text view (:func:`render_status`) and the merged
 :class:`~repro.runner.executor.RunReport` builder (:func:`build_report`).
 """
 
@@ -43,6 +52,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterable,
@@ -51,13 +61,17 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.errors import ConfigurationError
-from repro.runner.executor import RunReport, TaskOutcome
 from repro.runner.policy import FaultPolicy, QuarantineRecord
+from repro.runner.registry import run_registered_batch, run_registered_task
 from repro.runner.task import TaskSpec
 from repro.runner.telemetry import merge_task_records
+
+if TYPE_CHECKING:
+    from repro.runner.executor import RunReport
 
 #: ``claim()`` results that are not a task.
 WAIT = "wait"
@@ -125,20 +139,26 @@ class WorkerReport:
 class DrainWorker:
     """One pull-mode worker draining a queue through ``transport``.
 
-    Tasks execute inline in this process (a queue already shards across
-    processes and machines; each worker is one lane).  ``run_fn``
-    overrides the registry lookup — tests inject counting stubs; the CLI
-    leaves it None so specs resolve through
-    :func:`~repro.runner.registry.run_registered_task` (or the batch
-    entry point, as a singleton batch, for ``engine="vector"`` tasks).
+    Tasks execute in this process, one claimed unit at a time (the queue
+    shards work across processes and machines; each worker is one
+    lane).  Scalar specs go to ``run_fn`` and vector specs to
+    ``batch_fn``; each defaults to the registry
+    (:func:`~repro.runner.registry.run_registered_task` and
+    :func:`~repro.runner.registry.run_registered_batch`), which is what
+    the CLI uses — tests inject counting stubs.  A unit of several
+    vector specs runs as one ``batch_fn`` call, its wall time amortized
+    evenly over the tasks; if that call raises, each task goes through
+    the singleton retry path with the failed call as its first attempt.
 
-    ``throttle`` sleeps that long before each execution — chaos and
-    tests use it to hold tasks in flight long enough to kill hosts
-    mid-task; production leaves it 0.  ``max_tasks`` stops the worker
-    once it has *run* that many tasks, each either executed or
-    quarantined after its retries ran out.  Tasks the transport finishes
-    without running them — cache replays, and on the fleet a lease whose
-    steal budget is spent — do not count, on either backend.
+    ``heartbeat_interval`` starts a thread that keeps the active lease
+    alive; None (the local gears) starts none.  ``throttle`` sleeps that
+    long before each claimed unit — chaos and tests use it to hold tasks
+    in flight long enough to kill hosts mid-task; production leaves it
+    0.  ``max_tasks`` stops the worker once it has *run* that many
+    tasks, each either executed or quarantined after its retries ran
+    out.  Tasks the transport finishes without running them — cache
+    replays, and on the fleet a lease whose steal budget is spent — do
+    not count, on either queue backend.
     """
 
     def __init__(
@@ -147,12 +167,13 @@ class DrainWorker:
         host: str,
         *,
         policy: FaultPolicy,
-        heartbeat_interval: float,
-        poll_interval: float,
-        throttle: float,
-        run_fn,
-        max_tasks: Optional[int],
-        progress: bool,
+        heartbeat_interval: Optional[float] = None,
+        poll_interval: float = 0.5,
+        throttle: float = 0.0,
+        run_fn=None,
+        batch_fn=None,
+        max_tasks: Optional[int] = None,
+        progress: bool = False,
     ) -> None:
         self.transport = transport
         self.host = host
@@ -160,7 +181,12 @@ class DrainWorker:
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
         self.throttle = throttle
-        self.run_fn = run_fn
+        self.run_fn = run_fn or (
+            lambda spec: run_registered_task(spec.exp_id, spec)
+        )
+        self.batch_fn = batch_fn or (
+            lambda specs: run_registered_batch(specs[0].exp_id, specs)
+        )
         self.max_tasks = max_tasks
         self.progress = progress
         self.report = WorkerReport(host=host)
@@ -177,26 +203,28 @@ class DrainWorker:
         """
         started = time.perf_counter()
         self._stop_heartbeat.clear()
-        beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
+        beat = None
+        if self.heartbeat_interval is not None:
+            beat = threading.Thread(target=self._heartbeat_loop, daemon=True)
         try:
             version = self.transport.start(self.report)
-            beat.start()
+            if beat is not None:
+                beat.start()
             done = 0
             while self.max_tasks is None or done < self.max_tasks:
-                claimed = self.transport.claim()
-                if claimed == DRAINED:
+                unit = self.transport.claim()
+                if unit == DRAINED:
                     break
-                if claimed == WAIT:
+                if unit == WAIT:
                     time.sleep(self.poll_interval)
                     continue
-                key, spec = claimed
-                self._run_task(key, spec, version)
-                done += 1
+                self._run_unit(unit, version)
+                done += len(unit)
         except QueueUnreachable:
             pass
         finally:
             self._stop_heartbeat.set()
-            if beat.is_alive():
+            if beat is not None and beat.is_alive():
                 beat.join(timeout=2.0)
             self.report.wall_time = time.perf_counter() - started
             self.transport.stop()
@@ -208,56 +236,95 @@ class DrainWorker:
             if key is not None:
                 self.transport.heartbeat(key)
 
-    def _run_task(self, key: str, spec: TaskSpec, version: str) -> None:
-        self._active_key = key
-        try:
-            if self.throttle:
-                time.sleep(self.throttle)
-            result = self._execute(spec, key)
-            if result is None:  # quarantined
-                return
-            metrics, wall = result
-            self.report.executed += 1
-            self.transport.commit(
-                key,
-                {
-                    "spec": spec.to_record(),
-                    "metrics": metrics,
-                    "wall_time": wall,
-                    "version": version,
-                },
-            )
-            if self.progress:
-                print(
-                    f"[{self.host}] {spec.label()} done in {wall:.2f}s",
-                    flush=True,
-                )
-        finally:
-            self._active_key = None
+    def _run_unit(
+        self, unit: Sequence[Tuple[str, TaskSpec]], version: str
+    ) -> None:
+        """Run one claimed unit, settling its tasks in claim order."""
+        if self.throttle:
+            time.sleep(self.throttle)
+        # Several vector specs run as one batch call; if it raises, that
+        # is each task's first failed attempt.
+        batch: Union[List[Tuple[Dict[str, Any], float]], str, None] = None
+        if len(unit) > 1 and unit[0][1].engine != "scalar":
+            batch = self._attempt([spec for _key, spec in unit])
+        for position, (key, spec) in enumerate(unit):
+            self._active_key = key
+            try:
+                if isinstance(batch, list):
+                    result = batch[position]
+                else:
+                    result = self._execute(spec, key, error=batch)
+                if result is not None:
+                    self._commit(key, spec, version, *result)
+            finally:
+                self._active_key = None
 
-    def _call(self, spec: TaskSpec) -> Mapping[str, Any]:
-        if self.run_fn is not None:
-            return self.run_fn(spec)
-        from repro.runner.registry import (
-            run_registered_batch,
-            run_registered_task,
+    def _commit(
+        self,
+        key: str,
+        spec: TaskSpec,
+        version: str,
+        metrics: Dict[str, Any],
+        wall: float,
+    ) -> None:
+        if self.policy.timeout is not None and wall > self.policy.timeout:
+            # A worker cannot preempt its own task; only the local
+            # pool's parent, outside it, can kill a hang.
+            self.report.overruns += 1
+        self.report.executed += 1
+        self.transport.commit(
+            key,
+            {
+                "spec": spec.to_record(),
+                "metrics": metrics,
+                "wall_time": wall,
+                "version": version,
+            },
         )
+        if self.progress:
+            print(
+                f"[{self.host}] {spec.label()} done in {wall:.2f}s",
+                flush=True,
+            )
 
-        if spec.engine != "scalar":
-            return run_registered_batch(spec.exp_id, [spec])[0]
-        return run_registered_task(spec.exp_id, spec)
+    def _attempt(
+        self, specs: List[TaskSpec]
+    ) -> Union[List[Tuple[Dict[str, Any], float]], str]:
+        """One call over ``specs``: each task's metrics and wall time, or
+        the error.  Vector specs run as one batch call, its wall time
+        amortized evenly over them."""
+        started = time.perf_counter()
+        try:
+            if specs[0].engine == "scalar":
+                results = [self.run_fn(specs[0])]
+            else:
+                results = self.batch_fn(specs)
+            if len(results) != len(specs):
+                raise RuntimeError(
+                    f"batch function returned {len(results)} results for "
+                    f"{len(specs)} tasks"
+                )
+            results = [dict(metrics) for metrics in results]
+        except Exception as exc:
+            what = (
+                f"task {specs[0].label()}" if len(specs) == 1
+                else f"batch of {len(specs)} tasks ({specs[0].label()} ...)"
+            )
+            return f"{what} failed on {self.host}: {type(exc).__name__}: {exc}"
+        wall = (time.perf_counter() - started) / len(specs)
+        return [(metrics, wall) for metrics in results]
 
     def _execute(
-        self, spec: TaskSpec, key: str
+        self, spec: TaskSpec, key: str, error: Optional[str] = None
     ) -> Optional[Tuple[Dict[str, Any], float]]:
-        """Run one task with the policy's retry budget; None if given up."""
-        attempts = 0
+        """Run one task with the policy's retry budget; None if given up.
+
+        ``error`` is a first attempt that already failed (the unit's
+        batch call).
+        """
+        attempts = int(error is not None)
         while True:
-            started = time.perf_counter()
-            try:
-                metrics = dict(self._call(spec))
-            except Exception as exc:
-                attempts += 1
+            if error is not None:
                 if attempts > self.policy.max_retries:
                     self.transport.quarantine(
                         key,
@@ -266,24 +333,20 @@ class DrainWorker:
                             key,
                             category="error",
                             attempts=attempts,
-                            detail=(
-                                f"task {spec.label()} failed on "
-                                f"{self.host}: {type(exc).__name__}: {exc}"
-                            ),
+                            detail=error,
                         ).to_record(),
                     )
                     self.report.quarantined += 1
                     return None
                 self.report.retries += 1
-                time.sleep(self.policy.backoff_delay(key, attempts))
-                continue
-            wall = time.perf_counter() - started
-            if self.policy.timeout is not None and wall > self.policy.timeout:
-                # Inline execution cannot preempt; overruns are counted
-                # (the watchdog against *dead* hosts is the lease TTL,
-                # not this budget).
-                self.report.overruns += 1
-            return metrics, wall
+                delay = self.policy.backoff_delay(key, attempts)
+                self.transport.heartbeat(key, delay)
+                time.sleep(delay)
+            outcome = self._attempt([spec])
+            if isinstance(outcome, list):
+                return outcome[0]
+            attempts += 1
+            error = outcome
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +496,8 @@ def build_report(
     list restores grid order, so ``summary_table()`` is bit-comparable
     with a single-process run of the same grid.
     """
+    from repro.runner.executor import RunReport, TaskOutcome
+
     merged, duplicates = merge_task_records(outcome_entries)
     by_key = {entry["key"]: entry for entry in merged if "key" in entry}
     outcomes: List[TaskOutcome] = []

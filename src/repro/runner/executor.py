@@ -2,39 +2,51 @@
 
 ``run_tasks`` drives a task list through one code path with three gears:
 
-* ``workers=0`` — run every task inline, in task order.  This is what
-  unit tests and small benches use; no processes, no pickling.
-* ``workers>=1`` — shard cache misses over a ``ProcessPoolExecutor`` in
-  chunks (several tasks per round trip, so IPC overhead amortizes), and
-  collect results as they complete.
+* ``workers=0`` — run every task inline, in the calling thread, in task
+  order.  This is what unit tests and small benches use; no processes,
+  no pickling, and an ambient :mod:`repro.profiling` profile sees every
+  task.
+* ``workers>=1`` — shard cache misses over that many child processes in
+  units (a chunk of scalar tasks or one vector sub-batch per claim, so
+  IPC overhead amortizes), and collect results as they complete.
 * warm cache — tasks whose content key is already stored replay without
   executing at all, in either gear.
 
 Because every task carries its own pre-derived seed, the three gears
 produce *bit-identical* outcome tables; only wall-clock time differs.
 
+Both executing gears run :class:`~repro.runner.drain.DrainWorker`, the
+drain loop of fleet and coordinator workers, over an in-memory queue of
+the run's units (:class:`_Grid`): inline, in the calling thread; in the
+pool, in each child over a pipe, while the parent serves their claims
+and watches their process sentinels and deadlines.
+
 Fault tolerance
 ---------------
-The executor survives worker failure end to end, governed by a
+The executor survives task and worker failure end to end, governed by a
 :class:`~repro.runner.policy.FaultPolicy`:
 
-* a **watchdog** enforces per-task wall-clock timeouts on worker
-  futures (a chunk of ``c`` tasks gets ``c × timeout``); an expired
-  chunk's pool is killed and rebuilt, and the chunk is bisected until
-  the hanging task is isolated and quarantined;
-* **in-band errors** (the task function raised) are returned per task,
-  not thrown across the pool, and retried with exponential backoff +
-  deterministic jitter up to ``max_retries`` before quarantine;
-* a **broken pool** (worker died: segfault, OOM-kill, ``os._exit``) is
-  rebuilt; the chunks that were in flight are re-probed serially and
-  bisected so only the poison task is quarantined, everything innocent
-  re-runs;
-* if freshly rebuilt pools keep dying without progress, the executor
-  **degrades to inline execution** rather than aborting the sweep;
+* **in-band errors** (the task function raised) are retried by the
+  drain loop with exponential backoff + deterministic jitter, up to
+  ``max_retries``, before quarantine;
+* a child **commits each task as soon as it finishes**, so when a child
+  dies (segfault, OOM-kill, ``os._exit``) or overruns its deadline, the
+  first uncommitted task of its unit is exactly the one it died or hung
+  on.  A hang is quarantined as a timeout; a crash is charged one
+  attempt and re-queued at once until its retries run out, then
+  quarantined as a crash.  The rest of the unit re-runs uncharged (a
+  vector sub-batch, one engine call, re-runs task by task), and a
+  replacement child is started;
+* the **watchdog** deadline covers one attempt: it restarts at every
+  commit and every retry, and never counts a retry's backoff sleep;
+* a child that dies holding no unit is not replaced; once no child is
+  left and work remains, the run **degrades to inline execution**
+  rather than aborting the sweep;
 * quarantined tasks are itemized in the :class:`RunReport` (and in
   ``quarantine.jsonl`` when telemetry is on) instead of crashing the
   run — unless the failure fraction crosses the policy threshold, in
-  which case the run aborts loudly.
+  which case the run aborts loudly (the manifest then reads
+  ``status: "aborted"``).
 
 With a :class:`~repro.runner.checkpoint.SweepCheckpoint`, completed
 tasks are journaled as they finish, so an interrupted run (Ctrl-C,
@@ -44,15 +56,14 @@ a result cache.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
+import multiprocessing
 import os
+import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import (
     Any,
     Callable,
@@ -69,6 +80,7 @@ from typing import (
 from repro.errors import ConfigurationError, ReproError
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import SweepCheckpoint
+from repro.runner.drain import DRAINED, DrainWorker
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.registry import (
     ExperimentDef,
@@ -83,7 +95,7 @@ from repro.vector.engine import validate_engine
 RunFn = Callable[[TaskSpec], Mapping[str, Any]]
 BatchFn = Callable[[List[TaskSpec]], List[Mapping[str, Any]]]
 
-#: Slack added to a chunk's watchdog deadline for IPC and pool spin-up.
+#: Slack added to a pool child's deadline for IPC and scheduling delays.
 _DEADLINE_GRACE = 0.5
 
 
@@ -119,9 +131,10 @@ class RunReport:
     """All outcomes of one run, in task (grid) order.
 
     Beyond the outcomes, the report itemizes the run's failure taxonomy:
-    ``timeouts`` (watchdog expiries — in the inline gear, advisory
-    overruns), ``retries`` (task re-executions after a failure),
-    ``pool_rebuilds`` (worker pools killed and rebuilt), ``quarantined``
+    ``timeouts`` (attempts past the budget: hangs the pool killed, and
+    overruns nothing preempted), ``retries`` (task re-executions after a
+    failure),
+    ``pool_rebuilds`` (pool children replaced), ``quarantined``
     (tasks given up on, with category and detail),
     ``corrupt_cache_entries`` (cache files that failed integrity and
     were re-run), ``resumed`` (outcomes restored from a checkpoint),
@@ -248,173 +261,91 @@ class RunReport:
 
 
 # ----------------------------------------------------------------------
-# Worker entry points
+# The run's queue, and the pool that drains it
 # ----------------------------------------------------------------------
-#
-# Failures are returned *in band* — ("err", message, 0.0) per task —
-# rather than raised across the pool: raising would poison the whole
-# chunk and lose which sibling tasks succeeded.  Only process death
-# (BrokenProcessPool) and interrupts cross the boundary as exceptions.
-
-Entry = Tuple[str, Any, float]  # ("ok", metrics, wall) | ("err", msg, 0.0)
 
 
-def _run_batch_chunk(
-    batch_fn: BatchFn, records: List[Dict[str, Any]]
-) -> List[Entry]:
-    """Worker entry point: one batched (vector-engine) group of records.
+class _Grid:
+    """The in-memory queue of one run: the inline transport of
+    :class:`~repro.runner.drain.DrainWorker` and the pool's queue.
 
-    Wall time is amortized evenly over the group — a batch is one engine
-    call, so per-task attribution is necessarily approximate.  A batch
-    failure fails every task of the group; the executor retries them as
-    singleton batches.
+    A unit is a list of task indices.  Outcomes reach ``on_complete``
+    and give-ups ``on_quarantine``; the failure counts of the run's
+    report accumulate here, whichever gear ran the tasks.
     """
-    specs = [TaskSpec.from_record(record) for record in records]
-    started = time.perf_counter()
-    try:
-        metrics_list = batch_fn(specs)
-    except Exception as exc:
-        message = (
-            f"batch of {len(specs)} tasks ({specs[0].label()} ...) "
-            f"failed: {type(exc).__name__}: {exc}"
-        )
-        return [("err", message, 0.0)] * len(specs)
-    if len(metrics_list) != len(specs):
-        message = (
-            f"batch function returned {len(metrics_list)} results for "
-            f"{len(specs)} tasks"
-        )
-        return [("err", message, 0.0)] * len(specs)
-    wall = (time.perf_counter() - started) / max(1, len(specs))
-    return [("ok", dict(metrics), wall) for metrics in metrics_list]
-
-
-def _run_chunk(
-    run_fn: RunFn, records: List[Dict[str, Any]]
-) -> List[Entry]:
-    """Worker entry point: execute one shard of task records."""
-    results: List[Entry] = []
-    for record in records:
-        spec = TaskSpec.from_record(record)
-        started = time.perf_counter()
-        try:
-            metrics = run_fn(spec)
-        except Exception as exc:  # surface which task died, with context
-            results.append((
-                "err",
-                f"task {spec.label()} (seed {spec.seed}) failed: "
-                f"{type(exc).__name__}: {exc}",
-                0.0,
-            ))
-        else:
-            results.append(
-                ("ok", dict(metrics), time.perf_counter() - started)
-            )
-    return results
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcefully stop a pool, including hung or wedged workers."""
-    # _processes is a CPython internal (pid -> Process); stable across
-    # 3.8+ and the only way to reach a *hung* worker, which a plain
-    # shutdown would wait on forever.  Read it before shutdown(), which
-    # sets it to None.
-    process_map = getattr(pool, "_processes", None)
-    processes = list(process_map.values()) if process_map else []
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    for proc in processes:
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-    for proc in processes:
-        try:
-            proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-        except Exception:
-            pass
-
-
-@dataclass
-class _Chunk:
-    """One unit of pool work: task indices plus routing flags."""
-
-    indices: List[int]
-    batch: bool = False
-    suspect: bool = False
-
-    def halves(self) -> Tuple["_Chunk", "_Chunk"]:
-        mid = len(self.indices) // 2
-        return (
-            _Chunk(self.indices[:mid], batch=self.batch, suspect=True),
-            _Chunk(self.indices[mid:], batch=self.batch, suspect=True),
-        )
-
-
-class _Execution:
-    """Shared fault-tolerant machinery behind both executor gears."""
 
     def __init__(
         self,
         tasks: Sequence[TaskSpec],
         keys: Sequence[str],
-        run_fn: RunFn,
-        batch_fn: Optional[BatchFn],
+        units: Sequence[List[int]],
         policy: FaultPolicy,
-        workers: int,
-        pending_total: int,
+        version: str,
         on_complete: Callable[[int, Dict[str, Any], float], None],
         on_quarantine: Callable[[QuarantineRecord], None],
     ) -> None:
         self.tasks = tasks
         self.keys = keys
-        self.run_fn = run_fn
-        self.batch_fn = batch_fn
+        self.queue: Deque[List[int]] = deque(units)
         self.policy = policy
-        self.workers = workers
-        self.pending_total = pending_total
+        self.version = version
+        self.pending_total = sum(len(unit) for unit in units)
         self.on_complete = on_complete
         self.on_quarantine = on_quarantine
-        self.attempts: Dict[int, int] = {}
+        #: The unit the inline worker is running, head first.
+        self.held: Deque[int] = deque()
+        self.crashes: Dict[int, int] = {}
         self.quarantined: List[QuarantineRecord] = []
         self.timeouts = 0
         self.retries = 0
         self.pool_rebuilds = 0
         self.fallback_inline = False
 
-    # -- shared --------------------------------------------------------
+    # -- the inline transport -----------------------------------------
 
-    def _records(self, indices: Sequence[int]) -> List[Dict[str, Any]]:
-        return [self.tasks[i].to_record() for i in indices]
+    def start(self, report) -> str:
+        return self.version
 
-    def _note_overrun(self, wall: float) -> None:
+    def claim(self) -> Union[List[Tuple[str, TaskSpec]], str]:
+        if not self.queue:
+            return DRAINED
+        self.held = deque(self.queue.popleft())
+        return [(self.keys[i], self.tasks[i]) for i in self.held]
+
+    def heartbeat(self, key: str, delay: float = 0.0) -> None:
+        # Local workers run no heartbeat thread: a beat is a retry.
+        self.retries += 1
+
+    def commit(self, key: str, record: Dict[str, Any]) -> None:
+        self.complete(
+            self.held.popleft(), record["metrics"], record["wall_time"]
+        )
+
+    def quarantine(self, key: str, record: Dict[str, Any]) -> None:
+        self.held.popleft()
+        self.give_up(QuarantineRecord.from_record(record))
+
+    def stop(self) -> None:
+        pass
+
+    # -- what both gears settle through -------------------------------
+
+    def batched(self, unit: Sequence[int]) -> bool:
+        """True if ``unit`` runs as one vector-engine batch call."""
+        return len(unit) > 1 and self.tasks[unit[0]].engine == "vector"
+
+    def complete(self, index: int, metrics: Dict[str, Any], wall: float):
         if self.policy.timeout is not None and wall > self.policy.timeout:
-            self.timeouts += 1
+            self.timeouts += 1  # an overrun nothing preempted
+        self.on_complete(index, metrics, wall)
 
-    def quarantine(self, index: int, category: str, detail: str) -> None:
+    def give_up(self, record: QuarantineRecord) -> None:
         """Give up on one task — or abort, per policy."""
-        spec = self.tasks[index]
-        # attempts[] already counts every failed execution (bumped by
-        # _should_retry); a timeout bypasses that path but did execute
-        # once before the watchdog killed it.
-        attempts = max(1, self.attempts.get(index, 0))
         if not self.policy.quarantine:
             raise TaskExecutionError(
-                f"task {spec.label()} {category} after {attempts} "
-                f"attempt(s): {detail}"
+                f"task {record.label} {record.category} after "
+                f"{record.attempts} attempt(s): {record.detail}"
             )
-        record = QuarantineRecord.for_task(
-            spec,
-            self.keys[index],
-            category=category,
-            attempts=attempts,
-            detail=detail,
-        )
         self.quarantined.append(record)
         self.on_quarantine(record)
         limit = self.policy.max_quarantine_fraction * self.pending_total
@@ -429,333 +360,256 @@ class _Execution:
                 f"{self.policy.max_quarantine_fraction:.0%}): {lines}"
             )
 
-    def _should_retry(self, index: int) -> bool:
-        """Record one failed attempt; True if a retry is still budgeted."""
-        self.attempts[index] = self.attempts.get(index, 0) + 1
-        if self.attempts[index] <= self.policy.max_retries:
-            self.retries += 1
-            return True
-        return False
+    def lost(self, unit: List[int], hung: bool) -> None:
+        """Settle the unit of a pool child that died or overran.
 
-    # -- inline gear ---------------------------------------------------
-
-    def run_inline(
-        self, scalar_indices: Sequence[int], batch_groups: Sequence[List[int]]
-    ) -> None:
-        for group in batch_groups:
-            self._inline_batch_group(group)
-        for index in scalar_indices:
-            self._inline_task(index, batch=False)
-
-    def _inline_batch_group(self, group: Sequence[int]) -> None:
-        entries = _run_batch_chunk(self.batch_fn, self._records(group))
-        retry: List[int] = []
-        for index, entry in zip(group, entries):
-            if entry[0] == "ok":
-                self._note_overrun(entry[2])
-                self.on_complete(index, entry[1], entry[2])
-            elif self._should_retry(index):
-                retry.append(index)
-            else:
-                self.quarantine(index, "error", entry[1])
-        for index in retry:
-            time.sleep(
-                self.policy.backoff_delay(
-                    self.keys[index], self.attempts[index]
-                )
-            )
-            self._inline_task(index, batch=True)
-
-    def _inline_task(self, index: int, batch: bool) -> None:
-        while True:
-            records = self._records([index])
-            if batch:
-                (entry,) = _run_batch_chunk(self.batch_fn, records)
-            else:
-                (entry,) = _run_chunk(self.run_fn, records)
-            if entry[0] == "ok":
-                self._note_overrun(entry[2])
-                self.on_complete(index, entry[1], entry[2])
-                return
-            if not self._should_retry(index):
-                self.quarantine(index, "error", entry[1])
-                return
-            time.sleep(
-                self.policy.backoff_delay(
-                    self.keys[index], self.attempts[index]
-                )
-            )
-
-    # -- pool gear -----------------------------------------------------
-
-    def run_pool(
-        self,
-        scalar_chunks: Sequence[List[int]],
-        batch_groups: Sequence[List[int]],
-    ) -> None:
-        normal: Deque[_Chunk] = deque(
-            [_Chunk(list(chunk)) for chunk in scalar_chunks]
-            + [_Chunk(list(group), batch=True) for group in batch_groups]
-        )
-        suspects: Deque[_Chunk] = deque()
-        retry_heap: List[Tuple[float, int, _Chunk]] = []
-        tiebreak = itertools.count()
-        inflight: Dict[Any, _Chunk] = {}
-        deadlines: Dict[Any, float] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-        breaks_since_progress = 0
-
-        def submit(chunk: _Chunk) -> None:
-            if chunk.batch:
-                future = pool.submit(
-                    _run_batch_chunk, self.batch_fn,
-                    self._records(chunk.indices),
-                )
-            else:
-                future = pool.submit(
-                    _run_chunk, self.run_fn, self._records(chunk.indices)
-                )
-            inflight[future] = chunk
-            if self.policy.timeout is not None:
-                deadlines[future] = (
-                    time.monotonic()
-                    + self.policy.timeout * len(chunk.indices)
-                    + _DEADLINE_GRACE
-                )
-
-        def requeue_inflight() -> None:
-            for chunk in inflight.values():
-                (suspects if chunk.suspect else normal).appendleft(chunk)
-            inflight.clear()
-            deadlines.clear()
-
-        def drop_pool() -> None:
-            nonlocal pool
-            if pool is not None:
-                _kill_pool(pool)
-                pool = None
-
-        def remaining_chunks() -> List[_Chunk]:
-            chunks = list(suspects) + list(normal)
-            chunks += [item[2] for item in retry_heap]
-            chunks += list(inflight.values())
-            return chunks
-
-        def schedule_retry(index: int, batch: bool, suspect: bool) -> None:
-            ready = time.monotonic() + self.policy.backoff_delay(
-                self.keys[index], self.attempts[index]
-            )
-            heapq.heappush(
-                retry_heap,
-                (ready, next(tiebreak),
-                 _Chunk([index], batch=batch, suspect=suspect)),
-            )
-
-        def guilty_crash(chunk: _Chunk) -> None:
-            """A chunk known (not just suspected) to kill its worker."""
-            if len(chunk.indices) > 1:
-                first, second = chunk.halves()
-                suspects.appendleft(second)
-                suspects.appendleft(first)
-                return
-            index = chunk.indices[0]
-            if self._should_retry(index):
-                schedule_retry(index, chunk.batch, suspect=True)
-            else:
-                self.quarantine(
-                    index, "crash",
-                    f"worker process died "
-                    f"({self.attempts[index]} attempt(s))",
-                )
-
-        def expire(chunk: _Chunk) -> None:
-            self.timeouts += 1
-            if len(chunk.indices) > 1:
-                first, second = chunk.halves()
-                suspects.appendleft(second)
-                suspects.appendleft(first)
-                return
-            index = chunk.indices[0]
-            self.quarantine(
-                index, "timeout",
-                f"exceeded the {self.policy.timeout:g}s wall-clock budget",
-            )
-
-        try:
-            while normal or suspects or retry_heap or inflight:
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, _, chunk = heapq.heappop(retry_heap)
-                    (suspects if chunk.suspect else normal).append(chunk)
-
-                if (normal or suspects) and pool is None:
-                    try:
-                        pool = ProcessPoolExecutor(max_workers=self.workers)
-                    except (OSError, PermissionError, ValueError):
-                        self._degrade_inline(remaining_chunks())
-                        return
-
-                # Suspect chunks are probed one at a time: if the pool
-                # breaks with a single chunk in flight, guilt is certain
-                # and bisection can proceed without collateral damage.
-                if suspects:
-                    if not inflight:
-                        submit(suspects.popleft())
-                else:
-                    while normal and len(inflight) < max(1, self.workers) * 4:
-                        submit(normal.popleft())
-
-                if not inflight:
-                    if retry_heap:
-                        time.sleep(
-                            min(0.05, max(0.0, retry_heap[0][0] - now))
-                        )
-                    continue
-
-                wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(0.0, min(deadlines.values()) - now)
-                if retry_heap:
-                    ready = max(0.0, retry_heap[0][0] - now)
-                    wait_timeout = (
-                        ready if wait_timeout is None
-                        else min(wait_timeout, ready)
-                    )
-                done, _ = wait(
-                    set(inflight),
-                    timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-
-                crashed: List[_Chunk] = []
-                progressed = False
-                for future in done:
-                    chunk = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        entries = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(chunk)
-                    except Exception as exc:
-                        # Pickling or transport failure: fail the tasks
-                        # in band so they retry / quarantine normally.
-                        progressed = True
-                        for index in chunk.indices:
-                            self._pool_task_failed(
-                                index, chunk.batch,
-                                f"task {self.tasks[index].label()} failed "
-                                f"in transit: {type(exc).__name__}: {exc}",
-                                schedule_retry,
-                            )
-                    else:
-                        progressed = True
-                        for index, entry in zip(chunk.indices, entries):
-                            if entry[0] == "ok":
-                                self._note_overrun(entry[2])
-                                self.on_complete(index, entry[1], entry[2])
-                            else:
-                                self._pool_task_failed(
-                                    index, chunk.batch, entry[1],
-                                    schedule_retry,
-                                )
-                if progressed:
-                    breaks_since_progress = 0
-
-                if crashed:
-                    self.pool_rebuilds += 1
-                    if not progressed:
-                        breaks_since_progress += 1
-                    if len(crashed) == 1 and not inflight:
-                        # Exactly one chunk in flight died: it is guilty.
-                        guilty_crash(crashed[0])
-                    else:
-                        # Ambiguous break: everything that was running
-                        # becomes a suspect and is re-probed serially.
-                        for chunk in crashed:
-                            chunk.suspect = True
-                            suspects.appendleft(chunk)
-                    requeue_inflight()
-                    drop_pool()
-                    if breaks_since_progress > self.policy.rebuild_limit:
-                        self._degrade_inline(remaining_chunks())
-                        return
-                    continue
-
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, deadline in deadlines.items()
-                    if deadline <= now and not future.done()
-                ]
-                if expired:
-                    for future in expired:
-                        chunk = inflight.pop(future)
-                        deadlines.pop(future, None)
-                        expire(chunk)
-                    # The hung worker holds the pool hostage; innocents
-                    # in flight are requeued and re-run on a fresh pool.
-                    self.pool_rebuilds += 1
-                    requeue_inflight()
-                    drop_pool()
-        except BaseException:
-            drop_pool()
-            raise
-        else:
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-    def _pool_task_failed(
-        self,
-        index: int,
-        batch: bool,
-        detail: str,
-        schedule_retry: Callable[[int, bool, bool], None],
-    ) -> None:
-        if self._should_retry(index):
-            schedule_retry(index, batch, False)
-        else:
-            self.quarantine(index, "error", detail)
-
-    def _degrade_inline(self, chunks: Sequence[_Chunk]) -> None:
-        """Last resort: the pool cannot be kept alive; run in process.
-
-        Loses crash isolation (a task that kills its process would kill
-        the run), but a sweep that can still make progress should.
+        Its head is the task the child was running: quarantined as a
+        timeout if it hung; if it crashed, charged one attempt and
+        re-queued at once while retries remain.  The rest re-runs
+        uncharged, and so does every task of a batch call, because one
+        engine call cannot say which of its tasks was at fault.
         """
-        self.fallback_inline = True
-        seen: set = set()
-        for chunk in chunks:
-            indices = [i for i in chunk.indices if i not in seen]
-            seen.update(indices)
-            if chunk.batch and len(indices) > 1:
-                self._inline_batch_group(indices)
+        if self.batched(unit):
+            self.queue.extendleft([index] for index in reversed(unit))
+            return
+        index, rest = unit[0], unit[1:]
+        if rest:
+            self.queue.appendleft(rest)
+        attempts = self.crashes.get(index, 0) + 1
+        spec, key = self.tasks[index], self.keys[index]
+        if hung:
+            self.timeouts += 1
+            self.give_up(QuarantineRecord.for_task(
+                spec, key, category="timeout", attempts=attempts,
+                detail=(
+                    f"exceeded the {self.policy.timeout:g}s wall-clock "
+                    "budget"
+                ),
+            ))
+            return
+        self.crashes[index] = attempts
+        if attempts <= self.policy.max_retries:
+            self.retries += 1
+            self.queue.appendleft([index])
+            return
+        self.give_up(QuarantineRecord.for_task(
+            spec, key, category="crash", attempts=attempts,
+            detail=f"worker process died ({attempts} attempt(s))",
+        ))
+
+
+class _PipeTransport:
+    """A pool child's side of the queue: the parent's grid over a pipe.
+
+    The parent already holds every spec and the version, so a unit
+    arrives as task indices and a commit leaves as metrics and wall
+    time only; the parent pairs each message with the head of the
+    child's unit.
+    """
+
+    def __init__(self, conn: Connection, tasks, keys, version: str) -> None:
+        self.conn = conn
+        self.tasks = tasks
+        self.keys = keys
+        self.version = version
+
+    def start(self, report) -> str:
+        return self.version
+
+    def claim(self) -> Union[List[Tuple[str, TaskSpec]], str]:
+        self.conn.send(("claim",))
+        unit = self.conn.recv()
+        if unit == DRAINED:
+            return DRAINED
+        return [(self.keys[i], self.tasks[i]) for i in unit]
+
+    def heartbeat(self, key: str, delay: float = 0.0) -> None:
+        self.conn.send(("beat", delay))
+
+    def commit(self, key: str, record: Dict[str, Any]) -> None:
+        self.conn.send(("done", record["metrics"], record["wall_time"]))
+
+    def quarantine(self, key: str, record: Dict[str, Any]) -> None:
+        self.conn.send(("quarantine", record))
+
+    def stop(self) -> None:
+        self.conn.close()
+
+
+def _pool_child(conn, tasks, keys, version, policy, run_fn, batch_fn):
+    """Pool child entry point: drain the parent's grid over ``conn``."""
+    # Ctrl-C reaches the whole process group; the parent handles it and
+    # kills its children.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    worker = DrainWorker(
+        _PipeTransport(conn, tasks, keys, version),
+        f"pool-{os.getpid()}",
+        policy=policy,
+        run_fn=run_fn,
+        batch_fn=batch_fn,
+    )
+    try:
+        worker.run()
+    except (EOFError, OSError):
+        pass  # the parent is gone, and with it the queue
+
+
+@dataclass
+class _Child:
+    """One pool child as its parent sees it."""
+
+    process: multiprocessing.Process
+    conn: Connection
+    #: The task indices of its unit not yet settled, head first.
+    held: Deque[int] = field(default_factory=deque)
+    deadline: Optional[float] = None
+    claiming: bool = False
+
+
+def _spawn_child(tasks, keys, version, policy, run_fn, batch_fn) -> _Child:
+    """Start one pool child; raises OSError if the OS refuses."""
+    conn, child_conn = multiprocessing.Pipe()
+    process = multiprocessing.Process(
+        target=_pool_child,
+        args=(child_conn, tasks, keys, version, policy, run_fn, batch_fn),
+    )
+    process.start()
+    child_conn.close()  # so the pipe reads EOF once the child exits
+    return _Child(process, conn)
+
+
+def _deadline(
+    policy: FaultPolicy, tasks: int = 1, delay: float = 0.0
+) -> Optional[float]:
+    """When the attempt starting now (after ``delay``) has overrun."""
+    if policy.timeout is None:
+        return None
+    return time.monotonic() + delay + policy.timeout * tasks + _DEADLINE_GRACE
+
+
+def _read(grid: _Grid, child: _Child) -> bool:
+    """Settle every message ``child`` has sent, in order; False once its
+    pipe is closed."""
+    try:
+        while child.conn.poll():
+            message = child.conn.recv()
+            kind = message[0]
+            if kind == "claim":
+                child.claiming = True
+                continue
+            if kind == "beat":
+                grid.retries += 1  # children beat only before a retry
+                child.deadline = _deadline(grid.policy, delay=message[1])
+                continue
+            index = child.held.popleft()
+            if kind == "done":
+                grid.complete(index, message[1], message[2])
             else:
-                for index in indices:
-                    self._inline_task(index, batch=chunk.batch)
+                grid.give_up(QuarantineRecord.from_record(message[1]))
+            child.deadline = _deadline(grid.policy) if child.held else None
+    except (EOFError, OSError):
+        return False
+    return True
 
 
-def _coerce_cache(
-    cache: Union[ResultCache, os.PathLike, str, None]
-) -> Optional[ResultCache]:
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(cache)
+def _serve_claims(grid: _Grid, children: List[_Child]) -> None:
+    """Answer the pending claims: a unit, or DRAINED once none can come.
+
+    A claim that finds the queue empty while another child still holds
+    work waits: that work comes back if its child dies.
+    """
+    for child in children:
+        if not child.claiming or (
+            not grid.queue and any(other.held for other in children)
+        ):
+            continue
+        unit = grid.queue.popleft() if grid.queue else DRAINED
+        try:
+            child.conn.send(unit)
+        except OSError:  # it died since it claimed; its sentinel tells
+            if unit != DRAINED:
+                grid.queue.appendleft(unit)
+            continue
+        child.claiming = False
+        if unit != DRAINED:
+            child.held = deque(unit)
+            child.deadline = _deadline(
+                grid.policy, len(unit) if grid.batched(unit) else 1
+            )
 
 
-def _coerce_telemetry(
-    telemetry: Union[RunTelemetry, os.PathLike, str, None]
-) -> Optional[RunTelemetry]:
-    if telemetry is None or isinstance(telemetry, RunTelemetry):
-        return telemetry
-    return RunTelemetry(telemetry)
+def _run_pool(grid: _Grid, workers: int, spawn_args: Tuple) -> None:
+    """Drain ``grid`` through up to ``workers`` child processes.
+
+    The parent waits on every child's pipe and process sentinel, with
+    the nearest deadline as the timeout.  A child that dies or overruns
+    is killed; the messages it sent first are settled, its unit goes to
+    :meth:`_Grid.lost` and a replacement starts.  What is left once no
+    child is (the OS refused them, or they died holding nothing) runs
+    inline.
+    """
+    children: List[_Child] = []
+
+    def spawn() -> bool:
+        try:
+            children.append(_spawn_child(*spawn_args))
+        except (OSError, ValueError):
+            return False
+        return True
+
+    for _ in range(min(workers, len(grid.queue))):
+        spawn()
+    try:
+        while children:
+            _serve_claims(grid, children)
+            deadlines = [
+                c.deadline for c in children if c.deadline is not None
+            ]
+            timeout = (
+                max(0.0, min(deadlines) - time.monotonic())
+                if deadlines else None
+            )
+            ready = wait(
+                [c.conn for c in children]
+                + [c.process.sentinel for c in children],
+                timeout,
+            )
+            for child in list(children):
+                closed = child.conn in ready and not _read(grid, child)
+                dead = closed or child.process.sentinel in ready
+                hung = (
+                    not dead
+                    and child.deadline is not None
+                    and child.deadline <= time.monotonic()
+                )
+                if not (dead or hung):
+                    continue
+                child.process.kill()
+                child.process.join()
+                _read(grid, child)
+                children.remove(child)
+                if child.held:
+                    grid.lost(list(child.held), hung)
+                    if spawn():
+                        grid.pool_rebuilds += 1
+    finally:
+        for child in children:
+            child.process.kill()
+            child.process.join()
+    if grid.queue:
+        grid.fallback_inline = True
+        _drain_inline(grid, *spawn_args[3:])
 
 
-def _coerce_checkpoint(
-    checkpoint: Union[SweepCheckpoint, os.PathLike, str, None]
-) -> Optional[SweepCheckpoint]:
-    if checkpoint is None or isinstance(checkpoint, SweepCheckpoint):
-        return checkpoint
-    return SweepCheckpoint(checkpoint)
+def _drain_inline(grid: _Grid, policy, run_fn, batch_fn) -> None:
+    DrainWorker(
+        grid, "inline", policy=policy, run_fn=run_fn, batch_fn=batch_fn
+    ).run()
+
+
+def _coerce(value, cls):
+    """``value`` as a ``cls``: None and instances pass, a path opens one."""
+    return value if value is None or isinstance(value, cls) else cls(value)
 
 
 def _shard_batch_groups(
@@ -828,9 +682,9 @@ def run_tasks(
     started = time.perf_counter()
     version = version if version is not None else _package_version()
     exp_id = tasks[0].exp_id if tasks else "(empty)"
-    cache = _coerce_cache(cache)
-    telemetry = _coerce_telemetry(telemetry)
-    checkpoint = _coerce_checkpoint(checkpoint)
+    cache = _coerce(cache, ResultCache)
+    telemetry = _coerce(telemetry, RunTelemetry)
+    checkpoint = _coerce(checkpoint, SweepCheckpoint)
     meter = Progress(len(tasks), enabled=progress)
     if telemetry is not None:
         telemetry.start(
@@ -897,7 +751,6 @@ def run_tasks(
 
     # Split pending work by engine: vector tasks batch per grid cell.
     scalar_pending: List[int] = []
-    batch_groups: List[List[int]] = []
     vector_by_case: Dict[str, List[int]] = {}
     for index in pending:
         if tasks[index].engine == "vector":
@@ -906,20 +759,18 @@ def run_tasks(
             ).append(index)
         else:
             scalar_pending.append(index)
-    if vector_by_case:
-        if batch_fn is None:
-            raise ConfigurationError(
-                "tasks with engine='vector' need a batch_fn"
-            )
-        batch_groups = list(vector_by_case.values())
+    batch_groups = list(vector_by_case.values())
+    if batch_groups and batch_fn is None:
+        raise ConfigurationError("tasks with engine='vector' need a batch_fn")
 
     def _complete(index: int, metrics: Dict[str, Any], wall: float) -> None:
         spec, key = tasks[index], keys[index]
         outcomes[index] = TaskOutcome(
             spec=spec, metrics=metrics, wall_time=wall, cached=False, key=key
         )
+        spec_record = spec.to_record()
         record = {
-            "spec": spec.to_record(),
+            "spec": spec_record,
             "metrics": metrics,
             "wall_time": wall,
             "version": version,
@@ -930,7 +781,7 @@ def run_tasks(
             checkpoint.append_outcome(key, record)
         if telemetry is not None:
             telemetry.record_task(
-                spec.to_record(), metrics, wall, cached=False, key=key
+                spec_record, metrics, wall, cached=False, key=key
             )
         meter.update()
 
@@ -941,94 +792,84 @@ def run_tasks(
             checkpoint.append_quarantine(record.key, record.to_record())
         meter.update()
 
-    execution = _Execution(
+    inline = workers == 0 or (len(pending) <= 1 and policy.timeout is None)
+    if inline:
+        units = batch_groups + ([scalar_pending] if scalar_pending else [])
+    else:
+        if chunk_size is None:
+            # ~4 chunks per worker: coarse enough to amortize IPC,
+            # fine enough that a slow shard cannot straggle the run.
+            chunk_size = max(
+                1, math.ceil(len(scalar_pending) / (workers * 4))
+            )
+        # Vector cells shard into contiguous sub-batches so one cell's
+        # replications spread across workers; per-replication coin
+        # streams keep every sub-batch bit-identical to the unsharded
+        # cell (see repro.vector.collection).
+        units = _shard_batch_groups(batch_groups, workers) + [
+            scalar_pending[start:start + chunk_size]
+            for start in range(0, len(scalar_pending), chunk_size)
+        ]
+    grid = _Grid(
         tasks=tasks,
         keys=keys,
-        run_fn=run_fn,
-        batch_fn=batch_fn,
+        units=units,
         policy=policy,
-        workers=workers,
-        pending_total=len(pending),
+        version=version,
         on_complete=_complete,
         on_quarantine=_quarantined,
     )
 
-    def _fresh_count() -> int:
-        return sum(
-            1
-            for outcome in outcomes
-            if outcome is not None and outcome.source == "fresh"
-        )
-
-    interrupted = False
-    try:
-        if workers == 0 or (
-            len(pending) <= 1 and policy.timeout is None
-        ):
-            execution.run_inline(scalar_pending, batch_groups)
-        elif pending:
-            if chunk_size is None:
-                # ~4 chunks per worker: coarse enough to amortize IPC,
-                # fine enough that a slow shard cannot straggle the run.
-                chunk_size = max(
-                    1, math.ceil(len(scalar_pending) / (workers * 4))
-                )
-            chunks = [
-                scalar_pending[start:start + chunk_size]
-                for start in range(0, len(scalar_pending), chunk_size)
-            ]
-            # Vector cells shard into contiguous sub-batches so one
-            # cell's replications spread across workers; per-replication
-            # coin streams keep every sub-batch bit-identical to the
-            # unsharded cell (see repro.vector.collection).
-            execution.run_pool(
-                chunks, _shard_batch_groups(batch_groups, workers)
-            )
-    except KeyboardInterrupt:
-        interrupted = True
-        raise
-    finally:
+    def _finish(status: str) -> RunReport:
         meter.finish()
         if checkpoint is not None:
             checkpoint.close()
-        if interrupted and telemetry is not None:
-            telemetry.interrupt(
-                executed=_fresh_count(),
-                cache_hits=cache_hits,
-                failures={
-                    "timeouts": execution.timeouts,
-                    "retries": execution.retries,
-                    "pool_rebuilds": execution.pool_rebuilds,
-                    "quarantined": len(execution.quarantined),
-                },
-            )
-
-    report = RunReport(
-        exp_id=exp_id,
-        version=version,
-        workers=workers,
-        outcomes=[outcome for outcome in outcomes if outcome is not None],
-        executed=_fresh_count(),
-        cache_hits=cache_hits,
-        wall_time=time.perf_counter() - started,
-        timeouts=execution.timeouts,
-        retries=execution.retries,
-        pool_rebuilds=execution.pool_rebuilds,
-        quarantined=carryover + execution.quarantined,
-        corrupt_cache_entries=(
-            cache.corrupt - corrupt_before if cache is not None else 0
-        ),
-        resumed=resumed,
-        fallback_inline=execution.fallback_inline,
-        duplicates_merged=ckpt_duplicates,
-    )
-    if telemetry is not None:
-        telemetry.finish(
-            executed=report.executed,
+        report = RunReport(
+            exp_id=exp_id,
+            version=version,
+            workers=workers,
+            outcomes=[o for o in outcomes if o is not None],
+            executed=sum(
+                1 for o in outcomes if o is not None and o.source == "fresh"
+            ),
             cache_hits=cache_hits,
-            failures=report.failure_summary(),
+            wall_time=time.perf_counter() - started,
+            timeouts=grid.timeouts,
+            retries=grid.retries,
+            pool_rebuilds=grid.pool_rebuilds,
+            quarantined=carryover + grid.quarantined,
+            corrupt_cache_entries=(
+                cache.corrupt - corrupt_before if cache is not None else 0
+            ),
+            resumed=resumed,
+            fallback_inline=grid.fallback_inline,
+            duplicates_merged=ckpt_duplicates,
         )
-    return report
+        if telemetry is not None:
+            telemetry.finish(
+                executed=report.executed,
+                cache_hits=cache_hits,
+                failures=report.failure_summary(),
+                status=status,
+            )
+        return report
+
+    try:
+        if inline:
+            _drain_inline(grid, policy, run_fn, batch_fn)
+        else:
+            _run_pool(
+                grid, workers, (tasks, keys, version, policy, run_fn, batch_fn)
+            )
+    except BaseException as exc:
+        # Ctrl-C is a pause; anything else (the quarantine threshold,
+        # --no-quarantine) ends the run.  Either way the telemetry is
+        # finalized before the exception propagates.
+        _finish(
+            "interrupted" if isinstance(exc, KeyboardInterrupt) else "aborted"
+        )
+        raise
+    return _finish("finished")
 
 
 def experiment_grid(

@@ -314,10 +314,10 @@ class LeaseTransport:
         self._journal.close()
         self._journal = None
 
-    def heartbeat(self, key: str) -> None:
+    def heartbeat(self, key: str, delay: float = 0.0) -> None:
         self.leases.heartbeat(key)
 
-    def claim(self) -> Union[Tuple[str, TaskSpec], str]:
+    def claim(self) -> Union[List[Tuple[str, TaskSpec]], str]:
         while True:
             if self._scan is None:
                 pending = self.queue.pending_keys()
@@ -330,7 +330,7 @@ class LeaseTransport:
             for key in self._scan:
                 task = self._try_claim(key)
                 if task is not None:
-                    return task
+                    return [task]
             self._scan = None
             self._reap_moot_leases()
             if not self._progressed and self.queue.pending_keys():

@@ -6,11 +6,11 @@ distributed system: worker processes crash, tasks hang, transient
 resource errors come and go.  :class:`FaultPolicy` is the executor's
 contract for those events:
 
-* **timeouts** — a per-task wall-clock budget, enforced by a watchdog
-  around worker futures (a chunk of ``c`` tasks gets ``c × timeout``);
-* **retries** — bounded re-execution with exponential backoff and
-  deterministic jitter for transient failures (raised exceptions and
-  crashed workers alike);
+* **timeouts** — a wall-clock budget per task attempt, enforced by the
+  process pool's parent, which kills a child that overruns it;
+* **retries** — bounded re-execution for transient failures: a raised
+  exception retries after exponential backoff with deterministic
+  jitter, a crashed worker's task is re-queued at once;
 * **quarantine** — a task that keeps failing is *recorded and skipped*
   (a :class:`QuarantineRecord` in the report and ``quarantine.jsonl``)
   instead of aborting the whole sweep, up to a failure-fraction
@@ -40,18 +40,22 @@ class FaultPolicy:
     """How the executor treats failing, crashing, and hanging tasks.
 
     ``timeout``
-        Per-task wall-clock budget in seconds, or None for no watchdog.
-        Enforced preemptively only with ``workers >= 1`` (the watchdog
-        kills and rebuilds the pool); the inline gear cannot interrupt a
-        running task and only *counts* overruns.
+        Wall-clock budget in seconds of one task attempt, or None for no
+        watchdog.  The deadline restarts at every attempt and never
+        counts a retry's backoff sleep; a vector batch call gets the
+        budget once per task it covers.  Enforced preemptively only
+        with ``workers >= 1`` (the pool's parent kills the child and
+        starts a replacement); the inline gear and queue workers cannot
+        interrupt a running task and only *count* overruns.
     ``max_retries``
         How many times a failed task (raised exception or crashed
         worker) is re-executed before it is quarantined.  Timeouts are
         never retried — a hang is assumed persistent.
     ``backoff_base`` / ``backoff_cap`` / ``jitter``
-        Retry ``attempt`` waits ``min(cap, base · 2^(attempt-1))``
-        scaled by ``1 + jitter·u`` with ``u`` drawn deterministically
-        from the task key.
+        Retry ``attempt`` after a raised exception waits
+        ``min(cap, base · 2^(attempt-1))`` scaled by ``1 + jitter·u``
+        with ``u`` drawn deterministically from the task key.  A crashed
+        worker's task, like a stolen fleet lease, re-runs at once.
     ``quarantine``
         When True (the default), a task that exhausts its retries is
         recorded and skipped; when False the first exhausted task
@@ -60,10 +64,6 @@ class FaultPolicy:
         Abort the run once more than this fraction of the tasks pending
         execution has been quarantined — the failures are systemic, not
         sporadic.
-    ``rebuild_limit``
-        Consecutive pool breaks without any completed result before the
-        executor gives up on process isolation and degrades to inline
-        execution.
     ``seed``
         Root seed of the backoff-jitter stream.
     """
@@ -75,7 +75,6 @@ class FaultPolicy:
     jitter: float = 0.5
     quarantine: bool = True
     max_quarantine_fraction: float = 0.5
-    rebuild_limit: int = 5
     seed: int = 0
 
     def __post_init__(self):
@@ -93,10 +92,6 @@ class FaultPolicy:
             raise ConfigurationError(
                 "max_quarantine_fraction must be in [0, 1], got "
                 f"{self.max_quarantine_fraction}"
-            )
-        if self.rebuild_limit < 1:
-            raise ConfigurationError(
-                f"rebuild_limit must be >= 1, got {self.rebuild_limit}"
             )
 
     def backoff_delay(self, key: str, attempt: int) -> float:

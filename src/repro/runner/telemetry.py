@@ -8,7 +8,9 @@ A run directory holds up to three files:
     many tasks executed vs. replayed from cache, the total wall time and
     the failure taxonomy (timeouts, retries, quarantined, pool rebuilds,
     corrupt cache entries).  An interrupted run (Ctrl-C) finalizes with
-    ``status: "interrupted"`` instead of being left as ``"running"``.
+    ``status: "interrupted"`` and an aborted one (the quarantine
+    threshold, ``--no-quarantine``) with ``status: "aborted"``, instead
+    of being left as ``"running"``.
 ``telemetry.jsonl``
     One JSON line per finished task, in completion order: the full task
     spec, its metrics, wall time, whether it was a cache hit, and the
@@ -194,6 +196,8 @@ class RunTelemetry:
         failures: Optional[Mapping[str, Any]] = None,
         status: str = "finished",
     ) -> None:
+        """Close both JSONL streams; stamp the manifest with ``status``
+        (finished, interrupted or aborted) and the counts reached."""
         if self._tasks_handle is not None:
             self._tasks_handle.close()
             self._tasks_handle = None
@@ -214,22 +218,6 @@ class RunTelemetry:
         if failures is not None:
             self._manifest["failures"] = dict(failures)
         self._write_manifest()
-
-    def interrupt(
-        self,
-        executed: int,
-        cache_hits: int,
-        failures: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        """Finalize an interrupted run: Ctrl-C is a pause, not corruption.
-
-        Flushes and closes both JSONL streams and stamps the manifest
-        ``status: "interrupted"`` with whatever counts were reached, so
-        a resumed run (same cache / checkpoint) picks up cleanly.
-        """
-        self.finish(
-            executed, cache_hits, failures=failures, status="interrupted"
-        )
 
     def _write_manifest(self) -> None:
         # Same-directory temp + os.replace (never the system tmpdir):

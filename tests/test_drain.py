@@ -1,4 +1,4 @@
-"""The drain loop's contract, run on both transports.
+"""The drain loop's contract, run on every transport.
 
 Every test drives real workers — :class:`FleetWorker` over a lease
 directory and :class:`CoordWorker` over a loopback TCP coordinator, the
@@ -7,13 +7,18 @@ with injected task functions, and asserts what both queue backends
 promise: concurrent workers drain a queue exactly once, a failing task
 is retried and then quarantined, a key already committed is replayed
 instead of recomputed, and ``max_tasks`` stops a worker after it has
-run that many tasks, cache replays not counted.
+run that many tasks, cache replays not counted.  The last test runs one
+failing grid on all four gears — inline and pool through ``run_tasks``,
+fleet and coord through a worker — and asserts the same outcomes,
+quarantine record and retry count on each.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,7 @@ from repro.runner import (
     coord_status,
     fleet_report,
     fleet_status,
+    run_tasks,
     submit_tasks,
     task_grid,
 )
@@ -301,3 +307,47 @@ def test_max_tasks_does_not_count_cache_replays(backend):
     assert stats.executed == 0 and stats.cache_hits == 3
     status = backend.status()
     assert status["done"] and status["pending"] == 0
+
+
+def contract_metric(scratch: str, spec) -> dict:
+    """idx 0 always raises; idx 1 fails its first attempt only."""
+    idx = spec.params["idx"]
+    if idx == 0:
+        raise RuntimeError("permanently broken")
+    marker = Path(scratch) / f"flaky-{idx}"
+    if idx == 1 and not marker.exists():
+        marker.touch()
+        raise RuntimeError("transient failure")
+    return _value(spec)
+
+
+@pytest.mark.parametrize("gear", ["inline", "pool", "fleet", "coord"])
+def test_every_gear_keeps_one_contract(gear, tmp_path, coord_server):
+    tasks = _grid(4)
+    policy = FaultPolicy(max_retries=1, backoff_base=0.0)
+    scratch = tmp_path / "markers"
+    scratch.mkdir()
+    run_fn = functools.partial(contract_metric, str(scratch))
+    if gear in ("inline", "pool"):
+        report = run_tasks(
+            tasks, run_fn, workers=0 if gear == "inline" else 2,
+            policy=policy, version=VERSION,
+        )
+        retries = report.retries
+    else:
+        backend = (_Fleet if gear == "fleet" else _Coord)(
+            tmp_path, coord_server
+        )
+        backend.submit(tasks)
+        worker = backend.worker("alpha", run_fn, policy=policy)
+        worker.run()
+        report = backend.report()
+        retries = worker.report.retries
+    assert {o.key: dict(o.metrics) for o in report.outcomes} == {
+        spec.key(VERSION): _value(spec) for spec in tasks[1:]
+    }
+    [record] = report.quarantined
+    assert (record.label, record.category, record.attempts) == (
+        tasks[0].label(), "error", 2,
+    )
+    assert retries == 2

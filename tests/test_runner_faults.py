@@ -3,10 +3,10 @@
 Every scenario here injects a *deterministic* failure into a small task
 grid and asserts the executor's contract: transient failures retry and
 succeed, persistent failures are quarantined (not fatal) and itemized,
-crashed workers are rebuilt and bisected down to the poison task, hangs
-are killed by the watchdog, interrupted sweeps resume from their
-checkpoint, and corrupt cache entries are detected, preserved for
-post-mortem and recomputed.
+a crashed or hung pool child is pinned to exactly the task it was
+running and replaced, interrupted sweeps resume from their checkpoint,
+aborted runs still finalize their telemetry, and corrupt cache entries
+are detected, preserved for post-mortem and recomputed.
 
 The task functions are top-level so they pickle to pool workers; their
 failure behavior is keyed off case parameters and marker files in a
@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import signal
+import threading
 import time
 from pathlib import Path
 
@@ -92,6 +94,19 @@ def hang_metric(spec):
     return _value(spec)
 
 
+def hang_or_poison_metric(spec):
+    """Task idx=1 raises at once; every other task sleeps a long time."""
+    if spec.params["idx"] == 1:
+        raise ValueError("permanently broken task")
+    time.sleep(60)
+    return _value(spec)
+
+
+def dead_on_arrival(*args):
+    """A pool child entry point that dies before its first claim."""
+    os._exit(1)
+
+
 def interrupting_metric(spec):
     """Simulates Ctrl-C landing while the third task runs."""
     if spec.params["idx"] == 2:
@@ -110,8 +125,6 @@ class TestFaultPolicy:
             FaultPolicy(max_retries=-1)
         with pytest.raises(ConfigurationError):
             FaultPolicy(max_quarantine_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            FaultPolicy(rebuild_limit=0)
 
     def test_backoff_is_deterministic_and_bounded(self):
         policy = FaultPolicy(backoff_base=0.1, backoff_cap=1.0, jitter=0.5)
@@ -209,6 +222,23 @@ class TestRetries:
         assert manifest["failures"]["quarantined"] == 1
         assert manifest["status"] == "finished"
 
+    def test_abort_finalizes_telemetry(self, tmp_path):
+        tasks = _grid(tmp_path / "scratch", n=3)
+        run_dir = tmp_path / "run"
+        policy = FaultPolicy(backoff_base=0.001, max_retries=0)
+        with pytest.raises(TaskExecutionError, match="quarantined"):
+            run_tasks(
+                tasks,
+                lambda spec: (_ for _ in ()).throw(ValueError("boom")),
+                telemetry=run_dir,
+                policy=policy,
+            )
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "aborted"
+        assert manifest["failures"]["quarantined"] == 2
+        assert manifest["executed"] == 0
+        assert len(read_quarantine(run_dir)) == 2
+
 
 # -- crashes and hangs (process pool required) -------------------------
 
@@ -221,10 +251,14 @@ class TestCrashRecovery:
             tasks, crasher_metric, workers=2, chunk_size=3, policy=policy
         )
         assert len(report.outcomes) == len(tasks) - 1
-        assert report.pool_rebuilds >= 1
+        # Each death is pinned to idx 1 at once: one retry, two
+        # replacement children, and nothing else charged.
+        assert report.pool_rebuilds == 2
+        assert report.retries == 1
         assert len(report.quarantined) == 1
         record = report.quarantined[0]
         assert record.category == "crash"
+        assert record.attempts == 2
         assert "worker process died" in record.detail
         # Every innocent sibling of the crashing chunk still completed.
         assert {o.spec.params["idx"] for o in report.outcomes} == {
@@ -245,6 +279,74 @@ class TestCrashRecovery:
         assert report.quarantined[0].category == "timeout"
         assert {o.spec.params["idx"] for o in report.outcomes} == {0, 2, 3}
 
+    def test_hang_inside_a_chunk_is_pinned_exactly(self, tmp_path):
+        tasks = _grid(tmp_path, n=4)
+        policy = FaultPolicy(timeout=1.0, backoff_base=0.001)
+        started = time.perf_counter()
+        report = run_tasks(
+            tasks, hang_metric, workers=2, chunk_size=2, policy=policy
+        )
+        wall = time.perf_counter() - started
+        assert report.timeouts == 1
+        assert report.pool_rebuilds == 1
+        assert [(q.spec["case"]["idx"], q.category)
+                for q in report.quarantined] == [(1, "timeout")]
+        assert {o.spec.params["idx"] for o in report.outcomes} == {0, 2, 3}
+        assert wall < 3.0
+
+    def test_backoff_sleep_is_not_charged_to_the_deadline(self, tmp_path):
+        # Every task fails its first attempt, then sleeps a backoff three
+        # times the timeout before it retries; the retry is fast.
+        tasks = _grid(tmp_path, n=3)
+        policy = FaultPolicy(
+            timeout=0.5, backoff_base=1.5, jitter=0.0, seed=3
+        )
+        report = run_tasks(tasks, flaky_metric, workers=2, policy=policy)
+        assert report.timeouts == 0
+        assert not report.quarantined
+        assert report.retries == len(tasks)
+        assert len(report.outcomes) == len(tasks)
+
+    def test_children_dying_before_claiming_degrade_to_inline(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runner.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "_pool_child", dead_on_arrival)
+        tasks = _grid(tmp_path)
+        report = run_tasks(tasks, steady_metric, workers=2)
+        assert report.fallback_inline
+        assert report.pool_rebuilds == 0
+        clean = run_tasks(tasks, steady_metric)
+        assert [o.metrics for o in report.outcomes] == [
+            o.metrics for o in clean.outcomes
+        ]
+
+    def test_aborted_pool_run_leaves_no_child(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        tasks = _grid(tmp_path, n=6)
+        policy = FaultPolicy(
+            backoff_base=0.001, max_retries=0, quarantine=False
+        )
+        with pytest.raises(TaskExecutionError, match=r"idx=1"):
+            run_tasks(
+                tasks, hang_or_poison_metric, workers=2, chunk_size=1,
+                policy=policy,
+            )
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_interrupted_pool_run_leaves_no_child(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        tasks = _grid(tmp_path, n=4)
+        ctrl_c = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT))
+        ctrl_c.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_tasks(tasks, hang_metric, workers=2, chunk_size=1)
+        finally:
+            ctrl_c.cancel()
+        assert set(multiprocessing.active_children()) - before == set()
+
     def test_timed_out_worker_does_not_outlive_run_tasks(self, tmp_path):
         # Quarantining the hung task is not enough: the watchdog must
         # terminate the worker running it, or the worker keeps a core
@@ -263,13 +365,10 @@ class TestCrashRecovery:
     ):
         import repro.runner.executor as executor_module
 
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes for you")
+        def exploding_spawn(*args, **kwargs):
+            raise OSError("no processes for you")
 
-        monkeypatch.setattr(
-            executor_module, "ProcessPoolExecutor", ExplodingPool
-        )
+        monkeypatch.setattr(executor_module, "_spawn_child", exploding_spawn)
         tasks = _grid(tmp_path)
         report = run_tasks(tasks, steady_metric, workers=2)
         assert report.fallback_inline
