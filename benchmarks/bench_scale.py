@@ -228,7 +228,7 @@ def test_masked_scaling_sweep():
         unmasked_rate = SWEEP_REPLICATIONS * SWEEP_WINDOW / unmasked_seconds
 
         masked_rates = {}
-        occupancy = None
+        occupancy = live = None
         for backend in backends:
             masked = BatchCollection(
                 graph, tree, sources, seeds,
@@ -249,6 +249,7 @@ def test_masked_scaling_sweep():
             )
             if backend == "numpy":
                 occupancy = masked.awake_occupancy
+                live = masked.live_occupancy
         best_rate = max(masked_rates.values())
         speedup = best_rate / unmasked_rate
         points.append({
@@ -261,6 +262,7 @@ def test_masked_scaling_sweep():
             "replications": SWEEP_REPLICATIONS,
             "window_slots": SWEEP_WINDOW,
             "awake_occupancy": round(float(occupancy), 8),
+            "live_occupancy": round(float(live), 8),
             "unmasked_slots_per_sec": round(unmasked_rate, 3),
             "masked_slots_per_sec": {
                 name: round(rate, 3) for name, rate in masked_rates.items()
@@ -270,7 +272,8 @@ def test_masked_scaling_sweep():
         print(
             f"\nSCALE100K n={n}: unmasked {unmasked_rate:.1f} "
             f"rep·slots/s, masked {best_rate:.1f} rep·slots/s "
-            f"({speedup:.1f}x, occupancy {occupancy:.2e})"
+            f"({speedup:.1f}x, occupancy {occupancy:.2e}, "
+            f"live {live:.2e})"
         )
 
     largest = max(points, key=lambda p: p["n"])
@@ -283,6 +286,7 @@ def test_masked_scaling_sweep():
         "n": largest["n"],
         "speedup": largest["speedup"],
         "awake_occupancy": largest["awake_occupancy"],
+        "live_occupancy": largest["live_occupancy"],
         "min_speedup": MIN_MASKED_SPEEDUP,
     }
     out = bench_results_dir() / "BENCH_SCALE100K.json"

@@ -23,26 +23,40 @@ replications of that protocol *simultaneously*:
 
 Active-set mask (``mask="on"``): the full-width loop touches all B·n
 entries every slot even when almost every station is asleep.  The masked
-loop instead derives, at each class's first opportunity of a phase, the
-provably-awake (replication, station) pairs — exactly the stations the
-scalar engine's idle min-heap would wake via
+loop instead lists, once per phase, the provably-awake (replication,
+station) pairs of each level class — exactly the stations the scalar
+engine's idle min-heap would wake via
 ``SlotStructure.next_data_slot_for`` / ``TransportLane.next_active_slot``:
-those with an eligible buffer head in the slot's level class — and
-restricts the Decay coin draws, the reception scatter and the backlog
-updates to that compact pair list.  Per-slot work then scales with the
-awake population, not B·n, and a slot in which nobody is awake costs
-O(B).
+those with an eligible buffer head (§4.1 fixes eligibility at the phase
+boundary, and a class's entries change only through its own acks, which
+come after its first data slot).  At each class's ack slot the list is
+compacted to the pairs whose Decay session is still alive, so the Decay
+kernel, the coin gather, the reception scatter and the backlog updates
+see live pairs only.  Decay sessions are short (geometric, and most end
+at their first transmission, acked or killed by the coin), so most of a
+phase is silent: once no class has a live pair, :meth:`BatchCollection.
+run_until_done` sleeps to the next phase boundary in one jump, with the
+coin streams, ``mask_stats`` and profiler counters advanced exactly as
+stepping would have.  Per-slot work then scales with the live
+population, not B·n, and a silent tail costs O(B) per phase.  (There is
+no sleep while tracing, and :meth:`~BatchCollection.step` always
+advances exactly one slot.)
 
 Randomness: replication ``b`` draws its Decay coins from the NumPy
 stream ``np_rng(seeds[b], "vector", "decay")``.  The *full* loop
 consumes exactly one ``(n,)`` coin row per data slot; the *masked* loop
-consumes exactly one draw per awake pair of that replication.  In both
+consumes exactly one draw per *listed* pair of that replication per data
+slot of its class: a pair whose session has died still owns its coin,
+which is skipped over, not drawn for someone else.  The masked loop
+reads these coins through a per-replication cursor over a ``(B, n)``
+float32 buffer refilled from each stream, so dropping dead pairs and
+sleeping through silent tails leave every draw where it was.  In both
 modes the stream position is a pure function of the replication's own
 trajectory — never of batch size or batch position — which is what lets
 the runner cache vector results per task and split one cell's
 replications into per-worker sub-batches that stay bit-identical to the
-unsharded batch.  The two mask modes are therefore *distributionally*
-(not coin-flip) equivalent, and ``mask`` joins the task cache identity
+unsharded batch.  The two mask modes are *distributionally* (not
+coin-flip) equivalent, and ``mask`` joins the task cache identity
 exactly like ``engine``.
 
 Validity: lockstep batching assumes the paper's failure-free model on a
@@ -76,12 +90,80 @@ from repro.vector.engine import (
 #: the resident coin block to ``COIN_BLOCK × B × n`` float32.
 COIN_BLOCK = 256
 
+#: Minimum coins buffered per replication by the masked loop's cursor;
+#: the buffer is ``max(PAIR_COIN_BLOCK, n)`` wide, so one data slot's
+#: listed pairs (at most n) always fit after a refill.
+PAIR_COIN_BLOCK = 4096
+
 DecayFactory = Callable[[int, tuple], BatchDecay]
 
 _EMPTY_PAIRS = (
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.int64),
 )
+
+
+@dataclass
+class _ClassPairs:
+    """One level class's awake pairs for the current phase.
+
+    ``counts`` (listed pairs per replication) is fixed at the phase
+    start and decides coin consumption; ``rows``/``cols``/``offsets``
+    hold only the pairs whose session is still alive, b-major, with each
+    pair's offset within its replication's listed run.
+    """
+
+    counts: np.ndarray
+    listed: int
+    rows: np.ndarray
+    cols: np.ndarray
+    offsets: np.ndarray
+
+
+class _CoinCursor:
+    """Per-replication coin streams read through a cursor.
+
+    Row ``b`` of :attr:`buffer` holds the next coins of replication
+    ``b``'s stream from :attr:`cursor` on.  A data slot reads the coins
+    of its live pairs at ``cursor + offset`` and then advances the cursor
+    by the slot's *listed* count, so stream positions match drawing one
+    coin per listed pair.  Consecutive float32 fills of one generator
+    concatenate to the same stream, so refills never move a coin.
+    """
+
+    def __init__(self, gens: Sequence[np.random.Generator], n: int):
+        width = max(PAIR_COIN_BLOCK, n)
+        self.gens = gens
+        self.buffer = np.empty((len(gens), width), dtype=np.float32)
+        self.cursor = np.full(len(gens), width, dtype=np.int64)
+
+    def take(self, pairs: _ClassPairs) -> np.ndarray:
+        """Coins of the live pairs; consumes every listed pair's coin."""
+        width = self.buffer.shape[1]
+        for b in np.flatnonzero(self.cursor + pairs.counts > width):
+            # Slide the unread tail to the front, fill in behind it.
+            start = int(self.cursor[b])
+            tail = width - start
+            row = self.buffer[b]
+            row[:tail] = row[start:].copy()
+            self.gens[b].random(out=row[tail:], dtype=np.float32)
+            self.cursor[b] = 0
+        coins = self.buffer[
+            pairs.rows, self.cursor[pairs.rows] + pairs.offsets
+        ]
+        self.cursor += pairs.counts
+        return coins
+
+    def skip(self, amounts: np.ndarray) -> None:
+        """Advance each cursor by ``amounts`` coins, drawing past the end."""
+        width = self.buffer.shape[1]
+        self.cursor += amounts
+        for b in np.flatnonzero(self.cursor > width):
+            position = int(self.cursor[b])
+            while position > width:
+                self.gens[b].random(out=self.buffer[b], dtype=np.float32)
+                position -= width
+            self.cursor[b] = position
 
 
 class BatchCollection:
@@ -192,12 +274,13 @@ class BatchCollection:
         root = self.radio.root_index
         for node_idx, gids in per_node.items():
             if node_idx == root:
-                # §4: submission at the root delivers immediately.
+                # §4: submission at the root delivers immediately, one
+                # (replication, gid) entry per replication.
                 self.delivered_count += len(gids)
                 self._delivered_log.append((
                     0,
-                    np.arange(B, dtype=np.int64),
-                    np.array(gids, dtype=np.int32),
+                    np.repeat(np.arange(B, dtype=np.int64), len(gids)),
+                    np.tile(np.array(gids, dtype=np.int32), B),
                 ))
                 continue
             self.ring[:, node_idx, : len(gids)] = np.array(
@@ -224,31 +307,46 @@ class BatchCollection:
         self._schedule = [
             self.slots.decode(s) for s in range(self.slots.phase_length)
         ]
+        # _data_before[c, w]: class-c data slots among the first w slots
+        # of a phase (what a sleep from w0 to w1 skips over).
+        self._data_before = np.zeros(
+            (classes, self.slots.phase_length + 1), dtype=np.int64
+        )
+        for w, info in enumerate(self._schedule):
+            self._data_before[:, w + 1] = self._data_before[:, w]
+            if info.kind is SlotKind.DATA:
+                self._data_before[info.level_class, w + 1] += 1
 
-        # Per-replication coin streams (block-generated, row per data slot).
+        # Per-replication coin streams: row blocks for the full-width
+        # loop, a pair cursor for the masked loop.
         self._coin_gens = np_rngs(self.seeds, "vector", "decay")
         self._coin_block: Optional[np.ndarray] = None
         self._coin_pos = 0
+        self._coin_cursor = (
+            _CoinCursor(self._coin_gens, n) if self.masked else None
+        )
 
-        # Active-set state: compact awake pair lists per level class,
-        # rebuilt at each class's first opportunity of a phase; flat
+        # Active-set state: per level class, the pairs listed at the
+        # phase start, compacted to live sessions at each ack slot; flat
         # persistent scatter buffers touched (and re-zeroed) only at the
         # receiver entries adjacent to a transmitter; an incrementally
         # maintained per-replication backlog total so the done check
         # never re-sums the (B, n) plane.
-        self._active: List[Tuple[np.ndarray, np.ndarray]] = [
-            _EMPTY_PAIRS for _ in range(classes)
-        ]
+        self._pairs: List[_ClassPairs] = []
         self._hits_flat = np.zeros(B * n, dtype=np.int32)
         self._senders_flat = np.zeros(B * n, dtype=np.int64)
         self._txflag_flat = np.zeros(B * n, dtype=bool)
         self._backlog_total = self.backlog.sum(axis=1, dtype=np.int64)
         self._expect_pairs: Tuple[np.ndarray, np.ndarray] = _EMPTY_PAIRS
         self._pending_parents: Tuple[np.ndarray, np.ndarray] = _EMPTY_PAIRS
-        #: Awake-set occupancy counters (masked mode): cumulative awake
-        #: pairs over data slots — ``active_pairs / (data_slots · B · n)``
-        #: is the mean awake fraction the benchmarks report.
-        self.mask_stats = {"active_pairs": 0, "data_slots": 0}
+        #: Occupancy counters (masked mode), cumulative over data slots:
+        #: ``active_pairs`` counts listed (awake) pairs, ``live_pairs``
+        #: the ones whose Decay session was still running — divided by
+        #: ``data_slots · B · n`` they are the mean awake and live
+        #: fractions the benchmarks report.
+        self.mask_stats = {
+            "active_pairs": 0, "live_pairs": 0, "data_slots": 0,
+        }
 
         self.slot = 0
         self.done = np.zeros(B, dtype=bool)
@@ -271,14 +369,23 @@ class BatchCollection:
     def phase_length(self) -> int:
         return self.slots.phase_length
 
-    @property
-    def awake_occupancy(self) -> float:
-        """Mean awake fraction over all data slots so far (masked mode)."""
+    def _occupancy(self, key: str) -> float:
         B, n = self.shape
         slots = self.mask_stats["data_slots"]
         if not slots:
             return float("nan")
-        return self.mask_stats["active_pairs"] / (slots * B * n)
+        return self.mask_stats[key] / (slots * B * n)
+
+    @property
+    def awake_occupancy(self) -> float:
+        """Mean awake fraction over all data slots so far (masked mode)."""
+        return self._occupancy("active_pairs")
+
+    @property
+    def live_occupancy(self) -> float:
+        """Mean fraction of pairs with a live Decay session per data slot
+        (masked mode) — the pairs the masked loop actually steps."""
+        return self._occupancy("live_pairs")
 
     def backlog_at(self, nodes: Sequence[NodeId]) -> np.ndarray:
         """Summed backlog over ``nodes`` per replication, shape ``(B,)``."""
@@ -287,29 +394,17 @@ class BatchCollection:
 
     def delivered_ids(self) -> List[List[int]]:
         """Per replication: global message ids in root-arrival order."""
-        out: List[List[int]] = [[] for _ in self.seeds]
-        for _slot, b_idx, msgs in self._delivered_log:
-            if msgs.ndim == 0 or b_idx.size != msgs.size:
-                # Initial root submissions: same ids for every replication.
-                for b in b_idx:
-                    out[int(b)].extend(int(m) for m in np.atleast_1d(msgs))
-                continue
-            for b, m in zip(b_idx, msgs):
-                out[int(b)].append(int(m))
-        return out
+        return [
+            [gid for _slot, gid in arrivals]
+            for arrivals in self.delivered_slots()
+        ]
 
     def delivered_slots(self) -> List[List[Tuple[int, int]]]:
         """Per replication: ``(slot, gid)`` pairs in root-arrival order."""
         out: List[List[Tuple[int, int]]] = [[] for _ in self.seeds]
         for slot, b_idx, msgs in self._delivered_log:
-            if msgs.ndim == 0 or b_idx.size != msgs.size:
-                for b in b_idx:
-                    out[int(b)].extend(
-                        (int(slot), int(m)) for m in np.atleast_1d(msgs)
-                    )
-                continue
-            for b, m in zip(b_idx, msgs):
-                out[int(b)].append((int(slot), int(m)))
+            for b, m in zip(b_idx.tolist(), msgs.tolist()):
+                out[b].append((slot, m))
         return out
 
     def buffered_ids(self, replication: int) -> List[int]:
@@ -350,32 +445,42 @@ class BatchCollection:
         self._coin_pos += 1
         return row
 
-    def _pair_coins(self, rows: np.ndarray) -> np.ndarray:
-        """One uniform draw per awake pair, per-replication streams.
-
-        ``rows`` is b-major (``np.nonzero`` row order), so each
-        replication's draws form one contiguous run; replication ``b``
-        consumes exactly ``count_b`` values — a pure function of its own
-        trajectory, independent of which other replications share the
-        batch (the sharding bit-identity contract).
-        """
-        counts = np.bincount(rows, minlength=len(self.seeds))
-        out = np.empty(rows.size, dtype=np.float32)
-        pos = 0
-        for b in np.nonzero(counts)[0]:
-            count = int(counts[b])
-            out[pos:pos + count] = self._coin_gens[b].random(
-                count, dtype=np.float32
-            )
-            pos += count
-        return out
-
     def _begin_phase(self) -> None:
         # §4.1: a message may start a Decay invocation only in a phase it
         # was already buffered at the start of.  At a phase boundary every
         # buffered message qualifies.
         np.copyto(self.eligible, self.backlog)
         self.decay.reset()
+        if self.masked:
+            self._list_pairs()
+
+    def _list_pairs(self) -> None:
+        """List each class's awake pairs for the phase just begun.
+
+        These are the stations the scalar min-heap would wake at the
+        class's data slots: an eligible buffer head, not the root.  A
+        class's entries of ``eligible`` change only through its own acks,
+        after its first data slot, so one listing serves the whole phase.
+        The order is b-major (row-major over ``(B, n)``), so each
+        replication's pairs form one run and its coins one contiguous
+        block of its stream.
+        """
+        B, n = self.shape
+        flat = np.flatnonzero(self.eligible.reshape(-1) > 0)
+        rows, cols = np.divmod(flat, n)
+        self._pairs = []
+        for mask in self._class_mask:
+            mine = mask[cols]
+            r, v = rows[mine], cols[mine]
+            counts = np.bincount(r, minlength=B)
+            run_start = np.cumsum(counts) - counts
+            self._pairs.append(_ClassPairs(
+                counts=counts,
+                listed=int(r.size),
+                rows=r,
+                cols=v,
+                offsets=np.arange(r.size, dtype=np.int64) - run_start[r],
+            ))
 
     def step(self) -> None:
         """Advance all replications by one slot."""
@@ -531,31 +636,33 @@ class BatchCollection:
         profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
         radio = self.radio
-        n = radio.n
+        B, n = self.shape
+        pairs = self._pairs[level_class]
+        rows, cols = pairs.rows, pairs.cols
         started_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         if decay_step == 0:
-            # Rebuild this class's awake set: the stations the scalar
-            # min-heap would wake at this data slot — eligible buffer
-            # head, level class owns the slot.
-            mask = self._class_mask[level_class]
-            rows, cols = np.nonzero((self.eligible > 0) & mask[None, :])
-            self._active[level_class] = (rows, cols)
+            # The class's first opportunity of the phase: every listed
+            # pair starts a Decay session (nothing has died yet).
             self.decay.start_pairs(rows, cols)
             started_pairs = (rows, cols)
-        rows, cols = self._active[level_class]
-        self.mask_stats["active_pairs"] += int(rows.size)
+        self.mask_stats["active_pairs"] += pairs.listed
+        self.mask_stats["live_pairs"] += int(rows.size)
         self.mask_stats["data_slots"] += 1
         tb = tv = db = dv = _EMPTY_PAIRS[0]
-        if rows.size:
-            coins = self._pair_coins(rows)
-            tx_pair = self.decay.transmit_pairs(
-                rows, cols, coins, kernel=radio.backend.decay_pairs
-            )
-            tb, tv = rows[tx_pair], cols[tx_pair]
+        if pairs.listed:
+            # Dead pairs own their coins too: the cursor advances by the
+            # listed count even when no listed session is alive.
+            coins = self._coin_cursor.take(pairs)
+            if rows.size:
+                tx_pair = self.decay.transmit_pairs(
+                    rows, cols, coins, kernel=radio.backend.decay_pairs
+                )
+                tb, tv = rows[tx_pair], cols[tx_pair]
         if profiler is not None:
             t1 = profiler.clock()
             profiler.add("vector/decay", t1 - t0)
-            profiler.bump("vector_awake_pairs", int(rows.size))
+            profiler.bump("vector_awake_pairs", pairs.listed)
+            profiler.bump("vector_live_pairs", int(rows.size))
         else:
             t1 = 0.0
         if tb.size:
@@ -600,7 +707,7 @@ class BatchCollection:
                     ) % self.capacity
                     self.ring[fb, fp, pos] = msgs[~at_root]
                     self.backlog[fb, fp] += 1
-                    np.add.at(self._backlog_total, fb, 1)
+                    self._backlog_total += np.bincount(fb, minlength=B)
                 self._pending_parents = (db, dp)
             else:
                 self._pending_parents = _EMPTY_PAIRS
@@ -632,7 +739,7 @@ class BatchCollection:
         profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
         radio = self.radio
-        n = radio.n
+        B, n = self.shape
         eb, ev = self._expect_pairs
         pb, pp = self._pending_parents
         self._expect_pairs = _EMPTY_PAIRS
@@ -669,13 +776,23 @@ class BatchCollection:
             self.backlog[eb, ev] -= 1
             self.eligible[eb, ev] -= 1
             self.decay.kill(eb, ev)
-            np.add.at(self._backlog_total, eb, -1)
+            self._backlog_total -= np.bincount(eb, minlength=B)
             # Every pending ack fires exactly at its due slot.
             self.pending_child[pb, pp] = -1
             self.pending_msg[pb, pp] = -1
             self._hits_flat[touched] = 0
             self._senders_flat[touched] = 0
             self._txflag_flat[pair_flat] = False
+        # Compaction: the class's data slot and this ack are the only
+        # places its sessions die, so from here on its list holds live
+        # pairs only.
+        pairs = self._pairs[level_class]
+        if pairs.rows.size:
+            live = self.decay.alive[pairs.rows, pairs.cols]
+            if not live.all():
+                pairs.rows = pairs.rows[live]
+                pairs.cols = pairs.cols[live]
+                pairs.offsets = pairs.offsets[live]
         if profiler is not None:
             profiler.add("vector/collection", profiler.clock() - t0)
         if self.trace is not None:
@@ -685,6 +802,29 @@ class BatchCollection:
                 self.slot, "ack", level_class, decay_step,
                 ack_dense, None, None,
             ))
+
+    def _sleep(self, until: int) -> None:
+        """Jump over the silent slots of this phase up to ``until``.
+
+        Only valid after an ack slot that left no class a live pair:
+        until the phase boundary no station transmits, so nothing moves
+        but the clock, the coin streams (each skipped data slot still
+        consumes one coin per listed pair) and the occupancy counters —
+        all advanced here exactly as stepping would have.
+        """
+        start = self.slot % self.slots.phase_length
+        end = start + (until - self.slot)
+        skipped = self._data_before[:, end] - self._data_before[:, start]
+        self._coin_cursor.skip(
+            skipped @ np.stack([pairs.counts for pairs in self._pairs])
+        )
+        listed = int(skipped @ [pairs.listed for pairs in self._pairs])
+        self.mask_stats["active_pairs"] += listed
+        self.mask_stats["data_slots"] += int(skipped.sum())
+        if self.profiler is not None:
+            self.profiler.bump("vector_slots", until - self.slot)
+            self.profiler.bump("vector_awake_pairs", listed)
+        self.slot = int(until)
 
     # ------------------------------------------------------------------
 
@@ -721,8 +861,20 @@ class BatchCollection:
                 self.radio.graph.max_degree(),
             )
             max_slots = max(10_000, int(20 * bound))
+        # A trace records every slot, so a traced run never sleeps.
+        sleeps = self.masked and self.trace is None
+        phase_length = self.slots.phase_length
         while not self.done.all() and self.slot < max_slots:
             self.step()
+            within = self.slot % phase_length
+            if (
+                sleeps
+                and within
+                and self._schedule[within - 1].kind is SlotKind.ACK
+                and not any(pairs.rows.size for pairs in self._pairs)
+                and not self.done.all()
+            ):
+                self._sleep(min(self.slot - within + phase_length, max_slots))
         if not self.done.all():
             stragglers = int((~self.done).sum())
             raise SimulationTimeout(

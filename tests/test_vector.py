@@ -10,17 +10,25 @@ checks and the KS test.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
+import math
+import random
+
 import numpy as np
 import pytest
 
 from repro.analysis.stats import ks_2sample
 from repro.core import run_collection
+from repro.core.slots import SlotKind
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs import (
     Graph,
     grid,
     layered_band,
     path,
+    random_geometric,
     reference_bfs_tree,
     star,
 )
@@ -39,6 +47,59 @@ from repro.vector.check import (
     e3_cell,
     run_equivalence,
 )
+
+
+#: Replication seeds of the golden masked cell.
+GOLDEN_SEEDS = [11, 12, 13, 14]
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_cell():
+    """A masked-size field: n = 1200 unit-disk stations (mean degree
+    about 12) and 63 messages on the 40 deepest stations, none at the
+    root."""
+    n = 1200
+    graph = random_geometric(
+        n, math.sqrt(12.0 / (math.pi * n)), random.Random(20261017)
+    )
+    tree = reference_bfs_tree(graph, 0)
+    deepest = sorted(tree.nodes, key=lambda v: (-tree.level[v], v))[:40]
+    sources = {v: [f"m{v}-{i}" for i in range(1 + v % 2)] for v in deepest}
+    return graph, tree, sources
+
+
+def _trajectory_digest(sim) -> str:
+    blob = json.dumps({
+        "completion": [int(x) for x in sim.completion_slots],
+        "delivered": sim.delivered_slots(),
+        "mask": {
+            key: sim.mask_stats[key] for key in ("active_pairs", "data_slots")
+        },
+        "slot": sim.slot,
+    }, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _snapshot(sim) -> dict:
+    """Everything a masked run reports, for run-to-run comparison."""
+    return {
+        "completion": sim.completion_slots.tolist(),
+        "delivered": sim.delivered_slots(),
+        "delivered_count": sim.delivered_count.tolist(),
+        "mask_stats": dict(sim.mask_stats),
+        "slot": sim.slot,
+    }
+
+
+class _CountingGen:
+    """A coin generator that tallies the coins drawn from it."""
+
+    def __init__(self, gen, tally, index):
+        self.gen, self.tally, self.index = gen, tally, index
+
+    def random(self, out, dtype):
+        self.tally[self.index] += out.size
+        return self.gen.random(out=out, dtype=dtype)
 
 
 class TestEngineSelection:
@@ -191,6 +252,22 @@ class TestBatchCollection:
             graph, tree, {0: ["at-root"]}, seeds=[5]
         )
         assert list(result.completion_slots) == [0]
+
+    def test_root_sources_logged_per_replication(self):
+        # As many root messages as replications: every replication must
+        # still report every root id at slot 0, not one id each.
+        graph = path(4)
+        tree = reference_bfs_tree(graph, 0)
+        result = run_collection_batch(
+            graph, tree, {0: ["a", "b"], 3: ["c"]}, seeds=[1, 2],
+            trace=True,
+        )
+        sim = result.simulation
+        assert list(sim.delivered_count) == [3, 3]
+        assert sim.delivered_ids() == [[0, 1, 2], [0, 1, 2]]
+        for arrivals in sim.delivered_slots():
+            assert arrivals[:2] == [(0, 0), (0, 1)]
+        assert check_invariants(result) == []
 
     def test_empty_workload_completes_at_slot_zero(self):
         graph = path(4)
@@ -623,3 +700,155 @@ class TestActiveSetMask:
             masks=("on",),
         )
         assert not report.passed
+
+    # The masked loop steps live Decay sessions only and sleeps through
+    # silent phase tails; the tests below pin that it still computes
+    # exactly the trajectory of stepping every listed pair on every slot.
+
+    def test_golden_masked_trajectory(self):
+        # Recorded before the live-only loop and the sleep existed, from
+        # the loop that drew a coin for, and stepped, every listed pair.
+        graph, tree, sources = _golden_cell()
+        sim = run_collection_batch(
+            graph, tree, sources, GOLDEN_SEEDS, mask="on"
+        ).simulation
+        assert _trajectory_digest(sim) == (
+            "93b405890cec1b7e77418d0b1bf39ea96a2b1873aa931b9a6015a34fadf95261"
+        )
+
+    def test_sleep_matches_stepping(self):
+        from repro.profiling import profiled
+        from repro.vector.collection import BatchCollection
+
+        graph, tree, sources = _golden_cell()
+        runs = {}
+        for mode in ("sleep", "step", "trace"):
+            with profiled() as profile:
+                sim = BatchCollection(
+                    graph, tree, sources, GOLDEN_SEEDS, mask="on",
+                    trace=mode == "trace",
+                )
+                if mode == "step":
+                    while not sim.done.all():
+                        sim.step()
+                else:
+                    sim.run_until_done()
+            runs[mode] = (sim, profile)
+        sleeper, sleep_profile = runs["sleep"]
+        for mode in ("step", "trace"):
+            sim, profile = runs[mode]
+            assert _snapshot(sim) == _snapshot(sleeper), mode
+            for counter in (
+                "vector_slots", "vector_awake_pairs", "vector_live_pairs",
+            ):
+                assert (
+                    profile.counters[counter]
+                    == sleep_profile.counters[counter]
+                ), (mode, counter)
+            # Every data slot stepped runs the Decay section once.
+            assert (
+                profile.samples["vector/decay"]
+                == sim.mask_stats["data_slots"]
+            )
+        # ...and the untraced run really did sleep through most of them.
+        assert (
+            sleep_profile.samples["vector/decay"]
+            < sleeper.mask_stats["data_slots"] // 2
+        )
+        assert 0 < sleeper.live_occupancy < sleeper.awake_occupancy
+
+    @pytest.mark.parametrize("cell", ["golden", "e3"])
+    def test_coin_refill_block_of_one(self, cell, monkeypatch):
+        # A one-coin block makes the cursor buffer exactly n wide, so
+        # refills (and sleeps that skip past the buffer end) happen all
+        # the time; the coin streams, and so the results, must not move.
+        from repro.vector import collection
+
+        if cell == "golden":
+            graph, tree, sources = _golden_cell()
+        else:
+            spec = e3_cell()
+            graph, tree, sources = spec.graph, spec.tree, spec.sources
+        seeds = [71, 72, 73]
+
+        def run():
+            return run_collection_batch(
+                graph, tree, sources, seeds, mask="on"
+            ).simulation
+
+        default = _snapshot(run())
+        monkeypatch.setattr(collection, "PAIR_COIN_BLOCK", 1)
+        assert _snapshot(run()) == default
+
+    def test_timeout_inside_silent_tail(self):
+        from repro.profiling import profiled
+        from repro.vector.collection import BatchCollection
+
+        # One message at the end of a path: phase 0's only session is
+        # acked at slot 5 (class 2, step 0), so slots 6..23 are silent.
+        graph = path(6)
+        tree = reference_bfs_tree(graph, 0)
+        sources = {5: ["m0"]}
+        with profiled() as profile:
+            sleeper = BatchCollection(
+                graph, tree, sources, [1, 2], budget=4, mask="on"
+            )
+            assert sleeper.phase_length == 24
+            with pytest.raises(SimulationTimeout) as excinfo:
+                sleeper.run_until_done(max_slots=15)
+        assert excinfo.value.slots_elapsed == 15
+        assert sleeper.slot == 15
+        assert profile.samples["vector/decay"] == 3  # slots 0, 2 and 4
+        stepper = BatchCollection(
+            graph, tree, sources, [1, 2], budget=4, mask="on"
+        )
+        for _ in range(15):
+            stepper.step()
+        assert _snapshot(sleeper) == _snapshot(stepper)
+        assert profile.counters["vector_slots"] == 15
+
+    def test_dead_class_still_owns_its_coins(self, monkeypatch):
+        # The pitfall of dropping dead pairs: a class whose listed pairs
+        # have all died must still consume one coin per listed pair at
+        # each of its data slots, or every later coin of its replication
+        # shifts.  Count each replication's consumed coins against the
+        # listed pairs of every data slot, on a cell where such classes
+        # occur while other classes stay live.
+        from repro.vector import collection
+
+        drawn = [0] * len(GOLDEN_SEEDS)
+
+        class CountingCursor(collection._CoinCursor):
+            def __init__(self, gens, n):
+                super().__init__(
+                    [_CountingGen(g, drawn, b) for b, g in enumerate(gens)],
+                    n,
+                )
+
+        monkeypatch.setattr(collection, "_CoinCursor", CountingCursor)
+        graph, tree, sources = _golden_cell()
+        sim = collection.BatchCollection(
+            graph, tree, sources, GOLDEN_SEEDS, mask="on"
+        )
+        listed = np.zeros(len(GOLDEN_SEEDS), dtype=np.int64)
+        dead_class_slots = 0
+        while not sim.done.all():
+            if sim.slot % sim.phase_length == 0:
+                sim.step()  # lists the phase's pairs, then steps slot 0
+                listed += sim._pairs[0].counts
+                continue
+            info = sim.slots.decode(sim.slot)
+            if info.kind is SlotKind.DATA:
+                pairs = sim._pairs[info.level_class]
+                listed += pairs.counts
+                others_live = any(
+                    p.rows.size for p in sim._pairs if p is not pairs
+                )
+                if pairs.listed and not pairs.rows.size and others_live:
+                    dead_class_slots += 1
+            sim.step()
+        assert dead_class_slots > 0
+        cursor = sim._coin_cursor
+        unread = cursor.buffer.shape[1] - cursor.cursor
+        assert list(np.array(drawn) - unread) == list(listed)
+        assert int(listed.sum()) == sim.mask_stats["active_pairs"]
