@@ -36,13 +36,11 @@ Commands
     Run a registered experiment grid through the parallel runner:
     sharded execution, content-addressed result cache, JSONL telemetry.
     ``--engine vector`` batches every seed of a grid cell into one NumPy
-    lockstep call; ``--reception dense|sparse|auto`` picks its reception
-    kernel, ``--backend numpy|numba|auto`` its array-kernel backend
-    (numba falls back to numpy when unavailable) and ``--mask
-    on|off|auto`` the active-set loop that restricts per-slot work to
-    the provably-awake stations.  ``--timeout S``, ``--retries N`` and
-    ``--no-quarantine``
-    set the fault policy (watchdog budget, retry count, whether a task
+    lockstep call, whose per-slot work is restricted to the
+    provably-awake stations; ``--backend numpy|numba|auto`` picks its
+    array-kernel backend (numba falls back to numpy when unavailable).
+    ``--timeout S``, ``--retries N`` and ``--no-quarantine`` set the
+    fault policy (watchdog budget, retry count, whether a task
     that keeps failing is recorded-and-skipped or fatal);
     ``--checkpoint FILE`` journals completed tasks so an interrupted
     sweep resumes where it stopped.  ``run --list`` shows the runnable
@@ -79,10 +77,10 @@ Commands
     Run an experiment inline under the slot-loop profiler and print a
     JSON breakdown of where the engines spend their time (per-phase
     seconds, slots stepped, processes polled vs. skipped).
-``vector-check [seed] [--backend NAME] [--mask on|off]``
+``vector-check [seed] [--backend NAME]``
     Run the vector-engine equivalence harness: exact invariants on
     traced batch runs plus the scalar-vs-vector KS test on E2/E3 cells,
-    across every backend x mask combination (restrictable by flag).
+    once per available kernel backend (restrictable by flag).
 ``experiments``
     List the experiment registry (id, claim, bench file).
 ``validate``
@@ -335,9 +333,7 @@ def _cmd_run(argv: list) -> int:
             checkpoint=args.checkpoint,
             progress=not args.no_progress,
             engine=args.engine,
-            reception=args.reception,
             backend=args.backend,
-            mask=args.mask,
             timeout=args.timeout,
             retries=args.retries,
             quarantine=not args.no_quarantine,
@@ -351,8 +347,7 @@ def _cmd_run(argv: list) -> int:
     print(
         f"{len(report.outcomes)} tasks: {report.executed} executed, "
         f"{report.cache_hits} from cache; engine={args.engine}; "
-        f"reception={args.reception}; backend={args.backend}; "
-        f"mask={args.mask}; "
+        f"backend={args.backend}; "
         f"workers={report.workers}; wall {report.wall_time:.2f}s"
     )
     failures = report.failure_summary()
@@ -730,9 +725,7 @@ def _cmd_profile(argv: list) -> int:
                 replications=args.replications,
                 workers=0,
                 engine=args.engine,
-                reception=args.reception,
                 backend=args.backend,
-                mask=args.mask,
                 quick=args.quick,
             )
     except ConfigurationError as exc:
@@ -741,9 +734,7 @@ def _cmd_profile(argv: list) -> int:
     breakdown = {
         "exp_id": args.exp_id,
         "engine": args.engine,
-        "reception": args.reception,
         "backend": args.backend,
-        "mask": args.mask,
         "seed": args.seed,
         "replications": args.replications,
         "tasks": len(report.outcomes),
@@ -901,7 +892,7 @@ def _retry_policy(retries):
 
 def _add_grid_args(parser) -> None:
     """The experiment-grid options of ``run``, ``profile`` and ``submit``."""
-    from repro.vector import BACKENDS, ENGINES, MASK_MODES, RECEPTION_MODES
+    from repro.vector import BACKENDS, ENGINES
 
     parser.add_argument(
         "--engine",
@@ -914,17 +905,6 @@ def _add_grid_args(parser) -> None:
         ),
     )
     parser.add_argument(
-        "--reception",
-        choices=RECEPTION_MODES,
-        default="auto",
-        help=(
-            "vector-engine reception kernel: 'dense' ((n,n) adjacency "
-            "product), 'sparse' (CSR scatter, O(edges) memory) or "
-            "'auto' (edge-density heuristic, the default); part of the "
-            "cached task identity"
-        ),
-    )
-    parser.add_argument(
         "--backend",
         choices=BACKENDS,
         default="auto",
@@ -934,19 +914,6 @@ def _add_grid_args(parser) -> None:
             "falls back to numpy when the wheel is unavailable — "
             "results are bit-identical) or 'auto' (numba when "
             "importable); part of the cached task identity"
-        ),
-    )
-    parser.add_argument(
-        "--mask",
-        choices=MASK_MODES,
-        default="auto",
-        help=(
-            "vector-engine active-set mask: 'on' restricts per-slot "
-            "work (coin draws, reception scatter, backlog updates) to "
-            "the provably-awake stations, 'off' runs the full-width "
-            "loop, 'auto' enables it at n >= 1024; the modes are "
-            "distributionally (not bitwise) equivalent, so this is "
-            "part of the cached task identity"
         ),
     )
     parser.add_argument(
@@ -986,9 +953,7 @@ def _submit_grid(args):
         seed=args.seed,
         replications=args.replications,
         engine=args.engine,
-        reception=args.reception,
         backend=args.backend,
-        mask=args.mask,
         **({"quick": True} if args.quick else {}),
     )
     return tasks, options
@@ -1396,30 +1361,18 @@ def _cmd_vector_check(argv: list) -> int:
     parser = argparse.ArgumentParser(
         prog="repro vector-check",
         description="scalar-vs-vector equivalence: exact invariants on "
-        "traced batch runs plus the KS test, across the backend x mask "
-        "matrix",
+        "traced batch runs plus the KS test, once per kernel backend",
     )
     parser.add_argument("seed", nargs="?", type=int, default=20260704)
     parser.add_argument(
         "--backend",
         action="append",
         choices=[b for b in BACKENDS if b != "auto"],
-        help="restrict the matrix to these kernel backends (repeatable; "
+        help="restrict the check to these kernel backends (repeatable; "
         "default: every available backend)",
     )
-    parser.add_argument(
-        "--mask",
-        action="append",
-        choices=["on", "off"],
-        help="restrict the matrix to these active-set mask modes "
-        "(repeatable; default: both)",
-    )
     args = parser.parse_args(argv)
-    report = run_equivalence(
-        seed=args.seed,
-        backends=args.backend,
-        masks=tuple(args.mask) if args.mask else ("off", "on"),
-    )
+    report = run_equivalence(seed=args.seed, backends=args.backend)
     print(report.summary())
     return 0 if report.passed else 1
 

@@ -155,11 +155,11 @@ REGISTRY: List[Experiment] = [
     ),
     Experiment(
         "E18",
-        "sparse CSR reception ≥ 5× dense at n = 10⁴ unit-disk, "
-        "bit-identical trajectories",
+        "lockstep loop scales to n = 10⁵ unit-disk stations with "
+        "awake occupancy < 5%",
         "(not a paper claim)",
         "bench_scale.py",
-        ("repro.vector.engine", "repro.graphs.generators"),
+        ("repro.vector.collection", "repro.graphs.generators"),
     ),
     Experiment(
         "E19",

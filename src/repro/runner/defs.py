@@ -163,9 +163,7 @@ def collection_metrics_batch(
     k: int,
     classes: int,
     seeds: List[int],
-    reception: str = "auto",
     backend: str = "auto",
-    mask: str = "auto",
 ) -> List[Dict[str, Any]]:
     """All seeds of one E3 cell in NumPy lockstep batches.
 
@@ -189,9 +187,7 @@ def collection_metrics_batch(
             sources,
             [seeds[position] for position in positions],
             level_classes=classes,
-            reception=reception,
             backend=backend,
-            mask=mask,
         )
         log_delta = math.log2(max(2, graph.max_degree()))
         denominator = (k + tree.depth) * log_delta
@@ -209,26 +205,21 @@ def _e3_run_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
     grouped: Dict[tuple, List[int]] = {}
     for index, spec in enumerate(specs):
         params = spec.params
-        # The engine knobs join the cell key: reception/backend are
-        # bit-identical but one batch call uses one kernel set, and the
-        # mask changes coin-stream semantics outright.
+        # The backend joins the cell key: backends are bit-identical,
+        # but one batch call uses one kernel set.
         cell = (
             params["topology"], params["k"], params["classes"],
-            spec.reception, spec.backend, spec.mask,
+            spec.backend,
         )
         grouped.setdefault(cell, []).append(index)
     results: List[Dict[str, Any]] = [{} for _ in specs]
-    for (topology, k, classes, reception, backend, mask), indices in (
-        grouped.items()
-    ):
+    for (topology, k, classes, backend), indices in grouped.items():
         cell_results = collection_metrics_batch(
             topology,
             k,
             classes,
             [specs[i].seed for i in indices],
-            reception=reception,
             backend=backend,
-            mask=mask,
         )
         for index, metrics in zip(indices, cell_results):
             results[index] = metrics
@@ -327,9 +318,7 @@ def advance_rate_metrics_batch(
     children: int,
     load: int,
     seeds: List[int],
-    reception: str = "auto",
     backend: str = "auto",
-    mask: str = "auto",
 ) -> List[Dict[str, Any]]:
     """All seeds of one E2 cell as a single lockstep batch.
 
@@ -347,8 +336,7 @@ def advance_rate_metrics_batch(
         child: [f"m{child}-{i}" for i in range(load)] for child in child_ids
     }
     simulation = BatchCollection(
-        graph, tree, sources, seeds,
-        reception=reception, backend=backend, mask=mask,
+        graph, tree, sources, seeds, backend=backend
     )
     B = len(seeds)
     successes = np.zeros(B, dtype=np.int64)
@@ -381,21 +369,17 @@ def _e2_run_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
         params = spec.params
         cell = (
             params["parents"], params["children"], params["load"],
-            spec.reception, spec.backend, spec.mask,
+            spec.backend,
         )
         grouped.setdefault(cell, []).append(index)
     results: List[Dict[str, Any]] = [{} for _ in specs]
-    for (parents, children, load, reception, backend, mask), indices in (
-        grouped.items()
-    ):
+    for (parents, children, load, backend), indices in grouped.items():
         cell_results = advance_rate_metrics_batch(
             parents,
             children,
             load,
             [specs[i].seed for i in indices],
-            reception=reception,
             backend=backend,
-            mask=mask,
         )
         for index, metrics in zip(indices, cell_results):
             results[index] = metrics

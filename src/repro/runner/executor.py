@@ -878,30 +878,22 @@ def experiment_grid(
     seed: int,
     replications: int,
     engine: str = "scalar",
-    reception: str = "auto",
     backend: str = "auto",
-    mask: str = "auto",
     **options: Any,
 ) -> Tuple[ExperimentDef, List[TaskSpec], Dict[str, Any]]:
     """A registered experiment's task grid for one engine setting.
 
-    Returns the definition, the grid (with the vector-engine knobs set
+    Returns the definition, the grid (with the vector-engine backend set
     on every task when ``engine`` is not ``"scalar"``) and the run
     options that describe it.  Shared by :func:`run_experiment` and the
     queue backends' ``submit``.
     """
     import dataclasses
 
-    from repro.vector.engine import (
-        validate_backend,
-        validate_mask,
-        validate_reception,
-    )
+    from repro.vector.engine import validate_backend
 
     validate_engine(engine)
-    validate_reception(reception)
     validate_backend(backend)
-    validate_mask(mask)
     defn = get_experiment(exp_id)
     tasks = defn.tasks(seed, replications, **options)
     if engine != "scalar":
@@ -911,22 +903,14 @@ def experiment_grid(
                 "implementation; run it with engine='scalar'"
             )
         tasks = [
-            dataclasses.replace(
-                spec,
-                engine=engine,
-                reception=reception,
-                backend=backend,
-                mask=mask,
-            )
+            dataclasses.replace(spec, engine=engine, backend=backend)
             for spec in tasks
         ]
     return defn, tasks, {
         "seed": seed,
         "replications": replications,
         "engine": engine,
-        "reception": reception,
         "backend": backend,
-        "mask": mask,
         **options,
     }
 
@@ -942,9 +926,7 @@ def run_experiment(
     checkpoint: Union[SweepCheckpoint, os.PathLike, str, None] = None,
     progress: bool = False,
     engine: str = "scalar",
-    reception: str = "auto",
     backend: str = "auto",
-    mask: str = "auto",
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     quarantine: bool = True,
@@ -958,11 +940,8 @@ def run_experiment(
     deterministic per-task seeds, executed (inline or sharded), cached,
     and reported.  With ``engine="vector"`` every grid cell's seeds are
     evaluated in one NumPy lockstep batch (the experiment must register
-    a ``run_batch`` function); ``reception`` selects that batch's
-    reception kernel (``dense``/``sparse``/``auto``), ``backend`` its
-    array kernels (``numpy``/``numba``/``auto``) and ``mask`` the
-    active-set loop (``on``/``off``/``auto``) — all three join the task
-    identity.
+    a ``run_batch`` function); ``backend`` selects that batch's array
+    kernels (``numpy``/``numba``/``auto``) and joins the task identity.
 
     Failure behavior: ``timeout`` (defaulting to the experiment's
     ``default_timeout``), ``retries`` and ``quarantine`` assemble a
@@ -977,9 +956,7 @@ def run_experiment(
         seed=seed,
         replications=replications,
         engine=engine,
-        reception=reception,
         backend=backend,
-        mask=mask,
         **options,
     )
     if policy is None:

@@ -20,12 +20,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import content_key, derive_seed
-from repro.vector.engine import (
-    validate_backend,
-    validate_engine,
-    validate_mask,
-    validate_reception,
-)
+from repro.vector.engine import validate_backend, validate_engine
 
 #: Parameter values a task case may carry (must survive a JSON round-trip
 #: bit-for-bit, which is what the cache key depends on).
@@ -67,25 +62,16 @@ class TaskSpec:
         reference slot loop) or ``"vector"`` (the NumPy lockstep batch).
         Part of the task identity — and hence the cache key — because
         engines are distributionally, not bitwise, equivalent.
-    ``reception``
-        Reception kernel of the vector engine: ``"dense"``, ``"sparse"``
-        or ``"auto"`` (density heuristic).  The kernels are bit-identical
-        in outcome, but the knob is still part of the task identity so a
-        cached record always states exactly how it was produced (and
-        ``auto``'s resolution may change as heuristics are retuned).
-        Ignored by the scalar engine.
     ``backend``
         Array-kernel backend of the vector engine: ``"numpy"``,
-        ``"numba"`` or ``"auto"``.  Like ``reception``,
-        backends are bit-identical in outcome but the *requested* knob
-        joins the task identity so cached records state how they were
-        produced.  Ignored by the scalar engine.
-    ``mask``
-        Active-set mask of the vector engine: ``"on"``, ``"off"`` or
-        ``"auto"`` (on at n ≥ 1024).  The masked loop draws Decay coins
-        only for awake pairs, so the two modes are *distributionally*
-        (not coin-flip) equivalent — the knob joins the task identity
-        exactly like ``engine``.  Ignored by the scalar engine.
+        ``"numba"`` or ``"auto"``.  Backends are bit-identical in
+        outcome, but the *requested* knob joins the task identity so
+        cached records state how they were produced.  Ignored by the
+        scalar engine.
+
+    Records written before 1.9.0 also carry ``reception`` and ``mask``
+    (the vector engine's retired kernel and loop knobs);
+    :meth:`from_record` ignores them.
     """
 
     exp_id: str
@@ -93,15 +79,11 @@ class TaskSpec:
     replicate: int
     seed: int
     engine: str = "scalar"
-    reception: str = "auto"
     backend: str = "auto"
-    mask: str = "auto"
 
     def __post_init__(self):
         validate_engine(self.engine)
-        validate_reception(self.reception)
         validate_backend(self.backend)
-        validate_mask(self.mask)
 
     @property
     def params(self) -> Dict[str, CaseValue]:
@@ -127,9 +109,7 @@ class TaskSpec:
             "replicate": self.replicate,
             "seed": self.seed,
             "engine": self.engine,
-            "reception": self.reception,
             "backend": self.backend,
-            "mask": self.mask,
         }
 
     @classmethod
@@ -140,9 +120,7 @@ class TaskSpec:
             replicate=int(record["replicate"]),
             seed=int(record["seed"]),
             engine=str(record.get("engine", "scalar")),
-            reception=str(record.get("reception", "auto")),
             backend=str(record.get("backend", "auto")),
-            mask=str(record.get("mask", "auto")),
         )
 
     def key(self, version: str) -> str:

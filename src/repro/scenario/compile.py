@@ -194,9 +194,7 @@ class CompiledScenario:
     cases: List[Dict[str, Any]]
     tasks: List[TaskSpec]
     engine: str
-    reception: str
     backend: str
-    mask: str
     registry_mode: bool
     grid_hash: Optional[str]
     summary_metrics: Tuple[str, ...]
@@ -210,9 +208,7 @@ class CompiledScenario:
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     """Lower a validated spec into its :class:`TaskSpec` grid."""
     engine = spec.engine["kind"]
-    reception = spec.engine["reception"]
     backend = spec.engine.get("backend", "auto")
-    mask = spec.engine.get("mask", "auto")
     seed = spec.run["seed"]
     replications = spec.run["replications"]
 
@@ -228,13 +224,7 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
                     "implementation; use engine.kind = 'scalar'"
                 )
             tasks = [
-                dataclasses.replace(
-                    t,
-                    engine=engine,
-                    reception=reception,
-                    backend=backend,
-                    mask=mask,
-                )
+                dataclasses.replace(t, engine=engine, backend=backend)
                 for t in tasks
             ]
         return CompiledScenario(
@@ -243,9 +233,7 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
             cases=[dict(t.case) for t in tasks[:: max(1, replications)]],
             tasks=tasks,
             engine=engine,
-            reception=reception,
             backend=backend,
-            mask=mask,
             registry_mode=True,
             grid_hash=None,
             summary_metrics=defn.summary_metrics,
@@ -263,15 +251,9 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     if engine != "scalar":
         # The cross-field checks already vetted this grid as closed,
         # fault-free collection — the shape the lockstep batch engine
-        # simulates; the knobs join each task's cache identity.
+        # simulates; the backend joins each task's cache identity.
         tasks = [
-            dataclasses.replace(
-                t,
-                engine=engine,
-                reception=reception,
-                backend=backend,
-                mask=mask,
-            )
+            dataclasses.replace(t, engine=engine, backend=backend)
             for t in tasks
         ]
     kinds: List[str] = []
@@ -289,9 +271,7 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         cases=cases,
         tasks=tasks,
         engine=engine,
-        reception=reception,
         backend=backend,
-        mask=mask,
         registry_mode=False,
         grid_hash=grid_hash,
         summary_metrics=tuple(metrics[:8]),
@@ -345,8 +325,6 @@ def run_scenario(
             "seed": compiled.spec.run["seed"],
             "replications": compiled.spec.run["replications"],
             "engine": compiled.engine,
-            "reception": compiled.reception,
             "backend": compiled.backend,
-            "mask": compiled.mask,
         },
     )

@@ -473,19 +473,17 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
                 "collection case; the vector engine cannot batch it "
                 "(the spec validator should have rejected this scenario)"
             )
-        # The engine knobs join the cell key: reception/backend are
-        # bit-identical but one batch call uses one kernel set, and the
-        # mask changes coin-stream semantics outright.
+        # The backend joins the cell key: backends are bit-identical,
+        # but one batch call uses one kernel set.
         cell = (
             params["topology"], params.get("sources", "tail"),
             params.get("messages", 4), params.get("classes", 3),
-            spec.reception, spec.backend, spec.mask,
+            spec.backend,
         )
         grouped.setdefault(cell, []).append(index)
 
     for cell, indices in grouped.items():
-        messages, classes = cell[2:4]
-        reception, backend, mask = cell[4:]
+        messages, classes, backend = cell[2:]
         buckets: Dict[Graph, List[int]] = {}
         realized: Dict[Graph, Any] = {}
         for index in indices:
@@ -501,9 +499,7 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
                 workload,
                 [specs[index].seed for index in positions],
                 level_classes=classes,
-                reception=reception,
                 backend=backend,
-                mask=mask,
             )
             simulation = batch.simulation
             phase_length = simulation.phase_length

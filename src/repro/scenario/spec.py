@@ -8,7 +8,7 @@ A spec is a TOML (or JSON) document of up to eight tables::
     [arrivals]   kind, rate, period, bursts, jitter, sources, messages
     [faults]     kind + per-model knobs
     [protocol]   kind, classes, points, mobility_epochs
-    [engine]     kind, reception, backend, mask, idle_scheduling
+    [engine]     kind, backend, idle_scheduling
     [run]        seed, replications, horizon_phases, warmup_fraction
     [kpi]        quantiles
 
@@ -115,11 +115,7 @@ PROTOCOL_FIELDS = {
 }
 ENGINE_FIELDS = {
     "kind": Field((str,), default="scalar", choices=("scalar", "vector")),
-    "reception": Field(
-        (str,), default="auto", choices=("dense", "sparse", "auto")
-    ),
     "backend": Field((str,), default="auto", choices=BACKENDS),
-    "mask": Field((str,), default="auto", choices=("on", "off", "auto")),
     "idle_scheduling": Field((bool,), default=True),
 }
 RUN_FIELDS = {

@@ -1,14 +1,13 @@
 """The vector engine: NumPy lockstep batch simulation of B replications.
 
 Layout mirrors the scalar stack: :mod:`~repro.vector.engine` is the
-radio layer (batched reception), :mod:`~repro.vector.decay` the batched
-Decay primitive, :mod:`~repro.vector.collection` the pipelined §4
-protocol, and :mod:`~repro.vector.check` the scalar-equivalence harness
-(exact invariants + KS test).  :mod:`~repro.vector.backend` supplies the
-pluggable array kernels (numpy default, optional numba JIT)
-behind the ``backend=`` knob, and the ``mask=`` knob selects the
-active-set lockstep loop whose per-slot work scales with the awake
-population instead of B·n.
+radio layer (batched CSR reception), :mod:`~repro.vector.decay` the
+batched Decay primitive, :mod:`~repro.vector.collection` the pipelined
+§4 protocol, and :mod:`~repro.vector.check` the scalar-equivalence
+harness (exact invariants + KS test).  :mod:`~repro.vector.backend`
+supplies the pluggable array kernels (numpy default, optional numba
+JIT) behind the ``backend=`` knob.  There is one lockstep loop: its
+per-slot work scales with the awake population, not B·n.
 """
 
 from repro.vector.backend import (
@@ -27,14 +26,10 @@ from repro.vector.collection import (
 from repro.vector.decay import BatchDecay
 from repro.vector.engine import (
     ENGINES,
-    MASK_MODES,
-    RECEPTION_MODES,
     BatchTrace,
     LockstepRadio,
     SlotRecord,
     validate_engine,
-    validate_mask,
-    validate_reception,
 )
 
 __all__ = [
@@ -46,8 +41,6 @@ __all__ = [
     "ENGINES",
     "KernelBackend",
     "LockstepRadio",
-    "MASK_MODES",
-    "RECEPTION_MODES",
     "SlotRecord",
     "available_backends",
     "numba_available",
@@ -55,6 +48,4 @@ __all__ = [
     "run_collection_batch",
     "validate_backend",
     "validate_engine",
-    "validate_mask",
-    "validate_reception",
 ]

@@ -17,10 +17,9 @@ Both are pure array kernels, so they live behind one small interface:
 * ``auto`` — numba when importable, else numpy.
 
 The *requested* backend is part of every task's cache identity (see
-:class:`~repro.runner.task.TaskSpec`), exactly like ``reception=``:
-backends are bit-identical in outcome, but a cached record must state
-how it was produced, and ``auto``'s resolution may change with the
-environment.
+:class:`~repro.runner.task.TaskSpec`): backends are bit-identical in
+outcome, but a cached record must state how it was produced, and
+``auto``'s resolution may change with the environment.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ def _np_scatter_into(
     senders: np.ndarray,
     n: int,
 ) -> np.ndarray:
-    """Masked scatter into persistent *flat* buffers; returns touched.
+    """Pair-list scatter into persistent *flat* buffers; returns touched.
 
     Accumulates each transmitter's neighbor run into ``hits`` (int32,
     B·n flat) and ``senders`` (int64, B·n flat) at only the receiver
@@ -152,10 +151,9 @@ def _np_decay_pairs(
     cols: np.ndarray,
     coins: np.ndarray,
 ) -> np.ndarray:
-    """One masked Decay opportunity over an active pair list.
+    """One Decay opportunity over an active pair list.
 
-    Pair semantics match :meth:`~repro.vector.decay.BatchDecay.transmit`
-    exactly — transmit first, flip after — restricted to the given
+    Paper order — transmit first, flip after — restricted to the given
     (replication, station) pairs.  Mutates ``alive``/``steps`` in place
     at the pair positions and returns the per-pair transmit mask.
     """

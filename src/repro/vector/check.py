@@ -66,17 +66,6 @@ class BrokenOffByOneDecay(BatchDecay):
     failure modes the harness exists to detect.
     """
 
-    def transmit(
-        self, coins: np.ndarray, opportunity: np.ndarray = None
-    ) -> np.ndarray:
-        candidates = self.alive & (self.steps < self.budget)
-        if opportunity is not None:
-            candidates &= opportunity
-        self.alive &= ~(candidates & (coins < 0.5))
-        transmitting = candidates & (coins >= 0.5)
-        self.steps[transmitting] += 1
-        return transmitting
-
     def transmit_pairs(
         self,
         rows: np.ndarray,
@@ -84,9 +73,8 @@ class BrokenOffByOneDecay(BatchDecay):
         coins: np.ndarray,
         kernel=None,
     ) -> np.ndarray:
-        # Same flip-first bug on the active-set path, so the harness
-        # keeps its teeth in masked mode under any backend (the kernel
-        # is deliberately ignored — broken means broken).
+        # The kernel is deliberately ignored, so the harness keeps its
+        # teeth under any backend — broken means broken.
         candidates = self.alive[rows, cols] & (
             self.steps[rows, cols] < self.budget
         )
@@ -308,21 +296,18 @@ def compare_cell(
     replications: int,
     decay_factory: DecayFactory = BatchDecay,
     trace: bool = True,
-    reception: str = "auto",
     backend: str = "auto",
-    mask: str = "auto",
     label: Optional[str] = None,
     scalar_slots: Optional[List[int]] = None,
 ) -> CellReport:
     """Run one cell on both engines and compare.
 
     Scalar: ``replications`` independent :func:`run_collection` calls
-    (``scalar_slots`` lets the matrix harness reuse one scalar sample
-    across backend×mask combinations — the scalar side does not depend
-    on any vector knob).  Vector: one batched call over the same derived
-    seeds with the given ``reception``/``backend``/``mask``, traced so
-    the exact invariants can be checked on the very trajectories that
-    feed the KS sample.
+    (``scalar_slots`` lets the harness reuse one scalar sample across
+    backends — the scalar side does not depend on any vector knob).
+    Vector: one batched call over the same derived seeds with the given
+    ``backend``, traced so the exact invariants can be checked on the
+    very trajectories that feed the KS sample.
     """
     seeds = _cell_seeds(cell, seed, replications)
     if scalar_slots is None:
@@ -335,9 +320,7 @@ def compare_cell(
         level_classes=cell.level_classes,
         decay_factory=decay_factory,
         trace=trace,
-        reception=reception,
         backend=backend,
-        mask=mask,
     )
     vector_slots = [int(v) for v in batch.completion_slots]
     failures = check_invariants(batch) if trace else []
@@ -357,17 +340,15 @@ def run_equivalence(
     decay_factory: DecayFactory = BatchDecay,
     cells: Optional[Sequence[CellSpec]] = None,
     backends: Optional[Sequence[str]] = None,
-    masks: Sequence[str] = ("off", "on"),
 ) -> EquivalenceReport:
-    """The full harness: invariants + KS over the backend×mask matrix.
+    """The full harness: invariants + KS for every cell and backend.
 
-    Every cell is compared against the scalar engine once per
-    ``backends × masks`` combination (defaults: the backends that can
-    actually run in this environment × both mask modes), so a report
-    that passes certifies each kernel backend *and* both lockstep loops
-    — the full-width and the active-set one — against the paper's
-    invariants and the scalar completion-slot distribution.  The scalar
-    sample is computed once per cell and shared across combinations.
+    Every cell is compared against the scalar engine once per backend
+    (default: the backends that can actually run in this environment),
+    so a report that passes certifies each kernel backend against the
+    paper's invariants and the scalar completion-slot distribution.
+    The scalar sample is computed once per cell and shared across
+    backends.
     """
     if backends is None:
         backends = available_backends()
@@ -376,17 +357,15 @@ def run_equivalence(
         seeds = _cell_seeds(cell, seed, replications)
         scalar = _scalar_slots(cell, seeds)
         for backend in backends:
-            for mask in masks:
-                report.cells.append(
-                    compare_cell(
-                        cell,
-                        seed,
-                        replications,
-                        decay_factory,
-                        backend=backend,
-                        mask=mask,
-                        label=f"{cell.name}[{backend},mask={mask}]",
-                        scalar_slots=scalar,
-                    )
+            report.cells.append(
+                compare_cell(
+                    cell,
+                    seed,
+                    replications,
+                    decay_factory,
+                    backend=backend,
+                    label=f"{cell.name}[{backend}]",
+                    scalar_slots=scalar,
                 )
+            )
     return report

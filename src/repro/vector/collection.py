@@ -15,17 +15,15 @@ replications of that protocol *simultaneously*:
 * message *identity* rides in a bounded **payload ring** ``(B, n, k)``
   of global message ids with per-node head pointers, so conservation —
   every collected message originates exactly once — stays checkable;
-* reception is the adjacency product of
+* reception is the CSR scatter of
   :class:`~repro.vector.engine.LockstepRadio`; acknowledgements are
   resolved physically on the paired ack slot and Theorem 3.1 (the ack
   always arrives, failure-free) is *asserted*, making ack determinism a
   built-in runtime invariant of the engine.
 
-Active-set mask (``mask="on"``): the full-width loop touches all B·n
-entries every slot even when almost every station is asleep.  The masked
-loop instead lists, once per phase, the provably-awake (replication,
-station) pairs of each level class — exactly the stations the scalar
-engine's idle min-heap would wake via
+The lockstep loop touches only the active set.  Once per phase it lists
+the provably-awake (replication, station) pairs of each level class —
+exactly the stations the scalar engine's idle min-heap would wake via
 ``SlotStructure.next_data_slot_for`` / ``TransportLane.next_active_slot``:
 those with an eligible buffer head (§4.1 fixes eligibility at the phase
 boundary, and a class's entries change only through its own acks, which
@@ -43,21 +41,17 @@ no sleep while tracing, and :meth:`~BatchCollection.step` always
 advances exactly one slot.)
 
 Randomness: replication ``b`` draws its Decay coins from the NumPy
-stream ``np_rng(seeds[b], "vector", "decay")``.  The *full* loop
-consumes exactly one ``(n,)`` coin row per data slot; the *masked* loop
-consumes exactly one draw per *listed* pair of that replication per data
-slot of its class: a pair whose session has died still owns its coin,
-which is skipped over, not drawn for someone else.  The masked loop
-reads these coins through a per-replication cursor over a ``(B, n)``
-float32 buffer refilled from each stream, so dropping dead pairs and
-sleeping through silent tails leave every draw where it was.  In both
-modes the stream position is a pure function of the replication's own
-trajectory — never of batch size or batch position — which is what lets
-the runner cache vector results per task and split one cell's
-replications into per-worker sub-batches that stay bit-identical to the
-unsharded batch.  The two mask modes are *distributionally* (not
-coin-flip) equivalent, and ``mask`` joins the task cache identity
-exactly like ``engine``.
+stream ``np_rng(seeds[b], "vector", "decay")`` and consumes exactly one
+draw per *listed* pair of that replication per data slot of its class:
+a pair whose session has died still owns its coin, which is skipped
+over, not drawn for someone else.  The coins are read through a
+per-replication cursor over a ``(B, n)`` float32 buffer refilled from
+each stream, so dropping dead pairs and sleeping through silent tails
+leave every draw where it was.  The stream position is a pure function
+of the replication's own trajectory — never of batch size or batch
+position — which is what lets the runner cache vector results per task
+and split one cell's replications into per-worker sub-batches that stay
+bit-identical to the unsharded batch.
 
 Validity: lockstep batching assumes the paper's failure-free model on a
 fixed topology (no failure injection, no repair).  Fault experiments
@@ -78,19 +72,9 @@ from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.rng import np_rngs
 from repro.vector.decay import BatchDecay
-from repro.vector.engine import (
-    MASK_MIN_NODES,
-    BatchTrace,
-    LockstepRadio,
-    SlotRecord,
-    validate_mask,
-)
+from repro.vector.engine import BatchTrace, LockstepRadio, SlotRecord
 
-#: Coin rows generated per refill of the per-replication streams; bounds
-#: the resident coin block to ``COIN_BLOCK × B × n`` float32.
-COIN_BLOCK = 256
-
-#: Minimum coins buffered per replication by the masked loop's cursor;
+#: Minimum coins buffered per replication by the coin cursor;
 #: the buffer is ``max(PAIR_COIN_BLOCK, n)`` wide, so one data slot's
 #: listed pairs (at most n) always fit after a refill.
 PAIR_COIN_BLOCK = 4096
@@ -190,22 +174,14 @@ class BatchCollection:
     trace:
         Capture a :class:`~repro.vector.engine.BatchTrace` of every slot
         (dense copies: traced sub-runs only).
-    reception:
-        Reception kernel of the *full-width* loop: ``"dense"``
-        (adjacency product), ``"sparse"`` (CSR scatter) or ``"auto"``
-        (density heuristic).  The kernels are bit-identical in outcome;
-        the knob trades memory/work profiles and is part of the runner's
-        task identity.  The masked loop always scatters over the CSR
-        arrays (there is no dense formulation of O(awake) work).
     backend:
         Array-kernel backend (``"numpy"``/``"numba"``/``"auto"``) for
-        the CSR scatter and the masked Decay step; see
+        the CSR scatter and the Decay step; see
         :mod:`repro.vector.backend`.  Backends are bit-identical.
-    mask:
-        Active-set mask mode: ``"on"`` (O(awake) masked loop), ``"off"``
-        (full-width loop) or ``"auto"`` (on at n ≥ 1024).  The modes are
-        distributionally, not coin-flip, equivalent.
     """
+
+    #: Always the active-set loop; ``perfbench/vector_batch.py`` reads it.
+    masked = True
 
     def __init__(
         self,
@@ -217,9 +193,7 @@ class BatchCollection:
         budget: Optional[int] = None,
         decay_factory: DecayFactory = BatchDecay,
         trace: bool = False,
-        reception: str = "auto",
         backend: str = "auto",
-        mask: str = "auto",
     ):
         unknown = set(sources) - set(graph.nodes)
         if unknown:
@@ -228,16 +202,8 @@ class BatchCollection:
             )
         if not seeds:
             raise ConfigurationError("need at least one replication seed")
-        self.radio = LockstepRadio(
-            graph, tree, len(seeds), reception=reception, backend=backend
-        )
+        self.radio = LockstepRadio(graph, tree, len(seeds), backend=backend)
         self.seeds = tuple(int(s) for s in seeds)
-        validate_mask(mask)
-        self.mask_requested = mask
-        self.masked = (
-            mask == "on"
-            or (mask == "auto" and self.radio.n >= MASK_MIN_NODES)
-        )
         self.slots = SlotStructure(
             decay_budget=(
                 budget if budget is not None
@@ -290,8 +256,6 @@ class BatchCollection:
 
         # Ack bookkeeping: which child each station must ack this slot.
         self.pending_child = np.full(self.shape, -1, dtype=np.int64)
-        self.pending_msg = np.full(self.shape, -1, dtype=np.int32)
-        self._expect_ack: Optional[np.ndarray] = None
 
         self.decay = decay_factory(self.slots.decay_budget, self.shape)
         # Which stations may transmit data in a class-c slot (root never).
@@ -317,13 +281,9 @@ class BatchCollection:
             if info.kind is SlotKind.DATA:
                 self._data_before[info.level_class, w + 1] += 1
 
-        # Per-replication coin streams: row blocks for the full-width
-        # loop, a pair cursor for the masked loop.
-        self._coin_gens = np_rngs(self.seeds, "vector", "decay")
-        self._coin_block: Optional[np.ndarray] = None
-        self._coin_pos = 0
-        self._coin_cursor = (
-            _CoinCursor(self._coin_gens, n) if self.masked else None
+        # Per-replication coin streams, read through a pair cursor.
+        self._coin_cursor = _CoinCursor(
+            np_rngs(self.seeds, "vector", "decay"), n
         )
 
         # Active-set state: per level class, the pairs listed at the
@@ -339,7 +299,7 @@ class BatchCollection:
         self._backlog_total = self.backlog.sum(axis=1, dtype=np.int64)
         self._expect_pairs: Tuple[np.ndarray, np.ndarray] = _EMPTY_PAIRS
         self._pending_parents: Tuple[np.ndarray, np.ndarray] = _EMPTY_PAIRS
-        #: Occupancy counters (masked mode), cumulative over data slots:
+        #: Occupancy counters, cumulative over data slots:
         #: ``active_pairs`` counts listed (awake) pairs, ``live_pairs``
         #: the ones whose Decay session was still running — divided by
         #: ``data_slots · B · n`` they are the mean awake and live
@@ -378,13 +338,13 @@ class BatchCollection:
 
     @property
     def awake_occupancy(self) -> float:
-        """Mean awake fraction over all data slots so far (masked mode)."""
+        """Mean awake fraction over all data slots so far."""
         return self._occupancy("active_pairs")
 
     @property
     def live_occupancy(self) -> float:
         """Mean fraction of pairs with a live Decay session per data slot
-        (masked mode) — the pairs the masked loop actually steps."""
+        — the pairs the loop actually steps."""
         return self._occupancy("live_pairs")
 
     def backlog_at(self, nodes: Sequence[NodeId]) -> np.ndarray:
@@ -424,35 +384,13 @@ class BatchCollection:
     # The slot loop
     # ------------------------------------------------------------------
 
-    def _next_coins(self) -> np.ndarray:
-        if (
-            self._coin_block is None
-            or self._coin_pos >= self._coin_block.shape[1]
-        ):
-            # Refill in place, one contiguous (COIN_BLOCK, n) plane per
-            # replication stream — same values in the same order as the
-            # old stack-of-draws formulation, without the O(block·B·n)
-            # copy (which dominated refills at n = 10⁴).
-            if self._coin_block is None:
-                self._coin_block = np.empty(
-                    (len(self._coin_gens), COIN_BLOCK, self.radio.n),
-                    dtype=np.float32,
-                )
-            for b, gen in enumerate(self._coin_gens):
-                gen.random(out=self._coin_block[b], dtype=np.float32)
-            self._coin_pos = 0
-        row = self._coin_block[:, self._coin_pos, :]
-        self._coin_pos += 1
-        return row
-
     def _begin_phase(self) -> None:
         # §4.1: a message may start a Decay invocation only in a phase it
         # was already buffered at the start of.  At a phase boundary every
         # buffered message qualifies.
         np.copyto(self.eligible, self.backlog)
         self.decay.reset()
-        if self.masked:
-            self._list_pairs()
+        self._list_pairs()
 
     def _list_pairs(self) -> None:
         """List each class's awake pairs for the phase just begun.
@@ -490,149 +428,16 @@ class BatchCollection:
             self._begin_phase()
         info = self._schedule[within]
         if info.kind is SlotKind.DATA:
-            if self.masked:
-                self._data_slot_masked(info.level_class, info.decay_step)
-            else:
-                self._data_slot(info.level_class, info.decay_step)
+            self._data_slot(info.level_class, info.decay_step)
             self.slot += 1
         else:
-            if self.masked:
-                self._ack_slot_masked(info.level_class, info.decay_step)
-            else:
-                self._ack_slot(info.level_class, info.decay_step)
+            self._ack_slot(info.level_class, info.decay_step)
             self.slot += 1
             self._check_done()
         if profiler is not None:
             profiler.bump("vector_slots")
 
-    # -------------------------- full-width loop -----------------------
-
     def _data_slot(self, level_class: int, decay_step: int) -> None:
-        profiler = self.profiler
-        t0 = profiler.clock() if profiler is not None else 0.0
-        mask = self._class_mask[level_class]
-        started: Optional[np.ndarray] = None
-        if decay_step == 0:
-            # First opportunity of the phase for this class: stations with
-            # an eligible buffer head invoke Decay (§4.1).
-            started = (self.eligible > 0) & mask[None, :]
-            self.decay.start(started)
-        coins = self._next_coins()
-        tx = self.decay.transmit(coins, opportunity=mask)
-        if profiler is not None:
-            t1 = profiler.clock()
-            profiler.add("vector/decay", t1 - t0)
-        counts: Optional[np.ndarray] = None
-        deliv = None
-        if tx.any():
-            counts, senders, unique = self.radio.resolve(tx)
-            if profiler is not None:
-                t2 = profiler.clock()
-                profiler.add("vector/reception", t2 - t1)
-                t1 = t2
-            par = self.radio.parents
-            # Transmitter u's head is delivered iff its parent hears
-            # uniquely and the unique transmitter is u itself.
-            deliv = (
-                tx
-                & unique[:, par]
-                & (senders[:, par] == self.radio.ids[None, :])
-            )
-            b_idx, u_idx = np.nonzero(deliv)
-            if b_idx.size:
-                msgs = self.ring[b_idx, u_idx, self.head[b_idx, u_idx]]
-                p_idx = par[u_idx]
-                # At most one delivery per (replication, receiver):
-                # uniqueness of reception makes these index sets disjoint.
-                self.pending_child[b_idx, p_idx] = u_idx
-                self.pending_msg[b_idx, p_idx] = msgs
-                at_root = p_idx == self.radio.root_index
-                root_b = b_idx[at_root]
-                if root_b.size:
-                    self.delivered_count[root_b] += 1
-                    self._delivered_log.append(
-                        (self.slot, root_b.copy(), msgs[at_root].copy())
-                    )
-                fb = b_idx[~at_root]
-                if fb.size:
-                    fp = p_idx[~at_root]
-                    pos = (
-                        self.head[fb, fp] + self.backlog[fb, fp]
-                    ) % self.capacity
-                    self.ring[fb, fp, pos] = msgs[~at_root]
-                    self.backlog[fb, fp] += 1
-        self._expect_ack = deliv
-        if profiler is not None:
-            profiler.add("vector/collection", profiler.clock() - t1)
-        if self.trace is not None:
-            self.trace.record(SlotRecord(
-                self.slot, "data", level_class, decay_step,
-                tx.copy(),
-                None if counts is None else counts.copy(),
-                None if started is None else started.copy(),
-            ))
-
-    def _ack_slot(self, level_class: int, decay_step: int) -> None:
-        profiler = self.profiler
-        t0 = profiler.clock() if profiler is not None else 0.0
-        expect = self._expect_ack
-        self._expect_ack = None
-        ack_tx = self.pending_child >= 0
-        any_ack = ack_tx.any()
-        if any_ack:
-            _counts, senders, unique = self.radio.resolve(ack_tx)
-            if profiler is not None:
-                t1 = profiler.clock()
-                profiler.add("vector/reception", t1 - t0)
-                t0 = t1
-            par = self.radio.parents
-            # Child u hears its ack iff it receives uniquely, the unique
-            # transmitter is its parent, and the parent's pending ack
-            # designates u.
-            acked = (
-                unique
-                & (senders == par.astype(np.float32)[None, :])
-                & (
-                    self.pending_child[:, par]
-                    == np.arange(self.radio.n, dtype=np.int64)[None, :]
-                )
-            )
-        else:
-            acked = np.zeros(self.shape, dtype=bool)
-        expected = (
-            expect if expect is not None
-            else np.zeros(self.shape, dtype=bool)
-        )
-        if not np.array_equal(acked, expected):
-            # Theorem 3.1: in the failure-free model every designated
-            # delivery is acknowledged in the paired ack slot.
-            raise ProtocolError(
-                "ack determinism violated in batch engine at slot "
-                f"{self.slot}: a designated delivery went unacknowledged"
-            )
-        if any_ack:
-            b_idx, u_idx = np.nonzero(acked)
-            if b_idx.size:
-                self.head[b_idx, u_idx] = (
-                    self.head[b_idx, u_idx] + 1
-                ) % self.capacity
-                self.backlog[b_idx, u_idx] -= 1
-                self.eligible[b_idx, u_idx] -= 1
-                self.decay.kill(b_idx, u_idx)
-            # Every pending ack fires exactly at its due slot.
-            self.pending_child[:] = -1
-            self.pending_msg[:] = -1
-        if profiler is not None:
-            profiler.add("vector/collection", profiler.clock() - t0)
-        if self.trace is not None:
-            self.trace.record(SlotRecord(
-                self.slot, "ack", level_class, decay_step,
-                ack_tx.copy(), None, None,
-            ))
-
-    # -------------------------- active-set loop -----------------------
-
-    def _data_slot_masked(self, level_class: int, decay_step: int) -> None:
         profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
         radio = self.radio
@@ -691,7 +496,6 @@ class BatchCollection:
                 msgs = self.ring[db, dv, self.head[db, dv]]
                 dp = parent[deliv]
                 self.pending_child[db, dp] = dv
-                self.pending_msg[db, dp] = msgs
                 at_root = dp == radio.root_index
                 root_b = db[at_root]
                 if root_b.size:
@@ -735,7 +539,7 @@ class BatchCollection:
                 tx_dense, counts, started_dense,
             ))
 
-    def _ack_slot_masked(self, level_class: int, decay_step: int) -> None:
+    def _ack_slot(self, level_class: int, decay_step: int) -> None:
         profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
         radio = self.radio
@@ -779,7 +583,6 @@ class BatchCollection:
             self._backlog_total -= np.bincount(eb, minlength=B)
             # Every pending ack fires exactly at its due slot.
             self.pending_child[pb, pp] = -1
-            self.pending_msg[pb, pp] = -1
             self._hits_flat[touched] = 0
             self._senders_flat[touched] = 0
             self._txflag_flat[pair_flat] = False
@@ -832,15 +635,10 @@ class BatchCollection:
         undone = ~self.done
         if not undone.any():
             return
-        backlog_total = (
-            self._backlog_total
-            if self.masked
-            else self.backlog.sum(axis=1, dtype=np.int64)
-        )
         newly = (
             undone
             & (self.delivered_count >= self.total_messages)
-            & (backlog_total == 0)
+            & (self._backlog_total == 0)
         )
         if newly.any():
             self.done |= newly
@@ -862,7 +660,7 @@ class BatchCollection:
             )
             max_slots = max(10_000, int(20 * bound))
         # A trace records every slot, so a traced run never sleeps.
-        sleeps = self.masked and self.trace is None
+        sleeps = self.trace is None
         phase_length = self.slots.phase_length
         while not self.done.all() and self.slot < max_slots:
             self.step()
@@ -908,9 +706,7 @@ def run_collection_batch(
     max_slots: Optional[int] = None,
     decay_factory: DecayFactory = BatchDecay,
     trace: bool = False,
-    reception: str = "auto",
     backend: str = "auto",
-    mask: str = "auto",
 ) -> BatchCollectionResult:
     """Run B replications of collection to completion in one batch.
 
@@ -927,9 +723,7 @@ def run_collection_batch(
         budget=budget,
         decay_factory=decay_factory,
         trace=trace,
-        reception=reception,
         backend=backend,
-        mask=mask,
     )
     completion = simulation.run_until_done(max_slots)
     phase_length = simulation.slots.phase_length

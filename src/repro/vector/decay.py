@@ -1,4 +1,4 @@
-"""Batched Decay: B × n lockstep invocations as boolean matrix updates.
+"""Batched Decay: lockstep invocations over (replication, station) pairs.
 
 The scalar :class:`~repro.core.decay.DecaySession` steps one station's
 invocation one transmission opportunity at a time.  Here the same
@@ -9,11 +9,11 @@ pseudocode —
         flip coin R ∈ {0, 1}
     until coin = 0
 
-— runs for a whole ``(B, n)`` array of stations at once (B lockstep
-replications × n stations): ``alive`` and ``steps`` are arrays, one coin
-matrix is consumed per transmission opportunity, and the returned
-transmit mask drives the batched reception product of
-:mod:`repro.vector.engine`.
+— runs for a whole list of (replication, station) pairs at once: the
+session state ``alive`` and ``steps`` are ``(B, n)`` arrays (B lockstep
+replications × n stations), each opportunity steps the listed pairs
+with one coin per pair, and the returned per-pair transmit mask drives
+the batched reception of :mod:`repro.vector.engine`.
 
 Faithfulness: the first transmission of an invocation is unconditional
 (the paper transmits, *then* flips), a station dies on coin 0, and no
@@ -34,11 +34,12 @@ from repro.vector.backend import _np_decay_pairs
 class BatchDecay:
     """Lockstep Decay sessions for a ``(B, n)`` array of stations.
 
-    One instance manages *all* sessions of the batch: a session is
-    started per station at its first transmission opportunity of a phase
-    (:meth:`start`), stepped via :meth:`transmit` once per opportunity,
-    and silenced early by :meth:`kill` when the in-flight message is
-    acknowledged.
+    One instance manages *all* sessions of the batch: sessions are
+    started at the listed pairs' first transmission opportunity of a
+    phase (:meth:`start_pairs`), stepped via :meth:`transmit_pairs` once
+    per opportunity, and silenced early by :meth:`kill` when the
+    in-flight message is acknowledged.  A pair that is not listed at an
+    opportunity neither transmits nor advances.
     """
 
     def __init__(self, budget: int, shape: tuple):
@@ -51,11 +52,6 @@ class BatchDecay:
         self.alive = np.zeros(shape, dtype=bool)
         self.steps = np.zeros(shape, dtype=np.int16)
 
-    def start(self, mask: np.ndarray) -> None:
-        """Begin a fresh invocation wherever ``mask`` is True."""
-        self.alive[mask] = True
-        self.steps[mask] = 0
-
     def reset(self) -> None:
         """Phase boundary: all in-flight invocations end."""
         self.alive[:] = False
@@ -64,32 +60,9 @@ class BatchDecay:
         """Silence the sessions at ``(rows, cols)`` (message acked)."""
         self.alive[rows, cols] = False
 
-    def transmit(
-        self, coins: np.ndarray, opportunity: np.ndarray = None
-    ) -> np.ndarray:
-        """One transmission opportunity; returns the ``(B, n)`` transmit mask.
-
-        ``coins`` is a ``(B, n)`` uniform[0,1) matrix; a station uses its
-        entry only if it transmits this step.  ``opportunity`` restricts
-        the step to the stations whose level class owns the slot —
-        sessions of other classes neither transmit nor advance.  Paper
-        order: transmit first, flip after — the first step of a session
-        always transmits.
-        """
-        transmitting = self.alive & (self.steps < self.budget)
-        if opportunity is not None:
-            transmitting &= opportunity
-        self.steps[transmitting] += 1
-        self.alive &= ~(transmitting & (coins < 0.5))
-        return transmitting
-
-    # ------------------------------------------------------------------
-    # Active-set (pair list) interface — the masked lockstep loop
-    # ------------------------------------------------------------------
-
     def start_pairs(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Begin fresh invocations at the listed (replication, station)
-        pairs — the compact-form twin of :meth:`start`."""
+        pairs."""
         self.alive[rows, cols] = True
         self.steps[rows, cols] = 0
 
@@ -100,13 +73,13 @@ class BatchDecay:
         coins: np.ndarray,
         kernel=None,
     ) -> np.ndarray:
-        """One opportunity restricted to an active pair list.
+        """One transmission opportunity for the listed pairs.
 
-        Same semantics as :meth:`transmit` (transmit first, flip after;
-        a killed or exhausted session stays silent), but work and coin
-        consumption are O(pairs), never O(B·n): ``coins`` carries one
-        uniform draw *per pair*.  ``kernel`` optionally supplies a
-        compiled implementation from the resolved array backend; the
+        Paper order: transmit first, flip after — the first step of a
+        session always transmits, and a killed or exhausted session
+        stays silent.  Work is O(pairs), never O(B·n): ``coins`` carries
+        one uniform[0,1) draw *per pair*.  ``kernel`` optionally supplies
+        a compiled implementation from the resolved array backend; the
         default NumPy formulation is bit-identical, and subclasses that
         override this method (the equivalence harness's broken variants)
         simply ignore the kernel.  Returns the per-pair transmit mask.

@@ -1,41 +1,22 @@
-"""The lockstep batch radio: B replications resolved by one reception kernel.
+"""The lockstep batch radio: B replications resolved by one CSR scatter.
 
 The scalar engine (:mod:`repro.radio.network`) resolves each slot by
 iterating neighbors in Python.  For a *batch* of B independent
 replications running the same protocol on one topology, the paper's
 reception rule — a station receives iff **exactly one** neighbor
-transmits (§1.1) — admits two array formulations:
-
-**Dense** (adjacency product): with ``tx`` the (B, n) transmit mask and
-``A`` the (n, n) boolean adjacency matrix,
-
-    counts  = tx @ A
-    unique  = (counts == 1) & ~tx
-
-and the *identity* of the unique transmitter falls out of a second
-product with the node-index vector (valid exactly where ``counts == 1``):
-
-    sender  = (tx * ids) @ A
-
-**Sparse** (CSR scatter): the adjacency is stored as ``indptr``/
-``indices`` arrays (compressed sparse rows, one run of neighbor indices
-per node); per slot, the transmitting (replication, station) pairs are
-enumerated, each transmitter's neighbor run is gathered from ``indices``,
-and per-receiver hit counts / sender-index sums are accumulated with
-``np.bincount`` scatters.  Work is O(transmitters · degree) per slot and
-memory is O(edges) — never O(n²) — which is what makes n ≥ 10⁴ runs
-feasible (the dense kernel needs a 400 MB float32 adjacency at n = 10⁴
-and O(B·n²) work per slot regardless of how few stations transmit).
-
-Both kernels compute *identical* hit counts and sender sums (integer
-arithmetic below 2²⁴, exact in float32); ``reception="auto"`` picks by
-an edge-density heuristic and the choice is part of every task's cache
-identity (see :class:`~repro.runner.task.TaskSpec`).
+transmits (§1.1) — becomes a scatter over the adjacency in CSR form
+(compressed sparse rows: ``indptr``/``indices`` arrays, one run of
+neighbor indices per node).  Per slot, the transmitting (replication,
+station) pairs are enumerated, each transmitter's neighbor run is
+gathered from ``indices``, and per-receiver hit counts and sender-index
+sums are accumulated; a receiver hears the transmitter whose index is
+the sum exactly where its count is 1 and it was itself silent.  Work is
+O(transmitters · degree) per slot and memory is O(edges), never O(n²),
+which is what makes n ≥ 10⁴ runs feasible.
 
 :class:`LockstepRadio` packages the topology-side state (CSR arrays,
-optional dense adjacency, node indexing, per-node BFS parents/levels)
-and the per-slot resolution; protocol dynamics live in
-:mod:`repro.vector.collection`.
+node indexing, per-node BFS parents/levels) and the per-slot
+resolution; protocol dynamics live in :mod:`repro.vector.collection`.
 
 Engine selection
 ----------------
@@ -48,10 +29,7 @@ Vector runs are *distributionally* equivalent to scalar runs — same
 protocol, same exact invariants, statistically identical outcomes —
 but never coin-flip-identical, because NumPy streams cannot be
 bit-matched to ``random.Random``.  The equivalence harness
-(:mod:`repro.vector.check`) makes that contract testable.  The two
-*reception kernels*, by contrast, are bit-identical: swapping
-``dense`` for ``sparse`` changes wall-clock time only, never a single
-hit count (``tests/test_vector.py`` asserts exact equality).
+(:mod:`repro.vector.check`) makes that contract testable.
 """
 
 from __future__ import annotations
@@ -75,33 +53,6 @@ from repro.vector.backend import (  # noqa: F401  (re-exported knob API)
 #: slot-by-slot interpreter; ``vector`` is the NumPy lockstep batch.
 ENGINES: Tuple[str, ...] = ("scalar", "vector")
 
-#: Reception kernels of the vector engine.  ``auto`` resolves to dense
-#: or sparse per topology via the density heuristic below.
-RECEPTION_MODES: Tuple[str, ...] = ("dense", "sparse", "auto")
-
-#: Active-set mask modes of the lockstep loop.  ``on`` restricts the
-#: per-slot work (coin draws, reception scatter, backlog updates) to the
-#: provably-awake (replication, station) pairs; ``off`` is the original
-#: full-width loop; ``auto`` resolves by size (mask on at large n, where
-#: the awake fraction is what makes n = 10⁵ reachable).  The two modes
-#: are *distributionally* — not coin-flip — equivalent: the masked loop
-#: draws coins only for awake pairs, so the knob joins task identity
-#: exactly like ``engine=``.
-MASK_MODES: Tuple[str, ...] = ("on", "off", "auto")
-
-#: ``mask="auto"`` switches the active-set loop on at this size — the
-#: same threshold at which reception goes sparse; below it the dense
-#: full-width ops are already cheap and keep trajectories stable.
-MASK_MIN_NODES = 1024
-
-#: ``auto`` heuristic: the dense BLAS product wins on small, dense cells
-#: (its per-element cost is tiny and the O(n²) term is bounded); the CSR
-#: scatter wins once the adjacency no longer fits comfortably in cache
-#: or most of it is zeros.  Crossover measured in
-#: ``benchmarks/bench_scale.py`` (see docs/performance.md).
-SPARSE_MIN_NODES = 1024
-SPARSE_MAX_DENSITY = 0.05
-
 
 def validate_engine(engine: str) -> str:
     if engine not in ENGINES:
@@ -111,55 +62,33 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def validate_reception(reception: str) -> str:
-    if reception not in RECEPTION_MODES:
-        raise ConfigurationError(
-            f"unknown reception kernel {reception!r}; expected one of "
-            f"{RECEPTION_MODES}"
-        )
-    return reception
-
-
-def validate_mask(mask: str) -> str:
-    if mask not in MASK_MODES:
-        raise ConfigurationError(
-            f"unknown active-set mask mode {mask!r}; expected one of "
-            f"{MASK_MODES}"
-        )
-    return mask
-
-
 class LockstepRadio:
     """Topology-side state for B lockstep replications on one graph.
 
     Nodes are re-indexed ``0..n-1`` in the sorted order of
     ``graph.nodes`` (the same order every scalar component iterates in);
-    all batch state elsewhere is indexed by these positions.
-
-    ``reception`` selects the slot-resolution kernel: ``"dense"`` (the
-    (n, n) adjacency product), ``"sparse"`` (CSR scatter, O(edges)
-    memory) or ``"auto"`` (density heuristic).  The dense matrices are
-    only materialized when the dense kernel is selected — at large n
-    they are the dominant memory cost — or lazily on first access to
-    :attr:`adjacency` (used by the trace-driven invariant checks, which
-    only ever run on small cells).
+    all batch state elsewhere is indexed by these positions.  The dense
+    (n, n) :attr:`adjacency` is built lazily, on first access only: the
+    trace-driven invariant checks read it, and they only ever run on
+    small cells.
     """
+
+    #: The only reception kernel; ``perfbench/vector_batch.py`` reads it.
+    reception = "sparse"
 
     def __init__(
         self,
         graph: Graph,
         tree: BFSTree,
         replications: int,
-        reception: str = "auto",
         backend: str = "auto",
     ):
         if replications < 1:
             raise ConfigurationError(
                 f"need at least one replication, got {replications}"
             )
-        validate_reception(reception)
         # Resolved once per radio: the kernels behind the CSR scatter and
-        # (via BatchDecay) the masked Decay step.  Bit-identical across
+        # (via BatchDecay) the Decay step.  Bit-identical across
         # backends; the requested knob still joins task identity.
         self.backend: KernelBackend = resolve_backend(backend)
         self.graph = graph
@@ -171,8 +100,7 @@ class LockstepRadio:
             node: i for i, node in enumerate(self.nodes)
         }
         # CSR adjacency: indices[indptr[v]:indptr[v+1]] are v's neighbor
-        # positions.  Built unconditionally — it is O(edges) and both the
-        # sparse kernel and the lazy dense build derive from it.
+        # positions.
         degrees = np.fromiter(
             (graph.degree(node) for node in self.nodes),
             dtype=np.int64,
@@ -189,21 +117,7 @@ class LockstepRadio:
             dtype=np.int64,
             count=int(self.indptr[-1]),
         )
-        nnz = int(self.indices.size)
-        density = nnz / max(1, self.n * self.n)
-        self.requested_reception = reception
-        if reception == "auto":
-            reception = (
-                "sparse"
-                if self.n >= SPARSE_MIN_NODES or density <= SPARSE_MAX_DENSITY
-                else "dense"
-            )
-        self.reception = reception
         self._adjacency: Optional[np.ndarray] = None
-        self._adjacency_f: Optional[np.ndarray] = None
-        if reception == "dense":
-            self._build_dense()
-        self.ids = np.arange(self.n, dtype=np.float32)
         self.root_index = self.index[tree.root]
         self.levels = np.array(
             [tree.level[node] for node in self.nodes], dtype=np.int64
@@ -220,57 +134,31 @@ class LockstepRadio:
             dtype=np.int64,
         )
 
-    def _build_dense(self) -> None:
-        adjacency = np.zeros((self.n, self.n), dtype=bool)
-        for v in range(self.n):
-            adjacency[v, self.indices[self.indptr[v]:self.indptr[v + 1]]] = (
-                True
-            )
-        self._adjacency = adjacency
-        # float32 mirror for the BLAS-backed reception product; counts and
-        # index sums stay far below 2^24, so float32 arithmetic is exact.
-        self._adjacency_f = adjacency.astype(np.float32)
-
     @property
     def adjacency(self) -> np.ndarray:
-        """The dense (n, n) boolean adjacency (built lazily if sparse)."""
+        """The dense (n, n) boolean adjacency (built on first access)."""
         if self._adjacency is None:
-            self._build_dense()
-        assert self._adjacency is not None
+            adjacency = np.zeros((self.n, self.n), dtype=bool)
+            for v in range(self.n):
+                adjacency[
+                    v, self.indices[self.indptr[v]:self.indptr[v + 1]]
+                ] = True
+            self._adjacency = adjacency
         return self._adjacency
 
     def resolve(
         self, tx: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve one slot: ``(counts, senders, unique)``.
+        """Resolve one full-width slot: ``(counts, senders, unique)``.
 
         ``counts[b, v]`` — transmitting neighbors of v; ``senders[b, v]``
         — sum of their indices (the transmitter's index exactly where
         ``counts == 1``); ``unique[b, v]`` — v hears a message: exactly
-        one neighbor transmitted and v itself was listening.
-
-        The two kernels return bit-identical values (float32, exact
-        integer arithmetic); only the work/memory profile differs.
+        one neighbor transmitted and v itself was listening.  Counts and
+        sums are float32 (exact: they stay far below 2²⁴).  The slot
+        loop scatters over its live pairs directly; this dense form
+        serves traces and tests.
         """
-        if self.reception == "dense":
-            return self._resolve_dense(tx)
-        return self._resolve_sparse(tx)
-
-    def _resolve_dense(
-        self, tx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._adjacency_f is None:
-            self._build_dense()
-        assert self._adjacency_f is not None
-        tx_f = tx.astype(np.float32)
-        counts = tx_f @ self._adjacency_f
-        senders = (tx_f * self.ids) @ self._adjacency_f
-        unique = (counts == 1.0) & ~tx
-        return counts, senders, unique
-
-    def _resolve_sparse(
-        self, tx: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         B, n = tx.shape
         b_idx, u_idx = np.nonzero(tx)
         if b_idx.size:

@@ -19,6 +19,7 @@ from repro.analysis.sweep import TopologyPoint, replicated, sweep
 from repro.errors import ConfigurationError
 from repro.graphs import path, star
 from repro.radio.network import RadioNetwork
+from repro.rng import content_key
 from repro.runner import (
     ResultCache,
     RunTelemetry,
@@ -577,59 +578,50 @@ class TestEngineCli:
         assert "PASS" in out
 
 
+#: A task record as 1.8.0 wrote it, with the retired vector knobs, and
+#: the cache key 1.8.0 gave it.
+RECORD_1_8_0 = {
+    "exp_id": "E2", "case": {"load": 2}, "replicate": 1, "seed": 77,
+    "engine": "vector", "reception": "sparse", "backend": "numpy",
+    "mask": "on",
+}
+KEY_1_8_0 = "e5c90631045896cf1d840fcab0959815f0db691daa2da74aa06721a02290c931"
+
+
 class TestReceptionSelection:
-    """reception='dense|sparse|auto' is part of cached task identity."""
-
-    def test_reception_is_part_of_the_cache_key(self):
-        import dataclasses
-
-        auto = dataclasses.replace(
-            TaskSpec("E3", (("k", 4),), 0, 123), engine="vector"
-        )
-        sparse = dataclasses.replace(auto, reception="sparse")
-        dense = dataclasses.replace(auto, reception="dense")
-        keys = {auto.key("1.2.0"), sparse.key("1.2.0"), dense.key("1.2.0")}
-        assert len(keys) == 3
+    """Reception is no longer selectable: one CSR kernel, no knob."""
 
     def test_reception_round_trips_through_records(self):
-        import dataclasses
+        # A 1.8.0 record's retired knobs load and drop out of the
+        # record, and so out of the cache key.
+        import repro
 
-        spec = dataclasses.replace(
-            TaskSpec("E2", (("load", 2),), 1, 77),
-            engine="vector",
-            reception="sparse",
+        assert content_key({"spec": RECORD_1_8_0, "version": "1.8.0"}) == (
+            KEY_1_8_0
         )
-        assert TaskSpec.from_record(spec.to_record()) == spec
-        # Pre-reception cache records read back as the auto default.
-        legacy = spec.to_record()
-        del legacy["reception"]
-        assert TaskSpec.from_record(legacy).reception == "auto"
-
-    def test_rejects_unknown_reception(self):
-        with pytest.raises(ConfigurationError):
-            TaskSpec("E3", (), 0, 1, reception="csr")
-        with pytest.raises(ConfigurationError):
-            run_experiment(
-                "E3", seed=1, replications=1, quick=True,
-                engine="vector", reception="csr",
-            )
+        spec = TaskSpec.from_record(RECORD_1_8_0)
+        assert (spec.engine, spec.backend) == ("vector", "numpy")
+        record = spec.to_record()
+        assert "reception" not in record and "mask" not in record
+        assert TaskSpec.from_record(record) == spec
+        assert spec.key(repro.__version__) != KEY_1_8_0
 
     def test_vector_kernels_agree_end_to_end(self):
-        # Dense and sparse kernels are bit-identical, so whole
-        # experiment runs (not just single resolves) must agree.
+        # Kernel backends are bit-identical, so whole experiment runs
+        # (not just single resolves) must agree.
         runs = {
-            mode: run_experiment(
+            name: run_experiment(
                 "E3", seed=5, replications=2, quick=True,
-                engine="vector", reception=mode,
+                engine="vector", backend=name,
             )
-            for mode in ("dense", "sparse")
+            for name in ("numpy", "auto")
         }
         assert (
-            runs["dense"].case_means("slots")
-            == runs["sparse"].case_means("slots")
+            runs["numpy"].case_means("slots")
+            == runs["auto"].case_means("slots")
         )
         assert all(
-            o.spec.reception == "sparse" for o in runs["sparse"].outcomes
+            o.spec.backend == "numpy" for o in runs["numpy"].outcomes
         )
 
     def test_run_cli_reception_flag(self, capsys):
@@ -640,86 +632,66 @@ class TestReceptionSelection:
             "--reception", "sparse", "--replications", "2",
             "--no-progress",
         ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "reception=sparse" in out
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--reception" in capsys.readouterr().err
 
 
 class TestBackendAndMaskSelection:
-    """--backend/--mask join cached task identity like reception."""
+    """--backend joins cached task identity; --mask is gone."""
 
-    def test_backend_and_mask_join_the_cache_key(self):
+    def test_backend_joins_the_cache_key(self):
         import dataclasses
 
         base = dataclasses.replace(
             TaskSpec("E3", (("k", 4),), 0, 123), engine="vector"
         )
         variants = {
-            base.key("1.7.0"),
-            dataclasses.replace(base, backend="numpy").key("1.7.0"),
-            dataclasses.replace(base, backend="numba").key("1.7.0"),
-            dataclasses.replace(base, mask="on").key("1.7.0"),
-            dataclasses.replace(base, mask="off").key("1.7.0"),
+            base.key("1.9.0"),
+            dataclasses.replace(base, backend="numpy").key("1.9.0"),
+            dataclasses.replace(base, backend="numba").key("1.9.0"),
         }
-        assert len(variants) == 5
+        assert len(variants) == 3
 
     def test_round_trips_and_legacy_defaults(self):
         import dataclasses
 
         spec = dataclasses.replace(
             TaskSpec("E2", (("load", 2),), 1, 77),
-            engine="vector", backend="numpy", mask="on",
+            engine="vector", backend="numpy",
         )
         assert TaskSpec.from_record(spec.to_record()) == spec
         legacy = spec.to_record()
         del legacy["backend"]
-        del legacy["mask"]
-        restored = TaskSpec.from_record(legacy)
-        assert restored.backend == "auto"
-        assert restored.mask == "auto"
+        assert TaskSpec.from_record(legacy).backend == "auto"
 
     def test_rejects_unknown_backend_and_mask(self):
         with pytest.raises(ConfigurationError):
             TaskSpec("E3", (), 0, 1, backend="fortran")
-        with pytest.raises(ConfigurationError):
-            TaskSpec("E3", (), 0, 1, mask="maybe")
+        with pytest.raises(TypeError):
+            TaskSpec("E3", (), 0, 1, mask="on")
         with pytest.raises(ConfigurationError):
             run_experiment(
                 "E3", seed=1, replications=1, quick=True,
                 engine="vector", backend="fortran",
             )
-        with pytest.raises(ConfigurationError):
-            run_experiment(
-                "E3", seed=1, replications=1, quick=True,
-                engine="vector", mask="maybe",
-            )
-
-    def test_masked_run_matches_unmasked_on_deterministic_cells(self):
-        # Quick E3 cells drain in a coin-independent number of slots,
-        # so even the masked loop's different coin accounting cannot
-        # move the answer.
-        runs = {
-            mode: run_experiment(
-                "E3", seed=5, replications=2, quick=True,
-                engine="vector", mask=mode,
-            )
-            for mode in ("off", "on")
-        }
-        assert runs["off"].case_means("slots") == runs["on"].case_means("slots")
-        assert all(o.spec.mask == "on" for o in runs["on"].outcomes)
 
     def test_run_cli_backend_and_mask_flags(self, capsys):
         from repro.__main__ import main
 
         argv = [
             "run", "E3", "--quick", "--engine", "vector",
-            "--backend", "numpy", "--mask", "on",
-            "--replications", "2", "--no-progress",
+            "--backend", "numpy", "--replications", "2", "--no-progress",
         ]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "backend=numpy" in out
-        assert "mask=on" in out
+        assert "mask" not in out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "E2", "--engine", "vector", "--mask", "on"])
+        assert exit_info.value.code == 2
+        assert "--mask" in capsys.readouterr().err
 
 
 class TestBatchSharding:
@@ -756,11 +728,10 @@ class TestBatchSharding:
         # streams are per-replication, so any partition of a cell's
         # seeds replays the identical trajectory.
         inline = run_experiment(
-            "E3", seed=9, replications=4, quick=True,
-            engine="vector", mask="on",
+            "E3", seed=9, replications=4, quick=True, engine="vector",
         )
         sharded = run_experiment(
             "E3", seed=9, replications=4, quick=True,
-            engine="vector", mask="on", workers=2,
+            engine="vector", workers=2,
         )
         assert inline.summary_table() == sharded.summary_table()

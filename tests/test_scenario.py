@@ -375,14 +375,23 @@ class TestVectorScenario:
 
     def test_compile_threads_engine_knobs_into_tasks(self, tmp_path):
         text = CLOSED_VECTOR.replace(
-            'kind = "vector"', 'kind = "vector"\nmask = "on"'
+            'kind = "vector"', 'kind = "vector"\nbackend = "numpy"'
         )
         compiled = compile_scenario(parse_scenario(write_spec(tmp_path, text)))
         assert compiled.engine == "vector"
-        assert compiled.mask == "on"
+        assert compiled.backend == "numpy"
         for task in compiled.tasks:
             assert task.engine == "vector"
-            assert task.mask == "on"
+            assert task.backend == "numpy"
+
+    @pytest.mark.parametrize("key", ["mask", "reception"])
+    def test_retired_engine_keys_are_rejected(self, tmp_path, key):
+        text = CLOSED_VECTOR.replace(
+            'kind = "vector"', f'kind = "vector"\n{key} = "auto"'
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(write_spec(tmp_path, text))
+        assert err.value.path == f"engine.{key}"
 
     def test_vector_run_delivers_everything(self, tmp_path):
         compiled = compile_scenario(

@@ -1,6 +1,6 @@
 """Tests for the vector engine (repro.vector).
 
-Three layers: the batched primitives (reception product, Decay) against
+Three layers: the batched primitives (reception scatter, Decay) against
 brute-force/scalar references; the batched collection protocol's exact
 guarantees (conservation, ack parity, purity under batch composition);
 and the equivalence harness itself — including the mandated negative
@@ -49,8 +49,24 @@ from repro.vector.check import (
 )
 
 
-#: Replication seeds of the golden masked cell.
+#: Replication seeds of the golden cells.
 GOLDEN_SEEDS = [11, 12, 13, 14]
+
+#: Trajectory digests of the vector-check cells at level classes 1-4.
+GOLDEN_CHECK_CELLS = {
+    "E2/contention-2x8/load=2": (
+        "90b5f000aff122f3f852cdcc6aee073898cb725ab1031b353db14019b3593111",
+        "cec97153b3055316afbbe83fee7cd2996dcfc5c285803f57f117a397fd7bf3b5",
+        "9794ed1a127fb7569bf94538492de222d802dfa55c977f7f5d14a4b4ed076806",
+        "27e044c74356410bf89280c2d401e4abe7496491f5de8d4e8f271d9d6c54ebda",
+    ),
+    "E3/band-6x4/k=8": (
+        "26c7e6e4f6446df41e17a0b5c51db84cc0e718bc3416a13f813e23c300dd22a6",
+        "92415fa34dae59edf5c269ab4407edbc0b038fe2341c118e5afdb41a22523792",
+        "9c1b233307642e02844ea193a8b5e16c0f96a5046f6e073a8ae4e0803bcc0133",
+        "f4607788c35705ef3ce42a327ce21888f9641219327bc75bf81307fed1facdf8",
+    ),
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,6 +118,30 @@ class _CountingGen:
         return self.gen.random(out=out, dtype=dtype)
 
 
+def _brute_force_resolve(radio, tx):
+    """``(counts, senders, unique)`` of one slot by direct enumeration."""
+    B, n = tx.shape
+    counts = np.zeros((B, n), dtype=np.float32)
+    senders = np.zeros((B, n), dtype=np.float32)
+    for b in range(B):
+        for vi, v in enumerate(radio.nodes):
+            for u in radio.graph.neighbors(v):
+                if tx[b, radio.index[u]]:
+                    counts[b, vi] += 1
+                    senders[b, vi] += radio.index[u]
+    unique = (counts == 1) & ~tx
+    return counts, senders, unique
+
+
+def _assert_resolves_like_brute_force(radio, tx, label=""):
+    expected = _brute_force_resolve(radio, tx)
+    actual = radio.resolve(tx)
+    assert actual[0].dtype == np.float32, label
+    for got, want in zip(actual, expected):
+        assert np.array_equal(got, want), label
+    return actual
+
+
 class TestEngineSelection:
     def test_engines(self):
         assert ENGINES == ("scalar", "vector")
@@ -121,22 +161,7 @@ class TestLockstepRadio:
         rng = np.random.default_rng(3)
         for _ in range(25):
             tx = rng.random((8, radio.n)) < 0.3
-            counts, senders, unique = radio.resolve(tx)
-            for b in range(8):
-                for vi, v in enumerate(radio.nodes):
-                    transmitting_neighbors = [
-                        u for u in graph.neighbors(v)
-                        if tx[b, radio.index[u]]
-                    ]
-                    assert counts[b, vi] == len(transmitting_neighbors)
-                    expected_unique = (
-                        len(transmitting_neighbors) == 1 and not tx[b, vi]
-                    )
-                    assert unique[b, vi] == expected_unique
-                    if expected_unique:
-                        assert senders[b, vi] == radio.index[
-                            transmitting_neighbors[0]
-                        ]
+            _assert_resolves_like_brute_force(radio, tx)
 
     def test_transmitter_hears_nothing(self):
         graph = path(3)
@@ -156,42 +181,55 @@ class TestLockstepRadio:
             LockstepRadio(graph, tree, replications=0)
 
 
+def _all_pairs(shape):
+    """Every (replication, station) pair of ``shape``, b-major."""
+    rows, cols = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+    return rows, cols
+
+
 class TestBatchDecay:
     def test_first_transmission_unconditional(self):
         decay = BatchDecay(budget=4, shape=(2, 3))
-        decay.start(np.ones((2, 3), dtype=bool))
+        rows, cols = _all_pairs((2, 3))
+        decay.start_pairs(rows, cols)
         # All coins kill immediately — but the first step still transmits.
-        tx = decay.transmit(np.zeros((2, 3), dtype=np.float32))
+        tx = decay.transmit_pairs(rows, cols, np.zeros(6, np.float32))
         assert tx.all()
         # Everyone flipped 0 after transmitting: all sessions dead.
-        tx = decay.transmit(np.ones((2, 3), dtype=np.float32))
+        tx = decay.transmit_pairs(rows, cols, np.ones(6, np.float32))
         assert not tx.any()
 
     def test_budget_caps_transmissions(self):
         decay = BatchDecay(budget=3, shape=(1, 1))
-        decay.start(np.ones((1, 1), dtype=bool))
-        lucky = np.ones((1, 1), dtype=np.float32)  # coin 1: never dies
+        rows, cols = _all_pairs((1, 1))
+        decay.start_pairs(rows, cols)
+        lucky = np.ones(1, dtype=np.float32)  # coin 1: never dies
         transmissions = sum(
-            int(decay.transmit(lucky)[0, 0]) for _ in range(10)
+            int(decay.transmit_pairs(rows, cols, lucky)[0])
+            for _ in range(10)
         )
         assert transmissions == 3
 
     def test_opportunity_mask_freezes_other_sessions(self):
+        # The opportunity is the pair list: an unlisted pair neither
+        # transmits nor advances.
         decay = BatchDecay(budget=2, shape=(1, 2))
-        decay.start(np.ones((1, 2), dtype=bool))
-        only_first = np.array([True, False])
-        lucky = np.ones((1, 2), dtype=np.float32)
-        tx = decay.transmit(lucky, opportunity=only_first)
-        assert tx[0, 0] and not tx[0, 1]
+        decay.start_pairs(*_all_pairs((1, 2)))
+        first = (np.array([0]), np.array([0]))
+        lucky = np.ones(1, dtype=np.float32)
+        tx = decay.transmit_pairs(*first, lucky)
+        assert tx.tolist() == [True]
+        assert decay.steps[0, 0] == 1
         # Station 1's session did not advance: it still has both steps.
         assert decay.steps[0, 1] == 0 and decay.alive[0, 1]
 
     def test_kill_silences(self):
         decay = BatchDecay(budget=8, shape=(1, 2))
-        decay.start(np.ones((1, 2), dtype=bool))
+        rows, cols = _all_pairs((1, 2))
+        decay.start_pairs(rows, cols)
         decay.kill(np.array([0]), np.array([1]))
-        tx = decay.transmit(np.ones((1, 2), dtype=np.float32))
-        assert tx[0, 0] and not tx[0, 1]
+        tx = decay.transmit_pairs(rows, cols, np.ones(2, np.float32))
+        assert tx.tolist() == [True, False]
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ConfigurationError):
@@ -367,71 +405,41 @@ class TestEquivalenceHarness:
 
 
 class TestSparseReception:
-    """The CSR scatter kernel: bit-identical to the dense product."""
-
-    def test_validate_reception(self):
-        from repro.vector import RECEPTION_MODES, validate_reception
-
-        assert RECEPTION_MODES == ("dense", "sparse", "auto")
-        for mode in RECEPTION_MODES:
-            assert validate_reception(mode) == mode
-        with pytest.raises(ConfigurationError):
-            validate_reception("csr")
+    """The CSR scatter kernel on the vector-check cells."""
 
     @pytest.mark.parametrize("cell", [e3_cell(), e2_cell()], ids=lambda c: c.name)
     def test_resolve_bitwise_equal_on_check_cells(self, cell):
-        # Every vector-check cell, dense vs sparse, exact equality: the
-        # acceptance criterion for the kernel swap.
-        dense = LockstepRadio(cell.graph, cell.tree, 8, reception="dense")
-        sparse = LockstepRadio(cell.graph, cell.tree, 8, reception="sparse")
+        # Every vector-check cell, every transmit density from silence to
+        # all-transmit: exact equality with direct enumeration.
+        radio = LockstepRadio(cell.graph, cell.tree, 8)
         rng = np.random.default_rng(11)
         for density in (0.0, 0.05, 0.3, 1.0):
-            tx = rng.random((8, dense.n)) < density
-            d_counts, d_senders, d_unique = dense.resolve(tx)
-            s_counts, s_senders, s_unique = sparse.resolve(tx)
-            assert np.array_equal(d_counts, s_counts)
-            assert np.array_equal(d_senders, s_senders)
-            assert np.array_equal(d_unique, s_unique)
-            assert d_counts.dtype == s_counts.dtype == np.float32
+            tx = rng.random((8, radio.n)) < density
+            _assert_resolves_like_brute_force(radio, tx, density)
 
     @pytest.mark.parametrize("cell", [e3_cell(), e2_cell()], ids=lambda c: c.name)
     def test_full_trajectories_identical_across_kernels(self, cell):
-        # Same seeds, only the kernel differs: whole runs must agree.
+        # Same seeds, only the kernel backend differs, traced (which
+        # steps every slot) or not (which sleeps through silent phase
+        # tails): whole runs must agree.
+        from repro.vector import available_backends
+
         seeds = [101, 102, 103, 104]
-        results = {
-            mode: run_collection_batch(
-                cell.graph, cell.tree, cell.sources, seeds, reception=mode
-            )
-            for mode in ("dense", "sparse")
+        runs = {
+            (name, trace): run_collection_batch(
+                cell.graph, cell.tree, cell.sources, seeds,
+                backend=name, trace=trace,
+            ).simulation
+            for name in available_backends()
+            for trace in (False, True)
         }
-        assert np.array_equal(
-            results["dense"].completion_slots,
-            results["sparse"].completion_slots,
-        )
-        assert (
-            results["dense"].simulation.delivered_ids()
-            == results["sparse"].simulation.delivered_ids()
-        )
-
-    def test_auto_heuristic(self):
-        from repro.vector.engine import SPARSE_MAX_DENSITY, SPARSE_MIN_NODES
-
-        # Small and dense -> dense kernel.
-        band = e3_cell()
-        small = LockstepRadio(band.graph, band.tree, 1, reception="auto")
-        assert small.requested_reception == "auto"
-        assert small.reception == "dense"
-        # Sparse topology (path density well under the threshold) -> sparse.
-        chain = path(64)
-        chain_tree = reference_bfs_tree(chain, 0)
-        assert (2 * chain.num_edges) / 64**2 <= SPARSE_MAX_DENSITY
-        assert LockstepRadio(chain, chain_tree, 1).reception == "sparse"
-        # Node-count override: big graphs go sparse regardless of density.
-        assert SPARSE_MIN_NODES == 1024
+        reference = _snapshot(runs["numpy", False])
+        for label, sim in runs.items():
+            assert _snapshot(sim) == reference, label
 
     def test_sparse_radio_builds_dense_adjacency_lazily(self):
         cell = e2_cell()
-        radio = LockstepRadio(cell.graph, cell.tree, 2, reception="sparse")
+        radio = LockstepRadio(cell.graph, cell.tree, 2)
         assert radio._adjacency is None
         adjacency = radio.adjacency  # trace/invariant path still works
         assert adjacency[radio.index[0], radio.index[1]]
@@ -500,44 +508,28 @@ class TestBackends:
         cell = e3_cell()
         rng = np.random.default_rng(5)
         radios = {
-            name: LockstepRadio(
-                cell.graph, cell.tree, 6, reception="sparse", backend=name
-            )
+            name: LockstepRadio(cell.graph, cell.tree, 6, backend=name)
             for name in available_backends()
         }
         for density in (0.0, 0.1, 0.5):
             tx = rng.random((6, radios["numpy"].n)) < density
-            reference = radios["numpy"].resolve(tx)
             for name, radio in radios.items():
-                counts, senders, unique = radio.resolve(tx)
-                assert np.array_equal(counts, reference[0]), name
-                assert np.array_equal(senders, reference[1]), name
-                assert np.array_equal(unique, reference[2]), name
+                _assert_resolves_like_brute_force(radio, tx, name)
 
 
 class TestSparseEdgeCases:
-    """Degenerate slot shapes every kernel pair must agree on exactly."""
+    """Degenerate slot shapes every backend must resolve exactly."""
 
     def _resolve_all(self, graph, tx):
         from repro.vector import available_backends
 
         tree = reference_bfs_tree(graph, 0)
         B = tx.shape[0]
-        outputs = {
-            "dense": LockstepRadio(
-                graph, tree, B, reception="dense"
-            ).resolve(tx)
-        }
         for name in available_backends():
-            outputs[f"sparse/{name}"] = LockstepRadio(
-                graph, tree, B, reception="sparse", backend=name
-            ).resolve(tx)
-        reference = outputs["dense"]
-        for label, (counts, senders, unique) in outputs.items():
-            assert np.array_equal(counts, reference[0]), label
-            assert np.array_equal(senders, reference[1]), label
-            assert np.array_equal(unique, reference[2]), label
-        return reference
+            outputs = _assert_resolves_like_brute_force(
+                LockstepRadio(graph, tree, B, backend=name), tx, name
+            )
+        return outputs
 
     def test_zero_transmitter_slot(self):
         graph = grid(4, 4)
@@ -552,7 +544,7 @@ class TestSparseEdgeCases:
         # hears nothing at all.
         graph = star(9)
         tree = reference_bfs_tree(graph, 0)
-        radio = LockstepRadio(graph, tree, 1, reception="sparse")
+        radio = LockstepRadio(graph, tree, 1)
         tx = np.ones((1, 9), dtype=bool)
         tx[0, radio.index[0]] = False  # hub (root) stays silent
         counts, _senders, unique = self._resolve_all(graph, tx)
@@ -567,7 +559,7 @@ class TestSparseEdgeCases:
         # widest single-sender scatter a star can produce.
         graph = star(64)
         tree = reference_bfs_tree(graph, 0)
-        radio = LockstepRadio(graph, tree, 2, reception="sparse")
+        radio = LockstepRadio(graph, tree, 2)
         tx = np.zeros((2, 64), dtype=bool)
         tx[:, radio.index[0]] = True
         counts, senders, unique = self._resolve_all(graph, tx)
@@ -579,8 +571,9 @@ class TestSparseEdgeCases:
 
     def test_edge_case_trajectories_span_backends(self):
         # Whole protocol runs on a star (max-degree hub) and a path
-        # (every station near-isolated): dense vs sparse x backends,
-        # bit-identical completion and delivery.
+        # (every station near-isolated), one source each, so both drain
+        # deterministically: every backend must land on the scalar
+        # engine's completion slot and deliver in FIFO order.
         from repro.vector import available_backends
 
         for graph in (star(12), path(12)):
@@ -588,58 +581,23 @@ class TestSparseEdgeCases:
             deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
             sources = {deepest: ["a", "b", "c"]}
             seeds = [7, 8, 9]
-            runs = {}
-            runs["dense"] = run_collection_batch(
-                graph, tree, sources, seeds, reception="dense"
-            )
+            scalar = run_collection(graph, tree, sources, seed=7).slots
             for name in available_backends():
-                runs[f"sparse/{name}"] = run_collection_batch(
-                    graph, tree, sources, seeds,
-                    reception="sparse", backend=name,
+                batch = run_collection_batch(
+                    graph, tree, sources, seeds, backend=name
                 )
-            reference = runs["dense"]
-            for label, batch in runs.items():
-                assert np.array_equal(
-                    batch.completion_slots, reference.completion_slots
-                ), label
-                assert (
-                    batch.simulation.delivered_ids()
-                    == reference.simulation.delivered_ids()
-                ), label
+                assert list(batch.completion_slots) == [scalar] * 3, name
+                assert batch.simulation.delivered_ids() == [[0, 1, 2]] * 3
 
 
 class TestActiveSetMask:
     """The idle-aware lockstep loop: awake pairs only, same physics."""
 
-    def test_validate_mask(self):
-        from repro.vector import MASK_MODES, validate_mask
-
-        assert MASK_MODES == ("on", "off", "auto")
-        for mode in MASK_MODES:
-            assert validate_mask(mode) == mode
-        with pytest.raises(ConfigurationError):
-            validate_mask("maybe")
-
-    def test_auto_threshold(self):
-        from repro.vector.collection import MASK_MIN_NODES, BatchCollection
-
-        cell = e3_cell()
-        assert MASK_MIN_NODES == 1024
-        small = BatchCollection(
-            cell.graph, cell.tree, cell.sources, [1, 2], mask="auto"
-        )
-        assert not small.masked  # e3 band is far below the threshold
-        forced = BatchCollection(
-            cell.graph, cell.tree, cell.sources, [1, 2], mask="on"
-        )
-        assert forced.masked
-
     @pytest.mark.parametrize("cell", [e3_cell(), e2_cell()], ids=lambda c: c.name)
     def test_masked_run_keeps_exact_invariants(self, cell):
         seeds = [31, 32, 33, 34]
         batch = run_collection_batch(
-            cell.graph, cell.tree, cell.sources, seeds,
-            mask="on", trace=True,
+            cell.graph, cell.tree, cell.sources, seeds, trace=True
         )
         assert check_invariants(batch) == []
         assert (batch.completion_slots >= 0).all()
@@ -654,8 +612,7 @@ class TestActiveSetMask:
         seeds = [41, 42, 43]
         runs = [
             run_collection_batch(
-                cell.graph, cell.tree, cell.sources, seeds,
-                mask="on", backend=name,
+                cell.graph, cell.tree, cell.sources, seeds, backend=name
             )
             for name in available_backends()
         ]
@@ -671,12 +628,10 @@ class TestActiveSetMask:
         cell = e3_cell()
         seeds = [51, 52, 53, 54]
         whole = run_collection_batch(
-            cell.graph, cell.tree, cell.sources, seeds, mask="on"
+            cell.graph, cell.tree, cell.sources, seeds
         )
         parts = [
-            run_collection_batch(
-                cell.graph, cell.tree, cell.sources, chunk, mask="on"
-            )
+            run_collection_batch(cell.graph, cell.tree, cell.sources, chunk)
             for chunk in (seeds[:1], seeds[1:3], seeds[3:])
         ]
         stitched = np.concatenate([p.completion_slots for p in parts])
@@ -685,19 +640,18 @@ class TestActiveSetMask:
     def test_occupancy_reported(self):
         cell = e3_cell()
         sim = run_collection_batch(
-            cell.graph, cell.tree, cell.sources, [61, 62], mask="on"
+            cell.graph, cell.tree, cell.sources, [61, 62]
         ).simulation
         assert 0.0 < sim.awake_occupancy <= 1.0
         assert sim.mask_stats["data_slots"] > 0
 
     def test_broken_decay_caught_under_mask(self):
-        # The negative control must still have teeth in masked mode.
+        # The negative control must have teeth on the active-set loop.
         report = run_equivalence(
             replications=24,
             decay_factory=BrokenOffByOneDecay,
             cells=[e3_cell()],
             backends=["numpy"],
-            masks=("on",),
         )
         assert not report.passed
 
@@ -710,11 +664,23 @@ class TestActiveSetMask:
         # the loop that drew a coin for, and stepped, every listed pair.
         graph, tree, sources = _golden_cell()
         sim = run_collection_batch(
-            graph, tree, sources, GOLDEN_SEEDS, mask="on"
+            graph, tree, sources, GOLDEN_SEEDS
         ).simulation
         assert _trajectory_digest(sim) == (
             "93b405890cec1b7e77418d0b1bf39ea96a2b1873aa931b9a6015a34fadf95261"
         )
+
+    @pytest.mark.parametrize("cell", [e2_cell(), e3_cell()], ids=lambda c: c.name)
+    def test_golden_check_cell_trajectories(self, cell):
+        # The small cells E2, E3 and vector-check run, at every level
+        # class count 1-4; recorded from the active-set loop.
+        digests = GOLDEN_CHECK_CELLS[cell.name]
+        for classes, digest in enumerate(digests, start=1):
+            sim = run_collection_batch(
+                cell.graph, cell.tree, cell.sources, GOLDEN_SEEDS,
+                level_classes=classes,
+            ).simulation
+            assert _trajectory_digest(sim) == digest, classes
 
     def test_sleep_matches_stepping(self):
         from repro.profiling import profiled
@@ -725,7 +691,7 @@ class TestActiveSetMask:
         for mode in ("sleep", "step", "trace"):
             with profiled() as profile:
                 sim = BatchCollection(
-                    graph, tree, sources, GOLDEN_SEEDS, mask="on",
+                    graph, tree, sources, GOLDEN_SEEDS,
                     trace=mode == "trace",
                 )
                 if mode == "step":
@@ -773,7 +739,7 @@ class TestActiveSetMask:
 
         def run():
             return run_collection_batch(
-                graph, tree, sources, seeds, mask="on"
+                graph, tree, sources, seeds
             ).simulation
 
         default = _snapshot(run())
@@ -791,7 +757,7 @@ class TestActiveSetMask:
         sources = {5: ["m0"]}
         with profiled() as profile:
             sleeper = BatchCollection(
-                graph, tree, sources, [1, 2], budget=4, mask="on"
+                graph, tree, sources, [1, 2], budget=4
             )
             assert sleeper.phase_length == 24
             with pytest.raises(SimulationTimeout) as excinfo:
@@ -800,7 +766,7 @@ class TestActiveSetMask:
         assert sleeper.slot == 15
         assert profile.samples["vector/decay"] == 3  # slots 0, 2 and 4
         stepper = BatchCollection(
-            graph, tree, sources, [1, 2], budget=4, mask="on"
+            graph, tree, sources, [1, 2], budget=4
         )
         for _ in range(15):
             stepper.step()
@@ -828,7 +794,7 @@ class TestActiveSetMask:
         monkeypatch.setattr(collection, "_CoinCursor", CountingCursor)
         graph, tree, sources = _golden_cell()
         sim = collection.BatchCollection(
-            graph, tree, sources, GOLDEN_SEEDS, mask="on"
+            graph, tree, sources, GOLDEN_SEEDS
         )
         listed = np.zeros(len(GOLDEN_SEEDS), dtype=np.int64)
         dead_class_slots = 0
