@@ -4,8 +4,8 @@ Not a paper claim — the capacity statement behind ``--engine vector`` at
 scale: a collection batch with k messages has at most O(k·B)
 provably-awake (replication, station) pairs per slot, and the lockstep
 loop only works on those.  This sweep times it on unit-disk fields of
-growing n, per kernel backend, records the awake and live occupancy
-that explain the rate, and writes
+growing n, records the awake and live occupancy that explain the rate,
+and writes
 ``benchmarks/results/BENCH_SCALE100K.json``.
 """
 
@@ -68,9 +68,6 @@ def _sweep_cell(n):
 
 
 def test_masked_scaling_sweep():
-    from repro.vector import available_backends
-
-    backends = available_backends()
     points = []
     for n in _sweep_ns():
         graph, tree, sources, radius = _sweep_cell(n)
@@ -78,18 +75,13 @@ def test_masked_scaling_sweep():
             derive_seed(ROOT_SEED, "bench-scale-masked", n, index)
             for index in range(SWEEP_REPLICATIONS)
         ]
-        rates = {}
-        occupancy = live = None
-        for backend in backends:
-            sim = BatchCollection(graph, tree, sources, seeds, backend=backend)
-            for _ in range(SWEEP_WARMUP):
-                sim.step()
-            seconds = _timed_window(sim, SWEEP_WINDOW)
-            rates[backend] = SWEEP_REPLICATIONS * SWEEP_WINDOW / seconds
-            if backend == "numpy":
-                occupancy = sim.awake_occupancy
-                live = sim.live_occupancy
-        best_rate = max(rates.values())
+        sim = BatchCollection(graph, tree, sources, seeds)
+        for _ in range(SWEEP_WARMUP):
+            sim.step()
+        seconds = _timed_window(sim, SWEEP_WINDOW)
+        rate = SWEEP_REPLICATIONS * SWEEP_WINDOW / seconds
+        occupancy = sim.awake_occupancy
+        live = sim.live_occupancy
         points.append({
             "n": n,
             "radius": round(radius, 6),
@@ -101,12 +93,10 @@ def test_masked_scaling_sweep():
             "window_slots": SWEEP_WINDOW,
             "awake_occupancy": round(float(occupancy), 8),
             "live_occupancy": round(float(live), 8),
-            "slots_per_sec": {
-                name: round(rate, 3) for name, rate in rates.items()
-            },
+            "slots_per_sec": round(rate, 3),
         })
         print(
-            f"\nSCALE100K n={n}: {best_rate:.1f} rep·slots/s "
+            f"\nSCALE100K n={n}: {rate:.1f} rep·slots/s "
             f"(occupancy {occupancy:.2e}, live {live:.2e})"
         )
 
@@ -115,7 +105,6 @@ def test_masked_scaling_sweep():
         "experiment": "SCALE100K",
         "title": "lockstep loop rate and awake occupancy up to n = 10^5",
         "seed": ROOT_SEED,
-        "backends": list(backends),
         "sweep": points,
         "n": largest["n"],
         "awake_occupancy": largest["awake_occupancy"],

@@ -36,7 +36,7 @@ Quickstart::
     print(result.slots, [m.payload for m in result.delivered])
 """
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 from repro import core, graphs, radio
 from repro.errors import (

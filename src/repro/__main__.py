@@ -37,8 +37,7 @@ Commands
     sharded execution, content-addressed result cache, JSONL telemetry.
     ``--engine vector`` batches every seed of a grid cell into one NumPy
     lockstep call, whose per-slot work is restricted to the
-    provably-awake stations; ``--backend numpy|numba|auto`` picks its
-    array-kernel backend (numba falls back to numpy when unavailable).
+    provably-awake stations.
     ``--timeout S``, ``--retries N`` and ``--no-quarantine`` set the
     fault policy (watchdog budget, retry count, whether a task
     that keeps failing is recorded-and-skipped or fatal);
@@ -77,10 +76,9 @@ Commands
     Run an experiment inline under the slot-loop profiler and print a
     JSON breakdown of where the engines spend their time (per-phase
     seconds, slots stepped, processes polled vs. skipped).
-``vector-check [seed] [--backend NAME]``
+``vector-check [seed]``
     Run the vector-engine equivalence harness: exact invariants on
-    traced batch runs plus the scalar-vs-vector KS test on E2/E3 cells,
-    once per available kernel backend (restrictable by flag).
+    traced batch runs plus the scalar-vs-vector KS test on E2/E3 cells.
 ``experiments``
     List the experiment registry (id, claim, bench file).
 ``validate``
@@ -333,7 +331,6 @@ def _cmd_run(argv: list) -> int:
             checkpoint=args.checkpoint,
             progress=not args.no_progress,
             engine=args.engine,
-            backend=args.backend,
             timeout=args.timeout,
             retries=args.retries,
             quarantine=not args.no_quarantine,
@@ -347,7 +344,6 @@ def _cmd_run(argv: list) -> int:
     print(
         f"{len(report.outcomes)} tasks: {report.executed} executed, "
         f"{report.cache_hits} from cache; engine={args.engine}; "
-        f"backend={args.backend}; "
         f"workers={report.workers}; wall {report.wall_time:.2f}s"
     )
     failures = report.failure_summary()
@@ -384,7 +380,6 @@ def _cmd_scenario(argv: list) -> int:
         parse_scenario,
         run_scenario,
     )
-    from repro.vector import BACKENDS
 
     if argv and argv[0] == "list":
         found = discover_scenarios()
@@ -455,11 +450,6 @@ def _cmd_scenario(argv: list) -> int:
         help="override the spec's [engine] kind",
     )
     parser.add_argument(
-        "--backend", choices=BACKENDS,
-        default=None,
-        help="override the spec's [engine] backend (vector engine only)",
-    )
-    parser.add_argument(
         "--json", metavar="FILE", default=None,
         help="also write the BENCH-style summary JSON to FILE",
     )
@@ -479,9 +469,6 @@ def _cmd_scenario(argv: list) -> int:
             overrides["run"] = {**run, "replications": args.replications}
         if args.engine is not None:
             overrides["engine"] = {**spec.engine, "kind": args.engine}
-        if args.backend is not None:
-            engine = overrides.get("engine", spec.engine)
-            overrides["engine"] = {**engine, "backend": args.backend}
         if overrides:
             spec = dataclasses.replace(spec, **overrides)
         compiled = compile_scenario(spec)
@@ -725,7 +712,6 @@ def _cmd_profile(argv: list) -> int:
                 replications=args.replications,
                 workers=0,
                 engine=args.engine,
-                backend=args.backend,
                 quick=args.quick,
             )
     except ConfigurationError as exc:
@@ -734,7 +720,6 @@ def _cmd_profile(argv: list) -> int:
     breakdown = {
         "exp_id": args.exp_id,
         "engine": args.engine,
-        "backend": args.backend,
         "seed": args.seed,
         "replications": args.replications,
         "tasks": len(report.outcomes),
@@ -892,7 +877,7 @@ def _retry_policy(retries):
 
 def _add_grid_args(parser) -> None:
     """The experiment-grid options of ``run``, ``profile`` and ``submit``."""
-    from repro.vector import BACKENDS, ENGINES
+    from repro.vector import ENGINES
 
     parser.add_argument(
         "--engine",
@@ -902,18 +887,6 @@ def _add_grid_args(parser) -> None:
             "simulation engine: 'scalar' steps each task's slot loop in "
             "Python; 'vector' batches all seeds of a grid cell into one "
             "NumPy lockstep run (default: scalar)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="auto",
-        help=(
-            "vector-engine array kernels: 'numpy' (default "
-            "formulations), 'numba' (JIT-compiled inner loops; silently "
-            "falls back to numpy when the wheel is unavailable — "
-            "results are bit-identical) or 'auto' (numba when "
-            "importable); part of the cached task identity"
         ),
     )
     parser.add_argument(
@@ -953,8 +926,7 @@ def _submit_grid(args):
         seed=args.seed,
         replications=args.replications,
         engine=args.engine,
-        backend=args.backend,
-        **({"quick": True} if args.quick else {}),
+        quick=args.quick,
     )
     return tasks, options
 
@@ -1355,24 +1327,16 @@ def _cmd_coord(argv: list) -> int:
 def _cmd_vector_check(argv: list) -> int:
     import argparse
 
-    from repro.vector import BACKENDS
     from repro.vector.check import run_equivalence
 
     parser = argparse.ArgumentParser(
         prog="repro vector-check",
         description="scalar-vs-vector equivalence: exact invariants on "
-        "traced batch runs plus the KS test, once per kernel backend",
+        "traced batch runs plus the KS test",
     )
     parser.add_argument("seed", nargs="?", type=int, default=20260704)
-    parser.add_argument(
-        "--backend",
-        action="append",
-        choices=[b for b in BACKENDS if b != "auto"],
-        help="restrict the check to these kernel backends (repeatable; "
-        "default: every available backend)",
-    )
     args = parser.parse_args(argv)
-    report = run_equivalence(seed=args.seed, backends=args.backend)
+    report = run_equivalence(seed=args.seed)
     print(report.summary())
     return 0 if report.passed else 1
 

@@ -130,7 +130,7 @@ def collection_metrics(
 
 
 def _e3_tasks(
-    seed: int, replications: int, quick: bool = False, **_: Any
+    seed: int, replications: int, quick: bool = False
 ) -> List[TaskSpec]:
     if quick:
         cases = [
@@ -163,7 +163,6 @@ def collection_metrics_batch(
     k: int,
     classes: int,
     seeds: List[int],
-    backend: str = "auto",
 ) -> List[Dict[str, Any]]:
     """All seeds of one E3 cell in NumPy lockstep batches.
 
@@ -187,7 +186,6 @@ def collection_metrics_batch(
             sources,
             [seeds[position] for position in positions],
             level_classes=classes,
-            backend=backend,
         )
         log_delta = math.log2(max(2, graph.max_degree()))
         denominator = (k + tree.depth) * log_delta
@@ -202,28 +200,13 @@ def collection_metrics_batch(
 
 
 def _e3_run_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
-    grouped: Dict[tuple, List[int]] = {}
-    for index, spec in enumerate(specs):
-        params = spec.params
-        # The backend joins the cell key: backends are bit-identical,
-        # but one batch call uses one kernel set.
-        cell = (
-            params["topology"], params["k"], params["classes"],
-            spec.backend,
-        )
-        grouped.setdefault(cell, []).append(index)
-    results: List[Dict[str, Any]] = [{} for _ in specs]
-    for (topology, k, classes, backend), indices in grouped.items():
-        cell_results = collection_metrics_batch(
-            topology,
-            k,
-            classes,
-            [specs[i].seed for i in indices],
-            backend=backend,
-        )
-        for index, metrics in zip(indices, cell_results):
-            results[index] = metrics
-    return results
+    params = specs[0].params
+    return collection_metrics_batch(
+        params["topology"],
+        params["k"],
+        params["classes"],
+        [spec.seed for spec in specs],
+    )
 
 
 register(
@@ -296,7 +279,7 @@ def advance_rate_metrics(
 
 
 def _e2_tasks(
-    seed: int, replications: int, quick: bool = False, **_: Any
+    seed: int, replications: int, quick: bool = False
 ) -> List[TaskSpec]:
     configs = E2_CONFIGS[:2] if quick else E2_CONFIGS
     cases = [
@@ -318,7 +301,6 @@ def advance_rate_metrics_batch(
     children: int,
     load: int,
     seeds: List[int],
-    backend: str = "auto",
 ) -> List[Dict[str, Any]]:
     """All seeds of one E2 cell as a single lockstep batch.
 
@@ -335,9 +317,7 @@ def advance_rate_metrics_batch(
     sources = {
         child: [f"m{child}-{i}" for i in range(load)] for child in child_ids
     }
-    simulation = BatchCollection(
-        graph, tree, sources, seeds, backend=backend
-    )
+    simulation = BatchCollection(graph, tree, sources, seeds)
     B = len(seeds)
     successes = np.zeros(B, dtype=np.int64)
     phases = np.zeros(B, dtype=np.int64)
@@ -364,26 +344,13 @@ def advance_rate_metrics_batch(
 
 
 def _e2_run_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
-    grouped: Dict[tuple, List[int]] = {}
-    for index, spec in enumerate(specs):
-        params = spec.params
-        cell = (
-            params["parents"], params["children"], params["load"],
-            spec.backend,
-        )
-        grouped.setdefault(cell, []).append(index)
-    results: List[Dict[str, Any]] = [{} for _ in specs]
-    for (parents, children, load, backend), indices in grouped.items():
-        cell_results = advance_rate_metrics_batch(
-            parents,
-            children,
-            load,
-            [specs[i].seed for i in indices],
-            backend=backend,
-        )
-        for index, metrics in zip(indices, cell_results):
-            results[index] = metrics
-    return results
+    params = specs[0].params
+    return advance_rate_metrics_batch(
+        params["parents"],
+        params["children"],
+        params["load"],
+        [spec.seed for spec in specs],
+    )
 
 
 register(
@@ -407,7 +374,7 @@ E16_SCENARIOS = ("churn", "fading", "jammer", "blackout", "partition")
 
 
 def _e16_tasks(
-    seed: int, replications: int, quick: bool = False, **_: Any
+    seed: int, replications: int, quick: bool = False
 ) -> List[TaskSpec]:
     scenarios = ("fading", "partition") if quick else E16_SCENARIOS
     cases = [{"scenario": name} for name in scenarios]
@@ -523,7 +490,7 @@ def service_metrics(
 
 
 def _e19_tasks(
-    seed: int, replications: int, quick: bool = False, **_: Any
+    seed: int, replications: int, quick: bool = False
 ) -> List[TaskSpec]:
     cells = E19_QUICK_CELLS if quick else E19_CELLS
     return task_grid("E19", list(cells), replications, seed)
@@ -590,7 +557,7 @@ def sweep_metrics(
 
 
 def _e20_tasks(
-    seed: int, replications: int, quick: bool = False, **_: Any
+    seed: int, replications: int, quick: bool = False
 ) -> List[TaskSpec]:
     cells = E20_QUICK_CELLS if quick else E20_CELLS
     return task_grid("E20", list(cells), replications, seed)

@@ -88,7 +88,7 @@ from repro.runner.registry import (
     run_registered_batch,
     run_registered_task,
 )
-from repro.runner.task import TaskSpec
+from repro.runner.task import CaseItems, TaskSpec
 from repro.runner.telemetry import Progress, RunTelemetry
 from repro.vector.engine import validate_engine
 
@@ -751,12 +751,10 @@ def run_tasks(
 
     # Split pending work by engine: vector tasks batch per grid cell.
     scalar_pending: List[int] = []
-    vector_by_case: Dict[str, List[int]] = {}
+    vector_by_case: Dict[CaseItems, List[int]] = {}
     for index in pending:
         if tasks[index].engine == "vector":
-            vector_by_case.setdefault(
-                tasks[index].case_label(), []
-            ).append(index)
+            vector_by_case.setdefault(tasks[index].case, []).append(index)
         else:
             scalar_pending.append(index)
     batch_groups = list(vector_by_case.values())
@@ -878,40 +876,32 @@ def experiment_grid(
     seed: int,
     replications: int,
     engine: str = "scalar",
-    backend: str = "auto",
-    **options: Any,
+    quick: bool = False,
 ) -> Tuple[ExperimentDef, List[TaskSpec], Dict[str, Any]]:
     """A registered experiment's task grid for one engine setting.
 
-    Returns the definition, the grid (with the vector-engine backend set
-    on every task when ``engine`` is not ``"scalar"``) and the run
-    options that describe it.  Shared by :func:`run_experiment` and the
-    queue backends' ``submit``.
+    Returns the definition, the grid (with ``engine`` set on every
+    task) and the run options that describe it.  Shared by
+    :func:`run_experiment`, the queue backends' ``submit`` and the
+    scenario compiler's registry twins.
     """
     import dataclasses
 
-    from repro.vector.engine import validate_backend
-
     validate_engine(engine)
-    validate_backend(backend)
     defn = get_experiment(exp_id)
-    tasks = defn.tasks(seed, replications, **options)
+    tasks = defn.tasks(seed, replications, quick=quick)
     if engine != "scalar":
         if not defn.supports_vector:
             raise ConfigurationError(
                 f"experiment {exp_id!r} has no vector-engine "
                 "implementation; run it with engine='scalar'"
             )
-        tasks = [
-            dataclasses.replace(spec, engine=engine, backend=backend)
-            for spec in tasks
-        ]
+        tasks = [dataclasses.replace(spec, engine=engine) for spec in tasks]
     return defn, tasks, {
         "seed": seed,
         "replications": replications,
         "engine": engine,
-        "backend": backend,
-        **options,
+        "quick": quick,
     }
 
 
@@ -926,22 +916,21 @@ def run_experiment(
     checkpoint: Union[SweepCheckpoint, os.PathLike, str, None] = None,
     progress: bool = False,
     engine: str = "scalar",
-    backend: str = "auto",
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     quarantine: bool = True,
     policy: Optional[FaultPolicy] = None,
-    **options: Any,
+    quick: bool = False,
 ) -> RunReport:
     """Run one *registered* experiment end to end.
 
     This is the code path shared by ``python -m repro run``, the migrated
-    benches, and tests: the experiment's grid is expanded with
-    deterministic per-task seeds, executed (inline or sharded), cached,
-    and reported.  With ``engine="vector"`` every grid cell's seeds are
-    evaluated in one NumPy lockstep batch (the experiment must register
-    a ``run_batch`` function); ``backend`` selects that batch's array
-    kernels (``numpy``/``numba``/``auto``) and joins the task identity.
+    benches, and tests: the experiment's grid (``quick`` picks its
+    miniature form) is expanded with deterministic per-task seeds,
+    executed (inline or sharded), cached, and reported.  With
+    ``engine="vector"`` every grid cell's seeds are evaluated in one
+    NumPy lockstep batch (the experiment must register a ``run_batch``
+    function).
 
     Failure behavior: ``timeout`` (defaulting to the experiment's
     ``default_timeout``), ``retries`` and ``quarantine`` assemble a
@@ -956,8 +945,7 @@ def run_experiment(
         seed=seed,
         replications=replications,
         engine=engine,
-        backend=backend,
-        **options,
+        quick=quick,
     )
     if policy is None:
         defaults = FaultPolicy()

@@ -2,8 +2,9 @@
 
 A *runnable experiment* pairs a grid builder with a pure task function:
 
-* ``make_tasks(seed, replications, **options)`` expands the experiment
-  into its :class:`~repro.runner.task.TaskSpec` grid;
+* ``make_tasks(seed, replications, quick=False)`` expands the
+  experiment into its :class:`~repro.runner.task.TaskSpec` grid
+  (``quick`` picks a miniature one);
 * ``run_task(spec)`` executes one task and returns its metrics dict;
 * ``run_batch(specs)``, when present, executes a whole list of
   same-case tasks in one call — the vector engine's entry point, which
@@ -53,9 +54,9 @@ class ExperimentDef:
         return self.run_batch is not None
 
     def tasks(
-        self, seed: int, replications: int, **options: Any
+        self, seed: int, replications: int, quick: bool = False
     ) -> List[TaskSpec]:
-        return self.make_tasks(seed, replications, **options)
+        return self.make_tasks(seed, replications, quick=quick)
 
 
 _REGISTRY: Dict[str, ExperimentDef] = {}
@@ -110,11 +111,19 @@ def run_registered_task(exp_id: str, spec: TaskSpec) -> Mapping[str, Any]:
 def run_registered_batch(
     exp_id: str, specs: List[TaskSpec]
 ) -> List[Mapping[str, Any]]:
-    """Execute a batch of tasks of one experiment (worker entry point)."""
+    """Execute a batch of tasks of one experiment (worker entry point).
+
+    The batch must hold one case: one that mixes cases is refused.
+    """
     defn = get_experiment(exp_id)
     if defn.run_batch is None:
         raise ConfigurationError(
             f"experiment {exp_id!r} has no batch (vector-engine) "
             "implementation"
+        )
+    if len({spec.case for spec in specs}) > 1:
+        labels = sorted({spec.case_label() for spec in specs})
+        raise ConfigurationError(
+            f"a batch of {exp_id!r} must hold one case, got {labels}"
         )
     return defn.run_batch(specs)

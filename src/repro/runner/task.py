@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import content_key, derive_seed
-from repro.vector.engine import validate_backend, validate_engine
+from repro.vector.engine import validate_engine
 
 #: Parameter values a task case may carry (must survive a JSON round-trip
 #: bit-for-bit, which is what the cache key depends on).
@@ -62,15 +62,10 @@ class TaskSpec:
         reference slot loop) or ``"vector"`` (the NumPy lockstep batch).
         Part of the task identity — and hence the cache key — because
         engines are distributionally, not bitwise, equivalent.
-    ``backend``
-        Array-kernel backend of the vector engine: ``"numpy"``,
-        ``"numba"`` or ``"auto"``.  Backends are bit-identical in
-        outcome, but the *requested* knob joins the task identity so
-        cached records state how they were produced.  Ignored by the
-        scalar engine.
 
-    Records written before 1.9.0 also carry ``reception`` and ``mask``
-    (the vector engine's retired kernel and loop knobs);
+    Older records also carry the vector engine's retired knobs:
+    ``backend`` (its array kernels, before 1.10.0), ``reception`` and
+    ``mask`` (its reception kernel and loop, before 1.9.0).
     :meth:`from_record` ignores them.
     """
 
@@ -79,11 +74,9 @@ class TaskSpec:
     replicate: int
     seed: int
     engine: str = "scalar"
-    backend: str = "auto"
 
     def __post_init__(self):
         validate_engine(self.engine)
-        validate_backend(self.backend)
 
     @property
     def params(self) -> Dict[str, CaseValue]:
@@ -109,7 +102,6 @@ class TaskSpec:
             "replicate": self.replicate,
             "seed": self.seed,
             "engine": self.engine,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -120,7 +112,6 @@ class TaskSpec:
             replicate=int(record["replicate"]),
             seed=int(record["seed"]),
             engine=str(record.get("engine", "scalar")),
-            backend=str(record.get("backend", "auto")),
         )
 
     def key(self, version: str) -> str:

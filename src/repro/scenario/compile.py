@@ -24,10 +24,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.rng import content_key
+from repro.runner.executor import experiment_grid, run_tasks
 from repro.runner.registry import (
-    ExperimentDef,
     get_experiment,
     run_registered_batch,
     run_registered_task,
@@ -194,7 +193,6 @@ class CompiledScenario:
     cases: List[Dict[str, Any]]
     tasks: List[TaskSpec]
     engine: str
-    backend: str
     registry_mode: bool
     grid_hash: Optional[str]
     summary_metrics: Tuple[str, ...]
@@ -208,32 +206,25 @@ class CompiledScenario:
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     """Lower a validated spec into its :class:`TaskSpec` grid."""
     engine = spec.engine["kind"]
-    backend = spec.engine.get("backend", "auto")
     seed = spec.run["seed"]
     replications = spec.run["replications"]
 
     if spec.registry_mode:
-        exp_id = spec.registry["experiment"]
-        defn = get_experiment(exp_id)  # raises with known ids on typos
-        options = {"quick": True} if spec.registry["quick"] else {}
-        tasks = defn.tasks(seed, replications, **options)
-        if engine != "scalar":
-            if not defn.supports_vector:
-                raise ConfigurationError(
-                    f"experiment {exp_id!r} has no vector-engine "
-                    "implementation; use engine.kind = 'scalar'"
-                )
-            tasks = [
-                dataclasses.replace(t, engine=engine, backend=backend)
-                for t in tasks
-            ]
+        # Raises with the known ids on a typo, and for a vector engine
+        # the experiment does not implement.
+        defn, tasks, _options = experiment_grid(
+            spec.registry["experiment"],
+            seed=seed,
+            replications=replications,
+            engine=engine,
+            quick=spec.registry["quick"],
+        )
         return CompiledScenario(
             spec=spec,
-            exp_id=exp_id,
+            exp_id=defn.exp_id,
             cases=[dict(t.case) for t in tasks[:: max(1, replications)]],
             tasks=tasks,
             engine=engine,
-            backend=backend,
             registry_mode=True,
             grid_hash=None,
             summary_metrics=defn.summary_metrics,
@@ -251,11 +242,8 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     if engine != "scalar":
         # The cross-field checks already vetted this grid as closed,
         # fault-free collection — the shape the lockstep batch engine
-        # simulates; the backend joins each task's cache identity.
-        tasks = [
-            dataclasses.replace(t, engine=engine, backend=backend)
-            for t in tasks
-        ]
+        # simulates.
+        tasks = [dataclasses.replace(t, engine=engine) for t in tasks]
     kinds: List[str] = []
     for case in cases:
         if case["protocol"] not in kinds:
@@ -271,7 +259,6 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
         cases=cases,
         tasks=tasks,
         engine=engine,
-        backend=backend,
         registry_mode=False,
         grid_hash=grid_hash,
         summary_metrics=tuple(metrics[:8]),
@@ -298,7 +285,6 @@ def run_scenario(
     caching, checkpointing, fault policy and the fleet backend behave
     exactly as for registered experiments.
     """
-    from repro.runner.executor import run_tasks
     from repro.runner.policy import FaultPolicy
 
     if policy is None:
@@ -325,6 +311,5 @@ def run_scenario(
             "seed": compiled.spec.run["seed"],
             "replications": compiled.spec.run["replications"],
             "engine": compiled.engine,
-            "backend": compiled.backend,
         },
     )

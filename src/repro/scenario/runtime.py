@@ -440,9 +440,10 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
     """Execute same-case scenario tasks in one lockstep batch.
 
     The vector-engine entry point for scenario experiments: every task
-    of a (sub-)batch shares one compiled case, so the whole group runs
-    as one :func:`~repro.vector.collection.run_collection_batch` call —
-    all replications advancing in NumPy lockstep.  Only the shape the
+    of a (sub-)batch shares one compiled case (the registry refuses a
+    batch that mixes cases), so the whole group runs as one
+    :func:`~repro.vector.collection.run_collection_batch` call — all
+    replications advancing in NumPy lockstep.  Only the shape the
     lockstep engine simulates is accepted (closed, fault-free, single-
     epoch collection); the spec cross-field checks reject anything else
     at validation time, so the guard here is a corruption tripwire, not
@@ -458,73 +459,59 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
     """
     from repro.vector.collection import run_collection_batch
 
-    results: List[Dict[str, Any]] = [{} for _ in specs]
-    grouped: Dict[tuple, List[int]] = {}
-    for index, spec in enumerate(specs):
-        params = spec.params
-        if (
-            params.get("protocol") != "collection"
-            or params.get("fault", "none") != "none"
-            or params.get("arrival", "none") != "none"
-            or params.get("mobility_epochs", 1) > 1
-        ):
-            raise ConfigurationError(
-                f"task {spec.label()} is not a closed fault-free "
-                "collection case; the vector engine cannot batch it "
-                "(the spec validator should have rejected this scenario)"
-            )
-        # The backend joins the cell key: backends are bit-identical,
-        # but one batch call uses one kernel set.
-        cell = (
-            params["topology"], params.get("sources", "tail"),
-            params.get("messages", 4), params.get("classes", 3),
-            spec.backend,
+    params = specs[0].params
+    if (
+        params.get("protocol") != "collection"
+        or params.get("fault", "none") != "none"
+        or params.get("arrival", "none") != "none"
+        or params.get("mobility_epochs", 1) > 1
+    ):
+        raise ConfigurationError(
+            f"task {specs[0].label()} is not a closed fault-free "
+            "collection case; the vector engine cannot batch it "
+            "(the spec validator should have rejected this scenario)"
         )
-        grouped.setdefault(cell, []).append(index)
-
-    for cell, indices in grouped.items():
-        messages, classes, backend = cell[2:]
-        buckets: Dict[Graph, List[int]] = {}
-        realized: Dict[Graph, Any] = {}
-        for index in indices:
-            graph, tree, sources = _cell(specs[index].params, specs[index].seed)
-            buckets.setdefault(graph, []).append(index)
-            realized.setdefault(graph, (tree, sources))
-        for graph, positions in buckets.items():
-            tree, sources = realized[graph]
-            workload = _closed_messages(sources, messages)
-            batch = run_collection_batch(
-                graph,
-                tree,
-                workload,
-                [specs[index].seed for index in positions],
-                level_classes=classes,
-                backend=backend,
-            )
-            simulation = batch.simulation
-            phase_length = simulation.phase_length
-            origins = simulation.message_origins
-            delivered = simulation.delivered_slots()
-            for b, index in enumerate(positions):
-                acc = FlowAccumulator(phase_length)
-                # Same submission order as the scalar closed path, so
-                # jain_fairness iterates flows identically.
-                for node in sources:
-                    for _ in range(messages):
-                        acc.on_submit(None, node, 0)
-                for slot, gid in delivered[b]:
-                    # Closed runs have no warmup: every sojourn counts.
-                    acc.on_deliver(gid, origins[gid], 0, slot)
-                acc.slots = int(batch.completion_slots[b])
-                metrics = acc.metrics()
-                for name in _SCALAR_ONLY_METRICS:
-                    metrics.pop(name, None)
-                metrics["epochs"] = 1
-                results[index] = metrics
+    messages = params.get("messages", 4)
+    results: List[Dict[str, Any]] = [{} for _ in specs]
+    buckets: Dict[Graph, List[int]] = {}
+    realized: Dict[Graph, Any] = {}
+    for index, spec in enumerate(specs):
+        graph, tree, sources = _cell(params, spec.seed)
+        buckets.setdefault(graph, []).append(index)
+        realized.setdefault(graph, (tree, sources))
+    for graph, positions in buckets.items():
+        tree, sources = realized[graph]
+        batch = run_collection_batch(
+            graph,
+            tree,
+            _closed_messages(sources, messages),
+            [specs[index].seed for index in positions],
+            level_classes=params.get("classes", 3),
+        )
+        simulation = batch.simulation
+        phase_length = simulation.phase_length
+        origins = simulation.message_origins
+        delivered = simulation.delivered_slots()
+        for b, index in enumerate(positions):
+            acc = FlowAccumulator(phase_length)
+            # Same submission order as the scalar closed path, so
+            # jain_fairness iterates flows identically.
+            for node in sources:
+                for _ in range(messages):
+                    acc.on_submit(None, node, 0)
+            for slot, gid in delivered[b]:
+                # Closed runs have no warmup: every sojourn counts.
+                acc.on_deliver(gid, origins[gid], 0, slot)
+            acc.slots = int(batch.completion_slots[b])
+            metrics = acc.metrics()
+            for name in _SCALAR_ONLY_METRICS:
+                metrics.pop(name, None)
+            metrics["epochs"] = 1
+            results[index] = metrics
     return results
 
 
-def _no_grid(seed: int, replications: int, **options: Any):
+def _no_grid(seed: int, replications: int, quick: bool = False):
     raise ConfigurationError(
         "scenario experiments are compiled from spec files; use "
         "'python -m repro scenario <file>' (the registry cannot expand "

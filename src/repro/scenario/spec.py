@@ -8,7 +8,7 @@ A spec is a TOML (or JSON) document of up to eight tables::
     [arrivals]   kind, rate, period, bursts, jitter, sources, messages
     [faults]     kind + per-model knobs
     [protocol]   kind, classes, points, mobility_epochs
-    [engine]     kind, backend, idle_scheduling
+    [engine]     kind, idle_scheduling
     [run]        seed, replications, horizon_phases, warmup_fraction
     [kpi]        quantiles
 
@@ -35,7 +35,6 @@ from repro.scenario.schema import (
     check_unknown_tables,
     validate_table,
 )
-from repro.vector.backend import BACKENDS
 
 ARRIVAL_KINDS = ("none", "bernoulli", "poisson", "burst")
 FAULT_KINDS = ("none", "churn", "fading", "outage", "jammer")
@@ -115,7 +114,6 @@ PROTOCOL_FIELDS = {
 }
 ENGINE_FIELDS = {
     "kind": Field((str,), default="scalar", choices=("scalar", "vector")),
-    "backend": Field((str,), default="auto", choices=BACKENDS),
     "idle_scheduling": Field((bool,), default=True),
 }
 RUN_FIELDS = {

@@ -5,19 +5,12 @@ radio layer (batched CSR reception), :mod:`~repro.vector.decay` the
 batched Decay primitive, :mod:`~repro.vector.collection` the pipelined
 §4 protocol, and :mod:`~repro.vector.check` the scalar-equivalence
 harness (exact invariants + KS test).  :mod:`~repro.vector.backend`
-supplies the pluggable array kernels (numpy default, optional numba
-JIT) behind the ``backend=`` knob.  There is one lockstep loop: its
-per-slot work scales with the awake population, not B·n.
+holds the NumPy array kernels (the CSR scatter and the Decay step).
+There is one lockstep loop and one kernel set: its per-slot work scales
+with the awake population, not B·n.
 """
 
-from repro.vector.backend import (
-    BACKENDS,
-    KernelBackend,
-    available_backends,
-    numba_available,
-    resolve_backend,
-    validate_backend,
-)
+from repro.vector.backend import resolve_backend
 from repro.vector.collection import (
     BatchCollection,
     BatchCollectionResult,
@@ -33,19 +26,14 @@ from repro.vector.engine import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchCollection",
     "BatchCollectionResult",
     "BatchDecay",
     "BatchTrace",
     "ENGINES",
-    "KernelBackend",
     "LockstepRadio",
     "SlotRecord",
-    "available_backends",
-    "numba_available",
     "resolve_backend",
     "run_collection_batch",
-    "validate_backend",
     "validate_engine",
 ]

@@ -44,7 +44,6 @@ from repro.graphs import Graph, layered_band, reference_bfs_tree
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import NodeId
 from repro.rng import derive_seed
-from repro.vector.backend import available_backends
 from repro.vector.collection import (
     BatchCollectionResult,
     DecayFactory,
@@ -67,14 +66,8 @@ class BrokenOffByOneDecay(BatchDecay):
     """
 
     def transmit_pairs(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        coins: np.ndarray,
-        kernel=None,
+        self, rows: np.ndarray, cols: np.ndarray, coins: np.ndarray
     ) -> np.ndarray:
-        # The kernel is deliberately ignored, so the harness keeps its
-        # teeth under any backend — broken means broken.
         candidates = self.alive[rows, cols] & (
             self.steps[rows, cols] < self.budget
         )
@@ -296,22 +289,16 @@ def compare_cell(
     replications: int,
     decay_factory: DecayFactory = BatchDecay,
     trace: bool = True,
-    backend: str = "auto",
-    label: Optional[str] = None,
-    scalar_slots: Optional[List[int]] = None,
 ) -> CellReport:
     """Run one cell on both engines and compare.
 
-    Scalar: ``replications`` independent :func:`run_collection` calls
-    (``scalar_slots`` lets the harness reuse one scalar sample across
-    backends — the scalar side does not depend on any vector knob).
-    Vector: one batched call over the same derived seeds with the given
-    ``backend``, traced so the exact invariants can be checked on the
-    very trajectories that feed the KS sample.
+    Scalar: ``replications`` independent :func:`run_collection` calls.
+    Vector: one batched call over the same derived seeds, traced so the
+    exact invariants can be checked on the very trajectories that feed
+    the KS sample.
     """
     seeds = _cell_seeds(cell, seed, replications)
-    if scalar_slots is None:
-        scalar_slots = _scalar_slots(cell, seeds)
+    scalar_slots = _scalar_slots(cell, seeds)
     batch = run_collection_batch(
         cell.graph,
         cell.tree,
@@ -320,12 +307,11 @@ def compare_cell(
         level_classes=cell.level_classes,
         decay_factory=decay_factory,
         trace=trace,
-        backend=backend,
     )
     vector_slots = [int(v) for v in batch.completion_slots]
     failures = check_invariants(batch) if trace else []
     return CellReport(
-        name=label if label is not None else cell.name,
+        name=cell.name,
         invariant_failures=failures,
         ks=ks_2sample(scalar_slots, vector_slots),
         scalar_slots=scalar_slots,
@@ -339,33 +325,11 @@ def run_equivalence(
     alpha: float = DEFAULT_ALPHA,
     decay_factory: DecayFactory = BatchDecay,
     cells: Optional[Sequence[CellSpec]] = None,
-    backends: Optional[Sequence[str]] = None,
 ) -> EquivalenceReport:
-    """The full harness: invariants + KS for every cell and backend.
-
-    Every cell is compared against the scalar engine once per backend
-    (default: the backends that can actually run in this environment),
-    so a report that passes certifies each kernel backend against the
-    paper's invariants and the scalar completion-slot distribution.
-    The scalar sample is computed once per cell and shared across
-    backends.
-    """
-    if backends is None:
-        backends = available_backends()
+    """The full harness: invariants + KS for every cell."""
     report = EquivalenceReport(alpha=alpha)
     for cell in cells if cells is not None else default_cells():
-        seeds = _cell_seeds(cell, seed, replications)
-        scalar = _scalar_slots(cell, seeds)
-        for backend in backends:
-            report.cells.append(
-                compare_cell(
-                    cell,
-                    seed,
-                    replications,
-                    decay_factory,
-                    backend=backend,
-                    label=f"{cell.name}[{backend}]",
-                    scalar_slots=scalar,
-                )
-            )
+        report.cells.append(
+            compare_cell(cell, seed, replications, decay_factory)
+        )
     return report

@@ -71,6 +71,7 @@ from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.rng import np_rngs
+from repro.vector.backend import scatter_into
 from repro.vector.decay import BatchDecay
 from repro.vector.engine import BatchTrace, LockstepRadio, SlotRecord
 
@@ -174,10 +175,6 @@ class BatchCollection:
     trace:
         Capture a :class:`~repro.vector.engine.BatchTrace` of every slot
         (dense copies: traced sub-runs only).
-    backend:
-        Array-kernel backend (``"numpy"``/``"numba"``/``"auto"``) for
-        the CSR scatter and the Decay step; see
-        :mod:`repro.vector.backend`.  Backends are bit-identical.
     """
 
     #: Always the active-set loop; ``perfbench/vector_batch.py`` reads it.
@@ -193,7 +190,6 @@ class BatchCollection:
         budget: Optional[int] = None,
         decay_factory: DecayFactory = BatchDecay,
         trace: bool = False,
-        backend: str = "auto",
     ):
         unknown = set(sources) - set(graph.nodes)
         if unknown:
@@ -202,7 +198,7 @@ class BatchCollection:
             )
         if not seeds:
             raise ConfigurationError("need at least one replication seed")
-        self.radio = LockstepRadio(graph, tree, len(seeds), backend=backend)
+        self.radio = LockstepRadio(graph, tree, len(seeds))
         self.seeds = tuple(int(s) for s in seeds)
         self.slots = SlotStructure(
             decay_budget=(
@@ -459,9 +455,7 @@ class BatchCollection:
             # listed count even when no listed session is alive.
             coins = self._coin_cursor.take(pairs)
             if rows.size:
-                tx_pair = self.decay.transmit_pairs(
-                    rows, cols, coins, kernel=radio.backend.decay_pairs
-                )
+                tx_pair = self.decay.transmit_pairs(rows, cols, coins)
                 tb, tv = rows[tx_pair], cols[tx_pair]
         if profiler is not None:
             t1 = profiler.clock()
@@ -471,7 +465,7 @@ class BatchCollection:
         else:
             t1 = 0.0
         if tb.size:
-            touched = radio.backend.scatter_into(
+            touched = scatter_into(
                 tb, tv, radio.indptr, radio.indices,
                 self._hits_flat, self._senders_flat, n,
             )
@@ -549,7 +543,7 @@ class BatchCollection:
         self._expect_pairs = _EMPTY_PAIRS
         self._pending_parents = _EMPTY_PAIRS
         if pb.size:
-            touched = radio.backend.scatter_into(
+            touched = scatter_into(
                 pb, pp, radio.indptr, radio.indices,
                 self._hits_flat, self._senders_flat, n,
             )
@@ -706,7 +700,6 @@ def run_collection_batch(
     max_slots: Optional[int] = None,
     decay_factory: DecayFactory = BatchDecay,
     trace: bool = False,
-    backend: str = "auto",
 ) -> BatchCollectionResult:
     """Run B replications of collection to completion in one batch.
 
@@ -723,7 +716,6 @@ def run_collection_batch(
         budget=budget,
         decay_factory=decay_factory,
         trace=trace,
-        backend=backend,
     )
     completion = simulation.run_until_done(max_slots)
     phase_length = simulation.slots.phase_length

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.vector.backend import _np_decay_pairs
+from repro.vector.backend import decay_pairs
 
 
 class BatchDecay:
@@ -67,27 +67,16 @@ class BatchDecay:
         self.steps[rows, cols] = 0
 
     def transmit_pairs(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        coins: np.ndarray,
-        kernel=None,
+        self, rows: np.ndarray, cols: np.ndarray, coins: np.ndarray
     ) -> np.ndarray:
         """One transmission opportunity for the listed pairs.
 
         Paper order: transmit first, flip after — the first step of a
         session always transmits, and a killed or exhausted session
         stays silent.  Work is O(pairs), never O(B·n): ``coins`` carries
-        one uniform[0,1) draw *per pair*.  ``kernel`` optionally supplies
-        a compiled implementation from the resolved array backend; the
-        default NumPy formulation is bit-identical, and subclasses that
-        override this method (the equivalence harness's broken variants)
-        simply ignore the kernel.  Returns the per-pair transmit mask.
+        one uniform[0,1) draw *per pair*.  Returns the per-pair transmit
+        mask.
         """
-        if kernel is not None:
-            return kernel(
-                self.alive, self.steps, self.budget, rows, cols, coins
-            )
-        return _np_decay_pairs(
+        return decay_pairs(
             self.alive, self.steps, self.budget, rows, cols, coins
         )

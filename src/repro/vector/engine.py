@@ -41,13 +41,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
-from repro.vector.backend import (  # noqa: F401  (re-exported knob API)
-    BACKENDS,
-    KernelBackend,
-    available_backends,
-    resolve_backend,
-    validate_backend,
-)
+from repro.vector.backend import KERNELS, csr_counts
 
 #: The engines a task may select.  ``scalar`` is the reference
 #: slot-by-slot interpreter; ``vector`` is the NumPy lockstep batch.
@@ -73,24 +67,16 @@ class LockstepRadio:
     small cells.
     """
 
-    #: The only reception kernel; ``perfbench/vector_batch.py`` reads it.
+    #: The only reception kernel and kernel set;
+    #: ``perfbench/vector_batch.py`` reads both.
     reception = "sparse"
+    backend = KERNELS
 
-    def __init__(
-        self,
-        graph: Graph,
-        tree: BFSTree,
-        replications: int,
-        backend: str = "auto",
-    ):
+    def __init__(self, graph: Graph, tree: BFSTree, replications: int):
         if replications < 1:
             raise ConfigurationError(
                 f"need at least one replication, got {replications}"
             )
-        # Resolved once per radio: the kernels behind the CSR scatter and
-        # (via BatchDecay) the Decay step.  Bit-identical across
-        # backends; the requested knob still joins task identity.
-        self.backend: KernelBackend = resolve_backend(backend)
         self.graph = graph
         self.tree = tree
         self.num_replications = replications
@@ -161,17 +147,9 @@ class LockstepRadio:
         """
         B, n = tx.shape
         b_idx, u_idx = np.nonzero(tx)
-        if b_idx.size:
-            # Gather every transmitter's neighbor run from the CSR
-            # arrays and scatter hit counts / sender-index sums — the
-            # kernel (bincount formulation or a compiled loop) comes
-            # from the resolved array backend.
-            counts, senders = self.backend.csr_counts(
-                b_idx, u_idx, self.indptr, self.indices, B, n
-            )
-        else:
-            counts = np.zeros((B, n), dtype=np.float32)
-            senders = np.zeros((B, n), dtype=np.float32)
+        counts, senders = csr_counts(
+            b_idx, u_idx, self.indptr, self.indices, B, n
+        )
         unique = (counts == 1.0) & ~tx
         return counts, senders, unique
 

@@ -587,6 +587,14 @@ RECORD_1_8_0 = {
 }
 KEY_1_8_0 = "e5c90631045896cf1d840fcab0959815f0db691daa2da74aa06721a02290c931"
 
+#: A task record as 1.9.0 wrote it, with the retired ``backend`` knob,
+#: and the cache key 1.9.0 gave it.
+RECORD_1_9_0 = {
+    "exp_id": "E2", "case": {"load": 2}, "replicate": 1, "seed": 77,
+    "engine": "vector", "backend": "numpy",
+}
+KEY_1_9_0 = "4b37e2077ff98293fd5768c1f562649f3c891748639cda3b08deb01471b83d70"
+
 
 class TestReceptionSelection:
     """Reception is no longer selectable: one CSR kernel, no knob."""
@@ -600,29 +608,11 @@ class TestReceptionSelection:
             KEY_1_8_0
         )
         spec = TaskSpec.from_record(RECORD_1_8_0)
-        assert (spec.engine, spec.backend) == ("vector", "numpy")
+        assert spec.engine == "vector"
         record = spec.to_record()
-        assert "reception" not in record and "mask" not in record
+        assert not {"reception", "mask", "backend"} & set(record)
         assert TaskSpec.from_record(record) == spec
         assert spec.key(repro.__version__) != KEY_1_8_0
-
-    def test_vector_kernels_agree_end_to_end(self):
-        # Kernel backends are bit-identical, so whole experiment runs
-        # (not just single resolves) must agree.
-        runs = {
-            name: run_experiment(
-                "E3", seed=5, replications=2, quick=True,
-                engine="vector", backend=name,
-            )
-            for name in ("numpy", "auto")
-        }
-        assert (
-            runs["numpy"].case_means("slots")
-            == runs["auto"].case_means("slots")
-        )
-        assert all(
-            o.spec.backend == "numpy" for o in runs["numpy"].outcomes
-        )
 
     def test_run_cli_reception_flag(self, capsys):
         from repro.__main__ import main
@@ -639,59 +629,124 @@ class TestReceptionSelection:
 
 
 class TestBackendAndMaskSelection:
-    """--backend joins cached task identity; --mask is gone."""
-
-    def test_backend_joins_the_cache_key(self):
-        import dataclasses
-
-        base = dataclasses.replace(
-            TaskSpec("E3", (("k", 4),), 0, 123), engine="vector"
-        )
-        variants = {
-            base.key("1.9.0"),
-            dataclasses.replace(base, backend="numpy").key("1.9.0"),
-            dataclasses.replace(base, backend="numba").key("1.9.0"),
-        }
-        assert len(variants) == 3
+    """--backend and --mask are gone: one kernel set, one loop."""
 
     def test_round_trips_and_legacy_defaults(self):
         import dataclasses
 
         spec = dataclasses.replace(
-            TaskSpec("E2", (("load", 2),), 1, 77),
-            engine="vector", backend="numpy",
+            TaskSpec("E2", (("load", 2),), 1, 77), engine="vector"
         )
         assert TaskSpec.from_record(spec.to_record()) == spec
         legacy = spec.to_record()
-        del legacy["backend"]
-        assert TaskSpec.from_record(legacy).backend == "auto"
+        del legacy["engine"]
+        assert TaskSpec.from_record(legacy).engine == "scalar"
+
+    def test_1_9_0_record_drops_backend(self):
+        # A 1.9.0 record's backend loads and drops out of the record,
+        # and so out of the cache key.
+        import repro
+
+        assert content_key({"spec": RECORD_1_9_0, "version": "1.9.0"}) == (
+            KEY_1_9_0
+        )
+        spec = TaskSpec.from_record(RECORD_1_9_0)
+        record = spec.to_record()
+        assert record == {
+            k: v for k, v in RECORD_1_9_0.items() if k != "backend"
+        }
+        assert TaskSpec.from_record(record) == spec
+        assert spec.key(repro.__version__) != KEY_1_9_0
 
     def test_rejects_unknown_backend_and_mask(self):
-        with pytest.raises(ConfigurationError):
-            TaskSpec("E3", (), 0, 1, backend="fortran")
+        with pytest.raises(TypeError):
+            TaskSpec("E3", (), 0, 1, backend="numpy")
         with pytest.raises(TypeError):
             TaskSpec("E3", (), 0, 1, mask="on")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             run_experiment(
                 "E3", seed=1, replications=1, quick=True,
-                engine="vector", backend="fortran",
+                engine="vector", backend="numpy",
             )
 
     def test_run_cli_backend_and_mask_flags(self, capsys):
         from repro.__main__ import main
 
-        argv = [
-            "run", "E3", "--quick", "--engine", "vector",
-            "--backend", "numpy", "--replications", "2", "--no-progress",
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "backend=numpy" in out
-        assert "mask" not in out
+        for flag, value in (("--backend", "numpy"), ("--mask", "on")):
+            argv = [
+                "run", "E3", "--quick", "--engine", "vector",
+                flag, value, "--replications", "2", "--no-progress",
+            ]
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "E3", "--engine", "vector"],
+            ["profile", "E3", "--engine", "vector"],
+            ["fleet", "submit", "E3", "--queue", "queue"],
+            ["coord", "submit", "E3", "--dir", "coord"],
+            ["scenario", "spec.toml"],
+            ["vector-check", "20260704"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_backend_flag_exits_2_everywhere(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)  # nothing may land in the checkout
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", "E2", "--engine", "vector", "--mask", "on"])
+            main(argv + ["--backend", "numpy"])
         assert exit_info.value.code == 2
-        assert "--mask" in capsys.readouterr().err
+        assert "--backend" in capsys.readouterr().err
+
+
+class TestGridOptions:
+    """Grid builders take ``quick`` and nothing else."""
+
+    @pytest.mark.parametrize("option", ["quik", "backend", "mask"])
+    def test_unknown_option_raises(self, option):
+        from repro.runner.executor import experiment_grid
+
+        with pytest.raises(TypeError):
+            experiment_grid("E3", seed=1, replications=1, **{option: True})
+        with pytest.raises(TypeError):
+            run_experiment("E3", seed=1, replications=1, **{option: True})
+        with pytest.raises(TypeError):
+            get_experiment("E3").tasks(1, 1, **{option: True})
+
+    def test_quick_is_recorded(self):
+        from repro.runner.executor import experiment_grid
+
+        _defn, tasks, options = experiment_grid(
+            "E3", seed=1, replications=1, quick=True
+        )
+        assert len(tasks) == 2
+        assert options == {
+            "seed": 1, "replications": 1, "engine": "scalar", "quick": True,
+        }
+
+
+class TestBatchIsOneCase:
+    """The registry refuses a batch that mixes grid cells."""
+
+    def test_two_case_batch_raises(self):
+        from repro.runner.executor import experiment_grid
+        from repro.runner.registry import run_registered_batch
+
+        _defn, tasks, _options = experiment_grid(
+            "E3", seed=1, replications=1, engine="vector", quick=True
+        )
+        assert len({spec.case for spec in tasks}) == 2
+        with pytest.raises(ConfigurationError) as err:
+            run_registered_batch("E3", tasks)
+        for spec in tasks:
+            assert spec.case_label() in str(err.value)
 
 
 class TestBatchSharding:

@@ -374,17 +374,14 @@ class TestVectorScenario:
     """Closed collection scenarios on the lockstep batch engine."""
 
     def test_compile_threads_engine_knobs_into_tasks(self, tmp_path):
-        text = CLOSED_VECTOR.replace(
-            'kind = "vector"', 'kind = "vector"\nbackend = "numpy"'
+        compiled = compile_scenario(
+            parse_scenario(write_spec(tmp_path, CLOSED_VECTOR))
         )
-        compiled = compile_scenario(parse_scenario(write_spec(tmp_path, text)))
         assert compiled.engine == "vector"
-        assert compiled.backend == "numpy"
         for task in compiled.tasks:
             assert task.engine == "vector"
-            assert task.backend == "numpy"
 
-    @pytest.mark.parametrize("key", ["mask", "reception"])
+    @pytest.mark.parametrize("key", ["mask", "reception", "backend"])
     def test_retired_engine_keys_are_rejected(self, tmp_path, key):
         text = CLOSED_VECTOR.replace(
             'kind = "vector"', f'kind = "vector"\n{key} = "auto"'

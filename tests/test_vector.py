@@ -419,23 +419,16 @@ class TestSparseReception:
 
     @pytest.mark.parametrize("cell", [e3_cell(), e2_cell()], ids=lambda c: c.name)
     def test_full_trajectories_identical_across_kernels(self, cell):
-        # Same seeds, only the kernel backend differs, traced (which
-        # steps every slot) or not (which sleeps through silent phase
-        # tails): whole runs must agree.
-        from repro.vector import available_backends
-
+        # Same seeds, traced (which steps every slot) or not (which
+        # sleeps through silent phase tails): whole runs must agree.
         seeds = [101, 102, 103, 104]
-        runs = {
-            (name, trace): run_collection_batch(
-                cell.graph, cell.tree, cell.sources, seeds,
-                backend=name, trace=trace,
+        untraced, traced = (
+            run_collection_batch(
+                cell.graph, cell.tree, cell.sources, seeds, trace=trace
             ).simulation
-            for name in available_backends()
             for trace in (False, True)
-        }
-        reference = _snapshot(runs["numpy", False])
-        for label, sim in runs.items():
-            assert _snapshot(sim) == reference, label
+        )
+        assert _snapshot(traced) == _snapshot(untraced)
 
     def test_sparse_radio_builds_dense_adjacency_lazily(self):
         cell = e2_cell()
@@ -446,95 +439,19 @@ class TestSparseReception:
         assert np.array_equal(adjacency, adjacency.T)
 
 
-class TestBackends:
-    """The pluggable kernel layer: selection, fallback, identity."""
-
-    def test_validate_backend(self):
-        from repro.vector import BACKENDS, validate_backend
-
-        assert BACKENDS == ("numpy", "numba", "auto")
-        for name in BACKENDS:
-            assert validate_backend(name) == name
-        with pytest.raises(ConfigurationError):
-            validate_backend("fortran")
-
-    def test_available_backends_always_has_numpy(self):
-        from repro.vector import available_backends
-
-        names = available_backends()
-        assert names[0] == "numpy"
-        assert "cupy" not in names
-
-    def test_cupy_backend_fails_validation(self, tmp_path):
-        # There are no GPU kernels: "cupy" is an unknown backend like
-        # any other, and every entry point names the valid ones.
-        import json
-
-        from repro.scenario import ValidationError, parse_scenario
-        from repro.vector import resolve_backend, validate_backend
-
-        for check in (validate_backend, resolve_backend):
-            with pytest.raises(ConfigurationError) as err:
-                check("cupy")
-            assert "'numpy', 'numba', 'auto'" in str(err.value)
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "scenario": {"name": "gpu"},
-            "topology": {"name": "path-4"},
-            "protocol": {"kind": "collection"},
-            "arrivals": {"kind": "none", "messages": 2},
-            "engine": {"kind": "vector", "backend": "cupy"},
-        }))
-        with pytest.raises(ValidationError) as err:
-            parse_scenario(spec)
-        assert err.value.path == "engine.backend"
-        assert "'numpy', 'numba', 'auto'" in str(err.value)
-
-    def test_numba_request_falls_back_silently(self):
-        # Without numba installed the request resolves to the numpy
-        # kernels (bit-identical, so the fallback is safe); with numba
-        # installed it resolves to the JIT set.  Either way the
-        # *requested* name is preserved for cache identity.
-        from repro.vector import numba_available, resolve_backend
-
-        backend = resolve_backend("numba")
-        assert backend.requested == "numba"
-        expected = "numba" if numba_available() else "numpy"
-        assert backend.name == expected
-
-    def test_radio_resolve_identical_across_backends(self):
-        from repro.vector import available_backends
-
-        cell = e3_cell()
-        rng = np.random.default_rng(5)
-        radios = {
-            name: LockstepRadio(cell.graph, cell.tree, 6, backend=name)
-            for name in available_backends()
-        }
-        for density in (0.0, 0.1, 0.5):
-            tx = rng.random((6, radios["numpy"].n)) < density
-            for name, radio in radios.items():
-                _assert_resolves_like_brute_force(radio, tx, name)
-
-
 class TestSparseEdgeCases:
-    """Degenerate slot shapes every backend must resolve exactly."""
+    """Degenerate slot shapes the CSR scatter must resolve exactly."""
 
-    def _resolve_all(self, graph, tx):
-        from repro.vector import available_backends
-
+    def _resolve(self, graph, tx):
         tree = reference_bfs_tree(graph, 0)
-        B = tx.shape[0]
-        for name in available_backends():
-            outputs = _assert_resolves_like_brute_force(
-                LockstepRadio(graph, tree, B, backend=name), tx, name
-            )
-        return outputs
+        return _assert_resolves_like_brute_force(
+            LockstepRadio(graph, tree, tx.shape[0]), tx
+        )
 
     def test_zero_transmitter_slot(self):
         graph = grid(4, 4)
         tx = np.zeros((3, 16), dtype=bool)
-        counts, _senders, unique = self._resolve_all(graph, tx)
+        counts, _senders, unique = self._resolve(graph, tx)
         assert not counts.any()
         assert not unique.any()
 
@@ -547,7 +464,7 @@ class TestSparseEdgeCases:
         radio = LockstepRadio(graph, tree, 1)
         tx = np.ones((1, 9), dtype=bool)
         tx[0, radio.index[0]] = False  # hub (root) stays silent
-        counts, _senders, unique = self._resolve_all(graph, tx)
+        counts, _senders, unique = self._resolve(graph, tx)
         hub = radio.index[0]
         assert counts[0, hub] == 8
         assert not unique[0, hub]
@@ -562,7 +479,7 @@ class TestSparseEdgeCases:
         radio = LockstepRadio(graph, tree, 2)
         tx = np.zeros((2, 64), dtype=bool)
         tx[:, radio.index[0]] = True
-        counts, senders, unique = self._resolve_all(graph, tx)
+        counts, senders, unique = self._resolve(graph, tx)
         hub = radio.index[0]
         leaves = [i for i in range(64) if i != hub]
         assert unique[:, leaves].all()
@@ -572,22 +489,17 @@ class TestSparseEdgeCases:
     def test_edge_case_trajectories_span_backends(self):
         # Whole protocol runs on a star (max-degree hub) and a path
         # (every station near-isolated), one source each, so both drain
-        # deterministically: every backend must land on the scalar
-        # engine's completion slot and deliver in FIFO order.
-        from repro.vector import available_backends
-
+        # deterministically: the batch must land on the scalar engine's
+        # completion slot and deliver in FIFO order.
         for graph in (star(12), path(12)):
             tree = reference_bfs_tree(graph, 0)
             deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
             sources = {deepest: ["a", "b", "c"]}
             seeds = [7, 8, 9]
             scalar = run_collection(graph, tree, sources, seed=7).slots
-            for name in available_backends():
-                batch = run_collection_batch(
-                    graph, tree, sources, seeds, backend=name
-                )
-                assert list(batch.completion_slots) == [scalar] * 3, name
-                assert batch.simulation.delivered_ids() == [[0, 1, 2]] * 3
+            batch = run_collection_batch(graph, tree, sources, seeds)
+            assert list(batch.completion_slots) == [scalar] * 3
+            assert batch.simulation.delivered_ids() == [[0, 1, 2]] * 3
 
 
 class TestActiveSetMask:
@@ -604,22 +516,6 @@ class TestActiveSetMask:
         expected = list(range(batch.simulation.total_messages))
         for b in range(len(seeds)):
             assert sorted(batch.simulation.delivered_ids()[b]) == expected
-
-    def test_masked_backends_bit_identical(self):
-        from repro.vector import available_backends
-
-        cell = e3_cell()
-        seeds = [41, 42, 43]
-        runs = [
-            run_collection_batch(
-                cell.graph, cell.tree, cell.sources, seeds, backend=name
-            )
-            for name in available_backends()
-        ]
-        for other in runs[1:]:
-            assert np.array_equal(
-                runs[0].completion_slots, other.completion_slots
-            )
 
     def test_masked_purity_under_batch_composition(self):
         # The sharding contract: each replication's coin stream is a
@@ -651,7 +547,6 @@ class TestActiveSetMask:
             replications=24,
             decay_factory=BrokenOffByOneDecay,
             cells=[e3_cell()],
-            backends=["numpy"],
         )
         assert not report.passed
 
