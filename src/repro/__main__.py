@@ -25,9 +25,9 @@ Commands
 ``scenario <FILE> [--workers N] [--cache DIR] [--kpi-out PATH] …``
     Run a declarative scenario: a TOML/JSON spec naming a topology,
     arrival profile, fault profile, protocol mix, engine and
-    replication grid, compiled onto the same executor/cache/
-    checkpoint/fleet machinery as the registered experiments, followed
-    by a KPI post-pass (delivery ratio, latency percentiles, air-time
+    replication grid, compiled onto the same executor/cache/fleet
+    machinery as the registered experiments, followed by a KPI
+    post-pass (delivery ratio, latency percentiles, air-time
     utilization, collision rate, Jain fairness) written as
     ``KPI_<scenario>.json``.  ``scenario validate <FILE>`` checks a
     spec without running it; ``scenario list`` shows the spec files
@@ -40,10 +40,10 @@ Commands
     provably-awake stations.
     ``--timeout S``, ``--retries N`` and ``--no-quarantine`` set the
     fault policy (watchdog budget, retry count, whether a task
-    that keeps failing is recorded-and-skipped or fatal);
-    ``--checkpoint FILE`` journals completed tasks so an interrupted
-    sweep resumes where it stopped.  ``run --list`` shows the runnable
-    experiments; ``run <EXP_ID> --help`` shows all options.
+    that keeps failing is recorded-and-skipped or fatal).  An
+    interrupted sweep resumes from its ``--cache``.  ``run --list``
+    shows the runnable experiments; ``run <EXP_ID> --help`` shows all
+    options.
 ``chaos [--quick] [--fleet] [--coord] [--json FILE] …``
     Run the fault-injection harness: the E3 quick grid with worker
     crashes, a hanging task, a transient failure and corrupt cache
@@ -203,6 +203,30 @@ def _cmd_resilience(seed: int) -> None:
     )
 
 
+def _print_report(report, summary_metrics, engine: str) -> None:
+    """Print a run's summary table, counts, failures and quarantined
+    tasks, as ``run`` and ``scenario`` report it."""
+    print(report.summary_table(summary_metrics or None))
+    print(
+        f"{len(report.outcomes)} tasks: {report.executed} executed, "
+        f"{report.cache_hits} from cache; engine={engine}; "
+        f"workers={report.workers}; wall {report.wall_time:.2f}s"
+    )
+    failures = report.failure_summary()
+    if any(failures.values()):
+        print(
+            f"failures: {failures['quarantined']} quarantined, "
+            f"{failures['retries']} retries, "
+            f"{failures['timeouts']} timeouts, "
+            f"{failures['pool_rebuilds']} pool rebuilds, "
+            f"{failures['corrupt_cache_entries']} corrupt cache entries"
+            + (" (degraded to inline)" if report.fallback_inline else "")
+        )
+        for record in report.quarantined:
+            print(f"  quarantined {record.label} "
+                  f"[{record.category}] {record.detail}")
+
+
 def _cmd_run(argv: list) -> int:
     import argparse
 
@@ -245,7 +269,7 @@ def _cmd_run(argv: list) -> int:
         "--run-dir",
         metavar="DIR",
         default=None,
-        help="telemetry directory (manifest.json + telemetry.jsonl)",
+        help="telemetry directory (manifest.json + journal.jsonl)",
     )
     parser.add_argument(
         "--json",
@@ -287,16 +311,6 @@ def _cmd_run(argv: list) -> int:
             "instead of recording and skipping it"
         ),
     )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        default=None,
-        help=(
-            "sweep-checkpoint journal: completed tasks are appended as "
-            "they finish and restored on the next run, so Ctrl-C or an "
-            "OOM kill is a pause, not a restart"
-        ),
-    )
     args = parser.parse_args(argv)
 
     if args.list or args.exp_id is None:
@@ -328,7 +342,6 @@ def _cmd_run(argv: list) -> int:
             workers=args.workers,
             cache=args.cache,
             telemetry=args.run_dir,
-            checkpoint=args.checkpoint,
             progress=not args.no_progress,
             engine=args.engine,
             timeout=args.timeout,
@@ -339,29 +352,11 @@ def _cmd_run(argv: list) -> int:
     except ConfigurationError as exc:
         print(f"cannot run {args.exp_id!r}: {exc}", file=sys.stderr)
         return 2
-    defn = get_experiment(args.exp_id)
-    print(report.summary_table(defn.summary_metrics or None))
-    print(
-        f"{len(report.outcomes)} tasks: {report.executed} executed, "
-        f"{report.cache_hits} from cache; engine={args.engine}; "
-        f"workers={report.workers}; wall {report.wall_time:.2f}s"
+    _print_report(
+        report, get_experiment(args.exp_id).summary_metrics, args.engine
     )
-    failures = report.failure_summary()
-    if any(failures[k] for k in failures):
-        print(
-            f"failures: {failures['quarantined']} quarantined, "
-            f"{failures['retries']} retries, "
-            f"{failures['timeouts']} timeouts, "
-            f"{failures['pool_rebuilds']} pool rebuilds, "
-            f"{failures['corrupt_cache_entries']} corrupt cache entries, "
-            f"{failures['resumed']} resumed from checkpoint"
-            + (" (degraded to inline)" if report.fallback_inline else "")
-        )
-        for record in report.quarantined:
-            print(f"  quarantined {record.label} "
-                  f"[{record.category}] {record.detail}")
     if args.run_dir:
-        print(f"telemetry: {args.run_dir}/telemetry.jsonl")
+        print(f"telemetry: {args.run_dir}/journal.jsonl")
     if args.json:
         write_bench_summary(report, args.json)
         print(f"summary json: {args.json}")
@@ -406,8 +401,8 @@ def _cmd_scenario(argv: list) -> int:
             "Run a declarative scenario file: a TOML/JSON spec naming a "
             "topology, arrival profile, fault profile, protocol mix and "
             "replication grid, compiled into the same task grid the "
-            "registered experiments use (executor, cache, checkpoint "
-            "and fleet machinery unchanged), with a KPI post-pass.  "
+            "registered experiments use (executor, cache and fleet "
+            "machinery unchanged), with a KPI post-pass.  "
             "Subcommands: 'scenario validate <file>' checks a spec "
             "without running it; 'scenario list' shows the spec files "
             "under scenarios/."
@@ -424,11 +419,7 @@ def _cmd_scenario(argv: list) -> int:
     )
     parser.add_argument(
         "--run-dir", metavar="DIR", default=None,
-        help="telemetry directory (manifest.json + telemetry.jsonl)",
-    )
-    parser.add_argument(
-        "--checkpoint", metavar="FILE", default=None,
-        help="sweep-checkpoint journal (resume after interruption)",
+        help="telemetry directory (manifest.json + journal.jsonl)",
     )
     parser.add_argument(
         "--kpi-out", metavar="PATH", default=None,
@@ -496,29 +487,13 @@ def _cmd_scenario(argv: list) -> int:
             workers=args.workers,
             cache=args.cache,
             telemetry=args.run_dir,
-            checkpoint=args.checkpoint,
             progress=not args.no_progress,
         )
     except ConfigurationError as exc:
         print(f"cannot run scenario: {exc}", file=sys.stderr)
         return 2
 
-    print(report.summary_table(compiled.summary_metrics or None))
-    print(
-        f"{len(report.outcomes)} tasks: {report.executed} executed, "
-        f"{report.cache_hits} from cache; engine={compiled.engine}; "
-        f"workers={report.workers}; wall {report.wall_time:.2f}s"
-    )
-    failures = report.failure_summary()
-    if any(failures[k] for k in failures):
-        print(
-            f"failures: {failures['quarantined']} quarantined, "
-            f"{failures['retries']} retries, "
-            f"{failures['timeouts']} timeouts"
-        )
-        for record in report.quarantined:
-            print(f"  quarantined {record.label} "
-                  f"[{record.category}] {record.detail}")
+    _print_report(report, compiled.summary_metrics, compiled.engine)
 
     from repro.kpi import kpis_from_report, write_kpi_report
 
@@ -537,7 +512,7 @@ def _cmd_scenario(argv: list) -> int:
         path = write_kpi_report(kpis, args.kpi_out)
         print(f"kpi json: {path}")
     if args.run_dir:
-        print(f"telemetry: {args.run_dir}/telemetry.jsonl")
+        print(f"telemetry: {args.run_dir}/journal.jsonl")
     if args.json:
         from repro.runner import write_bench_summary
 
@@ -875,6 +850,19 @@ def _retry_policy(retries):
     return FaultPolicy(max_retries=retries) if retries is not None else None
 
 
+def _fleet_policy(queue, retries):
+    """A fleet worker's fault policy: the submitted experiment's
+    ``default_timeout``, as ``run`` uses it, and the ``--retries``
+    budget."""
+    from repro.runner import get_experiment
+    from repro.runner.policy import FaultPolicy
+
+    defn = get_experiment(str(queue.manifest().get("exp_id")))
+    if retries is None:
+        retries = FaultPolicy().max_retries
+    return FaultPolicy(timeout=defn.default_timeout, max_retries=retries)
+
+
 def _add_grid_args(parser) -> None:
     """The experiment-grid options of ``run``, ``profile`` and ``submit``."""
     from repro.vector import ENGINES
@@ -1101,7 +1089,7 @@ def _cmd_fleet(argv: list) -> int:
             lambda: FleetWorker(
                 args.queue,
                 host=args.host,
-                policy=_retry_policy(args.retries),
+                policy=_fleet_policy(FleetQueue(args.queue), args.retries),
                 ttl=args.ttl,
                 heartbeat_interval=args.heartbeat,
                 poll_interval=args.poll,

@@ -1,8 +1,8 @@
 """Fold per-task metric records into one flat KPI report.
 
-The input is the telemetry record shape (``{"spec": ..., "metrics": ...,
-"wall_time": ..., "cached": ...}``) — produced identically by
-``telemetry.jsonl`` on disk and by an in-memory
+The input is the task record shape (``{"spec": ..., "metrics": ...,
+"wall_time": ..., "cached": ...}``) — produced identically from a run
+directory's journal on disk and from an in-memory
 :class:`~repro.runner.executor.RunReport` — so the same post-pass works
 on a live run and on an archived one.
 
@@ -233,10 +233,22 @@ def kpis_from_run_dir(
     scenario: Optional[str] = None,
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
 ) -> Dict[str, Any]:
-    """KPIs from a run directory's ``telemetry.jsonl`` (deduplicated)."""
-    from repro.runner.telemetry import merge_task_records, read_telemetry
+    """KPIs from a run directory's journal (outcome lines, deduplicated)."""
+    from repro.runner.journal import (
+        JOURNAL_NAME,
+        merge_task_records,
+        read_journal,
+    )
 
-    records, _ = merge_task_records(read_telemetry(run_dir))
+    merged, _ = merge_task_records([
+        entry
+        for entry in read_journal(Path(run_dir) / JOURNAL_NAME)
+        if entry.get("kind") == "outcome"
+    ])
+    records = [
+        {**entry["record"], "cached": entry["cached"], "key": entry["key"]}
+        for entry in merged
+    ]
     return compute_kpis(records, scenario=scenario, quantiles=quantiles)
 
 

@@ -5,8 +5,9 @@ An experiment is a grid of pure ``(topology × workload × seed)`` tasks
 runs a grid inline (``workers=0``) or sharded over child processes, with
 a content-addressed on-disk result cache (:mod:`repro.runner.cache`)
 making interrupted sweeps resumable and repeat runs near-free, and run
-telemetry (:mod:`repro.runner.telemetry`) recording per-task JSONL,
-a run manifest, and live progress.
+telemetry (:mod:`repro.runner.telemetry`) recording a run manifest, the
+run's journal and live progress.  Every gear records a settled task in
+one journal line shape, written and read by :mod:`repro.runner.journal`.
 
 Each task selects its simulation ``engine``: ``"scalar"`` (the
 reference slot loop) or ``"vector"`` (the NumPy lockstep batch of
@@ -16,9 +17,8 @@ The engine is part of the task identity and hence the cache key.
 Execution is fault tolerant: a :mod:`~repro.runner.policy.FaultPolicy`
 sets per-attempt watchdog timeouts, bounded retries with deterministic
 backoff, and quarantine of tasks that keep failing (a crashed or hung
-pool child is pinned to the task it was running and replaced); a
-:mod:`~repro.runner.checkpoint.SweepCheckpoint` journal makes an
-interrupted sweep resume from completed-task state.  The chaos harness
+pool child is pinned to the task it was running and replaced); an
+interrupted sweep resumes from its result cache.  The chaos harness
 (:mod:`repro.runner.chaos`) proves all of this on a real grid with
 injected crashes, hangs, flaky tasks and corrupt cache entries.
 
@@ -41,9 +41,10 @@ coordinator kill-and-restart.
 
 Both backends run one worker loop (:mod:`repro.runner.drain`): claim,
 execute under the fault policy, commit or quarantine, with a heartbeat
-thread keeping the lease alive.  The lease directory and the TCP client
-are its two transports, and their status views and merged reports are
-built by the same shared functions.
+thread keeping the lease alive until the attempt outlives its timeout.
+The lease directory and the TCP client are its two transports, and
+their status views and merged reports are built by the same shared
+functions.
 
 The CLI front ends are ``python -m repro run <EXP_ID> --workers N
 [--engine vector]``, ``python -m repro fleet submit|worker|status``
@@ -61,7 +62,6 @@ from repro.runner.chaos import (
     run_coord_chaos,
     run_fleet_chaos,
 )
-from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.client import (
     CoordClient,
     CoordinatorUnreachable,
@@ -82,6 +82,7 @@ from repro.runner.executor import (
     run_tasks,
 )
 from repro.runner.drain import WorkerReport
+from repro.runner.journal import Journal, merge_task_records, read_journal
 from repro.runner.fleet import (
     FleetQueue,
     FleetStatus,
@@ -105,9 +106,6 @@ from repro.runner.telemetry import (
     RunTelemetry,
     bench_summary,
     median,
-    merge_task_records,
-    read_quarantine,
-    read_telemetry,
     write_bench_summary,
 )
 
@@ -124,6 +122,7 @@ __all__ = [
     "FleetQueue",
     "FleetStatus",
     "FleetWorker",
+    "Journal",
     "LeaseDir",
     "LeaseObserver",
     "LeaseRecord",
@@ -132,7 +131,6 @@ __all__ = [
     "ResultCache",
     "RunReport",
     "RunTelemetry",
-    "SweepCheckpoint",
     "TaskExecutionError",
     "TaskOutcome",
     "TaskSpec",
@@ -147,8 +145,7 @@ __all__ = [
     "get_experiment",
     "median",
     "merge_task_records",
-    "read_quarantine",
-    "read_telemetry",
+    "read_journal",
     "register",
     "registered_ids",
     "run_chaos",

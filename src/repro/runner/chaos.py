@@ -396,7 +396,6 @@ def _pool_faults(
             workers=run.report.workers,
             cache=chaos_cache,
             telemetry=RunTelemetry(base / "chaos-run"),
-            checkpoint=base / "chaos-checkpoint.jsonl",
             progress=run.progress,
             policy=FaultPolicy(
                 timeout=timeout, max_retries=2, seed=run.report.seed
@@ -630,8 +629,9 @@ def _run_frame(
 
     version = repro.__version__
     tasks = get_experiment("E3").tasks(seed, replications, quick=True)
+    # Absolute: worker subprocesses run with the base as their cwd.
     base = (
-        Path(base_dir)
+        Path(base_dir).resolve()
         if base_dir is not None
         else Path(tempfile.mkdtemp(prefix=f"repro-{mode}-chaos-"))
     )
@@ -1196,7 +1196,7 @@ def _coord_faults(
     from repro.runner.client import CoordClient, CoordinatorUnreachable
     from repro.runner.coord import JOURNAL_NAME, coord_report, coord_status
     from repro.runner.coord import submit_tasks
-    from repro.runner.telemetry import _read_jsonl
+    from repro.runner.journal import read_journal
 
     report = run.report
     state = run.base / "coord-state"
@@ -1309,7 +1309,7 @@ def _coord_faults(
     status = coord_status(state)
     merged = coord_report(state)
     run.record_merge(merged, started)
-    journal_entries = _read_jsonl(state / JOURNAL_NAME, strict=False)
+    journal_entries = read_journal(state / JOURNAL_NAME, strict=False)
     starts = sum(
         1 for e in journal_entries if e.get("kind") == "coord_start"
     )

@@ -22,20 +22,21 @@ shared-filesystem transport never needed:
   cache replays are server-side, so a clock-skewed worker cannot
   corrupt them.
 * **Commits go through a local outbox.**  Each computed outcome is
-  spooled (fsynced) to a per-worker JSONL file *before* the commit is
-  sent and acknowledged after.  If the coordinator stays unreachable
-  past the offline budget, the worker counts the outcome as *stranded*
-  and exits cleanly instead of spinning — the work is not lost: the
-  next worker run against the same outbox directory flushes every
-  unacknowledged entry first (commit is idempotent, so double-flushing
-  is free).  That is the coordinator backend's graceful-degradation
-  story: quarantine-and-continue at the worker level.
+  spooled (fsynced) to a per-worker :class:`~repro.runner.journal.
+  Journal` as an ``outcome`` line *before* the commit is sent, and
+  acknowledged with an ``ack`` line after.  If the coordinator stays
+  unreachable past the offline budget, the worker counts the outcome
+  as *stranded* and exits cleanly instead of spinning — the work is
+  not lost: the next worker run against the same outbox directory
+  flushes every unacknowledged entry first (commit is idempotent, so
+  double-flushing is free).  That is the coordinator backend's
+  graceful-degradation story: quarantine-and-continue at the worker
+  level.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import socket
 import threading
@@ -53,9 +54,9 @@ from repro.runner.drain import (
     WorkerReport,
     default_host_name,
 )
+from repro.runner.journal import Journal, read_journal
 from repro.runner.policy import FaultPolicy
 from repro.runner.task import TaskSpec
-from repro.runner.telemetry import _read_jsonl
 from repro.runner.wire import FrameDecoder, encode_frame
 
 
@@ -224,50 +225,34 @@ class CoordClient:
 
 
 class Outbox:
-    """A per-worker JSONL spool of commits pending acknowledgement.
+    """A per-worker journal of commits pending acknowledgement.
 
-    ``commit`` entries are fsynced before the network send — they are
-    the worker's local commit point, the one record that must survive
-    its own crash.  ``ack`` entries are flushed but not fsynced: losing
-    one merely re-flushes an idempotent commit on the next run.
+    A spooled commit is an ``outcome`` line, fsynced before the network
+    send — the worker's local commit point, the one record that must
+    survive its own crash; an ``ack`` line marks it delivered.
     """
 
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self._handle = None
-
-    def _append(self, entry: Dict[str, Any], *, durable: bool) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        if durable:
-            os.fsync(self._handle.fileno())
+    def __init__(self, path: os.PathLike, host: str) -> None:
+        self.host = host
+        self.journal = Journal(path, fsync=True)
 
     def spool(self, key: str, record: Dict[str, Any]) -> None:
-        self._append(
-            {"kind": "commit", "key": key, "record": record,
-             "time_unix": time.time()},
-            durable=True,
-        )
+        self.journal.append_outcome(key, record, host=self.host, cached=False)
 
     def ack(self, key: str) -> None:
-        self._append({"kind": "ack", "key": key}, durable=False)
+        self.journal.append_event("ack", key=key)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.journal.close()
 
     @staticmethod
     def pending_in(path: Path) -> Dict[str, Dict[str, Any]]:
         """Unacknowledged commit records in one outbox file."""
         commits: Dict[str, Dict[str, Any]] = {}
         acked = set()
-        for entry in _read_jsonl(path, strict=False):
+        for entry in read_journal(path, strict=False):
             kind = entry.get("kind")
-            if kind == "commit" and "key" in entry:
+            if kind == "outcome" and "key" in entry:
                 commits[entry["key"]] = entry.get("record", {})
             elif kind == "ack" and "key" in entry:
                 acked.add(entry["key"])
@@ -294,7 +279,7 @@ class TcpTransport:
         self.client = client
         self.host = host
         self.outbox_dir = outbox_dir
-        self.outbox = Outbox(outbox_dir / f"{host}.jsonl")
+        self.outbox = Outbox(outbox_dir / f"{host}.jsonl", host)
         self.heartbeat_interval = heartbeat_interval
         self.poll_interval = poll_interval
         self.report: Optional[WorkerReport] = None
@@ -365,7 +350,7 @@ class TcpTransport:
             pending = Outbox.pending_in(path)
             if not pending:
                 continue
-            spool = Outbox(path)
+            spool = Outbox(path, self.host)
             try:
                 for key in sorted(pending):
                     self._send("commit", key, pending[key])

@@ -9,9 +9,8 @@ nothing but a socket.
 
 The coordinator holds the lease table, pending queue and quarantine
 state in memory and *persists every state transition* through an
-append-only journal (the same JSONL shape as
-:class:`~repro.runner.checkpoint.SweepCheckpoint`, fsynced at each
-append).  A SIGKILLed coordinator restarts, replays the journal, and
+append-only :class:`~repro.runner.journal.Journal`, fsynced at each
+append.  A SIGKILLed coordinator restarts, replays the journal, and
 resumes with zero task loss: completed work stays completed, in-flight
 leases are restored with a fresh TTL (their workers reconnect and keep
 heartbeating or committing), pending tasks stay pending.
@@ -25,11 +24,10 @@ State directory layout:
       coord-journal.jsonl   append-only journal (fsynced per append)
       results/              content-addressed ResultCache (fsync=True)
 
-Journal line kinds (``SweepCheckpoint.load`` reads the first two and
-ignores the rest, so the journal doubles as a checkpoint file):
+Journal line kinds:
 
 ``outcome`` / ``quarantine``
-    Task results, exactly the fleet journal shape.
+    Settled tasks, in the line shapes every gear's journal carries.
 ``manifest`` / ``task``
     The submitted grid — replayed so a restart knows what is pending.
 ``lease`` / ``lease_expired``
@@ -68,7 +66,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.runner.atomicio import atomic_write_json
 from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.drain import (
     HostStatus,
     build_report,
@@ -77,9 +74,9 @@ from repro.runner.drain import (
     render_status,
 )
 from repro.runner.executor import RunReport
+from repro.runner.journal import Journal, read_journal
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.task import TaskSpec
-from repro.runner.telemetry import _read_jsonl
 from repro.runner.wire import FrameDecoder, encode_frame
 
 DISCOVERY_NAME = "coord.json"
@@ -207,7 +204,7 @@ def _replay_journal(path: os.PathLike) -> _JournalState:
     state = _JournalState()
     journal = Path(path)
     if journal.exists():
-        for entry in _read_jsonl(journal, strict=False):
+        for entry in read_journal(journal, strict=False):
             state.apply(entry)
     return state
 
@@ -262,7 +259,7 @@ class CoordServer:
         self.tick = tick
         self.state = _JournalState()
         self._deadlines: Dict[str, _Lease] = {}
-        self.journal: Optional[SweepCheckpoint] = None
+        self.journal: Optional[Journal] = None
         self.cache: Optional[ResultCache] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
@@ -286,7 +283,7 @@ class CoordServer:
             # (the lease expires once, exactly as it would have).
             self._deadlines[key] = _Lease(host, steals, now + self.ttl)
         self.recovered_leases = len(self._deadlines)
-        self.journal = SweepCheckpoint(self.journal_path, fsync=True)
+        self.journal = Journal(self.journal_path, fsync=True)
         self.cache = ResultCache(self.root / RESULTS_DIR, fsync=True)
         self._record("coord_start", pid=os.getpid())
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -329,11 +326,9 @@ class CoordServer:
     # -- journal write-through -----------------------------------------
 
     def _record(self, kind: str, **fields: Any) -> None:
-        """Journal one ``kind`` entry stamped with the wall clock
-        (fsynced), then fold it into live state."""
-        entry = {"kind": kind, **fields, "time_unix": time.time()}
-        self.journal._append(entry)
-        self.state.apply(entry)
+        """Journal one ``kind`` entry (fsynced), then fold it into live
+        state."""
+        self.state.apply(self.journal.append_event(kind, **fields))
 
     # -- the event loop ------------------------------------------------
 
@@ -458,9 +453,9 @@ class CoordServer:
                         f"{lease.host}); workers keep dying on this task"
                     ),
                 ).to_record()
-                self._record(
-                    "quarantine", key=key, record=record, host=lease.host
-                )
+                self.state.apply(self.journal.append_quarantine(
+                    key, record, host=lease.host
+                ))
 
     # -- request dispatch ----------------------------------------------
 
@@ -559,10 +554,9 @@ class CoordServer:
             if cached is not None:
                 # Server-side replay: a previous run (or a stranded
                 # worker's flushed outbox) already committed this key.
-                self._record(
-                    "outcome", key=key, record=cached, host=host,
-                    cached=True, source="cache",
-                )
+                self.state.apply(self.journal.append_outcome(
+                    key, cached, host=host, cached=True
+                ))
                 replayed += 1
                 continue
             steals = self.state.steals.get(key, 0)
@@ -607,11 +601,9 @@ class CoordServer:
         # Same order as the fleet worker: cache first, then journal —
         # a crash between the two replays the cache hit, never re-runs.
         self.cache.put(key, record)
-        self._record(
-            "outcome", key=key, record=record, host=host,
-            cached=bool(msg.get("cached", False)),
-            source=str(msg.get("source", "fresh")),
-        )
+        self.state.apply(self.journal.append_outcome(
+            key, record, host=host, cached=bool(msg.get("cached", False))
+        ))
         self._deadlines.pop(key, None)
         return {}
 
@@ -623,7 +615,9 @@ class CoordServer:
         record = msg.get("record")
         if not isinstance(record, dict):
             raise ConfigurationError("quarantine needs a record object")
-        self._record("quarantine", key=key, record=record, host=host)
+        self.state.apply(
+            self.journal.append_quarantine(key, record, host=host)
+        )
         self._deadlines.pop(key, None)
         return {}
 

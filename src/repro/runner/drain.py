@@ -22,9 +22,10 @@ differs between the gears is a small duck-typed *transport*:
     the local gears.  ``WAIT`` while every pending task is leased to a
     live owner; ``DRAINED`` once none is left.
 ``heartbeat(key, delay=0.0)``
-    Keep the lease on ``key`` alive.  Called from the heartbeat thread,
-    and before each retry's backoff sleep with that sleep's ``delay``,
-    so a watchdog can restart the task's deadline past the sleep.
+    Keep the lease on ``key`` alive.  Called from the heartbeat thread
+    while the running attempt is within ``policy.timeout``, and before
+    each retry's backoff sleep with that sleep's ``delay``, so a
+    watchdog can restart the task's deadline past the sleep.
 ``commit(key, record)``
     Durably record a computed outcome and give up the lease.
 ``quarantine(key, record)``
@@ -65,10 +66,10 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError
+from repro.runner.journal import merge_task_records
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.registry import run_registered_batch, run_registered_task
 from repro.runner.task import TaskSpec
-from repro.runner.telemetry import merge_task_records
 
 if TYPE_CHECKING:
     from repro.runner.executor import RunReport
@@ -151,10 +152,15 @@ class DrainWorker:
     the singleton retry path with the failed call as its first attempt.
 
     ``heartbeat_interval`` starts a thread that keeps the active lease
-    alive; None (the local gears) starts none.  ``throttle`` sleeps that
-    long before each claimed unit — chaos and tests use it to hold tasks
-    in flight long enough to kill hosts mid-task; production leaves it
-    0.  ``max_tasks`` stops the worker once it has *run* that many
+    alive; None (the local gears) starts none.  The thread stops beating
+    once the running attempt has outlived ``policy.timeout`` (per task
+    of a batch call; a retry's backoff sleep does not count), so a hung
+    task's lease goes stale and another host reclaims it — on the fleet,
+    the steal count then quarantines the task as a crash after
+    ``max_retries`` steals.  ``throttle`` sleeps that long before each
+    claimed unit — chaos and tests use it to hold tasks in flight long
+    enough to kill hosts mid-task; production leaves it 0.
+    ``max_tasks`` stops the worker once it has *run* that many
     tasks, each either executed or quarantined after its retries ran
     out.  Tasks the transport finishes without running them — cache
     replays, and on the fleet a lease whose steal budget is spent — do
@@ -191,6 +197,9 @@ class DrainWorker:
         self.progress = progress
         self.report = WorkerReport(host=host)
         self._active_key: Optional[str] = None
+        #: When the running attempt overruns ``policy.timeout`` (None
+        #: between attempts, or with no timeout).
+        self._attempt_deadline: Optional[float] = None
         self._stop_heartbeat = threading.Event()
 
     def run(self) -> WorkerReport:
@@ -233,7 +242,10 @@ class DrainWorker:
     def _heartbeat_loop(self) -> None:
         while not self._stop_heartbeat.wait(self.heartbeat_interval):
             key = self._active_key
-            if key is not None:
+            deadline = self._attempt_deadline
+            if key is not None and (
+                deadline is None or time.monotonic() < deadline
+            ):
                 self.transport.heartbeat(key)
 
     def _run_unit(
@@ -294,6 +306,10 @@ class DrainWorker:
         the error.  Vector specs run as one batch call, its wall time
         amortized evenly over them."""
         started = time.perf_counter()
+        if self.policy.timeout is not None:
+            self._attempt_deadline = (
+                time.monotonic() + self.policy.timeout * len(specs)
+            )
         try:
             if specs[0].engine == "scalar":
                 results = [self.run_fn(specs[0])]
@@ -311,6 +327,8 @@ class DrainWorker:
                 else f"batch of {len(specs)} tasks ({specs[0].label()} ...)"
             )
             return f"{what} failed on {self.host}: {type(exc).__name__}: {exc}"
+        finally:
+            self._attempt_deadline = None
         wall = (time.perf_counter() - started) / len(specs)
         return [(metrics, wall) for metrics in results]
 
@@ -513,7 +531,6 @@ def build_report(
                 wall_time=float(record.get("wall_time", 0.0)),
                 cached=bool(entry.get("cached")),
                 key=str(key),
-                source=str(entry.get("source", "fresh")),
             )
         )
     cache_hits = sum(1 for outcome in outcomes if outcome.cached)

@@ -42,16 +42,16 @@ The executor survives task and worker failure end to end, governed by a
 * a child that dies holding no unit is not replaced; once no child is
   left and work remains, the run **degrades to inline execution**
   rather than aborting the sweep;
-* quarantined tasks are itemized in the :class:`RunReport` (and in
-  ``quarantine.jsonl`` when telemetry is on) instead of crashing the
+* quarantined tasks are itemized in the :class:`RunReport` (and in the
+  run directory's journal when telemetry is on) instead of crashing the
   run — unless the failure fraction crosses the policy threshold, in
   which case the run aborts loudly (the manifest then reads
   ``status: "aborted"``).
 
-With a :class:`~repro.runner.checkpoint.SweepCheckpoint`, completed
-tasks are journaled as they finish, so an interrupted run (Ctrl-C,
-OOM-kill, machine loss) resumes from completed-task state even without
-a result cache.
+Fresh outcomes are stored in the result cache as they finish, so an
+interrupted run (Ctrl-C, OOM-kill, machine loss) resumes from its cache:
+the rerun replays what finished and re-attempts the rest, including any
+task the interrupted run had quarantined.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from typing import (
 
 from repro.errors import ConfigurationError, ReproError
 from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.drain import DRAINED, DrainWorker
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.registry import (
@@ -111,19 +110,14 @@ def _package_version() -> str:
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """One finished task: spec, metrics, and how it was obtained.
-
-    ``source`` is ``"fresh"`` (executed this run), ``"cache"`` (replayed
-    from the result cache) or ``"checkpoint"`` (restored from the sweep
-    checkpoint journal); ``cached`` is True for the latter two.
-    """
+    """One finished task: spec, metrics, and whether it was replayed
+    from the result cache (``cached``) rather than executed."""
 
     spec: TaskSpec
     metrics: Mapping[str, Any]
     wall_time: float
     cached: bool
     key: str
-    source: str = "fresh"
 
 
 @dataclass
@@ -137,15 +131,14 @@ class RunReport:
     ``pool_rebuilds`` (pool children replaced), ``quarantined``
     (tasks given up on, with category and detail),
     ``corrupt_cache_entries`` (cache files that failed integrity and
-    were re-run), ``resumed`` (outcomes restored from a checkpoint),
-    ``duplicates_merged`` (records folded last-write-wins when a
-    checkpoint or merged fleet journal carried a content key more than
-    once) and ``fallback_inline`` (the pool could not be kept alive and
-    the run degraded to inline execution).  Fleet runs additionally
-    populate ``lease_reclaims`` (orphaned task leases stolen from dead
-    hosts), ``hosts_seen`` (distinct worker hosts that journaled) and
-    ``host_failures`` (distinct hosts whose leases had to be reclaimed);
-    the fields stay zero for single-machine runs.
+    were re-run), ``duplicates_merged`` (records folded last-write-wins
+    when a merged fleet or coordinator journal carried a content key
+    more than once) and ``fallback_inline`` (the pool could not be kept
+    alive and the run degraded to inline execution).  Fleet runs
+    additionally populate ``lease_reclaims`` (orphaned task leases
+    stolen from dead hosts), ``hosts_seen`` (distinct worker hosts that
+    journaled) and ``host_failures`` (distinct hosts whose leases had to
+    be reclaimed); the fields stay zero for single-machine runs.
     """
 
     exp_id: str
@@ -160,7 +153,6 @@ class RunReport:
     pool_rebuilds: int = 0
     quarantined: List[QuarantineRecord] = field(default_factory=list)
     corrupt_cache_entries: int = 0
-    resumed: int = 0
     fallback_inline: bool = False
     duplicates_merged: int = 0
     lease_reclaims: int = 0
@@ -175,7 +167,6 @@ class RunReport:
             "pool_rebuilds": self.pool_rebuilds,
             "quarantined": len(self.quarantined),
             "corrupt_cache_entries": self.corrupt_cache_entries,
-            "resumed": self.resumed,
             "fallback_inline": self.fallback_inline,
             "duplicates_merged": self.duplicates_merged,
             "lease_reclaims": self.lease_reclaims,
@@ -645,7 +636,6 @@ def run_tasks(
     workers: int = 0,
     cache: Union[ResultCache, os.PathLike, str, None] = None,
     telemetry: Union[RunTelemetry, os.PathLike, str, None] = None,
-    checkpoint: Union[SweepCheckpoint, os.PathLike, str, None] = None,
     progress: bool = False,
     version: Optional[str] = None,
     options: Optional[Mapping[str, Any]] = None,
@@ -660,7 +650,9 @@ def run_tasks(
     ``functools.partial`` over one — registered experiments satisfy this
     by construction).  Cache hits never execute; fresh outcomes are
     stored back as soon as they complete, so an interrupted run resumes
-    from wherever it died.
+    from wherever it died.  ``telemetry`` names a run directory
+    (:class:`~repro.runner.telemetry.RunTelemetry`): its manifest, and a
+    journal line per settled task.
 
     Tasks with ``engine="vector"`` require ``batch_fn``: all pending
     vector tasks of one grid cell are evaluated in a single batched call
@@ -671,10 +663,7 @@ def run_tasks(
     ``policy`` governs the failure behavior (timeouts, retries,
     quarantine — see :class:`~repro.runner.policy.FaultPolicy`; the
     default retries twice and quarantines up to half the grid before
-    aborting).  ``checkpoint`` names a
-    :class:`~repro.runner.checkpoint.SweepCheckpoint` journal: completed
-    tasks are appended as they finish and restored on the next run, so
-    interruption (Ctrl-C, OOM-kill) is a pause even without a cache.
+    aborting).
     """
     if workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -684,7 +673,6 @@ def run_tasks(
     exp_id = tasks[0].exp_id if tasks else "(empty)"
     cache = _coerce(cache, ResultCache)
     telemetry = _coerce(telemetry, RunTelemetry)
-    checkpoint = _coerce(checkpoint, SweepCheckpoint)
     meter = Progress(len(tasks), enabled=progress)
     if telemetry is not None:
         telemetry.start(
@@ -696,58 +684,42 @@ def run_tasks(
         )
 
     corrupt_before = cache.corrupt if cache is not None else 0
-    ckpt_completed: Dict[str, Dict] = {}
-    ckpt_quarantined: Dict[str, Dict] = {}
-    ckpt_duplicates = 0
-    if checkpoint is not None:
-        ckpt_completed, ckpt_quarantined = checkpoint.load()
-        ckpt_duplicates = checkpoint.duplicates
-
     keys = [spec.key(version) for spec in tasks]
     outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
+
+    def _settle(index: int, metrics, wall: float, cached=False) -> None:
+        spec, key = tasks[index], keys[index]
+        outcomes[index] = TaskOutcome(
+            spec=spec, metrics=metrics, wall_time=wall, cached=cached, key=key
+        )
+        meter.update()
+        store = cache is not None and not cached
+        if not store and telemetry is None:
+            return
+        record = {
+            "spec": spec.to_record(),
+            "metrics": metrics,
+            "wall_time": wall,
+            "version": version,
+        }
+        if store:
+            cache.put(key, record)
+        if telemetry is not None:
+            telemetry.record_outcome(key, record, cached=cached)
+
     pending: List[int] = []
-    carryover: List[QuarantineRecord] = []
-    cache_hits = 0
-    resumed = 0
-    for index, (spec, key) in enumerate(zip(tasks, keys)):
+    for index, key in enumerate(keys):
         record = cache.get(key) if cache is not None else None
-        source = "cache"
-        if record is None and key in ckpt_completed:
-            record = ckpt_completed[key]
-            source = "checkpoint"
-        if record is not None:
-            outcome = TaskOutcome(
-                spec=spec,
-                metrics=record["metrics"],
-                wall_time=float(record.get("wall_time", 0.0)),
-                cached=True,
-                key=key,
-                source=source,
-            )
-            outcomes[index] = outcome
-            if source == "cache":
-                cache_hits += 1
-            else:
-                resumed += 1
-            if telemetry is not None:
-                telemetry.record_task(
-                    spec.to_record(),
-                    outcome.metrics,
-                    outcome.wall_time,
-                    cached=True,
-                    key=key,
-                )
-            meter.update()
-        elif key in ckpt_quarantined and policy.quarantine:
-            # A known-poison task from the interrupted run: skip it and
-            # carry its record forward rather than re-poisoning the run.
-            carried = QuarantineRecord.from_record(ckpt_quarantined[key])
-            carryover.append(carried)
-            if telemetry is not None:
-                telemetry.record_quarantine(carried.to_record())
-            meter.update()
-        else:
+        if record is None:
             pending.append(index)
+        else:
+            _settle(
+                index,
+                record["metrics"],
+                float(record.get("wall_time", 0.0)),
+                cached=True,
+            )
+    cache_hits = len(tasks) - len(pending)
 
     # Split pending work by engine: vector tasks batch per grid cell.
     scalar_pending: List[int] = []
@@ -761,33 +733,9 @@ def run_tasks(
     if batch_groups and batch_fn is None:
         raise ConfigurationError("tasks with engine='vector' need a batch_fn")
 
-    def _complete(index: int, metrics: Dict[str, Any], wall: float) -> None:
-        spec, key = tasks[index], keys[index]
-        outcomes[index] = TaskOutcome(
-            spec=spec, metrics=metrics, wall_time=wall, cached=False, key=key
-        )
-        spec_record = spec.to_record()
-        record = {
-            "spec": spec_record,
-            "metrics": metrics,
-            "wall_time": wall,
-            "version": version,
-        }
-        if cache is not None:
-            cache.put(key, record)
-        if checkpoint is not None:
-            checkpoint.append_outcome(key, record)
-        if telemetry is not None:
-            telemetry.record_task(
-                spec_record, metrics, wall, cached=False, key=key
-            )
-        meter.update()
-
     def _quarantined(record: QuarantineRecord) -> None:
         if telemetry is not None:
-            telemetry.record_quarantine(record.to_record())
-        if checkpoint is not None:
-            checkpoint.append_quarantine(record.key, record.to_record())
+            telemetry.record_quarantine(record.key, record.to_record())
         meter.update()
 
     inline = workers == 0 or (len(pending) <= 1 and policy.timeout is None)
@@ -814,34 +762,30 @@ def run_tasks(
         units=units,
         policy=policy,
         version=version,
-        on_complete=_complete,
+        on_complete=_settle,
         on_quarantine=_quarantined,
     )
 
     def _finish(status: str) -> RunReport:
         meter.finish()
-        if checkpoint is not None:
-            checkpoint.close()
         report = RunReport(
             exp_id=exp_id,
             version=version,
             workers=workers,
             outcomes=[o for o in outcomes if o is not None],
             executed=sum(
-                1 for o in outcomes if o is not None and o.source == "fresh"
+                1 for o in outcomes if o is not None and not o.cached
             ),
             cache_hits=cache_hits,
             wall_time=time.perf_counter() - started,
             timeouts=grid.timeouts,
             retries=grid.retries,
             pool_rebuilds=grid.pool_rebuilds,
-            quarantined=carryover + grid.quarantined,
+            quarantined=grid.quarantined,
             corrupt_cache_entries=(
                 cache.corrupt - corrupt_before if cache is not None else 0
             ),
-            resumed=resumed,
             fallback_inline=grid.fallback_inline,
-            duplicates_merged=ckpt_duplicates,
         )
         if telemetry is not None:
             telemetry.finish(
@@ -913,7 +857,6 @@ def run_experiment(
     workers: int = 0,
     cache: Union[ResultCache, os.PathLike, str, None] = None,
     telemetry: Union[RunTelemetry, os.PathLike, str, None] = None,
-    checkpoint: Union[SweepCheckpoint, os.PathLike, str, None] = None,
     progress: bool = False,
     engine: str = "scalar",
     timeout: Optional[float] = None,
@@ -935,8 +878,7 @@ def run_experiment(
     Failure behavior: ``timeout`` (defaulting to the experiment's
     ``default_timeout``), ``retries`` and ``quarantine`` assemble a
     :class:`~repro.runner.policy.FaultPolicy` unless an explicit
-    ``policy`` is given; ``checkpoint`` journals completed tasks for
-    resumption after an interruption.
+    ``policy`` is given.
     """
     import functools
 
@@ -966,7 +908,6 @@ def run_experiment(
         workers=workers,
         cache=cache,
         telemetry=telemetry,
-        checkpoint=checkpoint,
         progress=progress,
         batch_fn=batch_fn,
         policy=policy,

@@ -13,7 +13,7 @@ reach — local disk for one machine, NFS (or any shared mount) for many:
                               heartbeat-refreshed — see runner/lease.py)
       results/                the shared content-addressed ResultCache
       quarantine/<key>.json   tasks the fleet gave up on
-      hosts/<host>/journal.jsonl  per-host checkpoint/telemetry stream
+      hosts/<host>/journal.jsonl  per-host run journal (runner/journal.py)
 
 There is no coordinator process and no network protocol: ``python -m
 repro fleet submit`` populates the queue, any number of ``fleet worker``
@@ -68,7 +68,6 @@ from typing import (
 from repro.errors import ConfigurationError
 from repro.runner.atomicio import atomic_write_json
 from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import SweepCheckpoint
 from repro.runner.drain import (
     DRAINED,
     WAIT,
@@ -82,10 +81,15 @@ from repro.runner.drain import (
     render_status,
 )
 from repro.runner.executor import RunReport
+from repro.runner.journal import (
+    JOURNAL_NAME,
+    Journal,
+    merge_task_records,
+    read_journal,
+)
 from repro.runner.lease import LeaseDir, LeaseObserver
 from repro.runner.policy import FaultPolicy, QuarantineRecord
 from repro.runner.task import TaskSpec
-from repro.runner.telemetry import _read_jsonl, merge_task_records
 
 QUEUE_MANIFEST = "queue.json"
 TASKS_DIR = "tasks"
@@ -93,7 +97,6 @@ LEASES_DIR = "leases"
 RESULTS_DIR = "results"
 QUARANTINE_DIR = "quarantine"
 HOSTS_DIR = "hosts"
-JOURNAL_NAME = "journal.jsonl"
 
 
 class FleetQueue:
@@ -281,7 +284,7 @@ class LeaseTransport:
         self.observer = LeaseObserver(ttl)
         self.cache = queue.cache()
         self.report: Optional[WorkerReport] = None
-        self._journal: Optional[SweepCheckpoint] = None
+        self._journal: Optional[Journal] = None
         self._scan: Optional[Iterator[str]] = None
         self._progressed = False
 
@@ -290,15 +293,9 @@ class LeaseTransport:
         version = str(self.queue.manifest().get("version", ""))
         # fsync=True: journaling an outcome is the step that lets the
         # merge layer trust "this task is done" after any crash.
-        self._journal = SweepCheckpoint(
-            self.queue.journal_path(self.host), fsync=True
-        )
+        self._journal = Journal(self.queue.journal_path(self.host), fsync=True)
         self._journal.append_event(
-            "host_start",
-            host=self.host,
-            pid=os.getpid(),
-            ttl=self.ttl,
-            time_unix=time.time(),
+            "host_start", host=self.host, pid=os.getpid(), ttl=self.ttl
         )
         return version
 
@@ -306,10 +303,7 @@ class LeaseTransport:
         if self._journal is None:
             return
         self._journal.append_event(
-            "host_finish",
-            host=self.host,
-            stats=self.report.to_record(),
-            time_unix=time.time(),
+            "host_finish", host=self.host, stats=self.report.to_record()
         )
         self._journal.close()
         self._journal = None
@@ -341,12 +335,12 @@ class LeaseTransport:
         file, then release the lease — a kill between any two steps
         leaves the queue recoverable (at worst a replayed cache hit)."""
         self.cache.put(key, record)
-        self._journal_outcome(key, record, cached=False, source="fresh")
+        self._journal.append_outcome(key, record, host=self.host, cached=False)
         self._finish(key)
 
     def quarantine(self, key: str, record: Dict[str, Any]) -> None:
         self.queue.put_quarantine(key, record)
-        self._journal.append_quarantine(key, record)
+        self._journal.append_quarantine(key, record, host=self.host)
         self._finish(key)
 
     def _try_claim(self, key: str) -> Optional[Tuple[str, TaskSpec]]:
@@ -366,7 +360,6 @@ class LeaseTransport:
                 host=self.host,
                 victim_host=stolen.host,
                 steal_count=stolen.steal_count + 1,
-                time_unix=time.time(),
             )
         if not self.queue.task_path(key).exists():
             # Retired between our pending scan and the claim: the
@@ -399,19 +392,13 @@ class LeaseTransport:
         record = self.cache.get(key)
         if record is not None:
             # A dead (or racing) host already committed: replay.
-            self._journal_outcome(key, record, cached=True, source="cache")
+            self._journal.append_outcome(
+                key, record, host=self.host, cached=True
+            )
             self.report.cache_hits += 1
             self._finish(key)
             return None
         return key, spec
-
-    def _journal_outcome(
-        self, key: str, record: Dict[str, Any], cached: bool, source: str
-    ) -> None:
-        self._journal.append_event(
-            "outcome", key=key, record=record, host=self.host,
-            cached=cached, source=source, time_unix=time.time(),
-        )
 
     def _finish(self, key: str) -> None:
         self.queue.remove_task(key)
@@ -438,9 +425,10 @@ class FleetWorker(DrainWorker):
     ``ttl`` is the lease expiry interval: a lease whose mtime sits
     unchanged for one TTL of this worker's monotonic clock is treated as
     orphaned and stolen.  The heartbeat thread refreshes the active
-    lease every ``ttl/4`` by default, so only a dead or wedged host goes
-    stale.  ``clock_skew`` (chaos/testing) makes this worker stamp lease
-    times as if its wall clock were wrong by that many seconds.
+    lease every ``ttl/4`` by default, so only a dead or wedged host, or
+    a task running past ``policy.timeout``, goes stale.  ``clock_skew``
+    (chaos/testing) makes this worker stamp lease times as if its wall
+    clock were wrong by that many seconds.
     """
 
     def __init__(
@@ -556,7 +544,7 @@ def _merged_journal(
     hosts: List[HostStatus] = []
     for host in queue.hosts():
         status = HostStatus(host=host)
-        for entry in _read_jsonl(queue.journal_path(host), strict=False):
+        for entry in read_journal(queue.journal_path(host), strict=False):
             fold_host_entry(status, entry)
             kind = entry.get("kind")
             if kind == "outcome":

@@ -12,7 +12,7 @@ contract for those events:
   exception retries after exponential backoff with deterministic
   jitter, a crashed worker's task is re-queued at once;
 * **quarantine** — a task that keeps failing is *recorded and skipped*
-  (a :class:`QuarantineRecord` in the report and ``quarantine.jsonl``)
+  (a :class:`QuarantineRecord` in the report and the run journal)
   instead of aborting the whole sweep, up to a failure-fraction
   threshold past which the run aborts anyway (so a systematically
   broken task function still fails loudly).

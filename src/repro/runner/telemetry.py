@@ -1,6 +1,7 @@
-"""Run telemetry: JSONL task records, a run manifest, live progress.
+"""Run telemetry: a run directory, live progress, and BENCH summaries.
 
-A run directory holds up to three files:
+A run directory (``run --run-dir``, ``scenario --run-dir``) holds two
+files:
 
 ``manifest.json``
     Written at run start and finalized at run end: experiment id, package
@@ -11,20 +12,12 @@ A run directory holds up to three files:
     ``status: "interrupted"`` and an aborted one (the quarantine
     threshold, ``--no-quarantine``) with ``status: "aborted"``, instead
     of being left as ``"running"``.
-``telemetry.jsonl``
-    One JSON line per finished task, in completion order: the full task
-    spec, its metrics, wall time, whether it was a cache hit, and the
-    completion sequence number.  Machine-readable by design — every
+``journal.jsonl``
+    The run's :mod:`~repro.runner.journal`: one ``outcome`` line per
+    finished task (executed or replayed from cache) and one
+    ``quarantine`` line per task given up on, in completion order — the
+    same line shapes the fleet and coordinator journals carry.  Every
     downstream table in this repo is an aggregation of these lines.
-``quarantine.jsonl``
-    One JSON line per quarantined task: spec, content key, failure
-    category (``error`` / ``crash`` / ``timeout``), attempt count, and
-    the last error detail.  Only written when the executor gives up on
-    a task.
-
-All JSONL writes are line-buffered and flushed per record, so a crashed
-run loses at most the line being written; :func:`read_telemetry`
-tolerates that torn final line when re-reading a run post-mortem.
 
 :class:`Progress` renders a live ``done/total`` line with tasks/sec and
 an ETA to stderr; it is off by default so tests and pipelines stay quiet.
@@ -32,17 +25,18 @@ an ETA to stderr; it is off by default so tests and pipelines stay quiet.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO
 
 from repro.analysis.stats import summarize
 from repro.runner.atomicio import atomic_write_json
+from repro.runner.drain import default_host_name
+from repro.runner.journal import JOURNAL_NAME, Journal
 
 
 def median(samples: Sequence[float]) -> float:
@@ -106,18 +100,16 @@ class Progress:
 
 
 class RunTelemetry:
-    """Writer for one run's manifest + per-task JSONL records."""
+    """Writer for one run directory: its manifest and its journal."""
 
     def __init__(self, run_dir: os.PathLike) -> None:
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.run_dir / "manifest.json"
-        self.tasks_path = self.run_dir / "telemetry.jsonl"
-        self.quarantine_path = self.run_dir / "quarantine.jsonl"
-        self._tasks_handle: Optional[TextIO] = None
-        self._quarantine_handle: Optional[TextIO] = None
+        self.journal = Journal(self.run_dir / JOURNAL_NAME)
+        self.host = default_host_name()
         self._manifest: Dict[str, Any] = {}
-        self._sequence = 0
+        self._recorded = 0
         self._quarantined = 0
         self._started = time.perf_counter()
 
@@ -143,50 +135,20 @@ class RunTelemetry:
             "status": "running",
         }
         self._write_manifest()
-        # Truncate any previous run's records: a run directory describes
-        # exactly one run (resumability lives in the result cache and the
-        # sweep checkpoint).  Line buffering keeps every completed record
-        # on disk even through a hard kill.
-        self._tasks_handle = self.tasks_path.open(
-            "w", encoding="utf-8", buffering=1
-        )
-        try:
-            self.quarantine_path.unlink()
-        except OSError:
-            pass
+        # Drop any previous run's journal: a run directory describes
+        # exactly one run (resumability lives in the result cache).
+        self.journal.path.unlink(missing_ok=True)
 
-    def record_task(
-        self,
-        spec_record: Mapping[str, Any],
-        metrics: Mapping[str, Any],
-        wall_time: float,
-        cached: bool,
-        key: str,
+    def record_outcome(
+        self, key: str, record: Mapping[str, Any], cached: bool
     ) -> None:
-        if self._tasks_handle is None:
-            raise RuntimeError("RunTelemetry.start() was never called")
-        line = {
-            "sequence": self._sequence,
-            "spec": dict(spec_record),
-            "metrics": dict(metrics),
-            "wall_time": wall_time,
-            "cached": cached,
-            "key": key,
-        }
-        self._tasks_handle.write(json.dumps(line, sort_keys=True) + "\n")
-        self._tasks_handle.flush()
-        self._sequence += 1
+        """Journal one finished task (``record`` as the cache stores it)."""
+        self.journal.append_outcome(key, record, host=self.host, cached=cached)
+        self._recorded += 1
 
-    def record_quarantine(self, record: Mapping[str, Any]) -> None:
-        """Append one quarantined-task record to ``quarantine.jsonl``."""
-        if self._quarantine_handle is None:
-            self._quarantine_handle = self.quarantine_path.open(
-                "a", encoding="utf-8", buffering=1
-            )
-        self._quarantine_handle.write(
-            json.dumps(dict(record), sort_keys=True) + "\n"
-        )
-        self._quarantine_handle.flush()
+    def record_quarantine(self, key: str, record: Mapping[str, Any]) -> None:
+        """Journal one quarantined task."""
+        self.journal.append_quarantine(key, record, host=self.host)
         self._quarantined += 1
 
     def finish(
@@ -196,20 +158,15 @@ class RunTelemetry:
         failures: Optional[Mapping[str, Any]] = None,
         status: str = "finished",
     ) -> None:
-        """Close both JSONL streams; stamp the manifest with ``status``
+        """Close the journal; stamp the manifest with ``status``
         (finished, interrupted or aborted) and the counts reached."""
-        if self._tasks_handle is not None:
-            self._tasks_handle.close()
-            self._tasks_handle = None
-        if self._quarantine_handle is not None:
-            self._quarantine_handle.close()
-            self._quarantine_handle = None
+        self.journal.close()
         self._manifest.update(
             {
                 "status": status,
                 "executed": executed,
                 "cache_hits": cache_hits,
-                "recorded_tasks": self._sequence,
+                "recorded_tasks": self._recorded,
                 "quarantined": self._quarantined,
                 "wall_time": time.perf_counter() - self._started,
                 "finished_unix": time.time(),
@@ -224,76 +181,6 @@ class RunTelemetry:
         # the rename must not cross filesystems when the run dir is on
         # shared/NFS storage.
         atomic_write_json(self.manifest_path, self._manifest, indent=2)
-
-
-def _read_jsonl(path: Path, strict: bool = True) -> List[Dict[str, Any]]:
-    """Parse a JSONL file, tolerating a truncated *final* line.
-
-    A crash (OOM-kill, power loss) can tear the line being appended;
-    every earlier line was flushed whole.  With ``strict`` (the default,
-    right for single-writer files) a corrupt interior line raises — that
-    is damage, not interruption.  ``strict=False`` skips corrupt
-    interior lines instead: a stream a killed host was appending to can
-    carry its torn line anywhere once merged with others.
-    """
-    with path.open("r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    records: List[Dict[str, Any]] = []
-    for number, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if number == len(lines) - 1 or not strict:
-                continue
-            raise ValueError(
-                f"corrupt record at {path}:{number + 1}"
-            ) from None
-    return records
-
-
-def read_telemetry(
-    run_dir: os.PathLike, strict: bool = True
-) -> List[Dict[str, Any]]:
-    """Parse a run's ``telemetry.jsonl`` back into records."""
-    return _read_jsonl(Path(run_dir) / "telemetry.jsonl", strict=strict)
-
-
-def merge_task_records(
-    records: Sequence[Mapping[str, Any]],
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Deduplicate task records from interleaved multi-writer streams.
-
-    Fleet hosts journal independently, and a task can legitimately be
-    recorded twice — a lease reclaimed mid-commit, or a cache hit
-    replayed for a dead host's committed task.  Resolution is
-    last-write-wins by content ``key`` (records without a key are kept
-    verbatim), preserving first-appearance order.  Returns the merged
-    records and the number of duplicates folded away — surfaced as
-    ``duplicates_merged`` in reports.
-    """
-    merged: Dict[Any, Dict[str, Any]] = {}
-    keyless: List[Dict[str, Any]] = []
-    duplicates = 0
-    for record in records:
-        key = record.get("key")
-        if key is None:
-            keyless.append(dict(record))
-            continue
-        if key in merged:
-            duplicates += 1
-        merged[key] = dict(record)
-    return list(merged.values()) + keyless, duplicates
-
-
-def read_quarantine(run_dir: os.PathLike) -> List[Dict[str, Any]]:
-    """Parse a run's ``quarantine.jsonl`` (empty if nothing quarantined)."""
-    path = Path(run_dir) / "quarantine.jsonl"
-    if not path.exists():
-        return []
-    return _read_jsonl(path)
 
 
 def bench_summary(report) -> Dict[str, Any]:

@@ -6,7 +6,7 @@ protocol (or a grid of them), the engine, and the replication grid.
 The compiler expands it into the exact same
 :class:`~repro.runner.task.TaskSpec` grid the registered experiments
 use, so scenario runs flow through the existing executor, fault policy,
-content-addressed cache, checkpointing and fleet backend unchanged —
+content-addressed cache, run telemetry and fleet backend unchanged —
 and a *registry-twin* scenario (``[registry] experiment = "E3"``)
 compiles to literally the same tasks (and hence the same cache keys) as
 ``python -m repro run E3``.

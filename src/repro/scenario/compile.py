@@ -272,7 +272,6 @@ def run_scenario(
     workers: int = 0,
     cache=None,
     telemetry=None,
-    checkpoint=None,
     progress: bool = False,
     policy=None,
 ):
@@ -282,7 +281,7 @@ def run_scenario(
     :func:`repro.runner.executor.run_tasks` with the scenario's
     experiment id resolving the worker-side task function by name (the
     ``scenario:`` prefix is understood by the registry), so sharding,
-    caching, checkpointing, fault policy and the fleet backend behave
+    caching, telemetry, fault policy and the fleet backend behave
     exactly as for registered experiments.
     """
     from repro.runner.policy import FaultPolicy
@@ -300,7 +299,6 @@ def run_scenario(
         workers=workers,
         cache=cache,
         telemetry=telemetry,
-        checkpoint=checkpoint,
         progress=progress,
         batch_fn=batch_fn,
         policy=policy,

@@ -30,12 +30,12 @@ from repro.runner import (
     Outbox,
     coord_report,
     coord_status,
+    read_journal,
     submit_tasks,
     task_grid,
 )
 from repro.runner.client import parse_address
 from repro.runner.coord import JOURNAL_NAME, format_coord_status
-from repro.runner.telemetry import _read_jsonl
 from repro.runner.wire import FrameDecoder, encode_frame
 
 VERSION = "vtest"
@@ -52,7 +52,7 @@ def _value(spec) -> dict:
 def _journal(root: Path, kind: str):
     return [
         e
-        for e in _read_jsonl(root / JOURNAL_NAME, strict=False)
+        for e in read_journal(root / JOURNAL_NAME, strict=False)
         if e.get("kind") == kind
     ]
 
@@ -232,7 +232,7 @@ def test_lease_expiry_requeues_then_quarantines(coord_server, tmp_path):
 
 def test_outbox_spool_ack_pending(tmp_path):
     path = tmp_path / "outbox" / "w0.jsonl"
-    box = Outbox(path)
+    box = Outbox(path, "w0")
     box.spool("k1", {"metrics": {"v": 1}})
     box.spool("k2", {"metrics": {"v": 2}})
     box.ack("k1")
@@ -259,7 +259,9 @@ def test_stranded_outbox_is_flushed_by_next_worker(served, client):
     # A predecessor computed one outcome but died before the commit ack:
     # its spool file (different host name) holds the record.
     key = tasks[0].key(VERSION)
-    stranded = Outbox(served.root / "outbox" / "deadhost-1-aa.jsonl")
+    stranded = Outbox(
+        served.root / "outbox" / "deadhost-1-aa.jsonl", "deadhost-1-aa"
+    )
     record = {"spec": tasks[0].to_record(), "metrics": _value(tasks[0]),
               "wall_time": 0.0, "version": VERSION}
     stranded.spool(key, record)

@@ -10,7 +10,7 @@ instead of recomputed, and ``max_tasks`` stops a worker after it has
 run that many tasks, cache replays not counted.  The last test runs one
 failing grid on all four gears — inline and pool through ``run_tasks``,
 fleet and coord through a worker — and asserts the same outcomes,
-quarantine record and retry count on each.
+quarantine record, retry count and journal line shapes on each.
 """
 
 from __future__ import annotations
@@ -28,18 +28,19 @@ from repro.runner import (
     FaultPolicy,
     FleetQueue,
     FleetWorker,
-    SweepCheckpoint,
+    Journal,
     coord_report,
     coord_status,
     fleet_report,
     fleet_status,
+    read_journal,
     run_tasks,
     submit_tasks,
     task_grid,
 )
 from repro.runner.cache import ResultCache
 from repro.runner.coord import JOURNAL_NAME
-from repro.runner.telemetry import _read_jsonl
+from repro.runner.drain import DRAINED, DrainWorker
 
 VERSION = "vtest"
 
@@ -88,11 +89,10 @@ class _Fleet:
         holding its lease, before retiring the task file."""
         key = spec.key(VERSION)
         self.seed_cache(spec)
-        journal = SweepCheckpoint(self.queue.journal_path("deadhost"))
-        journal.append_event("host_start", host="deadhost", time_unix=0.0)
-        journal.append_event(
-            "outcome", key=key, record=_record(spec), host="deadhost",
-            cached=False, source="fresh", time_unix=0.0,
+        journal = Journal(self.queue.journal_path("deadhost"))
+        journal.append_event("host_start", host="deadhost")
+        journal.append_outcome(
+            key, _record(spec), host="deadhost", cached=False
         )
         journal.close()
         self.queue.leases().claim(key, "deadhost")
@@ -110,9 +110,15 @@ class _Fleet:
     def cached_outcome_keys(self):
         return [
             entry["key"]
-            for host in self.queue.hosts()
-            for entry in _read_jsonl(self.queue.journal_path(host))
+            for entry in self.journal()
             if entry.get("kind") == "outcome" and entry.get("cached")
+        ]
+
+    def journal(self):
+        return [
+            entry
+            for host in self.queue.hosts()
+            for entry in read_journal(self.queue.journal_path(host))
         ]
 
 
@@ -160,9 +166,12 @@ class _Coord:
     def cached_outcome_keys(self):
         return [
             entry["key"]
-            for entry in _read_jsonl(self.root / JOURNAL_NAME)
+            for entry in self.journal()
             if entry.get("kind") == "outcome" and entry.get("cached")
         ]
+
+    def journal(self):
+        return read_journal(self.root / JOURNAL_NAME)
 
 
 @pytest.fixture(params=["fleet", "coord"])
@@ -321,6 +330,14 @@ def contract_metric(scratch: str, spec) -> dict:
     return _value(spec)
 
 
+#: The journal line shapes every gear writes, by kind.
+LINE_KEYS = {
+    "outcome": {"kind", "key", "record", "host", "cached", "time_unix"},
+    "quarantine": {"kind", "key", "record", "host", "time_unix"},
+}
+OUTCOME_RECORD_KEYS = {"spec", "metrics", "wall_time", "version"}
+
+
 @pytest.mark.parametrize("gear", ["inline", "pool", "fleet", "coord"])
 def test_every_gear_keeps_one_contract(gear, tmp_path, coord_server):
     tasks = _grid(4)
@@ -331,9 +348,10 @@ def test_every_gear_keeps_one_contract(gear, tmp_path, coord_server):
     if gear in ("inline", "pool"):
         report = run_tasks(
             tasks, run_fn, workers=0 if gear == "inline" else 2,
-            policy=policy, version=VERSION,
+            policy=policy, version=VERSION, telemetry=tmp_path / "run",
         )
         retries = report.retries
+        journal = read_journal(tmp_path / "run" / "journal.jsonl")
     else:
         backend = (_Fleet if gear == "fleet" else _Coord)(
             tmp_path, coord_server
@@ -343,6 +361,7 @@ def test_every_gear_keeps_one_contract(gear, tmp_path, coord_server):
         worker.run()
         report = backend.report()
         retries = worker.report.retries
+        journal = backend.journal()
     assert {o.key: dict(o.metrics) for o in report.outcomes} == {
         spec.key(VERSION): _value(spec) for spec in tasks[1:]
     }
@@ -351,3 +370,70 @@ def test_every_gear_keeps_one_contract(gear, tmp_path, coord_server):
         tasks[0].label(), "error", 2,
     )
     assert retries == 2
+    settled = [entry for entry in journal if entry["kind"] in LINE_KEYS]
+    assert sorted(entry["key"] for entry in settled) == sorted(
+        spec.key(VERSION) for spec in tasks
+    )
+    for entry in settled:
+        assert set(entry) == LINE_KEYS[entry["kind"]]
+        if entry["kind"] == "outcome":
+            assert set(entry["record"]) == OUTCOME_RECORD_KEYS
+            assert entry["cached"] is False
+        else:
+            assert entry["record"]["category"] == "error"
+
+
+class _OneTask:
+    """A transport holding one task that records every lease beat."""
+
+    def __init__(self, spec):
+        self.unit = [(spec.key(VERSION), spec)]
+        self.beats = []
+
+    def start(self, report):
+        return VERSION
+
+    def claim(self):
+        unit, self.unit = self.unit, DRAINED
+        return unit
+
+    def heartbeat(self, key, delay=0.0):
+        self.beats.append(time.monotonic())
+
+    def commit(self, key, record):
+        pass
+
+    def quarantine(self, key, record):
+        pass
+
+    def stop(self):
+        pass
+
+
+def test_heartbeat_stops_once_an_attempt_outlives_its_timeout():
+    spec = _grid(1)[0]
+    transport = _OneTask(spec)
+    starts = []
+
+    def run_fn(spec):
+        starts.append(time.monotonic())
+        if len(starts) == 1:
+            raise RuntimeError("the first attempt fails at once")
+        time.sleep(0.7)  # the retry hangs past its 0.2 s budget
+        return _value(spec)
+
+    policy = FaultPolicy(
+        timeout=0.2, max_retries=1, backoff_base=0.4, jitter=0.0
+    )
+    stats = DrainWorker(
+        transport, "alpha", policy=policy, heartbeat_interval=0.02,
+        run_fn=run_fn,
+    ).run()
+    assert stats.executed == 1 and stats.overruns == 1
+    first, retry = starts
+    # The 0.4 s backoff sleep is not part of an attempt: the lease is
+    # still renewed after the first attempt's budget would have run out.
+    assert any(first + 0.25 < beat < retry for beat in transport.beats)
+    # The retry is: past its budget, nothing renews the lease.
+    assert any(retry < beat < retry + 0.2 for beat in transport.beats)
+    assert not any(beat > retry + 0.3 for beat in transport.beats)

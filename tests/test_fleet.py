@@ -25,12 +25,13 @@ from repro.runner import (
     FaultPolicy,
     FleetQueue,
     FleetWorker,
+    Journal,
     LeaseDir,
     LeaseObserver,
-    SweepCheckpoint,
     fleet_report,
     fleet_status,
     merge_task_records,
+    read_journal,
     run_tasks,
     task_grid,
 )
@@ -250,6 +251,46 @@ class TestWorkers:
         status = fleet_status(queue)
         assert status.lease_reclaims == 1 and status.host_failures == 1
 
+    def test_hung_task_stops_beating_and_is_reclaimed(self, tmp_path):
+        # A task past its policy timeout is hung: its worker stops
+        # renewing the lease, so another host reclaims and finishes it
+        # instead of waiting on a lease kept alive forever.
+        queue = FleetQueue(tmp_path / "q")
+        specs = _grid(1)
+        queue.submit(specs, version=VERSION)
+        running, release = threading.Event(), threading.Event()
+
+        def hang(spec):
+            running.set()
+            release.wait(30.0)
+            return _value(spec)
+
+        hung = FleetWorker(
+            queue, "hung", run_fn=hang, policy=FaultPolicy(timeout=0.2),
+            ttl=0.5, poll_interval=0.03,
+        )
+        rescuer = FleetWorker(
+            queue, "rescuer", run_fn=_value, ttl=0.5, poll_interval=0.03
+        )
+        hung_thread = threading.Thread(target=hung.run, daemon=True)
+        rescue_thread = threading.Thread(target=rescuer.run, daemon=True)
+        hung_thread.start()
+        try:
+            assert running.wait(5.0)
+            rescue_thread.start()
+            rescue_thread.join(timeout=3.0)
+            assert not rescue_thread.is_alive(), (
+                "the hung task's lease was still being renewed"
+            )
+        finally:
+            release.set()
+            hung_thread.join(timeout=10.0)
+        assert rescuer.report.executed == 1
+        assert rescuer.report.lease_reclaims == 1
+        assert queue.pending_keys() == []
+        merged = fleet_report(queue)
+        assert [o.key for o in merged.outcomes] == [specs[0].key(VERSION)]
+
     def test_steal_budget_exhaustion_quarantines(self, tmp_path):
         queue = FleetQueue(tmp_path / "q")
         specs = _grid(1)
@@ -286,10 +327,9 @@ class TestWorkers:
         queue.submit(specs, version=VERSION)
         key0 = specs[0].key(VERSION)
         queue.cache().put(key0, _record(specs[0]))
-        journal = SweepCheckpoint(queue.journal_path("deadhost"))
-        journal.append_event(
-            "outcome", key=key0, record=_record(specs[0]),
-            host="deadhost", cached=False, source="fresh", time_unix=0.0,
+        journal = Journal(queue.journal_path("deadhost"))
+        journal.append_outcome(
+            key0, _record(specs[0]), host="deadhost", cached=False
         )
         journal.close()
         queue.remove_task(key0)
@@ -330,58 +370,15 @@ class TestJournalMerging:
         assert by_key["a"]["metrics"] == {"v": 3}
         assert any("sequence" in r for r in merged)
 
-    def test_checkpoint_counts_duplicates_and_surfaces_in_report(
-        self, tmp_path
-    ):
-        specs = _grid(3)
-        keys = [spec.key(VERSION) for spec in specs]
-        path = tmp_path / "ckpt.jsonl"
-        checkpoint = SweepCheckpoint(path)
-        checkpoint.append_outcome(keys[0], _record(specs[0]))
-        checkpoint.append_outcome(keys[0], _record(specs[0]))  # duplicate
-        checkpoint.append_event("lease_reclaim", key=keys[1], host="h")
-        checkpoint.close()
-
-        completed, quarantined = checkpoint.load()
-        assert checkpoint.duplicates == 1
-        assert list(completed) == [keys[0]] and not quarantined
-
-        report = run_tasks(
-            specs, _value, checkpoint=path, version=VERSION
-        )
-        assert report.duplicates_merged == 1
-        assert report.resumed == 1 and report.executed == 2
-        assert report.failure_summary()["duplicates_merged"] == 1
-
-    def test_checkpoint_outcome_supersedes_quarantine(self, tmp_path):
-        # Another fleet host finished the task after all: the later
-        # outcome wins over the earlier quarantine, in either order.
-        spec = _grid(1)[0]
-        key = spec.key(VERSION)
-        path = tmp_path / "ckpt.jsonl"
-        checkpoint = SweepCheckpoint(path)
-        checkpoint.append_quarantine(
-            key,
-            {"spec": spec.to_record(), "key": key, "label": spec.label(),
-             "category": "crash", "attempts": 3, "detail": "host died"},
-        )
-        checkpoint.append_outcome(key, _record(spec))
-        checkpoint.close()
-        completed, quarantined = checkpoint.load()
-        assert list(completed) == [key] and not quarantined
-        assert checkpoint.duplicates == 1
-
     def test_interleaved_corrupt_interior_line_tolerated_nonstrict(
         self, tmp_path
     ):
-        from repro.runner.telemetry import _read_jsonl
-
         path = tmp_path / "merged.jsonl"
         path.write_text(
             '{"key": "a"}\n{"key": "b", "torn...\n{"key": "c"}\n',
             encoding="utf-8",
         )
         with pytest.raises(ValueError):
-            _read_jsonl(path, strict=True)
-        records = _read_jsonl(path, strict=False)
+            read_journal(path, strict=True)
+        records = read_journal(path, strict=False)
         assert [r["key"] for r in records] == ["a", "c"]

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+import repro
 from repro.analysis.sweep import TopologyPoint, replicated, sweep
 from repro.errors import ConfigurationError
 from repro.graphs import path, star
@@ -28,7 +29,7 @@ from repro.runner import (
     bench_summary,
     get_experiment,
     median,
-    read_telemetry,
+    read_journal,
     registered_ids,
     run_experiment,
     run_tasks,
@@ -283,10 +284,15 @@ class TestTelemetry:
             telemetry=RunTelemetry(run_dir),
             cache=tmp_path / "cache",
         )
-        records = read_telemetry(run_dir)
-        assert len(records) == 3
-        assert [r["sequence"] for r in records] == [0, 1, 2]
+        records = read_journal(run_dir / "journal.jsonl")
+        assert [r["kind"] for r in records] == ["outcome"] * 3
+        assert [r["key"] for r in records] == [
+            spec.key(repro.__version__) for spec in tasks
+        ]
         assert all(r["cached"] is False for r in records)
+        assert [r["record"]["metrics"] for r in records] == [
+            seed_digit_metric(spec) for spec in tasks
+        ]
         manifest = json.loads(
             (run_dir / "manifest.json").read_text(encoding="utf-8")
         )
@@ -302,7 +308,8 @@ class TestTelemetry:
             telemetry=RunTelemetry(run_dir),
             cache=tmp_path / "cache",
         )
-        records = read_telemetry(run_dir)
+        records = read_journal(run_dir / "journal.jsonl")
+        assert len(records) == 3
         assert all(r["cached"] is True for r in records)
 
     def test_median(self):
@@ -397,7 +404,8 @@ class TestRunCli:
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "4 executed, 0 from cache" in first
-        assert (tmp_path / "run" / "telemetry.jsonl").exists()
+        assert (tmp_path / "run" / "journal.jsonl").exists()
+        assert not (tmp_path / "run" / "telemetry.jsonl").exists()
         assert (tmp_path / "BENCH_E3.json").exists()
 
         assert main(argv) == 0

@@ -4,7 +4,7 @@ Every scenario here injects a *deterministic* failure into a small task
 grid and asserts the executor's contract: transient failures retry and
 succeed, persistent failures are quarantined (not fatal) and itemized,
 a crashed or hung pool child is pinned to exactly the task it was
-running and replaced, interrupted sweeps resume from their checkpoint,
+running and replaced, interrupted sweeps resume from their result cache,
 aborted runs still finalize their telemetry, and corrupt cache entries
 are detected, preserved for post-mortem and recomputed.
 
@@ -26,15 +26,14 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.runner import (
     FaultPolicy,
     QuarantineRecord,
     ResultCache,
-    SweepCheckpoint,
     TaskExecutionError,
-    read_quarantine,
-    read_telemetry,
+    read_journal,
     run_tasks,
     task_grid,
 )
@@ -50,6 +49,15 @@ def _grid(scratch: Path, n: int = 4, exp_id: str = "EF"):
 
 def _value(spec) -> dict:
     return {"value": spec.seed % 97, "idx": spec.params["idx"]}
+
+
+def _journal(run_dir: Path, kind: str) -> list:
+    """The ``kind`` lines of a run directory's journal."""
+    return [
+        entry
+        for entry in read_journal(run_dir / "journal.jsonl")
+        if entry["kind"] == kind
+    ]
 
 
 def _marker(spec, kind: str) -> Path:
@@ -213,10 +221,10 @@ class TestRetries:
         report = run_tasks(
             tasks, poison_metric, telemetry=run_dir, policy=policy
         )
-        records = read_quarantine(run_dir)
-        assert len(records) == 1
-        assert records[0]["category"] == "error"
-        assert records[0]["label"] == report.quarantined[0].label
+        [line] = _journal(run_dir, "quarantine")
+        assert line["key"] == report.quarantined[0].key
+        assert line["record"]["category"] == "error"
+        assert line["record"]["label"] == report.quarantined[0].label
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["quarantined"] == 1
         assert manifest["failures"]["quarantined"] == 1
@@ -237,7 +245,7 @@ class TestRetries:
         assert manifest["status"] == "aborted"
         assert manifest["failures"]["quarantined"] == 2
         assert manifest["executed"] == 0
-        assert len(read_quarantine(run_dir)) == 2
+        assert len(_journal(run_dir, "quarantine")) == 2
 
 
 # -- crashes and hangs (process pool required) -------------------------
@@ -379,81 +387,66 @@ class TestCrashRecovery:
         ]
 
 
-# -- checkpointing and interruption ------------------------------------
+# -- interruption and resumption --------------------------------------
 
 
 class TestCheckpoint:
+    """An interrupted sweep resumes from its result cache, the one
+    resume path: there is no separate checkpoint file."""
+
     def test_interrupt_writes_checkpoint_and_telemetry(self, tmp_path):
         tasks = _grid(tmp_path / "scratch")
         run_dir = tmp_path / "run"
-        ckpt = tmp_path / "sweep.ckpt"
+        cache = ResultCache(tmp_path / "cache")
         with pytest.raises(KeyboardInterrupt):
             run_tasks(
-                tasks,
-                interrupting_metric,
-                telemetry=run_dir,
-                checkpoint=ckpt,
+                tasks, interrupting_metric, telemetry=run_dir, cache=cache
             )
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "interrupted"
         assert manifest["executed"] == 2
-        completed, quarantined = SweepCheckpoint(ckpt).load()
-        assert len(completed) == 2
-        assert not quarantined
+        keys = [spec.key(repro.__version__) for spec in tasks]
+        assert sorted(cache.keys()) == sorted(keys[:2])
+        assert [e["key"] for e in _journal(run_dir, "outcome")] == keys[:2]
 
     def test_resume_skips_completed_tasks(self, tmp_path):
         tasks = _grid(tmp_path / "scratch")
-        ckpt = tmp_path / "sweep.ckpt"
+        cache = tmp_path / "cache"
         with pytest.raises(KeyboardInterrupt):
-            run_tasks(tasks, interrupting_metric, checkpoint=ckpt)
-        report = run_tasks(tasks, steady_metric, checkpoint=ckpt)
-        assert report.resumed == 2
+            run_tasks(tasks, interrupting_metric, cache=cache)
+        report = run_tasks(tasks, steady_metric, cache=cache)
+        assert report.cache_hits == 2
         assert report.executed == 2
         assert len(report.outcomes) == len(tasks)
-        sources = [o.source for o in report.outcomes]
-        assert sources == ["checkpoint", "checkpoint", "fresh", "fresh"]
+        assert [o.cached for o in report.outcomes] == [
+            True, True, False, False,
+        ]
         clean = run_tasks(tasks, steady_metric)
         assert [o.metrics for o in report.outcomes] == [
             o.metrics for o in clean.outcomes
         ]
 
-    def test_checkpointed_quarantine_is_not_rerun(self, tmp_path):
-        tasks = _grid(tmp_path / "scratch")
-        ckpt = tmp_path / "sweep.ckpt"
-        policy = FaultPolicy(backoff_base=0.001, max_retries=0)
-        first = run_tasks(
-            tasks, poison_metric, checkpoint=ckpt, policy=policy
-        )
-        assert len(first.quarantined) == 1
-        calls = tmp_path / "calls"
-        calls.mkdir()
+    def test_checkpoint_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            run_tasks(
+                _grid(tmp_path), steady_metric, checkpoint=tmp_path / "c"
+            )
 
-        second = run_tasks(tasks, steady_metric, checkpoint=ckpt)
-        assert second.executed == 0
-        assert second.resumed == len(tasks) - 1
-        assert len(second.quarantined) == 1
-        assert second.quarantined[0].label == first.quarantined[0].label
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "E3", "--quick"],
+            ["scenario", "scenarios/mixed_traffic.toml"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_checkpoint_flag_exits_2(self, argv, capsys):
+        from repro.__main__ import main
 
-    def test_torn_final_checkpoint_line_is_tolerated(self, tmp_path):
-        ckpt_path = tmp_path / "sweep.ckpt"
-        ckpt = SweepCheckpoint(ckpt_path)
-        ckpt.append_outcome("k1", {"metrics": {"v": 1}})
-        ckpt.append_outcome("k2", {"metrics": {"v": 2}})
-        ckpt.close()
-        with ckpt_path.open("a", encoding="utf-8") as handle:
-            handle.write('{"kind": "outcome", "key": "k3", "rec')
-        completed, _ = SweepCheckpoint(ckpt_path).load()
-        assert sorted(completed) == ["k1", "k2"]
-
-    def test_corrupt_interior_checkpoint_line_raises(self, tmp_path):
-        ckpt_path = tmp_path / "sweep.ckpt"
-        ckpt_path.write_text(
-            '{"kind": "outcome", "key": "k1", "record": {}}\n'
-            "garbage here\n"
-            '{"kind": "outcome", "key": "k2", "record": {}}\n'
-        )
-        with pytest.raises(ValueError, match="line 2"):
-            SweepCheckpoint(ckpt_path).load()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--checkpoint", "x", "--no-progress"])
+        assert exit_info.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
 
 
 # -- cache integrity ---------------------------------------------------
@@ -529,22 +522,28 @@ class TestTelemetryHardening:
     def test_torn_final_telemetry_line_is_tolerated(self, tmp_path):
         telemetry = RunTelemetry(tmp_path)
         telemetry.start(exp_id="EF", version="x", total_tasks=2, workers=0)
-        telemetry.record_task({"exp_id": "EF"}, {"v": 1}, 0.1, False, "k1")
-        telemetry.record_task({"exp_id": "EF"}, {"v": 2}, 0.1, False, "k2")
+        telemetry.record_outcome("k1", {"metrics": {"v": 1}}, cached=False)
+        telemetry.record_outcome("k2", {"metrics": {"v": 2}}, cached=False)
         telemetry.finish(executed=2, cache_hits=0)
-        with (tmp_path / "telemetry.jsonl").open("a") as handle:
-            handle.write('{"sequence": 2, "spec"')
-        records = read_telemetry(tmp_path)
-        assert [r["metrics"]["v"] for r in records] == [1, 2]
+        with (tmp_path / "journal.jsonl").open("a") as handle:
+            handle.write('{"kind": "outcome", "key": "k3", "rec')
+        records = _journal(tmp_path, "outcome")
+        assert [r["record"]["metrics"]["v"] for r in records] == [1, 2]
 
     def test_corrupt_interior_telemetry_line_raises(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
-        path.write_text('{"sequence": 0}\nnot json\n{"sequence": 1}\n')
-        with pytest.raises(ValueError, match="telemetry.jsonl:2"):
-            read_telemetry(tmp_path)
+        path = tmp_path / "journal.jsonl"
+        path.write_text(
+            '{"kind": "outcome"}\nnot json\n{"kind": "outcome"}\n'
+        )
+        with pytest.raises(ValueError, match="journal.jsonl:2"):
+            read_journal(path)
 
     def test_empty_quarantine_reads_as_empty(self, tmp_path):
-        assert read_quarantine(tmp_path) == []
+        run_tasks(
+            _grid(tmp_path / "scratch"), steady_metric, telemetry=tmp_path
+        )
+        assert len(_journal(tmp_path, "outcome")) == 4
+        assert _journal(tmp_path, "quarantine") == []
 
 
 # -- the chaos harness, miniaturized -----------------------------------
@@ -568,7 +567,7 @@ class TestChaosHarness:
         assert report.tasks == 6
         # The working directory survives for post-mortems when kept.
         assert (tmp_path / "chaos" / "inject" / "plan.json").exists()
-        assert (tmp_path / "chaos" / "chaos-run" / "quarantine.jsonl").exists()
+        assert _journal(tmp_path / "chaos" / "chaos-run", "quarantine")
 
     def test_chaos_rejects_inline_workers(self):
         with pytest.raises(ConfigurationError, match="workers"):
