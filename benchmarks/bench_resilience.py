@@ -19,19 +19,10 @@ Qualitative claims asserted:
 
 from conftest import replication_seeds, run_experiment_for_bench
 
-from repro.analysis import print_table, scenario_metrics
+from repro.analysis import default_sources, print_table, scenario_metrics
 from repro.core import run_collection, run_resilient_collection
 from repro.graphs import layered_band, path, reference_bfs_tree
 from repro.runner.defs import E16_SCENARIOS
-
-
-def _sources(tree, k=4):
-    deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
-    mid = min(
-        (v for v in tree.nodes if 0 < tree.level[v] < tree.depth),
-        default=deepest,
-    )
-    return {deepest: [f"m{i}" for i in range(k)], mid: ["n0", "n1"]}
 
 
 def test_e16_resilience_suite(benchmark):
@@ -113,7 +104,7 @@ def test_e16_hardening_is_free_without_faults():
     """Failure-free: the resilient stack costs nothing measurable."""
     graph = layered_band(5, 3)
     tree = reference_bfs_tree(graph, 0)
-    sources = _sources(tree)
+    sources = default_sources(tree)
     rows = []
     for seed in replication_seeds("e16-baseline", 3):
         plain = run_collection(graph, tree, sources, seed=seed)

@@ -11,9 +11,10 @@ Commands
 ``map [seed]``
     Draw a positioned unit-disk field with BFS levels as symbols.
 ``resilience [seed]``
-    Run collection under the standard fault scenarios (churn, fading,
-    jamming, blackout, partition) and report delivery ratio, slowdown
-    vs. the failure-free baseline, repairs and partition detection.
+    Print experiment E16 at one seed: collection under each fault
+    scenario (churn, fading, jamming, blackout, partition), with its
+    delivery ratio, slowdown vs. the failure-free baseline, repairs and
+    partition detection.
 ``service [--topology T] [--rate λ] [--phases N] [--sweep] …``
     Open-system service mode: stream unbounded per-station arrivals
     through collection over a long horizon and report the streaming
@@ -179,23 +180,17 @@ def _cmd_map(seed: int) -> None:
 
 
 def _cmd_resilience(seed: int) -> None:
-    from repro.analysis import resilience_table, run_resilience_suite
-    from repro.graphs import diameter, layered_band, reference_bfs_tree
+    from repro.analysis.resilience import (
+        SCENARIOS,
+        resilience_table,
+        scenario_metrics,
+    )
 
-    graph = layered_band(6, 3)
-    tree = reference_bfs_tree(graph, 0)
-    deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
-    mid = next(v for v in tree.nodes if tree.level[v] == tree.depth // 2)
-    sources = {deepest: [f"m{i}" for i in range(4)], mid: ["n0", "n1"]}
     print(
-        f"n={graph.num_nodes} D={diameter(graph)} Δ={graph.max_degree()} "
-        f"depth={tree.depth}  sources={{"
-        f"{deepest}: 4 msgs, {mid}: 2 msgs}}"
+        resilience_table(
+            {name: scenario_metrics(name, seed) for name in SCENARIOS}
+        )
     )
-    reports = run_resilience_suite(
-        graph, tree, sources, seed=seed, down_grace_slots=2_000
-    )
-    print(resilience_table(reports))
     print(
         "(ratio = delivered/injected; reachable = delivered/expected from "
         "the root's surviving component;\n part P/R = partition detection "
@@ -673,9 +668,10 @@ def _cmd_profile(argv: list) -> int:
     args = parser.parse_args(argv)
 
     if args.exp_id not in registered_ids():
+        from repro.scenario.discovery import unknown_experiment_message
+
         print(
-            f"unknown experiment {args.exp_id!r}; runnable: "
-            f"{', '.join(registered_ids())}",
+            unknown_experiment_message(args.exp_id, registered_ids()),
             file=sys.stderr,
         )
         return 2
@@ -903,11 +899,11 @@ def _submit_grid(args):
     from repro.errors import ConfigurationError
     from repro.runner import registered_ids
     from repro.runner.executor import experiment_grid
+    from repro.scenario.discovery import unknown_experiment_message
 
     if args.exp_id not in registered_ids():
         raise ConfigurationError(
-            f"unknown experiment {args.exp_id!r}; runnable: "
-            f"{', '.join(registered_ids())}"
+            unknown_experiment_message(args.exp_id, registered_ids())
         )
     _defn, tasks, options = experiment_grid(
         args.exp_id,

@@ -1,4 +1,9 @@
-"""Experiment scaffolding: statistics, sweeps, table rendering."""
+"""Experiment scaffolding: statistics, the experiment registry, the
+resilience harness, timelines and table rendering.
+
+A custom grid runs through :func:`repro.runner.task_grid` and
+:func:`repro.runner.run_tasks`, the same path every registered
+experiment takes."""
 
 from repro.analysis.experiments import Experiment, REGISTRY, by_id, registry_table
 from repro.analysis.sketches import P2Quantile, RateWindow, Welford
@@ -8,27 +13,14 @@ from repro.analysis.stats import (
     linear_fit,
     quantile,
     r_squared,
-    replicate,
     scaling_exponent,
     summarize,
     total_variation_distance,
 )
-from repro.analysis.sweep import (
-    ReplicatedMeasurement,
-    TopologyPoint,
-    replicated,
-    standard_topologies,
-    sweep,
-)
 from repro.analysis.resilience import (
-    FaultScenario,
-    ResilienceReport,
     default_sources,
-    evaluate_scenario,
     resilience_table,
-    run_resilience_suite,
     scenario_metrics,
-    standard_scenarios,
 )
 from repro.analysis.tables import format_table, print_table
 from repro.analysis.timeline import (
@@ -42,19 +34,14 @@ from repro.analysis.timeline import (
 __all__ = [
     "CongestionProfile",
     "Experiment",
-    "FaultScenario",
     "P2Quantile",
     "REGISTRY",
     "RateWindow",
     "Welford",
-    "ReplicatedMeasurement",
-    "ResilienceReport",
     "Summary",
-    "TopologyPoint",
     "Timeline",
     "congestion_profile",
     "default_sources",
-    "evaluate_scenario",
     "format_table",
     "geometric_pmf",
     "linear_fit",
@@ -63,17 +50,11 @@ __all__ = [
     "r_squared",
     "record_collection_timeline",
     "render_timeline",
-    "replicate",
-    "replicated",
     "resilience_table",
-    "run_resilience_suite",
     "scaling_exponent",
     "scenario_metrics",
-    "standard_scenarios",
-    "standard_topologies",
     "by_id",
     "registry_table",
     "summarize",
-    "sweep",
     "total_variation_distance",
 ]

@@ -1,77 +1,54 @@
-"""The resilience harness: collection/broadcast under parameterized faults.
+"""The resilience harness (experiment E16): collection under faults.
 
 Quantifies exactly how load-bearing the paper's failure-free model is:
-each :class:`FaultScenario` names a failure model builder; the harness
-runs self-healing collection (:mod:`repro.core.repair`) under it and
-reports delivery ratio, completion-time inflation versus the failure-free
-baseline, repair count, and partition-detection accuracy — the numbers
-behind the "Beyond the model" sections of the docs.
+:func:`scenario_metrics` runs self-healing collection
+(:mod:`repro.core.repair`) on one layered-band field under one named
+fault scenario and reports delivery ratio, completion-time
+inflation versus the failure-free baseline, repair count, and
+partition-detection accuracy — the numbers behind the "Beyond the model"
+sections of the docs.  :mod:`repro.runner.defs` registers it as E16, and
+``python -m repro resilience [seed]`` prints one seed's rows through
+:func:`resilience_table`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping
 
-from repro.core.repair import (
-    RepairPolicy,
-    ResilientCollectionResult,
-    run_resilient_collection,
-)
+from repro.analysis.tables import format_table
+from repro.core.repair import run_resilient_collection
 from repro.errors import ConfigurationError
+from repro.graphs import layered_band, reference_bfs_tree
 from repro.graphs.bfs_tree import BFSTree
-from repro.graphs.graph import Graph, NodeId
+from repro.graphs.graph import NodeId
 from repro.radio.failures import (
     AdversarialJammer,
-    FailureModel,
     GilbertElliott,
     MarkovChurn,
     RegionOutage,
 )
 
-#: A scenario builder: (graph, tree, seed) -> failure model (None = no faults).
-ScenarioBuilder = Callable[[Graph, BFSTree, int], Optional[FailureModel]]
+#: The field every scenario runs on: ``layered_band(LAYERS, WIDTH)``.
+LAYERS = 6
+WIDTH = 3
 
+#: A station continuously down this many slots while holding traffic is
+#: written off, so a crash-stop cannot hold termination hostage.
+DOWN_GRACE_SLOTS = 2_000
 
-@dataclass(frozen=True)
-class FaultScenario:
-    """A named, parameterized fault injection recipe."""
+#: Per-slot Markov churn rates of the interior stations.
+CHURN_FAIL = 0.002
+CHURN_RECOVER = 0.01
 
-    name: str
-    description: str
-    build: ScenarioBuilder
+#: Per-slot Gilbert–Elliott rates of every link: a good link turns bad
+#: with ``FADE_P_BAD`` and a bad one recovers with ``FADE_P_GOOD``.
+FADE_P_BAD = 0.02
+FADE_P_GOOD = 0.2
 
-
-@dataclass
-class ResilienceReport:
-    """One scenario's outcome next to the failure-free baseline."""
-
-    scenario: str
-    result: ResilientCollectionResult
-    baseline_slots: int
-
-    @property
-    def slots(self) -> int:
-        return self.result.slots
-
-    @property
-    def slowdown(self) -> float:
-        """Completion-time inflation vs. the failure-free run."""
-        if self.baseline_slots == 0:
-            return 1.0
-        return self.result.slots / self.baseline_slots
-
-    @property
-    def delivery_ratio(self) -> float:
-        return self.result.delivery_ratio
-
-    @property
-    def reachable_delivery_ratio(self) -> float:
-        return self.result.reachable_delivery_ratio
-
-    @property
-    def repairs(self) -> int:
-        return len(self.result.repairs)
+#: The wideband jammer jams the first ``JAM_DUTY`` slots of every
+#: ``JAM_PERIOD``-slot window.
+JAM_PERIOD = 24
+JAM_DUTY = 6
 
 
 def _interior_nodes(tree: BFSTree) -> List[NodeId]:
@@ -83,140 +60,55 @@ def _interior_nodes(tree: BFSTree) -> List[NodeId]:
     ]
 
 
-def standard_scenarios(
-    churn_fail: float = 0.002,
-    churn_recover: float = 0.01,
-    fade_p_bad: float = 0.02,
-    fade_p_good: float = 0.2,
-    jam_period: int = 24,
-    jam_duty: int = 6,
-) -> List[FaultScenario]:
-    """The default scenario battery (plus the implicit 'none' baseline).
-
-    * ``churn`` — every non-root interior station churns (Markov up/down);
-    * ``fading`` — Gilbert–Elliott bursty loss on every link;
-    * ``jammer`` — a duty-cycled wideband jammer over the whole network;
-    * ``blackout`` — the busiest interior station and its subtree go dark
-      for a window mid-run, then recover;
-    * ``partition`` — one interior station crashes forever at slot 0,
-      severing its subtree wherever the graph offers no detour.
-    """
-
-    def churn(graph: Graph, tree: BFSTree, seed: int):
-        interior = _interior_nodes(tree)
-        if not interior:
-            return None
-        return MarkovChurn(
-            interior, fail_rate=churn_fail, recover_rate=churn_recover,
-            seed=seed,
-        )
-
-    def fading(graph: Graph, tree: BFSTree, seed: int):
-        return GilbertElliott(
-            p_bad=fade_p_bad, p_good=fade_p_good, seed=seed
-        )
-
-    def jammer(graph: Graph, tree: BFSTree, seed: int):
-        return AdversarialJammer(period=jam_period, duty=jam_duty)
-
-    def blackout(graph: Graph, tree: BFSTree, seed: int):
-        interior = _interior_nodes(tree)
-        if not interior:
-            return None
-        victim = max(interior, key=lambda v: (tree.subtree_size(v), v))
-        span = tuple(tree.subtree(victim))
-        window = 40 * len(span)
-        return RegionOutage(span, start=window, end=2 * window)
-
-    def partition(graph: Graph, tree: BFSTree, seed: int):
-        interior = _interior_nodes(tree)
-        if not interior:
-            return None
-        victim = max(interior, key=lambda v: (tree.subtree_size(v), v))
-        return RegionOutage([victim], start=0, end=None)
-
-    return [
-        FaultScenario("churn", "Markov churn on interior stations", churn),
-        FaultScenario("fading", "Gilbert-Elliott bursty link loss", fading),
-        FaultScenario("jammer", "duty-cycled wideband jammer", jammer),
-        FaultScenario("blackout", "transient subtree outage", blackout),
-        FaultScenario("partition", "permanent crash of a cut station", partition),
-    ]
-
-
-def evaluate_scenario(
-    graph: Graph,
-    tree: BFSTree,
-    sources: Dict[NodeId, List[Any]],
-    scenario: FaultScenario,
-    seed: int,
-    policy: Optional[RepairPolicy] = None,
-    max_slots: Optional[int] = None,
-    down_grace_slots: Optional[int] = 2_000,
-    baseline_slots: Optional[int] = None,
-) -> ResilienceReport:
-    """Run one scenario and score it against the failure-free baseline.
-
-    The baseline runs the *same* resilient stack with no failure model, so
-    the slowdown isolates the cost of the faults (and repairs) rather than
-    the cost of the hardening machinery.  Pass ``baseline_slots`` to reuse
-    a baseline across scenarios.
-    """
-    if baseline_slots is None:
-        baseline = run_resilient_collection(
-            graph, tree, sources, seed, failures=None, policy=policy,
-            max_slots=max_slots,
-        )
-        baseline_slots = baseline.slots
-    result = run_resilient_collection(
-        graph,
-        tree,
-        sources,
-        seed,
-        failures=scenario.build(graph, tree, seed),
-        policy=policy,
-        max_slots=max_slots,
-        down_grace_slots=down_grace_slots,
-    )
-    return ResilienceReport(
-        scenario=scenario.name, result=result, baseline_slots=baseline_slots
+def _busiest_interior(tree: BFSTree) -> NodeId:
+    return max(
+        _interior_nodes(tree), key=lambda v: (tree.subtree_size(v), v)
     )
 
 
-def run_resilience_suite(
-    graph: Graph,
-    tree: BFSTree,
-    sources: Dict[NodeId, List[Any]],
-    seed: int,
-    scenarios: Optional[Sequence[FaultScenario]] = None,
-    policy: Optional[RepairPolicy] = None,
-    max_slots: Optional[int] = None,
-    down_grace_slots: Optional[int] = 2_000,
-) -> List[ResilienceReport]:
-    """Evaluate a battery of scenarios against one shared baseline."""
-    if not sources:
-        raise ConfigurationError("resilience suite needs at least one source")
-    scenarios = list(
-        standard_scenarios() if scenarios is None else scenarios
+def _churn(tree: BFSTree, seed: int) -> MarkovChurn:
+    return MarkovChurn(
+        _interior_nodes(tree),
+        fail_rate=CHURN_FAIL,
+        recover_rate=CHURN_RECOVER,
+        seed=seed,
     )
-    baseline = run_resilient_collection(
-        graph, tree, sources, seed, failures=None, policy=policy,
-        max_slots=max_slots,
-    )
-    return [
-        evaluate_scenario(
-            graph,
-            tree,
-            sources,
-            scenario,
-            seed,
-            policy=policy,
-            max_slots=max_slots,
-            down_grace_slots=down_grace_slots,
-            baseline_slots=baseline.slots,
-        )
-        for scenario in scenarios
-    ]
+
+
+def _fading(tree: BFSTree, seed: int) -> GilbertElliott:
+    return GilbertElliott(p_bad=FADE_P_BAD, p_good=FADE_P_GOOD, seed=seed)
+
+
+def _jammer(tree: BFSTree, seed: int) -> AdversarialJammer:
+    return AdversarialJammer(period=JAM_PERIOD, duty=JAM_DUTY)
+
+
+def _blackout(tree: BFSTree, seed: int) -> RegionOutage:
+    span = tuple(tree.subtree(_busiest_interior(tree)))
+    window = 40 * len(span)
+    return RegionOutage(span, start=window, end=2 * window)
+
+
+def _partition(tree: BFSTree, seed: int) -> RegionOutage:
+    return RegionOutage([_busiest_interior(tree)], start=0, end=None)
+
+
+#: Fault scenario name -> builder ``(tree, seed) -> failure model``:
+#:
+#: * ``churn`` — every non-root interior station churns (Markov up/down);
+#: * ``fading`` — Gilbert–Elliott bursty loss on every link;
+#: * ``jammer`` — a duty-cycled wideband jammer over the whole network;
+#: * ``blackout`` — the busiest interior station and its subtree go dark
+#:   for a window mid-run, then recover;
+#: * ``partition`` — that station crashes forever at slot 0, severing
+#:   its subtree wherever the graph offers no detour.
+SCENARIOS = {
+    "churn": _churn,
+    "fading": _fading,
+    "jammer": _jammer,
+    "blackout": _blackout,
+    "partition": _partition,
+}
 
 
 def default_sources(tree: BFSTree, k: int = 4) -> Dict[NodeId, List[Any]]:
@@ -233,54 +125,46 @@ def default_sources(tree: BFSTree, k: int = 4) -> Dict[NodeId, List[Any]]:
     return sources
 
 
-def scenario_metrics(
-    scenario: str,
-    seed: int,
-    layers: int = 6,
-    width: int = 3,
-    k: int = 4,
-    down_grace_slots: Optional[int] = 2_000,
-) -> Dict[str, float]:
+def scenario_metrics(scenario: str, seed: int) -> Dict[str, float]:
     """One pure resilience task for the parallel runner (experiment E16).
 
-    Runs self-healing collection on a ``layered_band(layers, width)``
-    topology twice with the same seed — failure-free baseline, then the
+    Runs self-healing collection on the ``layered_band(LAYERS, WIDTH)``
+    field twice with the same seed — failure-free baseline, then the
     named scenario — and returns the headline numbers as a flat metrics
-    dict.  Being a pure function of its arguments, it shards and caches
-    cleanly; :mod:`repro.runner.defs` registers it under ``E16``.
+    dict.  The baseline runs the *same* resilient stack, so the slowdown
+    isolates the cost of the faults (and repairs) rather than the cost
+    of the hardening machinery.
     """
-    by_name = {s.name: s for s in standard_scenarios()}
-    if scenario not in by_name:
+    build = SCENARIOS.get(scenario)
+    if build is None:
         raise ConfigurationError(
-            f"unknown scenario {scenario!r}; known: {sorted(by_name)}"
+            f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}"
         )
-    from repro.graphs import layered_band, reference_bfs_tree
-
-    graph = layered_band(layers, width)
+    graph = layered_band(LAYERS, WIDTH)
     tree = reference_bfs_tree(graph, 0)
-    sources = default_sources(tree, k)
+    sources = default_sources(tree)
     baseline = run_resilient_collection(
         graph, tree, sources, seed, failures=None
     )
-    report = evaluate_scenario(
+    result = run_resilient_collection(
         graph,
         tree,
         sources,
-        by_name[scenario],
         seed,
-        down_grace_slots=down_grace_slots,
-        baseline_slots=baseline.slots,
+        failures=build(tree, seed),
+        down_grace_slots=DOWN_GRACE_SLOTS,
     )
-    result = report.result
     return {
         "slots": result.slots,
         "baseline_slots": baseline.slots,
-        "slowdown": report.slowdown,
+        "slowdown": (
+            result.slots / baseline.slots if baseline.slots else 1.0
+        ),
         "delivered": result.messages_delivered,
         "expected": result.expected,
-        "delivery_ratio": report.delivery_ratio,
-        "reachable_delivery_ratio": report.reachable_delivery_ratio,
-        "repairs": report.repairs,
+        "delivery_ratio": result.delivery_ratio,
+        "reachable_delivery_ratio": result.reachable_delivery_ratio,
+        "repairs": len(result.repairs),
         "declared_partitioned": len(result.declared_partitioned),
         "partition_precision": result.partition_precision,
         "partition_recall": result.partition_recall,
@@ -288,26 +172,8 @@ def scenario_metrics(
     }
 
 
-def resilience_table(reports: Sequence[ResilienceReport]) -> str:
-    """Render the suite's headline numbers as one ASCII table."""
-    from repro.analysis.tables import format_table
-
-    rows = []
-    for report in reports:
-        result = report.result
-        rows.append(
-            [
-                report.scenario,
-                f"{result.messages_delivered}/{result.expected}",
-                f"{report.delivery_ratio:.2f}",
-                f"{report.reachable_delivery_ratio:.2f}",
-                f"{report.slowdown:.2f}x",
-                report.repairs,
-                len(result.declared_partitioned),
-                f"{result.partition_precision:.2f}/{result.partition_recall:.2f}",
-                "yes" if result.timed_out else "no",
-            ]
-        )
+def resilience_table(rows: Mapping[str, Mapping[str, float]]) -> str:
+    """Render ``{scenario: scenario_metrics(...)}`` as one ASCII table."""
     return format_table(
         [
             "scenario",
@@ -320,6 +186,23 @@ def resilience_table(reports: Sequence[ResilienceReport]) -> str:
             "part P/R",
             "timeout",
         ],
-        rows,
-        title="Resilience: collection under injected faults",
+        [
+            [
+                scenario,
+                f"{m['delivered']}/{m['expected']}",
+                f"{m['delivery_ratio']:.2f}",
+                f"{m['reachable_delivery_ratio']:.2f}",
+                f"{m['slowdown']:.2f}x",
+                m["repairs"],
+                m["declared_partitioned"],
+                f"{m['partition_precision']:.2f}"
+                f"/{m['partition_recall']:.2f}",
+                "yes" if m["timed_out"] else "no",
+            ]
+            for scenario, m in rows.items()
+        ],
+        title=(
+            "Resilience: collection under injected faults on "
+            f"layered_band({LAYERS}, {WIDTH})"
+        ),
     )

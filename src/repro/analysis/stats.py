@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -193,8 +193,3 @@ def ks_2sample(
     root = math.sqrt(effective)
     lam = (root + 0.12 + 0.11 / root) * d
     return KSResult(statistic=d, pvalue=_ks_pvalue(lam), n1=n1, n2=n2)
-
-
-def replicate(fn, seeds: Sequence[int]) -> List[float]:
-    """Run ``fn(seed)`` for each seed, collecting float results."""
-    return [float(fn(seed)) for seed in seeds]

@@ -12,14 +12,16 @@ reach — local disk for one machine, NFS (or any shared mount) for many:
       leases/<key>.lease      in-flight claims (create-exclusive,
                               heartbeat-refreshed — see runner/lease.py)
       results/                the shared content-addressed ResultCache
-      quarantine/<key>.json   tasks the fleet gave up on
-      hosts/<host>/journal.jsonl  per-host run journal (runner/journal.py)
+      hosts/<host>/journal.jsonl  per-host run journal (runner/journal.py):
+                              every outcome and quarantine a host settled
 
 There is no coordinator process and no network protocol: ``python -m
 repro fleet submit`` populates the queue, any number of ``fleet worker``
 processes on any number of machines drain it, and ``fleet status``
 merges the per-host journals into one progress / failure-taxonomy view
-at any time during or after the run.
+at any time during or after the run.  The journals are the only record
+of a settled task: the merge keeps one outcome and one quarantine record
+per content key.
 
 A worker is the shared drain loop of :mod:`repro.runner.drain` over
 this module's :class:`LeaseTransport`.  Per task, it claims the lease
@@ -95,7 +97,6 @@ QUEUE_MANIFEST = "queue.json"
 TASKS_DIR = "tasks"
 LEASES_DIR = "leases"
 RESULTS_DIR = "results"
-QUARANTINE_DIR = "quarantine"
 HOSTS_DIR = "hosts"
 
 
@@ -105,7 +106,6 @@ class FleetQueue:
     def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
         self.tasks_dir = self.root / TASKS_DIR
-        self.quarantine_dir = self.root / QUARANTINE_DIR
         self.hosts_dir = self.root / HOSTS_DIR
         self.manifest_path = self.root / QUEUE_MANIFEST
 
@@ -130,7 +130,6 @@ class FleetQueue:
         self.tasks_dir.mkdir(parents=True, exist_ok=True)
         (self.root / LEASES_DIR).mkdir(parents=True, exist_ok=True)
         (self.root / RESULTS_DIR).mkdir(parents=True, exist_ok=True)
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         self.hosts_dir.mkdir(parents=True, exist_ok=True)
         keys = [spec.key(version) for spec in tasks]
         fresh = 0
@@ -206,31 +205,6 @@ class FleetQueue:
             os.unlink(self.task_path(key))
         except OSError:
             pass
-
-    # -- quarantine ----------------------------------------------------
-
-    def quarantine_path(self, key: str) -> Path:
-        return self.quarantine_dir / f"{key}.json"
-
-    def put_quarantine(self, key: str, record: Dict[str, Any]) -> None:
-        atomic_write_json(self.quarantine_path(key), record, fsync=True)
-
-    def quarantined(self) -> Dict[str, Dict[str, Any]]:
-        records: Dict[str, Dict[str, Any]] = {}
-        try:
-            names = sorted(os.listdir(self.quarantine_dir))
-        except OSError:
-            return records
-        for name in names:
-            if not name.endswith(".json") or name.startswith("."):
-                continue
-            try:
-                records[name[:-5]] = json.loads(
-                    (self.quarantine_dir / name).read_text("utf-8")
-                )
-            except (OSError, json.JSONDecodeError):
-                continue
-        return records
 
     # -- per-host journals ---------------------------------------------
 
@@ -339,7 +313,8 @@ class LeaseTransport:
         self._finish(key)
 
     def quarantine(self, key: str, record: Dict[str, Any]) -> None:
-        self.queue.put_quarantine(key, record)
+        """Journal, retire, release: the journal line is the only record
+        of a quarantine, so it must be durable before the task goes."""
         self._journal.append_quarantine(key, record, host=self.host)
         self._finish(key)
 
@@ -533,13 +508,19 @@ class FleetStatus:
 
 def _merged_journal(
     queue: FleetQueue,
-) -> Tuple[List[Dict[str, Any]], Set[str], List[HostStatus]]:
-    """All hosts' journals: (outcome entries, reclaimed-from hosts, stats).
+) -> Tuple[
+    List[Dict[str, Any]], Dict[str, Dict[str, Any]], Set[str], List[HostStatus]
+]:
+    """All hosts' journals: (outcome entries, quarantine records by key,
+    reclaimed-from hosts, stats).
 
     Journals are read leniently (``strict=False``): a SIGKILLed host may
-    have torn its final line, and that is interruption, not damage.
+    have torn its final line, and that is interruption, not damage.  A
+    key quarantined more than once keeps the last record read, and the
+    records come in key order.
     """
     outcomes: List[Dict[str, Any]] = []
+    quarantined: Dict[str, Dict[str, Any]] = {}
     victims: Set[str] = set()
     hosts: List[HostStatus] = []
     for host in queue.hosts():
@@ -549,19 +530,21 @@ def _merged_journal(
             kind = entry.get("kind")
             if kind == "outcome":
                 outcomes.append(entry)
+            elif kind == "quarantine":
+                quarantined[entry["key"]] = entry["record"]
             elif kind == "lease_reclaim" and entry.get("victim_host"):
                 victims.add(entry["victim_host"])
         hosts.append(status)
-    return outcomes, victims, hosts
+    quarantined = {key: quarantined[key] for key in sorted(quarantined)}
+    return outcomes, quarantined, victims, hosts
 
 
 def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
-    """Merge manifest, journals, leases and quarantine into one view."""
+    """Merge manifest, journals and leases into one view."""
     queue = _as_queue(queue_dir)
     manifest = queue.manifest()
-    outcomes, victims, hosts = _merged_journal(queue)
+    outcomes, quarantined, victims, hosts = _merged_journal(queue)
     merged, duplicates = merge_task_records(outcomes)
-    quarantine = queue.quarantined()
     leases = queue.leases()
     leased: Dict[str, str] = {}
     orphans: List[str] = []
@@ -579,16 +562,16 @@ def fleet_status(queue_dir: os.PathLike) -> FleetStatus:
         total=int(manifest.get("total", 0)),
         pending=len(queue.pending_keys()),
         completed=len(
-            {entry.get("key") for entry in merged} - set(quarantine)
+            {entry.get("key") for entry in merged} - set(quarantined)
         ),
-        quarantined=len(quarantine),
+        quarantined=len(quarantined),
         duplicates_merged=duplicates,
         lease_reclaims=sum(h.lease_reclaims for h in hosts),
         host_failures=len(victims),
         hosts=hosts,
         leased=leased,
         orphan_leases=orphans,
-        quarantine_records=list(quarantine.values()),
+        quarantine_records=list(quarantined.values()),
     )
 
 
@@ -601,11 +584,11 @@ def fleet_report(queue_dir: os.PathLike) -> RunReport:
     """
     queue = _as_queue(queue_dir)
     manifest = queue.manifest()
-    outcomes, victims, hosts = _merged_journal(queue)
+    outcomes, quarantined, victims, hosts = _merged_journal(queue)
     return build_report(
         manifest,
         outcomes,
-        queue.quarantined().values(),
+        quarantined.values(),
         hosts,
         host_failures=len(victims),
     )

@@ -146,8 +146,6 @@ def _case_for(
     epochs = pick("protocol", "mobility_epochs", 1)
     if kind == "collection" and epochs and epochs > 1:
         case["mobility_epochs"] = epochs
-    if not spec.engine.get("idle_scheduling", True):
-        case["idle_scheduling"] = False
     return case
 
 

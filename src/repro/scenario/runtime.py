@@ -184,7 +184,6 @@ def _drive_flow(
     """Feed one network its closed workload or its arrival stream, drain
     it, and fold the outcome into ``acc``."""
     graph, tree, sources = cell
-    network.idle_scheduling = params.get("idle_scheduling", True)
     arrivals = arrivals_for(params, sources, phase_length, seed)
     horizon_slots = 0 if arrivals is None else horizon_phases * phase_length
     # Set per network: a mobility epoch's re-sampled field may change Δ.

@@ -8,7 +8,7 @@ A spec is a TOML (or JSON) document of up to eight tables::
     [arrivals]   kind, rate, period, bursts, jitter, sources, messages
     [faults]     kind + per-model knobs
     [protocol]   kind, classes, points, mobility_epochs
-    [engine]     kind, idle_scheduling
+    [engine]     kind
     [run]        seed, replications, horizon_phases, warmup_fraction
     [kpi]        quantiles
 
@@ -114,7 +114,6 @@ PROTOCOL_FIELDS = {
 }
 ENGINE_FIELDS = {
     "kind": Field((str,), default="scalar", choices=("scalar", "vector")),
-    "idle_scheduling": Field((bool,), default=True),
 }
 RUN_FIELDS = {
     "seed": Field((int,), default=7),

@@ -11,16 +11,11 @@ from repro.analysis import (
     linear_fit,
     print_table,
     r_squared,
-    replicate,
-    replicated,
     scaling_exponent,
-    standard_topologies,
     summarize,
-    sweep,
     total_variation_distance,
 )
 from repro.errors import ConfigurationError
-from repro.graphs import is_connected
 
 
 class TestSummarize:
@@ -118,49 +113,6 @@ class TestTables:
         print_table(["h"], [[1]])
         captured = capsys.readouterr()
         assert "h" in captured.out
-
-
-class TestReplication:
-    def test_replicate(self):
-        assert replicate(lambda s: s % 3, [0, 1, 2, 3]) == [0, 1, 2, 0]
-
-    def test_replicated_measure(self):
-        result = replicated(lambda seed: float(seed % 7), 10, seed=1)
-        assert result.summary.count == 10
-
-    def test_replicated_deterministic(self):
-        a = replicated(lambda s: float(s % 100), 5, seed=2)
-        b = replicated(lambda s: float(s % 100), 5, seed=2)
-        assert a.samples == b.samples
-
-    def test_replication_count_validated(self):
-        with pytest.raises(ConfigurationError):
-            replicated(lambda s: 0.0, 0, seed=1)
-
-
-class TestTopologySweep:
-    def test_standard_topologies_connected(self):
-        for point in standard_topologies(scale=1):
-            graph = point.make(seed=3)
-            assert is_connected(graph), point.name
-            assert graph.num_nodes >= 2
-
-    def test_scale_grows_sizes(self):
-        small = {p.name for p in standard_topologies(1)}
-        large = {p.name for p in standard_topologies(2)}
-        assert small != large
-
-    def test_sweep_runs_measure_everywhere(self):
-        points = standard_topologies(1)[:3]
-        results = sweep(
-            points,
-            measure=lambda graph, seed: float(graph.num_nodes),
-            replications=3,
-            seed=5,
-        )
-        assert set(results) == {p.name for p in points}
-        for measurement in results.values():
-            assert len(measurement.samples) == 3
 
 
 class TestExperimentRegistry:

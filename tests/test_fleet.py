@@ -309,14 +309,17 @@ class TestWorkers:
         stats = worker.run()
         assert stats.executed == 0 and stats.quarantined == 1
         assert stats.lease_reclaims == 1
-        quarantined = queue.quarantined()
-        assert list(quarantined) == [key]
-        assert quarantined[key]["category"] == "crash"
         assert queue.pending_keys() == [] and queue.leases().keys() == []
+        # The host journal is the only record of the quarantine.
+        assert not (queue.root / "quarantine").exists()
         merged = fleet_report(queue)
-        assert len(merged.quarantined) == 1 and not merged.outcomes
+        assert not merged.outcomes
+        (record,) = merged.quarantined
+        assert record.key == key and record.category == "crash"
         status = fleet_status(queue)
         assert status.quarantined == 1 and status.done
+        (payload,) = status.to_json()["quarantine_records"]
+        assert payload["key"] == key and payload["category"] == "crash"
 
     def test_moot_lease_of_retired_task_is_reaped(self, tmp_path):
         # Killed after retiring the task file but before releasing the

@@ -2,6 +2,9 @@
 retry budgets (:class:`RetryPolicy`), the ack-timeout watchdog, parent
 re-attachment, partition detection, and the resilience harness."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import (
@@ -14,6 +17,7 @@ from repro.core.repair import NeighborRegistry, build_resilient_collection_netwo
 from repro.errors import ConfigurationError
 from repro.graphs import Graph, layered_band, path, reference_bfs_tree
 from repro.radio.faults import MarkovChurn, RegionOutage
+from repro.runner.defs import E16_SCENARIOS
 
 
 def diamond():
@@ -232,36 +236,50 @@ class TestRepairPolicyKnobs:
 
 
 class TestResilienceHarness:
-    def test_suite_smoke_and_table(self):
-        from repro.analysis import resilience_table, run_resilience_suite
+    def test_suite_smoke_and_table(self, capsys):
+        from repro.__main__ import main
+        from repro.analysis import scenario_metrics
 
-        graph = layered_band(4, 2)
-        tree = reference_bfs_tree(graph, 0)
-        deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
-        reports = run_resilience_suite(
-            graph,
-            tree,
-            {deepest: ["a", "b"]},
-            seed=5,
-            down_grace_slots=2_000,
-        )
-        assert {r.scenario for r in reports} == {
-            "churn",
-            "fading",
-            "jammer",
-            "blackout",
-            "partition",
-        }
-        for report in reports:
-            assert not report.result.timed_out, report.scenario
-            assert report.slowdown >= 1.0 or report.delivery_ratio < 1.0
-        table = resilience_table(reports)
-        assert "partition" in table and "slowdown" in table
+        assert main(["resilience", "5"]) == 0
+        out = capsys.readouterr().out
+        rows = {}
+        for line in out.splitlines():
+            cells = line.split()
+            if cells and cells[0] in E16_SCENARIOS:
+                rows[cells[0]] = cells
+        assert list(rows) == list(E16_SCENARIOS)
+        for name, cells in rows.items():
+            metrics = scenario_metrics(name, 5)
+            assert cells[4] == f"{metrics['slowdown']:.2f}x", name
+            assert cells[-1] == "no", name
+            assert (
+                metrics["slowdown"] >= 1.0 or metrics["delivery_ratio"] < 1.0
+            ), name
 
-    def test_empty_sources_rejected(self):
-        from repro.analysis import run_resilience_suite
 
-        graph = path(3)
-        tree = reference_bfs_tree(graph, 0)
-        with pytest.raises(ConfigurationError):
-            run_resilience_suite(graph, tree, {}, seed=0)
+#: sha256 of E16's metrics (JSON, sorted keys) per (seed, scenario).
+GOLDEN_E16 = {
+    (5, "churn"): "d32c6fda76422ac8b26229625d78635dabd571a3560b1a8d08468fa0b7c2b8b4",
+    (5, "fading"): "61039a33841cf0a0e68505a3584c2119b09055ca2d6aceb8a7713153ee555fca",
+    (5, "jammer"): "ccccb8468626a09c93d27148ff545161f6dce20d1ef2427d2740a2a067697682",
+    (5, "blackout"): "b98ce41ee6291665e4829e9f12e92e12ec324807b12e3ff2b516247bd957d2a7",
+    (5, "partition"): "49992ac66a5c3751212cbb96676a86178445f4d544139c9f3e4735f7f78c6d76",
+    (7, "churn"): "d96fab958c301f316a9589793a96940a6b6f8301c384be83f24fe78e1069ae61",
+    (7, "fading"): "6abb1f9686502e3a6d4939ec87b0b1d216fd8c6d5f3f26d8ac96620835195b52",
+    (7, "jammer"): "ccccb8468626a09c93d27148ff545161f6dce20d1ef2427d2740a2a067697682",
+    (7, "blackout"): "b98ce41ee6291665e4829e9f12e92e12ec324807b12e3ff2b516247bd957d2a7",
+    (7, "partition"): "49992ac66a5c3751212cbb96676a86178445f4d544139c9f3e4735f7f78c6d76",
+}
+
+
+class TestE16Golden:
+    def test_metrics_digests(self):
+        """E16's task function is pinned bit for bit on every scenario."""
+        from repro.analysis import scenario_metrics
+
+        for (seed, scenario), digest in GOLDEN_E16.items():
+            blob = json.dumps(scenario_metrics(scenario, seed), sort_keys=True)
+            assert hashlib.sha256(blob.encode()).hexdigest() == digest, (
+                seed,
+                scenario,
+            )

@@ -16,9 +16,8 @@ import random
 import pytest
 
 import repro
-from repro.analysis.sweep import TopologyPoint, replicated, sweep
 from repro.errors import ConfigurationError
-from repro.graphs import path, star
+from repro.graphs import path
 from repro.radio.network import RadioNetwork
 from repro.rng import content_key
 from repro.runner import (
@@ -51,26 +50,15 @@ def failing_metric(spec: TaskSpec):
     raise ValueError("boom")
 
 
-def measure_nodes_plus_seed(graph, seed: int) -> float:
-    return graph.num_nodes + (seed % 5)
+def edges_plus_seed(spec: TaskSpec):
+    """An unregistered task: build the case's topology from the task seed
+    (a random family is re-sampled per replication) and measure it."""
+    graph = build_topology(spec.params["topology"], random.Random(spec.seed))
+    return {"value": graph.num_edges + spec.seed % 5}
 
 
-def measure_seed_mod(seed: int) -> float:
-    return float(seed % 13)
-
-
-def build_path6(rng: random.Random):
-    return path(6)
-
-
-def build_star5(rng: random.Random):
-    return star(5)
-
-
-PICKLABLE_POINTS = [
-    TopologyPoint("path-6", build_path6),
-    TopologyPoint("star-5", build_star5),
-]
+#: A custom grid over one fixed and one random topology family.
+CUSTOM_CASES = [{"topology": "path-6"}, {"topology": "rgg-12"}]
 
 
 # ----------------------------------------------------------------------
@@ -335,47 +323,42 @@ class TestTelemetry:
 
 
 # ----------------------------------------------------------------------
-# sweep()/replicated() through the runner
+# A custom grid: task_grid + run_tasks with an unregistered task function
 # ----------------------------------------------------------------------
 
+def _values(report):
+    return [(o.key, o.metrics["value"]) for o in report.outcomes]
+
+
 class TestSweepMigration:
+    """Any picklable top-level task function shards and caches like a
+    registered experiment."""
+
     def test_sweep_workers_match_inline(self):
-        inline = sweep(
-            PICKLABLE_POINTS, measure_nodes_plus_seed, 4, seed=6
-        )
-        sharded = sweep(
-            PICKLABLE_POINTS, measure_nodes_plus_seed, 4, seed=6,
-            workers=2,
-        )
-        assert {
-            name: m.samples for name, m in inline.items()
-        } == {name: m.samples for name, m in sharded.items()}
+        tasks = task_grid("custom", CUSTOM_CASES, 4, seed=6)
+        inline = run_tasks(tasks, edges_plus_seed, workers=0)
+        sharded = run_tasks(tasks, edges_plus_seed, workers=2)
+        assert _values(inline) == _values(sharded)
+        assert len(inline.outcomes) == 8
 
     def test_sweep_cache_replays(self, tmp_path):
-        kwargs = dict(replications=3, seed=6, cache_dir=tmp_path)
-        first = sweep(
-            PICKLABLE_POINTS, measure_nodes_plus_seed, **kwargs
-        )
-        again = sweep(
-            PICKLABLE_POINTS, measure_nodes_plus_seed, **kwargs
-        )
-        assert {n: m.samples for n, m in first.items()} == {
-            n: m.samples for n, m in again.items()
-        }
-        # A warm cache means zero fresh computation: every stored key
-        # predates the second sweep.
-        assert ResultCache(tmp_path).hits == 0  # fresh view, just counts
+        tasks = task_grid("custom", CUSTOM_CASES, 3, seed=6)
+        first = run_tasks(tasks, edges_plus_seed, cache=tmp_path)
+        again = run_tasks(tasks, edges_plus_seed, cache=tmp_path)
+        assert first.executed == 6
+        assert again.executed == 0 and again.cache_hits == 6
+        assert _values(first) == _values(again)
         assert len(ResultCache(tmp_path)) == 6
 
     def test_replicated_workers_and_cache(self, tmp_path):
-        inline = replicated(measure_seed_mod, 5, seed=8)
-        sharded = replicated(
-            measure_seed_mod, 5, seed=8, workers=2, cache_dir=tmp_path
+        tasks = task_grid("custom", CUSTOM_CASES[1:], 5, seed=8)
+        inline = run_tasks(tasks, edges_plus_seed)
+        sharded = run_tasks(
+            tasks, edges_plus_seed, workers=2, cache=tmp_path
         )
-        replay = replicated(
-            measure_seed_mod, 5, seed=8, workers=0, cache_dir=tmp_path
-        )
-        assert inline.samples == sharded.samples == replay.samples
+        replay = run_tasks(tasks, edges_plus_seed, cache=tmp_path)
+        assert sharded.executed == 5 and replay.executed == 0
+        assert _values(inline) == _values(sharded) == _values(replay)
 
 
 # ----------------------------------------------------------------------
@@ -577,6 +560,22 @@ class TestEngineCli:
         assert "unknown experiment" in err
         assert "E3" in err  # lists what IS runnable
         assert "--list" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["profile", "E99"], ["fleet", "submit", "E99", "--queue", "Q"]],
+        ids=["profile", "fleet-submit"],
+    )
+    def test_unknown_experiment_message_is_shared(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "registered experiments:" in err
+        assert not (tmp_path / "Q").exists()
 
     def test_vector_check_command(self, capsys):
         from repro.__main__ import main

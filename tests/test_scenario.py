@@ -370,6 +370,15 @@ class TestRun:
                 float(value)  # summary_table floats every metric
 
 
+#: Retired ``[engine]`` keys, each with a value of its former type.
+RETIRED_ENGINE_KEYS = {
+    "backend": '"auto"',
+    "idle_scheduling": "false",
+    "mask": '"auto"',
+    "reception": '"auto"',
+}
+
+
 class TestVectorScenario:
     """Closed collection scenarios on the lockstep batch engine."""
 
@@ -381,10 +390,11 @@ class TestVectorScenario:
         for task in compiled.tasks:
             assert task.engine == "vector"
 
-    @pytest.mark.parametrize("key", ["mask", "reception", "backend"])
+    @pytest.mark.parametrize("key", sorted(RETIRED_ENGINE_KEYS))
     def test_retired_engine_keys_are_rejected(self, tmp_path, key):
         text = CLOSED_VECTOR.replace(
-            'kind = "vector"', f'kind = "vector"\n{key} = "auto"'
+            'kind = "vector"',
+            f'kind = "vector"\n{key} = {RETIRED_ENGINE_KEYS[key]}',
         )
         with pytest.raises(ValidationError) as err:
             parse_scenario(write_spec(tmp_path, text))
