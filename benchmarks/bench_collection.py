@@ -9,8 +9,9 @@ which Theorem 4.4 predicts to be ≤ 1 asymptotically.
 
 Runs through the parallel runner (experiment ``E3`` of
 ``repro.runner.defs``): set ``REPRO_BENCH_WORKERS`` to shard the grid and
-``REPRO_BENCH_CACHE`` to make repeat runs near-free.  The machine-readable
-summary lands in ``benchmarks/results/BENCH_E3.json``.
+``REPRO_BENCH_CACHE`` to make repeat runs near-free.  A run's KPI
+report comes from ``python -m repro run E3 --json DIR``
+(``DIR/KPI_E3.json``).
 """
 
 from conftest import run_experiment_for_bench

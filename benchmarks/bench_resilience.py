@@ -20,9 +20,9 @@ Qualitative claims asserted:
 from conftest import replication_seeds, run_experiment_for_bench
 
 from repro.analysis import default_sources, print_table, scenario_metrics
+from repro.analysis.resilience import SCENARIOS
 from repro.core import run_collection, run_resilient_collection
 from repro.graphs import layered_band, path, reference_bfs_tree
-from repro.runner.defs import E16_SCENARIOS
 
 
 def test_e16_resilience_suite(benchmark):
@@ -51,7 +51,7 @@ def test_e16_resilience_suite(benchmark):
 
     # Aggregate across seeds: mean slowdown per scenario.
     rows = []
-    for scenario in E16_SCENARIOS:
+    for scenario in SCENARIOS:
         outcomes = by_scenario[scenario]
         mean = lambda name: sum(
             o.metrics[name] for o in outcomes

@@ -9,8 +9,8 @@ destination* despite cross-traffic toward other parents.  The adversarial
 shape (root, P parents, C children adjacent to all parents) and the
 advance-rate measurement live in ``repro.runner.defs`` as experiment
 ``E2``; this bench drives the grid through the parallel runner and
-asserts the bound per configuration.  Summary JSON:
-``benchmarks/results/BENCH_E2.json``.
+asserts the bound per configuration.  A run's KPI report comes from
+``python -m repro run E2 --json DIR`` (``DIR/KPI_E2.json``).
 """
 
 from conftest import run_experiment_for_bench

@@ -10,17 +10,16 @@ recorded in EXPERIMENTS.md), asserts the paper's qualitative claims
 (who wins, which bound holds), and reports wall-clock timings via
 pytest-benchmark for a representative kernel of each experiment.
 
-Benchmarks migrated onto the parallel runner (E2, E3, E16) execute
-through :func:`run_experiment_for_bench`, which also writes each
-experiment's machine-readable ``BENCH_<EXP_ID>.json`` summary (medians,
-CIs, wall time) under ``benchmarks/results/``.  Environment knobs:
+Benchmarks migrated onto the parallel runner (E2, E3, E16, E19, E20)
+execute through :func:`run_experiment_for_bench`.  Environment knobs:
 
 ``REPRO_BENCH_WORKERS``
     Worker processes for migrated benches (default 0 = inline).
 ``REPRO_BENCH_CACHE``
     Result-cache directory; set it to make repeat bench runs near-free.
 ``REPRO_BENCH_RESULTS``
-    Where BENCH_*.json summaries land (default ``benchmarks/results``).
+    Where the gated ``BENCH_*.json`` files of the engine, scale,
+    scenario and service benches land (default ``benchmarks/results``).
 """
 
 from __future__ import annotations
@@ -47,15 +46,15 @@ def bench_results_dir() -> Path:
 
 
 def run_experiment_for_bench(exp_id: str, replications: int, **options: Any):
-    """Run a registered experiment the way benches do, summary JSON included.
+    """Run a registered experiment the way benches do.
 
     One code path serves tests (workers=0 inline), benchmarks, and
-    large-scale sweeps: this helper only fixes the root seed and adds the
-    ``BENCH_<EXP_ID>.json`` telemetry drop.
+    large-scale sweeps: this helper only fixes the root seed and reads
+    the worker and cache knobs.
     """
-    from repro.runner import run_experiment, write_bench_summary
+    from repro.runner import run_experiment
 
-    report = run_experiment(
+    return run_experiment(
         exp_id,
         seed=ROOT_SEED,
         replications=replications,
@@ -63,10 +62,6 @@ def run_experiment_for_bench(exp_id: str, replications: int, **options: Any):
         cache=os.environ.get("REPRO_BENCH_CACHE") or None,
         **options,
     )
-    write_bench_summary(
-        report, bench_results_dir() / f"BENCH_{exp_id}.json"
-    )
-    return report
 
 
 def replication_seeds(name: str, count: int) -> List[int]:

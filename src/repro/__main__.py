@@ -23,19 +23,21 @@ Commands
     oracle.  ``--sweep`` instead walks λ across the predicted critical
     rate and reports the detected stability knee.  The same cells run
     grid-style as experiments E19/E20 (``run E19``, ``run E20``).
-``scenario <FILE> [--workers N] [--cache DIR] [--kpi-out PATH] …``
+``scenario <FILE> [--workers N] [--cache DIR] [--json PATH] …``
     Run a declarative scenario: a TOML/JSON spec naming a topology,
     arrival profile, fault profile, protocol mix, engine and
     replication grid, compiled onto the same executor/cache/fleet
-    machinery as the registered experiments, followed by a KPI
-    post-pass (delivery ratio, latency percentiles, air-time
-    utilization, collision rate, Jain fairness) written as
-    ``KPI_<scenario>.json``.  ``scenario validate <FILE>`` checks a
-    spec without running it; ``scenario list`` shows the spec files
-    under ``scenarios/``.
+    machinery as the registered experiments.  Like ``run``, it ends
+    with the KPI post-pass (delivery ratio, latency percentiles,
+    air-time utilization, collision rate, Jain fairness); ``--json``
+    writes it as ``KPI_<scenario>.json``.  ``scenario validate <FILE>``
+    checks a spec without running it; ``scenario list`` shows the spec
+    files under ``scenarios/``.
 ``run <EXP_ID> [--engine vector] [--workers N] [--cache DIR] …``
     Run a registered experiment grid through the parallel runner:
     sharded execution, content-addressed result cache, JSONL telemetry.
+    ``--json PATH`` writes the run's KPI report (``KPI_<EXP_ID>.json``
+    under a directory), the same report ``scenario --json`` writes.
     ``--engine vector`` batches every seed of a grid cell into one NumPy
     lockstep call, whose per-slot work is restricted to the
     provably-awake stations.
@@ -198,9 +200,12 @@ def _cmd_resilience(seed: int) -> None:
     )
 
 
-def _print_report(report, summary_metrics, engine: str) -> None:
-    """Print a run's summary table, counts, failures and quarantined
-    tasks, as ``run`` and ``scenario`` report it."""
+def _report_run(report, summary_metrics, engine: str, name: str, args) -> None:
+    """The post-run block of ``run`` and ``scenario``: print the summary
+    table, the counts, the failures and the KPI headline, and write the
+    KPI report to ``args.json`` (``KPI_<name>.json`` under a directory)."""
+    from repro.kpi import kpis_from_report, write_kpi_report
+
     print(report.summary_table(summary_metrics or None))
     print(
         f"{len(report.outcomes)} tasks: {report.executed} executed, "
@@ -220,18 +225,28 @@ def _print_report(report, summary_metrics, engine: str) -> None:
         for record in report.quarantined:
             print(f"  quarantined {record.label} "
                   f"[{record.category}] {record.detail}")
+    if args.run_dir:
+        print(f"telemetry: {args.run_dir}/journal.jsonl")
+    kpis = kpis_from_report(report, scenario=name)
+    headline = [
+        f"{key}={kpis[key]:.4g}"
+        for key in (
+            "delivery_ratio", "latency_p50_phases", "latency_p99_phases",
+            "utilization", "collision_rate", "jain_fairness",
+        )
+        if key in kpis
+    ]
+    if headline:
+        print("KPIs: " + "  ".join(headline))
+    if args.json:
+        print(f"kpi json: {write_kpi_report(kpis, args.json)}")
 
 
 def _cmd_run(argv: list) -> int:
     import argparse
 
     from repro.errors import ConfigurationError
-    from repro.runner import (
-        get_experiment,
-        registered_ids,
-        run_experiment,
-        write_bench_summary,
-    )
+    from repro.runner import get_experiment, registered_ids, run_experiment
 
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
@@ -268,9 +283,12 @@ def _cmd_run(argv: list) -> int:
     )
     parser.add_argument(
         "--json",
-        metavar="FILE",
+        metavar="PATH",
         default=None,
-        help="also write the BENCH-style summary JSON to FILE",
+        help=(
+            "write the run's KPI report to PATH (a directory gets "
+            "KPI_<EXP_ID>.json)"
+        ),
     )
     parser.add_argument(
         "--no-progress",
@@ -347,21 +365,19 @@ def _cmd_run(argv: list) -> int:
     except ConfigurationError as exc:
         print(f"cannot run {args.exp_id!r}: {exc}", file=sys.stderr)
         return 2
-    _print_report(
-        report, get_experiment(args.exp_id).summary_metrics, args.engine
+    _report_run(
+        report,
+        get_experiment(args.exp_id).summary_metrics,
+        args.engine,
+        args.exp_id,
+        args,
     )
-    if args.run_dir:
-        print(f"telemetry: {args.run_dir}/journal.jsonl")
-    if args.json:
-        write_bench_summary(report, args.json)
-        print(f"summary json: {args.json}")
     return 0
 
 
 def _cmd_scenario(argv: list) -> int:
     import argparse
     import dataclasses
-    import json
 
     from repro.errors import ConfigurationError
     from repro.scenario import (
@@ -417,13 +433,6 @@ def _cmd_scenario(argv: list) -> int:
         help="telemetry directory (manifest.json + journal.jsonl)",
     )
     parser.add_argument(
-        "--kpi-out", metavar="PATH", default=None,
-        help=(
-            "write the KPI report (KPI_<scenario>.json) to PATH — a "
-            "directory gets the canonical filename"
-        ),
-    )
-    parser.add_argument(
         "--seed", type=int, default=None,
         help="override the spec's [run] seed",
     )
@@ -436,8 +445,11 @@ def _cmd_scenario(argv: list) -> int:
         help="override the spec's [engine] kind",
     )
     parser.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="also write the BENCH-style summary JSON to FILE",
+        "--json", metavar="PATH", default=None,
+        help=(
+            "write the run's KPI report to PATH (a directory gets "
+            "KPI_<scenario>.json)"
+        ),
     )
     parser.add_argument(
         "--no-progress", action="store_true",
@@ -488,31 +500,10 @@ def _cmd_scenario(argv: list) -> int:
         print(f"cannot run scenario: {exc}", file=sys.stderr)
         return 2
 
-    _print_report(report, compiled.summary_metrics, compiled.engine)
-
-    from repro.kpi import kpis_from_report, write_kpi_report
-
-    kpis = kpis_from_report(report, scenario=compiled.name)
-    headline = [
-        f"{key}={kpis[key]:.4g}"
-        for key in (
-            "delivery_ratio", "latency_p50_phases", "latency_p99_phases",
-            "utilization", "collision_rate", "jain_fairness",
-        )
-        if key in kpis
-    ]
-    if headline:
-        print("KPIs: " + "  ".join(headline))
-    if args.kpi_out:
-        path = write_kpi_report(kpis, args.kpi_out)
-        print(f"kpi json: {path}")
-    if args.run_dir:
-        print(f"telemetry: {args.run_dir}/journal.jsonl")
-    if args.json:
-        from repro.runner import write_bench_summary
-
-        write_bench_summary(report, args.json)
-        print(f"summary json: {args.json}")
+    _report_run(
+        report, compiled.summary_metrics, compiled.engine, compiled.name,
+        args,
+    )
     return 0
 
 

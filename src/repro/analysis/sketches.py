@@ -61,6 +61,11 @@ class Welford:
         }
 
 
+#: The sojourn quantiles every latency-measuring sink sketches and the
+#: KPI report pools (``latency_p50/p90/p99_phases``).
+SOJOURN_QUANTILES = (0.5, 0.9, 0.99)
+
+
 class P2Quantile:
     """P² single-quantile sketch (Jain & Chlamtac 1985).
 

@@ -10,47 +10,12 @@ optional per-station annotations (BFS level, leader marker, load).
 from __future__ import annotations
 
 import math
-import random
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.graph import Graph, NodeId
 
 Position = Tuple[float, float]
-
-
-def random_geometric_with_positions(
-    n: int,
-    radius: float,
-    rng: random.Random,
-    max_attempts: int = 200,
-) -> Tuple[Graph, Dict[int, Position]]:
-    """A connected unit-disk graph *with* the generating coordinates.
-
-    Same sampling as :func:`repro.graphs.generators.random_geometric`, but
-    the accepted placement is returned so the field can be drawn and
-    distance-dependent experiments (range sweeps, position-aware failure
-    models) are possible.
-    """
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got {n}")
-    from repro.graphs.properties import is_connected
-
-    for _ in range(max_attempts):
-        points = [(rng.random(), rng.random()) for _ in range(n)]
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if math.dist(points[i], points[j]) <= radius
-        ]
-        graph = Graph.from_edges(edges, nodes=range(n))
-        if is_connected(graph):
-            return graph, {i: points[i] for i in range(n)}
-    raise ConfigurationError(
-        f"could not sample a connected unit-disk graph with n={n}, "
-        f"radius={radius} in {max_attempts} attempts"
-    )
 
 
 def ascii_map(

@@ -153,9 +153,24 @@ def random_geometric(
     """A connected unit-disk graph: n points in [0,1]², edge iff dist ≤ radius.
 
     This is the canonical model of a multi-hop radio network (stations with
-    identical transmission range on a plane).  Placement is resampled until
-    the graph is connected; raises :class:`ConfigurationError` if the radius
-    is too small to connect within ``max_attempts`` resamples.
+    identical transmission range on a plane); sampled by
+    :func:`random_geometric_with_positions`, which also returns the points.
+    """
+    return random_geometric_with_positions(n, radius, rng, max_attempts)[0]
+
+
+def random_geometric_with_positions(
+    n: int,
+    radius: float,
+    rng: random.Random,
+    max_attempts: int = 200,
+) -> Tuple[Graph, Dict[int, Tuple[float, float]]]:
+    """A connected unit-disk graph *with* the generating coordinates.
+
+    Placement is resampled until the graph is connected; raises
+    :class:`ConfigurationError` if the radius is too small to connect
+    within ``max_attempts`` resamples.  The accepted placement is
+    returned so the field can be drawn (:func:`repro.graphs.ascii_map`).
 
     Edges are found with a cell-list grid (side ``radius``, compare only
     points in adjacent cells) — O(n · neighborhood) instead of the naive
@@ -171,7 +186,7 @@ def random_geometric(
         edges = _unit_disk_edges(points, radius)
         graph = Graph.from_edges(edges, nodes=range(n))
         if is_connected(graph):
-            return graph
+            return graph, dict(enumerate(points))
     raise ConfigurationError(
         f"could not sample a connected unit-disk graph with n={n}, "
         f"radius={radius} in {max_attempts} attempts"
@@ -324,14 +339,3 @@ FAMILIES = {
 }
 """Registry of generator callables, keyed by family name (for sweeps)."""
 
-
-def positions_for_drawing(graph: Graph) -> Dict[int, Tuple[float, float]]:
-    """Crude deterministic layout (circle) for ASCII/debug rendering."""
-    n = graph.num_nodes
-    return {
-        node: (
-            0.5 + 0.45 * math.cos(2 * math.pi * index / max(n, 1)),
-            0.5 + 0.45 * math.sin(2 * math.pi * index / max(n, 1)),
-        )
-        for index, node in enumerate(graph.nodes)
-    }

@@ -13,10 +13,12 @@ is ``Σ delivered / Σ submitted``, never a mean of per-task ratios — the
 latter over-weights idle tasks).  Utilization pools slot-weighted.
 Latency percentiles pool the per-task P² estimates weighted by each
 task's measured sample count: each driver already streams its sojourns
-through a P² sketch (:mod:`repro.analysis.sketches`), so the post-pass
-combines sketch outputs rather than re-reading raw samples — the whole
-pipeline stays constant-memory in the number of messages.  Per-metric
-distributions across tasks use Welford + P² sketches directly.
+through one P² sketch per quantile of
+:data:`~repro.analysis.sketches.SOJOURN_QUANTILES`, so the post-pass
+combines exactly those sketch outputs rather than re-reading raw
+samples — the whole pipeline stays constant-memory in the number of
+messages.  Per-metric distributions across tasks use Welford + P²
+sketches directly.
 
 The report is a flat JSON object: every top-level value is a scalar
 (plus two nested breakdown tables), so ``benchmarks/check_regression.py``
@@ -29,13 +31,10 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.sketches import P2Quantile, Welford
+from repro.analysis.sketches import SOJOURN_QUANTILES, P2Quantile, Welford
 from repro.errors import ConfigurationError
-
-#: Sojourn quantiles reported when the records carry latency sketches.
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
 #: Flow counters pooled by summation across tasks.
 _POOLED_COUNTERS = (
@@ -71,9 +70,8 @@ def compute_kpis(
     records: Sequence[Mapping[str, Any]],
     *,
     scenario: Optional[str] = None,
-    quantiles: Sequence[float] = DEFAULT_QUANTILES,
 ) -> Dict[str, Any]:
-    """Fold task records into the scenario's KPI report (a flat dict)."""
+    """Fold task records into the run's KPI report (a flat dict)."""
     if not records:
         raise ConfigurationError("no task records to compute KPIs from")
 
@@ -81,8 +79,8 @@ def compute_kpis(
     totals_seen = {name: False for name in _POOLED_COUNTERS}
     util_slots = 0.0      # Σ utilization · slots
     util_weight = 0.0     # Σ slots over tasks that reported utilization
-    latency_sum = {_quantile_key(q): 0.0 for q in quantiles}
-    latency_weight = {_quantile_key(q): 0.0 for q in quantiles}
+    latency_sum = {_quantile_key(q): 0.0 for q in SOJOURN_QUANTILES}
+    latency_weight = {_quantile_key(q): 0.0 for q in SOJOURN_QUANTILES}
     latency_mean_sum = 0.0
     latency_mean_weight = 0.0
     jain = Welford()
@@ -126,7 +124,7 @@ def compute_kpis(
             or _finite(metrics.get("delivered"))
             or 1.0
         )
-        for q in quantiles:
+        for q in SOJOURN_QUANTILES:
             key = _quantile_key(q)
             estimate = _finite(metrics.get(f"sojourn_{key}_phases"))
             if estimate is not None:
@@ -177,7 +175,7 @@ def compute_kpis(
         )
     if util_weight > 0:
         report["utilization"] = util_slots / util_weight
-    for q in quantiles:
+    for q in SOJOURN_QUANTILES:
         key = _quantile_key(q)
         if latency_weight[key] > 0:
             report[f"latency_{key}_phases"] = (
@@ -208,10 +206,7 @@ def compute_kpis(
 
 
 def kpis_from_report(
-    report: Any,
-    *,
-    scenario: Optional[str] = None,
-    quantiles: Sequence[float] = DEFAULT_QUANTILES,
+    report: Any, *, scenario: Optional[str] = None
 ) -> Dict[str, Any]:
     """KPIs straight from a :class:`RunReport` (no run directory needed)."""
     records = [
@@ -224,14 +219,11 @@ def kpis_from_report(
         }
         for outcome in report.outcomes
     ]
-    return compute_kpis(records, scenario=scenario, quantiles=quantiles)
+    return compute_kpis(records, scenario=scenario)
 
 
 def kpis_from_run_dir(
-    run_dir: Any,
-    *,
-    scenario: Optional[str] = None,
-    quantiles: Sequence[float] = DEFAULT_QUANTILES,
+    run_dir: Any, *, scenario: Optional[str] = None
 ) -> Dict[str, Any]:
     """KPIs from a run directory's journal (outcome lines, deduplicated)."""
     from repro.runner.journal import (
@@ -249,7 +241,7 @@ def kpis_from_run_dir(
         {**entry["record"], "cached": entry["cached"], "key": entry["key"]}
         for entry in merged
     ]
-    return compute_kpis(records, scenario=scenario, quantiles=quantiles)
+    return compute_kpis(records, scenario=scenario)
 
 
 def kpi_filename(scenario: str) -> str:

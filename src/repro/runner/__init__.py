@@ -101,13 +101,7 @@ from repro.runner.registry import (
     run_registered_task,
 )
 from repro.runner.task import TaskSpec, task_grid
-from repro.runner.telemetry import (
-    Progress,
-    RunTelemetry,
-    bench_summary,
-    median,
-    write_bench_summary,
-)
+from repro.runner.telemetry import Progress, RunTelemetry
 
 __all__ = [
     "ChaosReport",
@@ -137,13 +131,11 @@ __all__ = [
     "WorkerReport",
     "atomic_write_json",
     "atomic_write_text",
-    "bench_summary",
     "coord_report",
     "coord_status",
     "fleet_report",
     "fleet_status",
     "get_experiment",
-    "median",
     "merge_task_records",
     "read_journal",
     "register",
@@ -157,5 +149,4 @@ __all__ = [
     "run_registered_task",
     "run_tasks",
     "task_grid",
-    "write_bench_summary",
 ]

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, List
+import re
+from typing import Any, Dict, List, Tuple
 
+from repro.analysis.resilience import SCENARIOS, scenario_metrics
 from repro.core.collection import build_collection_network, run_collection
 from repro.errors import ConfigurationError
 from repro.graphs import (
@@ -46,49 +48,79 @@ from repro.vector.collection import BatchCollection, run_collection_batch
 # Topologies by name
 # ----------------------------------------------------------------------
 
-#: Unit-disk radius used by named ``rgg-N`` topologies (matches the
-#: sweep module's default family).
+#: Unit-disk radius used by named ``rgg-N`` topologies.
 RGG_RADIUS = 0.3
+
+
+#: The topology-name grammar: per family, the name template (each ``{}``
+#: a decimal size) and the smallest size its generator takes at each
+#: ``{}``.  Scenario validation and :func:`build_topology` both read
+#: names through :func:`parse_topology_name`, so a spec validates
+#: exactly when its topology builds.
+TOPOLOGY_FAMILIES = {
+    "path": ("path-{}", (1,)),
+    "star": ("star-{}", (1,)),
+    "cycle": ("cycle-{}", (3,)),
+    "grid": ("grid-{}x{}", (1, 1)),
+    "band": ("band-{}x{}", (1, 1)),
+    "caterpillar": ("caterpillar-{}x{}", (1, 0)),
+    "tree": ("tree-b{}-d{}", (1, 0)),
+    "rgg": ("rgg-{}", (1,)),
+    "rtree": ("rtree-{}", (1,)),
+}
+
+#: Generators of the families that draw nothing from the rng.
+_FIXED_FAMILIES = {
+    "path": path,
+    "star": star,
+    "cycle": cycle,
+    "grid": grid,
+    "band": layered_band,
+    "caterpillar": caterpillar,
+    "tree": balanced_tree,
+}
+
+
+def parse_topology_name(name: str) -> Tuple[str, Tuple[int, ...]]:
+    """``(family, sizes)`` of a topology name, without building it.
+
+    Raises :class:`ConfigurationError` for a name outside
+    :data:`TOPOLOGY_FAMILIES` or below its family's smallest sizes.
+    """
+    family = name.partition("-")[0]
+    if family in TOPOLOGY_FAMILIES:
+        template, smallest = TOPOLOGY_FAMILIES[family]
+        match = re.fullmatch(template.replace("{}", "([0-9]+)"), name)
+        if match:
+            sizes = tuple(int(group) for group in match.groups())
+            if all(size >= low for size, low in zip(sizes, smallest)):
+                return family, sizes
+            raise ConfigurationError(
+                f"topology {name!r} is too small: {family} sizes start "
+                f"at {template.format(*smallest)!r}"
+            )
+    raise ConfigurationError(
+        f"unknown topology name {name!r} (expected e.g. 'path-24', "
+        "'grid-4x4', 'band-6x4', 'caterpillar-6x2', 'tree-b3-d2', "
+        "'rgg-30', 'rtree-24')"
+    )
 
 
 def build_topology(name: str, rng: random.Random) -> Graph:
     """Construct the topology named by ``name``.
 
-    Supported families: ``path-N``, ``star-N``, ``cycle-N``,
-    ``grid-RxC``, ``band-LxW``, ``caterpillar-SxL``, ``tree-bB-dD``,
-    ``rgg-N`` (unit disk, radius 0.3, sampled from ``rng``) and
-    ``rtree-N`` (uniform random tree sampled from ``rng``).
+    Supported families (:data:`TOPOLOGY_FAMILIES`): ``path-N``,
+    ``star-N``, ``cycle-N``, ``grid-RxC``, ``band-LxW``,
+    ``caterpillar-SxL``, ``tree-bB-dD``, ``rgg-N`` (unit disk, radius
+    0.3, sampled from ``rng``) and ``rtree-N`` (uniform random tree
+    sampled from ``rng``).
     """
-    family, _, rest = name.partition("-")
-    try:
-        if family == "path":
-            return path(int(rest))
-        if family == "star":
-            return star(int(rest))
-        if family == "cycle":
-            return cycle(int(rest))
-        if family == "grid":
-            rows, cols = rest.split("x")
-            return grid(int(rows), int(cols))
-        if family == "band":
-            layers, width = rest.split("x")
-            return layered_band(int(layers), int(width))
-        if family == "caterpillar":
-            spine, legs = rest.split("x")
-            return caterpillar(int(spine), int(legs))
-        if family == "tree":
-            branching, depth = rest.split("-")
-            return balanced_tree(int(branching[1:]), int(depth[1:]))
-        if family == "rgg":
-            return random_geometric(int(rest), radius=RGG_RADIUS, rng=rng)
-        if family == "rtree":
-            return random_tree(int(rest), rng=rng)
-    except (ValueError, TypeError):
-        pass
-    raise ConfigurationError(
-        f"unknown topology name {name!r} (expected e.g. 'path-24', "
-        f"'grid-4x4', 'band-6x4', 'tree-b3-d2', 'rgg-30', 'rtree-24')"
-    )
+    family, sizes = parse_topology_name(name)
+    if family == "rgg":
+        return random_geometric(*sizes, radius=RGG_RADIUS, rng=rng)
+    if family == "rtree":
+        return random_tree(*sizes, rng=rng)
+    return _FIXED_FAMILIES[family](*sizes)
 
 
 # ----------------------------------------------------------------------
@@ -370,20 +402,15 @@ register(
 # E16 — resilience scenarios (task function lives with the harness)
 # ----------------------------------------------------------------------
 
-E16_SCENARIOS = ("churn", "fading", "jammer", "blackout", "partition")
-
-
 def _e16_tasks(
     seed: int, replications: int, quick: bool = False
 ) -> List[TaskSpec]:
-    scenarios = ("fading", "partition") if quick else E16_SCENARIOS
+    scenarios = ("fading", "partition") if quick else SCENARIOS
     cases = [{"scenario": name} for name in scenarios]
     return task_grid("E16", cases, replications, seed)
 
 
 def _e16_run(spec: TaskSpec) -> Dict[str, Any]:
-    from repro.analysis.resilience import scenario_metrics
-
     return scenario_metrics(spec.params["scenario"], spec.seed)
 
 

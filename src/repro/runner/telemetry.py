@@ -1,4 +1,4 @@
-"""Run telemetry: a run directory, live progress, and BENCH summaries.
+"""Run telemetry: a run directory and live progress.
 
 A run directory (``run --run-dir``, ``scenario --run-dir``) holds two
 files:
@@ -17,7 +17,8 @@ files:
     finished task (executed or replayed from cache) and one
     ``quarantine`` line per task given up on, in completion order — the
     same line shapes the fleet and coordinator journals carry.  Every
-    downstream table in this repo is an aggregation of these lines.
+    downstream table in this repo is an aggregation of these lines; the
+    run's summary is their KPI fold (:func:`repro.kpi.kpis_from_run_dir`).
 
 :class:`Progress` renders a live ``done/total`` line with tasks/sec and
 an ETA to stderr; it is off by default so tests and pipelines stay quiet.
@@ -25,29 +26,16 @@ an ETA to stderr; it is off by default so tests and pipelines stay quiet.
 
 from __future__ import annotations
 
-import math
 import os
 import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO
+from typing import Any, Dict, Mapping, Optional, TextIO
 
-from repro.analysis.stats import summarize
 from repro.runner.atomicio import atomic_write_json
 from repro.runner.drain import default_host_name
 from repro.runner.journal import JOURNAL_NAME, Journal
-
-
-def median(samples: Sequence[float]) -> float:
-    """The sample median (mean of the middle pair for even n)."""
-    if not samples:
-        raise ValueError("cannot take the median of an empty sample")
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 class Progress:
@@ -181,61 +169,3 @@ class RunTelemetry:
         # the rename must not cross filesystems when the run dir is on
         # shared/NFS storage.
         atomic_write_json(self.manifest_path, self._manifest, indent=2)
-
-
-def bench_summary(report) -> Dict[str, Any]:
-    """The machine-readable ``BENCH_<EXP_ID>.json`` payload for a run.
-
-    Per grid case and per metric: median, mean, the 95% normal CI, and
-    the replicate count; plus run-level wall time and cache statistics —
-    the repo's perf-trajectory record.
-    """
-    cases: List[Dict[str, Any]] = []
-    for case_label, outcomes in report.grouped().items():
-        metrics_summary: Dict[str, Any] = {}
-        names = sorted({m for o in outcomes for m in o.metrics})
-        for name in names:
-            samples = [
-                float(o.metrics[name])
-                for o in outcomes
-                if name in o.metrics
-                and isinstance(o.metrics[name], (int, float))
-                and not isinstance(o.metrics[name], bool)
-                and math.isfinite(float(o.metrics[name]))
-            ]
-            if not samples:
-                continue
-            stats = summarize(samples)
-            metrics_summary[name] = {
-                "median": median(samples),
-                "mean": stats.mean,
-                "ci95_low": stats.ci_low,
-                "ci95_high": stats.ci_high,
-                "n": stats.count,
-            }
-        cases.append(
-            {
-                "case": dict(outcomes[0].spec.case),
-                "label": case_label,
-                "replicates": len(outcomes),
-                "metrics": metrics_summary,
-                "task_wall_time": sum(o.wall_time for o in outcomes),
-            }
-        )
-    return {
-        "exp_id": report.exp_id,
-        "version": report.version,
-        "workers": report.workers,
-        "tasks": len(report.outcomes),
-        "executed": report.executed,
-        "cache_hits": report.cache_hits,
-        "wall_time": report.wall_time,
-        "cases": cases,
-    }
-
-
-def write_bench_summary(report, path: os.PathLike) -> Dict[str, Any]:
-    """Write :func:`bench_summary` to ``path`` and return the payload."""
-    payload = bench_summary(report)
-    atomic_write_json(path, payload, indent=2)
-    return payload

@@ -162,48 +162,11 @@ def check_unknown_tables(
             )
 
 
-# ----------------------------------------------------------------------
-# Topology-name grammar (mirrors runner.defs.build_topology, but checks
-# without constructing the graph — validation must stay O(1)).
-# ----------------------------------------------------------------------
-
-def _positive_int(text: str) -> Optional[int]:
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        return None
-    return value if value > 0 else None
-
-
 def check_topology_name(name: Any, path: str) -> None:
     """Grammar check of a ``build_topology`` name, without building it."""
-    family, _, rest = str(name).partition("-")
-    ok = False
-    if family in ("path", "star", "cycle", "rgg", "rtree"):
-        n = _positive_int(rest)
-        ok = n is not None and n >= 2
-    elif family in ("grid", "band", "caterpillar"):
-        parts = rest.split("x")
-        ok = len(parts) == 2 and all(_positive_int(p) for p in parts)
-    elif family == "tree":
-        parts = rest.split("-")
-        ok = (
-            len(parts) == 2
-            and parts[0].startswith("b") and parts[1].startswith("d")
-            and _positive_int(parts[0][1:]) is not None
-            and _positive_int(parts[1][1:]) is not None
-        )
-    if not ok:
-        raise ValidationError(
-            path,
-            f"unknown topology name {name!r} (expected e.g. 'path-24', "
-            "'grid-4x4', 'band-6x4', 'caterpillar-6x2', 'tree-b3-d2', "
-            "'rgg-30', 'rtree-24')",
-        )
+    from repro.runner.defs import parse_topology_name
 
-
-def check_quantile(value: Any, path: str) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValidationError(
-            path, f"quantiles must be in (0,1), got {value!r}"
-        )
+    try:
+        parse_topology_name(name)
+    except ConfigurationError as exc:
+        raise ValidationError(path, str(exc)) from None

@@ -9,8 +9,7 @@ A spec is a TOML (or JSON) document of up to eight tables::
     [faults]     kind + per-model knobs
     [protocol]   kind, classes, points, mobility_epochs
     [engine]     kind
-    [run]        seed, replications, horizon_phases, warmup_fraction
-    [kpi]        quantiles
+    [run]        seed, replications, horizon_phases, warmup_fraction, timeout
 
 Any field marked *sweepable* may hold a list; the compiler expands the
 cross-product of all sweep axes into the task grid.  ``[registry]``
@@ -30,7 +29,6 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.scenario.schema import (
     Field,
     ValidationError,
-    check_quantile,
     check_topology_name,
     check_unknown_tables,
     validate_table,
@@ -124,13 +122,10 @@ RUN_FIELDS = {
     ),
     "timeout": Field((float,), exclusive_minimum=0.0),
 }
-KPI_FIELDS = {
-    "quantiles": Field((list,), default=[0.5, 0.9, 0.99]),
-}
 
 TABLES = (
     "scenario", "registry", "topology", "arrivals", "faults",
-    "protocol", "engine", "run", "kpi",
+    "protocol", "engine", "run",
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
@@ -150,7 +145,6 @@ class ScenarioSpec:
     protocol: Dict[str, Any]
     engine: Dict[str, Any]
     run: Dict[str, Any]
-    kpi: Dict[str, Any]
     source: Optional[str] = dc_field(default=None, compare=False)
 
     @property
@@ -359,14 +353,6 @@ def validate_scenario(
     )
     engine = validate_table(data.get("engine", {}), ENGINE_FIELDS, "engine")
     run = validate_table(data.get("run", {}), RUN_FIELDS, "run")
-    kpi = validate_table(data.get("kpi", {}), KPI_FIELDS, "kpi")
-    for index, q in enumerate(kpi["quantiles"]):
-        if isinstance(q, bool) or not isinstance(q, (int, float)):
-            raise ValidationError(
-                f"kpi.quantiles[{index}]",
-                f"expected float, got {type(q).__name__} {q!r}",
-            )
-        check_quantile(q, f"kpi.quantiles[{index}]")
 
     spec = ScenarioSpec(
         name=meta["name"],
@@ -379,7 +365,6 @@ def validate_scenario(
         protocol=protocol,
         engine=engine,
         run=run,
-        kpi=kpi,
         source=source,
     )
     if not spec.registry_mode:

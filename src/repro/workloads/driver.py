@@ -28,15 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.sketches import P2Quantile, Welford
+from repro.analysis.sketches import SOJOURN_QUANTILES, P2Quantile, Welford
 from repro.core.collection import build_collection_network
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.workloads.arrivals import ArrivalProcess
-
-#: Sojourn quantiles every latency-measuring sink reports.
-SOJOURN_QUANTILES = (0.5, 0.9, 0.99)
 
 
 @dataclass

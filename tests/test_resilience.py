@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.analysis.resilience import SCENARIOS
 from repro.core import (
     RepairPolicy,
     RetryPolicy,
@@ -17,7 +18,6 @@ from repro.core.repair import NeighborRegistry, build_resilient_collection_netwo
 from repro.errors import ConfigurationError
 from repro.graphs import Graph, layered_band, path, reference_bfs_tree
 from repro.radio.faults import MarkovChurn, RegionOutage
-from repro.runner.defs import E16_SCENARIOS
 
 
 def diamond():
@@ -245,9 +245,9 @@ class TestResilienceHarness:
         rows = {}
         for line in out.splitlines():
             cells = line.split()
-            if cells and cells[0] in E16_SCENARIOS:
+            if cells and cells[0] in SCENARIOS:
                 rows[cells[0]] = cells
-        assert list(rows) == list(E16_SCENARIOS)
+        assert list(rows) == list(SCENARIOS)
         for name, cells in rows.items():
             metrics = scenario_metrics(name, 5)
             assert cells[4] == f"{metrics['slowdown']:.2f}x", name

@@ -25,15 +25,12 @@ from repro.runner import (
     RunTelemetry,
     TaskExecutionError,
     TaskSpec,
-    bench_summary,
     get_experiment,
-    median,
     read_journal,
     registered_ids,
     run_experiment,
     run_tasks,
     task_grid,
-    write_bench_summary,
 )
 from repro.runner.defs import build_topology
 
@@ -300,27 +297,6 @@ class TestTelemetry:
         assert len(records) == 3
         assert all(r["cached"] is True for r in records)
 
-    def test_median(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
-        with pytest.raises(ValueError):
-            median([])
-
-    def test_bench_summary_payload(self, tmp_path):
-        tasks = task_grid("EX", [{"k": 1}, {"k": 2}], 3, seed=4)
-        report = run_tasks(tasks, seed_digit_metric)
-        out = tmp_path / "BENCH_EX.json"
-        payload = write_bench_summary(report, out)
-        assert json.loads(out.read_text(encoding="utf-8")) == payload
-        assert payload["exp_id"] == "EX"
-        assert payload["tasks"] == 6
-        assert len(payload["cases"]) == 2
-        for case in payload["cases"]:
-            stats = case["metrics"]["value"]
-            assert stats["n"] == 3
-            assert stats["ci95_low"] <= stats["median"] <= stats["ci95_high"]
-        assert bench_summary(report)["cases"] == payload["cases"]
-
 
 # ----------------------------------------------------------------------
 # A custom grid: task_grid + run_tasks with an unregistered task function
@@ -381,7 +357,7 @@ class TestRunCli:
             "--workers", "2", "--seed", "11",
             "--cache", str(tmp_path / "cache"),
             "--run-dir", str(tmp_path / "run"),
-            "--json", str(tmp_path / "BENCH_E3.json"),
+            "--json", str(tmp_path / "kpi"),
             "--no-progress",
         ]
         assert main(argv) == 0
@@ -389,7 +365,11 @@ class TestRunCli:
         assert "4 executed, 0 from cache" in first
         assert (tmp_path / "run" / "journal.jsonl").exists()
         assert not (tmp_path / "run" / "telemetry.jsonl").exists()
-        assert (tmp_path / "BENCH_E3.json").exists()
+        kpis = json.loads(
+            (tmp_path / "kpi" / "KPI_E3.json").read_text(encoding="utf-8")
+        )
+        assert kpis["scenario"] == "E3" and kpis["experiments"] == ["E3"]
+        assert kpis["tasks"] == 4 and kpis["cached_tasks"] == 0
 
         assert main(argv) == 0
         second = capsys.readouterr().out

@@ -11,12 +11,14 @@ across worker counts and replays 100% from a warm cache.
 from __future__ import annotations
 
 import json
+import random
 import textwrap
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runner import get_experiment, registered_ids
+from repro.runner.defs import build_topology
 from repro.scenario import (
     ValidationError,
     compile_scenario,
@@ -79,6 +81,30 @@ CLOSED_VECTOR = """
     [run]
     seed = 7
     replications = 3
+"""
+
+
+#: Topology names on both sides of the grammar, including the smallest
+#: sizes each family's generator takes (``cycle-3``, ``tree-b2-d0``, …).
+TOPOLOGY_NAMES = (
+    "path-1", "path-24", "path-0", "path-x", "path-+5", "star-1",
+    "cycle-2", "cycle-3", "grid-4x4", "grid-0x3", "band-6x4", "band-2",
+    "caterpillar-3x0", "tree-b2-d0", "tree-b3-d2", "tree-x2-y3",
+    "rgg-1", "rgg-30", "rtree-1", "moebius-7",
+)
+
+#: The E2 quick grid as a registry twin.
+E2_QUICK_TWIN = """
+    [scenario]
+    name = "e2-quick-twin"
+
+    [registry]
+    experiment = "E2"
+    quick = true
+
+    [run]
+    seed = 7
+    replications = 2
 """
 
 
@@ -148,6 +174,24 @@ class TestValidation:
         with pytest.raises(ValidationError) as err:
             parse_scenario(write_spec(tmp_path, bad))
         assert err.value.path == "topology.name"
+
+    @pytest.mark.parametrize("name", TOPOLOGY_NAMES)
+    def test_topology_validates_exactly_when_it_builds(self, tmp_path, name):
+        try:
+            build_topology(name, random.Random(1))
+            builds = True
+        except ConfigurationError:
+            builds = False
+        spec = write_spec(
+            tmp_path, BASIC.replace('name = "path-6"', f'name = "{name}"')
+        )
+        try:
+            parse_scenario(spec)
+            valid = True
+        except ValidationError as err:
+            assert err.path == "topology.name"
+            valid = False
+        assert valid == builds
 
     def test_fault_needs_collection(self, tmp_path):
         bad = BASIC.replace(
@@ -234,6 +278,15 @@ class TestValidation:
     def test_toml_syntax_error_is_a_validation_error(self, tmp_path):
         with pytest.raises(ValidationError):
             parse_scenario(write_spec(tmp_path, "[scenario\nname='x'"))
+
+    def test_kpi_table_is_rejected(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        spec = write_spec(
+            tmp_path, BASIC + "\n    [kpi]\n    quantiles = [0.75]\n"
+        )
+        assert main(["scenario", "validate", str(spec)]) == 2
+        assert "kpi: unknown table" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -530,6 +583,53 @@ class TestDiscovery:
         (folder / "good.toml").write_text(textwrap.dedent(BASIC))
         message = unknown_experiment_message("basik", [], root=tmp_path)
         assert "did you mean 'basic'?" in message
+
+
+# ----------------------------------------------------------------------
+# CLI: one KPI report for run and scenario
+# ----------------------------------------------------------------------
+
+class TestCli:
+    def test_run_and_scenario_write_the_same_kpi_report(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        spec = write_spec(tmp_path, E2_QUICK_TWIN)
+        cache = str(tmp_path / "cache")
+        assert main([
+            "scenario", str(spec), "--cache", cache,
+            "--json", str(tmp_path / "scenario"), "--no-progress",
+        ]) == 0
+        assert main([
+            "run", "E2", "--quick", "--seed", "7", "--replications", "2",
+            "--cache", cache, "--json", str(tmp_path / "run"),
+            "--no-progress",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "0 executed, 4 from cache" in out
+        twin = json.loads(
+            (tmp_path / "scenario" / "KPI_e2-quick-twin.json").read_text()
+        )
+        run = json.loads((tmp_path / "run" / "KPI_E2.json").read_text())
+        assert twin["scenario"] == "e2-quick-twin" and run["scenario"] == "E2"
+        assert twin["cached_tasks"] == 0 and run["cached_tasks"] == 4
+        differ = {
+            "scenario", "cached_tasks", "cache_hit_rate",
+            "wall_time_total", "wall_time_mean", "wall_time_p90",
+        }
+        same = lambda kpis: {k: v for k, v in kpis.items() if k not in differ}
+        assert same(twin) == same(run)
+        assert run["tasks"] == 4 and run["experiments"] == ["E2"]
+
+    def test_kpi_out_option_is_gone(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        spec = write_spec(tmp_path, BASIC)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scenario", str(spec), "--kpi-out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--kpi-out" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
