@@ -242,11 +242,24 @@ def _report_run(report, summary_metrics, engine: str, name: str, args) -> None:
         print(f"kpi json: {write_kpi_report(kpis, args.json)}")
 
 
+def _run_aborted(exc: Exception, run_dir) -> int:
+    """One line for a run the runner gave up on, and exit code 1 (2 is
+    reserved for usage errors)."""
+    where = f" (run dir: {run_dir})" if run_dir else ""
+    print(f"run aborted: {' '.join(str(exc).split())}{where}", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(argv: list) -> int:
     import argparse
 
     from repro.errors import ConfigurationError
-    from repro.runner import get_experiment, registered_ids, run_experiment
+    from repro.runner import (
+        TaskExecutionError,
+        get_experiment,
+        registered_ids,
+        run_experiment,
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro run",
@@ -365,6 +378,8 @@ def _cmd_run(argv: list) -> int:
     except ConfigurationError as exc:
         print(f"cannot run {args.exp_id!r}: {exc}", file=sys.stderr)
         return 2
+    except TaskExecutionError as exc:
+        return _run_aborted(exc, args.run_dir)
     _report_run(
         report,
         get_experiment(args.exp_id).summary_metrics,
@@ -380,6 +395,7 @@ def _cmd_scenario(argv: list) -> int:
     import dataclasses
 
     from repro.errors import ConfigurationError
+    from repro.runner import TaskExecutionError
     from repro.scenario import (
         compile_scenario,
         discover_scenarios,
@@ -499,6 +515,8 @@ def _cmd_scenario(argv: list) -> int:
     except ConfigurationError as exc:
         print(f"cannot run scenario: {exc}", file=sys.stderr)
         return 2
+    except TaskExecutionError as exc:
+        return _run_aborted(exc, args.run_dir)
 
     _report_run(
         report, compiled.summary_metrics, compiled.engine, compiled.name,

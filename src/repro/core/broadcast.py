@@ -96,6 +96,10 @@ class BroadcastProcess(Process):
         self.superphase_slots = (
             invocations_per_superphase * dist_slots.phase_length
         )
+        # This station's distribution data slots: offset ``_dist_offset``
+        # within every round of ``_dist_round`` slots.
+        self._dist_round = dist_slots.round_width
+        self._dist_offset = dist_slots.data_offset(info.level)
         self.up_channel = up_channel
         self.down_channel = down_channel
         self.nack_retry_superphases = nack_retry_superphases
@@ -116,7 +120,9 @@ class BroadcastProcess(Process):
         # prescribes ("at superphase t … the nodes of level i repeatedly
         # send the (t−i)-th message").
         self._inbox: Dict[int, Tuple[BroadcastMessage, bool]] = {}
-        self._relay: Optional[BroadcastMessage] = None
+        # What this station sends all superphase long, already stamped
+        # with its level: the root's pick, or a relay of the inbox.
+        self._outgoing: Optional[BroadcastMessage] = None
         self._session: Optional[DecaySession] = None
         self._session_phase = -1
         self._prepared_superphase = -1
@@ -127,7 +133,6 @@ class BroadcastProcess(Process):
         self._next_fresh = 0  # next seq the root has not yet pipelined
         self._resend_queue: Deque[int] = deque()
         self._resend_set: Set[int] = set()
-        self._current_tx: Optional[BroadcastMessage] = None
         self.resends_served = 0
         self.checkpoint_acks: Dict[int, Set[NodeId]] = {}
 
@@ -175,13 +180,24 @@ class BroadcastProcess(Process):
         return slot // self.superphase_slots
 
     def _prepare_superphase(self, index: int) -> None:
-        """Runs once at each station's first data slot of a superphase."""
+        """Runs once at each station's first data slot of a superphase.
+
+        The message this station sends all superphase long is picked
+        and stamped with its level here, once.
+        """
         self._prepared_superphase = index
+        level = self.info.level
         if self.info.is_root:
-            self._current_tx = self._pick_root_message()
+            self._outgoing = replace(
+                self._pick_root_message(), sender_level=level
+            )
         else:
             entry = self._inbox.get(index - 1)
-            self._relay = entry[0] if entry is not None else None
+            self._outgoing = (
+                replace(entry[0], sender_level=level)
+                if entry is not None
+                else None
+            )
             # Drop anything older than the previous superphase.
             self._inbox = {
                 sp: value
@@ -269,24 +285,23 @@ class BroadcastProcess(Process):
         return actions or None
 
     def _distribution_transmission(self, slot: int) -> Optional[Transmission]:
-        if not self.dist_slots.is_data_slot_for(slot, self.info.level):
+        if slot % self._dist_round != self._dist_offset:
             return None
-        index = self.superphase(slot)
+        index = slot // self.superphase_slots
         if index != self._prepared_superphase:
             self._prepare_superphase(index)
-        message = self._current_tx if self.info.is_root else self._relay
+        message = self._outgoing
         if message is None:
             return None
-        info = self.dist_slots.decode(slot)
-        if info.phase != self._session_phase:
-            self._session_phase = info.phase
+        phase = slot // self.dist_slots.phase_length
+        if phase != self._session_phase:
+            self._session_phase = phase
             self._session = DecaySession(
                 self.dist_slots.decay_budget, self._rng
             )
         assert self._session is not None
         if self._session.should_transmit():
-            stamped = replace(message, sender_level=self.info.level)
-            return Transmission(stamped, self.down_channel)
+            return Transmission(message, self.down_channel)
         return None
 
     def quiet_until(self, slot: int) -> int:
@@ -304,26 +319,24 @@ class BroadcastProcess(Process):
         session died is silent until the next phase: a dead session
         draws no coin.
         """
-        dist, level = self.dist_slots, self.info.level
-        own = dist.next_data_slot_for(slot, level)
-        index = self.superphase(own)
+        width, offset = self._dist_round, self._dist_offset
+        own = slot + (offset - slot) % width
+        index = own // self.superphase_slots
         if index != self._prepared_superphase:
             return own
-        message = self._current_tx if self.info.is_root else self._relay
-        if message is None:
-            return dist.next_data_slot_for(
-                (index + 1) * self.superphase_slots, level
-            )
-        phase = dist.phase_of(own)
+        if self._outgoing is None:
+            start = (index + 1) * self.superphase_slots
+            return start + (offset - start) % width
+        phase_length = self.dist_slots.phase_length
+        phase = own // phase_length
         session = self._session
         if (
             phase == self._session_phase
             and session is not None
             and not session.alive
         ):
-            return dist.next_data_slot_for(
-                dist.first_slot_of_phase(phase + 1), level
-            )
+            start = (phase + 1) * phase_length
+            return start + (offset - start) % width
         return own
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:

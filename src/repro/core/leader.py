@@ -165,18 +165,30 @@ class BitElectionProcess(Process):
 
     The max ID is found bit by bit, from the most significant: in round b
     every still-candidate station whose ID has bit b set *floods* a
-    one-bit "someone has a 1 here" signal for a fixed window (repeated
-    window-aligned Decay, BGI-broadcast style).  At the window's end,
-    every station that heard (or originated) the signal records bit b = 1
-    and candidates lacking the bit withdraw; silence records 0.  After
-    ``id_bits`` rounds every station holds the maximum ID, and the unique
-    station owning it becomes leader.
+    one-bit "someone has a 1 here" signal through a fixed window of
+    window-aligned Decay invocations.  The flood relays the way
+    Bar-Yehuda–Goldreich–Itai's broadcast does: a source relays for
+    ``relay_invocations`` (K) invocations from the round's start, and a
+    station that first hears the signal relays for the rest of that
+    invocation and then for K more; after that it sleeps until the
+    next round.  At the window's end, every station that heard (or
+    originated) the signal records bit b = 1 and candidates lacking the
+    bit withdraw; silence records 0.  After ``id_bits`` rounds every
+    station holds the maximum ID, and the unique station owning it
+    becomes leader.
+
+    Why K relays suffice: by Decay's property (2), a station with a
+    relaying neighbour misses all K of its invocations with probability
+    at most 2⁻ᴷ.  :func:`run_bit_election` takes K = ⌈log₂(n²·id_bits)⌉
+    (capped at the window), so a union bound over the n stations and
+    the ``id_bits`` rounds keeps the failure rate at or below 1/n.
 
     Cost: ``id_bits`` windows of ``(D̂ + 2·log n)`` Decay invocations —
     ``O(log N · (D + log n) · log Δ)`` slots, the [4] shape without its
-    loglog refinement.  Success is whp per flood (a missed flood yields
-    disagreement, caught by the setup phase's Las-Vegas verification,
-    identically to the epidemic variant).
+    loglog refinement; K only bounds how many of them a station spends
+    transmitting.  A missed flood yields disagreement, caught by the
+    setup phase's Las-Vegas verification, identically to the epidemic
+    variant.
     """
 
     def __init__(
@@ -185,21 +197,30 @@ class BitElectionProcess(Process):
         id_bits: int,
         budget: int,
         window_invocations: int,
+        relay_invocations: int,
         rng: random.Random,
         channel: int = 0,
     ):
         super().__init__(node_id)
         if id_bits < 1:
             raise ConfigurationError(f"need id_bits >= 1, got {id_bits}")
+        if relay_invocations < 1:
+            raise ConfigurationError(
+                f"need relay_invocations >= 1, got {relay_invocations}"
+            )
         self.id_bits = id_bits
         self.budget = budget
         self.window_invocations = window_invocations
         self.window_slots = window_invocations * budget
+        self.relay_invocations = relay_invocations
         self.channel = channel
         self._rng = rng
         self.candidate = True
         self.known_prefix = 0  # the max ID's bits discovered so far
         self._heard_this_round = False
+        # First invocation past this round's relay; read only once the
+        # station has heard (or sourced) the round's signal.
+        self._relay_until = 0
         self._session: Optional[DecaySession] = None
         self._session_invocation = -1
         self._finalized_round = -1
@@ -248,14 +269,16 @@ class BitElectionProcess(Process):
             self._finalize_rounds_through(self.id_bits)
             return None
         self._finalize_rounds_through(round_index)
-        transmitting = self._is_signal_source(round_index) or (
-            self._heard_this_round
-        )
-        if not transmitting:
-            return None
-        if self._is_signal_source(round_index):
+        if not self._heard_this_round:
+            if not self._is_signal_source(round_index):
+                return None
             self._heard_this_round = True
+            self._relay_until = (
+                round_index * self.window_invocations + self.relay_invocations
+            )
         invocation = slot // self.budget
+        if invocation >= self._relay_until:
+            return None
         if self._session_invocation != invocation:
             self._session = DecaySession(self.budget, self._rng)
             self._session_invocation = invocation
@@ -273,19 +296,19 @@ class BitElectionProcess(Process):
         :meth:`on_slot` closes the previous round lazily, and a reception
         that came before that close would be credited to the wrong bit.
         So every station is polled at the first slot of every round; in
-        between, a station that neither sources nor has heard the signal
-        sleeps to the next round, and one whose Decay session died sleeps
-        to the next invocation (a dead session draws no coin).
+        between, a station that neither sources nor has heard the signal,
+        or whose relay is spent, sleeps to the next round, and one whose
+        Decay session died sleeps to the next invocation (a dead session
+        draws no coin).
         """
         round_index = self._round(slot)
         if round_index >= self.id_bits:
             return QUIET_FOREVER
         if self._finalized_round < round_index - 1:
             return slot
-        if not (
-            self._heard_this_round or self._is_signal_source(round_index)
-        ):
-            return (round_index + 1) * self.window_slots
+        next_round = (round_index + 1) * self.window_slots
+        if not self._heard_this_round:
+            return slot if self._is_signal_source(round_index) else next_round
         invocation = slot // self.budget
         session = self._session
         if (
@@ -293,15 +316,23 @@ class BitElectionProcess(Process):
             and session is not None
             and not session.alive
         ):
-            return (invocation + 1) * self.budget
+            invocation += 1
+            slot = invocation * self.budget
+        if invocation >= self._relay_until:
+            return next_round
         return slot
 
     def on_receive(self, slot: int, channel: int, payload) -> None:
         if channel != self.channel:
             return
         if isinstance(payload, LeaderMessage):
-            if payload.best_id == self._round(slot):
+            if payload.best_id == self._round(slot) and not (
+                self._heard_this_round
+            ):
                 self._heard_this_round = True
+                self._relay_until = (
+                    slot // self.budget + 1 + self.relay_invocations
+                )
 
     def believes_leader(self) -> bool:
         """After the horizon: is this station the (unique) maximum?"""
@@ -324,6 +355,14 @@ def run_bit_election(
     Station IDs must be non-negative integers; ``id_bits`` defaults to
     the width of the largest ID (every station can compute a common width
     from the known ID space, e.g. the bound N of §1.1).
+
+    Each round's window is ``D̂ + 2⌈log₂ n⌉`` Decay invocations (D̂
+    defaults to n − 1), and a station relays the signal for
+    K = ⌈log₂(n²·id_bits)⌉ of them, capped at the window (14 at n = 48,
+    19 at n = 200): a station next to a relay misses all K invocations
+    with probability at most 2⁻ᴷ ≤ 1/(n²·id_bits), so over n stations
+    and ``id_bits`` rounds the election fails with probability at most
+    1/n.  The slot count is ``id_bits`` windows whatever K is.
     """
     if any(not isinstance(v, int) or v < 0 for v in graph.nodes):
         raise ConfigurationError(
@@ -338,6 +377,9 @@ def run_bit_election(
     window_invocations = d_hat + 2 * max(
         1, math.ceil(math.log2(max(2, n)))
     )
+    relay_invocations = min(
+        window_invocations, max(1, math.ceil(math.log2(n * n * id_bits)))
+    )
     network = RadioNetwork(graph, num_channels=1)
     processes: Dict[int, BitElectionProcess] = {}
     for node in graph.nodes:
@@ -346,6 +388,7 @@ def run_bit_election(
             id_bits=id_bits,
             budget=budget,
             window_invocations=window_invocations,
+            relay_invocations=relay_invocations,
             rng=factory.for_node(node),
         )
         processes[node] = process

@@ -95,13 +95,14 @@ class SlotStructure:
         self.level_classes = level_classes
         self.with_acks = with_acks
         self._width = 2 if with_acks else 1
-        self.phase_length = decay_budget * level_classes * self._width
+        #: Slots per round: one data slot (plus its ack slot) per class.
+        self.round_width = level_classes * self._width
+        self.phase_length = decay_budget * self.round_width
 
     def decode(self, slot: int) -> SlotInfo:
         """Decode a global slot number."""
         phase, within_phase = divmod(slot, self.phase_length)
-        round_width = self.level_classes * self._width
-        decay_step, within_round = divmod(within_phase, round_width)
+        decay_step, within_round = divmod(within_phase, self.round_width)
         level_class, sub = divmod(within_round, self._width)
         kind = SlotKind.ACK if (self.with_acks and sub == 1) else SlotKind.DATA
         return SlotInfo(
@@ -112,33 +113,35 @@ class SlotStructure:
             kind=kind,
         )
 
+    def data_offset(self, level: int) -> int:
+        """Where BFS ``level``'s data slot sits within each round.
+
+        Phases tile rounds uniformly, so the data slots of level class c
+        are exactly the slots congruent to ``c * width (mod
+        round_width)``: the class's data slot sits at offset
+        ``c * width`` within each round of ``level_classes * width``
+        slots.  The per-slot checks below are this arithmetic, with no
+        :meth:`decode`.
+        """
+        return (level % self.level_classes) * self._width
+
     def is_data_slot_for(self, slot: int, level: int) -> bool:
         """Whether a node at BFS ``level`` may transmit data in ``slot``."""
-        info = self.decode(slot)
-        return (
-            info.kind is SlotKind.DATA
-            and info.level_class == level % self.level_classes
-        )
+        return slot % self.round_width == self.data_offset(level)
 
     def next_data_slot_for(self, slot: int, level: int) -> int:
         """The first slot >= ``slot`` in which BFS ``level`` may send data.
 
-        Exact schedule arithmetic for the idle fast path: phases tile
-        rounds uniformly, so the data slots of level class c are exactly
-        the slots congruent to ``c * width (mod round_width)`` — the
-        class's data slot sits at offset ``c * width`` within each round
-        of ``level_classes * width`` slots.
+        Exact schedule arithmetic for the idle fast path (see
+        :meth:`data_offset`).
         """
-        round_width = self.level_classes * self._width
-        target = (level % self.level_classes) * self._width
-        return slot + (target - slot) % round_width
+        return slot + (self.data_offset(level) - slot) % self.round_width
 
     def ack_slot_after(self, data_slot: int) -> int:
         """The ack slot paired with ``data_slot`` (the next slot, §3)."""
         if not self.with_acks:
             raise ConfigurationError("this schedule has no ack slots")
-        info = self.decode(data_slot)
-        if info.kind is not SlotKind.DATA:
+        if data_slot % self._width:
             raise ConfigurationError(f"slot {data_slot} is not a data slot")
         return data_slot + 1
 

@@ -228,21 +228,22 @@ class TransportLane:
                 self._pending_ack = None
         if not self.buffer or self.muted:
             return None
-        if not self.slots.is_data_slot_for(slot, self.level):
+        slots = self.slots
+        if not slots.is_data_slot_for(slot, self.level):
             return None
-        info = self.slots.decode(slot)
-        if info.phase != self._session_phase:
+        phase = slot // slots.phase_length
+        if phase != self._session_phase:
             # A new phase begins: nodes whose buffer is non-empty at the
             # beginning of the phase invoke Decay for the buffer head (§4.1).
-            self._session_phase = info.phase
+            self._session_phase = phase
             self._session = None
             self._head = None
-            if self._earliest_phase[0] <= info.phase:
+            if self._earliest_phase[0] <= phase:
                 if self.retry is None:
                     self._session = self._session_factory()
                     self._head = self.buffer[0]
                 else:
-                    self._start_attempt(info.phase)
+                    self._start_attempt(phase)
             # else: head arrived mid-phase, sit this phase out.
         if self._session is not None and self._session.should_transmit():
             self.data_transmissions += 1

@@ -116,11 +116,11 @@ def compute_kpis(
             util_slots += utilization * slots
             util_weight += slots
 
-        # Weight each task's P² estimate by its measured sample count
-        # (fall back to delivered, then to 1, so sketchless tasks still
-        # pool sanely).
+        # Weight each task's P² estimate by its measured sample count,
+        # the post-warm-up deliveries (fall back to delivered, then to
+        # 1, so sketchless tasks still pool sanely).
         weight = (
-            _finite(metrics.get("measured"))
+            _finite(metrics.get("measured_delivered"))
             or _finite(metrics.get("delivered"))
             or 1.0
         )

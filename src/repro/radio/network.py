@@ -39,7 +39,6 @@ from __future__ import annotations
 import heapq
 import random
 import weakref
-from collections import defaultdict
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -269,42 +268,56 @@ class RadioNetwork:
                 if node in awake or wake.get(node) != entry_wake:
                     continue  # stale entry: rescheduled since it was pushed
                 awake[node] = None
+            if not awake:
+                # Nobody is due: nothing can be sent, heard or ended.
+                self.slot += 1
+                self.stats.slots += 1
+                if profiler is not None:
+                    profiler.bump("polled", 0)
+                    profiler.bump("skipped", len(processes))
+                    profiler.bump("scalar_slots")
+                return
             poll = awake
         else:
             poll = processes
 
-        # Phase 1: gather transmission intents.
+        # Phase 1: gather transmission intents.  A station's entry in a
+        # channel's sender dict is also what catches a double
+        # transmission on that channel.
         transmitters: List[Dict[NodeId, object]] = [
             {} for _ in range(self.num_channels)
         ]
-        transmitting_nodes: List[set] = [set() for _ in range(self.num_channels)]
         down_nodes = set()
         for node in poll:
-            process = processes[node]
             if failures is not None and failures.node_down(node, slot):
                 down_nodes.add(node)
                 self.stats.down_node_slots += 1
                 continue
-            action = process.on_slot(slot)
+            action = processes[node].on_slot(slot)
             if action is None:
                 continue
-            for tx in self._normalize_action(action):
-                if tx.channel >= self.num_channels:
+            for tx in (
+                (action,)
+                if type(action) is Transmission
+                else self._normalize_action(action)
+            ):
+                channel = tx.channel
+                if channel >= self.num_channels:
                     raise ProtocolError(
-                        f"node {node!r} transmitted on channel {tx.channel} "
+                        f"node {node!r} transmitted on channel {channel} "
                         f"but the network has {self.num_channels} channel(s)"
                     )
-                if node in transmitting_nodes[tx.channel]:
+                senders = transmitters[channel]
+                if node in senders:
                     raise ProtocolError(
                         f"node {node!r} transmitted twice on channel "
-                        f"{tx.channel} in slot {slot}"
+                        f"{channel} in slot {slot}"
                     )
-                transmitters[tx.channel][node] = tx.payload
-                transmitting_nodes[tx.channel].add(node)
-                self.stats.channel(tx.channel).transmissions += 1
+                senders[node] = tx.payload
+                self.stats.channel(channel).transmissions += 1
                 if tracing:
                     trace.record(
-                        TransmitEvent(slot, tx.channel, node, tx.payload)
+                        TransmitEvent(slot, channel, node, tx.payload)
                     )
         if profiler is not None:
             now = profiler.clock()
@@ -321,15 +334,14 @@ class RadioNetwork:
                 continue
             channel_stats = self.stats.channel(channel)
             channel_stats.busy_slots += 1
-            hit_count: Dict[NodeId, int] = defaultdict(int)
+            hit_count: Dict[NodeId, int] = {}
             last_sender: Dict[NodeId, NodeId] = {}
             for sender in senders:
                 for receiver in neighbors[sender]:
-                    hit_count[receiver] += 1
+                    hit_count[receiver] = hit_count.get(receiver, 0) + 1
                     last_sender[receiver] = sender
-            sending_here = transmitting_nodes[channel]
             for receiver, count in hit_count.items():
-                if receiver in sending_here or receiver in down_nodes:
+                if receiver in senders or receiver in down_nodes:
                     continue  # busy transmitting / crashed: hears nothing
                 if count >= 2:
                     channel_stats.collisions += 1

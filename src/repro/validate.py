@@ -139,32 +139,26 @@ def _check_queueing_forms() -> CheckResult:
 
 
 def _check_setup_and_services() -> CheckResult:
-    from repro.core import (
-        apply_preparation,
-        run_broadcast,
-        run_dfs_preparation,
-        run_ranking,
-        run_setup,
-    )
-    from repro.graphs import grid
+    from repro.core import run_broadcast, run_full_setup, run_ranking
+    from repro.graphs import bfs_levels, grid
 
     graph = grid(3, 3)
-    setup = run_setup(graph, root=0, seed=ROOT_SEED)
+    setup = run_full_setup(graph, seed=ROOT_SEED)
     tree = setup.tree
-    prep = run_dfs_preparation(graph, tree)
-    apply_preparation(tree, prep)
     broadcast = run_broadcast(graph, tree, {4: ["x"]}, seed=ROOT_SEED)
     ranking = run_ranking(graph, tree, seed=ROOT_SEED)
     ok = (
-        setup.is_true_bfs
+        setup.root == max(graph.nodes)
+        and tree.level == bfs_levels(graph, setup.root)
         and broadcast.delivered_everywhere
         and ranking.ranks == {n: n + 1 for n in graph.nodes}
     )
     return CheckResult(
-        name="end-to-end: setup → DFS prep → broadcast → ranking",
+        name="end-to-end: election → setup → DFS prep → broadcast → ranking",
         passed=ok,
         detail=(
-            f"setup {setup.slots} slots, broadcast {broadcast.slots}, "
+            f"leader {setup.root}, election {setup.election_slots} slots, "
+            f"setup {setup.bfs_slots}, broadcast {broadcast.slots}, "
             f"ranking {ranking.slots}"
         ),
     )

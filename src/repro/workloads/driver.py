@@ -288,6 +288,7 @@ class FlowAccumulator:
         out: Dict[str, Any] = {
             "submitted": self.submitted,
             "delivered": self.delivered,
+            "measured_delivered": self.measured,
             "lost": self.lost,
             "delivery_ratio": (
                 self.delivered / self.submitted if self.submitted else 1.0

@@ -219,6 +219,7 @@ class TestScheduleArithmetic:
             id_bits=3,
             budget=2,
             window_invocations=2,
+            relay_invocations=1,
             rng=RngFactory(3).for_node(1),
         )
         window = station.window_slots

@@ -72,8 +72,10 @@ class TestComputeKpis:
 
     def test_latency_percentiles_weight_by_measured(self):
         records = [
-            record({}, {"sojourn_p50_phases": 2.0, "measured": 30}),
-            record({}, {"sojourn_p50_phases": 6.0, "measured": 10},
+            record({}, {"sojourn_p50_phases": 2.0,
+                        "measured_delivered": 30}),
+            record({}, {"sojourn_p50_phases": 6.0,
+                        "measured_delivered": 10},
                    replicate=1),
         ]
         kpis = compute_kpis(records, scenario="t")
@@ -83,7 +85,7 @@ class TestComputeKpis:
         records = [
             record({}, {"sojourn_p50_phases": float("nan"),
                         "submitted": 2, "delivered": 2}),
-            record({}, {"sojourn_p50_phases": 4.0, "measured": 5,
+            record({}, {"sojourn_p50_phases": 4.0, "measured_delivered": 5,
                         "submitted": 3, "delivered": 3}, replicate=1),
         ]
         kpis = compute_kpis(records, scenario="t")
@@ -149,6 +151,24 @@ class TestEndToEnd:
         assert from_report["delivery_ratio"] > 0.0
         assert "latency_p50_phases" in from_report
         assert "latency_p99_phases" in from_report
+
+    def test_latency_weights_exclude_warmup_deliveries(self, compiled):
+        # The fixture's run keeps the default 25% warm-up, so each task
+        # delivers more messages than it measures; the percentiles pool
+        # by the measured count.
+        from repro.scenario import run_scenario
+
+        report = run_scenario(compiled, workers=0)
+        metrics = [dict(outcome.metrics) for outcome in report.outcomes]
+        assert any(
+            m["measured_delivered"] < m["delivered"] for m in metrics
+        )
+        weights = [m["measured_delivered"] for m in metrics]
+        expected = sum(
+            m["sojourn_p50_phases"] * w for m, w in zip(metrics, weights)
+        ) / sum(weights)
+        kpis = kpis_from_report(report, scenario="kpi-e2e")
+        assert kpis["latency_p50_phases"] == pytest.approx(expected)
 
     def test_written_file_shape(self, tmp_path, compiled):
         from repro.scenario import run_scenario

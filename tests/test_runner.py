@@ -380,6 +380,32 @@ class TestRunCli:
 
         assert main(["run"]) == 2
 
+    @pytest.mark.parametrize("run_dir", [False, True])
+    def test_aborted_run_ends_in_one_line(
+        self, monkeypatch, tmp_path, capsys, run_dir
+    ):
+        import dataclasses
+
+        from repro.__main__ import main
+        from repro.runner import get_experiment, registry
+
+        def broken(spec):
+            raise ValueError("permanently broken")
+
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "E3",
+            dataclasses.replace(get_experiment("E3"), run_task=broken),
+        )
+        argv = ["run", "E3", "--quick", "--no-quarantine", "--no-progress"]
+        if run_dir:
+            argv += ["--run-dir", str(tmp_path / "run")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run aborted: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert ("run dir: " in err) == run_dir
+
 
 # ----------------------------------------------------------------------
 # Engine satellite: attachment validated once, not per slot

@@ -1,5 +1,6 @@
 """Tests for the setup phase: leader election and distributed BFS (§2)."""
 
+import math
 import random
 
 import pytest
@@ -213,3 +214,73 @@ class TestBitElection:
         wide = run_bit_election(graph, seed=3, id_bits=12)
         assert wide.slots == 4 * narrow.slots
         assert wide.leaders == narrow.leaders
+
+    @staticmethod
+    def _relay_transmissions(station, heard_at=None):
+        """Poll ``station`` every slot of round 0; its transmitting slots."""
+        from repro.core.messages import LeaderMessage
+
+        sent = []
+        for slot in range(station.window_slots):
+            if station.on_slot(slot) is not None:
+                sent.append(slot)
+            if slot == heard_at:
+                station.on_receive(slot, 0, LeaderMessage(7, 0))
+        return sent
+
+    def test_relay_is_capped_at_k_invocations(self):
+        from repro.core.leader import BitElectionProcess
+
+        def station(node_id, seed):
+            return BitElectionProcess(
+                node_id=node_id,
+                id_bits=1,
+                budget=4,
+                window_invocations=10,
+                relay_invocations=3,
+                rng=random.Random(seed),
+            )
+
+        for seed in range(20):
+            # A source relays for K invocations from the round's start;
+            # once its relay is spent it declares the next round.
+            source = station(1, seed)
+            sent = self._relay_transmissions(source)
+            assert sent and max(sent) // 4 < 3
+            assert source.quiet_until(3 * 4) == source.window_slots
+            # A relay hearing in invocation 2 finishes it, then K more.
+            relay = station(0, seed)
+            sent = self._relay_transmissions(relay, heard_at=9)
+            assert sent and min(sent) >= 10 and max(sent) // 4 < 2 + 1 + 3
+            assert relay.quiet_until(6 * 4) == relay.window_slots
+            # A station that never hears sleeps to the next round.
+            silent = station(0, seed)
+            assert self._relay_transmissions(silent) == []
+            assert silent.quiet_until(1) == silent.window_slots
+
+    def test_relay_cap_derivation(self, monkeypatch):
+        from repro.core import leader
+
+        caps = []
+        original = leader.BitElectionProcess.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            caps.append((self.relay_invocations, self.window_invocations))
+
+        monkeypatch.setattr(leader.BitElectionProcess, "__init__", init)
+        leader.run_bit_election(random_geometric(48, 0.3, random.Random(1)), 1)
+        assert set(caps) == {(14, 47 + 12)}  # ceil(log2(48² · 6)) = 14
+        caps.clear()
+        leader.run_bit_election(star(16), seed=1, diameter_bound=2)
+        assert set(caps) == {(10, 10)}  # ceil(log2(16² · 4)) capped
+
+    def test_unique_and_agreed_on_generated_fields(self):
+        from repro.core import run_bit_election
+
+        radius = math.sqrt(12 / (math.pi * 48))  # mean degree about 12
+        for seed in range(20):
+            graph = random_geometric(48, radius, random.Random(seed))
+            result = run_bit_election(graph, seed=seed)
+            assert result.leaders == [max(graph.nodes)], seed
+            assert result.agreed, seed
