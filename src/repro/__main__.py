@@ -706,11 +706,9 @@ def _cmd_profile(argv: list) -> int:
         "run_wall_seconds": round(report.wall_time, 6),
         **profile.report(),
     }
-    text = json.dumps(breakdown, indent=2)
-    print(text)
+    print(json.dumps(breakdown, indent=2))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write_json(args.json, breakdown)
         print(f"profile json: {args.json}", file=sys.stderr)
     return 0
 

@@ -111,15 +111,16 @@ SCENARIOS = {
 }
 
 
-def default_sources(tree: BFSTree, k: int = 4) -> Dict[NodeId, List[Any]]:
-    """The harness's standard traffic shape: deep burst + mid injection."""
+def default_sources(tree: BFSTree) -> Dict[NodeId, List[Any]]:
+    """The harness's standard traffic shape: a burst of four messages at
+    the deepest station plus two injected mid-tree."""
     deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
     mid = min(
         (v for v in tree.nodes if 0 < tree.level[v] < tree.depth),
         default=deepest,
     )
     sources: Dict[NodeId, List[Any]] = {
-        deepest: [f"m{i}" for i in range(k)]
+        deepest: [f"m{i}" for i in range(4)]
     }
     sources.setdefault(mid, []).extend(["n0", "n1"])
     return sources

@@ -31,8 +31,9 @@ class Summary:
         return f"{self.mean:.2f} ± {self.ci_half_width:.2f} (n={self.count})"
 
 
-def summarize(samples: Sequence[float], z: float = 1.96) -> Summary:
-    """Mean, sample stddev and a z-interval for the mean."""
+def summarize(samples: Sequence[float]) -> Summary:
+    """Mean, sample stddev and a 95% normal interval (z = 1.96) for the
+    mean."""
     if not samples:
         raise ConfigurationError("cannot summarize an empty sample")
     n = len(samples)
@@ -42,7 +43,7 @@ def summarize(samples: Sequence[float], z: float = 1.96) -> Summary:
     else:
         variance = 0.0
     stddev = math.sqrt(variance)
-    half = z * stddev / math.sqrt(n)
+    half = 1.96 * stddev / math.sqrt(n)
     return Summary(
         mean=mean,
         stddev=stddev,

@@ -25,6 +25,13 @@ from repro.graphs.graph import Graph, NodeId
 #: Heatmap glyphs, lightest to heaviest occupancy.
 _GLYPHS = " .:-=+*#%@"
 
+#: Phases :func:`record_collection_timeline` samples before it gives up
+#: on the pipeline draining.
+MAX_TIMELINE_PHASES = 20_000
+
+#: Columns :func:`render_timeline` decimates a long run to.
+TIMELINE_WIDTH = 100
+
 
 @dataclass
 class Timeline:
@@ -56,14 +63,16 @@ def record_collection_timeline(
     tree: BFSTree,
     sources: Dict[NodeId, List[Any]],
     seed: int,
-    max_phases: int = 20_000,
-    level_classes: int = 3,
 ) -> Timeline:
-    """Run collection, sampling per-level backlog at each phase boundary."""
+    """Run collection, sampling per-level backlog at each phase boundary.
+
+    A pipeline not drained after ``MAX_TIMELINE_PHASES`` phases raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
     from repro.core.collection import build_collection_network
 
     network, processes, slots = build_collection_network(
-        graph, tree, sources, seed, level_classes=level_classes
+        graph, tree, sources, seed
     )
     depth = tree.depth
     by_level: Dict[int, List[NodeId]] = {}
@@ -77,7 +86,7 @@ def record_collection_timeline(
         ]
 
     occupancy = [snapshot()]
-    for _phase in range(max_phases):
+    for _phase in range(MAX_TIMELINE_PHASES):
         if sum(occupancy[-1]) == 0:
             break
         for _ in range(slots.phase_length):
@@ -85,20 +94,20 @@ def record_collection_timeline(
         occupancy.append(snapshot())
     else:
         raise ConfigurationError(
-            f"collection did not drain within {max_phases} phases"
+            f"collection did not drain within {MAX_TIMELINE_PHASES} phases"
         )
     return Timeline(occupancy=occupancy, phase_length=slots.phase_length)
 
 
-def render_timeline(timeline: Timeline, max_width: int = 100) -> str:
+def render_timeline(timeline: Timeline) -> str:
     """ASCII heatmap: one row per BFS level, one column per phase.
 
     Darker glyphs = more buffered messages.  Long runs are decimated to
-    ``max_width`` columns.
+    ``TIMELINE_WIDTH`` columns.
     """
     if timeline.phases == 0:
         return "(empty timeline)"
-    stride = max(1, -(-timeline.phases // max_width))
+    stride = max(1, -(-timeline.phases // TIMELINE_WIDTH))
     columns = list(range(0, timeline.phases, stride))
     peak = max(
         (v for row in timeline.occupancy for v in row), default=0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.decay import DecayRelay
 from repro.core.slots import decay_budget
@@ -62,20 +62,21 @@ def run_single_flood(
     source: NodeId,
     payload: Any,
     seed: int,
-    repetitions: Optional[int] = None,
-    max_slots: Optional[int] = None,
 ) -> FloodResult:
-    """Flood one message from ``source`` to every station (BGI broadcast)."""
+    """Flood one message from ``source`` to every station (BGI broadcast).
+
+    The flood is capped at ``max(20 000, 64·n·budget)`` slots; past it
+    :class:`~repro.errors.SimulationTimeout` is raised.
+    """
     if source not in graph:
         raise ConfigurationError(f"unknown source {source!r}")
     factory = RngFactory(seed)
     budget = decay_budget(graph.max_degree())
     n = graph.num_nodes
-    if repetitions is None:
-        # Enough invocations that a station keeps transmitting for the
-        # whole flood: the message needs ≤ D ≤ n hops, each expected O(1)
-        # invocations; 2·(n + log n) is a generous per-station duty.
-        repetitions = 2 * (n + max(1, math.ceil(math.log2(max(2, n)))))
+    # Enough invocations that a station keeps transmitting for the whole
+    # flood: the message needs ≤ D ≤ n hops, each expected O(1)
+    # invocations; 2·(n + log n) is a generous per-station duty.
+    repetitions = 2 * (n + max(1, math.ceil(math.log2(max(2, n)))))
     network = RadioNetwork(graph, num_channels=1)
     processes: Dict[NodeId, DecayRelay] = {}
     for node in graph.nodes:
@@ -88,10 +89,8 @@ def run_single_flood(
         )
         processes[node] = process
         network.attach(process)
-    if max_slots is None:
-        max_slots = max(20_000, 64 * n * budget)
     network.run(
-        max_slots,
+        max(20_000, 64 * n * budget),
         until=lambda net: all(p.informed for p in processes.values()),
     )
     return FloodResult(
@@ -118,7 +117,6 @@ def run_naive_broadcast(
     root: NodeId,
     k: int,
     seed: int,
-    max_slots_per_message: Optional[int] = None,
 ) -> NaiveBroadcastResult:
     """k sequential floods from the root; no pipelining.
 
@@ -144,7 +142,6 @@ def run_naive_broadcast(
             root,
             payload=("naive", index),
             seed=seed + 31 * index,
-            max_slots=max_slots_per_message,
         )
         per_message.append(result.slots)
         charged += max(result.slots, budget_per_flood)

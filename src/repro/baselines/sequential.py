@@ -77,7 +77,6 @@ def run_sequential_p2p(
     graph: Graph,
     tree: BFSTree,
     transmissions: List[Tuple[NodeId, NodeId, Any]],
-    max_slots: Optional[int] = None,
 ) -> SequentialResult:
     """Route the batch one message at a time over the tree.
 
@@ -85,7 +84,9 @@ def run_sequential_p2p(
     possible conflict (a single transmitter exists network-wide); the next
     message is injected only after the previous one is delivered.  This is
     deliberately generous to the baseline: injection reacts instantly,
-    with no coordination overhead charged.
+    with no coordination overhead charged.  A message not delivered
+    within ``4n + 16`` slots raises
+    :class:`~repro.errors.SimulationTimeout`.
     """
     if not tree.has_dfs_intervals:
         raise ConfigurationError("sequential baseline needs a prepared tree")
@@ -95,6 +96,7 @@ def run_sequential_p2p(
         process = SequentialForwardProcess(node, tree)
         processes[node] = process
         network.attach(process)
+    budget = 4 * graph.num_nodes + 16
     hop_total = 0
     serial = 0
     for source, dest, payload in transmissions:
@@ -111,9 +113,6 @@ def run_sequential_p2p(
         destination_process = processes[dest]
         before = len(destination_process.delivered)
         processes[source].hold(message)
-        budget = (
-            max_slots if max_slots is not None else 4 * graph.num_nodes + 16
-        )
         if len(destination_process.delivered) == before:
             network.run(
                 budget,

@@ -23,14 +23,11 @@ research problem, which is part of the paper's point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.baselines.tdma import TdmaCollectionProcess
-from repro.core.tree import tree_info_from_bfs_tree
-from repro.errors import ConfigurationError
+from repro.baselines.tdma import _run_schedule
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
-from repro.radio.network import RadioNetwork
 from repro.radio.trace import NetworkStats
 
 
@@ -83,40 +80,17 @@ def run_spatial_tdma_collection(
     graph: Graph,
     tree: BFSTree,
     sources: Dict[NodeId, List[Any]],
-    max_slots: Optional[int] = None,
 ) -> SpatialTdmaResult:
     """Deterministic convergecast on the distance-2-colored schedule.
 
-    Reuses the TDMA process (a station owning slot ``color`` of each
+    Reuses the TDMA schedule (a station owning slot ``color`` of each
     frame transmits its buffer head to its BFS parent); the coloring
     guarantees reception, so the no-ack forwarding stays correct.
     """
-    unknown = set(sources) - set(graph.nodes)
-    if unknown:
-        raise ConfigurationError(f"unknown stations {sorted(unknown)!r}")
     colors = distance2_coloring(graph)
     frame_length = max(colors.values()) + 1 if colors else 1
-    infos = tree_info_from_bfs_tree(tree)
-    network = RadioNetwork(graph, num_channels=1)
-    processes: Dict[NodeId, TdmaCollectionProcess] = {}
-    for node in graph.nodes:
-        process = TdmaCollectionProcess(
-            info=infos[node],
-            rank=colors[node],
-            frame_length=frame_length,
-            initial_payloads=sources.get(node, ()),
-        )
-        processes[node] = process
-        network.attach(process)
-    total = sum(len(v) for v in sources.values())
-    root_process = processes[tree.root]
-    if max_slots is None:
-        max_slots = max(
-            10_000, 4 * frame_length * (total + tree.depth + 2)
-        )
-    network.run(
-        max_slots,
-        until=lambda net: len(root_process.delivered) >= total,
+    network, root_process = _run_schedule(
+        graph, tree, sources, colors, frame_length
     )
     return SpatialTdmaResult(
         slots=network.slot,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Tuple
 
 from repro.core.messages import DataMessage
 from repro.core.tree import TreeInfo, tree_info_from_bfs_tree
@@ -103,38 +103,57 @@ class TdmaCollectionResult:
     stats: NetworkStats
 
 
-def run_tdma_collection(
+def _run_schedule(
     graph: Graph,
     tree: BFSTree,
     sources: Dict[NodeId, List[Any]],
-    max_slots: Optional[int] = None,
-) -> TdmaCollectionResult:
-    """Run the TDMA baseline until every message reaches the root."""
+    ranks: Dict[NodeId, int],
+    frame_length: int,
+) -> Tuple[RadioNetwork, TdmaCollectionProcess]:
+    """Run TDMA convergecast until every message reaches the root.
+
+    A station owns slot ``ranks[station]`` of every frame of
+    ``frame_length`` slots.  The run is capped at
+    ``max(10 000, 4·frame_length·(k + D + 2))`` slots; past it
+    :class:`~repro.errors.SimulationTimeout` is raised.  Returns the
+    network and the root's process.
+    """
     unknown = set(sources) - set(graph.nodes)
     if unknown:
         raise ConfigurationError(f"unknown stations {sorted(unknown)!r}")
-    n = graph.num_nodes
     infos = tree_info_from_bfs_tree(tree)
-    ranks = {node: index for index, node in enumerate(graph.nodes)}
     network = RadioNetwork(graph, num_channels=1)
     processes: Dict[NodeId, TdmaCollectionProcess] = {}
     for node in graph.nodes:
         process = TdmaCollectionProcess(
             info=infos[node],
             rank=ranks[node],
-            frame_length=n,
+            frame_length=frame_length,
             initial_payloads=sources.get(node, ()),
         )
         processes[node] = process
         network.attach(process)
     total = sum(len(v) for v in sources.values())
     root_process = processes[tree.root]
-    if max_slots is None:
-        max_slots = max(10_000, 4 * n * (total + tree.depth + 2))
     network.run(
-        max_slots,
+        max(10_000, 4 * frame_length * (total + tree.depth + 2)),
         until=lambda net: len(root_process.delivered) >= total,
     )
+    return network, root_process
+
+
+def run_tdma_collection(
+    graph: Graph,
+    tree: BFSTree,
+    sources: Dict[NodeId, List[Any]],
+) -> TdmaCollectionResult:
+    """Run the TDMA baseline until every message reaches the root.
+
+    Station ranks follow the sorted node list, and a frame has n slots.
+    """
+    n = graph.num_nodes
+    ranks = {node: index for index, node in enumerate(graph.nodes)}
+    network, root_process = _run_schedule(graph, tree, sources, ranks, n)
     return TdmaCollectionResult(
         slots=network.slot,
         frames=-(-network.slot // n),

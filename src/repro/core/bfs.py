@@ -47,6 +47,14 @@ from repro.rng import RngFactory
 EXPANSION_CHANNEL = 0
 CONFIRM_CHANNEL = 1
 
+#: Las-Vegas attempts of the setup phase before :func:`run_setup` gives up.
+SETUP_ATTEMPTS = 10
+
+#: Collection phases without a new confirmation after which the root of
+#: the unknown-n setup (:func:`run_setup_unknown_n`) declares the phase
+#: over, on top of one full expansion stage.
+UNKNOWN_N_QUIET_PHASES = 24
+
 
 class BFSSetupProcess(Process):
     """One station's behaviour during the BFS setup phase.
@@ -296,13 +304,19 @@ def build_setup_network(
     graph: Graph,
     root: NodeId,
     seed: int,
+    n_bound: int,
 ) -> Tuple[RadioNetwork, Dict[NodeId, BFSSetupProcess]]:
-    """Wire a network running the BFS setup phase with a known leader."""
+    """Wire a network running the BFS setup phase with a known leader.
+
+    Stages are sized for ``n_bound`` stations: n itself when n is known,
+    or §8 remark (1)'s upper bound N when it is not.
+    """
     if root not in graph:
         raise ConfigurationError(f"unknown root {root!r}")
     factory = RngFactory(seed)
-    n = graph.num_nodes
-    budget, stage_invocations = expansion_parameters(n, graph.max_degree())
+    budget, stage_invocations = expansion_parameters(
+        n_bound, graph.max_degree()
+    )
     confirm_slots = SlotStructure(
         decay_budget=budget, level_classes=3, with_acks=True
     )
@@ -311,7 +325,7 @@ def build_setup_network(
     for node in graph.nodes:
         process = BFSSetupProcess(
             node_id=node,
-            n=n,
+            n=n_bound,
             budget=budget,
             stage_invocations=stage_invocations,
             slots=confirm_slots,
@@ -347,8 +361,6 @@ def run_setup_unknown_n(
     root: NodeId,
     seed: int,
     n_bound: Optional[int] = None,
-    quiet_phases: int = 24,
-    hard_cap_slots: Optional[int] = None,
 ) -> UnknownNSetupResult:
     """§8 remark (1): BFS setup knowing only an upper bound ``n_bound`` ≥ n.
 
@@ -357,16 +369,17 @@ def run_setup_unknown_n(
 
     Stage sizing uses N in place of n (more invocations per stage, so the
     per-hop failure probability is ≤ 1/N² ≤ 1/n²); the root declares the
-    phase over once no new confirmation has arrived for ``quiet_phases``
-    collection phases plus one full expansion stage — a window that, whp,
-    exceeds any gap between consecutive confirmations while stations are
-    still joining.
+    phase over once no new confirmation has arrived for
+    ``UNKNOWN_N_QUIET_PHASES`` collection phases plus one full expansion
+    stage — a window that, whp, exceeds any gap between consecutive
+    confirmations while stations are still joining.  ``n_bound``
+    defaults to 2n.  The run stops at ``max(50 000, 4×)``
+    :func:`expected_setup_slots` for N stations at depth N, complete or
+    not.
     """
     from repro.graphs.properties import require_connected
 
     require_connected(graph)
-    if root not in graph:
-        raise ConfigurationError(f"unknown root {root!r}")
     n = graph.num_nodes
     if n_bound is None:
         n_bound = 2 * n
@@ -374,42 +387,16 @@ def run_setup_unknown_n(
         raise ConfigurationError(
             f"n_bound={n_bound} is below the actual n={n}"
         )
-    factory = RngFactory(seed)
-    budget, stage_invocations = expansion_parameters(
-        n_bound, graph.max_degree()
-    )
-    confirm_slots = SlotStructure(
-        decay_budget=budget, level_classes=3, with_acks=True
-    )
-    network = RadioNetwork(graph, num_channels=2)
-    processes: Dict[NodeId, BFSSetupProcess] = {}
-    for node in graph.nodes:
-        process = BFSSetupProcess(
-            node_id=node,
-            n=n_bound,
-            budget=budget,
-            stage_invocations=stage_invocations,
-            slots=confirm_slots,
-            rng=factory.for_node(node),
-            is_root=(node == root),
-        )
-        processes[node] = process
-        network.attach(process)
-    processes[root].ensure_root_lane()
+    network, processes = build_setup_network(graph, root, seed, n_bound)
     root_process = processes[root]
-
-    stage_slots = stage_invocations * budget
-    quiet_window = stage_slots + quiet_phases * confirm_slots.phase_length
-    if hard_cap_slots is None:
-        hard_cap_slots = max(
-            50_000,
-            int(
-                4
-                * expected_setup_slots(
-                    n_bound, n_bound, graph.max_degree()
-                )
-            ),
-        )
+    quiet_window = (
+        root_process.stage_slots
+        + UNKNOWN_N_QUIET_PHASES * root_process.confirm_slots.phase_length
+    )
+    hard_cap_slots = max(
+        50_000,
+        int(4 * expected_setup_slots(n_bound, n_bound, graph.max_degree())),
+    )
     last_progress_slot = 0
     last_count = 0
     while network.slot < hard_cap_slots:
@@ -443,7 +430,6 @@ def run_setup(
     graph: Graph,
     root: NodeId,
     seed: int,
-    max_attempts: int = 10,
     require_true_bfs: bool = False,
 ) -> SetupResult:
     """Run the Las-Vegas setup phase to completion.
@@ -453,7 +439,9 @@ def run_setup(
     ``require_true_bfs``, when the spanning tree's levels are not the true
     BFS distances — the whole phase is re-invoked with fresh coins, exactly
     as the paper prescribes.  Slots are accumulated across attempts so
-    measured setup times include the (rare) retries.
+    measured setup times include the (rare) retries.  After
+    ``SETUP_ATTEMPTS`` failed attempts
+    :class:`~repro.errors.SimulationTimeout` is raised.
     """
     from repro.graphs.properties import bfs_levels, require_connected
 
@@ -465,9 +453,9 @@ def run_setup(
         1_000, int(2 * expected_setup_slots(n, depth, graph.max_degree()))
     )
     total_slots = 0
-    for attempt in range(max_attempts):
+    for attempt in range(SETUP_ATTEMPTS):
         network, processes = build_setup_network(
-            graph, root, seed=seed + 7919 * attempt
+            graph, root, seed + 7919 * attempt, n
         )
         root_process = processes[root]
         try:
@@ -497,7 +485,7 @@ def run_setup(
             is_true_bfs=is_true,
         )
     raise SimulationTimeout(
-        f"setup phase failed {max_attempts} times on n={n}; "
+        f"setup phase failed {SETUP_ATTEMPTS} times on n={n}; "
         f"timeout={timeout} slots each",
         slots_elapsed=total_slots,
     )

@@ -57,6 +57,10 @@ from repro.radio.transmission import DOWN_CHANNEL, UP_CHANNEL, Transmission
 #: messages the root has sequenced so far.
 EOS = "__end_of_stream__"
 
+#: Superphases a station waits for a missing message before it repeats
+#: its NACK.
+NACK_RETRY_SUPERPHASES = 8
+
 
 
 def superphase_invocations(n: int) -> int:
@@ -69,10 +73,13 @@ class BroadcastProcess(Process):
 
     Two independent machines share the station:
 
-    * an **upward** collection lane (channel ``up_channel``) carrying
+    * an **upward** collection lane (channel ``UP_CHANNEL``) carrying
       broadcast submissions, NACKs and checkpoint acks to the root;
-    * a **downward** distribution relay (channel ``down_channel``) driven
+    * a **downward** distribution relay (channel ``DOWN_CHANNEL``) driven
       by superphase arithmetic on the global slot number.
+
+    A station that still misses a message after ``NACK_RETRY_SUPERPHASES``
+    superphases NACKs it again.
     """
 
     def __init__(
@@ -82,11 +89,7 @@ class BroadcastProcess(Process):
         dist_slots: SlotStructure,
         invocations_per_superphase: int,
         rng: random.Random,
-        up_channel: int = UP_CHANNEL,
-        down_channel: int = DOWN_CHANNEL,
-        nack_retry_superphases: int = 8,
         checkpoint_interval: Optional[int] = None,
-        strict: bool = True,
     ):
         super().__init__(info.node_id)
         self.info = info
@@ -100,13 +103,10 @@ class BroadcastProcess(Process):
         # within every round of ``_dist_round`` slots.
         self._dist_round = dist_slots.round_width
         self._dist_offset = dist_slots.data_offset(info.level)
-        self.up_channel = up_channel
-        self.down_channel = down_channel
-        self.nack_retry_superphases = nack_retry_superphases
         self.checkpoint_interval = checkpoint_interval
         self._rng = rng
         self.up_lane = TransportLane(
-            info.node_id, info.level, up_slots, rng, up_channel, strict
+            info.node_id, info.level, up_slots, rng, UP_CHANNEL
         )
         self._up_serial = 0
         # Distribution state (all stations).
@@ -244,7 +244,7 @@ class BroadcastProcess(Process):
             last = self._nacked_at.get(seq)
             if (
                 last is None
-                or superphase_index - last >= self.nack_retry_superphases
+                or superphase_index - last >= NACK_RETRY_SUPERPHASES
             ):
                 self._nacked_at[seq] = superphase_index
                 self._send_up(
@@ -301,7 +301,7 @@ class BroadcastProcess(Process):
             )
         assert self._session is not None
         if self._session.should_transmit():
-            return Transmission(message, self.down_channel)
+            return Transmission(message, DOWN_CHANNEL)
         return None
 
     def quiet_until(self, slot: int) -> int:
@@ -340,11 +340,11 @@ class BroadcastProcess(Process):
         return own
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
-        if channel == self.down_channel:
+        if channel == DOWN_CHANNEL:
             if isinstance(payload, BroadcastMessage):
                 self._handle_distribution(slot, payload)
             return
-        if channel != self.up_channel:
+        if channel != UP_CHANNEL:
             return
         if isinstance(payload, DataMessage):
             if payload.hop_dest != self.info.node_id:
@@ -457,7 +457,6 @@ def build_broadcast_network(
     level_classes: int = 3,
     invocations: Optional[int] = None,
     checkpoint_interval: Optional[int] = None,
-    strict: bool = True,
 ) -> Tuple[RadioNetwork, Dict[NodeId, BroadcastProcess]]:
     """Wire a network of broadcast stations over a BFS tree."""
     from repro.rng import RngFactory
@@ -483,7 +482,6 @@ def build_broadcast_network(
             invocations_per_superphase=invocations,
             rng=factory.for_node(node),
             checkpoint_interval=checkpoint_interval,
-            strict=strict,
         )
         processes[node] = process
         network.attach(process)
@@ -495,14 +493,17 @@ def run_broadcast(
     tree: BFSTree,
     submissions: Dict[NodeId, List[Any]],
     seed: int,
-    max_slots: Optional[int] = None,
     level_classes: int = 3,
     invocations: Optional[int] = None,
-    strict: bool = True,
 ) -> BroadcastResult:
-    """Run a k-broadcast batch until every station holds every message."""
+    """Run a k-broadcast batch until every station holds every message.
+
+    The run is capped at ``max(20 000, 30×)`` the §6 reference scale
+    (:func:`broadcast_reference_slots`); past it
+    :class:`~repro.errors.SimulationTimeout` is raised.
+    """
     network, processes = build_broadcast_network(
-        graph, tree, seed, level_classes, invocations, strict=strict
+        graph, tree, seed, level_classes, invocations
     )
     k = sum(len(v) for v in submissions.values())
     for node, payloads in submissions.items():
@@ -510,11 +511,10 @@ def run_broadcast(
             raise ConfigurationError(f"unknown station {node!r}")
         for payload in payloads:
             processes[node].submit(payload)
-    if max_slots is None:
-        bound = broadcast_reference_slots(
-            k, tree.depth, graph.max_degree(), graph.num_nodes, level_classes
-        )
-        max_slots = max(20_000, int(30 * bound))
+    bound = broadcast_reference_slots(
+        k, tree.depth, graph.max_degree(), graph.num_nodes, level_classes
+    )
+    max_slots = max(20_000, int(30 * bound))
     network.run(
         max_slots,
         until=lambda net: all(p.has_prefix(k) for p in processes.values()),

@@ -26,7 +26,7 @@ from typing import Any, List, Optional
 
 from repro.graphs.graph import NodeId
 from repro.radio.process import Process
-from repro.radio.transmission import Transmission
+from repro.radio.transmission import DEFAULT_CHANNEL, Transmission
 
 
 class DecaySession:
@@ -72,7 +72,7 @@ class DecaySession:
 class DecayTransmitter(Process):
     """Standalone process: transmit ``payload`` with one Decay invocation.
 
-    Transmits on its channel at every slot from ``start_slot`` until the
+    Transmits on the default channel at every slot from slot 0 until the
     session dies.  Used by the single-layer experiments (E1) and Decay
     unit tests.
     """
@@ -83,20 +83,14 @@ class DecayTransmitter(Process):
         payload: Any,
         budget: int,
         rng: random.Random,
-        start_slot: int = 0,
-        channel: int = 0,
     ):
         super().__init__(node_id)
         self.payload = payload
-        self.channel = channel
-        self.start_slot = start_slot
         self.session = DecaySession(budget, rng)
 
     def on_slot(self, slot: int):
-        if slot < self.start_slot:
-            return None
         if self.session.should_transmit():
-            return Transmission(self.payload, self.channel)
+            return Transmission(self.payload)
         return None
 
     def is_done(self) -> bool:
@@ -214,6 +208,7 @@ class DecayRelay(Process):
     stays silent until the next boundary, and a station informed mid-window
     joins at the next boundary.  This alignment is what property (2) of
     Decay assumes (all participating neighbors run the *same* invocation).
+    The relay runs on the default channel.
     """
 
     def __init__(
@@ -222,13 +217,11 @@ class DecayRelay(Process):
         budget: int,
         repetitions: int,
         rng: random.Random,
-        channel: int = 0,
         initial_payload: Optional[Any] = None,
     ):
         super().__init__(node_id)
         self.budget = budget
         self.repetitions = repetitions
-        self.channel = channel
         self._rng = rng
         self.payload = initial_payload
         self._session: Optional[DecaySession] = None
@@ -257,11 +250,11 @@ class DecayRelay(Process):
             self._session_window = window
         assert self._session is not None
         if self._session.should_transmit():
-            return Transmission(self.payload, self.channel)
+            return Transmission(self.payload)
         return None
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
-        if channel == self.channel and self.payload is None:
+        if channel == DEFAULT_CHANNEL and self.payload is None:
             self.payload = payload
             self.informed_at_slot = slot
             # Participate from the next invocation boundary onward.

@@ -266,16 +266,16 @@ class DfsPreparationResult:
 def run_dfs_preparation(
     graph: Graph,
     tree: BFSTree,
-    max_slots: Optional[int] = None,
 ) -> DfsPreparationResult:
     """Run both token traversals over ``graph`` with the given BFS tree.
 
     The protocol is deterministic and conflict-free; it needs
     ``2(n−1)`` slots per traversal plus the root's final announcement.
+    A run past ``4n + 16`` slots raises
+    :class:`~repro.errors.SimulationTimeout`.
     """
     n = graph.num_nodes
-    if max_slots is None:
-        max_slots = 4 * n + 16
+    max_slots = 4 * n + 16
     network = RadioNetwork(graph, num_channels=1)
     processes: Dict[NodeId, DfsPreparationProcess] = {}
     for node in graph.nodes:

@@ -22,6 +22,12 @@ from typing import Dict, List
 from repro.errors import ConfigurationError
 from repro.graphs.graph import Graph, NodeId
 
+#: Collision probability ε the random IDs are drawn for.
+ID_EPSILON = 0.01
+
+#: Draws :func:`choose_random_ids` makes before it gives up.
+ID_ATTEMPTS = 64
+
 
 def id_space_size(n_bound: int, epsilon: float) -> int:
     """Smallest ID space making P[any collision] ≤ ε (birthday bound).
@@ -60,32 +66,30 @@ def choose_random_ids(
     stations: List[NodeId],
     n_bound: int,
     rng: random.Random,
-    epsilon: float = 0.01,
-    max_attempts: int = 64,
-    require_distinct: bool = True,
 ) -> AnonymousIdAssignment:
-    """Draw random IDs for anonymous stations.
+    """Draw distinct random IDs for anonymous stations.
 
-    Each station independently draws from ``id_space_size(n_bound, ε)``.
-    With ``require_distinct`` (the simulation's stand-in for the
-    Las-Vegas retry that a real deployment performs after detecting
-    confusion), redraw until all IDs differ; the expected number of
-    attempts is ≤ 1/(1−ε).
+    Each station independently draws from ``id_space_size(n_bound, ε)``
+    with ε = ``ID_EPSILON``.  The draw is repeated until all IDs differ
+    (the simulation's stand-in for the Las-Vegas retry that a real
+    deployment performs after detecting confusion); the expected number
+    of attempts is ≤ 1/(1−ε), and ``ID_ATTEMPTS`` failed draws raise
+    :class:`~repro.errors.ConfigurationError`.
     """
     if len(stations) > n_bound:
         raise ConfigurationError(
             f"{len(stations)} stations exceed the bound {n_bound}"
         )
-    space = id_space_size(n_bound, epsilon)
-    for attempt in range(1, max_attempts + 1):
+    space = id_space_size(n_bound, ID_EPSILON)
+    for attempt in range(1, ID_ATTEMPTS + 1):
         ids = {station: rng.randrange(space) for station in stations}
         assignment = AnonymousIdAssignment(
             ids=ids, space=space, attempts=attempt
         )
-        if not require_distinct or assignment.distinct:
+        if assignment.distinct:
             return assignment
     raise ConfigurationError(
-        f"no distinct assignment found in {max_attempts} attempts "
+        f"no distinct assignment found in {ID_ATTEMPTS} attempts "
         f"(space={space}, stations={len(stations)})"
     )
 

@@ -32,8 +32,11 @@ from repro.errors import ConfigurationError
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.network import RadioNetwork
 from repro.radio.process import QUIET_FOREVER, Process
-from repro.radio.transmission import Transmission
+from repro.radio.transmission import DEFAULT_CHANNEL, Transmission
 from repro.rng import RngFactory
+
+#: Las-Vegas attempts an election gets before the caller gives up.
+ELECTION_ATTEMPTS = 10
 
 
 class LeaderElectionProcess(Process):
@@ -49,12 +52,10 @@ class LeaderElectionProcess(Process):
         budget: int,
         rounds: int,
         rng: random.Random,
-        channel: int = 0,
     ):
         super().__init__(node_id)
         self.budget = budget
         self.rounds = rounds
-        self.channel = channel
         self._rng = rng
         self.best_id: NodeId = node_id
         self._session: Optional[DecaySession] = None
@@ -78,13 +79,12 @@ class LeaderElectionProcess(Process):
         assert self._session is not None
         if self._session.should_transmit():
             return Transmission(
-                LeaderMessage(sender=self.node_id, best_id=self.best_id),
-                self.channel,
+                LeaderMessage(sender=self.node_id, best_id=self.best_id)
             )
         return None
 
     def on_receive(self, slot: int, channel: int, payload) -> None:
-        if channel != self.channel:
+        if channel != DEFAULT_CHANNEL:
             return
         if isinstance(payload, LeaderMessage):
             if payload.best_id > self.best_id:  # type: ignore[operator]
@@ -129,14 +129,16 @@ def run_leader_election(
     graph: Graph,
     seed: int,
     rounds: Optional[int] = None,
-    diameter_bound: Optional[int] = None,
 ) -> LeaderElectionResult:
-    """Run one epidemic election over ``graph`` and report the outcome."""
+    """Run one epidemic election over ``graph`` and report the outcome.
+
+    ``rounds`` defaults to :func:`default_election_rounds` with D̂ = n − 1.
+    """
     factory = RngFactory(seed)
     budget = decay_budget(graph.max_degree())
     n = graph.num_nodes
     if rounds is None:
-        rounds = default_election_rounds(n, diameter_bound)
+        rounds = default_election_rounds(n)
     network = RadioNetwork(graph, num_channels=1)
     processes: Dict[NodeId, LeaderElectionProcess] = {}
     for node in graph.nodes:
@@ -199,7 +201,6 @@ class BitElectionProcess(Process):
         window_invocations: int,
         relay_invocations: int,
         rng: random.Random,
-        channel: int = 0,
     ):
         super().__init__(node_id)
         if id_bits < 1:
@@ -213,7 +214,6 @@ class BitElectionProcess(Process):
         self.window_invocations = window_invocations
         self.window_slots = window_invocations * budget
         self.relay_invocations = relay_invocations
-        self.channel = channel
         self._rng = rng
         self.candidate = True
         self.known_prefix = 0  # the max ID's bits discovered so far
@@ -285,8 +285,7 @@ class BitElectionProcess(Process):
         assert self._session is not None
         if self._session.should_transmit():
             return Transmission(
-                LeaderMessage(sender=self.node_id, best_id=round_index),
-                self.channel,
+                LeaderMessage(sender=self.node_id, best_id=round_index)
             )
         return None
 
@@ -323,7 +322,7 @@ class BitElectionProcess(Process):
         return slot
 
     def on_receive(self, slot: int, channel: int, payload) -> None:
-        if channel != self.channel:
+        if channel != DEFAULT_CHANNEL:
             return
         if isinstance(payload, LeaderMessage):
             if payload.best_id == self._round(slot) and not (
@@ -409,21 +408,19 @@ def run_bit_election(
 def elect_leader(
     graph: Graph,
     seed: int,
-    max_attempts: int = 10,
-    diameter_bound: Optional[int] = None,
 ) -> LeaderElectionResult:
     """Las-Vegas wrapper: re-run the election until all stations agree.
 
     In the full setup phase disagreement is detected by the BFS
     confirmation count; here (when the election is run standalone) we use
     the simulator's omniscience to the same effect.  Total slots across
-    attempts are accumulated into the returned result.
+    attempts are accumulated into the returned result; after
+    ``ELECTION_ATTEMPTS`` failed attempts
+    :class:`~repro.errors.ConfigurationError` is raised.
     """
     total_slots = 0
-    for attempt in range(max_attempts):
-        result = run_leader_election(
-            graph, seed=seed + attempt, diameter_bound=diameter_bound
-        )
+    for attempt in range(ELECTION_ATTEMPTS):
+        result = run_leader_election(graph, seed=seed + attempt)
         total_slots += result.slots
         if result.agreed and result.unique:
             return LeaderElectionResult(
@@ -433,6 +430,6 @@ def elect_leader(
                 agreed=True,
             )
     raise ConfigurationError(
-        f"leader election failed to converge in {max_attempts} attempts; "
+        f"leader election failed to converge in {ELECTION_ATTEMPTS} attempts; "
         f"increase the round horizon"
     )

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from repro.core.bfs import run_setup
 from repro.core.dfs import apply_preparation, prepared_tree_infos, run_dfs_preparation
-from repro.core.leader import elect_leader, run_bit_election
+from repro.core.leader import ELECTION_ATTEMPTS, elect_leader, run_bit_election
 from repro.core.tree import TreeInfo
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
@@ -46,8 +46,6 @@ def run_full_setup(
     seed: int,
     election: str = "bit",
     root: Optional[NodeId] = None,
-    max_attempts: int = 10,
-    require_true_bfs: bool = False,
 ) -> FullSetupResult:
     """Run election + BFS setup + DFS preparation over ``graph``.
 
@@ -61,7 +59,8 @@ def run_full_setup(
         Required iff ``election == "none"``.
 
     A failed election (no unique agreed leader) or BFS attempt is retried
-    with fresh coins, Las-Vegas style, with all slots accounted.
+    with fresh coins, Las-Vegas style, with all slots accounted: up to
+    ``ELECTION_ATTEMPTS`` elections and ``SETUP_ATTEMPTS`` BFS attempts.
     """
     from repro.graphs.properties import require_connected
 
@@ -72,7 +71,7 @@ def run_full_setup(
             raise ConfigurationError('election="none" requires a root')
         leader = root
     elif election == "bit":
-        for attempt in range(max_attempts):
+        for attempt in range(ELECTION_ATTEMPTS):
             result = run_bit_election(graph, seed=seed + 101 * attempt)
             election_slots += result.slots
             if result.unique and result.agreed:
@@ -80,10 +79,10 @@ def run_full_setup(
                 break
         else:
             raise SimulationTimeout(
-                f"bit election failed {max_attempts} times"
+                f"bit election failed {ELECTION_ATTEMPTS} times"
             )
     elif election == "epidemic":
-        result = elect_leader(graph, seed=seed, max_attempts=max_attempts)
+        result = elect_leader(graph, seed=seed)
         election_slots = result.slots
         leader = result.leaders[0]
     else:
@@ -91,13 +90,7 @@ def run_full_setup(
             f'unknown election {election!r}; use "bit", "epidemic" or "none"'
         )
 
-    setup = run_setup(
-        graph,
-        root=leader,
-        seed=seed + 1,
-        max_attempts=max_attempts,
-        require_true_bfs=require_true_bfs,
-    )
+    setup = run_setup(graph, root=leader, seed=seed + 1)
     preparation = run_dfs_preparation(graph, setup.tree)
     apply_preparation(setup.tree, preparation)
     infos = prepared_tree_infos(graph, setup.tree, preparation)

@@ -43,16 +43,14 @@ from repro.rng import RngFactory
 
 
 class PointToPointProcess(Process):
-    """One station's point-to-point behaviour: an up lane and a down lane."""
+    """One station's point-to-point behaviour: an up lane on
+    ``UP_CHANNEL`` and a down lane on ``DOWN_CHANNEL``."""
 
     def __init__(
         self,
         info: TreeInfo,
         slots: SlotStructure,
         rng: random.Random,
-        up_channel: int = UP_CHANNEL,
-        down_channel: int = DOWN_CHANNEL,
-        strict: bool = True,
     ):
         if not info.has_addressing:
             raise ConfigurationError(
@@ -62,13 +60,11 @@ class PointToPointProcess(Process):
         super().__init__(info.node_id)
         self.info = info
         self.slots = slots
-        self.up_channel = up_channel
-        self.down_channel = down_channel
         self.up_lane = TransportLane(
-            info.node_id, info.level, slots, rng, up_channel, strict
+            info.node_id, info.level, slots, rng, UP_CHANNEL
         )
         self.down_lane = TransportLane(
-            info.node_id, info.level, slots, rng, down_channel, strict
+            info.node_id, info.level, slots, rng, DOWN_CHANNEL
         )
         self.delivered: List[DataMessage] = []
         self._serial = 0
@@ -136,9 +132,9 @@ class PointToPointProcess(Process):
         )
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
-        if channel == self.up_channel:
+        if channel == UP_CHANNEL:
             lane = self.up_lane
-        elif channel == self.down_channel:
+        elif channel == DOWN_CHANNEL:
             lane = self.down_lane
         else:
             return
@@ -188,7 +184,6 @@ def build_p2p_network(
     tree: BFSTree,
     seed: int,
     level_classes: int = 3,
-    strict: bool = True,
 ) -> Tuple[RadioNetwork, Dict[NodeId, PointToPointProcess], SlotStructure]:
     """Wire a network of point-to-point stations over a prepared tree.
 
@@ -214,7 +209,6 @@ def build_p2p_network(
             info=infos[node],
             slots=slot_structure,
             rng=factory.for_node(node),
-            strict=strict,
         )
         processes[node] = process
         network.attach(process)
@@ -226,20 +220,18 @@ def run_point_to_point(
     tree: BFSTree,
     transmissions: Iterable[Tuple[NodeId, NodeId, Any]],
     seed: int,
-    max_slots: Optional[int] = None,
-    level_classes: int = 3,
-    strict: bool = True,
 ) -> PointToPointResult:
     """Run a batch of (source, destination, payload) transmissions.
 
     All messages are submitted at slot 0 (the protocol is reactive, so
     custom drivers may instead submit over time via
     :func:`build_p2p_network`); the run ends when every message has been
-    delivered to its destination station.
+    delivered to its destination station.  The run uses mod-3 level
+    classes and is capped at ``max(10 000, 20×)``
+    :func:`p2p_reference_slots`; past it
+    :class:`~repro.errors.SimulationTimeout` is raised.
     """
-    network, processes, slot_structure = build_p2p_network(
-        graph, tree, seed, level_classes, strict
-    )
+    network, processes, slot_structure = build_p2p_network(graph, tree, seed)
     batch = list(transmissions)
     expected_counts: Dict[NodeId, int] = {}
     for source, dest, payload in batch:
@@ -249,11 +241,13 @@ def run_point_to_point(
             )
         processes[source].submit(tree.dfs_number[dest], payload)
         expected_counts[dest] = expected_counts.get(dest, 0) + 1
-    if max_slots is None:
-        bound = p2p_reference_slots(
-            len(batch), tree.depth, graph.max_degree(), level_classes
-        )
-        max_slots = max(10_000, int(20 * bound))
+    bound = p2p_reference_slots(
+        len(batch),
+        tree.depth,
+        graph.max_degree(),
+        slot_structure.level_classes,
+    )
+    max_slots = max(10_000, int(20 * bound))
 
     def complete(net: RadioNetwork) -> bool:
         return all(

@@ -18,9 +18,9 @@ reported address.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.core.point_to_point import build_p2p_network
+from repro.core.point_to_point import build_p2p_network, p2p_reference_slots
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
@@ -44,15 +44,17 @@ def run_ranking(
     graph: Graph,
     tree: BFSTree,
     seed: int,
-    max_slots: Optional[int] = None,
-    level_classes: int = 3,
 ) -> RankingResult:
-    """Run the ranking protocol over a DFS-prepared tree."""
+    """Run the ranking protocol over a DFS-prepared tree.
+
+    It runs on mod-3 level classes.  Each of its two stages is capped at
+    ``max(20 000, 20×)``
+    :func:`~repro.core.point_to_point.p2p_reference_slots` for 2n
+    messages; past it :class:`~repro.errors.SimulationTimeout` is raised.
+    """
     if not tree.has_dfs_intervals:
         raise ConfigurationError("ranking needs a DFS-prepared tree")
-    network, processes, _slots = build_p2p_network(
-        graph, tree, seed, level_classes
-    )
+    network, processes, slots = build_p2p_network(graph, tree, seed)
     n = graph.num_nodes
     root = tree.root
     root_process = processes[root]
@@ -65,13 +67,10 @@ def run_ranking(
         processes[node].submit(
             root_address, (TAG_REPORT, node, tree.dfs_number[node])
         )
-    if max_slots is None:
-        from repro.core.point_to_point import p2p_reference_slots
-
-        bound = p2p_reference_slots(
-            2 * n, tree.depth, graph.max_degree(), level_classes
-        )
-        max_slots = max(20_000, int(20 * bound))
+    bound = p2p_reference_slots(
+        2 * n, tree.depth, graph.max_degree(), slots.level_classes
+    )
+    max_slots = max(20_000, int(20 * bound))
 
     network.run(
         max_slots,

@@ -46,7 +46,7 @@ from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.failures import FailureModel
 from repro.radio.network import RadioNetwork
-from repro.radio.trace import EventTrace, NetworkStats
+from repro.radio.trace import NetworkStats
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,6 @@ class ResilientCollectionProcess(CollectionProcess):
         registry: NeighborRegistry,
         policy: RepairPolicy,
         initial_payloads: Iterable[Any] = (),
-        channel: int = 0,
     ):
         self.policy = policy
         self._registry = registry
@@ -187,7 +186,6 @@ class ResilientCollectionProcess(CollectionProcess):
             slots,
             rng,
             initial_payloads=initial_payloads,
-            channel=channel,
             strict=False,
             retry=policy.retry,
         )
@@ -354,8 +352,6 @@ def build_resilient_collection_network(
     failures: Optional[FailureModel] = None,
     policy: Optional[RepairPolicy] = None,
     level_classes: int = 3,
-    budget: Optional[int] = None,
-    trace: Optional[EventTrace] = None,
 ) -> Tuple[
     RadioNetwork,
     Dict[NodeId, ResilientCollectionProcess],
@@ -371,14 +367,12 @@ def build_resilient_collection_network(
     policy = policy if policy is not None else RepairPolicy()
     factory = RngFactory(seed)
     slot_structure = SlotStructure(
-        decay_budget=budget if budget is not None else decay_budget(graph.max_degree()),
+        decay_budget=decay_budget(graph.max_degree()),
         level_classes=level_classes,
         with_acks=True,
     )
     infos = tree_info_from_bfs_tree(tree)
-    network = RadioNetwork(
-        graph, num_channels=1, failures=failures, trace=trace
-    )
+    network = RadioNetwork(graph, num_channels=1, failures=failures)
     registry = NeighborRegistry(graph, failures)
     processes: Dict[NodeId, ResilientCollectionProcess] = {}
     for node in graph.nodes:
@@ -402,16 +396,14 @@ def run_resilient_collection(
     seed: int,
     failures: Optional[FailureModel] = None,
     policy: Optional[RepairPolicy] = None,
-    max_slots: Optional[int] = None,
-    level_classes: int = 3,
-    budget: Optional[int] = None,
-    trace: Optional[EventTrace] = None,
     down_grace_slots: Optional[int] = None,
 ) -> ResilientCollectionResult:
     """Run collection under a failure model until nothing more can happen.
 
-    Terminates when every station is *terminal* — drained, or declared
-    partitioned — or when ``max_slots`` elapse; a timeout produces a
+    The run uses mod-3 level classes and the Decay budget of the graph's
+    maximum degree.  It terminates when every station is *terminal* —
+    drained, or declared partitioned — or when ``max_slots`` elapse, which
+    is ``max(20 000, 40×)`` the Theorem 4.4 bound; a timeout produces a
     structured result with ``timed_out=True`` (e.g. when a crashed-forever
     station froze undeliverable messages in its buffer) rather than
     raising :class:`~repro.errors.SimulationTimeout`.
@@ -425,16 +417,12 @@ def run_resilient_collection(
     """
     network, processes, slot_structure, _registry = (
         build_resilient_collection_network(
-            graph, tree, sources, seed, failures, policy, level_classes,
-            budget, trace,
+            graph, tree, sources, seed, failures, policy
         )
     )
     total = sum(len(v) for v in sources.values())
-    if max_slots is None:
-        bound = expected_collection_slots(
-            total, tree.depth, graph.max_degree()
-        )
-        max_slots = max(20_000, int(40 * bound))
+    bound = expected_collection_slots(total, tree.depth, graph.max_degree())
+    max_slots = max(20_000, int(40 * bound))
     blocked_since: Dict[NodeId, int] = {}
 
     def _finished(net: RadioNetwork) -> bool:

@@ -319,23 +319,3 @@ def torus(rows: int, cols: int) -> Graph:
             edges.append((node, r * cols + (c + 1) % cols))
             edges.append((node, ((r + 1) % rows) * cols + c))
     return Graph.from_edges(edges, nodes=range(rows * cols))
-
-
-FAMILIES = {
-    "path": path,
-    "cycle": cycle,
-    "star": star,
-    "torus": torus,
-    "complete": complete,
-    "grid": grid,
-    "hypercube": hypercube,
-    "balanced_tree": balanced_tree,
-    "caterpillar": caterpillar,
-    "random_tree": random_tree,
-    "random_geometric": random_geometric,
-    "gnp_connected": gnp_connected,
-    "lollipop": lollipop,
-    "layered_band": layered_band,
-}
-"""Registry of generator callables, keyed by family name (for sweeps)."""
-

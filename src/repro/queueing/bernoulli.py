@@ -80,25 +80,18 @@ class SingleServerObservation:
     def departure_rate(self) -> float:
         return self.departures / max(1, self.steps)
 
-    @property
-    def mean_interdeparture_time(self) -> float:
-        if not self.interdeparture_times:
-            return float("inf")
-        return sum(self.interdeparture_times) / len(self.interdeparture_times)
-
 
 def observe_single_server(
     lam: float,
     mu: float,
     steps: int,
     rng: random.Random,
-    warmup: Optional[int] = None,
 ) -> SingleServerObservation:
     """Run one Geo/Geo/1 server and record stationary statistics.
 
-    ``warmup`` steps (default ``steps // 10``) are run first and excluded
-    from every statistic so the measurements approximate steady state.
-    Sojourn times are tracked FIFO via arrival timestamps.
+    ``steps // 10`` warm-up steps are run first and excluded from every
+    statistic so the measurements approximate steady state.  Sojourn
+    times are tracked FIFO via arrival timestamps.
     """
     if not 0.0 < lam < 1.0:
         raise ConfigurationError(f"arrival rate must be in (0,1), got {lam}")
@@ -106,8 +99,7 @@ def observe_single_server(
         raise ConfigurationError(f"stability requires λ < µ ({lam} >= {mu})")
     if steps < 1:
         raise ConfigurationError("need at least one step")
-    if warmup is None:
-        warmup = steps // 10
+    warmup = steps // 10
     server = BernoulliServer(mu, rng)
     arrivals_in_queue: Deque[int] = deque()
     observation = SingleServerObservation(steps=steps, lam=lam, mu=mu)

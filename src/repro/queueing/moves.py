@@ -38,6 +38,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
+#: Moves :func:`completion_time` applies before it gives up.
+COMPLETION_LIMIT = 10**7
+
 Partition = Tuple[int, ...]
 MoveVector = Tuple[int, ...]
 
@@ -72,14 +75,10 @@ def move(a: Sequence[int], m: Sequence[int]) -> Partition:
     return tuple(out)
 
 
-def move_star(
-    a: Sequence[int], moves: Iterable[Sequence[int]], steps: Optional[int] = None
-) -> Partition:
-    """``Move*(a, M, t)``: apply the first ``steps`` moves of the sequence."""
+def move_star(a: Sequence[int], moves: Iterable[Sequence[int]]) -> Partition:
+    """``Move*(a, M)``: apply every move of the sequence in order."""
     state = _validate(a, "partition")
-    for index, m in enumerate(moves):
-        if steps is not None and index >= steps:
-            break
+    for m in moves:
         state = move(state, m)
     return state
 
@@ -174,20 +173,19 @@ def is_empty(a: Sequence[int]) -> bool:
     return all(x == 0 for x in a)
 
 
-def completion_time(
-    a: Sequence[int], moves: Iterable[Sequence[int]], limit: int = 10**7
-) -> int:
+def completion_time(a: Sequence[int], moves: Iterable[Sequence[int]]) -> int:
     """``T(a, M)``: moves needed to empty the partition (§4.5).
 
-    Raises :class:`ConfigurationError` if the sequence is exhausted or the
-    ``limit`` is hit before the partition empties (completion time may be
-    infinite for some sequences, as the paper notes).
+    Raises :class:`ConfigurationError` if the sequence is exhausted or
+    ``COMPLETION_LIMIT`` moves pass before the partition empties
+    (completion time may be infinite for some sequences, as the paper
+    notes).
     """
     state = _validate(a, "partition")
     if is_empty(state):
         return 0
     for step, m in enumerate(moves, start=1):
-        if step > limit:
+        if step > COMPLETION_LIMIT:
             break
         state = move(state, m)
         if is_empty(state):

@@ -41,6 +41,7 @@ from repro.queueing.moves import (
     random_move_vector,
 )
 
+#: Phases a tandem simulation may run before it raises.
 DEFAULT_STEP_LIMIT = 10**7
 
 
@@ -59,14 +60,13 @@ def _run_to_empty(
     mu: float,
     lam: float,
     rng: random.Random,
-    step_limit: int,
 ) -> int:
     steps = 0
     while not is_empty(state):
         steps += 1
-        if steps > step_limit:
+        if steps > DEFAULT_STEP_LIMIT:
             raise ConfigurationError(
-                f"tandem simulation exceeded {step_limit} steps"
+                f"tandem simulation exceeded {DEFAULT_STEP_LIMIT} steps"
             )
         state = move(state, random_move_vector(len(state), mu, lam, rng))
     return steps
@@ -76,7 +76,6 @@ def simulate_model2(
     initial_levels: Sequence[int],
     mu: float,
     rng: random.Random,
-    step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> TandemRunResult:
     """Model 2: messages pre-placed on the path, no arrivals.
 
@@ -88,7 +87,7 @@ def simulate_model2(
         raise ConfigurationError("loads must be non-negative")
     state = levels + (0,)
     k = sum(levels)
-    steps = _run_to_empty(state, mu, lam=0.0, rng=rng, step_limit=step_limit)
+    steps = _run_to_empty(state, mu, lam=0.0, rng=rng)
     return TandemRunResult(
         steps=steps, depth=len(levels), delivered=k, initial_backlog=0
     )
@@ -100,13 +99,12 @@ def simulate_model3(
     mu: float,
     lam: float,
     rng: random.Random,
-    step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> TandemRunResult:
     """Model 3: queues start empty; k messages arrive Bernoulli(λ)."""
     if k < 0 or depth < 1:
         raise ConfigurationError("need k >= 0 and depth >= 1")
     state = (0,) * depth + (k,)
-    steps = _run_to_empty(state, mu, lam, rng, step_limit)
+    steps = _run_to_empty(state, mu, lam, rng)
     return TandemRunResult(
         steps=steps, depth=depth, delivered=k, initial_backlog=0
     )
@@ -118,7 +116,6 @@ def simulate_model4(
     mu: float,
     lam: float,
     rng: random.Random,
-    step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> TandemRunResult:
     """Model 4: model 3 started from the stationary queue profile.
 
@@ -134,7 +131,7 @@ def simulate_model4(
         sample_stationary_queue_length(lam, mu, rng) for _ in range(depth)
     )
     state = initial + (k,)
-    steps = _run_to_empty(state, mu, lam, rng, step_limit)
+    steps = _run_to_empty(state, mu, lam, rng)
     return TandemRunResult(
         steps=steps,
         depth=depth,

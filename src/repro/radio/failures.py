@@ -11,7 +11,7 @@ model assumptions.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.graphs.graph import NodeId
 
@@ -104,11 +104,6 @@ class ComposedFailures(FailureModel):
         return any(m.drop_delivery(sender, receiver, slot) for m in self.models)
 
 
-def no_failures() -> Optional[FailureModel]:
-    """The default failure model (None short-circuits engine checks)."""
-    return None
-
-
 # Richer models (churn, fading, regional outages, jamming) live in the
 # repro.radio.faults package; re-exported here so callers have one import
 # site for everything that plugs into RadioNetwork(failures=...).  This
@@ -131,6 +126,5 @@ __all__ = [
     "MarkovChurn",
     "PermanentCrashes",
     "RegionOutage",
-    "no_failures",
     "subtree_outage",
 ]

@@ -41,12 +41,13 @@ class RegionOutage(FailureModel):
 
 
 def subtree_outage(
-    tree: BFSTree, node: NodeId, start: int = 0, end: Optional[int] = None
+    tree: BFSTree, node: NodeId, start: int = 0
 ) -> RegionOutage:
-    """An outage taking down ``node`` and its whole BFS subtree.
+    """A permanent outage taking down ``node`` and its whole BFS subtree
+    from slot ``start`` on.
 
     Convenience for partition experiments: killing an interior node plus
     its subtree guarantees the rest of the network stays connected on the
     tree (side edges in the graph may still route around it).
     """
-    return RegionOutage(tree.subtree(node), start=start, end=end)
+    return RegionOutage(tree.subtree(node), start=start)

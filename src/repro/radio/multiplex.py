@@ -26,7 +26,7 @@ describes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.errors import ConfigurationError
 from repro.graphs.graph import Graph, NodeId
@@ -112,7 +112,6 @@ def multiplex_network(
     graph: Graph,
     inner_factory: Callable[[NodeId], Process],
     logical_channels: int,
-    trace: Optional[object] = None,
 ) -> RadioNetwork:
     """A single-channel network running wrapped C-channel processes.
 
@@ -120,7 +119,7 @@ def multiplex_network(
     would for a C-channel radio; the returned network multiplexes it onto
     one physical channel at C× the slot cost.
     """
-    network = RadioNetwork(graph, num_channels=1, trace=trace)  # type: ignore[arg-type]
+    network = RadioNetwork(graph, num_channels=1)
     for node in graph.nodes:
         network.attach(
             TimeDivisionProcess(inner_factory(node), logical_channels)

@@ -13,8 +13,8 @@ compiles to literally the same tasks (and hence the same cache keys) as
 
 Entry points
 ------------
-* :func:`parse_scenario` / :func:`load_scenario` — file → validated
-  :class:`ScenarioSpec` (schema errors carry the offending key path).
+* :func:`parse_scenario` — file → validated :class:`ScenarioSpec`
+  (schema errors carry the offending key path).
 * :func:`compile_scenario` — spec → :class:`CompiledScenario` (the task
   grid plus its ``scenario:<name>:<hash>`` experiment id).
 * :func:`run_scenario` — compile + execute through the runner.
@@ -22,7 +22,7 @@ Entry points
 """
 
 from repro.scenario.schema import ValidationError
-from repro.scenario.spec import ScenarioSpec, load_scenario, parse_scenario
+from repro.scenario.spec import ScenarioSpec, parse_scenario
 from repro.scenario.compile import (
     CompiledScenario,
     compile_scenario,
@@ -40,7 +40,6 @@ __all__ = [
     "ValidationError",
     "compile_scenario",
     "discover_scenarios",
-    "load_scenario",
     "parse_scenario",
     "run_scenario",
     "run_scenario_task",

@@ -57,14 +57,6 @@ _KIND_METRICS: Dict[str, Tuple[str, ...]] = {
     "saturation": ("critical_rate_per_source", "knee_low", "knee_high"),
 }
 
-#: Streaming kinds consume the horizon; closed kinds only when they
-#: materialize an arrival stream into their slot-0 workload.
-_STREAMING_KINDS = ("collection", "p2p", "service", "saturation")
-
-
-def _axis_values(value: Any) -> List[Any]:
-    return value if isinstance(value, list) else [value]
-
 
 def _case_for(
     spec: ScenarioSpec, choice: Dict[Tuple[str, str], Any]
@@ -271,7 +263,6 @@ def run_scenario(
     cache=None,
     telemetry=None,
     progress: bool = False,
-    policy=None,
 ):
     """Execute a compiled scenario through the shared runner machinery.
 
@@ -280,12 +271,11 @@ def run_scenario(
     experiment id resolving the worker-side task function by name (the
     ``scenario:`` prefix is understood by the registry), so sharding,
     caching, telemetry, fault policy and the fleet backend behave
-    exactly as for registered experiments.
+    exactly as for registered experiments.  The fault policy is the
+    default one with the scenario's per-task timeout.
     """
     from repro.runner.policy import FaultPolicy
 
-    if policy is None:
-        policy = FaultPolicy(timeout=compiled.timeout)
     batch_fn = None
     defn = get_experiment(compiled.exp_id)
     if defn.supports_vector:
@@ -299,7 +289,7 @@ def run_scenario(
         telemetry=telemetry,
         progress=progress,
         batch_fn=batch_fn,
-        policy=policy,
+        policy=FaultPolicy(timeout=compiled.timeout),
         options={
             "scenario": compiled.spec.name,
             "source": compiled.spec.source,

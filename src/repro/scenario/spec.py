@@ -392,7 +392,3 @@ def parse_scenario(path: Any) -> ScenarioSpec:
         except tomllib.TOMLDecodeError as exc:
             raise ValidationError("", f"{path}: invalid TOML: {exc}") from None
     return validate_scenario(data, source=str(path))
-
-
-#: Alias (reads better at call sites that already hold a path).
-load_scenario = parse_scenario

@@ -7,7 +7,7 @@ a constant-memory test on *windowed queue lengths*:
 
 * a streaming least-squares regression of backlog against slot (running
   sums only) gives the backlog growth rate ``slope``;
-* head/tail window means (the first and last ``edge_fraction`` of the
+* head/tail window means (the first and last ``EDGE_FRACTION`` of the
   measured span, accumulated online because the span is known up front)
   give the level shift ``tail_mean − head_mean``.
 
@@ -25,6 +25,19 @@ from typing import Any, Dict
 
 from repro.analysis.sketches import Welford
 from repro.errors import ConfigurationError
+
+#: Width of the head and tail comparison windows as a fraction of the
+#: span: the first vs the last quarter.
+EDGE_FRACTION = 0.25
+
+#: Absolute rise (in messages) always tolerated: it absorbs the
+#: integer-valued jitter of near-empty queues.
+RISE_SLACK = 3.0
+
+#: Relative rise tolerated: the tail may sit up to
+#: ``RISE_FACTOR × max(1, head_mean)`` above the head before the shift
+#: counts as drift.
+RISE_FACTOR = 0.75
 
 
 @dataclass(frozen=True)
@@ -54,45 +67,20 @@ class DriftVerdict:
 class BacklogDriftDetector:
     """Streaming stability test on backlog samples over a known span.
 
-    Parameters
-    ----------
-    start_slot, end_slot:
-        The measured span (post-warmup): samples outside it are ignored.
-    edge_fraction:
-        Width of the head and tail comparison windows as a fraction of
-        the span (default 0.25: first vs last quarter).
-    rise_slack:
-        Absolute rise (in messages) always tolerated — absorbs the
-        integer-valued jitter of near-empty queues.
-    rise_factor:
-        Relative rise tolerated: the tail may sit up to
-        ``rise_factor × max(1, head_mean)`` above the head before the
-        shift counts as drift.
+    ``start_slot`` and ``end_slot`` bound the measured span
+    (post-warmup): samples outside it are ignored.
     """
 
-    def __init__(
-        self,
-        start_slot: int,
-        end_slot: int,
-        edge_fraction: float = 0.25,
-        rise_slack: float = 3.0,
-        rise_factor: float = 0.75,
-    ):
+    def __init__(self, start_slot: int, end_slot: int):
         if end_slot <= start_slot:
             raise ConfigurationError(
                 f"empty drift span [{start_slot}, {end_slot})"
             )
-        if not 0.0 < edge_fraction <= 0.5:
-            raise ConfigurationError(
-                f"edge_fraction must be in (0, 0.5], got {edge_fraction}"
-            )
         self.start_slot = start_slot
         self.end_slot = end_slot
-        self.rise_slack = rise_slack
-        self.rise_factor = rise_factor
         span = end_slot - start_slot
-        self._head_end = start_slot + edge_fraction * span
-        self._tail_start = end_slot - edge_fraction * span
+        self._head_end = start_slot + EDGE_FRACTION * span
+        self._tail_start = end_slot - EDGE_FRACTION * span
         self._head = Welford()
         self._tail = Welford()
         self._all = Welford()
@@ -137,7 +125,7 @@ class BacklogDriftDetector:
         head = self._head.mean if self._head.count else 0.0
         tail = self._tail.mean if self._tail.count else 0.0
         rise = tail - head
-        allowed = max(self.rise_slack, self.rise_factor * max(1.0, head))
+        allowed = max(RISE_SLACK, RISE_FACTOR * max(1.0, head))
         drifting = rise > allowed and projected > allowed
         return DriftVerdict(
             stable=not drifting,

@@ -159,14 +159,14 @@ def run_service(
     seed: int,
     horizon_slots: int,
     warmup_fraction: float = 0.25,
-    level_classes: int = 3,
 ) -> ServiceKPIs:
     """Stream arrivals through collection for ``horizon_slots`` slots.
 
     Unlike :func:`repro.workloads.run_streaming_collection` this never
     drains and never retains per-message records: it is meant for
     horizons of millions of slots, and its peak memory is a function of
-    the topology and the offered load, not of the horizon.
+    the topology and the offered load, not of the horizon.  The
+    collection runs on mod-3 level classes.
     """
     if horizon_slots < 1:
         raise ConfigurationError("horizon must be >= 1 slot")
@@ -176,8 +176,7 @@ def run_service(
         )
 
     network, processes, slots = build_collection_network(
-        graph, tree, sources={}, seed=seed, level_classes=level_classes,
-        dedup_window=SERVICE_DEDUP_WINDOW,
+        graph, tree, sources={}, seed=seed, dedup_window=SERVICE_DEDUP_WINDOW
     )
     non_root = [p for node, p in processes.items() if node != tree.root]
     phase_length = slots.phase_length

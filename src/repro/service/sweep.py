@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
@@ -37,6 +37,15 @@ from repro.queueing.analysis import (
 from repro.rng import derive_seed
 from repro.service.loop import ServiceKPIs, run_service
 from repro.workloads.arrivals import BernoulliArrivals
+
+#: Relative margin :meth:`SweepResult.knee_brackets_critical` widens the
+#: knee bracket by; it absorbs the finite-horizon drift test's
+#: conservatism.
+KNEE_TOLERANCE = 0.35
+
+#: The span :func:`sweep_rates` covers, as factors of the critical rate.
+SWEEP_LOW = 0.4
+SWEEP_HIGH = 1.6
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,6 @@ def measure_capacity(
     sources: Sequence[NodeId],
     seed: int,
     phases: int = 300,
-    level_classes: int = 3,
 ) -> float:
     """Effective aggregate service rate µ_eff, in messages per phase.
 
@@ -102,7 +110,7 @@ def measure_capacity(
     """
     kpis = _run_cell(
         graph, tree, sources, rate=1.0, seed=derive_seed(seed, "capacity"),
-        phases=phases, level_classes=level_classes, warmup_fraction=0.5,
+        phases=phases, warmup_fraction=0.5,
     )
     return min(1.0, kpis.throughput_per_phase)
 
@@ -182,17 +190,16 @@ class SweepResult:
     def knee_found(self) -> bool:
         return not math.isnan(self.knee_high)
 
-    def knee_brackets_critical(self, tolerance: float = 0.35) -> bool:
+    def knee_brackets_critical(self) -> bool:
         """Does the detected knee agree with the analytic critical λ?
 
-        True when the bracket, widened by ``tolerance`` (a relative
-        margin absorbing finite-horizon drift-test conservatism),
-        contains the analytic critical rate.
+        True when the bracket, widened by the relative margin
+        ``KNEE_TOLERANCE``, contains the analytic critical rate.
         """
         if not self.knee_found:
             return False
-        low = self.knee_low * (1.0 - tolerance)
-        high = self.knee_high * (1.0 + tolerance)
+        low = self.knee_low * (1.0 - KNEE_TOLERANCE)
+        high = self.knee_high * (1.0 + KNEE_TOLERANCE)
         return low <= self.critical_rate_per_source <= high
 
     def to_metrics(self) -> Dict[str, Any]:
@@ -208,15 +215,15 @@ class SweepResult:
         }
 
 
-def sweep_rates(
-    critical_rate: float, points: int, low: float = 0.4, high: float = 1.6
-) -> List[float]:
-    """Per-source rates spanning the predicted knee, clamped to (0, 1]."""
+def sweep_rates(critical_rate: float, points: int) -> List[float]:
+    """Per-source rates spanning the predicted knee, clamped to (0, 1]:
+    ``points`` factors of ``critical_rate`` evenly spaced from
+    ``SWEEP_LOW`` to ``SWEEP_HIGH``."""
     if points < 2:
         raise ConfigurationError("a sweep needs at least 2 points")
     rates = []
     for i in range(points):
-        factor = low + (high - low) * i / (points - 1)
+        factor = SWEEP_LOW + (SWEEP_HIGH - SWEEP_LOW) * i / (points - 1)
         rates.append(min(1.0, max(1e-4, critical_rate * factor)))
     return sorted(set(rates))
 
@@ -229,31 +236,26 @@ def saturation_sweep(
     points: int = 7,
     phases_per_point: int = 600,
     capacity_phases: int = 300,
-    level_classes: int = 3,
-    rates: Optional[Sequence[float]] = None,
 ) -> SweepResult:
     """Walk λ upward and locate the stability knee.
 
-    Each point streams Bernoulli(λ)-per-phase arrivals for
-    ``phases_per_point`` phases and applies the backlog-drift test; the
-    capacity probe supplies the analytic critical rate
-    ``µ_eff / |sources|`` the knee is validated against.
+    Each of the :func:`sweep_rates` points streams Bernoulli(λ)-per-phase
+    arrivals for ``phases_per_point`` phases and applies the
+    backlog-drift test; the capacity probe supplies the analytic
+    critical rate ``µ_eff / |sources|`` the knee is validated against.
     """
     if not sources:
         raise ConfigurationError("sweep needs at least one source")
     capacity = measure_capacity(
-        graph, tree, sources, seed, phases=capacity_phases,
-        level_classes=level_classes,
+        graph, tree, sources, seed, phases=capacity_phases
     )
     critical = capacity / len(sources)
-    if rates is None:
-        rates = sweep_rates(critical, points)
     swept: List[SweepPoint] = []
-    for index, rate in enumerate(rates):
+    for index, rate in enumerate(sweep_rates(critical, points)):
         kpis = _run_cell(
             graph, tree, sources, rate=rate,
             seed=derive_seed(seed, "sweep-point", index),
-            phases=phases_per_point, level_classes=level_classes,
+            phases=phases_per_point,
         )
         swept.append(
             SweepPoint(
@@ -291,15 +293,13 @@ def _run_cell(
     rate: float,
     seed: int,
     phases: int,
-    level_classes: int,
     warmup_fraction: float = 0.25,
 ) -> ServiceKPIs:
-    """One open-system cell at a fixed Bernoulli per-phase rate."""
+    """One open-system cell at a fixed Bernoulli per-phase rate, on
+    mod-3 level classes."""
     from repro.core.slots import SlotStructure, decay_budget
 
-    phase_length = SlotStructure(
-        decay_budget(graph.max_degree()), level_classes, True
-    ).phase_length
+    phase_length = SlotStructure(decay_budget(graph.max_degree())).phase_length
     arrivals = BernoulliArrivals(
         sources=sources,
         rate=rate,
@@ -313,5 +313,4 @@ def _run_cell(
         seed=seed,
         horizon_slots=phases * phase_length,
         warmup_fraction=warmup_fraction,
-        level_classes=level_classes,
     )

@@ -288,7 +288,6 @@ def compare_cell(
     seed: int,
     replications: int,
     decay_factory: DecayFactory = BatchDecay,
-    trace: bool = True,
 ) -> CellReport:
     """Run one cell on both engines and compare.
 
@@ -306,13 +305,12 @@ def compare_cell(
         seeds,
         level_classes=cell.level_classes,
         decay_factory=decay_factory,
-        trace=trace,
+        trace=True,
     )
     vector_slots = [int(v) for v in batch.completion_slots]
-    failures = check_invariants(batch) if trace else []
     return CellReport(
         name=cell.name,
-        invariant_failures=failures,
+        invariant_failures=check_invariants(batch),
         ks=ks_2sample(scalar_slots, vector_slots),
         scalar_slots=scalar_slots,
         vector_slots=vector_slots,
@@ -322,12 +320,12 @@ def compare_cell(
 def run_equivalence(
     seed: int = 20260704,
     replications: int = 48,
-    alpha: float = DEFAULT_ALPHA,
     decay_factory: DecayFactory = BatchDecay,
     cells: Optional[Sequence[CellSpec]] = None,
 ) -> EquivalenceReport:
-    """The full harness: invariants + KS for every cell."""
-    report = EquivalenceReport(alpha=alpha)
+    """The full harness: invariants + KS at ``DEFAULT_ALPHA`` for every
+    cell."""
+    report = EquivalenceReport(alpha=DEFAULT_ALPHA)
     for cell in cells if cells is not None else default_cells():
         report.cells.append(
             compare_cell(cell, seed, replications, decay_factory)

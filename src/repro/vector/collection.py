@@ -696,7 +696,6 @@ def run_collection_batch(
     sources: Dict[NodeId, List[Any]],
     seeds: Sequence[int],
     level_classes: int = 3,
-    budget: Optional[int] = None,
     max_slots: Optional[int] = None,
     decay_factory: DecayFactory = BatchDecay,
     trace: bool = False,
@@ -713,7 +712,6 @@ def run_collection_batch(
         sources,
         seeds,
         level_classes=level_classes,
-        budget=budget,
         decay_factory=decay_factory,
         trace=trace,
     )

@@ -124,8 +124,8 @@ class PoissonArrivals(ArrivalProcess):
     own ``random.Random.expovariate`` stream, seeded with
     ``child_rng(seed, "poisson", source)`` — statistically independent
     stations, reproducible from the experiment seed alone.  Gaps
-    accumulate on a continuous clock and an arrival materializes in the
-    slot its arrival time falls into.
+    accumulate on a continuous clock from slot 0, and an arrival
+    materializes in the slot its arrival time falls into.
 
     Queries must be slot-monotone (drivers step forward in time).  A
     query may jump forward over skipped slots; arrivals that landed in
@@ -138,19 +138,15 @@ class PoissonArrivals(ArrivalProcess):
         sources: Iterable[NodeId],
         mean_interarrival_slots: float,
         seed: int,
-        start_slot: int = 0,
     ):
         if not mean_interarrival_slots > 0.0:
             raise ConfigurationError(
                 "mean inter-arrival must be > 0 slots, got "
                 f"{mean_interarrival_slots}"
             )
-        if start_slot < 0:
-            raise ConfigurationError("start_slot must be >= 0")
         self.sources = tuple(sources)
         self.mean_interarrival_slots = float(mean_interarrival_slots)
         self.seed = _require_seed(seed)
-        self.start_slot = start_slot
         lam = 1.0 / self.mean_interarrival_slots
         self._rngs = {
             source: child_rng(self.seed, "poisson", source)
@@ -159,7 +155,7 @@ class PoissonArrivals(ArrivalProcess):
         # Continuous next-arrival time per station (the Meshtasticator
         # `nextGen = random.expovariate(1/period)` generator idiom).
         self._next_time = {
-            source: start_slot + self._rngs[source].expovariate(lam)
+            source: self._rngs[source].expovariate(lam)
             for source in self.sources
         }
         self._count = {source: 0 for source in self.sources}

@@ -389,26 +389,22 @@ def run_streaming_p2p(
     destination_of,
     seed: int,
     horizon_slots: int,
-    drain: bool = True,
-    drain_budget: Optional[int] = None,
-    level_classes: int = 3,
 ) -> StreamingResult:
     """Stream point-to-point traffic: arrivals routed to chosen targets.
 
     ``destination_of(source, payload)`` names the target station for each
     arrival (so workloads can express hotspots, all-to-one, random pairs…).
     Latency is submission-to-destination-delivery, measured per message.
+    The run uses mod-3 level classes and drains past the horizon for at
+    most ``max(50 000, 30 × horizon_slots)`` slots until every message
+    arrives; a drain left short raises :class:`SimulationTimeout`.
     """
     from repro.core.point_to_point import build_p2p_network
 
-    network, processes, _slots = build_p2p_network(
-        graph, tree, seed, level_classes
-    )
-    if drain_budget is None:
-        drain_budget = max(50_000, 30 * horizon_slots)
+    network, processes, _slots = build_p2p_network(graph, tree, seed)
     records = _stream(
         network, p2p_hooks(processes, tree, destination_of), RecordSink(),
-        arrivals, horizon_slots, drain_budget if drain else None,
+        arrivals, horizon_slots, max(50_000, 30 * horizon_slots),
         "messages in flight",
     )
     return StreamingResult(slots=network.slot, records=records)
@@ -465,21 +461,18 @@ def run_streaming_broadcast(
     arrivals: ArrivalProcess,
     seed: int,
     horizon_slots: int,
-    drain_budget: Optional[int] = None,
-    level_classes: int = 3,
 ) -> BroadcastStreamResult:
     """Stream broadcasts; latency = submission until *every* station holds
     the message (matched by payload, since the root assigns sequence
-    numbers on arrival)."""
+    numbers on arrival).  The run uses mod-3 level classes and drains
+    past the horizon for at most ``max(100 000, 40 × horizon_slots)``
+    slots; a drain left short raises :class:`SimulationTimeout`."""
     from repro.core.broadcast import build_broadcast_network
 
-    network, processes = build_broadcast_network(
-        graph, tree, seed, level_classes
-    )
-    if drain_budget is None:
-        drain_budget = max(100_000, 40 * horizon_slots)
+    network, processes = build_broadcast_network(graph, tree, seed)
     records = _stream(
         network, broadcast_hooks(processes, tree.root), _BroadcastRecords(),
-        arrivals, horizon_slots, drain_budget, "broadcasts incomplete",
+        arrivals, horizon_slots, max(100_000, 40 * horizon_slots),
+        "broadcasts incomplete",
     )
     return BroadcastStreamResult(slots=network.slot, records=records)

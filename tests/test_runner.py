@@ -590,6 +590,22 @@ class TestEngineCli:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_profile_json_creates_its_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "runs" / "profile" / "PROFILE_E3.json"
+        argv = [
+            "profile", "E3", "--quick", "--replications", "1",
+            "--json", str(target),
+        ]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(target.read_text()) == printed
+        assert printed["exp_id"] == "E3"
+
 
 #: A task record as 1.8.0 wrote it, with the retired vector knobs, and
 #: the cache key 1.8.0 gave it.
