@@ -30,14 +30,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.collection import CollectionProcess
 from repro.core.decay import DecaySession
 from repro.core.messages import AckMessage, DataMessage, JoinMessage
 from repro.core.slots import SlotStructure, decay_budget
 from repro.core.transport import TransportLane
 from repro.core.tree import TreeInfo, bfs_tree_from_tree_info
 from repro.errors import ConfigurationError, SimulationTimeout
-from repro.graphs.bfs_tree import BFSTree, reference_bfs_tree
+from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.network import RadioNetwork
 from repro.radio.process import QUIET_FOREVER, Process

@@ -31,7 +31,7 @@ from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.network import RadioNetwork
 from repro.radio.process import Process
-from repro.radio.transmission import UP_CHANNEL, Transmission
+from repro.radio.transmission import UP_CHANNEL
 from repro.radio.trace import NetworkStats
 
 
@@ -176,7 +176,6 @@ def build_collection_network(
     seed: int,
     level_classes: int = 3,
     strict: bool = True,
-    budget: Optional[int] = None,
     dedup_window: Optional[int] = None,
 ) -> Tuple[RadioNetwork, Dict[NodeId, CollectionProcess], SlotStructure]:
     """Wire a radio network running collection on every station.
@@ -197,7 +196,7 @@ def build_collection_network(
         raise ConfigurationError(f"unknown source stations {sorted(unknown)!r}")
     factory = RngFactory(seed)
     slot_structure = SlotStructure(
-        decay_budget=budget if budget is not None else decay_budget(graph.max_degree()),
+        decay_budget=decay_budget(graph.max_degree()),
         level_classes=level_classes,
         with_acks=True,
     )
@@ -224,27 +223,24 @@ def run_collection(
     tree: BFSTree,
     sources: Dict[NodeId, List[Any]],
     seed: int,
-    max_slots: Optional[int] = None,
     level_classes: int = 3,
     strict: bool = True,
-    budget: Optional[int] = None,
 ) -> CollectionResult:
     """Run collection to completion: every injected message reaches the root.
 
-    ``max_slots`` defaults to a generous multiple of the Theorem 4.4 bound;
-    exceeding it raises :class:`~repro.errors.SimulationTimeout` (which,
-    in the failure-free model, indicates a bug rather than bad luck).
+    A run longer than a generous multiple of the Theorem 4.4 bound raises
+    :class:`~repro.errors.SimulationTimeout` (which, in the failure-free
+    model, indicates a bug rather than bad luck).
     """
     network, processes, slot_structure = build_collection_network(
-        graph, tree, sources, seed, level_classes, strict, budget
+        graph, tree, sources, seed, level_classes, strict
     )
     total_messages = sum(len(v) for v in sources.values())
     root_process = processes[tree.root]
-    if max_slots is None:
-        bound = expected_collection_slots(
-            total_messages, tree.depth, graph.max_degree()
-        )
-        max_slots = max(10_000, int(20 * bound))
+    bound = expected_collection_slots(
+        total_messages, tree.depth, graph.max_degree()
+    )
+    max_slots = max(10_000, int(20 * bound))
     network.run(
         max_slots,
         until=lambda net: len(root_process.delivered) >= total_messages

@@ -29,7 +29,7 @@ from typing import Dict, List, Mapping, Optional
 from repro.core.messages import AckMessage, DataMessage
 from repro.core.slots import SlotKind, SlotStructure
 from repro.graphs.graph import NodeId
-from repro.radio.trace import DeliverEvent, EventTrace, TransmitEvent
+from repro.radio.trace import DeliverEvent, EventTrace
 
 
 def _designated_data_deliveries(

@@ -357,8 +357,7 @@ def advance_rate_metrics_batch(
     global_phases = 0
     while active.any() and global_phases < 5_000:
         before = simulation.backlog_at(child_ids)
-        for _ in range(simulation.phase_length):
-            simulation.step()
+        simulation.advance(simulation.slot + simulation.phase_length)
         after = simulation.backlog_at(child_ids)
         global_phases += 1
         phases[active] += 1

@@ -9,7 +9,6 @@ seconds that their installation reproduces the paper.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List

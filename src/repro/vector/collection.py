@@ -12,14 +12,19 @@ replications of that protocol *simultaneously*:
   phase, the §4.1 "buffer non-empty at the beginning of a phase" rule);
   because buffers are FIFO and eligibility is monotone in queue position,
   counters capture the full sending dynamics;
-* message *identity* rides in a bounded **payload ring** ``(B, n, k)``
-  of global message ids with per-node head pointers, so conservation —
-  every collected message originates exactly once — stays checkable;
+* message *identity* rides in **linked FIFOs** over the k global
+  message ids: ``(B, n)`` ``head`` and ``tail`` planes and a ``(B, k)``
+  ``next_gid`` array.  A message is queued at one station at a time, so
+  one successor per message and replication holds every queue's order
+  in O(B·(n + k)) memory, and conservation — every collected message
+  originates exactly once — stays checkable after every slot;
 * reception is the CSR scatter of
-  :class:`~repro.vector.engine.LockstepRadio`; acknowledgements are
-  resolved physically on the paired ack slot and Theorem 3.1 (the ack
-  always arrives, failure-free) is *asserted*, making ack determinism a
-  built-in runtime invariant of the engine.
+  :class:`~repro.vector.engine.LockstepRadio`.  A delivered message
+  moves at the data slot that delivers it: popped from the child's
+  FIFO, appended to the parent's (or logged at the root).  The paired
+  ack slot then resolves the acknowledgement physically and *asserts*
+  Theorem 3.1 (the ack always arrives, failure-free), making ack
+  determinism a built-in runtime invariant of the engine.
 
 The lockstep loop touches only the active set.  Once per phase it lists
 the provably-awake (replication, station) pairs of each level class —
@@ -33,8 +38,8 @@ kernel, the coin gather, the reception scatter and the backlog updates
 see live pairs only.  Decay sessions are short (geometric, and most end
 at their first transmission, acked or killed by the coin), so most of a
 phase is silent: once no class has a live pair, :meth:`BatchCollection.
-run_until_done` sleeps to the next phase boundary in one jump, with the
-coin streams, ``mask_stats`` and profiler counters advanced exactly as
+advance` sleeps to the next phase boundary in one jump, with the coin
+streams, ``mask_stats`` and profiler counters advanced exactly as
 stepping would have.  Per-slot work then scales with the live
 population, not B·n, and a silent tail costs O(B) per phase.  (There is
 no sleep while tracing, and :meth:`~BatchCollection.step` always
@@ -154,6 +159,12 @@ class _CoinCursor:
 class BatchCollection:
     """B lockstep replications of collection on one topology.
 
+    Buffers are FIFO queues of global message ids: ``head[b, v]`` and
+    ``tail[b, v]`` are the first and last id queued at station ``v`` in
+    replication ``b`` (``head`` is -1 at an empty station),
+    ``next_gid[b, m]`` is the id queued behind ``m`` (-1 at a tail) and
+    ``backlog[b, v]`` is the queue's length.
+
     Parameters
     ----------
     graph, tree:
@@ -222,15 +233,13 @@ class BatchCollection:
                 self.message_payloads.append(payload)
                 per_node.setdefault(self.radio.index[node], []).append(gid)
         self.total_messages = len(self.message_payloads)
-        self.capacity = max(1, self.total_messages)
 
-        # Buffer counters + payload ring.
+        # Buffer counters + linked FIFOs of message ids.
         self.backlog = np.zeros(self.shape, dtype=np.int32)
         self.eligible = np.zeros(self.shape, dtype=np.int32)
-        self.ring = np.full(
-            (B, n, self.capacity), -1, dtype=np.int32
-        )
-        self.head = np.zeros(self.shape, dtype=np.int32)
+        self.head = np.full(self.shape, -1, dtype=np.int32)
+        self.tail = np.full(self.shape, -1, dtype=np.int32)
+        self.next_gid = np.full((B, self.total_messages), -1, dtype=np.int32)
         self.delivered_count = np.zeros(B, dtype=np.int64)
         self._delivered_log: List[Tuple[int, np.ndarray, np.ndarray]] = []
         root = self.radio.root_index
@@ -245,9 +254,9 @@ class BatchCollection:
                     np.tile(np.array(gids, dtype=np.int32), B),
                 ))
                 continue
-            self.ring[:, node_idx, : len(gids)] = np.array(
-                gids, dtype=np.int32
-            )
+            self.head[:, node_idx] = gids[0]
+            self.tail[:, node_idx] = gids[-1]
+            self.next_gid[:, gids[:-1]] = np.array(gids[1:], dtype=np.int32)
             self.backlog[:, node_idx] = len(gids)
 
         # Ack bookkeeping: which child each station must ack this slot.
@@ -366,14 +375,12 @@ class BatchCollection:
     def buffered_ids(self, replication: int) -> List[int]:
         """All message ids currently buffered anywhere in ``replication``."""
         ids: List[int] = []
+        successor = self.next_gid[replication].tolist()
         for v in range(self.radio.n):
-            count = int(self.backlog[replication, v])
-            start = int(self.head[replication, v])
-            for offset in range(count):
-                ids.append(
-                    int(self.ring[replication, v,
-                                  (start + offset) % self.capacity])
-                )
+            gid = int(self.head[replication, v])
+            for _ in range(int(self.backlog[replication, v])):
+                ids.append(gid)
+                gid = successor[gid]
         return ids
 
     # ------------------------------------------------------------------
@@ -487,7 +494,14 @@ class BatchCollection:
                 t1 = t2
             db, dv = tb[deliv], tv[deliv]
             if db.size:
-                msgs = self.ring[db, dv, self.head[db, dv]]
+                # The delivered head leaves the child's FIFO now; the
+                # ack slot asserts that its acknowledgement arrives.
+                # Unique reception makes the (replication, child) and
+                # (replication, parent) pairs each distinct, and no
+                # station both delivers and receives in one slot.
+                msgs = self.head[db, dv]
+                self.head[db, dv] = self.next_gid[db, msgs]
+                self.backlog[db, dv] -= 1
                 dp = parent[deliv]
                 self.pending_child[db, dp] = dv
                 at_root = dp == radio.root_index
@@ -497,15 +511,18 @@ class BatchCollection:
                     self._delivered_log.append(
                         (self.slot, root_b.copy(), msgs[at_root].copy())
                     )
+                    self._backlog_total -= np.bincount(root_b, minlength=B)
                 fb = db[~at_root]
                 if fb.size:
                     fp = dp[~at_root]
-                    pos = (
-                        self.head[fb, fp] + self.backlog[fb, fp]
-                    ) % self.capacity
-                    self.ring[fb, fp, pos] = msgs[~at_root]
+                    fm = msgs[~at_root]
+                    queued = self.backlog[fb, fp] > 0
+                    qb, qp = fb[queued], fp[queued]
+                    self.next_gid[qb, self.tail[qb, qp]] = fm[queued]
+                    self.head[fb[~queued], fp[~queued]] = fm[~queued]
+                    self.tail[fb, fp] = fm
+                    self.next_gid[fb, fm] = -1
                     self.backlog[fb, fp] += 1
-                    self._backlog_total += np.bincount(fb, minlength=B)
                 self._pending_parents = (db, dp)
             else:
                 self._pending_parents = _EMPTY_PAIRS
@@ -537,7 +554,7 @@ class BatchCollection:
         profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
         radio = self.radio
-        B, n = self.shape
+        n = radio.n
         eb, ev = self._expect_pairs
         pb, pp = self._pending_parents
         self._expect_pairs = _EMPTY_PAIRS
@@ -570,11 +587,8 @@ class BatchCollection:
                     f"{self.slot}: a designated delivery went "
                     "unacknowledged"
                 )
-            self.head[eb, ev] = (self.head[eb, ev] + 1) % self.capacity
-            self.backlog[eb, ev] -= 1
             self.eligible[eb, ev] -= 1
             self.decay.kill(eb, ev)
-            self._backlog_total -= np.bincount(eb, minlength=B)
             # Every pending ack fires exactly at its due slot.
             self.pending_child[pb, pp] = -1
             self._hits_flat[touched] = 0
@@ -638,6 +652,28 @@ class BatchCollection:
             self.done |= newly
             self.completion_slots[newly] = self.slot
 
+    def advance(self, until: int) -> None:
+        """Step to slot ``until``, or until every replication drains.
+
+        After an ack slot that leaves no class a live pair, the rest of
+        the phase is silent and is slept through in one jump, never past
+        ``until``.  A trace records every slot, so a traced run never
+        sleeps.
+        """
+        sleeps = self.trace is None
+        phase_length = self.slots.phase_length
+        while not self.done.all() and self.slot < until:
+            self.step()
+            within = self.slot % phase_length
+            if (
+                sleeps
+                and within
+                and self._schedule[within - 1].kind is SlotKind.ACK
+                and not any(pairs.rows.size for pairs in self._pairs)
+                and not self.done.all()
+            ):
+                self._sleep(min(self.slot - within + phase_length, until))
+
     def run_until_done(self, max_slots: Optional[int] = None) -> np.ndarray:
         """Run until every replication drains; returns completion slots.
 
@@ -653,20 +689,7 @@ class BatchCollection:
                 self.radio.graph.max_degree(),
             )
             max_slots = max(10_000, int(20 * bound))
-        # A trace records every slot, so a traced run never sleeps.
-        sleeps = self.trace is None
-        phase_length = self.slots.phase_length
-        while not self.done.all() and self.slot < max_slots:
-            self.step()
-            within = self.slot % phase_length
-            if (
-                sleeps
-                and within
-                and self._schedule[within - 1].kind is SlotKind.ACK
-                and not any(pairs.rows.size for pairs in self._pairs)
-                and not self.done.all()
-            ):
-                self._sleep(min(self.slot - within + phase_length, max_slots))
+        self.advance(max_slots)
         if not self.done.all():
             stragglers = int((~self.done).sum())
             raise SimulationTimeout(

@@ -12,8 +12,9 @@ from repro.core import (
     run_collection,
     theorem_44_constant,
 )
+from repro.core import collection
 from repro.core.collection import build_collection_network
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs import (
     balanced_tree,
     caterpillar,
@@ -26,9 +27,11 @@ from repro.graphs import (
 )
 
 
-def collect(graph, sources, seed=0, **kwargs):
+def collect(graph, sources, seed=0, level_classes=3):
     tree = reference_bfs_tree(graph, 0)
-    return run_collection(graph, tree, sources, seed, **kwargs)
+    return run_collection(
+        graph, tree, sources, seed, level_classes=level_classes
+    )
 
 
 class TestCorrectness:
@@ -118,6 +121,18 @@ class TestCorrectness:
         sources = {n: ["x"] for n in graph.nodes if n >= 8}
         slots = {collect(graph, sources, seed=s).slots for s in range(6)}
         assert len(slots) > 1
+
+    @pytest.mark.parametrize("bound,cap", [(0.0, 10_000), (550.0, 11_000)])
+    def test_timeout_cap_is_derived(self, monkeypatch, bound, cap):
+        # One hop from the root (Δ = 1, 12-slot phases) 1000 messages
+        # drain one per phase, in about 12_000 slots.  The cap is 20x
+        # Theorem 4.4's bound, and never under 10_000 slots.
+        monkeypatch.setattr(
+            collection, "expected_collection_slots", lambda *args: bound
+        )
+        with pytest.raises(SimulationTimeout) as excinfo:
+            collect(path(2), {1: [f"m{i}" for i in range(1000)]})
+        assert excinfo.value.slots_elapsed == cap
 
 
 class TestPerformanceEnvelope:

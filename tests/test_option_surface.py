@@ -45,14 +45,7 @@ LIBRARY = (
 )
 
 #: (callable, parameter) pairs the scan cannot see set, with the reason.
-ALLOWED = {
-    ("repro.core.collection.run_collection", "max_slots"): (
-        "tests/test_collection.py:collect forwards **kwargs to it"
-    ),
-    ("repro.core.collection.run_collection", "budget"): (
-        "tests/test_collection.py:collect forwards **kwargs to it"
-    ),
-}
+ALLOWED = {}
 
 
 def _sources():

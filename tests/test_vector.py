@@ -15,6 +15,8 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.graphs import (
 )
 from repro.vector import (
     ENGINES,
+    BatchCollection,
     BatchDecay,
     LockstepRadio,
     run_collection_batch,
@@ -94,6 +97,38 @@ def _trajectory_digest(sim) -> str:
         "slot": sim.slot,
     }, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _queues(sim, b) -> list:
+    """Replication ``b``'s buffers, station by station, read by following
+    ``next_gid`` from each head to the -1 that ends the queue."""
+    queues = []
+    for v in range(sim.radio.n):
+        queue, gid = [], int(sim.head[b, v])
+        while gid != -1:
+            queue.append(gid)
+            gid = int(sim.next_gid[b, gid])
+        queues.append(queue)
+    return queues
+
+
+def _traced_peak_mib(run) -> float:
+    """Peak memory traced while ``run()`` executes, in MiB (NumPy
+    reports its buffers to ``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def _unit_disk_field(n):
+    graph = random_geometric(
+        n, math.sqrt(12.0 / (math.pi * n)), random.Random(20261019)
+    )
+    return graph, reference_bfs_tree(graph, 0)
 
 
 def _snapshot(sim) -> dict:
@@ -321,6 +356,71 @@ class TestBatchCollection:
             run_collection_batch(
                 graph, tree, sim_sources, seeds=[1], max_slots=4
             )
+
+    @pytest.mark.parametrize("cell", [e2_cell(), e3_cell()], ids=lambda c: c.name)
+    @pytest.mark.parametrize("classes", [1, 2, 3, 4])
+    def test_conservation_after_every_slot(self, cell, classes):
+        # Each message sits in exactly one place after every slot, data
+        # and ack alike: delivered at the root or queued at one station,
+        # in a queue as long as that station's backlog.
+        sim = BatchCollection(
+            cell.graph, cell.tree, cell.sources, GOLDEN_SEEDS[:2],
+            level_classes=classes,
+        )
+        everything = Counter(range(sim.total_messages))
+        while not sim.done.all():
+            sim.step()
+            delivered = sim.delivered_ids()
+            for b in range(sim.num_replications):
+                buffered = sim.buffered_ids(b)
+                assert Counter(delivered[b] + buffered) == everything, (
+                    sim.slot, b
+                )
+                queues = _queues(sim, b)
+                assert [gid for q in queues for gid in q] == buffered
+                for v, queue in enumerate(queues):
+                    assert len(queue) == sim.backlog[b, v], (sim.slot, b, v)
+                    if queue:
+                        assert queue[-1] == sim.tail[b, v]
+
+    def test_memory_grows_with_k_not_n_times_k(self):
+        # 64 deep stations hold the k messages, so the listed pairs are
+        # the same at both k and only the queues get longer.  A
+        # (B, n, k) identity store would grow by 109 MiB here.
+        graph, tree = _unit_disk_field(2000)
+        deepest = sorted(tree.nodes, key=lambda v: (-tree.level[v], v))[:64]
+        seeds = list(range(1, 17))
+
+        def peak(k):
+            sources = {
+                v: [f"m{v}-{i}" for i in range(k // 64)] for v in deepest
+            }
+
+            def run():
+                sim = BatchCollection(graph, tree, sources, seeds)
+                for _ in range(3 * sim.phase_length):
+                    sim.step()
+
+            return _traced_peak_mib(run)
+
+        peak(128)  # first-build costs stay out of the comparison
+        assert peak(1024) - peak(128) < 1.0
+
+    def test_k_equals_n_at_ten_thousand_stations(self):
+        # Theorem 4.4's k term at n = 10^4: a message on every station
+        # (k = 10^4, B = 16) builds and steps within 64 MiB traced.
+        graph, tree = _unit_disk_field(10_000)
+        sources = {v: [f"m{v}"] for v in graph.nodes}
+        seeds = list(range(1, 17))
+
+        def run():
+            sim = BatchCollection(graph, tree, sources, seeds)
+            assert sim.total_messages == 10_000
+            for _ in range(3 * sim.phase_length):
+                sim.step()
+            assert sim.delivered_count.min() > 0
+
+        assert _traced_peak_mib(run) <= 64.0
 
     def test_rejects_unknown_source(self):
         graph = path(3)
@@ -713,3 +813,60 @@ class TestActiveSetMask:
         unread = cursor.buffer.shape[1] - cursor.cursor
         assert list(np.array(drawn) - unread) == list(listed)
         assert int(listed.sum()) == sim.mask_stats["active_pairs"]
+
+
+class TestE2BatchDriver:
+    """``runner.defs.advance_rate_metrics_batch``: Theorem 4.1's
+    per-phase advance rate, all seeds of a cell in one batch."""
+
+    #: Per config, each seed's (phases, advancing phases), recorded from
+    #: the driver that stepped every slot of every phase.
+    RECORDED = {
+        (1, 2, 3): [(8, 6), (7, 6), (9, 6), (9, 6)],
+        (1, 6, 3): [(28, 18), (26, 18), (28, 18), (24, 18)],
+        (2, 8, 2): [(19, 16), (20, 16), (17, 16), (20, 16)],
+        (3, 12, 2): [(38, 24), (37, 24), (36, 24), (32, 24)],
+        (2, 24, 1): [(37, 24), (33, 24), (29, 24), (36, 24)],
+    }
+    SEEDS = [101, 102, 103, 104]
+
+    def test_configs_match_recorded_outputs(self):
+        from repro.runner.defs import (
+            E2_CONFIGS,
+            advance_rate_metrics_batch,
+            contention_graph,
+        )
+
+        assert set(self.RECORDED) == set(E2_CONFIGS)
+        for config in E2_CONFIGS:
+            delta = contention_graph(*config[:2]).max_degree()
+            expected = [
+                {
+                    "advance_rate": successes / phases,
+                    "phases": phases,
+                    "delta": delta,
+                }
+                for phases, successes in self.RECORDED[config]
+            ]
+            assert advance_rate_metrics_batch(*config, self.SEEDS) == expected
+
+    def test_sleeps_through_silent_tails(self, monkeypatch):
+        from repro.profiling import profiled
+        from repro.runner import defs
+
+        built = []
+
+        class Recorded(BatchCollection):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(defs, "BatchCollection", Recorded)
+        for config in defs.E2_CONFIGS:
+            with profiled() as profile:
+                defs.advance_rate_metrics_batch(*config, self.SEEDS)
+            sim = built.pop()
+            assert (
+                profile.samples["vector/decay"]
+                < sim.mask_stats["data_slots"]
+            ), config
