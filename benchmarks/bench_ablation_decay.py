@@ -20,7 +20,6 @@ Two axes:
    what the paper claims: a guarantee for *all* m with no knowledge of m.
 """
 
-import math
 import random
 
 from conftest import replication_seeds
@@ -29,7 +28,6 @@ from repro.analysis import print_table, summarize
 from repro.baselines import aloha_session_factory, aloha_success_probability
 from repro.core import (
     decay_budget,
-    run_collection,
     success_probability_exact,
 )
 from repro.core.collection import build_collection_network

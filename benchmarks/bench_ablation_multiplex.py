@@ -20,8 +20,6 @@ filters on the sender_level field, so classes=1 stays correct there too —
 and faster, for the same reason.
 """
 
-import random
-
 from conftest import replication_seeds
 
 from repro.analysis import print_table, summarize

@@ -14,8 +14,6 @@ k grows, which is the physical reason the throughput cannot beat one
 message per Decay phase.
 """
 
-import random
-
 from conftest import replication_seeds
 
 from repro.analysis import congestion_profile, print_table, summarize

@@ -2,9 +2,9 @@
 
 Sweeps n across families with very different (D, Δ) profiles and reports
 the normalized constant ``slots / ((n + D·log2 n)·log2 Δ)``, which the §2
-bound predicts to be flat in n.  Also records leader-election cost for the
-substituted epidemic election (DESIGN.md §4) and the retry count of the
-Las-Vegas wrapper (expected ≤ 2 attempts).
+bound predicts to be flat in n.  Also records the retry count of the
+Las-Vegas BFS wrapper (expected ≤ 2 attempts) and the cost of the
+substituted leader election, the bitwise tournament (DESIGN.md §4).
 """
 
 import math
@@ -83,27 +83,16 @@ def test_e6_setup_scaling(benchmark):
     assert constants["grid-6x6"] <= 2.5 * constants["grid-4x4"]
     assert constants["rgg-48"] <= 2.5 * constants["rgg-24"]
 
-    # Leader-election substitutes: both variants elect the max ID.
-    from repro.core import run_bit_election
-
+    # Leader election: the bitwise tournament elects the max ID.
     election_rows = []
     for name, build in [("path-16", scenarios[0][1]), ("rgg-24", scenarios[5][1])]:
         graph = build(random.Random(1))
-        epidemic = elect_leader(graph, seed=5)
-        tournament = run_bit_election(graph, seed=5)
-        assert epidemic.leaders == [max(graph.nodes)]
-        assert tournament.leaders == [max(graph.nodes)]
-        election_rows.append(
-            [
-                name,
-                epidemic.leaders[0],
-                epidemic.slots,
-                tournament.slots,
-            ]
-        )
+        election = elect_leader(graph, seed=5)
+        assert election.leaders == [max(graph.nodes)]
+        election_rows.append([name, election.leaders[0], election.slots])
     print_table(
-        ["topology", "leader", "epidemic slots", "bit-tournament slots"],
+        ["topology", "leader", "tournament slots"],
         election_rows,
-        title="E6b: leader election substitutes for [4] (both elect max ID)",
+        title="E6b: the bitwise tournament, the stand-in for [4] (elects the max ID)",
     )
     benchmark(lambda: run_setup(grid(3, 3), root=0, seed=7).slots)

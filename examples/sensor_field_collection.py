@@ -6,7 +6,7 @@ must become the sink and gather everyone's periodic readings over radio.
 Nothing is configured centrally — the stations run the *paper's own setup
 phase* to organize themselves:
 
-1. epidemic leader election (the sink emerges),
+1. bitwise-tournament leader election (the sink emerges),
 2. distributed BFS-tree construction with Las-Vegas confirmation (§2),
 3. steady-state collection (§4), with readings submitted over time
    (the protocol is reactive) rather than as one batch.

@@ -49,8 +49,8 @@ class CollectionProcess(Process):
     initial_payloads:
         Application payloads this station wants delivered to the root;
         more can be injected later with :meth:`submit`.
-    channel:
-        Radio channel for the upward traffic (default ``UP_CHANNEL``).
+
+    The upward traffic runs on ``UP_CHANNEL``.
     """
 
     def __init__(
@@ -59,7 +59,6 @@ class CollectionProcess(Process):
         slots: SlotStructure,
         rng: random.Random,
         initial_payloads: Iterable[Any] = (),
-        channel: int = UP_CHANNEL,
         strict: bool = True,
         retry: Optional[RetryPolicy] = None,
         dedup_window: Optional[int] = None,
@@ -75,12 +74,11 @@ class CollectionProcess(Process):
             level=info.level,
             slots=slots,
             rng=rng,
-            channel=channel,
+            channel=UP_CHANNEL,
             strict=strict,
             retry=retry,
             dedup_window=dedup_window,
         )
-        self.channel = channel
         self.delivered: List[DataMessage] = []  # root only
         self._serial = 0
         for payload in initial_payloads:
@@ -126,7 +124,7 @@ class CollectionProcess(Process):
         return self.lane.next_active_slot(slot)
 
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
-        if channel != self.channel:
+        if channel != UP_CHANNEL:
             return
         if isinstance(payload, DataMessage):
             if payload.hop_dest != self.info.node_id:
@@ -209,7 +207,6 @@ def build_collection_network(
             slots=slot_structure,
             rng=factory.for_node(node),
             initial_payloads=sources.get(node, ()),
-            channel=0,
             strict=strict,
             dedup_window=dedup_window,
         )
@@ -224,16 +221,17 @@ def run_collection(
     sources: Dict[NodeId, List[Any]],
     seed: int,
     level_classes: int = 3,
-    strict: bool = True,
 ) -> CollectionResult:
     """Run collection to completion: every injected message reaches the root.
 
-    A run longer than a generous multiple of the Theorem 4.4 bound raises
+    The lanes run strict: a Theorem 3.1 violation raises
+    :class:`~repro.errors.ProtocolError`.  A run longer than a generous
+    multiple of the Theorem 4.4 bound raises
     :class:`~repro.errors.SimulationTimeout` (which, in the failure-free
     model, indicates a bug rather than bad luck).
     """
     network, processes, slot_structure = build_collection_network(
-        graph, tree, sources, seed, level_classes, strict
+        graph, tree, sources, seed, level_classes
     )
     total_messages = sum(len(v) for v in sources.values())
     root_process = processes[tree.root]

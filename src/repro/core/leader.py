@@ -6,29 +6,28 @@ companion paper [4] (a tournament built on single-hop emulation, expected
 scope (see DESIGN.md §4); what *this* paper needs from it is only: a unique
 station ends up knowing it is the leader, whp, in setup time.
 
-We substitute an **epidemic max-ID election**: every station repeatedly
-Decay-broadcasts the largest ID it has heard of; rounds are window-aligned
-Decay invocations; after a horizon of ``rounds`` every station believes the
-largest ID it has seen, and a station whose own ID equals its belief
-declares itself leader.  The true maximum always believes itself, so there
-is always at least one leader and the true max is always among the
-leaders; a *false* extra leader (a station that never heard of any larger
-ID) is possible with small probability and is caught by the setup phase's
-Las-Vegas verification (two roots → the root never collects n−1
-confirmations → retry, §2).
+We substitute a **bitwise tournament** (:class:`BitElectionProcess`): the
+maximum ID is found bit by bit, most significant first, each bit settled
+by a window of Decay-relayed floods, in ``O(log N · (D + log n) · log Δ)``
+slots — the [4] shape without its loglog refinement.  A missed flood
+leaves the stations disagreeing, possibly with a false extra leader.  In
+the paper's setup phase the Las-Vegas verification catches that (two
+roots → the root never collects n−1 confirmations → retry, §2);
+:func:`elect_leader` stands in for that check with the simulator's
+omniscience and retries with fresh coins until one leader is agreed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.decay import DecaySession
 from repro.core.messages import LeaderMessage
 from repro.core.slots import decay_budget
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.graph import Graph, NodeId
 from repro.radio.network import RadioNetwork
 from repro.radio.process import QUIET_FOREVER, Process
@@ -37,65 +36,6 @@ from repro.rng import RngFactory
 
 #: Las-Vegas attempts an election gets before the caller gives up.
 ELECTION_ATTEMPTS = 10
-
-
-class LeaderElectionProcess(Process):
-    """Epidemic max-ID gossip: one Decay invocation per round.
-
-    Rounds are aligned at slot multiples of ``budget`` so that all
-    stations run the *same* invocation, as Decay's property (2) assumes.
-    """
-
-    def __init__(
-        self,
-        node_id: NodeId,
-        budget: int,
-        rounds: int,
-        rng: random.Random,
-    ):
-        super().__init__(node_id)
-        self.budget = budget
-        self.rounds = rounds
-        self._rng = rng
-        self.best_id: NodeId = node_id
-        self._session: Optional[DecaySession] = None
-        self._session_round = -1
-
-    def _round(self, slot: int) -> int:
-        return slot // self.budget
-
-    @property
-    def horizon_slots(self) -> int:
-        """Slots after which the election result is read out."""
-        return self.rounds * self.budget
-
-    def on_slot(self, slot: int):
-        round_index = self._round(slot)
-        if round_index >= self.rounds:
-            return None
-        if self._session_round != round_index:
-            self._session = DecaySession(self.budget, self._rng)
-            self._session_round = round_index
-        assert self._session is not None
-        if self._session.should_transmit():
-            return Transmission(
-                LeaderMessage(sender=self.node_id, best_id=self.best_id)
-            )
-        return None
-
-    def on_receive(self, slot: int, channel: int, payload) -> None:
-        if channel != DEFAULT_CHANNEL:
-            return
-        if isinstance(payload, LeaderMessage):
-            if payload.best_id > self.best_id:  # type: ignore[operator]
-                self.best_id = payload.best_id
-
-    def believes_leader(self) -> bool:
-        """After the horizon: does this station think it is the leader?"""
-        return self.best_id == self.node_id
-
-    def is_done(self) -> bool:
-        return False  # horizon-driven, not event-driven
 
 
 @dataclass
@@ -112,58 +52,8 @@ class LeaderElectionResult:
         return len(self.leaders) == 1
 
 
-def default_election_rounds(n: int, diameter_bound: Optional[int] = None) -> int:
-    """A horizon that makes agreement overwhelmingly likely.
-
-    The max ID must cross at most ``diameter_bound`` hops; each hop takes a
-    small expected number of rounds, so ``4·(D̂ + log2 n) + 8`` rounds with
-    D̂ defaulting to n−1 (all any station knows a priori) is very safe.
-    """
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1, got {n}")
-    d_hat = diameter_bound if diameter_bound is not None else max(1, n - 1)
-    return 4 * (d_hat + max(1, math.ceil(math.log2(max(2, n))))) + 8
-
-
-def run_leader_election(
-    graph: Graph,
-    seed: int,
-    rounds: Optional[int] = None,
-) -> LeaderElectionResult:
-    """Run one epidemic election over ``graph`` and report the outcome.
-
-    ``rounds`` defaults to :func:`default_election_rounds` with D̂ = n − 1.
-    """
-    factory = RngFactory(seed)
-    budget = decay_budget(graph.max_degree())
-    n = graph.num_nodes
-    if rounds is None:
-        rounds = default_election_rounds(n)
-    network = RadioNetwork(graph, num_channels=1)
-    processes: Dict[NodeId, LeaderElectionProcess] = {}
-    for node in graph.nodes:
-        process = LeaderElectionProcess(
-            node_id=node,
-            budget=budget,
-            rounds=rounds,
-            rng=factory.for_node(node),
-        )
-        processes[node] = process
-        network.attach(process)
-    horizon = rounds * budget
-    network.run(horizon)
-    true_max = max(graph.nodes)  # type: ignore[type-var]
-    leaders = [
-        node for node, proc in processes.items() if proc.believes_leader()
-    ]
-    agreed = all(proc.best_id == true_max for proc in processes.values())
-    return LeaderElectionResult(
-        leaders=leaders, true_max=true_max, slots=network.slot, agreed=agreed
-    )
-
-
 class BitElectionProcess(Process):
-    """Bitwise tournament election (the higher-fidelity [4] stand-in).
+    """Bitwise tournament election (the [4] stand-in).
 
     The max ID is found bit by bit, from the most significant: in round b
     every still-candidate station whose ID has bit b set *floods* a
@@ -189,8 +79,7 @@ class BitElectionProcess(Process):
     ``O(log N · (D + log n) · log Δ)`` slots, the [4] shape without its
     loglog refinement; K only bounds how many of them a station spends
     transmitting.  A missed flood yields disagreement, caught by the
-    setup phase's Las-Vegas verification, identically to the epidemic
-    variant.
+    setup phase's Las-Vegas verification.
     """
 
     def __init__(
@@ -285,7 +174,7 @@ class BitElectionProcess(Process):
         assert self._session is not None
         if self._session.should_transmit():
             return Transmission(
-                LeaderMessage(sender=self.node_id, best_id=round_index)
+                LeaderMessage(sender=self.node_id, round=round_index)
             )
         return None
 
@@ -325,7 +214,7 @@ class BitElectionProcess(Process):
         if channel != DEFAULT_CHANNEL:
             return
         if isinstance(payload, LeaderMessage):
-            if payload.best_id == self._round(slot) and not (
+            if payload.round == self._round(slot) and not (
                 self._heard_this_round
             ):
                 self._heard_this_round = True
@@ -405,31 +294,22 @@ def run_bit_election(
     )
 
 
-def elect_leader(
-    graph: Graph,
-    seed: int,
-) -> LeaderElectionResult:
-    """Las-Vegas wrapper: re-run the election until all stations agree.
+def elect_leader(graph: Graph, seed: int) -> LeaderElectionResult:
+    """Las-Vegas election: re-run the tournament until all stations agree.
 
-    In the full setup phase disagreement is detected by the BFS
-    confirmation count; here (when the election is run standalone) we use
-    the simulator's omniscience to the same effect.  Total slots across
-    attempts are accumulated into the returned result; after
+    Attempt ``a`` runs :func:`run_bit_election` at ``seed + 101·a``.  The
+    paper's setup phase detects disagreement by the BFS confirmation
+    count; here the simulator's omniscience stands in for it.  The
+    returned result counts the slots of every attempt; after
     ``ELECTION_ATTEMPTS`` failed attempts
-    :class:`~repro.errors.ConfigurationError` is raised.
+    :class:`~repro.errors.SimulationTimeout` is raised.
     """
     total_slots = 0
     for attempt in range(ELECTION_ATTEMPTS):
-        result = run_leader_election(graph, seed=seed + attempt)
+        result = run_bit_election(graph, seed=seed + 101 * attempt)
         total_slots += result.slots
         if result.agreed and result.unique:
-            return LeaderElectionResult(
-                leaders=result.leaders,
-                true_max=result.true_max,
-                slots=total_slots,
-                agreed=True,
-            )
-    raise ConfigurationError(
-        f"leader election failed to converge in {ELECTION_ATTEMPTS} attempts; "
-        f"increase the round horizon"
+            return replace(result, slots=total_slots)
+    raise SimulationTimeout(
+        f"leader election failed {ELECTION_ATTEMPTS} times"
     )

@@ -77,10 +77,10 @@ class JoinMessage:
 
 @dataclass(frozen=True)
 class LeaderMessage:
-    """Epidemic leader-election gossip: the best (largest) ID heard so far."""
+    """Bitwise-tournament flood: "a candidate has a 1 in this round's bit"."""
 
     sender: NodeId
-    best_id: NodeId
+    round: int
 
 
 @dataclass(frozen=True)

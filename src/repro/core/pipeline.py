@@ -13,13 +13,12 @@ accounting of each stage, so applications are three lines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.bfs import run_setup
 from repro.core.dfs import apply_preparation, prepared_tree_infos, run_dfs_preparation
-from repro.core.leader import ELECTION_ATTEMPTS, elect_leader, run_bit_election
+from repro.core.leader import elect_leader
 from repro.core.tree import TreeInfo
-from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 
@@ -41,55 +40,20 @@ class FullSetupResult:
         return self.election_slots + self.bfs_slots + self.preparation_slots
 
 
-def run_full_setup(
-    graph: Graph,
-    seed: int,
-    election: str = "bit",
-    root: Optional[NodeId] = None,
-) -> FullSetupResult:
+def run_full_setup(graph: Graph, seed: int) -> FullSetupResult:
     """Run election + BFS setup + DFS preparation over ``graph``.
 
-    Parameters
-    ----------
-    election:
-        ``"bit"`` (the bitwise tournament, default), ``"epidemic"`` (the
-        max-ID gossip), or ``"none"`` (use the given ``root`` without an
-        election — the experiments' bypass).
-    root:
-        Required iff ``election == "none"``.
-
-    A failed election (no unique agreed leader) or BFS attempt is retried
-    with fresh coins, Las-Vegas style, with all slots accounted: up to
-    ``ELECTION_ATTEMPTS`` elections and ``SETUP_ATTEMPTS`` BFS attempts.
+    The leader is the one :func:`~repro.core.leader.elect_leader` agrees
+    on.  A failed election (no unique agreed leader) or BFS attempt is
+    retried with fresh coins, Las-Vegas style, with all slots accounted:
+    up to ``ELECTION_ATTEMPTS`` elections and ``SETUP_ATTEMPTS`` BFS
+    attempts.
     """
     from repro.graphs.properties import require_connected
 
     require_connected(graph)
-    election_slots = 0
-    if election == "none":
-        if root is None:
-            raise ConfigurationError('election="none" requires a root')
-        leader = root
-    elif election == "bit":
-        for attempt in range(ELECTION_ATTEMPTS):
-            result = run_bit_election(graph, seed=seed + 101 * attempt)
-            election_slots += result.slots
-            if result.unique and result.agreed:
-                leader = result.leaders[0]
-                break
-        else:
-            raise SimulationTimeout(
-                f"bit election failed {ELECTION_ATTEMPTS} times"
-            )
-    elif election == "epidemic":
-        result = elect_leader(graph, seed=seed)
-        election_slots = result.slots
-        leader = result.leaders[0]
-    else:
-        raise ConfigurationError(
-            f'unknown election {election!r}; use "bit", "epidemic" or "none"'
-        )
-
+    election = elect_leader(graph, seed)
+    leader = election.leaders[0]
     setup = run_setup(graph, root=leader, seed=seed + 1)
     preparation = run_dfs_preparation(graph, setup.tree)
     apply_preparation(setup.tree, preparation)
@@ -98,7 +62,7 @@ def run_full_setup(
         tree=setup.tree,
         tree_infos=infos,
         root=leader,
-        election_slots=election_slots,
+        election_slots=election.slots,
         bfs_slots=setup.slots,
         preparation_slots=preparation.slots,
         bfs_attempts=setup.attempts,

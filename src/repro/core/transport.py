@@ -19,12 +19,7 @@ import functools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional, Set, Tuple
-
-try:  # Protocol is typing-only; keep 3.9 compatibility simple.
-    from typing import Protocol as _Protocol
-except ImportError:  # pragma: no cover
-    _Protocol = object  # type: ignore[assignment,misc]
+from typing import Callable, Deque, Optional, Protocol, Set, Tuple
 
 from repro.core.decay import DecaySession
 from repro.core.messages import AckMessage, DataMessage
@@ -35,7 +30,7 @@ from repro.radio.process import QUIET_FOREVER
 from repro.radio.transmission import Transmission
 
 
-class SessionLike(_Protocol):
+class SessionLike(Protocol):
     """What a per-phase retransmission session must provide.
 
     A session that is not :attr:`alive` must stay silent for the rest of

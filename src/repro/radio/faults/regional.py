@@ -40,14 +40,12 @@ class RegionOutage(FailureModel):
         return self.end is None or slot < self.end
 
 
-def subtree_outage(
-    tree: BFSTree, node: NodeId, start: int = 0
-) -> RegionOutage:
+def subtree_outage(tree: BFSTree, node: NodeId) -> RegionOutage:
     """A permanent outage taking down ``node`` and its whole BFS subtree
-    from slot ``start`` on.
+    from slot 0 on.
 
     Convenience for partition experiments: killing an interior node plus
     its subtree guarantees the rest of the network stays connected on the
     tree (side edges in the graph may still route around it).
     """
-    return RegionOutage(tree.subtree(node), start=start)
+    return RegionOutage(tree.subtree(node))

@@ -30,6 +30,7 @@ from repro.core.messages import AckMessage, DataMessage
 from repro.core.slots import SlotKind, SlotStructure
 from repro.graphs.graph import NodeId
 from repro.radio.trace import DeliverEvent, EventTrace
+from repro.radio.transmission import UP_CHANNEL
 
 
 def _designated_data_deliveries(
@@ -144,12 +145,12 @@ def audit_collection_trace(
     trace: EventTrace,
     slots: SlotStructure,
     levels: Mapping[NodeId, int],
-    channel: int = 0,
 ) -> List[str]:
-    """All four checks, concatenated — the full §2–§4 discipline."""
+    """All four checks, concatenated — the full §2–§4 discipline, on
+    collection's channel ``UP_CHANNEL``."""
     return (
-        check_ack_determinism(trace, channel)
-        + check_exactly_once(trace, channel)
-        + check_slot_discipline(trace, slots, channel)
-        + check_level_classes(trace, slots, levels, channel)
+        check_ack_determinism(trace, UP_CHANNEL)
+        + check_exactly_once(trace, UP_CHANNEL)
+        + check_slot_discipline(trace, slots, UP_CHANNEL)
+        + check_level_classes(trace, slots, levels, UP_CHANNEL)
     )

@@ -7,11 +7,9 @@ slot followed by its deterministic ack slot), and the root's accepted
 messages are the output.  One :class:`BatchCollection` advances B
 replications of that protocol *simultaneously*:
 
-* per-node buffers are ``(B, n)`` **counters** — ``backlog`` (queued
-  messages) and ``eligible`` (messages buffered since before the current
-  phase, the §4.1 "buffer non-empty at the beginning of a phase" rule);
-  because buffers are FIFO and eligibility is monotone in queue position,
-  counters capture the full sending dynamics;
+* per-node buffers are ``(B, n)`` ``backlog`` **counters**; because
+  buffers are FIFO and a station sends only its head, a counter captures
+  the full sending dynamics;
 * message *identity* rides in **linked FIFOs** over the k global
   message ids: ``(B, n)`` ``head`` and ``tail`` planes and a ``(B, k)``
   ``next_gid`` array.  A message is queued at one station at a time, so
@@ -30,20 +28,21 @@ The lockstep loop touches only the active set.  Once per phase it lists
 the provably-awake (replication, station) pairs of each level class —
 exactly the stations the scalar engine's idle min-heap would wake via
 ``SlotStructure.next_data_slot_for`` / ``TransportLane.next_active_slot``:
-those with an eligible buffer head (§4.1 fixes eligibility at the phase
-boundary, and a class's entries change only through its own acks, which
-come after its first data slot).  At each class's ack slot the list is
-compacted to the pairs whose Decay session is still alive, so the Decay
-kernel, the coin gather, the reception scatter and the backlog updates
-see live pairs only.  Decay sessions are short (geometric, and most end
-at their first transmission, acked or killed by the coin), so most of a
-phase is silent: once no class has a live pair, :meth:`BatchCollection.
-advance` sleeps to the next phase boundary in one jump, with the coin
-streams, ``mask_stats`` and profiler counters advanced exactly as
-stepping would have.  Per-slot work then scales with the live
-population, not B·n, and a silent tail costs O(B) per phase.  (There is
-no sleep while tracing, and :meth:`~BatchCollection.step` always
-advances exactly one slot.)
+those with a non-empty buffer at the phase boundary (§4.1: a message
+may start a Decay invocation only in a phase it was already buffered at
+the start of, and a listed station's backlog drops only through its own
+deliveries, which come after its class's first data slot).  At each
+class's ack slot the list is compacted to the pairs whose Decay session
+is still alive, so the Decay kernel, the coin gather, the reception
+scatter and the backlog updates see live pairs only.  Decay sessions
+are short (geometric, and most end at their first transmission, acked
+or killed by the coin), so most of a phase is silent: once no class
+has a live pair, :meth:`BatchCollection.advance` sleeps to the next
+phase boundary in one jump, with the coin streams, ``mask_stats`` and
+profiler counters advanced exactly as stepping would have.  Per-slot
+work then scales with the live population, not B·n, and a silent tail
+costs O(B) per phase.  (There is no sleep while tracing, and
+:meth:`~BatchCollection.step` always advances exactly one slot.)
 
 Randomness: replication ``b`` draws its Decay coins from the NumPy
 stream ``np_rng(seeds[b], "vector", "decay")`` and consumes exactly one
@@ -236,7 +235,6 @@ class BatchCollection:
 
         # Buffer counters + linked FIFOs of message ids.
         self.backlog = np.zeros(self.shape, dtype=np.int32)
-        self.eligible = np.zeros(self.shape, dtype=np.int32)
         self.head = np.full(self.shape, -1, dtype=np.int32)
         self.tail = np.full(self.shape, -1, dtype=np.int32)
         self.next_gid = np.full((B, self.total_messages), -1, dtype=np.int32)
@@ -388,10 +386,6 @@ class BatchCollection:
     # ------------------------------------------------------------------
 
     def _begin_phase(self) -> None:
-        # §4.1: a message may start a Decay invocation only in a phase it
-        # was already buffered at the start of.  At a phase boundary every
-        # buffered message qualifies.
-        np.copyto(self.eligible, self.backlog)
         self.decay.reset()
         self._list_pairs()
 
@@ -399,15 +393,18 @@ class BatchCollection:
         """List each class's awake pairs for the phase just begun.
 
         These are the stations the scalar min-heap would wake at the
-        class's data slots: an eligible buffer head, not the root.  A
-        class's entries of ``eligible`` change only through its own acks,
-        after its first data slot, so one listing serves the whole phase.
+        class's data slots: a non-empty buffer, not the root.  §4.1: a
+        message may start a Decay invocation only in a phase it was
+        already buffered at the start of, so a message that arrives
+        mid-phase waits for the next listing; a listed station's backlog
+        drops only through its own deliveries, after its class's first
+        data slot, so one listing serves the whole phase.
         The order is b-major (row-major over ``(B, n)``), so each
         replication's pairs form one run and its coins one contiguous
         block of its stream.
         """
         B, n = self.shape
-        flat = np.flatnonzero(self.eligible.reshape(-1) > 0)
+        flat = np.flatnonzero(self.backlog.reshape(-1) > 0)
         rows, cols = np.divmod(flat, n)
         self._pairs = []
         for mask in self._class_mask:
@@ -587,7 +584,6 @@ class BatchCollection:
                     f"{self.slot}: a designated delivery went "
                     "unacknowledged"
                 )
-            self.eligible[eb, ev] -= 1
             self.decay.kill(eb, ev)
             # Every pending ack fires exactly at its due slot.
             self.pending_child[pb, pp] = -1

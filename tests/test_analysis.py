@@ -1,11 +1,8 @@
 """Tests for the analysis/statistics/table utilities."""
 
-import math
-
 import pytest
 
 from repro.analysis import (
-    Summary,
     format_table,
     geometric_pmf,
     linear_fit,

@@ -178,7 +178,6 @@ class TestAloha:
                 slots,
                 rng,
                 initial_payloads=[f"m{node}"] if node != 0 else [],
-                channel=0,
             )
             proc.lane._session_factory = aloha_session_factory(
                 1.0 / graph.max_degree(), rng

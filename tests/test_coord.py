@@ -15,7 +15,6 @@ retry-then-quarantine, cache replay, ``max_tasks``) live in
 
 from __future__ import annotations
 
-import json
 import socket
 import time
 from pathlib import Path

@@ -23,7 +23,6 @@ from repro.core import (
     elect_leader,
     id_space_size,
     relabel_graph,
-    run_collection,
     run_setup_unknown_n,
 )
 from repro.errors import ConfigurationError
@@ -375,7 +374,7 @@ class TestValidate:
         assert main(["validate"]) == 0
 
     def test_crashing_check_reported_not_raised(self):
-        from repro.validate import CheckResult, run_validation
+        from repro.validate import run_validation
         import repro.validate as validate_module
 
         def boom():

@@ -174,7 +174,7 @@ class TestRegionOutage:
 
         graph = path(5)
         tree = reference_bfs_tree(graph, 0)
-        model = subtree_outage(tree, 2, start=0)
+        model = subtree_outage(tree, 2)
         assert model.region == {2, 3, 4}
 
     def test_validation(self):

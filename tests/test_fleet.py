@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from pathlib import Path
 
 import pytest
 

@@ -15,12 +15,10 @@ import pytest
 from repro.baselines import aloha_session_factory
 from repro.core import (
     BitElectionProcess,
-    CollectionProcess,
     SlotStructure,
     build_broadcast_network,
     build_collection_network,
     run_bit_election,
-    run_collection,
     run_dfs_preparation,
     run_point_to_point,
     run_ranking,

@@ -128,36 +128,6 @@ class TestFullSetupPipeline:
         )
         assert result.messages_delivered == 1
 
-    def test_epidemic_election_pipeline(self):
-        from repro.core import run_full_setup
-
-        graph = grid(3, 3)
-        setup = run_full_setup(graph, seed=3, election="epidemic")
-        assert setup.root == 8
-        assert setup.election_slots > 0
-
-    def test_bypass_election(self):
-        from repro.core import run_full_setup
-
-        graph = grid(3, 3)
-        setup = run_full_setup(graph, seed=3, election="none", root=4)
-        assert setup.root == 4
-        assert setup.election_slots == 0
-
-    def test_bypass_requires_root(self):
-        from repro.core import run_full_setup
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            run_full_setup(grid(3, 3), seed=0, election="none")
-
-    def test_unknown_election_mode(self):
-        from repro.core import run_full_setup
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            run_full_setup(grid(3, 3), seed=0, election="quantum")
-
     def test_infos_have_addressing(self):
         from repro.core import run_full_setup
 

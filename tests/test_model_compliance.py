@@ -50,7 +50,7 @@ class TestMessageSizes:
             ),
             AckMessage(msg_id=(1, 2), hop_sender=2, hop_dest=1),
             JoinMessage(sender=4, level=2),
-            LeaderMessage(sender=1, best_id=9),
+            LeaderMessage(sender=1, round=9),
             BroadcastMessage(seq=7, origin=3, payload="x", sender_level=2),
             TokenMessage(holder=1, next_holder=2, traversal=1),
             BroadcastSubmission(origin=3, body="payload"),
@@ -181,6 +181,5 @@ class TestStrictModeGuards:
                 tree,
                 {n: ["z"] for n in range(1, 8)},
                 seed=seed,
-                strict=True,
             )
             assert len(result.delivered) == 7

@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError
 from repro.queueing import (
     completion_time,
     dominates,
-    is_empty,
     move,
     move_sequence_witness,
     move_star,

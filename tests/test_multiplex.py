@@ -1,7 +1,5 @@
 """Tests for time-division multiplexing (§1.4's single-transceiver option)."""
 
-import random
-
 import pytest
 
 from repro.core import run_point_to_point

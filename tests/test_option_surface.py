@@ -20,9 +20,13 @@ callable.  These call forms resolve:
 
 What a call spreads with ``*args`` or ``**kwargs`` is invisible to the
 scan; only the positions before the first ``*args`` and the named
-keywords count.  A parameter the scan cannot see set, such as one passed
-through a variable or a forwarded ``**kwargs``, goes in ``ALLOWED`` with
-the reason.
+keywords count.  A call that passes the default itself sets nothing: an
+argument that is the default's own expression (the same literal, or the
+same constant name) or a literal equal to the module-level constant the
+default names, such as ``channel=0`` for ``channel=UP_CHANNEL``, does not
+count.  A parameter the scan cannot see set, such as one passed through
+a variable or a forwarded ``**kwargs``, goes in ``ALLOWED`` with the
+reason.
 """
 
 import ast
@@ -45,7 +49,12 @@ LIBRARY = (
 )
 
 #: (callable, parameter) pairs the scan cannot see set, with the reason.
-ALLOWED = {}
+ALLOWED = {
+    ("repro.vector.backend.resolve_backend", "_requested"): (
+        "its one caller, perfbench/run.py, passes the default \"auto\"; "
+        "perfbench changes only with the benchmark it defines"
+    ),
+}
 
 
 def _sources():
@@ -70,24 +79,69 @@ def _base_names(cls):
 
 
 def _defaulted(fn, bound):
-    """Defaulted parameters of *fn* as ``(name, position or None)``.
+    """Defaulted parameters of *fn* as ``(name, position or None, default)``.
 
     *bound* drops the leading ``self``/``cls`` from the positions.
     """
     positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
     if bound:
         positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
     out = [
-        (name, i)
+        (name, i, fn.args.defaults[i - first])
         for i, name in enumerate(positional)
-        if i >= len(positional) - len(fn.args.defaults)
+        if i >= first
     ]
     out += [
-        (a.arg, None)
+        (a.arg, None, d)
         for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
         if d is not None
     ]
     return out
+
+
+def _constants(trees):
+    """``{name: value}`` for each library module-level ``NAME = literal``
+    whose every such assignment binds the same value."""
+    values = defaultdict(set)
+    for path, tree in trees:
+        if not _is_library(path):
+            continue
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Constant)
+            ):
+                value = node.value.value
+                values[node.targets[0].id].add((type(value), value))
+    return {name: next(iter(v)) for name, v in values.items() if len(v) == 1}
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _passes_default(arg, default, constants):
+    """Whether the argument *arg* is the parameter's own *default*."""
+    if ast.dump(arg) == ast.dump(default):
+        return True
+    name = _name(default)
+    if name is not None and name == _name(arg):
+        return True
+
+    def literal(node):
+        if isinstance(node, ast.Constant):
+            return (type(node.value), node.value)
+        return constants.get(_name(node))
+
+    value = literal(default)
+    return value is not None and value == literal(arg)
 
 
 def _is_static(fn):
@@ -132,7 +186,8 @@ def _definitions(trees):
 
 
 class _Calls(ast.NodeVisitor):
-    """Records ``key -> [(n positional, keywords)]`` for every call."""
+    """Records ``key -> [(positional args, {keyword: arg})]`` for every
+    call; the positional args stop at the first ``*args``."""
 
     def __init__(self, bases):
         self.bases = bases
@@ -146,12 +201,15 @@ class _Calls(ast.NodeVisitor):
 
     def visit_Call(self, node):
         self.generic_visit(node)
-        npos = 0
+        positional = []
         for arg in node.args:
             if isinstance(arg, ast.Starred):
                 break
-            npos += 1
-        shape = (npos, {k.arg for k in node.keywords if k.arg is not None})
+            positional.append(arg)
+        shape = (
+            positional,
+            {k.arg: k.value for k in node.keywords if k.arg is not None},
+        )
         func = node.func
         if isinstance(func, ast.Name):
             if func.id == "cls" and self._classes:
@@ -205,16 +263,23 @@ def option_surface():
     calls = _Calls(_class_bases(trees))
     for _, tree in trees:
         calls.visit(tree)
+    constants = _constants(trees)
     options, unset = [], []
     for key, entries in _definitions(trees).items():
         shapes = calls.calls.get(key, [])
         for label, params in entries:
-            for name, position in params:
+            for name, position, default in params:
                 options.append((label, name))
+                passed = [keywords.get(name) for _, keywords in shapes]
+                if position is not None:
+                    passed += [
+                        args[position] for args, _ in shapes
+                        if position < len(args)
+                    ]
                 set_somewhere = any(
-                    name in keywords
-                    or (position is not None and position < npos)
-                    for npos, keywords in shapes
+                    arg is not None
+                    and not _passes_default(arg, default, constants)
+                    for arg in passed
                 )
                 if not set_somewhere:
                     unset.append((label, name))

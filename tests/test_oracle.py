@@ -68,9 +68,7 @@ class TestCleanRunsPassAudit:
         graph = graph_factory()
         sources = {n: ["a", "b"] for n in list(graph.nodes)[1:]}
         trace, slots, tree = traced_collection(graph, sources, seed=2)
-        violations = audit_collection_trace(
-            trace, slots, tree.level, channel=0
-        )
+        violations = audit_collection_trace(trace, slots, tree.level)
         assert violations == []
 
 

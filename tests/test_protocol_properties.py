@@ -17,7 +17,7 @@ from repro.core import (
     run_dfs_preparation,
     run_point_to_point,
 )
-from repro.graphs import Graph, random_tree, reference_bfs_tree
+from repro.graphs import random_tree, reference_bfs_tree
 
 
 @st.composite

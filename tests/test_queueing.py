@@ -1,11 +1,10 @@
 """Tests for the queueing analytics and the model 2/3/4 simulators (§4.3)."""
 
-import math
 import random
 
 import pytest
 
-from repro.analysis import geometric_pmf, summarize, total_variation_distance
+from repro.analysis import geometric_pmf, total_variation_distance
 from repro.errors import ConfigurationError
 from repro.queueing import (
     expected_queue_length,

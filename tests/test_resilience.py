@@ -14,7 +14,7 @@ from repro.core import (
     run_collection,
     run_resilient_collection,
 )
-from repro.core.repair import NeighborRegistry, build_resilient_collection_network
+from repro.core.repair import build_resilient_collection_network
 from repro.errors import ConfigurationError
 from repro.graphs import Graph, layered_band, path, reference_bfs_tree
 from repro.radio.faults import MarkovChurn, RegionOutage

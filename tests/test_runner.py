@@ -10,7 +10,6 @@ supports that contract.
 from __future__ import annotations
 
 import json
-import math
 import random
 
 import pytest

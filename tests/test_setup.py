@@ -6,15 +6,16 @@ import random
 import pytest
 
 from repro.core import (
-    default_election_rounds,
     elect_leader,
     expected_setup_slots,
-    run_leader_election,
+    run_bit_election,
+    run_full_setup,
     run_setup,
 )
 from repro.core.bfs import expansion_parameters
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs import (
+    Graph,
     bfs_levels,
     complete,
     grid,
@@ -22,6 +23,13 @@ from repro.graphs import (
     random_geometric,
     star,
 )
+
+
+def retrying_cycle():
+    """A 4-cycle whose tournament at seed 107 ends in disagreement:
+    stations 0 and 1 each hear both top-bit sources, 2 and 3, whose
+    floods can collide."""
+    return Graph.from_edges([(0, 2), (2, 1), (1, 3), (3, 0)])
 
 
 class TestLeaderElection:
@@ -44,30 +52,95 @@ class TestLeaderElection:
         assert result.agreed
 
     def test_single_station(self):
-        result = run_leader_election(path(1), seed=0)
+        result = elect_leader(path(1), seed=0)
         assert result.leaders == [0]
         assert result.agreed
 
-    def test_true_max_is_always_a_leader(self):
-        """Even an unconverged run keeps the max believing in itself."""
-        graph = path(12)
-        result = run_leader_election(graph, seed=0, rounds=1)
-        assert max(graph.nodes) in result.leaders
-
-    def test_diameter_bound_shrinks_horizon(self):
-        assert default_election_rounds(64, diameter_bound=3) < (
-            default_election_rounds(64)
-        )
-
-    def test_invalid_n(self):
-        with pytest.raises(ConfigurationError):
-            default_election_rounds(0)
-
     def test_slots_accumulate_across_attempts(self):
-        graph = grid(3, 3)
-        single = run_leader_election(graph, seed=5)
-        wrapped = elect_leader(graph, seed=5)
-        assert wrapped.slots >= single.slots
+        graph = retrying_cycle()
+        first = run_bit_election(graph, seed=107)
+        assert not first.agreed
+        second = run_bit_election(graph, seed=107 + 101)
+        assert second.unique and second.agreed
+        wrapped = elect_leader(graph, seed=107)
+        assert wrapped.leaders == second.leaders == [3]
+        assert wrapped.slots == first.slots + second.slots
+
+    def test_gives_up_after_ten_attempts(self, monkeypatch):
+        from repro.core import leader
+
+        seeds = []
+
+        def disagreeing(graph, seed):
+            seeds.append(seed)
+            return leader.LeaderElectionResult(
+                leaders=[0, 1], true_max=1, slots=5, agreed=False
+            )
+
+        monkeypatch.setattr(leader, "run_bit_election", disagreeing)
+        with pytest.raises(SimulationTimeout):
+            elect_leader(path(2), seed=4)
+        assert seeds == [4 + 101 * attempt for attempt in range(10)]
+
+
+#: Recorded ``run_full_setup`` outputs, which a change to the setup path
+#: must keep: (field, seed, root, election, BFS and preparation slots,
+#: BFS attempts, tree parents, DFS intervals).
+PINNED_SETUPS = [
+    (
+        lambda: grid(3, 3), 3, 8, 256, 339, 33, 1,
+        {0: 1, 1: 4, 2: 5, 3: 4, 4: 7, 5: 8, 6: 7, 7: 8, 8: 8},
+        {0: (6, 6), 1: (5, 6), 2: (2, 2), 3: (7, 7), 4: (4, 7),
+         5: (1, 2), 6: (8, 8), 7: (3, 8), 8: (0, 8)},
+    ),
+    (
+        lambda: random_geometric(20, 0.4, random.Random(10)), 5, 19,
+        1160, 1059, 77, 1,
+        {0: 19, 1: 10, 2: 8, 3: 10, 4: 5, 5: 10, 6: 10, 7: 10, 8: 19,
+         9: 5, 10: 19, 11: 19, 12: 19, 13: 10, 14: 3, 15: 5, 16: 19,
+         17: 19, 18: 19, 19: 19},
+        {0: (1, 1), 1: (5, 5), 2: (3, 3), 3: (6, 7), 4: (9, 9),
+         5: (8, 11), 6: (12, 12), 7: (13, 13), 8: (2, 3), 9: (10, 10),
+         10: (4, 14), 11: (15, 15), 12: (16, 16), 13: (14, 14),
+         14: (7, 7), 15: (11, 11), 16: (17, 17), 17: (18, 18),
+         18: (19, 19), 19: (0, 19)},
+    ),
+    (
+        retrying_cycle, 107, 3, 56, 1043, 13, 2,
+        {0: 3, 1: 3, 2: 1, 3: 3},
+        {0: (1, 1), 1: (2, 3), 2: (3, 3), 3: (0, 3)},
+    ),
+]
+
+
+class TestPinnedSetupPath:
+    """``run_full_setup`` and ``elect_leader`` reproduce recorded runs."""
+
+    @pytest.mark.parametrize(
+        "graph_factory,seed,root,election,bfs,preparation,attempts,"
+        "parents,intervals",
+        PINNED_SETUPS,
+        ids=["grid-3x3", "rgg-20", "retrying-cycle"],
+    )
+    def test_matches_recorded_run(
+        self, graph_factory, seed, root, election, bfs, preparation,
+        attempts, parents, intervals,
+    ):
+        graph = graph_factory()
+        setup = run_full_setup(graph, seed)
+        assert setup.root == root
+        assert setup.election_slots == election
+        assert setup.bfs_slots == bfs
+        assert setup.preparation_slots == preparation
+        assert setup.bfs_attempts == attempts
+        assert setup.tree.parent == parents
+        assert {
+            v: (setup.tree.dfs_number[v], setup.tree.subtree_max[v])
+            for v in setup.tree.nodes
+        } == intervals
+        elected = elect_leader(graph, seed)
+        assert elected.leaders == [root]
+        assert elected.slots == election
 
 
 class TestBfsSetup:

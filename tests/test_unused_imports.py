@@ -1,15 +1,17 @@
-"""Every import of the library is used by the module that makes it.
+"""Every import is used by the module that makes it.
 
 An import nothing reads still runs on every load, hides the module's
 real dependencies and survives every refactor that removed its last use.
 This check parses every module under ``src/repro`` except the package
 ``__init__`` files, whose imports are the packages' public surface, and
-requires each name an import binds to be read somewhere in that module
-or listed in the module's ``__all__`` (a deliberate re-export).  A name
-read only inside a quoted annotation counts as read.  Exempt are
+every ``.py`` file under ``tests/``, ``benchmarks/`` and ``examples/``.
+It requires each name an import binds to be read somewhere in that
+module or listed in the module's ``__all__`` (a deliberate re-export).
+A name read only inside a quoted annotation counts as read.  Exempt are
 ``from __future__`` imports, which bind no name, and an import whose
 line carries ``# noqa: F401``, the linters' mark for an import made for
-its side effect.
+its side effect.  ``perfbench/`` is not scanned: it changes only with
+the benchmark it defines.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+SCRIPTS = ("tests", "benchmarks", "examples")
 
 
 def _imports(tree):
@@ -73,19 +76,25 @@ def _exported(tree):
     return names
 
 
-def unused_imports():
-    """``(module path, line, name)`` of every import nothing reads."""
-    unused = []
+def _scanned():
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
+        if path.name != "__init__.py":
+            yield path
+    for top in SCRIPTS:
+        yield from sorted((ROOT / top).rglob("*.py"))
+
+
+def unused_imports():
+    """``(path, line, name)`` of every import nothing reads."""
+    unused = []
+    for path in _scanned():
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source, filename=str(path))
         kept = _read_names(tree) | _exported(tree)
         for name, line in _imports(tree):
             if name not in kept and "noqa: F401" not in lines[line - 1]:
-                rel = path.relative_to(PACKAGE).as_posix()
+                rel = path.relative_to(ROOT).as_posix()
                 unused.append((rel, line, name))
     return unused
 

@@ -26,7 +26,6 @@ from repro.core import run_collection
 from repro.core.slots import SlotKind
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs import (
-    Graph,
     grid,
     layered_band,
     path,
