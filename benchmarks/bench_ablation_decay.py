@@ -80,7 +80,7 @@ def collection_with_policy(graph, tree, sources, seed, policy):
     if policy == "aloha":
         p = 1.0 / max(2, graph.max_degree())
         for node, process in processes.items():
-            process.lane._session_factory = aloha_session_factory(
+            process.lane.session_factory = aloha_session_factory(
                 p, random.Random((seed << 8) ^ hash(node))
             )
     total = sum(len(v) for v in sources.values())

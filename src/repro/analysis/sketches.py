@@ -190,11 +190,12 @@ class RateWindow:
         self.min_rate = math.inf
         self.max_rate = -math.inf
 
-    def record(self, slot: int, amount: float = 1.0) -> None:
+    def record(self, slot: int) -> None:
+        """Count one event at ``slot``."""
         index = slot // self.window_slots
         while index > self._window_index:
             self._close_window()
-        self._tally += amount
+        self._tally += 1.0
 
     def _close_window(self) -> None:
         rate = self._tally / self.window_slots

@@ -429,15 +429,13 @@ def run_setup(
     graph: Graph,
     root: NodeId,
     seed: int,
-    require_true_bfs: bool = False,
 ) -> SetupResult:
     """Run the Las-Vegas setup phase to completion.
 
     Each attempt runs until the root holds n−1 confirmations or the §2
-    timeout (twice the expected time) expires; on timeout — or, with
-    ``require_true_bfs``, when the spanning tree's levels are not the true
-    BFS distances — the whole phase is re-invoked with fresh coins, exactly
-    as the paper prescribes.  Slots are accumulated across attempts so
+    timeout (twice the expected time) expires; on timeout the whole
+    phase is re-invoked with fresh coins, exactly as the paper
+    prescribes.  Slots are accumulated across attempts so
     measured setup times include the (rare) retries.  After
     ``SETUP_ATTEMPTS`` failed attempts
     :class:`~repro.errors.SimulationTimeout` is raised.
@@ -471,17 +469,14 @@ def run_setup(
             info.root = root
             infos[node] = info
         tree = bfs_tree_from_tree_info(infos)
-        is_true = all(
-            tree.level[node] == true_levels[node] for node in graph.nodes
-        )
-        if require_true_bfs and not is_true:
-            continue
         return SetupResult(
             tree=tree,
             tree_infos=infos,
             slots=total_slots,
             attempts=attempt + 1,
-            is_true_bfs=is_true,
+            is_true_bfs=all(
+                tree.level[node] == true_levels[node] for node in graph.nodes
+            ),
         )
     raise SimulationTimeout(
         f"setup phase failed {SETUP_ATTEMPTS} times on n={n}; "

@@ -21,8 +21,9 @@ into the pipeline.  The root also interleaves end-of-stream announcements
 (carrying how many messages have been sequenced) whenever it is otherwise
 idle, so that even a missed *last* message produces gap evidence.  This
 plays the role of the paper's mod-3n² checkpoint numbering for the finite
-runs of an experiment; the checkpoint acknowledgements themselves are
-implemented as an optional flow-control layer (``checkpoint_interval``).
+runs of an experiment.  The checkpoint acknowledgements fire as §6
+prescribes: a station that holds messages 0 … c·n² − 1 acks checkpoint c
+to the root over the collection channel.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class BroadcastProcess(Process):
       by superphase arithmetic on the global slot number.
 
     A station that still misses a message after ``NACK_RETRY_SUPERPHASES``
-    superphases NACKs it again.
+    superphases NACKs it again, and a station that holds every message
+    below a multiple of ``checkpoint_interval`` (n², from
+    :func:`build_broadcast_network`) acks that checkpoint to the root.
     """
 
     def __init__(
@@ -89,7 +92,7 @@ class BroadcastProcess(Process):
         dist_slots: SlotStructure,
         invocations_per_superphase: int,
         rng: random.Random,
-        checkpoint_interval: Optional[int] = None,
+        checkpoint_interval: int,
     ):
         super().__init__(info.node_id)
         self.info = info
@@ -252,23 +255,21 @@ class BroadcastProcess(Process):
                 )
 
     def _emit_checkpoint_acks(self) -> None:
-        if self.checkpoint_interval is None:
-            return
-        interval = self.checkpoint_interval
+        # The evidence test comes first: a run that never sequences a
+        # checkpoint's worth of messages pays one comparison here.
         while True:
-            boundary = (self._checkpoints_acked + 1) * interval
-            if all(seq in self.received for seq in range(boundary)) and (
-                self._known_upper() >= boundary
+            boundary = (self._checkpoints_acked + 1) * self.checkpoint_interval
+            if self._known_upper() < boundary or not all(
+                seq in self.received for seq in range(boundary)
             ):
-                self._checkpoints_acked += 1
-                self._send_up(
-                    CheckpointAck(
-                        origin=self.info.node_id,
-                        checkpoint=self._checkpoints_acked,
-                    )
+                return
+            self._checkpoints_acked += 1
+            self._send_up(
+                CheckpointAck(
+                    origin=self.info.node_id,
+                    checkpoint=self._checkpoints_acked,
                 )
-            else:
-                break
+            )
 
     # ------------------------------------------------------------------
     # Engine callbacks
@@ -456,9 +457,13 @@ def build_broadcast_network(
     seed: int,
     level_classes: int = 3,
     invocations: Optional[int] = None,
-    checkpoint_interval: Optional[int] = None,
 ) -> Tuple[RadioNetwork, Dict[NodeId, BroadcastProcess]]:
-    """Wire a network of broadcast stations over a BFS tree."""
+    """Wire a network of broadcast stations over a BFS tree.
+
+    Superphases run ``invocations`` Decay invocations (default
+    :func:`superphase_invocations` of n), and checkpoints fall every n²
+    messages (§6).
+    """
     from repro.rng import RngFactory
 
     factory = RngFactory(seed)
@@ -481,7 +486,7 @@ def build_broadcast_network(
             dist_slots=dist_slots,
             invocations_per_superphase=invocations,
             rng=factory.for_node(node),
-            checkpoint_interval=checkpoint_interval,
+            checkpoint_interval=graph.num_nodes ** 2,
         )
         processes[node] = process
         network.attach(process)

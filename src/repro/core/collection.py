@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import AckMessage, DataMessage
 from repro.core.slots import SlotStructure, decay_budget
-from repro.core.transport import RetryPolicy, TransportLane
+from repro.core.transport import TransportLane
 from repro.core.tree import TreeInfo, tree_info_from_bfs_tree
 from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
@@ -60,7 +60,7 @@ class CollectionProcess(Process):
         rng: random.Random,
         initial_payloads: Iterable[Any] = (),
         strict: bool = True,
-        retry: Optional[RetryPolicy] = None,
+        retry: bool = False,
         dedup_window: Optional[int] = None,
     ):
         super().__init__(info.node_id)

@@ -235,17 +235,16 @@ class BitElectionProcess(Process):
 def run_bit_election(
     graph: Graph,
     seed: int,
-    diameter_bound: Optional[int] = None,
-    id_bits: Optional[int] = None,
 ) -> LeaderElectionResult:
     """Run the bitwise tournament election over ``graph``.
 
-    Station IDs must be non-negative integers; ``id_bits`` defaults to
-    the width of the largest ID (every station can compute a common width
-    from the known ID space, e.g. the bound N of §1.1).
+    Station IDs must be non-negative integers; the tournament runs one
+    round per bit of the largest ID (every station can compute a common
+    width from the known ID space, e.g. the bound N of §1.1).
 
-    Each round's window is ``D̂ + 2⌈log₂ n⌉`` Decay invocations (D̂
-    defaults to n − 1), and a station relays the signal for
+    Each round's window is ``D̂ + 2⌈log₂ n⌉`` Decay invocations, with the
+    diameter bound D̂ = n − 1 that every station knows, and a station
+    relays the signal for
     K = ⌈log₂(n²·id_bits)⌉ of them, capped at the window (14 at n = 48,
     19 at n = 200): a station next to a relay misses all K invocations
     with probability at most 2⁻ᴷ ≤ 1/(n²·id_bits), so over n stations
@@ -259,10 +258,8 @@ def run_bit_election(
     factory = RngFactory(seed)
     budget = decay_budget(graph.max_degree())
     n = graph.num_nodes
-    if id_bits is None:
-        id_bits = max(1, max(graph.nodes).bit_length())  # type: ignore[arg-type]
-    d_hat = diameter_bound if diameter_bound is not None else max(1, n - 1)
-    window_invocations = d_hat + 2 * max(
+    id_bits = max(1, max(graph.nodes).bit_length())  # type: ignore[arg-type]
+    window_invocations = max(1, n - 1) + 2 * max(
         1, math.ceil(math.log2(max(2, n)))
     )
     relay_invocations = min(

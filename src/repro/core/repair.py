@@ -5,9 +5,9 @@ failure-free model — but a single crashed BFS parent stalls its whole
 subtree forever, because the transport resends the buffer head to the same
 next hop until acknowledged.  This module adds the fault-tolerance layer:
 
-* **Ack-timeout watchdog** — after ``RepairPolicy.suspect_after``
-  consecutive unacknowledged Decay phases for the same message, the next
-  hop is suspected dead.
+* **Ack-timeout watchdog** — after :data:`SUSPECT_AFTER` consecutive
+  unacknowledged Decay phases for the same message, the next hop is
+  suspected dead.
 * **Local re-attachment** — the station picks an alive neighbor at BFS
   level ≤ its own, adopts it as its new parent (renumbering its own level
   to the new parent's + 1), and re-addresses its whole buffer there.
@@ -39,7 +39,6 @@ from repro.core.collection import (
 )
 from repro.core.messages import DataMessage
 from repro.core.slots import SlotStructure, decay_budget
-from repro.core.transport import RetryPolicy
 from repro.core.tree import TreeInfo, tree_info_from_bfs_tree
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
@@ -49,26 +48,12 @@ from repro.radio.network import RadioNetwork
 from repro.radio.trace import NetworkStats
 
 
-@dataclass(frozen=True)
-class RepairPolicy:
-    """Tuning knobs of the self-healing layer.
-
-    ``suspect_after`` is the watchdog threshold: that many *completed*
-    Decay phases attempting the same head without an acknowledgement mark
-    the next hop as suspect.  ``retry`` is the transport's per-message
-    retry/backoff policy; the default never exhausts a message (the
-    watchdog, not the lane, decides failover) and keeps backoff short so
-    suspicion builds quickly.
-    """
-
-    suspect_after: int = 3
-    retry: RetryPolicy = RetryPolicy(max_attempts=None, backoff_cap=1)
-
-    def __post_init__(self) -> None:
-        if self.suspect_after < 1:
-            raise ConfigurationError(
-                f"suspect_after must be >= 1, got {self.suspect_after}"
-            )
+#: The watchdog threshold: that many *completed* Decay phases attempting
+#: the same head without an acknowledgement mark the next hop as suspect.
+#: The lane retries with a short backoff (see
+#: :data:`~repro.core.transport.BACKOFF_CAP`) so suspicion builds quickly,
+#: and never gives a message up: the watchdog decides failover.
+SUSPECT_AFTER = 3
 
 
 @dataclass(frozen=True)
@@ -172,10 +157,8 @@ class ResilientCollectionProcess(CollectionProcess):
         slots: SlotStructure,
         rng: random.Random,
         registry: NeighborRegistry,
-        policy: RepairPolicy,
         initial_payloads: Iterable[Any] = (),
     ):
-        self.policy = policy
         self._registry = registry
         self._suspected: Set[NodeId] = set()
         self.partitioned = False
@@ -187,7 +170,7 @@ class ResilientCollectionProcess(CollectionProcess):
             rng,
             initial_payloads=initial_payloads,
             strict=False,
-            retry=policy.retry,
+            retry=True,
         )
         registry.register(self)
 
@@ -223,7 +206,7 @@ class ResilientCollectionProcess(CollectionProcess):
         if self.partitioned or self.info.is_root:
             return
         lane = self.lane
-        if lane.buffer and lane.failed_attempts(slot) >= self.policy.suspect_after:
+        if lane.buffer and lane.failed_attempts(slot) >= SUSPECT_AFTER:
             self._repair(slot)
 
     def quiet_until(self, slot: int) -> int:
@@ -350,7 +333,6 @@ def build_resilient_collection_network(
     sources: Dict[NodeId, List[Any]],
     seed: int,
     failures: Optional[FailureModel] = None,
-    policy: Optional[RepairPolicy] = None,
     level_classes: int = 3,
 ) -> Tuple[
     RadioNetwork,
@@ -364,7 +346,6 @@ def build_resilient_collection_network(
     unknown = set(sources) - set(graph.nodes)
     if unknown:
         raise ConfigurationError(f"unknown source stations {sorted(unknown)!r}")
-    policy = policy if policy is not None else RepairPolicy()
     factory = RngFactory(seed)
     slot_structure = SlotStructure(
         decay_budget=decay_budget(graph.max_degree()),
@@ -381,7 +362,6 @@ def build_resilient_collection_network(
             slots=slot_structure,
             rng=factory.for_node(node),
             registry=registry,
-            policy=policy,
             initial_payloads=sources.get(node, ()),
         )
         processes[node] = process
@@ -395,7 +375,6 @@ def run_resilient_collection(
     sources: Dict[NodeId, List[Any]],
     seed: int,
     failures: Optional[FailureModel] = None,
-    policy: Optional[RepairPolicy] = None,
     down_grace_slots: Optional[int] = None,
 ) -> ResilientCollectionResult:
     """Run collection under a failure model until nothing more can happen.
@@ -417,7 +396,7 @@ def run_resilient_collection(
     """
     network, processes, slot_structure, _registry = (
         build_resilient_collection_network(
-            graph, tree, sources, seed, failures, policy
+            graph, tree, sources, seed, failures
         )
     )
     total = sum(len(v) for v in sources.values())

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Optional, Protocol, Set, Tuple
 
 from repro.core.decay import DecaySession
@@ -50,42 +49,10 @@ class SessionLike(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-message retry budget with exponential backoff between phases.
-
-    The paper's transport retries the buffer head every phase forever —
-    correct in the failure-free model, a livelock once the next hop can
-    crash.  With a policy attached, a :class:`TransportLane` counts the
-    phases it has attempted its current head without an acknowledgement
-    (``head_attempts``); after attempt *k* it sits out
-    ``min(backoff_cap, 2^(k-1) - 1)`` phases before retrying, and after
-    ``max_attempts`` attempts it stops transmitting that message
-    (``head_exhausted``) so the repair layer can re-route or give up
-    instead of jamming the channel forever.
-
-    ``max_attempts=None`` keeps retrying indefinitely (backoff still
-    applies) — the right setting when a watchdog above the lane handles
-    failover, as :class:`~repro.core.repair.ResilientCollectionProcess`
-    does.
-    """
-
-    max_attempts: Optional[int] = None
-    backoff_cap: int = 4
-
-    def __post_init__(self) -> None:
-        if self.max_attempts is not None and self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1 or None, got {self.max_attempts}"
-            )
-        if self.backoff_cap < 0:
-            raise ConfigurationError(
-                f"backoff_cap must be >= 0, got {self.backoff_cap}"
-            )
-
-    def backoff_phases(self, attempt: int) -> int:
-        """Phases to sit out after the ``attempt``-th failed attempt."""
-        return min(self.backoff_cap, (1 << (attempt - 1)) - 1)
+#: The most phases a retrying lane sits out after a failed attempt: after
+#: attempt k it waits ``min(BACKOFF_CAP, 2^(k-1) - 1)`` phases, so the
+#: first retry is immediate and every later one waits one phase.
+BACKOFF_CAP = 1
 
 
 class TransportLane:
@@ -104,6 +71,19 @@ class TransportLane:
     designated receptions, unmatched designated acks) into
     :class:`ProtocolError` — the property tests run strict; failure
     injection experiments run non-strict and count anomalies instead.
+
+    The paper's transport retries the buffer head every phase forever —
+    correct in the failure-free model, a livelock once the next hop can
+    crash.  A ``retry`` lane counts the phases it has attempted its
+    current head without an acknowledgement (``head_attempts``) and backs
+    off between them (see :data:`BACKOFF_CAP`); the repair layer's
+    watchdog reads that count to suspect the next hop and re-route
+    (:class:`~repro.core.repair.ResilientCollectionProcess`).
+
+    The per-phase retransmission policy is the paper's Decay; an
+    ablation (E12) swaps in another by assigning
+    :attr:`session_factory`, a zero-argument callable returning a
+    :class:`SessionLike`.
     """
 
     def __init__(
@@ -114,8 +94,7 @@ class TransportLane:
         rng: random.Random,
         channel: int,
         strict: bool = True,
-        session_factory: Optional[Callable[[], "SessionLike"]] = None,
-        retry: Optional[RetryPolicy] = None,
+        retry: bool = False,
         dedup_window: Optional[int] = None,
     ):
         if dedup_window is not None and dedup_window < 1:
@@ -129,11 +108,9 @@ class TransportLane:
         self.strict = strict
         self.retry = retry
         self._rng = rng
-        # The per-phase retransmission policy: the paper's Decay by
-        # default; ablations (E12) plug in alternatives such as ALOHA.
         # A partial, not a lambda over self, so a finished lane is freed
         # by reference counting rather than left as cyclic garbage.
-        self._session_factory = session_factory or functools.partial(
+        self.session_factory: Callable[[], SessionLike] = functools.partial(
             DecaySession, slots.decay_budget, rng
         )
         self.buffer: Deque[DataMessage] = deque()
@@ -159,13 +136,11 @@ class TransportLane:
         self._dedup_window = dedup_window
         self._accepted_order: Deque[Tuple[NodeId, int]] = deque()
         self._evictions_since_rebuild = 0
-        # Retry/backoff state for the current head (only used with a
-        # retry policy; see RetryPolicy).
+        # Retry/backoff state for the current head (``retry`` lanes only).
         self._attempt_msg_id: Optional[Tuple[NodeId, int]] = None
         self._attempt_phase = -1
         self._backoff_until_phase = 0
         self.head_attempts = 0
-        self.head_exhausted = False
         # A muted lane does ack duty but never transmits data — set by the
         # repair layer when this station has given up (partition).
         self.muted = False
@@ -234,11 +209,11 @@ class TransportLane:
             self._session = None
             self._head = None
             if self._earliest_phase[0] <= phase:
-                if self.retry is None:
-                    self._session = self._session_factory()
-                    self._head = self.buffer[0]
-                else:
+                if self.retry:
                     self._start_attempt(phase)
+                else:
+                    self._session = self.session_factory()
+                    self._head = self.buffer[0]
             # else: head arrived mid-phase, sit this phase out.
         if self._session is not None and self._session.should_transmit():
             self.data_transmissions += 1
@@ -247,29 +222,21 @@ class TransportLane:
         return None
 
     def _start_attempt(self, phase: int) -> None:
-        """Retry-policy gate at a phase boundary: maybe attempt the head."""
-        assert self.retry is not None
+        """Retry gate at a phase boundary: maybe attempt the head."""
         head = self.buffer[0]
         if head.msg_id != self._attempt_msg_id:
             # Fresh head: reset the per-message retry state.
             self._attempt_msg_id = head.msg_id
             self.head_attempts = 0
             self._backoff_until_phase = 0
-            self.head_exhausted = False
-        if self.head_exhausted or phase < self._backoff_until_phase:
-            return
-        if (
-            self.retry.max_attempts is not None
-            and self.head_attempts >= self.retry.max_attempts
-        ):
-            self.head_exhausted = True
+        if phase < self._backoff_until_phase:
             return
         self.head_attempts += 1
         self._attempt_phase = phase
         self._backoff_until_phase = (
-            phase + 1 + self.retry.backoff_phases(self.head_attempts)
+            phase + 1 + min(BACKOFF_CAP, (1 << (self.head_attempts - 1)) - 1)
         )
-        self._session = self._session_factory()
+        self._session = self.session_factory()
         self._head = head
 
     def failed_attempts(self, slot: int) -> int:
@@ -308,7 +275,6 @@ class TransportLane:
         self._attempt_phase = -1
         self.head_attempts = 0
         self._backoff_until_phase = 0
-        self.head_exhausted = False
         self.retargets += 1
 
     # ------------------------------------------------------------------
@@ -379,7 +345,6 @@ class TransportLane:
             self._attempt_msg_id = None
             self.head_attempts = 0
             self._backoff_until_phase = 0
-            self.head_exhausted = False
             if self._head is not None and self._head.msg_id == ack.msg_id:
                 self._head = None
                 if self._session is not None:

@@ -61,16 +61,18 @@ def ascii_map(
     return f"{border}\n{body}\n{border}"
 
 
+#: Equal-width bins of :func:`link_length_histogram`, up to the longest link.
+HISTOGRAM_BINS = 8
+
+
 def link_length_histogram(
-    graph: Graph, positions: Dict[NodeId, Position], bins: int = 8
+    graph: Graph, positions: Dict[NodeId, Position]
 ) -> Dict[float, int]:
     """Histogram of link lengths (upper bin edge -> count).
 
     Useful for checking that a sampled field matches the intended radius:
     every link must be ≤ radius, with mass concentrated below it.
     """
-    if bins < 1:
-        raise ConfigurationError("need at least one bin")
     lengths = [
         math.dist(positions[u], positions[v]) for u, v in graph.edges()
     ]
@@ -79,7 +81,7 @@ def link_length_histogram(
     top = max(lengths)
     histogram: Dict[float, int] = {}
     for length in lengths:
-        index = min(bins - 1, int(length / top * bins))
-        edge = (index + 1) * top / bins
+        index = min(HISTOGRAM_BINS - 1, int(length / top * HISTOGRAM_BINS))
+        edge = (index + 1) * top / HISTOGRAM_BINS
         histogram[round(edge, 6)] = histogram.get(round(edge, 6), 0) + 1
     return dict(sorted(histogram.items()))

@@ -144,32 +144,30 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(edges, nodes=range(n))
 
 
-def random_geometric(
-    n: int,
-    radius: float,
-    rng: random.Random,
-    max_attempts: int = 200,
-) -> Graph:
+#: Resamples a connected-graph generator draws before it gives up.
+SAMPLE_ATTEMPTS = 200
+
+
+def random_geometric(n: int, radius: float, rng: random.Random) -> Graph:
     """A connected unit-disk graph: n points in [0,1]², edge iff dist ≤ radius.
 
     This is the canonical model of a multi-hop radio network (stations with
     identical transmission range on a plane); sampled by
     :func:`random_geometric_with_positions`, which also returns the points.
     """
-    return random_geometric_with_positions(n, radius, rng, max_attempts)[0]
+    return random_geometric_with_positions(n, radius, rng)[0]
 
 
 def random_geometric_with_positions(
     n: int,
     radius: float,
     rng: random.Random,
-    max_attempts: int = 200,
 ) -> Tuple[Graph, Dict[int, Tuple[float, float]]]:
     """A connected unit-disk graph *with* the generating coordinates.
 
     Placement is resampled until the graph is connected; raises
     :class:`ConfigurationError` if the radius is too small to connect
-    within ``max_attempts`` resamples.  The accepted placement is
+    within ``SAMPLE_ATTEMPTS`` resamples.  The accepted placement is
     returned so the field can be drawn (:func:`repro.graphs.ascii_map`).
 
     Edges are found with a cell-list grid (side ``radius``, compare only
@@ -181,7 +179,7 @@ def random_geometric_with_positions(
     _require_positive(n)
     from repro.graphs.properties import is_connected
 
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         points = [(rng.random(), rng.random()) for _ in range(n)]
         edges = _unit_disk_edges(points, radius)
         graph = Graph.from_edges(edges, nodes=range(n))
@@ -189,7 +187,7 @@ def random_geometric_with_positions(
             return graph, dict(enumerate(points))
     raise ConfigurationError(
         f"could not sample a connected unit-disk graph with n={n}, "
-        f"radius={radius} in {max_attempts} attempts"
+        f"radius={radius} in {SAMPLE_ATTEMPTS} attempts"
     )
 
 
@@ -220,19 +218,14 @@ def _unit_disk_edges(
     return edges
 
 
-def gnp_connected(
-    n: int,
-    p: float,
-    rng: random.Random,
-    max_attempts: int = 200,
-) -> Graph:
+def gnp_connected(n: int, p: float, rng: random.Random) -> Graph:
     """A connected Erdős–Rényi G(n, p) graph (resampled until connected)."""
     _require_positive(n)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"edge probability must be in [0,1], got {p}")
     from repro.graphs.properties import is_connected
 
-    for _ in range(max_attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         edges = [
             (i, j)
             for i in range(n)
@@ -243,7 +236,8 @@ def gnp_connected(
         if is_connected(graph):
             return graph
     raise ConfigurationError(
-        f"could not sample a connected G({n}, {p}) in {max_attempts} attempts"
+        f"could not sample a connected G({n}, {p}) in {SAMPLE_ATTEMPTS} "
+        "attempts"
     )
 
 

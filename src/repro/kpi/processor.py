@@ -222,10 +222,11 @@ def kpis_from_report(
     return compute_kpis(records, scenario=scenario)
 
 
-def kpis_from_run_dir(
-    run_dir: Any, *, scenario: Optional[str] = None
-) -> Dict[str, Any]:
-    """KPIs from a run directory's journal (outcome lines, deduplicated)."""
+def kpis_from_run_dir(run_dir: Any) -> Dict[str, Any]:
+    """KPIs from a run directory's journal (outcome lines, deduplicated).
+
+    The report is named after the run's experiment id when it has one.
+    """
     from repro.runner.journal import (
         JOURNAL_NAME,
         merge_task_records,
@@ -241,7 +242,7 @@ def kpis_from_run_dir(
         {**entry["record"], "cached": entry["cached"], "key": entry["key"]}
         for entry in merged
     ]
-    return compute_kpis(records, scenario=scenario)
+    return compute_kpis(records)
 
 
 def kpi_filename(scenario: str) -> str:

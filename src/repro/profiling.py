@@ -100,18 +100,15 @@ def current_profile() -> Optional[SlotLoopProfile]:
 
 
 @contextmanager
-def profiled(
-    profile: Optional[SlotLoopProfile] = None,
-) -> Iterator[SlotLoopProfile]:
-    """Install ``profile`` (or a fresh one) as the ambient profile.
+def profiled() -> Iterator[SlotLoopProfile]:
+    """Install a fresh profile as the ambient profile.
 
     Every engine constructed inside the ``with`` block accumulates its
     slot-loop phases into the yielded profile; the previous ambient
     profile (usually None) is restored on exit.
     """
     global _ACTIVE
-    if profile is None:
-        profile = SlotLoopProfile()
+    profile = SlotLoopProfile()
     previous = _ACTIVE
     _ACTIVE = profile
     try:

@@ -25,7 +25,7 @@ from repro.radio.oracle import (
     check_level_classes,
     check_slot_discipline,
 )
-from repro.radio.process import Process, ScriptedProcess, SilentProcess
+from repro.radio.process import Process, SilentProcess
 from repro.radio.trace import (
     ChannelStats,
     CollisionEvent,
@@ -62,7 +62,6 @@ __all__ = [
     "RegionOutage",
     "Process",
     "RadioNetwork",
-    "ScriptedProcess",
     "SilentProcess",
     "TimeDivisionProcess",
     "TransmitEvent",

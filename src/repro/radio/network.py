@@ -26,8 +26,8 @@ station with an empty buffer transmits nothing at all.  Polling every
 process every slot is therefore O(n) of wasted work per slot at scale.
 A process may declare those silences via :meth:`~repro.radio.process.
 Process.quiet_until`; the engine keeps a min-heap of wake slots and
-skips sleeping processes entirely — a reception (or collision callback)
-wakes a process immediately, so reactive traffic is never delayed.
+skips sleeping processes entirely — a reception wakes a process
+immediately, so reactive traffic is never delayed.
 Processes that do not implement the hint are polled every slot, exactly
 as before.
 The fast path is bypassed whenever a failure model is attached (crash
@@ -84,11 +84,9 @@ class RadioNetwork:
         (seeded by ``capture_seed``) instead of nothing.  The paper notes
         its deterministic acknowledgement mechanism "is no longer valid"
         under this model — tests confirm exactly that.
-    collision_detection:
-        §8 remark (4)'s variant: listeners get an explicit
-        ``on_collision`` callback when ≥ 2 neighbors transmit.  The
-        paper's protocols never use it ("we do not know how to use it");
-        it is exposed for experimentation.
+
+    §8 remark (4)'s collision detection is not built: the paper's
+    protocols never use it ("we do not know how to use it").
 
     The ``idle_scheduling`` attribute (default True) enables the
     quiet-declaration fast path described in the module docstring; set it
@@ -105,7 +103,6 @@ class RadioNetwork:
         trace: Optional[EventTrace] = None,
         failures: Optional[FailureModel] = None,
         capture_effect: bool = False,
-        collision_detection: bool = False,
         capture_seed: int = 0,
     ):
         if num_channels < 1:
@@ -116,7 +113,6 @@ class RadioNetwork:
         self.trace = trace
         self.failures = failures
         self.capture_effect = capture_effect
-        self.collision_detection = collision_detection
         self._capture_rng = (
             random.Random(capture_seed) if capture_effect else None
         )
@@ -355,10 +351,6 @@ class RadioNetwork:
                         trace.record(
                             CollisionEvent(slot, channel, receiver, colliders)
                         )
-                    if self.collision_detection:
-                        processes[receiver].on_collision(slot, channel)
-                        if awake is not None and receiver not in awake:
-                            awake[receiver] = None
                     if self.capture_effect:
                         # §8 remark (3): the receiver captures one of the
                         # colliding messages, uniformly at random.  The
@@ -490,12 +482,11 @@ class RadioNetwork:
             slots_elapsed=max_slots,
         )
 
-    def run_until_done(self, max_slots: int, check_every: int = 1) -> int:
+    def run_until_done(self, max_slots: int) -> int:
         """Run until every process reports :meth:`Process.is_done`."""
         return self.run(
             max_slots,
             until=lambda net: all(
                 p.is_done() for p in net._processes.values()
             ),
-            check_every=check_every,
         )

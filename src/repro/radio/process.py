@@ -56,14 +56,6 @@ class Process:
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
         """Called when a message was successfully received on ``channel``."""
 
-    def on_collision(self, slot: int, channel: int) -> None:
-        """Called on a collision — ONLY in the §8-remark-(4) model variant.
-
-        The paper's base model has no collision detection, so no protocol
-        in :mod:`repro.core` implements this; it exists for experiments
-        with the ``collision_detection=True`` engine option.
-        """
-
     def on_slot_end(self, slot: int) -> None:
         """Called after all of this slot's receptions have been delivered."""
 
@@ -77,9 +69,9 @@ class Process:
         ``[slot, w)`` its :meth:`on_slot` would return None and its
         :meth:`on_slot_end` would be a no-op.  The engine may then skip
         those callbacks entirely (it keeps a min-heap of wake slots, see
-        :mod:`repro.radio.network`).  Receiving a message (or an
-        ``on_collision`` in the detection variant) re-wakes the process
-        for the current slot, so reactive behaviour is never delayed.
+        :mod:`repro.radio.network`).  Receiving a message re-wakes the
+        process for the current slot, so reactive behaviour is never
+        delayed.
         Return :data:`QUIET_FOREVER` for "silent until spoken to".
 
         The default returns ``slot`` — no declaration, polled every
@@ -138,22 +130,3 @@ class SilentProcess(Process):
     def on_receive(self, slot: int, channel: int, payload: Any) -> None:
         self.heard.append((slot, channel, payload))
 
-
-class ScriptedProcess(Process):
-    """A station that transmits a fixed script: slot -> transmissions.
-
-    The script maps slot numbers to a :class:`SlotAction`; unknown slots
-    listen.  Used heavily by engine unit tests to build exact collision
-    scenarios.
-    """
-
-    def __init__(self, node_id: NodeId, script: Optional[dict] = None):
-        super().__init__(node_id)
-        self.script = dict(script or {})
-        self.heard: list = []
-
-    def on_slot(self, slot: int) -> SlotAction:
-        return self.script.get(slot)
-
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
-        self.heard.append((slot, channel, payload))

@@ -8,7 +8,7 @@ they allocate per event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.graphs.graph import NodeId
 
@@ -117,18 +117,14 @@ class EventTrace:
     """Opt-in event recorder.
 
     Pass an instance as ``trace=`` to :class:`repro.radio.RadioNetwork` to
-    capture every transmission, delivery and collision.  ``max_events``
-    bounds memory; exceeding it silently stops recording (counters in
-    :class:`NetworkStats` remain exact).
+    capture every transmission, delivery, collision and drop of the run.
+    A trace is never truncated, so an audit over it sees the whole run.
     """
 
-    def __init__(self, max_events: Optional[int] = None):
+    def __init__(self):
         self.events: List[object] = []
-        self.max_events = max_events
 
     def record(self, event: object) -> None:
-        if self.max_events is not None and len(self.events) >= self.max_events:
-            return
         self.events.append(event)
 
     def of_type(self, event_type: type) -> List[object]:

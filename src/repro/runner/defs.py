@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from typing import Any, Dict, List, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Sequence, Tuple,
+)
 
 from repro.analysis.resilience import SCENARIOS, scenario_metrics
 from repro.core.collection import build_collection_network, run_collection
@@ -135,6 +137,45 @@ E3_SCALING_TOPOLOGY = "path-16"
 E3_SCALING_KS = (4, 8, 16, 32)
 
 
+def _e3_cell(topology: str, k: int, seed: int):
+    """``(graph, tree, workload)`` of one E3 seed: k messages at the
+    deepest station."""
+    graph = build_topology(topology, random.Random(seed))
+    tree = reference_bfs_tree(graph, 0)
+    deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
+    return graph, tree, {deepest: [f"m{i}" for i in range(k)]}
+
+
+def collection_batches(
+    seeds: Sequence[int], realize: Callable[[int], tuple], classes: int
+) -> Iterator[tuple]:
+    """One lockstep collection batch per graph the seeds realize.
+
+    ``realize(seed)`` builds a seed's ``(graph, tree, workload)`` cell.
+    Seed-dependent topology families (``rgg-N``, ``rtree-N``) realize a
+    different graph per seed, so seeds are bucketed by the graph they
+    realize and each bucket runs as one batch on its first seed's cell;
+    deterministic families collapse into a single batch.  Yields
+    ``(positions in seeds, cell, batch result)`` per bucket.
+    """
+    buckets: Dict[Graph, List[int]] = {}
+    cells: Dict[Graph, tuple] = {}
+    for position, seed in enumerate(seeds):
+        cell = realize(seed)
+        buckets.setdefault(cell[0], []).append(position)
+        cells.setdefault(cell[0], cell)
+    for graph, positions in buckets.items():
+        _, tree, workload = cell = cells[graph]
+        batch = run_collection_batch(
+            graph,
+            tree,
+            workload,
+            [seeds[position] for position in positions],
+            level_classes=classes,
+        )
+        yield positions, cell, batch
+
+
 def collection_metrics(
     topology: str, k: int, classes: int, seed: int
 ) -> Dict[str, Any]:
@@ -144,10 +185,7 @@ def collection_metrics(
     the tree depth (= the bound's D for this placement), log2 Δ, and the
     measured constant ``slots / ((k + D)·log2 Δ)``.
     """
-    graph = build_topology(topology, random.Random(seed))
-    tree = reference_bfs_tree(graph, 0)
-    deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
-    sources = {deepest: [f"m{i}" for i in range(k)]}
+    graph, tree, sources = _e3_cell(topology, k, seed)
     result = run_collection(
         graph, tree, sources, seed, level_classes=classes
     )
@@ -196,29 +234,12 @@ def collection_metrics_batch(
     classes: int,
     seeds: List[int],
 ) -> List[Dict[str, Any]]:
-    """All seeds of one E3 cell in NumPy lockstep batches.
-
-    Seed-dependent topology families (``rgg-N``, ``rtree-N``) realize a
-    different graph per seed, so seeds are bucketed by the graph they
-    realize and each bucket runs as one batch; deterministic families
-    collapse into a single batch.
-    """
-    buckets: Dict[Graph, List[int]] = {}
-    for position, seed in enumerate(seeds):
-        graph = build_topology(topology, random.Random(seed))
-        buckets.setdefault(graph, []).append(position)
+    """All seeds of one E3 cell in NumPy lockstep batches (see
+    :func:`collection_batches`)."""
     results: List[Dict[str, Any]] = [{} for _ in seeds]
-    for graph, positions in buckets.items():
-        tree = reference_bfs_tree(graph, 0)
-        deepest = max(tree.nodes, key=lambda v: (tree.level[v], v))
-        sources = {deepest: [f"m{i}" for i in range(k)]}
-        batch = run_collection_batch(
-            graph,
-            tree,
-            sources,
-            [seeds[position] for position in positions],
-            level_classes=classes,
-        )
+    for positions, (graph, tree, _), batch in collection_batches(
+        seeds, lambda seed: _e3_cell(topology, k, seed), classes
+    ):
         log_delta = math.log2(max(2, graph.max_degree()))
         denominator = (k + tree.depth) * log_delta
         for position, slots in zip(positions, batch.completion_slots):

@@ -80,7 +80,11 @@ from typing import (
 from repro.errors import ConfigurationError, ReproError
 from repro.runner.cache import ResultCache
 from repro.runner.drain import DRAINED, DrainWorker
-from repro.runner.policy import FaultPolicy, QuarantineRecord
+from repro.runner.policy import (
+    MAX_QUARANTINE_FRACTION,
+    FaultPolicy,
+    QuarantineRecord,
+)
 from repro.runner.registry import (
     ExperimentDef,
     get_experiment,
@@ -181,15 +185,12 @@ class RunReport:
             groups.setdefault(outcome.spec.case_label(), []).append(outcome)
         return groups
 
-    def metric(
-        self, name: str, case_label: Optional[str] = None
-    ) -> List[float]:
-        """All values of one metric (optionally restricted to a case)."""
+    def metric(self, name: str) -> List[float]:
+        """All values of one metric, in grid order."""
         return [
             float(outcome.metrics[name])
             for outcome in self.outcomes
             if name in outcome.metrics
-            and (case_label is None or outcome.spec.case_label() == case_label)
         ]
 
     def case_means(self, name: str) -> Dict[str, float]:
@@ -339,7 +340,7 @@ class _Grid:
             )
         self.quarantined.append(record)
         self.on_quarantine(record)
-        limit = self.policy.max_quarantine_fraction * self.pending_total
+        limit = MAX_QUARANTINE_FRACTION * self.pending_total
         if len(self.quarantined) > limit:
             lines = "; ".join(
                 f"{q.label} [{q.category}] {q.detail}"
@@ -348,7 +349,7 @@ class _Grid:
             raise TaskExecutionError(
                 f"{len(self.quarantined)} of {self.pending_total} tasks "
                 f"quarantined (threshold "
-                f"{self.policy.max_quarantine_fraction:.0%}): {lines}"
+                f"{MAX_QUARANTINE_FRACTION:.0%}): {lines}"
             )
 
     def lost(self, unit: List[int], hung: bool) -> None:
@@ -639,7 +640,6 @@ def run_tasks(
     progress: bool = False,
     version: Optional[str] = None,
     options: Optional[Mapping[str, Any]] = None,
-    chunk_size: Optional[int] = None,
     batch_fn: Optional[BatchFn] = None,
     policy: Optional[FaultPolicy] = None,
 ) -> RunReport:
@@ -742,12 +742,9 @@ def run_tasks(
     if inline:
         units = batch_groups + ([scalar_pending] if scalar_pending else [])
     else:
-        if chunk_size is None:
-            # ~4 chunks per worker: coarse enough to amortize IPC,
-            # fine enough that a slow shard cannot straggle the run.
-            chunk_size = max(
-                1, math.ceil(len(scalar_pending) / (workers * 4))
-            )
+        # ~4 chunks per worker: coarse enough to amortize IPC, fine
+        # enough that a slow shard cannot straggle the run.
+        chunk_size = max(1, math.ceil(len(scalar_pending) / (workers * 4)))
         # Vector cells shard into contiguous sub-batches so one cell's
         # replications spread across workers; per-replication coin
         # streams keep every sub-batch bit-identical to the unsharded
@@ -862,7 +859,6 @@ def run_experiment(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
     quarantine: bool = True,
-    policy: Optional[FaultPolicy] = None,
     quick: bool = False,
 ) -> RunReport:
     """Run one *registered* experiment end to end.
@@ -876,9 +872,8 @@ def run_experiment(
     function).
 
     Failure behavior: ``timeout`` (defaulting to the experiment's
-    ``default_timeout``), ``retries`` and ``quarantine`` assemble a
-    :class:`~repro.runner.policy.FaultPolicy` unless an explicit
-    ``policy`` is given.
+    ``default_timeout``), ``retries`` and ``quarantine`` assemble its
+    :class:`~repro.runner.policy.FaultPolicy`.
     """
     import functools
 
@@ -889,15 +884,13 @@ def run_experiment(
         engine=engine,
         quick=quick,
     )
-    if policy is None:
-        defaults = FaultPolicy()
-        policy = FaultPolicy(
-            timeout=timeout if timeout is not None else defn.default_timeout,
-            max_retries=(
-                retries if retries is not None else defaults.max_retries
-            ),
-            quarantine=quarantine,
-        )
+    policy = FaultPolicy(
+        timeout=timeout if timeout is not None else defn.default_timeout,
+        max_retries=(
+            retries if retries is not None else FaultPolicy().max_retries
+        ),
+        quarantine=quarantine,
+    )
     batch_fn: Optional[BatchFn] = None
     if defn.supports_vector:
         batch_fn = functools.partial(run_registered_batch, exp_id)

@@ -34,6 +34,19 @@ from repro.rng import child_rng
 #: Quarantine categories, by failure mode.
 QUARANTINE_CATEGORIES = ("error", "crash", "timeout")
 
+#: Retry ``attempt`` after a raised exception waits
+#: ``min(BACKOFF_CAP_S, BACKOFF_BASE_S · 2^(attempt-1))`` seconds, scaled
+#: by ``1 + BACKOFF_JITTER·u`` with ``u`` drawn deterministically from the
+#: task key.
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 2.0
+BACKOFF_JITTER = 0.5
+
+#: A run aborts once more than this fraction of the tasks pending
+#: execution has been quarantined: the failures are systemic, not
+#: sporadic.
+MAX_QUARANTINE_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class FaultPolicy:
@@ -50,31 +63,23 @@ class FaultPolicy:
     ``max_retries``
         How many times a failed task (raised exception or crashed
         worker) is re-executed before it is quarantined.  Timeouts are
-        never retried — a hang is assumed persistent.
-    ``backoff_base`` / ``backoff_cap`` / ``jitter``
-        Retry ``attempt`` after a raised exception waits
-        ``min(cap, base · 2^(attempt-1))`` scaled by ``1 + jitter·u``
-        with ``u`` drawn deterministically from the task key.  A crashed
-        worker's task, like a stolen fleet lease, re-runs at once.
+        never retried — a hang is assumed persistent.  A retry after a
+        raised exception backs off (see :data:`BACKOFF_BASE_S`); a
+        crashed worker's task, like a stolen fleet lease, re-runs at
+        once.
     ``quarantine``
         When True (the default), a task that exhausts its retries is
-        recorded and skipped; when False the first exhausted task
-        aborts the run with :class:`~repro.runner.executor.TaskExecutionError`.
-    ``max_quarantine_fraction``
-        Abort the run once more than this fraction of the tasks pending
-        execution has been quarantined — the failures are systemic, not
-        sporadic.
+        recorded and skipped, until more than
+        :data:`MAX_QUARANTINE_FRACTION` of the pending tasks are; when
+        False the first exhausted task aborts the run with
+        :class:`~repro.runner.executor.TaskExecutionError`.
     ``seed``
         Root seed of the backoff-jitter stream.
     """
 
     timeout: Optional[float] = None
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.5
     quarantine: bool = True
-    max_quarantine_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -86,21 +91,14 @@ class FaultPolicy:
             raise ConfigurationError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ConfigurationError("backoff must be non-negative")
-        if not 0.0 <= self.max_quarantine_fraction <= 1.0:
-            raise ConfigurationError(
-                "max_quarantine_fraction must be in [0, 1], got "
-                f"{self.max_quarantine_fraction}"
-            )
 
     def backoff_delay(self, key: str, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based) of task ``key``."""
         base = min(
-            self.backoff_cap, self.backoff_base * (2 ** max(0, attempt - 1))
+            BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** max(0, attempt - 1))
         )
         u = child_rng(self.seed, "backoff", key, attempt).random()
-        return base * (1.0 + self.jitter * u)
+        return base * (1.0 + BACKOFF_JITTER * u)
 
 
 @dataclass(frozen=True)

@@ -31,28 +31,25 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, TextIO
+from typing import Any, Dict, Mapping, Optional
 
 from repro.runner.atomicio import atomic_write_json
 from repro.runner.drain import default_host_name
 from repro.runner.journal import JOURNAL_NAME, Journal
 
 
-class Progress:
-    """A single-line live progress meter (tasks/sec + ETA)."""
+#: Seconds between two renders of the progress line.
+RENDER_INTERVAL_S = 0.1
 
-    def __init__(
-        self,
-        total: int,
-        enabled: bool = True,
-        stream: Optional[TextIO] = None,
-        min_interval: float = 0.1,
-    ) -> None:
+
+class Progress:
+    """A single-line live progress meter (tasks/sec + ETA) on stderr."""
+
+    def __init__(self, total: int, enabled: bool = True) -> None:
         self.total = total
         self.done = 0
         self.enabled = enabled and total > 0
-        self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
+        self.stream = sys.stderr
         self._started = time.perf_counter()
         self._last_render = 0.0
         self._dirty = False
@@ -61,7 +58,7 @@ class Progress:
         self.done += count
         self._dirty = True
         now = time.perf_counter()
-        if self.enabled and now - self._last_render >= self.min_interval:
+        if self.enabled and now - self._last_render >= RENDER_INTERVAL_S:
             self._render(now)
 
     def _render(self, now: float) -> None:

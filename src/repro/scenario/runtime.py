@@ -449,14 +449,14 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
     a user-facing error path.
 
     Seed-dependent topology families realize a different graph per
-    seed, so tasks are bucketed by the graph they realize (exactly as
-    :func:`repro.runner.defs.collection_metrics_batch` does) and each
-    bucket runs as one batch.  Metrics mirror the scalar closed-run
-    path — same submission order, sojourns in phases from the delivery
-    slot — except the per-channel diagnostics the lockstep engine does
-    not observe, which are omitted rather than fabricated.
+    seed, so tasks run one batch per graph they realize
+    (:func:`repro.runner.defs.collection_batches`).  Metrics mirror the
+    scalar closed-run path — same submission order, sojourns in phases
+    from the delivery slot — except the per-channel diagnostics the
+    lockstep engine does not observe, which are omitted rather than
+    fabricated.
     """
-    from repro.vector.collection import run_collection_batch
+    from repro.runner.defs import collection_batches
 
     params = specs[0].params
     if (
@@ -471,22 +471,15 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
             "(the spec validator should have rejected this scenario)"
         )
     messages = params.get("messages", 4)
+
+    def realize(seed: int):
+        graph, tree, sources = _cell(params, seed)
+        return graph, tree, _closed_messages(sources, messages)
+
     results: List[Dict[str, Any]] = [{} for _ in specs]
-    buckets: Dict[Graph, List[int]] = {}
-    realized: Dict[Graph, Any] = {}
-    for index, spec in enumerate(specs):
-        graph, tree, sources = _cell(params, spec.seed)
-        buckets.setdefault(graph, []).append(index)
-        realized.setdefault(graph, (tree, sources))
-    for graph, positions in buckets.items():
-        tree, sources = realized[graph]
-        batch = run_collection_batch(
-            graph,
-            tree,
-            _closed_messages(sources, messages),
-            [specs[index].seed for index in positions],
-            level_classes=params.get("classes", 3),
-        )
+    for positions, (_, _, workload), batch in collection_batches(
+        [spec.seed for spec in specs], realize, params.get("classes", 3)
+    ):
         simulation = batch.simulation
         phase_length = simulation.phase_length
         origins = simulation.message_origins
@@ -495,8 +488,8 @@ def run_scenario_batch(specs: List[TaskSpec]) -> List[Dict[str, Any]]:
             acc = FlowAccumulator(phase_length)
             # Same submission order as the scalar closed path, so
             # jain_fairness iterates flows identically.
-            for node in sources:
-                for _ in range(messages):
+            for node, payloads in workload.items():
+                for _ in payloads:
                     acc.on_submit(None, node, 0)
             for slot, gid in delivered[b]:
                 # Closed runs have no warmup: every sojourn counts.

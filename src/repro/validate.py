@@ -190,8 +190,8 @@ CHECKS: List[Callable[[], CheckResult]] = [
 ]
 
 
-def run_validation(verbose: bool = True) -> List[CheckResult]:
-    """Run all quick checks; returns the results (and prints them)."""
+def run_validation() -> List[CheckResult]:
+    """Run all quick checks; prints and returns the results."""
     results = []
     for check in CHECKS:
         try:
@@ -203,14 +203,12 @@ def run_validation(verbose: bool = True) -> List[CheckResult]:
                 detail=f"raised {type(error).__name__}: {error}",
             )
         results.append(result)
-        if verbose:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"[{status}] {result.name}")
-            print(f"       {result.detail}")
-    if verbose:
-        failed = sum(1 for r in results if not r.passed)
-        print(
-            f"\n{len(results) - failed}/{len(results)} claims verified"
-            + ("" if failed == 0 else f" — {failed} FAILED")
-        )
+        status = "PASS" if result.passed else "FAIL"
+        print(f"[{status}] {result.name}")
+        print(f"       {result.detail}")
+    failed = sum(1 for r in results if not r.passed)
+    print(
+        f"\n{len(results) - failed}/{len(results)} claims verified"
+        + ("" if failed == 0 else f" — {failed} FAILED")
+    )
     return results

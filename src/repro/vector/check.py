@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -52,6 +52,9 @@ from repro.vector.collection import (
 from repro.vector.decay import BatchDecay
 
 DEFAULT_ALPHA = 0.01
+
+#: Replications per engine and cell in :func:`run_equivalence`.
+REPLICATIONS = 48
 
 
 class BrokenOffByOneDecay(BatchDecay):
@@ -172,7 +175,6 @@ class CellSpec:
     graph: Graph
     tree: BFSTree
     sources: Dict[NodeId, List[Any]]
-    level_classes: int = 3
 
 
 def e3_cell() -> CellSpec:
@@ -272,13 +274,7 @@ def _cell_seeds(cell: CellSpec, seed: int, replications: int) -> List[int]:
 
 def _scalar_slots(cell: CellSpec, seeds: Sequence[int]) -> List[int]:
     return [
-        run_collection(
-            cell.graph,
-            cell.tree,
-            cell.sources,
-            s,
-            level_classes=cell.level_classes,
-        ).slots
+        run_collection(cell.graph, cell.tree, cell.sources, s).slots
         for s in seeds
     ]
 
@@ -303,7 +299,6 @@ def compare_cell(
         cell.tree,
         cell.sources,
         seeds,
-        level_classes=cell.level_classes,
         decay_factory=decay_factory,
         trace=True,
     )
@@ -319,15 +314,13 @@ def compare_cell(
 
 def run_equivalence(
     seed: int = 20260704,
-    replications: int = 48,
     decay_factory: DecayFactory = BatchDecay,
-    cells: Optional[Sequence[CellSpec]] = None,
 ) -> EquivalenceReport:
     """The full harness: invariants + KS at ``DEFAULT_ALPHA`` for every
-    cell."""
+    default cell, at ``REPLICATIONS`` seeds per engine."""
     report = EquivalenceReport(alpha=DEFAULT_ALPHA)
-    for cell in cells if cells is not None else default_cells():
+    for cell in default_cells():
         report.cells.append(
-            compare_cell(cell, seed, replications, decay_factory)
+            compare_cell(cell, seed, REPLICATIONS, decay_factory)
         )
     return report

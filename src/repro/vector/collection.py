@@ -175,9 +175,9 @@ class BatchCollection:
     seeds:
         One root seed per replication; each seeds an independent
         NumPy coin stream.
-    level_classes, budget:
-        As in the scalar protocol: §2.2 multiplexing (3 in the paper)
-        and the Decay budget (default ``2·ceil(log2 Δ)``).
+    level_classes:
+        As in the scalar protocol: §2.2 multiplexing (3 in the paper).
+        The Decay budget is the scalar protocol's ``2·ceil(log2 Δ)``.
     decay_factory:
         Constructor for the batched Decay implementation — the
         equivalence harness swaps in a deliberately broken variant to
@@ -197,7 +197,6 @@ class BatchCollection:
         sources: Dict[NodeId, List[Any]],
         seeds: Sequence[int],
         level_classes: int = 3,
-        budget: Optional[int] = None,
         decay_factory: DecayFactory = BatchDecay,
         trace: bool = False,
     ):
@@ -211,10 +210,7 @@ class BatchCollection:
         self.radio = LockstepRadio(graph, tree, len(seeds))
         self.seeds = tuple(int(s) for s in seeds)
         self.slots = SlotStructure(
-            decay_budget=(
-                budget if budget is not None
-                else decay_budget(graph.max_degree())
-            ),
+            decay_budget=decay_budget(graph.max_degree()),
             level_classes=level_classes,
             with_acks=True,
         )
@@ -670,21 +666,20 @@ class BatchCollection:
             ):
                 self._sleep(min(self.slot - within + phase_length, until))
 
-    def run_until_done(self, max_slots: Optional[int] = None) -> np.ndarray:
+    def run_until_done(self) -> np.ndarray:
         """Run until every replication drains; returns completion slots.
 
-        ``max_slots`` defaults to the same generous multiple of the
-        Theorem 4.4 bound the scalar :func:`~repro.core.collection.
-        run_collection` uses; stragglers past it raise
+        The run is capped at the same generous multiple of the Theorem
+        4.4 bound the scalar :func:`~repro.core.collection.run_collection`
+        uses; stragglers past it raise
         :class:`~repro.errors.SimulationTimeout`.
         """
-        if max_slots is None:
-            bound = expected_collection_slots(
-                self.total_messages,
-                self.radio.tree.depth,
-                self.radio.graph.max_degree(),
-            )
-            max_slots = max(10_000, int(20 * bound))
+        bound = expected_collection_slots(
+            self.total_messages,
+            self.radio.tree.depth,
+            self.radio.graph.max_degree(),
+        )
+        max_slots = max(10_000, int(20 * bound))
         self.advance(max_slots)
         if not self.done.all():
             stragglers = int((~self.done).sum())
@@ -715,7 +710,6 @@ def run_collection_batch(
     sources: Dict[NodeId, List[Any]],
     seeds: Sequence[int],
     level_classes: int = 3,
-    max_slots: Optional[int] = None,
     decay_factory: DecayFactory = BatchDecay,
     trace: bool = False,
 ) -> BatchCollectionResult:
@@ -723,7 +717,8 @@ def run_collection_batch(
 
     The vector-engine counterpart of the scalar
     :func:`~repro.core.collection.run_collection`, for all seeds of a
-    grid cell at once.
+    grid cell at once, with the same budgets: the Decay budget of the
+    graph's maximum degree and the same slot cap.
     """
     simulation = BatchCollection(
         graph,
@@ -734,7 +729,7 @@ def run_collection_batch(
         decay_factory=decay_factory,
         trace=trace,
     )
-    completion = simulation.run_until_done(max_slots)
+    completion = simulation.run_until_done()
     phase_length = simulation.slots.phase_length
     phases = -(-completion // phase_length)
     return BatchCollectionResult(

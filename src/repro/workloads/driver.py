@@ -358,19 +358,19 @@ def run_streaming_collection(
     horizon_slots: int,
     drain: bool = True,
     drain_budget: Optional[int] = None,
-    level_classes: int = 3,
 ) -> StreamingResult:
     """Stream arrivals into collection for ``horizon_slots`` slots.
 
-    Each arrival is submitted at its slot; deliveries at the root are
-    timestamped by polling (exact, since the driver steps one slot at a
-    time).  With ``drain`` the run continues past the horizon (up to
-    ``drain_budget`` extra slots) until every submitted message arrives,
-    so latencies are complete; without it, undelivered messages simply
-    have no latency (useful for overload experiments).
+    The run uses mod-3 level classes.  Each arrival is submitted at its
+    slot; deliveries at the root are timestamped by polling (exact, since
+    the driver steps one slot at a time).  With ``drain`` the run
+    continues past the horizon (up to ``drain_budget`` extra slots) until
+    every submitted message arrives, so latencies are complete; without
+    it, undelivered messages simply have no latency (useful for overload
+    experiments).
     """
     network, processes, _slots = build_collection_network(
-        graph, tree, sources={}, seed=seed, level_classes=level_classes
+        graph, tree, sources={}, seed=seed
     )
     if drain_budget is None:
         drain_budget = max(50_000, 30 * horizon_slots)

@@ -16,6 +16,26 @@ from repro.graphs import (
     reference_bfs_tree,
     star,
 )
+from repro.radio import Process
+
+
+class ScriptedProcess(Process):
+    """A station that transmits a fixed script: slot -> transmissions.
+
+    The script maps slot numbers to a slot action; unknown slots
+    listen.  Engine tests use it to build exact collision scenarios.
+    """
+
+    def __init__(self, node_id, script=None):
+        super().__init__(node_id)
+        self.script = dict(script or {})
+        self.heard: list = []
+
+    def on_slot(self, slot):
+        return self.script.get(slot)
+
+    def on_receive(self, slot, channel, payload):
+        self.heard.append((slot, channel, payload))
 
 
 @pytest.fixture

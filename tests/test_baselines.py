@@ -179,7 +179,7 @@ class TestAloha:
                 rng,
                 initial_payloads=[f"m{node}"] if node != 0 else [],
             )
-            proc.lane._session_factory = aloha_session_factory(
+            proc.lane.session_factory = aloha_session_factory(
                 1.0 / graph.max_degree(), rng
             )
             procs[node] = proc

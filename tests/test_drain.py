@@ -38,6 +38,7 @@ from repro.runner import (
     submit_tasks,
     task_grid,
 )
+from repro.runner import policy as policy_module
 from repro.runner.cache import ResultCache
 from repro.runner.coord import JOURNAL_NAME
 from repro.runner.drain import DRAINED, DrainWorker
@@ -223,7 +224,8 @@ def test_two_workers_drain_exactly_once(backend):
         assert dict(outcome.metrics) == _value(by_key[outcome.key])
 
 
-def test_failing_task_retries_then_quarantines(backend):
+def test_failing_task_retries_then_quarantines(backend, monkeypatch):
+    monkeypatch.setattr(policy_module, "BACKOFF_BASE_S", 0.0)
     backend.submit(_grid(2))
     attempts = []
 
@@ -235,7 +237,7 @@ def test_failing_task_retries_then_quarantines(backend):
 
     stats = backend.worker(
         "alpha", run_fn,
-        policy=FaultPolicy(max_retries=1, backoff_base=0.0, jitter=0.0),
+        policy=FaultPolicy(max_retries=1),
     ).run()
     assert len(attempts) == 2  # first try + one retry
     assert stats.executed == 1 and stats.quarantined == 1
@@ -339,9 +341,12 @@ OUTCOME_RECORD_KEYS = {"spec", "metrics", "wall_time", "version"}
 
 
 @pytest.mark.parametrize("gear", ["inline", "pool", "fleet", "coord"])
-def test_every_gear_keeps_one_contract(gear, tmp_path, coord_server):
+def test_every_gear_keeps_one_contract(
+    gear, tmp_path, coord_server, monkeypatch
+):
+    monkeypatch.setattr(policy_module, "BACKOFF_BASE_S", 0.0)
     tasks = _grid(4)
-    policy = FaultPolicy(max_retries=1, backoff_base=0.0)
+    policy = FaultPolicy(max_retries=1)
     scratch = tmp_path / "markers"
     scratch.mkdir()
     run_fn = functools.partial(contract_metric, str(scratch))
@@ -410,7 +415,7 @@ class _OneTask:
         pass
 
 
-def test_heartbeat_stops_once_an_attempt_outlives_its_timeout():
+def test_heartbeat_stops_once_an_attempt_outlives_its_timeout(monkeypatch):
     spec = _grid(1)[0]
     transport = _OneTask(spec)
     starts = []
@@ -422,9 +427,9 @@ def test_heartbeat_stops_once_an_attempt_outlives_its_timeout():
         time.sleep(0.7)  # the retry hangs past its 0.2 s budget
         return _value(spec)
 
-    policy = FaultPolicy(
-        timeout=0.2, max_retries=1, backoff_base=0.4, jitter=0.0
-    )
+    monkeypatch.setattr(policy_module, "BACKOFF_BASE_S", 0.4)
+    monkeypatch.setattr(policy_module, "BACKOFF_JITTER", 0.0)
+    policy = FaultPolicy(timeout=0.2, max_retries=1)
     stats = DrainWorker(
         transport, "alpha", policy=policy, heartbeat_interval=0.02,
         run_fn=run_fn,

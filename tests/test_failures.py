@@ -20,11 +20,11 @@ from repro.radio import (
     PermanentCrashes,
     RadioNetwork,
     RegionOutage,
-    ScriptedProcess,
     SilentProcess,
     Transmission,
     subtree_outage,
 )
+from tests.conftest import ScriptedProcess
 
 
 class TestComposition:
@@ -321,8 +321,6 @@ class TestRunValidation:
         net.attach_all(SilentProcess)
         with pytest.raises(ConfigurationError):
             net.run(10, until=lambda n: False, check_every=0)
-        with pytest.raises(ConfigurationError):
-            net.run_until_done(10, check_every=-3)
         assert net.slot == 0  # rejected before any slot executed
 
     def test_base_failure_model_is_inert(self):

@@ -30,7 +30,7 @@ def pipeline():
     graph = random_geometric(24, 0.38, random.Random(321))
     election = elect_leader(graph, seed=100)
     root = election.leaders[0]
-    setup = run_setup(graph, root=root, seed=200, require_true_bfs=True)
+    setup = run_setup(graph, root=root, seed=200)
     tree = setup.tree
     prep = run_dfs_preparation(graph, tree)
     apply_preparation(tree, prep)

@@ -143,8 +143,8 @@ class TestEndToEnd:
 
         run_dir = tmp_path / "run"
         report = run_scenario(compiled, workers=0, telemetry=run_dir)
-        from_report = kpis_from_report(report, scenario="kpi-e2e")
-        from_disk = kpis_from_run_dir(run_dir, scenario="kpi-e2e")
+        from_report = kpis_from_report(report)
+        from_disk = kpis_from_run_dir(run_dir)
         wall_keys = {"wall_time_total", "wall_time_mean", "wall_time_p90"}
         trimmed = lambda k: {x: v for x, v in k.items() if x not in wall_keys}
         assert trimmed(from_report) == trimmed(from_disk)

@@ -71,7 +71,8 @@ class TestCollisionOpacity:
     def test_collision_and_silence_are_indistinguishable(self):
         """The engine gives receivers no callback on collisions — the only
         signal is the *absence* of on_receive, same as silence."""
-        from repro.radio import ScriptedProcess, Transmission
+        from repro.radio import Transmission
+        from tests.conftest import ScriptedProcess
 
         g = star(3)
         trace = EventTrace()

@@ -11,13 +11,13 @@ from repro.errors import ConfigurationError
 from repro.graphs import grid, path, reference_bfs_tree, star
 from repro.radio import (
     Process,
-    ScriptedProcess,
     TimeDivisionProcess,
     Transmission,
     logical_slots,
     multiplex_network,
 )
 from repro.rng import RngFactory
+from tests.conftest import ScriptedProcess
 
 
 class TestAdapterSemantics:
@@ -173,6 +173,7 @@ class TestProtocolsOverOneTransceiver:
                 dist_slots,
                 superphase_invocations(graph.num_nodes),
                 factory_rng.for_node(node),
+                graph.num_nodes ** 2,
             )
             return inners[node]
 

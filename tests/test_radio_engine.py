@@ -15,10 +15,10 @@ from repro.radio import (
     PermanentCrashes,
     Process,
     RadioNetwork,
-    ScriptedProcess,
     SilentProcess,
     Transmission,
 )
+from tests.conftest import ScriptedProcess
 
 
 def wire(graph, scripts):
@@ -233,15 +233,16 @@ class TestStatsAndTrace:
         assert isinstance(event, DeliverEvent)
         assert (event.sender, event.receiver, event.payload) == (0, 1, "z")
 
-    def test_trace_max_events(self):
-        trace = EventTrace(max_events=1)
+    def test_trace_is_never_truncated(self):
+        trace = EventTrace()
         net = RadioNetwork(path(3), trace=trace)
         net.attach(ScriptedProcess(0, {0: Transmission("z")}))
-        net.attach(ScriptedProcess(1, {}))
+        net.attach(ScriptedProcess(1, {1: Transmission("y")}))
         net.attach(ScriptedProcess(2, {}))
-        net.step()
-        assert len(trace) == 1  # recording stopped, counters stay exact
-        assert net.stats.deliveries == 1
+        net.run(2)
+        assert len(trace.transmissions) == 2
+        assert len(trace.deliveries) == net.stats.deliveries == 3
+        assert len(trace) == 5
 
 
 class TestFailureIntegration:

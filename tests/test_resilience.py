@@ -1,21 +1,23 @@
 """Tests for the hardened transport and self-healing collection stack:
-retry budgets (:class:`RetryPolicy`), the ack-timeout watchdog, parent
-re-attachment, partition detection, and the resilience harness."""
+retry backoff, the ack-timeout watchdog, parent re-attachment,
+partition detection, and the resilience harness."""
 
 import hashlib
 import json
-
-import pytest
+import random
 
 from repro.analysis.resilience import SCENARIOS
+from repro.baselines import aloha_session_factory
 from repro.core import (
-    RepairPolicy,
-    RetryPolicy,
+    DataMessage,
+    TransportLane,
     run_collection,
     run_resilient_collection,
 )
+from repro.core import repair, transport
 from repro.core.repair import build_resilient_collection_network
-from repro.errors import ConfigurationError
+from repro.core.slots import SlotStructure
+from repro.core.transport import BACKOFF_CAP
 from repro.graphs import Graph, layered_band, path, reference_bfs_tree
 from repro.radio.faults import MarkovChurn, RegionOutage
 
@@ -27,26 +29,42 @@ def diamond():
     return graph, tree
 
 
+def attempted_phases(phases):
+    """Phases in which a retrying lane attempts a head nobody acks."""
+    slots = SlotStructure(decay_budget=2, level_classes=1)
+    rng = random.Random(0)
+    lane = TransportLane(
+        node_id="me", level=0, slots=slots, rng=rng, channel=0, retry=True
+    )
+    lane.session_factory = aloha_session_factory(1.0, rng)
+    lane.enqueue(
+        DataMessage(
+            msg_id=("me", 0), origin="me", hop_sender="me", hop_dest="up"
+        )
+    )
+    attempted = sorted(
+        {
+            slots.phase_of(slot)
+            for slot in range(phases * slots.phase_length)
+            if lane.on_slot(slot) is not None
+        }
+    )
+    assert lane.head_attempts == len(attempted)
+    return attempted
+
+
 class TestRetryPolicy:
     def test_backoff_doubles_up_to_cap(self):
-        policy = RetryPolicy(max_attempts=None, backoff_cap=4)
-        assert [policy.backoff_phases(k) for k in (1, 2, 3, 4, 5)] == [
-            0,
-            1,
-            3,
-            4,
-            4,
-        ]
+        """After attempt k the lane waits 2^(k-1) - 1 phases, capped at
+        BACKOFF_CAP = 1: it attempts at phases 0 and 1, then every
+        other phase."""
+        assert BACKOFF_CAP == 1
+        assert attempted_phases(8) == [0, 1, 3, 5, 7]
 
-    def test_zero_cap_means_no_backoff(self):
-        policy = RetryPolicy(backoff_cap=0)
-        assert policy.backoff_phases(5) == 0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_cap=-1)
+    def test_zero_cap_means_no_backoff(self, monkeypatch):
+        """The lane reads BACKOFF_CAP at run time."""
+        monkeypatch.setattr(transport, "BACKOFF_CAP", 0)
+        assert attempted_phases(5) == [0, 1, 2, 3, 4]
 
 
 class TestFailureFreeParity:
@@ -205,30 +223,23 @@ class TestNeighborRegistry:
 
 
 class TestRepairPolicyKnobs:
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            RepairPolicy(suspect_after=0)
-
-    def test_higher_threshold_delays_repair(self):
+    def test_higher_threshold_delays_repair(self, monkeypatch):
+        """The watchdog reads SUSPECT_AFTER at run time."""
         graph, tree = diamond()
-        patient = run_resilient_collection(
-            graph,
-            tree,
-            {4: ["a"]},
-            seed=11,
-            failures=RegionOutage([1], start=0, end=None),
-            policy=RepairPolicy(suspect_after=6),
-            down_grace_slots=4_000,
-        )
-        eager = run_resilient_collection(
-            graph,
-            tree,
-            {4: ["a"]},
-            seed=11,
-            failures=RegionOutage([1], start=0, end=None),
-            policy=RepairPolicy(suspect_after=2),
-            down_grace_slots=4_000,
-        )
+
+        def run(threshold):
+            monkeypatch.setattr(repair, "SUSPECT_AFTER", threshold)
+            return run_resilient_collection(
+                graph,
+                tree,
+                {4: ["a"]},
+                seed=11,
+                failures=RegionOutage([1], start=0, end=None),
+                down_grace_slots=4_000,
+            )
+
+        patient = run(6)
+        eager = run(2)
         assert patient.delivery_ratio == eager.delivery_ratio == 1.0
         repair_p = [r for r in patient.repairs if r.node == 3][0]
         repair_e = [r for r in eager.repairs if r.node == 3][0]

@@ -190,7 +190,6 @@ class TestExecutor:
         means = report.case_means("value")
         assert set(means) == {"k=1", "k=2"}
         assert len(report.metric("value")) == 4
-        assert len(report.metric("value", case_label="k=1")) == 2
 
 
 # ----------------------------------------------------------------------

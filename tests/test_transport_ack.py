@@ -168,8 +168,8 @@ class TestTransportLaneUnit:
             slots=slots,
             rng=random.Random(0),
             channel=0,
-            session_factory=lambda: DecaySession(4, CoinAlwaysFalls()),
         )
+        lane.session_factory = lambda: DecaySession(4, CoinAlwaysFalls())
         lane.enqueue(data(("me", 0), "me", "parent"))
         first = slots.next_data_slot_for(0, 1)
         assert lane.next_active_slot(0) == first
@@ -272,7 +272,7 @@ class TestAckDeterminism:
 
 class TestSessionFactoryParameter:
     def test_constructor_injected_policy(self):
-        """The official session_factory hook (not monkey-patching)."""
+        """The public session_factory attribute plugs in another policy."""
         import random as random_module
 
         from repro.baselines import aloha_session_factory
@@ -285,8 +285,8 @@ class TestSessionFactoryParameter:
             slots=slots,
             rng=rng,
             channel=0,
-            session_factory=aloha_session_factory(1.0, rng),
         )
+        lane.session_factory = aloha_session_factory(1.0, rng)
         lane.enqueue(
             DataMessage(
                 msg_id=("me", 0),

@@ -26,6 +26,7 @@ from repro.core import run_collection
 from repro.core.slots import SlotKind
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs import (
+    Graph,
     grid,
     layered_band,
     path,
@@ -348,13 +349,22 @@ class TestBatchCollection:
         assert list(result.completion_slots) == [0, 0]
 
     def test_timeout_raises(self):
+        class MuteDecay(BatchDecay):
+            """Every session dies silent: nothing ever moves."""
+
+            def transmit_pairs(self, rows, cols, coins):
+                self.alive[rows, cols] = False
+                return np.zeros(rows.shape, dtype=bool)
+
         graph = path(6)
         tree = reference_bfs_tree(graph, 0)
         sim_sources = {5: ["m0", "m1"]}
-        with pytest.raises(SimulationTimeout):
+        with pytest.raises(SimulationTimeout) as excinfo:
             run_collection_batch(
-                graph, tree, sim_sources, seeds=[1], max_slots=4
+                graph, tree, sim_sources, seeds=[1], decay_factory=MuteDecay
             )
+        # The scalar run_collection's cap: max(10 000, 20x Thm 4.4).
+        assert excinfo.value.slots_elapsed == 10_000
 
     @pytest.mark.parametrize("cell", [e2_cell(), e3_cell()], ids=lambda c: c.name)
     @pytest.mark.parametrize("classes", [1, 2, 3, 4])
@@ -463,22 +473,30 @@ class TestKs2Sample:
         assert ours.pvalue == pytest.approx(ref.pvalue, abs=0.05)
 
 
+@pytest.fixture(scope="module")
+def real_equivalence():
+    """The harness on the real engine, as ``vector-check`` runs it."""
+    return run_equivalence(seed=20260704)
+
+
+@pytest.fixture(scope="module")
+def broken_equivalence():
+    """The harness on the mandated negative control: an off-by-one coin
+    flip (flip before the first transmission)."""
+    return run_equivalence(seed=20260704, decay_factory=BrokenOffByOneDecay)
+
+
 class TestEquivalenceHarness:
-    def test_harness_passes_on_real_engine(self):
-        report = run_equivalence(seed=20260704, replications=24)
+    def test_harness_passes_on_real_engine(self, real_equivalence):
+        report = real_equivalence
         assert report.passed, report.summary()
         for cell in report.cells:
             assert cell.invariant_failures == []
             assert not cell.ks.rejects(0.01)
 
-    def test_broken_decay_fails_invariants_and_ks(self):
-        # The mandated negative control: an off-by-one coin flip (flip
-        # before the first transmission) must be caught BOTH ways.
-        report = run_equivalence(
-            seed=20260704,
-            replications=24,
-            decay_factory=BrokenOffByOneDecay,
-        )
+    def test_broken_decay_fails_invariants_and_ks(self, broken_equivalence):
+        # The negative control must be caught BOTH ways.
+        report = broken_equivalence
         assert not report.passed
         for cell in report.cells:
             assert cell.ks.rejects(0.01), (
@@ -489,9 +507,8 @@ class TestEquivalenceHarness:
                 for failure in cell.invariant_failures
             ), f"{cell.name}: session-start invariant failed to fire"
 
-    def test_summary_mentions_each_cell(self):
-        report = run_equivalence(seed=1, replications=8)
-        text = report.summary()
+    def test_summary_mentions_each_cell(self, real_equivalence):
+        text = real_equivalence.summary()
         assert "E3/" in text and "E2/" in text
         assert "PASS" in text or "FAIL" in text
 
@@ -640,14 +657,10 @@ class TestActiveSetMask:
         assert 0.0 < sim.awake_occupancy <= 1.0
         assert sim.mask_stats["data_slots"] > 0
 
-    def test_broken_decay_caught_under_mask(self):
+    def test_broken_decay_caught_under_mask(self, broken_equivalence):
         # The negative control must have teeth on the active-set loop.
-        report = run_equivalence(
-            replications=24,
-            decay_factory=BrokenOffByOneDecay,
-            cells=[e3_cell()],
-        )
-        assert not report.passed
+        for cell in broken_equivalence.cells:
+            assert not cell.passed(), cell.name
 
     # The masked loop steps live Decay sessions only and sleeps through
     # silent phase tails; the tests below pin that it still computes
@@ -744,24 +757,22 @@ class TestActiveSetMask:
         from repro.profiling import profiled
         from repro.vector.collection import BatchCollection
 
-        # One message at the end of a path: phase 0's only session is
-        # acked at slot 5 (class 2, step 0), so slots 6..23 are silent.
-        graph = path(6)
+        # One message at the end of a path whose station 1 has two more
+        # leaves (Δ = 3, Decay budget 4): phase 0's only session is acked
+        # at slot 5 (class 2, step 0), so slots 6..23 are silent.
+        graph = Graph.from_edges(
+            [(v, v + 1) for v in range(5)] + [(1, 6), (1, 7)]
+        )
         tree = reference_bfs_tree(graph, 0)
         sources = {5: ["m0"]}
         with profiled() as profile:
-            sleeper = BatchCollection(
-                graph, tree, sources, [1, 2], budget=4
-            )
+            sleeper = BatchCollection(graph, tree, sources, [1, 2])
             assert sleeper.phase_length == 24
-            with pytest.raises(SimulationTimeout) as excinfo:
-                sleeper.run_until_done(max_slots=15)
-        assert excinfo.value.slots_elapsed == 15
+            sleeper.advance(15)
         assert sleeper.slot == 15
+        assert not sleeper.done.any()
         assert profile.samples["vector/decay"] == 3  # slots 0, 2 and 4
-        stepper = BatchCollection(
-            graph, tree, sources, [1, 2], budget=4
-        )
+        stepper = BatchCollection(graph, tree, sources, [1, 2])
         for _ in range(15):
             stepper.step()
         assert _snapshot(sleeper) == _snapshot(stepper)

@@ -1,6 +1,7 @@
 """Tests for arrival processes and the streaming collection driver."""
 
 import random
+import textwrap
 
 import pytest
 
@@ -324,11 +325,38 @@ class TestStreamingBroadcast:
 
 
 class TestStreamingWithSingleClass:
-    def test_level_classes_one_also_streams(self):
-        graph = path(6)
-        tree = reference_bfs_tree(graph, 0)
-        schedule = DeterministicSchedule([(0, 5, "a"), (20, 4, "b")])
-        result = run_streaming_collection(
-            graph, tree, schedule, seed=3, horizon_slots=40, level_classes=1
+    def test_level_classes_one_also_streams(self, tmp_path):
+        """Streaming collection without §2.2's multiplexing still drains
+        (the scenario DSL's ``classes = 1``)."""
+        from repro.scenario import (
+            compile_scenario,
+            parse_scenario,
+            run_scenario,
         )
-        assert result.delivered == 2
+
+        spec = tmp_path / "one-class.toml"
+        spec.write_text(textwrap.dedent("""
+            [scenario]
+            name = "one-class"
+
+            [topology]
+            name = "path-6"
+
+            [arrivals]
+            kind = "bernoulli"
+            rate = 0.05
+            sources = "all"
+
+            [protocol]
+            kind = "collection"
+            classes = 1
+
+            [run]
+            seed = 3
+            replications = 1
+            horizon_phases = 12
+        """))
+        report = run_scenario(compile_scenario(parse_scenario(spec)))
+        (outcome,) = report.outcomes
+        assert outcome.spec.params["classes"] == 1
+        assert outcome.metrics["delivered"] == outcome.metrics["submitted"] > 0
