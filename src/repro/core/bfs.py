@@ -180,28 +180,40 @@ class BFSSetupProcess(Process):
             return boundary
         return slot
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
+        # False on a drop (a JOIN once joined, an overheard confirmation
+        # or ack): nothing the declaration reads changed, so it stands
+        # (see Process.on_receive).
+        lane = self._confirm_lane
         if channel == EXPANSION_CHANNEL:
             if isinstance(payload, JoinMessage) and not self.joined:
                 self._join(slot, payload)
-            return
-        if channel == CONFIRM_CHANNEL and self._confirm_lane is not None:
-            if isinstance(payload, DataMessage):
-                if payload.hop_dest != self.node_id:
-                    return
-                if not self._confirm_lane.accept_data(slot, payload):
-                    return
-                if self.is_root:
-                    self.confirmations.append(payload.payload)
-                else:
-                    assert self.parent is not None
-                    self._confirm_lane.enqueue(
-                        payload.rehop(self.node_id, self.parent),
-                        received_at_slot=slot,
-                    )
-            elif isinstance(payload, AckMessage):
-                if payload.hop_dest == self.node_id:
-                    self._confirm_lane.accept_ack(payload)
+                return None
+            return False
+        if channel != CONFIRM_CHANNEL or lane is None:
+            return False
+        if isinstance(payload, DataMessage):
+            if payload.hop_dest != self.node_id:
+                return False  # overheard someone else's confirmation
+            if not lane.accept_data(slot, payload):
+                return None
+            if self.is_root:
+                self.confirmations.append(payload.payload)
+            else:
+                assert self.parent is not None
+                lane.enqueue(
+                    payload.rehop(self.node_id, self.parent),
+                    received_at_slot=slot,
+                )
+            return None
+        if isinstance(payload, AckMessage) and (
+            payload.hop_dest == self.node_id
+        ):
+            lane.accept_ack(payload)
+            return None
+        return False
 
     def _join(self, slot: int, announcement: JoinMessage) -> None:
         self.level = announcement.level + 1

@@ -340,18 +340,24 @@ class BroadcastProcess(Process):
             return start + (offset - start) % width
         return own
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
+        # False whenever the declared wake stands (see
+        # Process.on_receive): on a drop, and on every down-channel
+        # message, since :meth:`_relay_wake` reads nothing that
+        # :meth:`_handle_distribution` writes.
         if channel == DOWN_CHANNEL:
             if isinstance(payload, BroadcastMessage):
                 self._handle_distribution(slot, payload)
-            return
+            return False
         if channel != UP_CHANNEL:
-            return
+            return False
         if isinstance(payload, DataMessage):
             if payload.hop_dest != self.info.node_id:
-                return
+                return False  # overheard someone else's hop
             if not self.up_lane.accept_data(slot, payload):
-                return
+                return None
             if self.info.is_root:
                 self._root_consume(payload.payload)
             else:
@@ -359,9 +365,13 @@ class BroadcastProcess(Process):
                     payload.rehop(self.info.node_id, self.info.parent),
                     received_at_slot=slot,
                 )
-        elif isinstance(payload, AckMessage):
-            if payload.hop_dest == self.info.node_id:
-                self.up_lane.accept_ack(payload)
+            return None
+        if isinstance(payload, AckMessage) and (
+            payload.hop_dest == self.info.node_id
+        ):
+            self.up_lane.accept_ack(payload)
+            return None
+        return False
 
     def _handle_distribution(self, slot: int, message: BroadcastMessage) -> None:
         if message.sender_level != self.info.level - 1:

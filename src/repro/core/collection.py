@@ -123,15 +123,19 @@ class CollectionProcess(Process):
         # active slot is an exact idle declaration (see Process.quiet_until).
         return self.lane.next_active_slot(slot)
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
+        # False on a drop: the lane is untouched, so its declared wake
+        # stands (see Process.on_receive).
         if channel != UP_CHANNEL:
-            return
+            return False
         if isinstance(payload, DataMessage):
             if payload.hop_dest != self.info.node_id:
-                return  # overheard someone else's hop; not ours to ack
+                return False  # overheard someone else's hop; not ours to ack
             is_new = self.lane.accept_data(slot, payload)
             if not is_new:
-                return
+                return None
             if self.info.is_root:
                 self.delivered.append(payload)
             else:
@@ -139,9 +143,13 @@ class CollectionProcess(Process):
                     payload.rehop(self.info.node_id, self.parent),
                     received_at_slot=slot,
                 )
-        elif isinstance(payload, AckMessage):
-            if payload.hop_dest == self.info.node_id:
-                self.lane.accept_ack(payload)
+            return None
+        if isinstance(payload, AckMessage) and (
+            payload.hop_dest == self.info.node_id
+        ):
+            self.lane.accept_ack(payload)
+            return None
+        return False
 
     def is_done(self) -> bool:
         """Locally drained: no buffered messages, no ack duty."""

@@ -232,13 +232,18 @@ class DfsPreparationProcess(Process):
         # Only the token holder transmits; receiving the token wakes us.
         return slot if self._holding is not None else QUIET_FOREVER
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
         if channel != TOKEN_CHANNEL or not isinstance(payload, TokenMessage):
-            return
+            return False
         if payload.traversal == 1:
             self._handle_t1_message(payload)
         else:
             self._handle_t2_message(payload)
+        # Only a held token makes this station active: without one, the
+        # declared QUIET_FOREVER stands (see Process.on_receive).
+        return None if self._holding is not None else False
 
     # Wired by the driver (stations know their neighborhood a priori, §1.1:
     # "each processor knows its local neighborhood").

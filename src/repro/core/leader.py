@@ -210,17 +210,20 @@ class BitElectionProcess(Process):
             return next_round
         return slot
 
-    def on_receive(self, slot: int, channel: int, payload) -> None:
-        if channel != DEFAULT_CHANNEL:
-            return
-        if isinstance(payload, LeaderMessage):
-            if payload.round == self._round(slot) and not (
-                self._heard_this_round
-            ):
-                self._heard_this_round = True
-                self._relay_until = (
-                    slot // self.budget + 1 + self.relay_invocations
-                )
+    def on_receive(self, slot: int, channel: int, payload) -> Optional[bool]:
+        # Only the round's first signal changes anything; every later
+        # one returns False, so the declared wake stands (see
+        # Process.on_receive).
+        if (
+            channel != DEFAULT_CHANNEL
+            or not isinstance(payload, LeaderMessage)
+            or payload.round != self._round(slot)
+            or self._heard_this_round
+        ):
+            return False
+        self._heard_this_round = True
+        self._relay_until = slot // self.budget + 1 + self.relay_invocations
+        return None
 
     def believes_leader(self) -> bool:
         """After the horizon: is this station the (unique) maximum?"""

@@ -131,21 +131,29 @@ class PointToPointProcess(Process):
             self.down_lane.next_active_slot(slot),
         )
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
+        # False on a drop: neither lane is touched, so the declared wake
+        # stands (see Process.on_receive).
         if channel == UP_CHANNEL:
             lane = self.up_lane
         elif channel == DOWN_CHANNEL:
             lane = self.down_lane
         else:
-            return
+            return False
         if isinstance(payload, DataMessage):
             if payload.hop_dest != self.info.node_id:
-                return
+                return False  # overheard someone else's hop
             if lane.accept_data(slot, payload):
                 self._route(payload, received_at_slot=slot)
-        elif isinstance(payload, AckMessage):
-            if payload.hop_dest == self.info.node_id:
-                lane.accept_ack(payload)
+            return None
+        if isinstance(payload, AckMessage) and (
+            payload.hop_dest == self.info.node_id
+        ):
+            lane.accept_ack(payload)
+            return None
+        return False
 
     def is_done(self) -> bool:
         return self.up_lane.idle and self.down_lane.idle

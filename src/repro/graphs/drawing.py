@@ -9,7 +9,6 @@ optional per-station annotations (BFS level, leader marker, load).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -60,28 +59,3 @@ def ascii_map(
     body = "\n".join("|" + "".join(row) + "|" for row in grid)
     return f"{border}\n{body}\n{border}"
 
-
-#: Equal-width bins of :func:`link_length_histogram`, up to the longest link.
-HISTOGRAM_BINS = 8
-
-
-def link_length_histogram(
-    graph: Graph, positions: Dict[NodeId, Position]
-) -> Dict[float, int]:
-    """Histogram of link lengths (upper bin edge -> count).
-
-    Useful for checking that a sampled field matches the intended radius:
-    every link must be ≤ radius, with mass concentrated below it.
-    """
-    lengths = [
-        math.dist(positions[u], positions[v]) for u, v in graph.edges()
-    ]
-    if not lengths:
-        return {}
-    top = max(lengths)
-    histogram: Dict[float, int] = {}
-    for length in lengths:
-        index = min(HISTOGRAM_BINS - 1, int(length / top * HISTOGRAM_BINS))
-        edge = (index + 1) * top / HISTOGRAM_BINS
-        histogram[round(edge, 6)] = histogram.get(round(edge, 6), 0) + 1
-    return dict(sorted(histogram.items()))

@@ -27,7 +27,11 @@ process every slot is therefore O(n) of wasted work per slot at scale.
 A process may declare those silences via :meth:`~repro.radio.process.
 Process.quiet_until`; the engine keeps a min-heap of wake slots and
 skips sleeping processes entirely — a reception wakes a process
-immediately, so reactive traffic is never delayed.
+immediately, so reactive traffic is never delayed, unless the process's
+``on_receive`` returns False to say the message left its declaration
+valid (a station dropping what is not meant for it).  A driver that
+injects traffic between slots may jump over slots in which no station
+is due (:meth:`RadioNetwork.next_due_slot`, :meth:`RadioNetwork.skip_to`).
 Processes that do not implement the hint are polled every slot, exactly
 as before.
 The fast path is bypassed whenever a failure model is attached (crash
@@ -266,12 +270,7 @@ class RadioNetwork:
                 awake[node] = None
             if not awake:
                 # Nobody is due: nothing can be sent, heard or ended.
-                self.slot += 1
-                self.stats.slots += 1
-                if profiler is not None:
-                    profiler.bump("polled", 0)
-                    profiler.bump("skipped", len(processes))
-                    profiler.bump("scalar_slots")
+                self._advance_silent(1)
                 return
             poll = awake
         else:
@@ -384,10 +383,14 @@ class RadioNetwork:
                                     senders[winner],
                                 )
                             )
-                        processes[receiver].on_receive(
+                        woke = processes[receiver].on_receive(
                             slot, channel, senders[winner]
                         )
-                        if awake is not None and receiver not in awake:
+                        if (
+                            awake is not None
+                            and woke is not False
+                            and receiver not in awake
+                        ):
                             awake[receiver] = None
                     continue
                 sender = last_sender[receiver]
@@ -409,10 +412,16 @@ class RadioNetwork:
                             slot, channel, receiver, sender, senders[sender]
                         )
                     )
-                processes[receiver].on_receive(
+                woke = processes[receiver].on_receive(
                     slot, channel, senders[sender]
                 )
-                if awake is not None and receiver not in awake:
+                # False: the reception left the receiver's declaration
+                # valid, so a sleeper stays asleep (Process.on_receive).
+                if (
+                    awake is not None
+                    and woke is not False
+                    and receiver not in awake
+                ):
                     awake[receiver] = None
         if profiler is not None:
             now = profiler.clock()
@@ -444,6 +453,61 @@ class RadioNetwork:
         if profiler is not None:
             profiler.add("scalar/slot_end", profiler.clock() - mark)
             profiler.bump("scalar_slots")
+
+    def _advance_silent(self, count: int) -> None:
+        """Advance ``count`` slots in which no station is due, counting
+        them exactly as :meth:`step` counts such a slot."""
+        self.slot += count
+        self.stats.slots += count
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.bump("polled", 0)
+            profiler.bump("skipped", count * len(self._processes))
+            profiler.bump("scalar_slots", count)
+
+    def next_due_slot(self) -> int:
+        """The first slot >= :attr:`slot` at which some station is due.
+
+        :data:`~repro.radio.process.QUIET_FOREVER` when every station
+        sleeps until something is delivered to it.  Without the idle
+        fast path (``idle_scheduling`` off, a failure model attached, or
+        the wake heap not yet armed) every station is due at every
+        slot, so this is :attr:`slot`.
+        """
+        if (
+            not self.idle_scheduling
+            or self.failures is not None
+            or not self._wake_valid
+        ):
+            return self.slot
+        heap = self._wake_heap
+        wake = self._wake
+        while heap:
+            due, node = heap[0]
+            if wake.get(node) == due:
+                return due
+            heapq.heappop(heap)  # stale: rescheduled since it was pushed
+        return QUIET_FOREVER
+
+    def skip_to(self, slot: int) -> None:
+        """Advance to ``slot`` over slots in which no station is due.
+
+        ``slot``, ``stats.slots`` and the profiler's counters end as
+        stepping through those slots would leave them; a driver that
+        injects external events (arrivals) calls this only up to the
+        next one.  Raises :class:`ProtocolError` if a station is due
+        before ``slot``.
+        """
+        if slot < self.slot:
+            raise ConfigurationError(
+                f"cannot skip back from slot {self.slot} to {slot}"
+            )
+        due = self.next_due_slot()
+        if due < slot:
+            raise ProtocolError(
+                f"cannot skip to slot {slot}: a station is due at slot {due}"
+            )
+        self._advance_silent(slot - self.slot)
 
     def run(
         self,

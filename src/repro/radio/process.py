@@ -53,8 +53,22 @@ class Process:
         """Return the transmission(s) for this slot, or None to listen."""
         return None
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
-        """Called when a message was successfully received on ``channel``."""
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
+        """Called when a message was successfully received on ``channel``.
+
+        Return ``False`` to say the reception left this process's
+        outstanding :meth:`quiet_until` declaration valid: on every slot
+        before the declared wake, :meth:`on_slot` would still return
+        None and :meth:`on_slot_end` would still be a no-op.  A sleeping
+        station then stays asleep: the engine calls neither
+        :meth:`on_slot_end` nor :meth:`quiet_until` for it this slot.
+        Any other return value (None included) wakes it for the rest of
+        the slot.  The paper's stations hear every neighbour that
+        transmits alone and drop, by the IDs in the payload, what is not
+        meant for them (§1.1); ``False`` is how such a drop stays free.
+        """
 
     def on_slot_end(self, slot: int) -> None:
         """Called after all of this slot's receptions have been delivered."""
@@ -71,7 +85,9 @@ class Process:
         those callbacks entirely (it keeps a min-heap of wake slots, see
         :mod:`repro.radio.network`).  Receiving a message re-wakes the
         process for the current slot, so reactive behaviour is never
-        delayed.
+        delayed, unless :meth:`on_receive` returns ``False``: then the
+        declaration stands, and the process is next polled at the slot
+        it declared.
         Return :data:`QUIET_FOREVER` for "silent until spoken to".
 
         The default returns ``slot`` — no declaration, polled every

@@ -185,14 +185,6 @@ class RunReport:
             groups.setdefault(outcome.spec.case_label(), []).append(outcome)
         return groups
 
-    def metric(self, name: str) -> List[float]:
-        """All values of one metric, in grid order."""
-        return [
-            float(outcome.metrics[name])
-            for outcome in self.outcomes
-            if name in outcome.metrics
-        ]
-
     def case_means(self, name: str) -> Dict[str, float]:
         """Per-case mean of one metric, in grid order."""
         means: Dict[str, float] = {}

@@ -178,7 +178,9 @@ def run_service(
     network, processes, slots = build_collection_network(
         graph, tree, sources={}, seed=seed, dedup_window=SERVICE_DEDUP_WINDOW
     )
-    non_root = [p for node, p in processes.items() if node != tree.root]
+    # The lanes, not their deques: TransportLane.retarget replaces
+    # ``buffer``.  One len() per lane is the whole per-phase sample.
+    lanes = [p.lane for node, p in processes.items() if node != tree.root]
     phase_length = slots.phase_length
     warmup_slots = int(horizon_slots * warmup_fraction)
 
@@ -189,7 +191,7 @@ def run_service(
     # Sample the backlog once per phase, right after the phase's first slot.
     for slot in range(0, horizon_slots, phase_length):
         drive.run(arrivals, slot + 1)
-        backlog = sum(p.backlog for p in non_root)
+        backlog = sum([len(lane.buffer) for lane in lanes])
         drift.observe(slot, backlog)
         if slot >= warmup_slots:
             queue.add(backlog)
@@ -212,6 +214,6 @@ def run_service(
         queue=queue,
         drift=drift.verdict(),
         in_flight_peak=flow.in_flight_peak,
-        final_backlog=sum(p.backlog for p in non_root),
+        final_backlog=sum([len(lane.buffer) for lane in lanes]),
         throughput_windows=flow.throughput,
     )

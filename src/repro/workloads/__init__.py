@@ -8,11 +8,8 @@ from repro.workloads.arrivals import (
     PoissonArrivals,
 )
 from repro.workloads.driver import (
-    BroadcastStreamRecord,
-    BroadcastStreamResult,
     MessageRecord,
     StreamingResult,
-    run_streaming_broadcast,
     run_streaming_collection,
     run_streaming_p2p,
 )
@@ -20,14 +17,11 @@ from repro.workloads.driver import (
 __all__ = [
     "ArrivalProcess",
     "BernoulliArrivals",
-    "BroadcastStreamRecord",
-    "BroadcastStreamResult",
     "BurstArrivals",
     "DeterministicSchedule",
     "MessageRecord",
     "PoissonArrivals",
     "StreamingResult",
-    "run_streaming_broadcast",
     "run_streaming_collection",
     "run_streaming_p2p",
 ]

@@ -15,7 +15,9 @@ processes experiments drive the protocols with:
 * :class:`BurstArrivals` — periodic synchronized bursts (every source
   fires every ``period`` phases), the classic sensor-sampling pattern.
 
-All processes yield per-slot batches so drivers can inject mid-run.
+All processes yield per-slot batches so drivers can inject mid-run,
+and name the next slot that has one (``next_arrival_slot``), so a
+driver can jump over the slots between arrivals.
 
 Determinism contract
 --------------------
@@ -34,12 +36,20 @@ slots are emitted, never lost, at the next polled slot.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.graph import NodeId
+from repro.radio.process import QUIET_FOREVER
 from repro.rng import child_rng, derive_seed
+
+#: How many phases ahead :meth:`BernoulliArrivals.next_arrival_slot`
+#: draws before it settles for the end of its look-ahead: a driver never
+#: pays for many coin draws past its horizon, even at a tiny rate.
+BERNOULLI_LOOKAHEAD_PHASES = 64
 
 
 class ArrivalProcess:
@@ -47,6 +57,17 @@ class ArrivalProcess:
 
     def arrivals_at(self, slot: int) -> List[Tuple[NodeId, Any]]:
         raise NotImplementedError
+
+    def next_arrival_slot(self, slot: int) -> int:
+        """A slot >= ``slot`` before which :meth:`arrivals_at` is empty.
+
+        The four processes here return the next slot that has an
+        arrival, or :data:`~repro.radio.process.QUIET_FOREVER` if none
+        ever will (:class:`BernoulliArrivals` looks at most
+        :data:`BERNOULLI_LOOKAHEAD_PHASES` phases ahead); this default
+        claims nothing and returns ``slot``.
+        """
+        return slot
 
 
 @dataclass
@@ -61,9 +82,16 @@ class DeterministicSchedule(ArrivalProcess):
             if slot < 0:
                 raise ConfigurationError(f"negative arrival slot {slot}")
             self._by_slot.setdefault(slot, []).append((source, payload))
+        self._slots = sorted(self._by_slot)
 
     def arrivals_at(self, slot: int) -> List[Tuple[NodeId, Any]]:
         return self._by_slot.get(slot, [])
+
+    def next_arrival_slot(self, slot: int) -> int:
+        index = bisect.bisect_left(self._slots, slot)
+        if index == len(self._slots):
+            return QUIET_FOREVER
+        return self._slots[index]
 
 
 def _require_seed(seed: object) -> int:
@@ -104,17 +132,46 @@ class BernoulliArrivals(ArrivalProcess):
         self.rate = rate
         self.phase_length = phase_length
         self.seed = _require_seed(seed)
+        # The last look-ahead of next_arrival_slot: phases [first, last)
+        # draw no arrival, and ``batch`` is phase ``last``'s draw.
+        self._ahead: Tuple[int, int, List[Tuple[NodeId, Any]]] = (0, -1, [])
 
-    def arrivals_at(self, slot: int) -> List[Tuple[NodeId, Any]]:
-        if slot % self.phase_length != 0:
-            return []
-        phase = slot // self.phase_length
+    def _draw(self, phase: int) -> List[Tuple[NodeId, Any]]:
         rng = child_rng(self.seed, "bernoulli-phase", phase)
         return [
             (source, ("bernoulli", source, phase))
             for source in self.sources
             if rng.random() < self.rate
         ]
+
+    def arrivals_at(self, slot: int) -> List[Tuple[NodeId, Any]]:
+        if slot % self.phase_length != 0:
+            return []
+        phase = slot // self.phase_length
+        first, last, batch = self._ahead
+        if phase == last:
+            return list(batch)
+        if first <= phase < last:
+            return []
+        return self._draw(phase)
+
+    def next_arrival_slot(self, slot: int) -> int:
+        """The next phase start with an arrival, drawing each phase's
+        coins once (:meth:`arrivals_at` reuses the draw); past
+        :data:`BERNOULLI_LOOKAHEAD_PHASES` empty phases it returns the
+        last phase start it drew."""
+        if self.rate == 0.0 or not self.sources:
+            return QUIET_FOREVER
+        phase = -(-slot // self.phase_length)
+        first, last, _batch = self._ahead
+        if not first <= phase <= last:
+            first = last = phase
+            batch = self._draw(last)
+            while not batch and last < first + BERNOULLI_LOOKAHEAD_PHASES:
+                last += 1
+                batch = self._draw(last)
+            self._ahead = (first, last, batch)
+        return last * self.phase_length
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -161,6 +218,13 @@ class PoissonArrivals(ArrivalProcess):
         self._count = {source: 0 for source in self.sources}
         self._lambda = lam
         self._last_slot = -1
+        self._first_due = self._earliest()
+
+    def _earliest(self) -> int:
+        """The slot the earliest pending arrival time falls into."""
+        if not self._next_time:
+            return QUIET_FOREVER
+        return math.floor(min(self._next_time.values()))
 
     @classmethod
     def per_phase_rate(
@@ -200,7 +264,13 @@ class PoissonArrivals(ArrivalProcess):
                 self._count[source] += 1
                 next_time += self._rngs[source].expovariate(self._lambda)
             self._next_time[source] = next_time
+        self._first_due = self._earliest()
         return out
+
+    def next_arrival_slot(self, slot: int) -> int:
+        # An arrival time t falls into slot floor(t): arrivals_at(s)
+        # emits every t < s + 1.
+        return max(slot, self._first_due)
 
 
 class BurstArrivals(ArrivalProcess):
@@ -249,6 +319,18 @@ class BurstArrivals(ArrivalProcess):
             self._offsets_burst = burst
             self._offsets = offsets
         return self._offsets
+
+    def next_arrival_slot(self, slot: int) -> int:
+        if not self.sources:
+            return QUIET_FOREVER
+        burst, within = divmod(slot, self.period)
+        while burst < self.bursts:
+            offsets = self._burst_offsets(burst) if self.jitter else (0,)
+            later = [offset for offset in offsets if offset >= within]
+            if later:
+                return burst * self.period + min(later)
+            burst, within = burst + 1, 0
+        return QUIET_FOREVER
 
     def arrivals_at(self, slot: int) -> List[Tuple[NodeId, Any]]:
         burst, within = divmod(slot, self.period)

@@ -120,10 +120,24 @@ class Drive:
                 self.sink.on_deliver(key, origin, submitted_slot, now)
 
     def run(self, arrivals: ArrivalProcess, until: int) -> None:
-        """Inject arrivals and step until the network is at slot ``until``."""
+        """Inject arrivals and step until the network is at slot ``until``.
+
+        Slots where no station is due and no arrival falls are skipped
+        in one jump (:meth:`~repro.radio.network.RadioNetwork.skip_to`):
+        nothing can be sent, heard or delivered in them.
+        """
         network = self.network
         while network.slot < until:
-            batch = arrivals.arrivals_at(network.slot)
+            slot = network.slot
+            quiet = min(
+                until,
+                network.next_due_slot(),
+                arrivals.next_arrival_slot(slot),
+            )
+            if quiet > slot:
+                network.skip_to(quiet)
+                continue
+            batch = arrivals.arrivals_at(slot)
             if batch:
                 for source, payload in batch:
                     self.submit(source, payload)
@@ -191,35 +205,6 @@ def p2p_hooks(processes, tree: BFSTree, destination_of):
         return process.submit(tree.dfs_number[dest], payload)
 
     return submit, _read_delivered([processes[n] for n in sorted(processes)])
-
-
-def broadcast_hooks(processes, root: NodeId):
-    """Broadcast: a message is delivered once every station holds its root
-    sequence number.  Keys are payloads, since the root assigns sequence
-    numbers only on arrival."""
-    root_process = processes[root]
-    stations = list(processes.values())
-    pending: List[int] = []  # sequenced, not yet everywhere
-    sequenced = 0
-
-    def submit(source: NodeId, payload: Any):
-        _station(processes, source).submit(payload)
-        return payload
-
-    def deliveries():
-        nonlocal sequenced
-        messages = root_process.sequenced
-        pending.extend(range(sequenced, len(messages)))
-        sequenced = len(messages)
-        done = [
-            seq for seq in pending
-            if all(seq in station.received for station in stations)
-        ]
-        for seq in done:
-            pending.remove(seq)
-        return [(messages[seq].payload, messages[seq].origin) for seq in done]
-
-    return submit, deliveries
 
 
 class RecordSink:
@@ -331,7 +316,7 @@ def jain_fairness(shares: List[float]) -> float:
 
 def _stream(
     network, hooks, sink, arrivals: ArrivalProcess,
-    horizon_slots: int, drain_budget: Optional[int], what: str,
+    horizon_slots: int, drain_budget: Optional[int],
 ) -> List[Any]:
     """Run the horizon, then drain for at most ``drain_budget`` slots
     (``None``: no drain); a drain left short raises
@@ -344,7 +329,8 @@ def _stream(
     left = drive.drain(drain_budget) if drain_budget is not None else 0
     if left:
         raise SimulationTimeout(
-            f"drain exceeded {drain_budget} slots with {left} {what}",
+            f"drain exceeded {drain_budget} slots with {left} messages "
+            "in flight",
             slots_elapsed=network.slot,
         )
     return list(sink.records.values())
@@ -363,11 +349,11 @@ def run_streaming_collection(
 
     The run uses mod-3 level classes.  Each arrival is submitted at its
     slot; deliveries at the root are timestamped by polling (exact, since
-    the driver steps one slot at a time).  With ``drain`` the run
-    continues past the horizon (up to ``drain_budget`` extra slots) until
-    every submitted message arrives, so latencies are complete; without
-    it, undelivered messages simply have no latency (useful for overload
-    experiments).
+    the driver steps every slot in which a station is due).  With
+    ``drain`` the run continues past the horizon (up to ``drain_budget``
+    extra slots) until every submitted message arrives, so latencies are
+    complete; without it, undelivered messages simply have no latency
+    (useful for overload experiments).
     """
     network, processes, _slots = build_collection_network(
         graph, tree, sources={}, seed=seed
@@ -377,7 +363,6 @@ def run_streaming_collection(
     records = _stream(
         network, collection_hooks(processes, tree.root), RecordSink(),
         arrivals, horizon_slots, drain_budget if drain else None,
-        "messages in flight",
     )
     return StreamingResult(slots=network.slot, records=records)
 
@@ -405,74 +390,5 @@ def run_streaming_p2p(
     records = _stream(
         network, p2p_hooks(processes, tree, destination_of), RecordSink(),
         arrivals, horizon_slots, max(50_000, 30 * horizon_slots),
-        "messages in flight",
     )
     return StreamingResult(slots=network.slot, records=records)
-
-
-@dataclass
-class BroadcastStreamRecord:
-    """Lifecycle of one streamed broadcast: submit → everywhere."""
-
-    source: NodeId
-    payload: object
-    submitted_slot: int
-    everywhere_slot: Optional[int] = None
-
-    @property
-    def latency(self) -> Optional[int]:
-        if self.everywhere_slot is None:
-            return None
-        return self.everywhere_slot - self.submitted_slot
-
-
-class _BroadcastRecords(RecordSink):
-    def on_submit(self, key, origin, slot: int) -> None:
-        self.records[key] = BroadcastStreamRecord(
-            source=origin, payload=key, submitted_slot=slot
-        )
-
-    def on_deliver(self, key, origin, submitted_slot: int, now: int) -> None:
-        self.records[key].everywhere_slot = now
-
-
-@dataclass
-class BroadcastStreamResult:
-    slots: int
-    records: List[BroadcastStreamRecord] = field(default_factory=list)
-
-    @property
-    def delivered_everywhere(self) -> int:
-        return sum(
-            1 for r in self.records if r.everywhere_slot is not None
-        )
-
-    @property
-    def mean_latency(self) -> float:
-        values = [r.latency for r in self.records if r.latency is not None]
-        if not values:
-            return float("nan")
-        return sum(values) / len(values)
-
-
-def run_streaming_broadcast(
-    graph: Graph,
-    tree: BFSTree,
-    arrivals: ArrivalProcess,
-    seed: int,
-    horizon_slots: int,
-) -> BroadcastStreamResult:
-    """Stream broadcasts; latency = submission until *every* station holds
-    the message (matched by payload, since the root assigns sequence
-    numbers on arrival).  The run uses mod-3 level classes and drains
-    past the horizon for at most ``max(100 000, 40 × horizon_slots)``
-    slots; a drain left short raises :class:`SimulationTimeout`."""
-    from repro.core.broadcast import build_broadcast_network
-
-    network, processes = build_broadcast_network(graph, tree, seed)
-    records = _stream(
-        network, broadcast_hooks(processes, tree.root), _BroadcastRecords(),
-        arrivals, horizon_slots, max(100_000, 40 * horizon_slots),
-        "broadcasts incomplete",
-    )
-    return BroadcastStreamResult(slots=network.slot, records=records)

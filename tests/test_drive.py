@@ -14,6 +14,8 @@ import pytest
 
 from repro.core.slots import SlotStructure, decay_budget
 from repro.graphs import layered_band, reference_bfs_tree
+from repro.profiling import profiled
+from repro.radio import RadioNetwork
 from repro.rng import derive_seed
 from repro.runner.task import TaskSpec
 from repro.scenario.runtime import run_scenario_task
@@ -138,3 +140,38 @@ def test_record_sink_and_service_kpis_agree():
     assert records.mean_latency_phases(phase_length) == pytest.approx(
         kpis.sojourn_phases
     )
+
+
+def test_service_cell_skips_and_counts_like_stepping(monkeypatch):
+    """The drive loop jumps over silent slots, yet the profiler counts
+    every slot as stepping did: these counters were recorded before the
+    loop learned to jump."""
+    graph = layered_band(4, 3)
+    tree = reference_bfs_tree(graph, 0)
+    sources = [n for n in tree.nodes if tree.level[n] == tree.depth]
+    phase_length = SlotStructure(
+        decay_budget(graph.max_degree()), 3, True
+    ).phase_length
+    arrivals = BernoulliArrivals(
+        sources, 0.2, phase_length, seed=derive_seed(7, "arrivals")
+    )
+    steps = []
+    step = RadioNetwork.step
+
+    def counted(self):
+        steps.append(self.slot)
+        step(self)
+
+    monkeypatch.setattr(RadioNetwork, "step", counted)
+    with profiled() as profile:
+        run_service(graph, tree, arrivals, 7, 200 * phase_length)
+    counters = {
+        name: profile.counters[name]
+        for name in ("polled", "skipped", "scalar_slots")
+    }
+    assert counters == {
+        "polled": 1117,
+        "skipped": 85_283,
+        "scalar_slots": 7200,
+    }
+    assert len(steps) < counters["scalar_slots"] // 4

@@ -305,15 +305,3 @@ class TestAsciiMap:
 
         with pytest.raises(ConfigurationError):
             ascii_map(make_path(2), {0: (0, 0), 1: (1, 1)}, width=2, height=2)
-
-    def test_link_length_histogram(self):
-        from repro.graphs import (
-            link_length_histogram,
-            random_geometric_with_positions,
-        )
-
-        g, pos = random_geometric_with_positions(15, 0.4, random.Random(8))
-        histogram = link_length_histogram(g, pos)
-        assert len(histogram) <= 8
-        assert sum(histogram.values()) == g.num_edges
-        assert max(histogram) <= 0.4 + 1e-9

@@ -2,10 +2,12 @@
 
 The engine may skip a process's callbacks exactly while a
 ``quiet_until`` declaration is outstanding and nothing was delivered to
-it; these tests pin that contract from both sides — silent slots are
-skipped, receptions and external :meth:`Process.wake` pokes re-wake
-immediately, failure models disable the fast path, and protocol
-outcomes are bit-identical with the fast path on or off.
+it that it kept; these tests pin that contract from both sides — silent
+slots are skipped, receptions and external :meth:`Process.wake` pokes
+re-wake immediately unless ``on_receive`` returns False, a driver may
+jump over slots where nobody is due, failure models disable the fast
+path, and protocol outcomes are bit-identical with the fast path on or
+off.
 """
 
 from types import MappingProxyType
@@ -18,6 +20,7 @@ from repro.core import (
     SlotStructure,
     build_broadcast_network,
     build_collection_network,
+    decay_budget,
     run_bit_election,
     run_dfs_preparation,
     run_point_to_point,
@@ -25,6 +28,7 @@ from repro.core import (
     run_setup,
 )
 from repro.core.transport import TransportLane
+from repro.errors import ProtocolError
 from repro.graphs import balanced_tree, layered_band, path, reference_bfs_tree
 from repro.profiling import profiled
 from repro.radio import (
@@ -36,6 +40,12 @@ from repro.radio import (
 )
 from repro.radio.process import QUIET_FOREVER
 from repro.rng import RngFactory
+from repro.service import run_service
+from repro.workloads import (
+    BernoulliArrivals,
+    PoissonArrivals,
+    run_streaming_p2p,
+)
 from tests.conftest import ScriptedProcess
 
 
@@ -107,6 +117,83 @@ class TestQuietUntil:
         # ...but the silent slots around it stayed skipped.
         assert sleeper.polled == [0]
         assert 4 not in sleeper.ended and 6 not in sleeper.ended
+
+    def test_dropped_reception_leaves_a_sleeper_asleep(self):
+        # on_receive returning False keeps the declaration: no
+        # on_slot_end, no re-declaration, no poll before the wake.
+        class Dropper(CountingProcess):
+            def __init__(self, node_id, period):
+                super().__init__(node_id, period)
+                self.declared = []
+
+            def on_receive(self, slot, channel, payload):
+                super().on_receive(slot, channel, payload)
+                return False
+
+            def quiet_until(self, slot):
+                self.declared.append(slot)
+                return super().quiet_until(slot)
+
+        net = RadioNetwork(path(2))
+        sleeper = Dropper(1, period=10)
+        net.attach(ScriptedProcess(0, {5: Transmission("ping")}))
+        net.attach(sleeper)
+        net.run(15)
+        assert sleeper.received == [(5, "ping")]
+        assert sleeper.polled == [0, 10]
+        assert sleeper.ended == [0, 10]
+        assert sleeper.declared == [1, 11]
+
+    def test_skip_to_counts_like_stepping(self):
+        def build():
+            net = RadioNetwork(path(2))
+            net.attach(CountingProcess(0, period=10))
+            net.attach(CountingProcess(1, period=10))
+            return net
+
+        with profiled() as stepped_profile:
+            stepped = build()
+            stepped.run(25)
+        with profiled() as skipped_profile:
+            skipped = build()
+            skipped.step()
+            assert skipped.next_due_slot() == 10
+            skipped.skip_to(10)
+            skipped.step()
+            skipped.skip_to(20)
+            skipped.step()
+            skipped.skip_to(25)
+        assert skipped.slot == stepped.slot == 25
+        assert skipped.stats == stepped.stats
+        assert skipped_profile.counters == stepped_profile.counters
+        for net in (stepped, skipped):
+            assert [p.polled for p in net.processes.values()] == [
+                [0, 10, 20], [0, 10, 20]
+            ]
+
+    def test_skip_to_past_a_due_station_raises(self):
+        net = RadioNetwork(path(2))
+        net.attach(CountingProcess(0, period=10))
+        net.attach(CountingProcess(1))
+        assert net.next_due_slot() == 0  # wake heap not armed yet
+        net.step()
+        assert net.next_due_slot() == 1  # node 1 is polled every slot
+        with pytest.raises(ProtocolError):
+            net.skip_to(2)
+        assert net.slot == 1
+        net.idle_scheduling = False  # everyone is due every slot
+        assert net.next_due_slot() == 1
+        with pytest.raises(ProtocolError):
+            net.skip_to(2)
+
+    def test_skip_to_nobody_due_and_forever(self):
+        net = RadioNetwork(path(2))
+        net.attach(CountingProcess(0, period=QUIET_FOREVER))
+        net.attach(CountingProcess(1, period=QUIET_FOREVER))
+        net.step()
+        assert net.next_due_slot() == QUIET_FOREVER
+        net.skip_to(1_000)
+        assert net.slot == net.stats.slots == 1_000
 
     def test_external_wake_revokes_declaration(self):
         net = RadioNetwork(path(2))
@@ -327,6 +414,28 @@ def _aloha_collection(seed):
     return network.slot, [m.msg_id for m in root.delivered]
 
 
+def _service(seed):
+    # run_service's Drive jumps over silent slots on the fast path.
+    graph, tree = _prepared_band()
+    deepest = [n for n in tree.nodes if tree.level[n] == tree.depth]
+    phase_length = SlotStructure(
+        decay_budget(graph.max_degree()), 3, True
+    ).phase_length
+    arrivals = BernoulliArrivals(deepest, 0.2, phase_length, seed=seed)
+    kpis = run_service(graph, tree, arrivals, seed, 120 * phase_length)
+    return sorted(kpis.to_metrics().items())
+
+
+def _streaming_p2p(seed):
+    graph, tree = _prepared_band()
+    arrivals = PoissonArrivals(range(12), 400.0, seed=seed)
+    result = run_streaming_p2p(
+        graph, tree, arrivals, lambda source, payload: (source + 5) % 12,
+        seed, 2_000,
+    )
+    return result.slots, result.records
+
+
 class TestProtocolEquivalence:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_collection_identical_with_and_without_fast_path(self, seed):
@@ -410,6 +519,8 @@ class TestProtocolEquivalence:
             _broadcast_with_checkpoints,
             _ranking,
             _aloha_collection,
+            _service,
+            _streaming_p2p,
         ],
         ids=lambda protocol: protocol.__name__.lstrip("_"),
     )

@@ -134,3 +134,19 @@ class TestLifecycleGolden:
             "skipped": 45_986,
             "scalar_slots": 964,
         }
+
+    def test_lifecycle_profile_counters(self):
+        """Every stage polls and skips the station-slots recorded before
+        stations learned to drop a reception without waking: a dropped
+        reception saves the end-of-slot work, never changes a poll."""
+        with profiled() as profile:
+            _lifecycle(1)
+        counters = {
+            name: profile.counters[name]
+            for name in ("polled", "skipped", "scalar_slots")
+        }
+        assert counters == {
+            "polled": 18_075,
+            "skipped": 687_909,
+            "scalar_slots": 14_708,
+        }

@@ -189,7 +189,6 @@ class TestExecutor:
         report = run_tasks(tasks, seed_digit_metric)
         means = report.case_means("value")
         assert set(means) == {"k=1", "k=2"}
-        assert len(report.metric("value")) == 4
 
 
 # ----------------------------------------------------------------------

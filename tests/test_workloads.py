@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs import path, reference_bfs_tree, star
+from repro.radio.process import QUIET_FOREVER
 from repro.workloads import (
     BernoulliArrivals,
     BurstArrivals,
@@ -14,6 +15,7 @@ from repro.workloads import (
     PoissonArrivals,
     run_streaming_collection,
 )
+from repro.workloads.arrivals import BERNOULLI_LOOKAHEAD_PHASES
 
 
 class TestArrivalProcesses:
@@ -129,6 +131,65 @@ class TestArrivalProcesses:
     def test_burst_jitter_requires_seed(self):
         with pytest.raises(ConfigurationError):
             BurstArrivals(sources=[1], period=10, bursts=1, jitter=3)
+
+
+ARRIVAL_PROCESSES = {
+    "deterministic": lambda: DeterministicSchedule(
+        [(3, 0, "a"), (3, 1, "b"), (17, 2, "c"), (90, 0, "d")]
+    ),
+    "bernoulli": lambda: BernoulliArrivals(
+        range(4), 0.1, phase_length=5, seed=3
+    ),
+    "poisson": lambda: PoissonArrivals(range(3), 9.0, seed=4),
+    "burst": lambda: BurstArrivals(range(4), period=12, bursts=4),
+    "burst-jittered": lambda: BurstArrivals(
+        range(4), period=12, bursts=4, jitter=5, seed=6
+    ),
+}
+
+
+class TestNextArrivalSlot:
+    @pytest.mark.parametrize("kind", sorted(ARRIVAL_PROCESSES))
+    def test_next_arrival_slot_is_exact(self, kind):
+        """``next_arrival_slot(s)`` is the first slot >= s with an
+        arrival: every slot before it is empty.  Asked at every slot,
+        interleaved with the polls, it leaves the batches unchanged."""
+        horizon = 120
+        arrivals = ARRIVAL_PROCESSES[kind]()
+        nexts, batches = [], []
+        for slot in range(horizon):
+            nexts.append(arrivals.next_arrival_slot(slot))
+            batches.append(arrivals.arrivals_at(slot))
+        untouched = ARRIVAL_PROCESSES[kind]()
+        assert batches == [untouched.arrivals_at(s) for s in range(horizon)]
+        assert any(batches)
+        for slot, upcoming in enumerate(nexts):
+            assert upcoming >= slot
+            assert not any(batches[slot:upcoming])
+            if upcoming < horizon:
+                assert batches[upcoming]
+            else:
+                assert not any(batches[slot:])
+
+    def test_bernoulli_look_ahead_is_bounded(self):
+        arrivals = BernoulliArrivals([0], 1e-12, phase_length=2, seed=0)
+        upcoming = arrivals.next_arrival_slot(1)
+        assert upcoming == 2 * (1 + BERNOULLI_LOOKAHEAD_PHASES)
+        assert not any(arrivals.arrivals_at(s) for s in range(upcoming + 1))
+
+    def test_no_arrival_ever(self):
+        assert BernoulliArrivals([0], 0.0, 4, seed=1).next_arrival_slot(
+            3
+        ) == QUIET_FOREVER
+        assert BurstArrivals([0], period=5, bursts=2).next_arrival_slot(
+            6
+        ) == QUIET_FOREVER
+        assert DeterministicSchedule([(4, 0, "x")]).next_arrival_slot(
+            5
+        ) == QUIET_FOREVER
+        assert PoissonArrivals([], 3.0, seed=2).next_arrival_slot(
+            0
+        ) == QUIET_FOREVER
 
 
 class TestStreamingDriver:
@@ -289,39 +350,6 @@ class TestStreamingP2p:
             horizon_slots=120,
         )
         assert result.delivery_ratio == 1.0
-
-
-class TestStreamingBroadcast:
-    def test_streamed_broadcasts_reach_everyone(self):
-        from repro.workloads import run_streaming_broadcast
-
-        graph = path(5)
-        tree = reference_bfs_tree(graph, 0)
-        schedule = DeterministicSchedule(
-            [(0, 4, "b0"), (100, 2, "b1")]
-        )
-        result = run_streaming_broadcast(
-            graph, tree, schedule, seed=3, horizon_slots=150
-        )
-        assert result.delivered_everywhere == 2
-        assert result.mean_latency > 0
-
-    def test_latency_counted_from_submission(self):
-        """Completion is checked every slot, so latencies are exact."""
-        from repro.workloads import run_streaming_broadcast
-
-        for graph, (slot, source), seed, horizon, latency in (
-            (path(4), (40, 3), 1, 60, 83),
-            (star(6), (3, 2), 5, 20, 106),
-        ):
-            tree = reference_bfs_tree(graph, 0)
-            schedule = DeterministicSchedule([(slot, source, "late")])
-            result = run_streaming_broadcast(
-                graph, tree, schedule, seed=seed, horizon_slots=horizon
-            )
-            record = result.records[0]
-            assert record.submitted_slot == slot
-            assert record.latency == latency
 
 
 class TestStreamingWithSingleClass:
