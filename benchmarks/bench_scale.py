@@ -27,8 +27,7 @@ def _timed_window(sim, slots):
     return time.perf_counter() - started
 
 
-#: Sweep sizes; ``REPRO_SCALE_N`` (single integer) overrides the whole
-#: sweep — CI smoke runs the reduced n=10⁴ point through the same code.
+#: Sweep sizes.
 SWEEP_NS = (10_000, 30_000, 100_000)
 #: Unit-disk mean-degree target.  Connectivity needs ~ln n; 15.4 keeps
 #: a comfortable margin at n = 10⁵ (ln 10⁵ ≈ 11.5) without inflating Δ.
@@ -38,15 +37,6 @@ SWEEP_K = 32
 SWEEP_REPLICATIONS = 3
 SWEEP_WARMUP = 4
 SWEEP_WINDOW = 24
-
-
-def _sweep_ns():
-    import os
-
-    override = os.environ.get("REPRO_SCALE_N")
-    if override:
-        return (int(override),)
-    return SWEEP_NS
 
 
 def _sweep_cell(n):
@@ -69,7 +59,7 @@ def _sweep_cell(n):
 
 def test_masked_scaling_sweep():
     points = []
-    for n in _sweep_ns():
+    for n in SWEEP_NS:
         graph, tree, sources, radius = _sweep_cell(n)
         seeds = [
             derive_seed(ROOT_SEED, "bench-scale-masked", n, index)

@@ -12,9 +12,14 @@ generators in :mod:`repro.graphs.generators` use integers.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Tuple,
+)
 
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:  # NumPy is imported only by the CSR methods that need it.
+    import numpy as np
 
 NodeId = Hashable
 
@@ -29,7 +34,7 @@ class Graph:
     which return new graphs.
     """
 
-    __slots__ = ("_adj", "_nodes", "_num_edges")
+    __slots__ = ("_adj", "_nodes", "_num_edges", "_csr")
 
     def __init__(self, adjacency: Dict[NodeId, Iterable[NodeId]]):
         adj: Dict[NodeId, Tuple[NodeId, ...]] = {}
@@ -52,6 +57,7 @@ class Graph:
         self._adj = adj
         self._nodes = tuple(sorted(adj))
         self._num_edges = sum(len(v) for v in adj.values()) // 2
+        self._csr = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -67,6 +73,69 @@ class Graph:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
         return cls(adj)
+
+    @classmethod
+    def from_csr(
+        cls, indptr: Iterable[int], indices: Iterable[int]
+    ) -> "Graph":
+        """A graph on nodes ``0..n-1`` from its sorted CSR adjacency.
+
+        Node v's neighbors are ``indices[indptr[v]:indptr[v + 1]]``, each
+        row strictly increasing.  Array operations check what the
+        constructor checks of an adjacency map (every index in range, no
+        self-loop, no repeated neighbor, symmetry); the int64 copies of
+        both arrays are kept, read-only, as :meth:`csr`.  Needs NumPy.
+        """
+        import numpy as np
+
+        indptr = _index_array(indptr, "indptr")
+        indices = _index_array(indices, "indices")
+        n = indptr.size - 1
+        degrees = np.diff(indptr)
+        if (
+            n < 0
+            or indptr[0] != 0
+            or indptr[-1] != indices.size
+            or (degrees < 0).any()
+        ):
+            raise TopologyError(
+                "malformed CSR indptr: it must start at 0, never decrease "
+                f"and end at len(indices) = {indices.size}"
+            )
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise TopologyError(
+                f"CSR indices reference a node outside 0..{n - 1}"
+            )
+        rows = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        loops = np.flatnonzero(indices == rows)
+        if loops.size:
+            raise TopologyError(f"self-loop at node {int(rows[loops[0]])}")
+        # Row-major keys increase strictly iff every row does.
+        keys = rows * n + indices
+        if (np.diff(keys) <= 0).any():
+            raise TopologyError(
+                "CSR rows must be strictly increasing (a neighbor is "
+                "unsorted or repeated)"
+            )
+        if not np.array_equal(np.sort(indices * n + rows), keys):
+            raise TopologyError("asymmetric CSR adjacency")
+        del rows, keys
+        # One int object per node, shared by every tuple that names it:
+        # an object array holds references, so gathering from it copies
+        # no ints.
+        ids = list(range(n))
+        flat = np.array(ids, dtype=object)[indices].tolist()
+        bounds = indptr.tolist()
+        graph = cls.__new__(cls)
+        graph._adj = {
+            v: tuple(flat[bounds[v]:bounds[v + 1]]) for v in ids
+        }
+        graph._nodes = tuple(ids)
+        graph._num_edges = indices.size // 2
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        graph._csr = (indptr, indices)
+        return graph
 
     # ------------------------------------------------------------------
     # Queries
@@ -107,6 +176,36 @@ class Graph:
             for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
+
+    def csr(self) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The adjacency as read-only int64 CSR arrays ``(indptr, indices)``.
+
+        Nodes are numbered by position in :attr:`nodes`:
+        ``indices[indptr[i]:indptr[i + 1]]`` are the positions of
+        ``nodes[i]``'s neighbors, ascending.  A graph not built by
+        :meth:`from_csr` derives them on the first call.  Needs NumPy.
+        """
+        if self._csr is None:
+            import numpy as np
+
+            position = {node: i for i, node in enumerate(self._nodes)}
+            n = len(self._nodes)
+            degrees = np.fromiter(
+                (len(self._adj[node]) for node in self._nodes),
+                dtype=np.int64,
+                count=n,
+            )
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
+            indices = np.fromiter(
+                (position[v] for u in self._nodes for v in self._adj[u]),
+                dtype=np.int64,
+                count=int(indptr[-1]),
+            )
+            indptr.flags.writeable = False
+            indices.flags.writeable = False
+            self._csr = (indptr, indices)
+        return self._csr
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._adj
@@ -164,3 +263,15 @@ class Graph:
             for n in keep_set
         }
         return Graph(adj)
+
+
+def _index_array(values: Iterable[int], name: str) -> "np.ndarray":
+    """An int64 copy of a one-dimensional integer array (or sequence)."""
+    import numpy as np
+
+    array = np.asarray(values)
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        raise TopologyError(
+            f"CSR {name} must be a one-dimensional integer array"
+        )
+    return array.astype(np.int64)

@@ -3,9 +3,9 @@
 The lockstep engine has exactly two inner loops whose cost dominates a
 large-n slot: the CSR reception scatter (§1.1's exactly-one-transmitter
 rule: enumerate every transmitter's neighbor run, accumulate
-per-receiver hit counts and sender-index sums) and the Decay session
-step (§1.4's transmit-then-flip over the active pairs).  Both are pure
-NumPy kernels, called directly by
+per-receiver hit counts) and the Decay session step (§1.4's
+transmit-then-flip over the active pairs).  Both are pure NumPy
+kernels, called directly by
 :class:`~repro.vector.engine.LockstepRadio`,
 :class:`~repro.vector.collection.BatchCollection` and
 :class:`~repro.vector.decay.BatchDecay`.
@@ -25,13 +25,13 @@ def _neighbor_runs(
     indptr: np.ndarray,
     indices: np.ndarray,
     n: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every transmitter's neighbor run, flattened: ``(flat, senders)``.
+) -> np.ndarray:
+    """Every transmitter's neighbor run, flattened.
 
     Transmitter r is station ``u_idx[r]`` of replication ``b_idx[r]``;
     its run is ``indices[indptr[u] : indptr[u + 1]]``.  Each receiver in
-    a run appears as the flat ``b·n + receiver`` index, next to the
-    index of the transmitter it hears.
+    a run appears as the flat ``b·n + receiver`` index, in transmitter
+    order.
     """
     starts = indptr[u_idx]
     lengths = indptr[u_idx + 1] - starts
@@ -40,8 +40,7 @@ def _neighbor_runs(
         ends - lengths, lengths
     )
     receivers = indices[np.repeat(starts, lengths) + within]
-    flat = np.repeat(b_idx, lengths) * n + receivers
-    return flat, np.repeat(u_idx, lengths)
+    return np.repeat(b_idx, lengths) * n + receivers
 
 
 def csr_counts(
@@ -58,7 +57,8 @@ def csr_counts(
     run over the whole (B, n) plane.  Integer values stay far below
     2²⁴, so the float32 casts are exact.
     """
-    flat, senders = _neighbor_runs(b_idx, u_idx, indptr, indices, n)
+    flat = _neighbor_runs(b_idx, u_idx, indptr, indices, n)
+    senders = np.repeat(u_idx, indptr[u_idx + 1] - indptr[u_idx])
     hit = np.bincount(flat, minlength=B * n)
     sender_sum = np.bincount(
         flat, weights=senders.astype(np.float64), minlength=B * n
@@ -75,23 +75,23 @@ def scatter_into(
     indptr: np.ndarray,
     indices: np.ndarray,
     hits: np.ndarray,
-    senders: np.ndarray,
     n: int,
 ) -> np.ndarray:
-    """Pair-list scatter into persistent *flat* buffers; returns touched.
+    """Pair-list scatter into a persistent *flat* buffer; returns touched.
 
     Accumulates each transmitter's neighbor run into ``hits`` (int32,
-    B·n flat) and ``senders`` (int64, B·n flat) at only the receiver
-    entries adjacent to a transmitter — O(transmitters · degree) work,
-    never O(B·n).  The returned flat index array (with duplicates) is
-    what the caller must zero to restore the buffers.
+    B·n flat) at only the receiver entries adjacent to a transmitter —
+    O(transmitters · degree) work, never O(B·n).  The returned flat
+    index array (with duplicates) is what the caller must zero to
+    restore the buffer.  It counts hits only: the slot loop tests
+    stations that neighbor a transmitter it already knows, so a count
+    of 1 there names the sender.
     """
-    flat, sender_ids = _neighbor_runs(b_idx, u_idx, indptr, indices, n)
+    flat = _neighbor_runs(b_idx, u_idx, indptr, indices, n)
     # The increment is a scalar of the buffer's own dtype: a Python int
     # against the int32 buffer sends ``ufunc.at`` down its casting slow
     # path, an order of magnitude slower.
     np.add.at(hits, flat, hits.dtype.type(1))
-    np.add.at(senders, flat, sender_ids)
     return flat
 
 

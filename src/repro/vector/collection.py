@@ -287,13 +287,12 @@ class BatchCollection:
 
         # Active-set state: per level class, the pairs listed at the
         # phase start, compacted to live sessions at each ack slot; flat
-        # persistent scatter buffers touched (and re-zeroed) only at the
-        # receiver entries adjacent to a transmitter; an incrementally
+        # persistent hit-count and transmit-flag buffers touched (and
+        # re-zeroed) only at the entries a slot used; an incrementally
         # maintained per-replication backlog total so the done check
         # never re-sums the (B, n) plane.
         self._pairs: List[_ClassPairs] = []
         self._hits_flat = np.zeros(B * n, dtype=np.int32)
-        self._senders_flat = np.zeros(B * n, dtype=np.int64)
         self._txflag_flat = np.zeros(B * n, dtype=bool)
         self._backlog_total = self.backlog.sum(axis=1, dtype=np.int64)
         self._expect_pairs: Tuple[np.ndarray, np.ndarray] = _EMPTY_PAIRS
@@ -466,21 +465,16 @@ class BatchCollection:
             t1 = 0.0
         if tb.size:
             touched = scatter_into(
-                tb, tv, radio.indptr, radio.indices,
-                self._hits_flat, self._senders_flat, n,
+                tb, tv, radio.indptr, radio.indices, self._hits_flat, n,
             )
             pair_flat = tb * n + tv
             self._txflag_flat[pair_flat] = True
             parent = radio.parents[tv]
             pf = tb * n + parent
             # Transmitter u's head is delivered iff its parent hears
-            # uniquely (one transmitting neighbor, itself silent) and
-            # that neighbor is u.
-            deliv = (
-                (self._hits_flat[pf] == 1)
-                & (self._senders_flat[pf] == tv)
-                & ~self._txflag_flat[pf]
-            )
+            # uniquely (one transmitting neighbor, itself silent): u
+            # neighbors its parent, so that one neighbor is u.
+            deliv = (self._hits_flat[pf] == 1) & ~self._txflag_flat[pf]
             if profiler is not None:
                 t2 = profiler.clock()
                 profiler.add("vector/reception", t2 - t1)
@@ -521,7 +515,6 @@ class BatchCollection:
                 self._pending_parents = _EMPTY_PAIRS
             # Restore the scatter buffers (touched entries only).
             self._hits_flat[touched] = 0
-            self._senders_flat[touched] = 0
             self._txflag_flat[pair_flat] = False
         else:
             self._pending_parents = _EMPTY_PAIRS
@@ -554,19 +547,18 @@ class BatchCollection:
         self._pending_parents = _EMPTY_PAIRS
         if pb.size:
             touched = scatter_into(
-                pb, pp, radio.indptr, radio.indices,
-                self._hits_flat, self._senders_flat, n,
+                pb, pp, radio.indptr, radio.indices, self._hits_flat, n,
             )
             pair_flat = pb * n + pp
             self._txflag_flat[pair_flat] = True
             cf = eb * n + ev
-            # Child u hears its ack iff it receives uniquely, the unique
-            # transmitter is its parent, and the parent's pending ack
-            # designates u (expected children never transmit here:
-            # a delivering child's parent was silent in the data slot).
+            # Child u hears its ack iff it receives uniquely and the
+            # parent's pending ack designates u.  Its parent is acking
+            # (every delivery queued one), so a unique transmitter is
+            # the parent; expected children never transmit here (a
+            # delivering child's parent was silent in the data slot).
             acked = (
                 (self._hits_flat[cf] == 1)
-                & (self._senders_flat[cf] == radio.parents[ev])
                 & ~self._txflag_flat[cf]
                 & (self.pending_child[eb, radio.parents[ev]] == ev)
             )
@@ -584,7 +576,6 @@ class BatchCollection:
             # Every pending ack fires exactly at its due slot.
             self.pending_child[pb, pp] = -1
             self._hits_flat[touched] = 0
-            self._senders_flat[touched] = 0
             self._txflag_flat[pair_flat] = False
         # Compaction: the class's data slot and this ack are the only
         # places its sessions die, so from here on its list holds live

@@ -6,13 +6,14 @@ replications running the same protocol on one topology, the paper's
 reception rule — a station receives iff **exactly one** neighbor
 transmits (§1.1) — becomes a scatter over the adjacency in CSR form
 (compressed sparse rows: ``indptr``/``indices`` arrays, one run of
-neighbor indices per node).  Per slot, the transmitting (replication,
-station) pairs are enumerated, each transmitter's neighbor run is
-gathered from ``indices``, and per-receiver hit counts and sender-index
-sums are accumulated; a receiver hears the transmitter whose index is
-the sum exactly where its count is 1 and it was itself silent.  Work is
-O(transmitters · degree) per slot and memory is O(edges), never O(n²),
-which is what makes n ≥ 10⁴ runs feasible.
+neighbor indices per node, read from :meth:`Graph.csr
+<repro.graphs.graph.Graph.csr>`).  Per slot, the transmitting
+(replication, station) pairs are enumerated, each transmitter's neighbor
+run is gathered from ``indices``, and per-receiver hit counts are
+accumulated; a receiver hears a message exactly where its count is 1
+and it was itself silent.  Work is O(transmitters · degree) per slot and
+memory is O(edges), never O(n²), which is what makes n ≥ 10⁴ runs
+feasible.
 
 :class:`LockstepRadio` packages the topology-side state (CSR arrays,
 node indexing, per-node BFS parents/levels) and the per-slot
@@ -87,22 +88,7 @@ class LockstepRadio:
         }
         # CSR adjacency: indices[indptr[v]:indptr[v+1]] are v's neighbor
         # positions.
-        degrees = np.fromiter(
-            (graph.degree(node) for node in self.nodes),
-            dtype=np.int64,
-            count=self.n,
-        )
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.indptr[1:])
-        self.indices = np.fromiter(
-            (
-                self.index[v]
-                for u in self.nodes
-                for v in graph.neighbors(u)
-            ),
-            dtype=np.int64,
-            count=int(self.indptr[-1]),
-        )
+        self.indptr, self.indices = graph.csr()
         self._adjacency: Optional[np.ndarray] = None
         self.root_index = self.index[tree.root]
         self.levels = np.array(

@@ -1,11 +1,22 @@
 """Unit tests for topology generators."""
 
+import gc
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.graphs import generators
 from repro.graphs import (
+    Graph,
     balanced_tree,
     caterpillar,
     complete,
@@ -271,6 +282,173 @@ class TestPositionedGeometric:
             15, 0.4, random.Random(9)
         )
         assert plain == positioned
+
+
+def _csr_pairs(points, radius):
+    """The array path's edge set, as ``(i, j)`` pairs with i < j."""
+    indptr, indices = generators._unit_disk_csr(points, radius)
+    return {
+        (u, int(v))
+        for u in range(len(points))
+        for v in indices[indptr[u]:indptr[u + 1]]
+        if u < v
+    }
+
+
+def _assert_same_edges(points, radius):
+    reference = Graph.from_edges(
+        generators._unit_disk_edges(points, radius), nodes=range(len(points))
+    )
+    assert generators._unit_disk_array_graph(points, radius) == reference
+
+
+class TestUnitDiskArrayPath:
+    """The array path keeps exactly the reference cell list's pairs."""
+
+    def test_seeded_draws_of_n_and_radius(self):
+        for seed in range(400):
+            rng = random.Random(seed)
+            n = rng.randint(1, 60)
+            radius = rng.choice(
+                (rng.uniform(0.005, 0.6), rng.uniform(0.0, 0.05))
+            )
+            points = [(rng.random(), rng.random()) for _ in range(n)]
+            _assert_same_edges(points, radius)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("radius", [0.0, 0.3, 0.9, 1.5])
+    def test_one_and_two_stations(self, n, radius):
+        points = [(0.1, 0.2), (0.6, 0.8)][:n]
+        _assert_same_edges(points, radius)
+
+    @pytest.mark.parametrize(
+        "radius", [0.0, -0.25, math.sqrt(2), 1.5, math.inf]
+    )
+    def test_degenerate_radii(self, radius):
+        rng = random.Random(7)
+        points = [(rng.random(), rng.random()) for _ in range(30)]
+        _assert_same_edges(points, radius)
+        pairs = _csr_pairs(points, radius)
+        assert len(pairs) == (0 if radius <= 0 else 30 * 29 // 2)
+
+    @pytest.mark.parametrize("radius", [0.125, 0.25, 0.625])
+    def test_points_exactly_radius_apart(self, radius):
+        # A dyadic lattice: axis neighbours lie exactly 0.125 apart and
+        # the (3, 4) steps exactly 0.625, all on cell boundaries.
+        points = [(a / 8, b / 8) for a in range(9) for b in range(9)]
+        _assert_same_edges(points, radius)
+        assert ((0, 1) in _csr_pairs(points, radius)) == (radius >= 0.125)
+
+    def test_coordinates_on_cell_boundaries(self):
+        radius = 0.1
+        rng = random.Random(3)
+        points = [
+            (k * radius, j * radius) for k in range(10) for j in range(10)
+        ]
+        points += [
+            (math.nextafter(x, 0.0), math.nextafter(y, 1.0))
+            for x, y in points[11::7]
+        ]
+        points += [(rng.random(), rng.random()) for _ in range(40)]
+        _assert_same_edges(points, radius)
+
+    @pytest.mark.parametrize("radius", [1e-12, 1e-25])
+    def test_tiny_radius_keeps_coincident_points(self, radius):
+        rng = random.Random(5)
+        points = [(rng.random(), rng.random()) for _ in range(20)]
+        points += [points[3], (points[8][0], points[8][1] + radius / 2)]
+        # No float-to-int cast overflows, however small the radius.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_same_edges(points, radius)
+            assert _csr_pairs(points, radius) == {(3, 20), (8, 21)}
+
+    def test_radius_whose_square_is_subnormal(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-162, -150)
+            points = [
+                (rng.random() * scale, rng.random() * scale)
+                for _ in range(12)
+            ]
+            _assert_same_edges(points, scale * rng.uniform(0.2, 1.2))
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ConfigurationError):
+            random_geometric(10, math.nan, random.Random(1))
+
+    @pytest.mark.parametrize(
+        "n",
+        [generators.ARRAY_MIN_N - 1, generators.ARRAY_MIN_N],
+        ids=["below", "at"],
+    )
+    def test_both_paths_sample_equal_fields(self, n, monkeypatch):
+        radius = math.sqrt(20 / (math.pi * n))
+        chosen = random_geometric(n, radius, random.Random(n))
+        monkeypatch.setattr(generators, "ARRAY_MIN_N", 1)
+        arrays = random_geometric(n, radius, random.Random(n))
+        monkeypatch.setattr(generators, "ARRAY_MIN_N", n + 1)
+        python = random_geometric(n, radius, random.Random(n))
+        assert chosen == arrays == python
+        assert chosen.csr()[1].tolist() == python.csr()[1].tolist()
+
+
+class TestArrayPathThreshold:
+    """The two costs the size selection exists for."""
+
+    def test_small_fields_never_import_numpy(self):
+        script = textwrap.dedent("""
+            import random, sys
+            from repro.core import run_collection
+            from repro.graphs import random_geometric, reference_bfs_tree
+            graph = random_geometric(200, 0.16, random.Random(4))
+            tree = reference_bfs_tree(graph, 0)
+            run_collection(graph, tree, {v: [v] for v in (5, 50)}, seed=4)
+            print("numpy" in sys.modules)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False"]
+
+    def test_large_field_memory_no_worse_than_python_path(self):
+        import numpy  # noqa: F401  (its import is not the build's cost)
+
+        n = 10_000
+        radius = math.sqrt(15.4 / (math.pi * n))
+        rng = random.Random(11)
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+
+        def traced(build):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                graph = build(points, radius)
+                _, peak = tracemalloc.get_traced_memory()
+                # Retained with the CSR the vector engine reads: the
+                # array-built graph keeps it, the other derives it.
+                graph.csr()
+                gc.collect()
+                retained, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return graph, peak, retained
+
+        python, python_peak, python_retained = traced(
+            generators._unit_disk_graph
+        )
+        arrays, array_peak, array_retained = traced(
+            generators._unit_disk_array_graph
+        )
+        assert arrays == python
+        assert array_peak <= python_peak
+        assert array_retained <= python_retained
 
 
 class TestAsciiMap:

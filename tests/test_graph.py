@@ -125,6 +125,83 @@ class TestDerivation:
         assert g.num_nodes == 2 and g.has_edge(0, 1)
 
 
+def _reference_csr(graph):
+    """The CSR the lockstep radio built for itself before Graph.csr."""
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    indptr, indices = [0], []
+    for node in graph.nodes:
+        indices.extend(index[v] for v in graph.neighbors(node))
+        indptr.append(len(indices))
+    return indptr, indices
+
+
+class TestCsr:
+    def test_from_csr_builds_the_adjacency(self):
+        g = Graph.from_csr([0, 1, 3, 4, 4], [1, 0, 2, 1])
+        assert g == Graph.from_edges([(0, 1), (1, 2)], nodes=[3])
+        assert g.neighbors(1) == (0, 2)
+        assert g.num_edges == 2
+
+    def test_from_csr_shares_one_int_per_node(self):
+        g = Graph.from_csr([0, 1, 3, 4], [1, 0, 2, 1])
+        assert g.neighbors(0)[0] is g.nodes[1] is g.neighbors(2)[0]
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0, 1], [0]),  # self-loop
+            ([0, 1, 1], [1]),  # asymmetric
+            ([0, 2, 3, 4], [2, 1, 0, 0]),  # unsorted row
+            ([0, 2, 4], [1, 1, 0, 0]),  # repeated row entry
+            ([0, 1, 2], [2, 0]),  # index out of range
+            ([0, 1, 2], [-1, 0]),  # negative index
+            ([], []),  # no indptr
+            ([1, 2], [0]),  # indptr not starting at 0
+            ([0, 2, 1], [1, 0]),  # decreasing indptr
+            ([0, 1, 1], [1, 0]),  # indptr not ending at len(indices)
+            ([[0, 1], [1, 2]], [1, 0]),  # two-dimensional indptr
+            ([0.0, 1.0, 2.0], [1, 0]),  # non-integer indptr
+        ],
+    )
+    def test_from_csr_rejects_malformed_input(self, indptr, indices):
+        with pytest.raises(TopologyError):
+            Graph.from_csr(indptr, indices)
+
+    def test_csr_is_read_only(self):
+        for g in (
+            Graph.from_edges([(0, 1), (1, 2)]),
+            Graph.from_csr([0, 1, 2], [1, 0]),
+        ):
+            indptr, indices = g.csr()
+            with pytest.raises(ValueError):
+                indices[0] = 0
+            with pytest.raises(ValueError):
+                indptr[0] = 1
+            assert g.csr()[1] is indices
+
+    def test_from_csr_keeps_private_copies(self):
+        import numpy as np
+
+        indices = np.array([1, 0])
+        g = Graph.from_csr(np.array([0, 1, 2]), indices)
+        indices[0] = 0
+        assert indices.flags.writeable
+        assert g.csr()[1].tolist() == [1, 0]
+
+    def test_csr_positions_follow_node_order(self):
+        g = Graph.from_edges([("b", "a"), ("c", "a"), ("d", "c")])
+        indptr, indices = g.csr()
+        assert indptr.dtype == indices.dtype == "int64"
+        assert indptr.tolist() == [0, 2, 3, 5, 6]
+        assert indices.tolist() == [1, 2, 0, 0, 3, 2]
+        assert (indptr.tolist(), indices.tolist()) == _reference_csr(g)
+
+    def test_empty_graph(self):
+        assert Graph.from_csr([0], []) == Graph({})
+        indptr, indices = Graph({}).csr()
+        assert indptr.tolist() == [0] and indices.size == 0
+
+
 @st.composite
 def random_edge_lists(draw):
     n = draw(st.integers(min_value=2, max_value=12))
@@ -158,3 +235,15 @@ class TestProperties:
         g = Graph.from_edges(edges, nodes=range(n))
         rebuilt = Graph.from_edges(g.edges(), nodes=g.nodes)
         assert rebuilt == g
+
+    @given(random_edge_lists())
+    @settings(max_examples=60)
+    def test_from_csr_matches_from_edges(self, data):
+        n, edges = data
+        g = Graph.from_edges(edges, nodes=range(n))
+        rebuilt = Graph.from_csr(*_reference_csr(g))
+        assert rebuilt == g
+        assert [a.tolist() for a in rebuilt.csr()] == [
+            a.tolist() for a in g.csr()
+        ]
+        assert [a.tolist() for a in g.csr()] == list(_reference_csr(g))
