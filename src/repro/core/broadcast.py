@@ -83,6 +83,11 @@ class BroadcastProcess(Process):
     superphases NACKs it again, and a station that holds every message
     below a multiple of ``checkpoint_interval`` (n², from
     :func:`build_broadcast_network`) acks that checkpoint to the root.
+
+    ``relay_to`` lists this station's neighbours one level below it, in
+    neighbour order (:func:`next_level_neighbors`): the only stations
+    whose :meth:`_handle_distribution` accepts its relay, so its
+    down-channel transmissions are addressed to them.
     """
 
     def __init__(
@@ -93,9 +98,11 @@ class BroadcastProcess(Process):
         invocations_per_superphase: int,
         rng: random.Random,
         checkpoint_interval: int,
+        relay_to: Tuple[NodeId, ...],
     ):
         super().__init__(info.node_id)
         self.info = info
+        self.relay_to = relay_to
         self.up_slots = up_slots
         self.dist_slots = dist_slots
         self.invocations_per_superphase = invocations_per_superphase
@@ -302,7 +309,7 @@ class BroadcastProcess(Process):
             )
         assert self._session is not None
         if self._session.should_transmit():
-            return Transmission(message, DOWN_CHANNEL)
+            return Transmission(message, DOWN_CHANNEL, self.relay_to)
         return None
 
     def quiet_until(self, slot: int) -> int:
@@ -461,6 +468,21 @@ def broadcast_reference_slots(
     return (k + depth + 4) * (2 * log_n) * (2 * log_delta) * level_classes
 
 
+def next_level_neighbors(
+    graph: Graph, infos: Dict[NodeId, TreeInfo]
+) -> Dict[NodeId, Tuple[NodeId, ...]]:
+    """Each station's neighbours one tree level below it, in neighbour
+    order: the stations that accept its down-channel relay."""
+    return {
+        node: tuple(
+            neighbor
+            for neighbor in graph.neighbors(node)
+            if infos[neighbor].level == infos[node].level + 1
+        )
+        for node in graph.nodes
+    }
+
+
 def build_broadcast_network(
     graph: Graph,
     tree: BFSTree,
@@ -487,6 +509,7 @@ def build_broadcast_network(
     if invocations is None:
         invocations = superphase_invocations(graph.num_nodes)
     infos = tree_info_from_bfs_tree(tree)
+    relay_to = next_level_neighbors(graph, infos)
     network = RadioNetwork(graph, num_channels=2)
     processes: Dict[NodeId, BroadcastProcess] = {}
     for node in graph.nodes:
@@ -497,6 +520,7 @@ def build_broadcast_network(
             invocations_per_superphase=invocations,
             rng=factory.for_node(node),
             checkpoint_interval=graph.num_nodes ** 2,
+            relay_to=relay_to[node],
         )
         processes[node] = process
         network.attach(process)

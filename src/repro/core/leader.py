@@ -8,8 +8,10 @@ station ends up knowing it is the leader, whp, in setup time.
 
 We substitute a **bitwise tournament** (:class:`BitElectionProcess`): the
 maximum ID is found bit by bit, most significant first, each bit settled
-by a window of Decay-relayed floods, in ``O(log N · (D + log n) · log Δ)``
-slots — the [4] shape without its loglog refinement.  A missed flood
+by a window of Decay-relayed floods, in ``O(log N · (n + log n) · log Δ)``
+slots — the [4] shape without its loglog refinement, and with the
+diameter bound D̂ = n − 1 that every station knows in place of D, so
+the window grows with n rather than with the diameter.  A missed flood
 leaves the stations disagreeing, possibly with a false extra leader.  In
 the paper's setup phase the Las-Vegas verification catches that (two
 roots → the root never collects n−1 confirmations → retry, §2);
@@ -75,11 +77,12 @@ class BitElectionProcess(Process):
     (capped at the window), so a union bound over the n stations and
     the ``id_bits`` rounds keeps the failure rate at or below 1/n.
 
-    Cost: ``id_bits`` windows of ``(D̂ + 2·log n)`` Decay invocations —
-    ``O(log N · (D + log n) · log Δ)`` slots, the [4] shape without its
-    loglog refinement; K only bounds how many of them a station spends
-    transmitting.  A missed flood yields disagreement, caught by the
-    setup phase's Las-Vegas verification.
+    Cost: ``id_bits`` windows of ``(D̂ + 2·log n)`` Decay invocations,
+    with D̂ = n − 1 (:func:`run_bit_election`) —
+    ``O(log N · (n + log n) · log Δ)`` slots, the [4] shape without its
+    loglog refinement and with n in place of D; K only bounds how many
+    of them a station spends transmitting.  A missed flood yields
+    disagreement, caught by the setup phase's Las-Vegas verification.
     """
 
     def __init__(

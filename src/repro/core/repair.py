@@ -191,16 +191,19 @@ class ResilientCollectionProcess(CollectionProcess):
             return None
         return super().on_slot(slot)
 
-    def on_receive(self, slot: int, channel: int, payload: Any) -> None:
+    def on_receive(
+        self, slot: int, channel: int, payload: Any
+    ) -> Optional[bool]:
         if self.partitioned:
-            return
+            return False
         backlog_before = self.lane.backlog
-        super().on_receive(slot, channel, payload)
+        woke = super().on_receive(slot, channel, payload)
         if self.lane.backlog < backlog_before:
             # Upward progress: the current parent is demonstrably alive,
             # so forgive past suspicions (they may have been collisions or
             # transient churn, and a revived neighbor is a candidate again).
             self._suspected.clear()
+        return woke
 
     def on_slot_end(self, slot: int) -> None:
         if self.partitioned or self.info.is_root:

@@ -49,6 +49,20 @@ class SessionLike(Protocol):
         ...
 
 
+class BacklogTotal:
+    """The number of messages buffered across the lanes that joined it.
+
+    Each lane keeps the total current as it enqueues and releases
+    messages (:meth:`TransportLane.join_total`), so reading the backlog
+    of a whole network costs O(1) rather than a pass over its lanes.
+    """
+
+    __slots__ = ("messages",)
+
+    def __init__(self) -> None:
+        self.messages = 0
+
+
 #: The most phases a retrying lane sits out after a failed attempt: after
 #: attempt k it waits ``min(BACKOFF_CAP, 2^(k-1) - 1)`` phases, so the
 #: first retry is immediate and every later one waits one phase.
@@ -66,6 +80,11 @@ class TransportLane:
       the acknowledgement (§3).
     * On receiving an acknowledgement for the in-flight head: remove it
       from the buffer and fall silent for the rest of the phase.
+
+    Every data hop and ack is addressed to its ``hop_dest``
+    (:attr:`Transmission.to <repro.radio.transmission.Transmission.to>`):
+    every process that owns a lane drops, unchanged, a hop or ack
+    designated to another station.
 
     ``strict`` mode turns impossible-in-the-model events (duplicate
     designated receptions, unmatched designated acks) into
@@ -114,6 +133,8 @@ class TransportLane:
             DecaySession, slots.decay_budget, rng
         )
         self.buffer: Deque[DataMessage] = deque()
+        # The shared total this lane keeps current, if it joined one.
+        self._total: Optional[BacklogTotal] = None
         # Phase from which each buffered message may be transmitted: §4.1
         # has a node send, each phase, a message whose buffer residence
         # predates the phase ("every node whose buffer is not empty [at
@@ -170,6 +191,8 @@ class TransportLane:
                 f"hop_sender is {message.hop_sender!r}"
             )
         self.buffer.append(message)
+        if self._total is not None:
+            self._total.messages += 1
         if received_at_slot is None:
             self._earliest_phase.append(0)
         else:
@@ -181,6 +204,19 @@ class TransportLane:
     def backlog(self) -> int:
         return len(self.buffer)
 
+    def join_total(self, total: BacklogTotal) -> None:
+        """Count this lane's buffered messages into ``total`` from now on.
+
+        A lane joins at most one total; :meth:`retarget` re-addresses the
+        buffer without changing its length, so the count survives it.
+        """
+        if self._total is not None:
+            raise ConfigurationError(
+                f"station {self.node_id!r}'s lane already counts into a total"
+            )
+        total.messages += len(self.buffer)
+        self._total = total
+
     def on_slot(self, slot: int) -> Optional[Transmission]:
         """This lane's transmission (if any) for the given slot."""
         # Ack duty takes precedence; it is scheduled on an ack slot, which
@@ -190,7 +226,7 @@ class TransportLane:
             if due == slot:
                 self._pending_ack = None
                 self.ack_transmissions += 1
-                return Transmission(ack, self.channel)
+                return Transmission(ack, self.channel, (ack.hop_dest,))
             if due < slot:
                 # The ack slot passed while this station was down (failure
                 # injection): the ack is lost, like any other transmission
@@ -217,8 +253,9 @@ class TransportLane:
             # else: head arrived mid-phase, sit this phase out.
         if self._session is not None and self._session.should_transmit():
             self.data_transmissions += 1
-            assert self._head is not None
-            return Transmission(self._head, self.channel)
+            head = self._head
+            assert head is not None
+            return Transmission(head, self.channel, (head.hop_dest,))
         return None
 
     def _start_attempt(self, phase: int) -> None:
@@ -342,6 +379,8 @@ class TransportLane:
         if self.buffer and self.buffer[0].msg_id == ack.msg_id:
             self.buffer.popleft()
             self._earliest_phase.popleft()
+            if self._total is not None:
+                self._total.messages -= 1
             self._attempt_msg_id = None
             self.head_attempts = 0
             self._backoff_until_phase = 0

@@ -16,6 +16,21 @@ every *awake* process for its transmission intents, resolves receptions
 channel by channel by counting transmitting neighbors, and delivers
 callbacks.
 
+Addressed delivery
+------------------
+The paper's stations drop, by the IDs in the payload, every message that
+is not meant for them (§1.1), and most receptions are such drops.  A
+transmission may name in ``to`` the only stations that can act on it
+(:class:`~repro.radio.transmission.Transmission`).  Then the engine
+counts each busy channel's hits in one pass, adds the deliveries and
+collisions from those counts, and calls ``on_receive`` only for the
+addressees that hear exactly one sender and are not transmitting there;
+a ``to`` entry that is not a neighbour of its sender raises
+:class:`~repro.errors.ProtocolError`.  A trace, a failure model or the
+capture effect needs every receiver (an event, a loss draw or a capture
+each), so with any of them attached every receiver is resolved and
+called one by one, as the model describes; the outcomes are the same.
+
 Idle-aware scheduling
 ---------------------
 The paper's own slot structure guarantees long deterministic silences: a
@@ -43,8 +58,10 @@ from __future__ import annotations
 import heapq
 import random
 import weakref
+from collections import _count_elements  # type: ignore[attr-defined]
+from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import profiling
 from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
@@ -52,6 +69,7 @@ from repro.graphs.graph import Graph, NodeId
 from repro.radio.failures import FailureModel
 from repro.radio.process import QUIET_FOREVER, Process, SlotAction
 from repro.radio.trace import (
+    ChannelStats,
     CollisionEvent,
     DeliverEvent,
     DropEvent,
@@ -144,7 +162,9 @@ class RadioNetwork:
         # change, never in the per-slot hot loop:
         # * the neighbor-tuple cache — the inner reception loop iterates
         #   these millions of times and must not re-derive them from the
-        #   graph per slot;
+        #   graph per slot — and the neighbor sets that addresses are
+        #   checked against, each built when its station first sends an
+        #   addressed transmission;
         # * the full-attachment check — an O(n) set difference, re-armed
         #   so a swapped topology is re-validated before the next step;
         # * the wake heap — a swapped topology may change who can hear
@@ -155,6 +175,7 @@ class RadioNetwork:
         self._neighbors: Dict[NodeId, tuple] = {
             node: graph.neighbors(node) for node in graph.nodes
         }
+        self._neighbor_sets = _NeighborSets(self._neighbors)
 
     # ------------------------------------------------------------------
     # Wiring processes to stations
@@ -279,9 +300,10 @@ class RadioNetwork:
         # Phase 1: gather transmission intents.  A station's entry in a
         # channel's sender dict is also what catches a double
         # transmission on that channel.
-        transmitters: List[Dict[NodeId, object]] = [
+        transmitters: List[Dict[NodeId, Transmission]] = [
             {} for _ in range(self.num_channels)
         ]
+        neighbor_sets = self._neighbor_sets
         down_nodes = set()
         for node in poll:
             if failures is not None and failures.node_down(node, slot):
@@ -308,7 +330,17 @@ class RadioNetwork:
                         f"node {node!r} transmitted twice on channel "
                         f"{channel} in slot {slot}"
                     )
-                senders[node] = tx.payload
+                to = tx.to
+                if to is not None and not neighbor_sets[node].issuperset(to):
+                    stranger = next(
+                        r for r in to if r not in neighbor_sets[node]
+                    )
+                    raise ProtocolError(
+                        f"node {node!r} addressed {stranger!r} on channel "
+                        f"{channel} in slot {slot}, which is not its "
+                        f"neighbour"
+                    )
+                senders[node] = tx
                 self.stats.channel(channel).transmissions += 1
                 if tracing:
                     trace.record(
@@ -321,108 +353,27 @@ class RadioNetwork:
             profiler.bump("skipped", len(processes) - len(poll))
             mark = now
 
-        # Phase 2: resolve receptions channel by channel.
-        neighbors = self._neighbors
+        # Phase 2: resolve receptions channel by channel.  A trace, a
+        # failure model or the capture effect needs every receiver (an
+        # event, a loss draw or a capture per receiver); otherwise only
+        # the addressees of each transmission are called.
+        each_receiver = (
+            tracing or failures is not None or self.capture_effect
+        )
         for channel in range(self.num_channels):
             senders = transmitters[channel]
             if not senders:
                 continue
             channel_stats = self.stats.channel(channel)
             channel_stats.busy_slots += 1
-            hit_count: Dict[NodeId, int] = {}
-            last_sender: Dict[NodeId, NodeId] = {}
-            for sender in senders:
-                for receiver in neighbors[sender]:
-                    hit_count[receiver] = hit_count.get(receiver, 0) + 1
-                    last_sender[receiver] = sender
-            for receiver, count in hit_count.items():
-                if receiver in senders or receiver in down_nodes:
-                    continue  # busy transmitting / crashed: hears nothing
-                if count >= 2:
-                    channel_stats.collisions += 1
-                    colliders = None
-                    if tracing or self.capture_effect:
-                        colliders = tuple(
-                            s for s in senders if receiver in neighbors[s]
-                        )
-                    if tracing:
-                        assert colliders is not None
-                        trace.record(
-                            CollisionEvent(slot, channel, receiver, colliders)
-                        )
-                    if self.capture_effect:
-                        # §8 remark (3): the receiver captures one of the
-                        # colliding messages, uniformly at random.  The
-                        # captured delivery is still subject to link loss.
-                        assert colliders is not None
-                        assert self._capture_rng is not None
-                        winner = self._capture_rng.choice(colliders)
-                        if failures is not None and failures.drop_delivery(
-                            winner, receiver, slot
-                        ):
-                            channel_stats.dropped += 1
-                            if tracing:
-                                trace.record(
-                                    DropEvent(
-                                        slot,
-                                        channel,
-                                        receiver,
-                                        winner,
-                                        senders[winner],
-                                    )
-                                )
-                            continue
-                        channel_stats.deliveries += 1
-                        if tracing:
-                            trace.record(
-                                DeliverEvent(
-                                    slot,
-                                    channel,
-                                    receiver,
-                                    winner,
-                                    senders[winner],
-                                )
-                            )
-                        woke = processes[receiver].on_receive(
-                            slot, channel, senders[winner]
-                        )
-                        if (
-                            awake is not None
-                            and woke is not False
-                            and receiver not in awake
-                        ):
-                            awake[receiver] = None
-                    continue
-                sender = last_sender[receiver]
-                if failures is not None and failures.drop_delivery(
-                    sender, receiver, slot
-                ):
-                    channel_stats.dropped += 1
-                    if tracing:
-                        trace.record(
-                            DropEvent(
-                                slot, channel, receiver, sender, senders[sender]
-                            )
-                        )
-                    continue
-                channel_stats.deliveries += 1
-                if tracing:
-                    trace.record(
-                        DeliverEvent(
-                            slot, channel, receiver, sender, senders[sender]
-                        )
-                    )
-                woke = processes[receiver].on_receive(
-                    slot, channel, senders[sender]
+            if each_receiver:
+                self._resolve_each(
+                    slot, channel, senders, channel_stats, down_nodes, awake
                 )
-                # False: the reception left the receiver's declaration
-                # valid, so a sleeper stays asleep (Process.on_receive).
-                if (
-                    awake is not None
-                    and woke is not False
-                    and receiver not in awake
-                ):
-                    awake[receiver] = None
+            else:
+                self._resolve_addressed(
+                    slot, channel, senders, channel_stats, awake
+                )
         if profiler is not None:
             now = profiler.clock()
             profiler.add("scalar/reception", now - mark)
@@ -453,6 +404,142 @@ class RadioNetwork:
         if profiler is not None:
             profiler.add("scalar/slot_end", profiler.clock() - mark)
             profiler.bump("scalar_slots")
+
+    def _resolve_addressed(
+        self,
+        slot: int,
+        channel: int,
+        senders: Dict[NodeId, Transmission],
+        channel_stats: ChannelStats,
+        awake: Optional[Dict[NodeId, None]],
+    ) -> None:
+        """Receptions on one busy channel, calling only the addressees.
+
+        The delivery and collision counters come from one counting pass
+        over the senders' neighbourhoods; ``on_receive`` runs only for the
+        stations in a transmission's ``to`` (every neighbour when it is
+        None) that hear exactly one sender and are not transmitting here,
+        in sender order and then ``to`` order.  Every other receiver would
+        have dropped the message with no change of state (see
+        :class:`~repro.radio.transmission.Transmission`).
+        """
+        neighbors = self._neighbors
+        processes = self._processes
+        hits: Optional[Dict[NodeId, int]] = None
+        if len(senders) == 1:
+            # A lone sender reaches each of its neighbours alone.
+            channel_stats.deliveries += len(neighbors[next(iter(senders))])
+        else:
+            # The counting loop behind collections.Counter, called without
+            # the Python-level constructor that costs more than the count
+            # itself at n = 48 (docs/performance.md, Addressed delivery).
+            hits = {}
+            _count_elements(
+                hits, chain.from_iterable(map(neighbors.__getitem__, senders))
+            )
+            heard = list(hits.values()).count(1)
+            collided = len(hits) - heard
+            for sender in senders:  # a transmitter hears nothing here
+                count = hits.get(sender)
+                if count == 1:
+                    heard -= 1
+                elif count is not None:
+                    collided -= 1
+            channel_stats.deliveries += heard
+            channel_stats.collisions += collided
+        for sender, tx in senders.items():
+            to = tx.to
+            if to is None:
+                to = neighbors[sender]
+            payload = tx.payload
+            for receiver in to:
+                if hits is not None and (
+                    hits[receiver] != 1 or receiver in senders
+                ):
+                    continue
+                woke = processes[receiver].on_receive(slot, channel, payload)
+                # False: the reception left the receiver's declaration
+                # valid, so a sleeper stays asleep (Process.on_receive).
+                if (
+                    awake is not None
+                    and woke is not False
+                    and receiver not in awake
+                ):
+                    awake[receiver] = None
+
+    def _resolve_each(
+        self,
+        slot: int,
+        channel: int,
+        senders: Dict[NodeId, Transmission],
+        channel_stats: ChannelStats,
+        down_nodes: Set[NodeId],
+        awake: Optional[Dict[NodeId, None]],
+    ) -> None:
+        """Receptions on one busy channel, receiver by receiver.
+
+        Every listening neighbour of a sender is resolved on its own:
+        traced, consulted against the failure model, or handed a captured
+        collision, and then called whether or not it is addressed.
+        """
+        neighbors = self._neighbors
+        processes = self._processes
+        failures = self.failures
+        trace = self.trace
+        tracing = trace is not None
+        hit_count: Dict[NodeId, int] = {}
+        last_sender: Dict[NodeId, NodeId] = {}
+        for sender in senders:
+            for receiver in neighbors[sender]:
+                hit_count[receiver] = hit_count.get(receiver, 0) + 1
+                last_sender[receiver] = sender
+        for receiver, count in hit_count.items():
+            if receiver in senders or receiver in down_nodes:
+                continue  # busy transmitting / crashed: hears nothing
+            if count >= 2:
+                channel_stats.collisions += 1
+                colliders = None
+                if tracing or self.capture_effect:
+                    colliders = tuple(
+                        s for s in senders if receiver in neighbors[s]
+                    )
+                if tracing:
+                    assert colliders is not None
+                    trace.record(
+                        CollisionEvent(slot, channel, receiver, colliders)
+                    )
+                if not self.capture_effect:
+                    continue
+                # §8 remark (3): the receiver captures one of the
+                # colliding messages, uniformly at random.  The captured
+                # delivery is still subject to link loss.
+                assert colliders is not None
+                assert self._capture_rng is not None
+                sender = self._capture_rng.choice(colliders)
+            else:
+                sender = last_sender[receiver]
+            payload = senders[sender].payload
+            if failures is not None and failures.drop_delivery(
+                sender, receiver, slot
+            ):
+                channel_stats.dropped += 1
+                if tracing:
+                    trace.record(
+                        DropEvent(slot, channel, receiver, sender, payload)
+                    )
+                continue
+            channel_stats.deliveries += 1
+            if tracing:
+                trace.record(
+                    DeliverEvent(slot, channel, receiver, sender, payload)
+                )
+            woke = processes[receiver].on_receive(slot, channel, payload)
+            if (
+                awake is not None
+                and woke is not False
+                and receiver not in awake
+            ):
+                awake[receiver] = None
 
     def _advance_silent(self, count: int) -> None:
         """Advance ``count`` slots in which no station is due, counting
@@ -554,3 +641,15 @@ class RadioNetwork:
                 p.is_done() for p in net._processes.values()
             ),
         )
+
+
+class _NeighborSets(dict):
+    """Each station's neighbours as a frozenset, built on first lookup."""
+
+    def __init__(self, neighbors: Dict[NodeId, tuple]):
+        super().__init__()
+        self._neighbors = neighbors
+
+    def __missing__(self, node: NodeId) -> frozenset:
+        reach = self[node] = frozenset(self._neighbors[node])
+        return reach

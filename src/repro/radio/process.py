@@ -6,7 +6,9 @@ with three callbacks per slot, in this order for every station:
 1. :meth:`Process.on_slot` — decide what to transmit this slot (possibly on
    several channels; the paper's model allows one transceiver per channel).
 2. :meth:`Process.on_receive` — called once per channel on which *exactly
-   one* neighbor transmitted and this station was listening.
+   one* neighbor transmitted and this station was listening, unless that
+   transmission's ``to`` leaves this station out (see
+   :class:`~repro.radio.transmission.Transmission`).
 3. :meth:`Process.on_slot_end` — bookkeeping after all receptions of the
    slot are in.
 
@@ -15,6 +17,8 @@ Faithfulness notes:
 * Stations receive the *message only*: the model gives no physical-layer
   sender identification, so any sender/destination information must travel
   inside the payload (the paper appends IDs to messages explicitly, §4).
+  A transmission's ``to`` is not such an ID: it only spares the simulator
+  the calls whose receivers would drop the message by those payload IDs.
 * There is no collision detection: a collision and a silent slot are both
   simply "no :meth:`on_receive` call".
 """
@@ -68,6 +72,12 @@ class Process:
         the slot.  The paper's stations hear every neighbour that
         transmits alone and drop, by the IDs in the payload, what is not
         meant for them (§1.1); ``False`` is how such a drop stays free.
+
+        A transmission whose :attr:`~repro.radio.transmission.
+        Transmission.to` leaves this station out is a promise by its
+        sender: here this method would return ``False`` and change no
+        state.  Unless a trace, a failure model or the capture effect is
+        attached, the engine then makes no call at all.
         """
 
     def on_slot_end(self, slot: int) -> None:

@@ -39,6 +39,7 @@ from typing import Any, Dict
 
 from repro.analysis.sketches import RateWindow, Welford
 from repro.core.collection import build_collection_network
+from repro.core.transport import BacklogTotal
 from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph
@@ -178,9 +179,11 @@ def run_service(
     network, processes, slots = build_collection_network(
         graph, tree, sources={}, seed=seed, dedup_window=SERVICE_DEDUP_WINDOW
     )
-    # The lanes, not their deques: TransportLane.retarget replaces
-    # ``buffer``.  One len() per lane is the whole per-phase sample.
-    lanes = [p.lane for node, p in processes.items() if node != tree.root]
+    # The lanes keep a running total of the messages they buffer (the
+    # root's never does), so the per-phase sample is one read.
+    backlog = BacklogTotal()
+    for process in processes.values():
+        process.lane.join_total(backlog)
     phase_length = slots.phase_length
     warmup_slots = int(horizon_slots * warmup_fraction)
 
@@ -191,10 +194,9 @@ def run_service(
     # Sample the backlog once per phase, right after the phase's first slot.
     for slot in range(0, horizon_slots, phase_length):
         drive.run(arrivals, slot + 1)
-        backlog = sum([len(lane.buffer) for lane in lanes])
-        drift.observe(slot, backlog)
+        drift.observe(slot, backlog.messages)
         if slot >= warmup_slots:
-            queue.add(backlog)
+            queue.add(backlog.messages)
     drive.run(arrivals, horizon_slots)
 
     flow.throughput.finish(horizon_slots)
@@ -214,6 +216,6 @@ def run_service(
         queue=queue,
         drift=drift.verdict(),
         in_flight_peak=flow.in_flight_peak,
-        final_backlog=sum([len(lane.buffer) for lane in lanes]),
+        final_backlog=backlog.messages,
         throughput_windows=flow.throughput,
     )

@@ -204,6 +204,23 @@ class TestCheckpointing:
         assert network.slot <= 248
 
 
+class TestRelayAddress:
+    def test_relay_is_addressed_to_the_next_level_in_neighbour_order(self):
+        # Exactly the neighbours whose _handle_distribution accepts the
+        # relay's level: one level down, none at the same level.
+        graph = random_geometric(16, 0.45, random.Random(5))
+        tree = tree_of(graph)
+        _, processes = build_broadcast_network(graph, tree, seed=1)
+        level = tree.level
+        for node, process in processes.items():
+            assert process.relay_to == tuple(
+                v for v in graph.neighbors(node) if level[v] == level[node] + 1
+            )
+        assert any(
+            level[u] == level[v] for u, v in graph.edges()
+        ), "no same-level neighbours to leave out"
+
+
 class TestSuperphaseArithmetic:
     def test_invocations_formula(self):
         assert superphase_invocations(2) == 2

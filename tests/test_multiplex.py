@@ -4,7 +4,11 @@ import pytest
 
 from repro.core import run_point_to_point
 from repro.core.point_to_point import PointToPointProcess
-from repro.core.broadcast import BroadcastProcess, superphase_invocations
+from repro.core.broadcast import (
+    BroadcastProcess,
+    next_level_neighbors,
+    superphase_invocations,
+)
 from repro.core.slots import SlotStructure, decay_budget
 from repro.core.tree import tree_info_from_bfs_tree
 from repro.errors import ConfigurationError
@@ -164,6 +168,7 @@ class TestProtocolsOverOneTransceiver:
         budget = decay_budget(graph.max_degree())
         up_slots = SlotStructure(budget, 3, True)
         dist_slots = SlotStructure(budget, 3, False)
+        relay_to = next_level_neighbors(graph, infos)
         inners = {}
 
         def factory(node):
@@ -174,6 +179,7 @@ class TestProtocolsOverOneTransceiver:
                 superphase_invocations(graph.num_nodes),
                 factory_rng.for_node(node),
                 graph.num_nodes ** 2,
+                relay_to[node],
             )
             return inners[node]
 

@@ -1,13 +1,29 @@
 """Unit tests for the radio simulation engine (model semantics of §1.1)."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
-from repro.core import build_collection_network
+from repro.core import (
+    SlotStructure,
+    build_collection_network,
+    decay_budget,
+    run_broadcast,
+    run_collection,
+    run_point_to_point,
+    run_ranking,
+    run_setup,
+)
 from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
-from repro.graphs import Graph, path, reference_bfs_tree, star
+from repro.graphs import (
+    Graph,
+    path,
+    random_geometric,
+    reference_bfs_tree,
+    star,
+)
 from repro.radio import (
     CollisionEvent,
     DeliverEvent,
@@ -18,6 +34,8 @@ from repro.radio import (
     SilentProcess,
     Transmission,
 )
+from repro.service import run_service
+from repro.workloads import BernoulliArrivals
 from tests.conftest import ScriptedProcess
 
 
@@ -453,3 +471,244 @@ class TestLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestAddressedDelivery:
+    """A transmission's ``to`` names the only stations the engine calls.
+
+    Without a trace, failure model or capture effect the engine counts
+    every reception but calls ``on_receive`` only for addressees that
+    hear exactly one sender and are not transmitting on that channel.
+    """
+
+    def test_addressee_hit_by_two_senders_is_not_called(self):
+        # 1 - 0 - 2: both leaves address the centre in the same slot.
+        net, procs = wire(
+            star(3),
+            {
+                1: {0: Transmission("a", to=(0,))},
+                2: {0: Transmission("b", to=(0,))},
+            },
+        )
+        net.step()
+        assert procs[0].heard == []
+        assert net.stats.collisions == 1
+        assert net.stats.deliveries == 0
+
+    def test_transmitting_addressee_is_not_called(self):
+        net, procs = wire(
+            path(2),
+            {
+                0: {0: Transmission("x", to=(1,))},
+                1: {0: Transmission("y", to=(0,))},
+            },
+        )
+        net.step()
+        assert procs[0].heard == procs[1].heard == []
+        assert net.stats.deliveries == net.stats.collisions == 0
+
+    def test_addressee_transmitting_on_another_channel_is_called(self):
+        net, procs = wire(
+            path(2),
+            {
+                0: {0: Transmission("up", channel=0, to=(1,))},
+                1: {0: Transmission("down", channel=1, to=(0,))},
+            },
+        )
+        net.step()
+        assert procs[0].heard == [(0, 1, "down")]
+        assert procs[1].heard == [(0, 0, "up")]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_non_neighbor_addressee_raises(self, traced):
+        net, _ = wire(path(3), {0: {0: Transmission("m", to=(1, 2))}})
+        if traced:
+            net.trace = EventTrace()
+        with pytest.raises(ProtocolError, match="not its neighbour"):
+            net.step()
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_address_of_another_senders_receiver_raises(self, traced):
+        # 3 hears 2 alone, so an unchecked address from 0 would hand it
+        # 0's message.
+        graph = Graph.from_edges([(0, 1), (2, 3)])
+        net, procs = wire(
+            graph,
+            {0: {0: Transmission("m", to=(3,))}, 2: {0: Transmission("n")}},
+        )
+        if traced:
+            net.trace = EventTrace()
+        with pytest.raises(ProtocolError, match="not its neighbour"):
+            net.step()
+        assert procs[3].heard == []
+
+    def test_only_the_addressee_is_called(self):
+        net, procs = wire(star(4), {0: {0: Transmission("m", to=(2,))}})
+        net.step()
+        assert [procs[v].heard for v in (1, 2, 3)] == [
+            [], [(0, 0, "m")], []
+        ]
+
+    def test_deliveries_count_non_addressees(self):
+        # Two hubs with overlapping reach, each addressing one station:
+        # every counter equals the unaddressed run's and the traced
+        # run's, which call every receiver.
+        graph = Graph.from_edges(
+            [(0, 2), (0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (5, 7)]
+        )
+        counters = []
+        for to_0, to_1, traced in [
+            ((2,), (5,), False),
+            (None, None, False),
+            ((2,), (5,), True),
+        ]:
+            net, procs = wire(
+                graph,
+                {
+                    0: {0: Transmission("a", to=to_0)},
+                    1: {0: Transmission("b", to=to_1)},
+                    5: {1: Transmission("c", to=(7,))},
+                },
+            )
+            if traced:
+                net.trace = EventTrace()
+            net.run(2)
+            counters.append(net.stats.as_dict())
+        assert counters[0] == counters[1] == counters[2]
+        assert counters[0]["deliveries"] == 6  # 2, 3, 5, 6, then 1 and 7
+        assert counters[0]["collisions"] == 1  # 4 hears both hubs
+
+
+def _field_and_tree():
+    graph = random_geometric(40, 0.3, random.Random(5))
+    return graph, reference_bfs_tree(graph, 0)
+
+
+def _collection(seed):
+    graph, tree = _field_and_tree()
+    result = run_collection(
+        graph, tree, {v: [f"m{v}"] for v in (3, 17, 26, 39)}, seed
+    )
+    return result.slots, result.delivered
+
+
+def _point_to_point(seed):
+    graph, tree = _field_and_tree()
+    tree.assign_dfs_intervals()
+    pairs = [(3, 17, "a"), (17, 3, "b"), (39, 0, "c"), (0, 26, "d")]
+    result = run_point_to_point(graph, tree, pairs, seed)
+    return result.slots, result.delivered
+
+
+def _ranking(seed):
+    graph, tree = _field_and_tree()
+    tree.assign_dfs_intervals()
+    result = run_ranking(graph, tree, seed)
+    return result.slots, result.collect_slots, result.ranks
+
+
+def _broadcast(seed):
+    graph, tree = _field_and_tree()
+    result = run_broadcast(graph, tree, {3: ["a", "b"], 0: ["c"]}, seed)
+    return result.slots, result.superphases, result.resends
+
+
+def _setup(seed):
+    graph, _ = _field_and_tree()
+    result = run_setup(graph, 0, seed)
+    return result.slots, result.attempts, result.tree.parent
+
+
+def _service(seed):
+    graph, tree = _field_and_tree()
+    deepest = [v for v in tree.nodes if tree.level[v] == tree.depth]
+    phase_length = SlotStructure(
+        decay_budget(graph.max_degree()), 3, True
+    ).phase_length
+    arrivals = BernoulliArrivals(deepest, 0.1, phase_length, seed=seed)
+    kpis = run_service(graph, tree, arrivals, seed, 60 * phase_length)
+    return sorted(kpis.to_metrics().items())
+
+
+class TestAddressedEquivalence:
+    """The addressed path and the per-receiver loop agree on the stack.
+
+    Each protocol runs once untraced (addressed) and once with an
+    :class:`EventTrace` attached, which makes the engine call every
+    receiver; slots, counters and results must match, and every call
+    the addressed path skips must have returned False.
+    """
+
+    @staticmethod
+    def _run(monkeypatch, traced, protocol, seed):
+        networks = []
+        addresses = {}  # (network, slot, channel) -> {sender: to}
+        returns = {}  # (network, slot, channel, receiver) -> result
+        init = RadioNetwork.__init__
+        attach = RadioNetwork.attach
+        resolve_each = RadioNetwork._resolve_each
+
+        def traced_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if traced:
+                self.trace = EventTrace()
+            networks.append(self)
+
+        def recording_attach(self, process):
+            receive = process.on_receive
+
+            def on_receive(slot, channel, payload):
+                result = receive(slot, channel, payload)
+                returns[(self, slot, channel, process.node_id)] = result
+                return result
+
+            process.on_receive = on_receive
+            attach(self, process)
+
+        def recording_resolve(self, slot, channel, senders, *rest):
+            addresses[(self, slot, channel)] = {
+                sender: tx.to for sender, tx in senders.items()
+            }
+            resolve_each(self, slot, channel, senders, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RadioNetwork, "__init__", traced_init)
+            patch.setattr(RadioNetwork, "attach", recording_attach)
+            patch.setattr(RadioNetwork, "_resolve_each", recording_resolve)
+            result = protocol(seed)
+        skipped = []
+        for net in networks if traced else ():
+            for event in net.trace.deliveries:
+                to = addresses[(net, event.slot, event.channel)][
+                    event.sender
+                ]
+                if to is not None and event.receiver not in to:
+                    skipped.append(
+                        returns[
+                            (net, event.slot, event.channel, event.receiver)
+                        ]
+                    )
+        fingerprint = (
+            result,
+            [net.slot for net in networks],
+            [net.stats.as_dict() for net in networks],
+        )
+        return fingerprint, skipped
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    @pytest.mark.parametrize(
+        "protocol",
+        [_collection, _point_to_point, _ranking, _broadcast, _setup, _service],
+        ids=lambda protocol: protocol.__name__.lstrip("_"),
+    )
+    def test_traced_run_matches_addressed_run(
+        self, monkeypatch, protocol, seed
+    ):
+        addressed, none_skipped = self._run(
+            monkeypatch, False, protocol, seed
+        )
+        traced, skipped = self._run(monkeypatch, True, protocol, seed)
+        assert traced == addressed
+        assert none_skipped == []
+        assert skipped, "the run addressed nobody"
+        assert set(skipped) == {False}

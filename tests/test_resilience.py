@@ -90,6 +90,22 @@ class TestFailureFreeParity:
             m.payload for m in hard.delivered
         }
 
+    def test_overheard_hop_is_dropped_unchanged(self):
+        # Transmission.to relies on every lane owner returning False,
+        # with no change of state, on a hop addressed to someone else.
+        graph, tree = diamond()
+        _, processes, _, _ = build_resilient_collection_network(
+            graph, tree, {4: ["a"]}, seed=1
+        )
+        hop = DataMessage(
+            msg_id=(4, 0), origin=4, hop_sender=4, hop_dest=3, payload="a"
+        )
+        station = processes[2]
+        assert station.on_receive(5, 0, hop) is False
+        assert station.lane.idle
+        station.partitioned = True
+        assert station.on_receive(5, 0, hop) is False
+
     def test_exactly_once_root_delivery(self):
         graph, tree = diamond()
         result = run_resilient_collection(

@@ -254,6 +254,42 @@ class TestServiceLoop:
         with pytest.raises(ConfigurationError):
             _path_service(10, warmup_fraction=1.0)
 
+    def test_backlog_samples_equal_the_lane_sum(self, monkeypatch):
+        """The running total the lanes keep reads, at every per-phase
+        sample and at the end, what summing the non-root lanes reads."""
+        import repro.service.loop as loop
+
+        built = {}
+        build = loop.build_collection_network
+
+        def capture(graph, tree, *args, **kwargs):
+            built["root"] = tree.root
+            built["network"] = build(graph, tree, *args, **kwargs)
+            return built["network"]
+
+        def lane_sum():
+            _, processes, _ = built["network"]
+            return sum(
+                len(process.lane.buffer)
+                for node, process in processes.items()
+                if node != built["root"]
+            )
+
+        samples = []
+        observe = BacklogDriftDetector.observe
+
+        def checked_observe(self, slot, backlog):
+            samples.append((backlog, lane_sum()))
+            observe(self, slot, backlog)
+
+        monkeypatch.setattr(loop, "build_collection_network", capture)
+        monkeypatch.setattr(BacklogDriftDetector, "observe", checked_observe)
+        _, _, kpis = _path_service(600)
+        assert len(samples) == 600
+        assert all(total == summed for total, summed in samples)
+        assert max(total for total, _ in samples) > 1
+        assert kpis.final_backlog == lane_sum()
+
     def test_delivery_conservation(self):
         _, _, kpis = _path_service(800)
         assert kpis.delivered <= kpis.submitted

@@ -19,7 +19,8 @@ from repro.core import (
 )
 from repro.core.decay import DecaySession
 from repro.core.messages import AckMessage
-from repro.errors import ProtocolError
+from repro.core.transport import BacklogTotal
+from repro.errors import ConfigurationError, ProtocolError
 from repro.graphs import (
     Graph,
     grid,
@@ -152,6 +153,34 @@ class TestTransportLaneUnit:
                 transmissions += 1
         assert transmissions >= 4  # at least one per phase
         assert lane.backlog == 1  # never acked, never dropped
+
+    def test_hops_and_acks_are_addressed_to_their_destination(self):
+        lane, slots = make_lane(level=1)
+        lane.accept_data(2, data(("c", 0), "c", "me"))
+        assert lane.on_slot(3).to == ("c",)  # the ack
+        lane.enqueue(data(("me", 0), "me", "parent"))
+        sent = [lane.on_slot(t) for t in range(4 * slots.phase_length)]
+        assert {tx.to for tx in sent if tx is not None} == {("parent",)}
+
+    def test_backlog_total_follows_enqueue_ack_and_retarget(self):
+        lane, _ = make_lane(level=1)
+        other, _ = make_lane(level=2)
+        lane.enqueue(data(("me", 0), "me", "parent"))
+        total = BacklogTotal()
+        lane.join_total(total)
+        other.join_total(total)
+        assert total.messages == 1  # joining counts what is buffered
+        lane.enqueue(data(("me", 1), "me", "parent"))
+        other.enqueue(data(("me", 2), "me", "parent"))
+        assert total.messages == 3
+        lane.retarget("stepparent", new_level=2)  # replaces the buffer
+        assert total.messages == 3
+        lane.accept_ack(
+            AckMessage(msg_id=("me", 0), hop_sender="p", hop_dest="me")
+        )
+        assert total.messages == 2 == lane.backlog + other.backlog
+        with pytest.raises(ConfigurationError):
+            lane.join_total(BacklogTotal())
 
     def test_dead_session_sleeps_to_next_phase(self):
         # Once the head's session dies mid-phase the lane is silent for
