@@ -130,9 +130,12 @@ class BroadcastProcess(Process):
         # prescribes ("at superphase t … the nodes of level i repeatedly
         # send the (t−i)-th message").
         self._inbox: Dict[int, Tuple[BroadcastMessage, bool]] = {}
-        # What this station sends all superphase long, already stamped
-        # with its level: the root's pick, or a relay of the inbox.
-        self._outgoing: Optional[BroadcastMessage] = None
+        # What this station sends all superphase long: the root's pick,
+        # or a relay of the inbox, stamped with its level and addressed
+        # to ``relay_to``, built once per superphase.
+        self._relay: Optional[Transmission] = None
+        # The down-channel message handled last (see on_receive).
+        self._last_heard: Optional[BroadcastMessage] = None
         self._session: Optional[DecaySession] = None
         self._session_phase = -1
         self._prepared_superphase = -1
@@ -192,22 +195,20 @@ class BroadcastProcess(Process):
     def _prepare_superphase(self, index: int) -> None:
         """Runs once at each station's first data slot of a superphase.
 
-        The message this station sends all superphase long is picked
-        and stamped with its level here, once.
+        The message this station sends all superphase long is picked,
+        stamped with its level and wrapped in its transmission here,
+        once.  The stamp is a fresh object every superphase, which is
+        what lets a receiver skip a repeat by identity (on_receive).
         """
         self._prepared_superphase = index
         level = self.info.level
+        outgoing: Optional[BroadcastMessage] = None
         if self.info.is_root:
-            self._outgoing = replace(
-                self._pick_root_message(), sender_level=level
-            )
+            outgoing = replace(self._pick_root_message(), sender_level=level)
         else:
             entry = self._inbox.get(index - 1)
-            self._outgoing = (
-                replace(entry[0], sender_level=level)
-                if entry is not None
-                else None
-            )
+            if entry is not None:
+                outgoing = replace(entry[0], sender_level=level)
             # Drop anything older than the previous superphase.
             self._inbox = {
                 sp: value
@@ -216,6 +217,11 @@ class BroadcastProcess(Process):
             }
             self._emit_nacks(index)
             self._emit_checkpoint_acks()
+        self._relay = (
+            None
+            if outgoing is None
+            else Transmission(outgoing, DOWN_CHANNEL, self.relay_to)
+        )
 
     def _pick_root_message(self) -> Optional[BroadcastMessage]:
         while self._resend_queue:
@@ -283,14 +289,13 @@ class BroadcastProcess(Process):
     # ------------------------------------------------------------------
 
     def on_slot(self, slot: int):
-        actions = []
         up = self.up_lane.on_slot(slot)
-        if up is not None:
-            actions.append(up)
         down = self._distribution_transmission(slot)
-        if down is not None:
-            actions.append(down)
-        return actions or None
+        if up is None:
+            return down
+        if down is None:
+            return up
+        return [up, down]
 
     def _distribution_transmission(self, slot: int) -> Optional[Transmission]:
         if slot % self._dist_round != self._dist_offset:
@@ -298,8 +303,8 @@ class BroadcastProcess(Process):
         index = slot // self.superphase_slots
         if index != self._prepared_superphase:
             self._prepare_superphase(index)
-        message = self._outgoing
-        if message is None:
+        relay = self._relay
+        if relay is None:
             return None
         phase = slot // self.dist_slots.phase_length
         if phase != self._session_phase:
@@ -309,7 +314,7 @@ class BroadcastProcess(Process):
             )
         assert self._session is not None
         if self._session.should_transmit():
-            return Transmission(message, DOWN_CHANNEL, self.relay_to)
+            return relay
         return None
 
     def quiet_until(self, slot: int) -> int:
@@ -332,7 +337,7 @@ class BroadcastProcess(Process):
         index = own // self.superphase_slots
         if index != self._prepared_superphase:
             return own
-        if self._outgoing is None:
+        if self._relay is None:
             start = (index + 1) * self.superphase_slots
             return start + (offset - start) % width
         phase_length = self.dist_slots.phase_length
@@ -355,7 +360,14 @@ class BroadcastProcess(Process):
         # message, since :meth:`_relay_wake` reads nothing that
         # :meth:`_handle_distribution` writes.
         if channel == DOWN_CHANNEL:
-            if isinstance(payload, BroadcastMessage):
+            # A relay sends one message object all superphase long and a
+            # fresh one each superphase (_prepare_superphase), so the
+            # object handled last, heard again, is a repeat within its
+            # superphase, and filing it again would change nothing.
+            if payload is not self._last_heard and isinstance(
+                payload, BroadcastMessage
+            ):
+                self._last_heard = payload
                 self._handle_distribution(slot, payload)
             return False
         if channel != UP_CHANNEL:

@@ -44,23 +44,25 @@ class DecaySession:
         self.budget = budget
         self._rng = rng
         self._steps_taken = 0
+        # False once the coin fell, the budget is spent or kill() ran.
         self._alive = True
 
     @property
     def alive(self) -> bool:
         """Whether the station still transmits in this invocation."""
-        return self._alive and self._steps_taken < self.budget
+        return self._alive
 
     def should_transmit(self) -> bool:
         """Decide (and record) one transmission opportunity.
 
         Returns True iff the station transmits at this opportunity; the
-        post-transmission coin flip is performed internally.
+        post-transmission coin flip is performed internally, so every
+        transmission draws exactly one coin.
         """
-        if not self.alive:
+        if not self._alive:
             return False
         self._steps_taken += 1
-        if self._rng.random() < 0.5:
+        if self._rng.random() < 0.5 or self._steps_taken == self.budget:
             self._alive = False
         return True
 

@@ -116,6 +116,10 @@ class BitElectionProcess(Process):
         self._session: Optional[DecaySession] = None
         self._session_invocation = -1
         self._finalized_round = -1
+        # The round's signal, built once per round and sent at every
+        # opportunity of it.
+        self._signal: Optional[Transmission] = None
+        self._signal_round = -1
 
     # ------------------------------------------------------------------
     # Round arithmetic (slot-number driven)
@@ -175,11 +179,14 @@ class BitElectionProcess(Process):
             self._session = DecaySession(self.budget, self._rng)
             self._session_invocation = invocation
         assert self._session is not None
-        if self._session.should_transmit():
-            return Transmission(
+        if not self._session.should_transmit():
+            return None
+        if self._signal_round != round_index:
+            self._signal_round = round_index
+            self._signal = Transmission(
                 LeaderMessage(sender=self.node_id, round=round_index)
             )
-        return None
+        return self._signal
 
     def quiet_until(self, slot: int) -> int:
         """Exact idle declaration.

@@ -43,11 +43,43 @@ def bfs_layers(graph: Graph, root: NodeId) -> List[List[NodeId]]:
 
 
 def is_connected(graph: Graph) -> bool:
-    """Whether every node is reachable from every other node."""
+    """Whether every node is reachable from every other node.
+
+    A graph that already holds its CSR arrays (one built by
+    :meth:`Graph.from_csr`, as the unit-disk generator's array path
+    builds every field from ``ARRAY_MIN_N`` stations on) is searched
+    over them, one BFS frontier per NumPy step; any other graph keeps
+    the pure-Python BFS and never imports NumPy.
+    """
     if graph.num_nodes == 0:
         return True
+    # Package-internal: the arrays from_csr kept, or None.
+    if graph._csr is not None:
+        return _csr_reaches_all(*graph._csr)
     root = graph.nodes[0]
     return len(bfs_levels(graph, root)) == graph.num_nodes
+
+
+def _csr_reaches_all(indptr, indices) -> bool:
+    """Whether a BFS over CSR arrays from node 0 reaches every node."""
+    import numpy as np
+
+    n = indptr.size - 1
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        starts = indptr[frontier]
+        lengths = indptr[frontier + 1] - starts
+        # The positions of the frontier rows' slices of ``indices``.
+        at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        at += np.arange(at.size)
+        fresh = np.zeros(n, dtype=bool)
+        fresh[indices[at]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return bool(seen.all())
 
 
 def require_connected(graph: Graph) -> None:

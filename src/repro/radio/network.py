@@ -14,7 +14,8 @@ Implements the model of §1.1 exactly:
 The engine is deliberately simple and allocation-light: per slot it asks
 every *awake* process for its transmission intents, resolves receptions
 channel by channel by counting transmitting neighbors, and delivers
-callbacks.
+callbacks; ``on_slot_end`` goes only to processes that override it
+(decided at :meth:`RadioNetwork.attach`).
 
 Addressed delivery
 ------------------
@@ -150,6 +151,9 @@ class RadioNetwork:
         self._wake_heap: List[Tuple[int, NodeId]] = []
         self._wake_valid = False
         self._processes: Dict[NodeId, Process] = {}
+        # Each station's on_slot_end if its process overrides the base
+        # no-op, else None; keyed in the order of ``_processes``.
+        self._slot_end: Dict[NodeId, Optional[Callable[[int], None]]] = {}
         self.graph = graph
 
     @property
@@ -187,6 +191,14 @@ class RadioNetwork:
         if node not in self.graph:
             raise ConfigurationError(f"no station {node!r} in topology")
         self._processes[node] = process
+        # Decided here, from the bound method, so an override on the
+        # class or on the instance runs and the base no-op is never
+        # called (Process.on_slot_end).
+        end = process.on_slot_end
+        self._slot_end[node] = (
+            None if getattr(end, "__func__", None) is Process.on_slot_end
+            else end
+        )
         # The waker holds the network weakly: a strong reference would
         # make every network cyclic garbage (network -> process -> waker
         # -> network) that only the cycle collector frees.
@@ -221,8 +233,6 @@ class RadioNetwork:
         return MappingProxyType(self._processes)
 
     def _require_fully_attached(self) -> None:
-        if self._attachment_validated:
-            return
         missing = set(self.graph.nodes) - set(self._processes)
         if missing:
             raise ConfigurationError(
@@ -262,7 +272,8 @@ class RadioNetwork:
 
     def step(self) -> None:
         """Advance the network by one slot."""
-        self._require_fully_attached()
+        if not self._attachment_validated:
+            self._require_fully_attached()
         slot = self.slot
         failures = self.failures
         trace = self.trace
@@ -313,11 +324,11 @@ class RadioNetwork:
             action = processes[node].on_slot(slot)
             if action is None:
                 continue
-            for tx in (
-                (action,)
-                if type(action) is Transmission
-                else self._normalize_action(action)
-            ):
+            if type(action) is Transmission:
+                action = (action,)
+            elif type(action) is not list:
+                action = self._normalize_action(action)
+            for tx in action:
                 channel = tx.channel
                 if channel >= self.num_channels:
                     raise ProtocolError(
@@ -341,7 +352,6 @@ class RadioNetwork:
                         f"neighbour"
                     )
                 senders[node] = tx
-                self.stats.channel(channel).transmissions += 1
                 if tracing:
                     trace.record(
                         TransmitEvent(slot, channel, node, tx.payload)
@@ -366,6 +376,7 @@ class RadioNetwork:
                 continue
             channel_stats = self.stats.channel(channel)
             channel_stats.busy_slots += 1
+            channel_stats.transmissions += len(senders)
             if each_receiver:
                 self._resolve_each(
                     slot, channel, senders, channel_stats, down_nodes, awake
@@ -380,24 +391,27 @@ class RadioNetwork:
             mark = now
 
         # Phase 3: end-of-slot bookkeeping, then reschedule the stations
-        # that acted (their quiet declarations may have changed).
+        # that acted (their quiet declarations may have changed).  Only
+        # processes that override on_slot_end are called for it.
+        slot_end = self._slot_end
         if awake is not None:
             wake = self._wake
             heap = self._wake_heap
             next_slot = slot + 1
             for node in awake:
-                process = processes[node]
-                process.on_slot_end(slot)
-                wake_at = process.quiet_until(next_slot)
+                end = slot_end[node]
+                if end is not None:
+                    end(slot)
+                wake_at = processes[node].quiet_until(next_slot)
                 if wake_at < next_slot:
                     wake_at = next_slot
                 wake[node] = wake_at
                 if wake_at < QUIET_FOREVER:
                     heapq.heappush(heap, (wake_at, node))
         else:
-            for node, process in processes.items():
-                if node not in down_nodes:
-                    process.on_slot_end(slot)
+            for node, end in slot_end.items():
+                if end is not None and node not in down_nodes:
+                    end(slot)
 
         self.slot += 1
         self.stats.slots += 1

@@ -10,7 +10,7 @@ with three callbacks per slot, in this order for every station:
    transmission's ``to`` leaves this station out (see
    :class:`~repro.radio.transmission.Transmission`).
 3. :meth:`Process.on_slot_end` — bookkeeping after all receptions of the
-   slot are in.
+   slot are in; called only for processes that override it.
 
 Faithfulness notes:
 
@@ -54,7 +54,13 @@ class Process:
         self._waker: Optional[Callable[[], None]] = None
 
     def on_slot(self, slot: int) -> SlotAction:
-        """Return the transmission(s) for this slot, or None to listen."""
+        """Return the transmission(s) for this slot, or None to listen.
+
+        A process may return the same
+        :class:`~repro.radio.transmission.Transmission` object at many
+        slots (a transmission is immutable by contract); the engine
+        counts and delivers it afresh at each.
+        """
         return None
 
     def on_receive(
@@ -81,7 +87,15 @@ class Process:
         """
 
     def on_slot_end(self, slot: int) -> None:
-        """Called after all of this slot's receptions have been delivered."""
+        """Called after all of this slot's receptions have been delivered.
+
+        This base method does nothing, and the engine never calls it: when
+        a process is attached, the engine reads its bound ``on_slot_end``
+        and calls it each slot only if it is not this method, that is
+        when the class or the instance overrides it.  An override
+        assigned after :meth:`~repro.radio.network.RadioNetwork.attach`
+        takes effect at the next attach.
+        """
 
     def quiet_until(self, slot: int) -> int:
         """Idle declaration: the first slot >= ``slot`` this process is

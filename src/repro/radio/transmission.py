@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.graphs.graph import NodeId
@@ -17,7 +16,6 @@ UP_CHANNEL = 0
 DOWN_CHANNEL = 1
 
 
-@dataclass(frozen=True)
 class Transmission:
     """A single-slot transmission intent on one channel.
 
@@ -36,12 +34,45 @@ class Transmission:
     :class:`~repro.errors.ProtocolError` otherwise) and appear once;
     listed in the sender's neighbour order, the addressees are called
     in the order the engine calls every receiver when it skips nothing.
+
+    A transmission is immutable by contract, not by enforcement: nothing
+    assigns its fields after construction, so a sender that repeats one
+    message (a Decay invocation, a relay's superphase, a flood's round)
+    may build it once and return the same object at every slot it
+    transmits.  The class has ``__slots__`` and a plain ``__init__``
+    because every transmission of every protocol pays for building one;
+    a frozen dataclass, or a ``__setattr__`` guard, costs about three
+    times as much (docs/performance.md, "What a repeated transmission
+    costs").  Equality, hashing and ``repr`` are by the three fields.
     """
 
-    payload: Any
-    channel: int = DEFAULT_CHANNEL
-    to: Optional[Tuple[NodeId, ...]] = None
+    __slots__ = ("payload", "channel", "to")
 
-    def __post_init__(self) -> None:
-        if self.channel < 0:
-            raise ValueError(f"channel must be >= 0, got {self.channel}")
+    def __init__(
+        self,
+        payload: Any,
+        channel: int = DEFAULT_CHANNEL,
+        to: Optional[Tuple[NodeId, ...]] = None,
+    ):
+        if channel < 0:
+            raise ValueError(f"channel must be >= 0, got {channel}")
+        self.payload = payload
+        self.channel = channel
+        self.to = to
+
+    def _fields(self) -> Tuple[Any, int, Optional[Tuple[NodeId, ...]]]:
+        return (self.payload, self.channel, self.to)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(payload={self.payload!r}, "
+            f"channel={self.channel!r}, to={self.to!r})"
+        )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import run_broadcast, superphase_invocations
 from repro.core.broadcast import EOS, build_broadcast_network
+from repro.core.messages import BroadcastMessage
 from repro.errors import ConfigurationError
 from repro.graphs import (
     balanced_tree,
@@ -15,6 +16,7 @@ from repro.graphs import (
     reference_bfs_tree,
     star,
 )
+from repro.radio import DOWN_CHANNEL
 
 
 def tree_of(graph, root=0):
@@ -219,6 +221,86 @@ class TestRelayAddress:
         assert any(
             level[u] == level[v] for u, v in graph.edges()
         ), "no same-level neighbours to leave out"
+
+
+class TestRepeatedRelay:
+    """A relay builds its down-channel transmission once per superphase,
+    and a receiver files a repeat of the object it handled last once."""
+
+    def test_relay_sends_one_object_per_superphase(self):
+        graph = path(4)
+        network, processes = build_broadcast_network(
+            graph, tree_of(graph), seed=3
+        )
+        relay = processes[1]
+        sent = {}
+        on_slot = relay.on_slot
+
+        def spy(slot):
+            action = on_slot(slot)
+            for tx in action if isinstance(action, list) else [action]:
+                if tx is not None and tx.channel == DOWN_CHANNEL:
+                    sent.setdefault(relay.superphase(slot), []).append(tx)
+            return action
+
+        relay.on_slot = spy
+        for payload in ("a", "b", "c"):
+            processes[0].submit(payload)
+        network.run(
+            100_000,
+            until=lambda net: all(
+                p.has_prefix(3) for p in processes.values()
+            ) and len(sent) >= 6,
+            check_every=8,
+        )
+        assert any(len(txs) > 1 for txs in sent.values())
+        for txs in sent.values():
+            assert all(tx is txs[0] for tx in txs)
+        firsts = [txs[0] for _, txs in sorted(sent.items())]
+        # A fresh transmission and a fresh stamped message each
+        # superphase, even where the message repeats an equal one (the
+        # root's end-of-stream announcements).
+        for i, tx in enumerate(firsts):
+            for later in firsts[i + 1:]:
+                assert later is not tx and later.payload is not tx.payload
+        payloads = [tx.payload for tx in firsts]
+        assert any(
+            a == b for i, a in enumerate(payloads) for b in payloads[i + 1:]
+        )
+
+    def _station(self):
+        graph = path(3)
+        _, processes = build_broadcast_network(graph, tree_of(graph), seed=1)
+        station = processes[1]
+        handled = []
+        handle = station._handle_distribution
+
+        def spy(slot, message):
+            handled.append(message)
+            handle(slot, message)
+
+        station._handle_distribution = spy
+        return station, handled
+
+    def test_same_object_heard_twice_is_handled_once(self):
+        station, handled = self._station()
+        message = BroadcastMessage(seq=0, origin=0, payload="x")
+        assert station.on_receive(5, DOWN_CHANNEL, message) is False
+        assert station.on_receive(6, DOWN_CHANNEL, message) is False
+        assert handled == [message]
+        assert station.received[0] == message
+
+    def test_an_equal_copy_is_handled_again(self):
+        # The skip is by identity: an equal message from another relay,
+        # or from the same relay in a later superphase, is filed.
+        station, handled = self._station()
+        first = BroadcastMessage(seq=0, origin=0, payload=EOS)
+        copy = BroadcastMessage(seq=0, origin=0, payload=EOS)
+        later = station.superphase_slots + 5
+        station.on_receive(5, DOWN_CHANNEL, first)
+        station.on_receive(later, DOWN_CHANNEL, copy)
+        assert len(handled) == 2 and handled[1] is copy
+        assert station._inbox[1] == (copy, False)
 
 
 class TestSuperphaseArithmetic:

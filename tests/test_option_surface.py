@@ -13,8 +13,8 @@ This check parses every module under ``src/repro/`` except
 ``__main__`` for its options: the defaulted parameters of the public
 functions, the public methods and the ``__init__`` of the public
 classes, and the defaulted fields of the public frozen dataclasses
-(the message classes of ``repro.core.messages`` and ``Transmission``
-are data, not configuration, and are left out).  It then requires each
+(the message classes of ``repro.core.messages`` are data, not
+configuration, and are left out).  It then requires each
 option to be passed, by keyword or by position, at some call in a
 ``.py`` file under ``src/``, ``benchmarks/``, ``examples/`` or
 ``perfbench/`` that names the callable.  These call forms resolve:
@@ -59,10 +59,7 @@ SETTERS = ("src", "benchmarks", "examples", "perfbench")
 #: Where a call sets a test seam.
 TESTS = ("tests",)
 #: Frozen dataclasses that carry data, not configuration.
-DATA_CLASSES = (
-    "repro.core.messages.",
-    "repro.radio.transmission.Transmission.",
-)
+DATA_CLASSES = ("repro.core.messages.",)
 
 _NETWORK = "repro.radio.network.RadioNetwork.__init__"
 _REMARK_3 = (

@@ -1,5 +1,6 @@
 """Unit tests for graph property computations, cross-checked vs networkx."""
 
+import math
 import random
 
 import networkx as nx
@@ -23,6 +24,9 @@ from repro.graphs import (
     shortest_path,
     star,
 )
+from repro.graphs import generators, properties
+from repro.graphs.generators import ARRAY_MIN_N
+from repro.rng import derive_seed
 
 
 def to_networkx(graph: Graph) -> nx.Graph:
@@ -71,6 +75,52 @@ class TestConnectivity:
 
     def test_empty_graph_is_connected(self):
         assert is_connected(Graph({}))
+
+    def test_array_search_agrees_with_the_bfs(self, monkeypatch):
+        # Sparse random graphs, connected and not, rebuilt by from_csr:
+        # the array search must give the Python BFS's answer.
+        cases = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(1, 30)
+            edges = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 2.2 / n
+            ]
+            graph = Graph.from_edges(edges, nodes=range(n))
+            cases.append(
+                (Graph.from_csr(*graph.csr()), len(bfs_levels(graph, 0)) == n)
+            )
+        assert {expected for _, expected in cases} == {True, False}
+
+        def no_bfs(graph, root):
+            raise AssertionError("an array-built graph ran the Python BFS")
+
+        monkeypatch.setattr(properties, "bfs_levels", no_bfs)
+        assert [is_connected(g) for g, _ in cases] == [
+            expected for _, expected in cases
+        ]
+
+    def test_first_vector_field_placement_is_still_rejected(self):
+        # The perfbench ``vector`` field (n = 10⁴, mean degree 15.4,
+        # field seed 1989): its first placement is disconnected, so the
+        # generator must reject it and return the second.
+        n = 10_000
+        assert n >= ARRAY_MIN_N
+        radius = math.sqrt(15.4 / (math.pi * n))
+        rng = random.Random(derive_seed(1989, "vector-field"))
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        first = Graph.from_csr(*generators._unit_disk_csr(points, radius))
+        assert len(bfs_levels(first, 0)) < n
+        assert not is_connected(first)
+        accepted = random_geometric(
+            n, radius, random.Random(derive_seed(1989, "vector-field"))
+        )
+        assert is_connected(accepted)
+        assert len(bfs_levels(accepted, 0)) == n
+        assert accepted != first
 
 
 class TestDistances:

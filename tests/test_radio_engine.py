@@ -473,6 +473,113 @@ class TestLifetime:
                 gc.enable()
 
 
+class EndRecorder(SilentProcess):
+    """A listener that records every slot end it is called for."""
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.ended = []
+
+    def on_slot_end(self, slot):
+        self.ended.append(slot)
+
+
+class TestSlotEndCalls:
+    """The engine calls ``on_slot_end`` only where a process overrides
+    it, decided from the bound method when the process is attached."""
+
+    @pytest.mark.parametrize("idle", [True, False])
+    def test_class_override_is_called_every_slot(self, idle):
+        net = RadioNetwork(path(3))
+        net.idle_scheduling = idle
+        net.attach_all(EndRecorder)
+        net.run(3)
+        assert [net.process(v).ended for v in range(3)] == [[0, 1, 2]] * 3
+
+    @pytest.mark.parametrize("idle", [True, False])
+    def test_instance_override_is_called(self, idle):
+        net = RadioNetwork(path(2))
+        net.idle_scheduling = idle
+        ended = []
+        listener = SilentProcess(0)
+        listener.on_slot_end = ended.append
+        net.attach(listener)
+        net.attach(SilentProcess(1))
+        net.run(2)
+        assert ended == [0, 1]
+
+    def test_base_no_op_is_never_called(self, monkeypatch):
+        calls = []
+        # Patched before attach: the engine sees the base method and
+        # skips it, so the recorder must stay empty.
+        monkeypatch.setattr(
+            Process, "on_slot_end", lambda self, slot: calls.append(slot)
+        )
+        for idle in (True, False):
+            net = RadioNetwork(path(3))
+            net.idle_scheduling = idle
+            net.attach_all(SilentProcess)
+            net.run(3)
+        assert calls == []
+
+    @pytest.mark.parametrize("idle", [True, False])
+    def test_reattach_switches_the_calls(self, idle):
+        net = RadioNetwork(path(2))
+        net.idle_scheduling = idle
+        net.attach_all(SilentProcess)
+        net.run(1)
+        recorder = EndRecorder(0)
+        net.attach(recorder)  # a process whose class overrides it
+        net.run(2)
+        assert recorder.ended == [1, 2]
+        net.attach(SilentProcess(0))  # and back: the calls stop
+        net.run(2)
+        assert recorder.ended == [1, 2]
+        again = EndRecorder(0)
+        net.attach(again)
+        net.run(1)
+        assert again.ended == [5]
+
+
+class TestTransmissionValue:
+    def test_equality_hash_and_repr_are_by_field(self):
+        tx = Transmission("m", 1, (2, 3))
+        assert tx == Transmission("m", 1, (2, 3))
+        assert hash(tx) == hash(Transmission("m", 1, (2, 3)))
+        assert tx != Transmission("m", 0, (2, 3))
+        assert tx != Transmission("m", 1)
+        assert tx != Transmission("n", 1, (2, 3))
+        assert tx != ("m", 1, (2, 3))
+        assert repr(tx) == "Transmission(payload='m', channel=1, to=(2, 3))"
+        assert repr(Transmission("hi")) == (
+            "Transmission(payload='hi', channel=0, to=None)"
+        )
+
+    def test_one_object_sent_at_many_slots_counts_each_time(self):
+        # The sharing contract: a sender may return the same object at
+        # every slot it transmits; each slot is its own transmission.
+        tx = Transmission("again")
+        net, procs = wire(path(3), {1: {s: tx for s in range(4)}})
+        net.run(4)
+        assert net.stats.transmissions == 4
+        assert net.stats.deliveries == 8
+        assert procs[0].heard == [(s, 0, "again") for s in range(4)]
+
+    def test_transmissions_count_every_sender_of_every_channel(self):
+        net, _ = wire(
+            star(4),
+            {
+                1: {0: [Transmission("a", 0), Transmission("b", 1)]},
+                2: {0: Transmission("c", 0)},
+                3: {0: Transmission("d", 1)},
+            },
+        )
+        net.step()
+        assert net.stats.channel(0).transmissions == 2
+        assert net.stats.channel(1).transmissions == 2
+        assert net.stats.transmissions == 4
+
+
 class TestAddressedDelivery:
     """A transmission's ``to`` names the only stations the engine calls.
 

@@ -327,6 +327,30 @@ class TestBitElection:
             assert self._relay_transmissions(silent) == []
             assert silent.quiet_until(1) == silent.window_slots
 
+    def test_signal_is_one_object_per_round(self):
+        from repro.core.leader import BitElectionProcess
+
+        # Station 3 sources both rounds of a two-bit election.
+        station = BitElectionProcess(
+            node_id=3,
+            id_bits=2,
+            budget=4,
+            window_invocations=3,
+            relay_invocations=3,
+            rng=random.Random(2),
+        )
+        sent = {}
+        for slot in range(station.horizon_slots):
+            tx = station.on_slot(slot)
+            if tx is not None:
+                sent.setdefault(slot // station.window_slots, []).append(tx)
+        assert sorted(sent) == [0, 1]
+        assert any(len(txs) > 1 for txs in sent.values())
+        for round_index, txs in sent.items():
+            assert all(tx is txs[0] for tx in txs)
+            assert txs[0].payload.round == round_index
+        assert sent[0][0] is not sent[1][0]
+
     def test_relay_cap_derivation(self, monkeypatch):
         from repro.core import leader
 
