@@ -102,6 +102,8 @@ IDLE_DEPTH = 10
 IDLE_K = 32
 IDLE_WINDOW = 2_000
 IDLE_MIN_SPEEDUP = 2.0
+#: Interleaved rounds; each leg's time is its best round's.
+IDLE_ROUNDS = 5
 
 
 def _idle_cell():
@@ -128,6 +130,18 @@ def _collection_fingerprint(network, processes, root):
     }
 
 
+def _timed_leg(graph, tree, sources, idle):
+    """One fresh run of the window: ``(seconds, fingerprint)``."""
+    network, processes, _ = build_collection_network(
+        graph, tree, sources, seed=ROOT_SEED
+    )
+    network.idle_scheduling = idle
+    started = time.perf_counter()
+    network.run(IDLE_WINDOW)
+    seconds = time.perf_counter() - started
+    return seconds, _collection_fingerprint(network, processes, tree.root)
+
+
 def test_e0_idle_scheduling_speedup():
     """The quiet_until fast path: >= 2x slots/sec, identical outcomes.
 
@@ -136,24 +150,23 @@ def test_e0_idle_scheduling_speedup():
     agree exactly — the fast path skips only provable no-op callbacks,
     so every transmission, delivery, collision and coin flip is
     unchanged.
+
+    The two legs are timed in interleaved rounds (legacy, then idle)
+    and each keeps its best round, as ``bench_vector.py`` does: the idle
+    leg lasts tens of milliseconds, so one timing of it swings with the
+    host's speed at that moment, and so would the ratio.
     """
     graph, tree, sources = _idle_cell()
-    runs = {}
-    for idle in (False, True):
-        network, processes, _ = build_collection_network(
-            graph, tree, sources, seed=ROOT_SEED
-        )
-        network.idle_scheduling = idle
-        started = time.perf_counter()
-        network.run(IDLE_WINDOW)
-        seconds = time.perf_counter() - started
-        runs[idle] = (
-            seconds,
-            _collection_fingerprint(network, processes, tree.root),
-        )
+    best = {False: float("inf"), True: float("inf")}
+    prints = {}
+    for _ in range(IDLE_ROUNDS):
+        for idle in (False, True):
+            seconds, fingerprint = _timed_leg(graph, tree, sources, idle)
+            best[idle] = min(best[idle], seconds)
+            assert prints.setdefault(idle, fingerprint) == fingerprint
 
-    legacy_seconds, legacy_print = runs[False]
-    idle_seconds, idle_print = runs[True]
+    legacy_seconds, idle_seconds = best[False], best[True]
+    legacy_print, idle_print = prints[False], prints[True]
     assert idle_print == legacy_print, (
         "idle scheduling changed protocol outcomes"
     )
@@ -174,6 +187,7 @@ def test_e0_idle_scheduling_speedup():
             "window_slots": IDLE_WINDOW,
             "seed": ROOT_SEED,
         },
+        "rounds": IDLE_ROUNDS,
         "legacy": {
             "seconds": round(legacy_seconds, 3),
             "slots_per_sec": round(legacy_rate, 1),

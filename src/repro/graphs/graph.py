@@ -13,7 +13,8 @@ generators in :mod:`repro.graphs.generators` use integers.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Tuple,
+    TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional,
+    Tuple,
 )
 
 from repro.errors import TopologyError
@@ -34,7 +35,7 @@ class Graph:
     which return new graphs.
     """
 
-    __slots__ = ("_adj", "_nodes", "_num_edges", "_csr")
+    __slots__ = ("_adj", "_nodes", "_num_edges", "_csr", "_max_degree")
 
     def __init__(self, adjacency: Dict[NodeId, Iterable[NodeId]]):
         adj: Dict[NodeId, Tuple[NodeId, ...]] = {}
@@ -58,6 +59,7 @@ class Graph:
         self._nodes = tuple(sorted(adj))
         self._num_edges = sum(len(v) for v in adj.values()) // 2
         self._csr = None
+        self._max_degree: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -132,6 +134,7 @@ class Graph:
         }
         graph._nodes = tuple(ids)
         graph._num_edges = indices.size // 2
+        graph._max_degree = int(degrees.max()) if n else 0
         indptr.flags.writeable = False
         indices.flags.writeable = False
         graph._csr = (indptr, indices)
@@ -162,10 +165,16 @@ class Graph:
         return len(self._adj[node])
 
     def max_degree(self) -> int:
-        """Δ, the maximum degree (0 for an empty or single-node graph)."""
-        if not self._adj:
-            return 0
-        return max(len(v) for v in self._adj.values())
+        """Δ, the maximum degree (0 for an empty or single-node graph).
+
+        Scanned on the first call and kept, as :meth:`csr` keeps its
+        arrays: the graph is immutable.
+        """
+        if self._max_degree is None:
+            self._max_degree = max(
+                (len(v) for v in self._adj.values()), default=0
+            )
+        return self._max_degree
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return v in self._adj.get(u, ())

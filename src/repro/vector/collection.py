@@ -2,7 +2,7 @@
 
 This is the vector-engine implementation of the protocol in
 :mod:`repro.core.collection`: every station runs Decay toward its BFS
-parent on the multiplexed slot schedule (level classes mod 3, each data
+parent on the multiplexed slot schedule (level classes mod C, each data
 slot followed by its deterministic ack slot), and the root's accepted
 messages are the output.  One :class:`BatchCollection` advances B
 replications of that protocol *simultaneously*:
@@ -25,15 +25,15 @@ replications of that protocol *simultaneously*:
   determinism a built-in runtime invariant of the engine.
 
 The lockstep loop touches only the active set.  Once per phase it lists
-the provably-awake (replication, station) pairs of each level class —
+the provably-awake (replication, station) pairs of every level class —
 exactly the stations the scalar engine's idle min-heap would wake via
 ``SlotStructure.next_data_slot_for`` / ``TransportLane.next_active_slot``:
 those with a non-empty buffer at the phase boundary (§4.1: a message
 may start a Decay invocation only in a phase it was already buffered at
 the start of, and a listed station's backlog drops only through its own
 deliveries, which come after its class's first data slot).  At each
-class's ack slot the list is compacted to the pairs whose Decay session
-is still alive, so the Decay kernel, the coin gather, the reception
+ack slot the list is compacted to the pairs whose Decay session is
+still alive, so the Decay kernel, the coin gather, the reception
 scatter and the backlog updates see live pairs only.  Decay sessions
 are short (geometric, and most end at their first transmission, acked
 or killed by the coin), so most of a phase is silent: once no class
@@ -41,8 +41,42 @@ has a live pair, :meth:`BatchCollection.advance` sleeps to the next
 phase boundary in one jump, with the coin streams, ``mask_stats`` and
 profiler counters advanced exactly as stepping would have.  Per-slot
 work then scales with the live population, not B·n, and a silent tail
-costs O(B) per phase.  (There is no sleep while tracing, and
-:meth:`~BatchCollection.step` always advances exactly one slot.)
+costs O(B) per phase.
+
+The loop advances by **rounds**.  A round is one Decay step of every
+level class: its 2·C slots, class c's data slot at offset 2c and its ack
+slot right after.  §2.2's multiplexing gives no two classes a common
+slot, and §4.1 fixes every class's listed pairs, and so its coin block,
+at the phase boundary; so one pass gathers the coins of every class's
+live pairs, steps Decay once, scatters reception once, moves every
+delivered head, and resolves every ack, asserting Theorem 3.1, once.
+:meth:`~BatchCollection.step` (exactly one slot), a traced run (one slot
+per pass, each recorded; no sleep) and :meth:`~BatchCollection.advance`
+near its ``until`` run the same pass over part of a round, and a class
+whose data slot ends a pass keeps its deliveries' acks for the pass that
+holds its ack slot.  A round gives exactly the trajectory of its slots
+run one by one, for four reasons:
+
+* **Hits are counted per class.**  A station's same-level neighbours
+  transmit in another slot of the round, so one shared count would
+  invent collisions.  Each transmitter's neighbour run is scattered only
+  onto the stations whose reception its slot decides — class c−1 for
+  class c's data, class c for its acks — through two class-cut CSR
+  copies of the adjacency, into the one flat ``(B·n)`` hit buffer.
+  With one class a round is one slot, and a transmitting station counts
+  as a hit on itself, so it never hears "exactly one".
+* **Coins.**  Class c's coins start after the listed counts of the
+  classes before it in the round, so every pair reads the coin it reads
+  when each slot draws in turn.
+* **Queues.**  Every pop reads ``next_gid`` before any push of the round
+  writes it.  A station pops at most its phase-start head, once per
+  phase, and receives at most one message per round, so popping before
+  pushing leaves every queue as slot order does.
+* **Completion.**  Only root deliveries move ``delivered_count`` and the
+  backlog totals, so a replication completes one slot after its root
+  class's ack slot.  When the last replication may complete there, the
+  pass ends there, and the later classes' data slots of that round are
+  not counted in the coin cursors, ``mask_stats`` or ``vector_slots``.
 
 Randomness: replication ``b`` draws its Decay coins from the NumPy
 stream ``np_rng(seeds[b], "vector", "decay")`` and consumes exactly one
@@ -80,42 +114,50 @@ from repro.vector.decay import BatchDecay
 from repro.vector.engine import BatchTrace, LockstepRadio, SlotRecord
 
 #: Minimum coins buffered per replication by the coin cursor;
-#: the buffer is ``max(PAIR_COIN_BLOCK, n)`` wide, so one data slot's
-#: listed pairs (at most n) always fit after a refill.
+#: the buffer is ``max(PAIR_COIN_BLOCK, n)`` wide, so one round's
+#: listed pairs (at most n: a station is in one class) always fit after
+#: a refill.
 PAIR_COIN_BLOCK = 4096
 
 DecayFactory = Callable[[int, tuple], BatchDecay]
 
-_EMPTY_PAIRS = (
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.int64),
-)
+_EMPTY = np.empty(0, dtype=np.int64)
+#: Deliveries travel as ``(replication, child, parent, child flat index,
+#: parent flat index)`` arrays; flat indices are ``b·n + station``.
+_NO_DELIVERIES = (_EMPTY,) * 5
 
 
 @dataclass
-class _ClassPairs:
-    """One level class's awake pairs for the current phase.
+class _Listing:
+    """The phase's awake pairs, every level class in one list.
 
-    ``counts`` (listed pairs per replication) is fixed at the phase
-    start and decides coin consumption; ``rows``/``cols``/``offsets``
-    hold only the pairs whose session is still alive, b-major, with each
-    pair's offset within its replication's listed run.
+    ``counts[c, b]`` (listed pairs of class c in replication b) is fixed
+    at the phase start and decides coin consumption; ``before[c, b]``
+    sums them over the classes before c, so class c's coins start
+    ``before[c, b]`` into replication b's block of a round.  ``rows``,
+    ``cols`` and ``classes`` hold only the pairs whose session is still
+    alive, class-major and b-major within a class, each with its
+    ``offset`` in its replication's round block; class c's pairs are
+    ``bounds[c]:bounds[c + 1]``.
     """
 
     counts: np.ndarray
-    listed: int
+    before: np.ndarray
+    listed: List[int]
     rows: np.ndarray
     cols: np.ndarray
+    classes: np.ndarray
     offsets: np.ndarray
+    bounds: List[int]
 
 
 class _CoinCursor:
     """Per-replication coin streams read through a cursor.
 
     Row ``b`` of :attr:`buffer` holds the next coins of replication
-    ``b``'s stream from :attr:`cursor` on.  A data slot reads the coins
-    of its live pairs at ``cursor + offset`` and then advances the cursor
-    by the slot's *listed* count, so stream positions match drawing one
+    ``b``'s stream from :attr:`cursor` on.  A pass reads the coins of its
+    live pairs at ``cursor + offset`` and then advances the cursor by
+    the pass's *listed* count, so stream positions match drawing one
     coin per listed pair.  Consecutive float32 fills of one generator
     concatenate to the same stream, so refills never move a coin.
     """
@@ -126,10 +168,12 @@ class _CoinCursor:
         self.buffer = np.empty((len(gens), width), dtype=np.float32)
         self.cursor = np.full(len(gens), width, dtype=np.int64)
 
-    def take(self, pairs: _ClassPairs) -> np.ndarray:
-        """Coins of the live pairs; consumes every listed pair's coin."""
+    def take(
+        self, rows: np.ndarray, offsets: np.ndarray, amounts: np.ndarray
+    ) -> np.ndarray:
+        """Coins of the live pairs; each cursor then moves by ``amounts``."""
         width = self.buffer.shape[1]
-        for b in np.flatnonzero(self.cursor + pairs.counts > width):
+        for b in np.flatnonzero(self.cursor + amounts > width):
             # Slide the unread tail to the front, fill in behind it.
             start = int(self.cursor[b])
             tail = width - start
@@ -137,10 +181,8 @@ class _CoinCursor:
             row[:tail] = row[start:].copy()
             self.gens[b].random(out=row[tail:], dtype=np.float32)
             self.cursor[b] = 0
-        coins = self.buffer[
-            pairs.rows, self.cursor[pairs.rows] + pairs.offsets
-        ]
-        self.cursor += pairs.counts
+        coins = self.buffer[rows, self.cursor[rows] + offsets]
+        self.cursor += amounts
         return coins
 
     def skip(self, amounts: np.ndarray) -> None:
@@ -153,6 +195,32 @@ class _CoinCursor:
                 self.gens[b].random(out=self.buffer[b], dtype=np.float32)
                 position -= width
             self.cursor[b] = position
+
+
+def _class_csr(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    station_class: np.ndarray,
+    shift: int,
+    classes: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR runs cut to the neighbours in class ``own + shift (mod C)``.
+
+    With one class every neighbour stays, and each station also heads its
+    own run: a station that transmits in a slot counts one hit on itself,
+    so it can never hear "exactly one" while it transmits.
+    """
+    if classes == 1:
+        n = indptr.size - 1
+        return (
+            indptr + np.arange(n + 1),
+            np.insert(indices, indptr[:-1], np.arange(n)),
+        )
+    wanted = (station_class + shift) % classes
+    keep = station_class[indices] == np.repeat(wanted, np.diff(indptr))
+    kept = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[indptr], indices[keep]
 
 
 class BatchCollection:
@@ -229,7 +297,9 @@ class BatchCollection:
                 per_node.setdefault(self.radio.index[node], []).append(gid)
         self.total_messages = len(self.message_payloads)
 
-        # Buffer counters + linked FIFOs of message ids.
+        # Buffer counters + linked FIFOs of message ids.  The root's
+        # buffer stays empty: its own messages and everything it hears
+        # are delivered, never queued, so the root is never listed.
         self.backlog = np.zeros(self.shape, dtype=np.int32)
         self.head = np.full(self.shape, -1, dtype=np.int32)
         self.tail = np.full(self.shape, -1, dtype=np.int32)
@@ -253,29 +323,67 @@ class BatchCollection:
             self.next_gid[:, gids[:-1]] = np.array(gids[1:], dtype=np.int32)
             self.backlog[:, node_idx] = len(gids)
 
-        # Ack bookkeeping: which child each station must ack this slot.
+        # Ack bookkeeping: which child each station must ack.
         self.pending_child = np.full(self.shape, -1, dtype=np.int64)
+        # Flat views of the planes the loop indexes per pair: one index
+        # per (replication, station) pair costs less than two.
+        self._head_flat = self.head.reshape(-1)
+        self._tail_flat = self.tail.reshape(-1)
+        self._backlog_flat = self.backlog.reshape(-1)
+        self._next_flat = self.next_gid.reshape(-1)
+        self._pending_flat = self.pending_child.reshape(-1)
 
         self.decay = decay_factory(self.slots.decay_budget, self.shape)
-        # Which stations may transmit data in a class-c slot (root never).
         classes = self.slots.level_classes
-        not_root = np.ones(n, dtype=bool)
-        not_root[root] = False
-        self._class_mask = [
-            (self.radio.levels % classes == c) & not_root
+        self._station_class = self.radio.levels % classes
+        self._class_ids = np.arange(classes + 1)
+        # Carriers, the stations a message can ever be queued at: the
+        # non-root sources and their tree ancestors (messages only move
+        # up the tree).  Row c of the grid lists class c's carriers in
+        # ascending order, padded with the root, whose buffer stays
+        # empty; _carrier_at[c, b] holds row c's flat indices b·n + v.
+        carrier = np.zeros(n, dtype=bool)
+        carrier[root] = True
+        for node_idx in per_node:
+            while not carrier[node_idx]:
+                carrier[node_idx] = True
+                node_idx = int(self.radio.parents[node_idx])
+        carrier[root] = False
+        by_class = [
+            np.flatnonzero(carrier & (self._station_class == c))
             for c in range(classes)
         ]
-        # Per-phase schedule decoded once via the *scalar* SlotStructure,
-        # so both engines share one source of schedule truth.
-        self._schedule = [
-            self.slots.decode(s) for s in range(self.slots.phase_length)
-        ]
+        self._carrier_grid = np.full(
+            (classes, max(len(row) for row in by_class)), root,
+            dtype=np.int64,
+        )
+        for c, row in enumerate(by_class):
+            self._carrier_grid[c, :len(row)] = row
+        self._carrier_at = (
+            np.arange(B, dtype=np.int64)[None, :, None] * n
+            + self._carrier_grid[:, None, :]
+        )
+        # A class-c station's data is heard by its parent, in class c-1;
+        # its acks go to its children, in class c+1.
+        indptr, indices = self.radio.indptr, self.radio.indices
+        self._data_csr = _class_csr(
+            indptr, indices, self._station_class, -1, classes
+        )
+        self._ack_csr = _class_csr(
+            indptr, indices, self._station_class, 1, classes
+        )
+        # The root's children's class (that of level 1): only its
+        # deliveries reach the root.
+        self._root_class = 1 % classes
         # _data_before[c, w]: class-c data slots among the first w slots
-        # of a phase (what a sleep from w0 to w1 skips over).
+        # of a phase (what a sleep from w0 to w1 skips over), decoded via
+        # the *scalar* SlotStructure, so both engines share one source
+        # of schedule truth.
         self._data_before = np.zeros(
             (classes, self.slots.phase_length + 1), dtype=np.int64
         )
-        for w, info in enumerate(self._schedule):
+        for w in range(self.slots.phase_length):
+            info = self.slots.decode(w)
             self._data_before[:, w + 1] = self._data_before[:, w]
             if info.kind is SlotKind.DATA:
                 self._data_before[info.level_class, w + 1] += 1
@@ -285,18 +393,21 @@ class BatchCollection:
             np_rngs(self.seeds, "vector", "decay"), n
         )
 
-        # Active-set state: per level class, the pairs listed at the
-        # phase start, compacted to live sessions at each ack slot; flat
-        # persistent hit-count and transmit-flag buffers touched (and
-        # re-zeroed) only at the entries a slot used; an incrementally
-        # maintained per-replication backlog total so the done check
-        # never re-sums the (B, n) plane.
-        self._pairs: List[_ClassPairs] = []
+        # Active-set state: the pairs listed at the phase start, compacted
+        # to live sessions at each ack slot; a flat persistent hit-count
+        # buffer touched (and re-zeroed) only at the entries a pass used;
+        # the deliveries of a class whose data slot ended the last pass,
+        # acked by the next; an incrementally maintained per-replication
+        # backlog total so the done check never re-sums the (B, n) plane.
+        self._pairs: Optional[_Listing] = None
         self._hits_flat = np.zeros(B * n, dtype=np.int32)
-        self._txflag_flat = np.zeros(B * n, dtype=bool)
+        self._unacked: Tuple[np.ndarray, ...] = _NO_DELIVERIES
         self._backlog_total = self.backlog.sum(axis=1, dtype=np.int64)
-        self._expect_pairs: Tuple[np.ndarray, np.ndarray] = _EMPTY_PAIRS
-        self._pending_parents: Tuple[np.ndarray, np.ndarray] = _EMPTY_PAIRS
+        # Set by a root delivery, cleared by the done check it calls for.
+        self._root_heard = False
+        # At most one message left in any replication: the next root
+        # delivery may drain the batch (see :meth:`_run`).
+        self._endgame = bool(self._backlog_total.max() <= 1)
         #: Occupancy counters, cumulative over data slots:
         #: ``active_pairs`` counts listed (awake) pairs, ``live_pairs``
         #: the ones whose Decay session was still running — divided by
@@ -313,7 +424,7 @@ class BatchCollection:
         from repro import profiling
 
         self.profiler = profiling.current_profile()
-        self._check_done()  # empty workloads complete at slot 0
+        self._check_done(0)  # empty workloads complete at slot 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -377,225 +488,285 @@ class BatchCollection:
         return ids
 
     # ------------------------------------------------------------------
-    # The slot loop
+    # The round loop
     # ------------------------------------------------------------------
 
     def _begin_phase(self) -> None:
-        self.decay.reset()
         self._list_pairs()
+        self.decay.reset()
+        # Each listed pair starts its session at its class's first data
+        # slot; nothing reads a class's sessions before that slot, so
+        # every class starts here.
+        self.decay.start_pairs(self._pairs.rows, self._pairs.cols)
 
     def _list_pairs(self) -> None:
-        """List each class's awake pairs for the phase just begun.
+        """List every class's awake pairs for the phase just begun.
 
-        These are the stations the scalar min-heap would wake at the
-        class's data slots: a non-empty buffer, not the root.  §4.1: a
-        message may start a Decay invocation only in a phase it was
-        already buffered at the start of, so a message that arrives
-        mid-phase waits for the next listing; a listed station's backlog
-        drops only through its own deliveries, after its class's first
-        data slot, so one listing serves the whole phase.
-        The order is b-major (row-major over ``(B, n)``), so each
-        replication's pairs form one run and its coins one contiguous
-        block of its stream.
+        These are the stations the scalar min-heap would wake at their
+        class's data slots: a non-empty buffer, which only carriers can
+        hold.  §4.1: a message may start a Decay invocation only in a
+        phase it was already buffered at the start of, so a message that
+        arrives mid-phase waits for the next listing; a listed station's
+        backlog drops only through its own deliveries, after its class's
+        first data slot, so one listing serves the whole phase.  The
+        order is class-major, b-major within a class and by station
+        within a replication, so each class's pairs form one slice and
+        each (class, replication)'s coins one contiguous block.
         """
-        B, n = self.shape
-        flat = np.flatnonzero(self.backlog.reshape(-1) > 0)
-        rows, cols = np.divmod(flat, n)
-        self._pairs = []
-        for mask in self._class_mask:
-            mine = mask[cols]
-            r, v = rows[mine], cols[mine]
-            counts = np.bincount(r, minlength=B)
-            run_start = np.cumsum(counts) - counts
-            self._pairs.append(_ClassPairs(
-                counts=counts,
-                listed=int(r.size),
-                rows=r,
-                cols=v,
-                offsets=np.arange(r.size, dtype=np.int64) - run_start[r],
-            ))
+        B = self.shape[0]
+        C = self.slots.level_classes
+        awake = self._backlog_flat[self._carrier_at] > 0  # (C, B, width)
+        counts = awake.sum(axis=2)
+        classes, rows, at = np.nonzero(awake)
+        before = np.zeros((C + 1, B), dtype=np.int64)
+        np.cumsum(counts, axis=0, out=before[1:])
+        # A pair's offset in its replication's round block: its place in
+        # its (class, replication) run plus the classes before it.
+        per_run = counts.reshape(-1)
+        run_shift = np.cumsum(per_run) - per_run - before[:-1].reshape(-1)
+        self._pairs = _Listing(
+            counts=counts,
+            before=before,
+            listed=counts.sum(axis=1).tolist(),
+            rows=rows,
+            cols=self._carrier_grid[classes, at],
+            classes=classes,
+            offsets=np.arange(rows.size) - run_shift[classes * B + rows],
+            bounds=np.searchsorted(classes, self._class_ids).tolist(),
+        )
 
     def step(self) -> None:
-        """Advance all replications by one slot."""
+        """Advance all replications by exactly one slot."""
+        self._run(self.slot + 1)
+
+    def _run(self, end: int) -> None:
+        """Advance all replications from :attr:`slot` to ``end`` in one
+        pass; the slots in between lie in one round.
+
+        Class c's data slot is round offset 2c and its ack slot 2c + 1,
+        so the pass covers the data slots of classes ``c_lo..c_hi-1``
+        and the ack slots of classes ``a_lo..a_hi-1``.  The pass ends
+        early, after the root class's ack slot, when that slot may drain
+        the batch.  A traced run's passes are single slots, each
+        recorded.
+        """
         profiler = self.profiler
-        within = self.slot % self.slots.phase_length
+        n = self.radio.n
+        slot = self.slot
+        within = slot % self.slots.phase_length
         if within == 0:
             self._begin_phase()
-        info = self._schedule[within]
-        if info.kind is SlotKind.DATA:
-            self._data_slot(info.level_class, info.decay_step)
-            self.slot += 1
-        else:
-            self._ack_slot(info.level_class, info.decay_step)
-            self.slot += 1
-            self._check_done()
-        if profiler is not None:
-            profiler.bump("vector_slots")
-
-    def _data_slot(self, level_class: int, decay_step: int) -> None:
-        profiler = self.profiler
         t0 = profiler.clock() if profiler is not None else 0.0
-        radio = self.radio
-        B, n = self.shape
-        pairs = self._pairs[level_class]
-        rows, cols = pairs.rows, pairs.cols
-        started_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        if decay_step == 0:
-            # The class's first opportunity of the phase: every listed
-            # pair starts a Decay session (nothing has died yet).
-            self.decay.start_pairs(rows, cols)
-            started_pairs = (rows, cols)
-        self.mask_stats["active_pairs"] += pairs.listed
-        self.mask_stats["live_pairs"] += int(rows.size)
-        self.mask_stats["data_slots"] += 1
-        tb = tv = db = dv = _EMPTY_PAIRS[0]
-        if pairs.listed:
-            # Dead pairs own their coins too: the cursor advances by the
-            # listed count even when no listed session is alive.
-            coins = self._coin_cursor.take(pairs)
-            if rows.size:
-                tx_pair = self.decay.transmit_pairs(rows, cols, coins)
-                tb, tv = rows[tx_pair], cols[tx_pair]
-        if profiler is not None:
-            t1 = profiler.clock()
-            profiler.add("vector/decay", t1 - t0)
-            profiler.bump("vector_awake_pairs", pairs.listed)
-            profiler.bump("vector_live_pairs", int(rows.size))
-        else:
-            t1 = 0.0
-        if tb.size:
-            touched = scatter_into(
-                tb, tv, radio.indptr, radio.indices, self._hits_flat, n,
-            )
-            pair_flat = tb * n + tv
-            self._txflag_flat[pair_flat] = True
-            parent = radio.parents[tv]
-            pf = tb * n + parent
-            # Transmitter u's head is delivered iff its parent hears
-            # uniquely (one transmitting neighbor, itself silent): u
-            # neighbors its parent, so that one neighbor is u.
-            deliv = (self._hits_flat[pf] == 1) & ~self._txflag_flat[pf]
-            if profiler is not None:
-                t2 = profiler.clock()
-                profiler.add("vector/reception", t2 - t1)
-                t1 = t2
-            db, dv = tb[deliv], tv[deliv]
-            if db.size:
-                # The delivered head leaves the child's FIFO now; the
-                # ack slot asserts that its acknowledgement arrives.
-                # Unique reception makes the (replication, child) and
-                # (replication, parent) pairs each distinct, and no
-                # station both delivers and receives in one slot.
-                msgs = self.head[db, dv]
-                self.head[db, dv] = self.next_gid[db, msgs]
-                self.backlog[db, dv] -= 1
-                dp = parent[deliv]
-                self.pending_child[db, dp] = dv
-                at_root = dp == radio.root_index
-                root_b = db[at_root]
-                if root_b.size:
-                    self.delivered_count[root_b] += 1
-                    self._delivered_log.append(
-                        (self.slot, root_b.copy(), msgs[at_root].copy())
-                    )
-                    self._backlog_total -= np.bincount(root_b, minlength=B)
-                fb = db[~at_root]
-                if fb.size:
-                    fp = dp[~at_root]
-                    fm = msgs[~at_root]
-                    queued = self.backlog[fb, fp] > 0
-                    qb, qp = fb[queued], fp[queued]
-                    self.next_gid[qb, self.tail[qb, qp]] = fm[queued]
-                    self.head[fb[~queued], fp[~queued]] = fm[~queued]
-                    self.tail[fb, fp] = fm
-                    self.next_gid[fb, fm] = -1
-                    self.backlog[fb, fp] += 1
-                self._pending_parents = (db, dp)
-            else:
-                self._pending_parents = _EMPTY_PAIRS
-            # Restore the scatter buffers (touched entries only).
-            self._hits_flat[touched] = 0
-            self._txflag_flat[pair_flat] = False
-        else:
-            self._pending_parents = _EMPTY_PAIRS
-        self._expect_pairs = (db, dv)
-        if profiler is not None:
-            profiler.add("vector/collection", profiler.clock() - t1)
-        if self.trace is not None:
-            tx_dense = np.zeros(self.shape, dtype=bool)
-            tx_dense[tb, tv] = True
-            counts = (
-                self.radio.resolve(tx_dense)[0].copy() if tb.size else None
-            )
-            started_dense: Optional[np.ndarray] = None
-            if started_pairs is not None:
-                started_dense = np.zeros(self.shape, dtype=bool)
-                started_dense[started_pairs] = True
-            self.trace.record(SlotRecord(
-                self.slot, "data", level_class, decay_step,
-                tx_dense, counts, started_dense,
-            ))
+        pairs = self._pairs
+        decay_step, first = divmod(within, self.slots.round_width)
+        last = first + end - slot
+        round_start = slot - first
+        r = self._root_class
+        if (
+            self._endgame
+            and first <= 2 * r + 1 < last - 1
+            and (self._root_heard or pairs.bounds[r] < pairs.bounds[r + 1])
+        ):
+            # One more root delivery may drain the batch: end the pass
+            # with the root class's ack slot, so the loop stops there.
+            last = 2 * r + 2
+            end = round_start + last
+        c_lo, c_hi = (first + 1) // 2, (last + 1) // 2
+        a_lo, a_hi = first // 2, last // 2
+        hits = self._hits_flat
+        deliveries = _NO_DELIVERIES
 
-    def _ack_slot(self, level_class: int, decay_step: int) -> None:
-        profiler = self.profiler
-        t0 = profiler.clock() if profiler is not None else 0.0
-        radio = self.radio
-        n = radio.n
-        eb, ev = self._expect_pairs
-        pb, pp = self._pending_parents
-        self._expect_pairs = _EMPTY_PAIRS
-        self._pending_parents = _EMPTY_PAIRS
-        if pb.size:
-            touched = scatter_into(
-                pb, pp, radio.indptr, radio.indices, self._hits_flat, n,
-            )
-            pair_flat = pb * n + pp
-            self._txflag_flat[pair_flat] = True
-            cf = eb * n + ev
-            # Child u hears its ack iff it receives uniquely and the
-            # parent's pending ack designates u.  Its parent is acking
-            # (every delivery queued one), so a unique transmitter is
-            # the parent; expected children never transmit here (a
-            # delivering child's parent was silent in the data slot).
-            acked = (
-                (self._hits_flat[cf] == 1)
-                & ~self._txflag_flat[cf]
-                & (self.pending_child[eb, radio.parents[ev]] == ev)
-            )
-            if not acked.all():
-                # Theorem 3.1: in the failure-free model every designated
-                # delivery is acknowledged in the paired ack slot.  (No
-                # station outside the expected set can be acked: acks are
-                # designated to the child the parent just heard.)
-                raise ProtocolError(
-                    "ack determinism violated in batch engine at slot "
-                    f"{self.slot}: a designated delivery went "
-                    "unacknowledged"
+        if c_lo < c_hi:
+            lo, hi = pairs.bounds[c_lo], pairs.bounds[c_hi]
+            rows, cols = pairs.rows[lo:hi], pairs.cols[lo:hi]
+            listed = sum(pairs.listed[c_lo:c_hi])
+            self.mask_stats["active_pairs"] += listed
+            self.mask_stats["live_pairs"] += hi - lo
+            self.mask_stats["data_slots"] += c_hi - c_lo
+            tb = tv = _EMPTY
+            if listed:
+                # Dead pairs own their coins too: each cursor advances by
+                # its listed count even where no session is alive.
+                offsets = pairs.offsets[lo:hi]
+                if c_lo:  # a pass from mid-round: class c_lo reads first
+                    offsets = offsets - pairs.before[c_lo][rows]
+                coins = self._coin_cursor.take(
+                    rows, offsets, pairs.before[c_hi] - pairs.before[c_lo]
                 )
-            self.decay.kill(eb, ev)
-            # Every pending ack fires exactly at its due slot.
-            self.pending_child[pb, pp] = -1
-            self._hits_flat[touched] = 0
-            self._txflag_flat[pair_flat] = False
-        # Compaction: the class's data slot and this ack are the only
-        # places its sessions die, so from here on its list holds live
-        # pairs only.
-        pairs = self._pairs[level_class]
-        if pairs.rows.size:
-            live = self.decay.alive[pairs.rows, pairs.cols]
-            if not live.all():
-                pairs.rows = pairs.rows[live]
-                pairs.cols = pairs.cols[live]
-                pairs.offsets = pairs.offsets[live]
+                if rows.size:
+                    tx = self.decay.transmit_pairs(rows, cols, coins)
+                    tb, tv = rows[tx], cols[tx]
+            if profiler is not None:
+                t1 = profiler.clock()
+                profiler.add("vector/decay", t1 - t0)
+                profiler.bump("vector_awake_pairs", listed)
+                profiler.bump("vector_live_pairs", hi - lo)
+                t0 = t1
+            if tb.size:
+                touched = scatter_into(tb, tv, *self._data_csr, hits, n)
+                parent = self.radio.parents[tv]
+                base = tb * n
+                at_parent = base + parent
+                # Transmitter u's head is delivered iff its parent hears
+                # uniquely: u neighbours its parent, so that one hit is u.
+                deliv = hits[at_parent] == 1
+                hits[touched] = 0
+                if profiler is not None:
+                    t1 = profiler.clock()
+                    profiler.add("vector/reception", t1 - t0)
+                    t0 = t1
+                if deliv.any():
+                    deliveries = (
+                        tb[deliv], tv[deliv], parent[deliv],
+                        (base + tv)[deliv], at_parent[deliv],
+                    )
+                    self._move_heads(deliveries, round_start)
+            if self.trace is not None:
+                self._record_data(c_lo, decay_step, rows, cols, tb, tv)
+
+        if last % 2:
+            # The pass ends on a data slot: its class's acks wait for
+            # the next pass (class-major order puts them last).
+            split = np.searchsorted(
+                self._station_class[deliveries[1]], c_hi - 1
+            )
+            unacked = tuple(array[split:] for array in deliveries)
+            deliveries = tuple(array[:split] for array in deliveries)
+        else:
+            unacked = _NO_DELIVERIES
+        if first % 2 and self._unacked[0].size:
+            # The pass opens on the ack slot of the last pass's deliveries.
+            deliveries = tuple(
+                np.concatenate(arrays)
+                for arrays in zip(self._unacked, deliveries)
+            )
+        self._unacked = unacked
+
+        if a_lo < a_hi:
+            if deliveries[0].size:
+                self._resolve_acks(deliveries, round_start)
+            if pairs.rows.size:
+                # A session dies only at its class's data and ack slots,
+                # so from here on the list holds live pairs only.
+                live = self.decay.alive[pairs.rows, pairs.cols]
+                if not live.all():
+                    pairs.rows = pairs.rows[live]
+                    pairs.cols = pairs.cols[live]
+                    pairs.classes = pairs.classes[live]
+                    pairs.offsets = pairs.offsets[live]
+                    pairs.bounds = np.searchsorted(
+                        pairs.classes, self._class_ids
+                    ).tolist()
+            if self.trace is not None:
+                ack_dense = np.zeros(self.shape, dtype=bool)
+                ack_dense.reshape(-1)[deliveries[4]] = True
+                self.trace.record(SlotRecord(
+                    slot, "ack", a_lo, decay_step, ack_dense, None, None,
+                ))
+            if self._root_heard and a_lo <= r < a_hi:
+                self._root_heard = False
+                self._check_done(round_start + 2 * r + 2)
+        self.slot = end
         if profiler is not None:
             profiler.add("vector/collection", profiler.clock() - t0)
-        if self.trace is not None:
-            ack_dense = np.zeros(self.shape, dtype=bool)
-            ack_dense[pb, pp] = True
-            self.trace.record(SlotRecord(
-                self.slot, "ack", level_class, decay_step,
-                ack_dense, None, None,
-            ))
+            profiler.bump("vector_slots", end - slot)
+
+    def _move_heads(
+        self, deliveries: Tuple[np.ndarray, ...], round_start: int
+    ) -> None:
+        """Move each delivered head from its child's FIFO to its
+        parent's, or log it at the root.
+
+        A station delivers at most once per phase and receives at most
+        once per round, so the (replication, child) pairs are distinct
+        and so are the (replication, parent) pairs.  Every pop comes
+        before any push: a child pops only its phase-start head, which
+        pushes never move, and a parent's push reads its backlog after
+        its own pop, so each queue ends as in slot order.
+        """
+        db, dv, dp, child, parent = deliveries
+        k = self.total_messages
+        head, tail = self._head_flat, self._tail_flat
+        backlog, successor = self._backlog_flat, self._next_flat
+        msgs = head[child]
+        head[child] = successor[db * k + msgs]
+        backlog[child] -= 1
+        self._pending_flat[parent] = dv
+        at_root = dp == self.radio.root_index
+        root_b = db[at_root]
+        if root_b.size:
+            self.delivered_count[root_b] += 1
+            self._delivered_log.append(
+                (round_start + 2 * self._root_class, root_b, msgs[at_root])
+            )
+            self._backlog_total -= np.bincount(
+                root_b, minlength=self.shape[0]
+            )
+            self._root_heard = True
+            self._endgame = bool(self._backlog_total.max() <= 1)
+        up = ~at_root
+        fp = parent[up]
+        if fp.size:
+            fm = msgs[up]
+            row = db[up] * k
+            queued = backlog[fp] > 0
+            successor[(row + tail[fp])[queued]] = fm[queued]
+            fresh = ~queued
+            head[fp[fresh]] = fm[fresh]
+            tail[fp] = fm
+            successor[row + fm] = -1
+            backlog[fp] += 1
+
+    def _resolve_acks(
+        self, deliveries: Tuple[np.ndarray, ...], round_start: int
+    ) -> None:
+        """Each delivery's parent acks its child; asserts Theorem 3.1."""
+        eb, ev, ep, child, parent = deliveries
+        hits = self._hits_flat
+        touched = scatter_into(eb, ep, *self._ack_csr, hits, self.radio.n)
+        # Child u hears its ack iff it receives uniquely and the parent's
+        # pending ack designates u.  Its parent is acking (every delivery
+        # queued one), so a unique transmitter is the parent.
+        acked = (hits[child] == 1) & (self._pending_flat[parent] == ev)
+        hits[touched] = 0
+        if not acked.all():
+            # Theorem 3.1: in the failure-free model every designated
+            # delivery is acknowledged in the paired ack slot.  (No
+            # station outside the expected set can be acked: acks are
+            # designated to the child the parent just heard.)
+            station = ev[np.flatnonzero(~acked)[0]]
+            ack_slot = round_start + 2 * int(self._station_class[station]) + 1
+            raise ProtocolError(
+                "ack determinism violated in batch engine at slot "
+                f"{ack_slot}: a designated delivery went unacknowledged"
+            )
+        self.decay.kill(eb, ev)
+        # Every pending ack fires exactly at its due slot.
+        self._pending_flat[parent] = -1
+
+    def _record_data(
+        self,
+        level_class: int,
+        decay_step: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        tb: np.ndarray,
+        tv: np.ndarray,
+    ) -> None:
+        """Trace one data slot: its transmitters, their dense reception
+        counts and, at a phase's first step, the sessions it started."""
+        tx_dense = np.zeros(self.shape, dtype=bool)
+        tx_dense[tb, tv] = True
+        counts = self.radio.resolve(tx_dense)[0].copy() if tb.size else None
+        started: Optional[np.ndarray] = None
+        if decay_step == 0:
+            # Nothing of this class has died yet: every listed pair.
+            started = np.zeros(self.shape, dtype=bool)
+            started[rows, cols] = True
+        self.trace.record(SlotRecord(
+            self.slot, "data", level_class, decay_step,
+            tx_dense, counts, started,
+        ))
 
     def _sleep(self, until: int) -> None:
         """Jump over the silent slots of this phase up to ``until``.
@@ -609,10 +780,9 @@ class BatchCollection:
         start = self.slot % self.slots.phase_length
         end = start + (until - self.slot)
         skipped = self._data_before[:, end] - self._data_before[:, start]
-        self._coin_cursor.skip(
-            skipped @ np.stack([pairs.counts for pairs in self._pairs])
-        )
-        listed = int(skipped @ [pairs.listed for pairs in self._pairs])
+        pairs = self._pairs
+        self._coin_cursor.skip(skipped @ pairs.counts)
+        listed = int(skipped @ pairs.listed)
         self.mask_stats["active_pairs"] += listed
         self.mask_stats["data_slots"] += int(skipped.sum())
         if self.profiler is not None:
@@ -622,37 +792,46 @@ class BatchCollection:
 
     # ------------------------------------------------------------------
 
-    def _check_done(self) -> None:
-        undone = ~self.done
-        if not undone.any():
-            return
+    def _check_done(self, slot: int) -> None:
+        """Mark the replications drained by ``slot``.  Only a root
+        delivery can drain one, so the loop calls this after the root
+        class's ack slot of a round that delivered to the root."""
         newly = (
-            undone
+            ~self.done
             & (self.delivered_count >= self.total_messages)
             & (self._backlog_total == 0)
         )
         if newly.any():
             self.done |= newly
-            self.completion_slots[newly] = self.slot
+            self.completion_slots[newly] = slot
 
     def advance(self, until: int) -> None:
         """Step to slot ``until``, or until every replication drains.
 
-        After an ack slot that leaves no class a live pair, the rest of
-        the phase is silent and is slept through in one jump, never past
-        ``until``.  A trace records every slot, so a traced run never
+        Each pass runs to the end of the round, never past ``until``,
+        and stops at the root class's ack slot when one more root
+        delivery may drain the batch.  After a pass that leaves no class
+        a live pair, the rest of the phase is silent and is slept
+        through in one jump, never past ``until``.  A trace records
+        every slot, so a traced run passes one slot at a time and never
         sleeps.
         """
-        sleeps = self.trace is None
+        traced = self.trace is not None
+        round_width = self.slots.round_width
         phase_length = self.slots.phase_length
         while not self.done.all() and self.slot < until:
-            self.step()
+            if traced:
+                self._run(self.slot + 1)
+            else:
+                self._run(min(
+                    self.slot - self.slot % round_width + round_width, until
+                ))
             within = self.slot % phase_length
             if (
-                sleeps
+                not traced
                 and within
-                and self._schedule[within - 1].kind is SlotKind.ACK
-                and not any(pairs.rows.size for pairs in self._pairs)
+                and self.slot % 2 == 0  # the pass ended on an ack slot
+                and not self._pairs.rows.size
                 and not self.done.all()
             ):
                 self._sleep(min(self.slot - within + phase_length, until))

@@ -35,10 +35,11 @@ class BatchDecay:
     """Lockstep Decay sessions for a ``(B, n)`` array of stations.
 
     One instance manages *all* sessions of the batch: sessions are
-    started at the listed pairs' first transmission opportunity of a
-    phase (:meth:`start_pairs`), stepped via :meth:`transmit_pairs` once
-    per opportunity, and silenced early by :meth:`kill` when the
-    in-flight message is acknowledged.  A pair that is not listed at an
+    started for the listed pairs when a phase begins (:meth:`start_pairs`;
+    nothing reads a session before its first transmission opportunity),
+    stepped via :meth:`transmit_pairs` once per opportunity, and
+    silenced early by :meth:`kill` when the in-flight message is
+    acknowledged.  A pair that is not listed at an
     opportunity neither transmits nor advances.
     """
 

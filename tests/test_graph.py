@@ -247,3 +247,19 @@ class TestProperties:
             a.tolist() for a in g.csr()
         ]
         assert [a.tolist() for a in g.csr()] == list(_reference_csr(g))
+
+    @given(random_edge_lists())
+    @settings(max_examples=60)
+    def test_max_degree_is_the_scan_kept(self, data):
+        # Built graphs scan their adjacency on the first call and keep
+        # Δ; array-built graphs know it from construction.
+        n, edges = data
+        built = Graph.from_edges(edges, nodes=range(n))
+        arrays = Graph.from_csr(*_reference_csr(built))
+        scan = max(len(built.neighbors(v)) for v in built.nodes)
+        assert built._max_degree is None
+        assert arrays._max_degree == scan
+        for g in (built, arrays):
+            assert g.max_degree() == scan
+            assert g._max_degree == scan
+            assert g.max_degree() == scan

@@ -153,6 +153,37 @@ class _CountingGen:
         return self.gen.random(out=out, dtype=dtype)
 
 
+def _cell_by_name(name):
+    if name == "golden":
+        return _golden_cell()
+    spec = e2_cell() if name == "e2" else e3_cell()
+    return spec.graph, spec.tree, spec.sources
+
+
+def _counting_cursor(monkeypatch, replications):
+    """Tally each replication's coin draws: patches the coin cursor."""
+    from repro.vector import collection
+
+    drawn = [0] * replications
+
+    class CountingCursor(collection._CoinCursor):
+        def __init__(self, gens, n):
+            super().__init__(
+                [_CountingGen(g, drawn, b) for b, g in enumerate(gens)], n,
+            )
+
+    monkeypatch.setattr(collection, "_CoinCursor", CountingCursor)
+    return drawn
+
+
+def _coins_consumed(sim, drawn) -> list:
+    """Coins each replication's stream has moved past: drawn, less the
+    ones still unread in the cursor's buffer."""
+    cursor = sim._coin_cursor
+    unread = cursor.buffer.shape[1] - cursor.cursor
+    return (np.array(drawn) - unread).tolist()
+
+
 def _brute_force_resolve(radio, tx):
     """``(counts, senders, unique)`` of one slot by direct enumeration."""
     B, n = tx.shape
@@ -771,7 +802,8 @@ class TestActiveSetMask:
             sleeper.advance(15)
         assert sleeper.slot == 15
         assert not sleeper.done.any()
-        assert profile.samples["vector/decay"] == 3  # slots 0, 2 and 4
+        # One pass resolves round 0 (slots 0-5), then the loop sleeps.
+        assert profile.samples["vector/decay"] == 1
         stepper = BatchCollection(graph, tree, sources, [1, 2])
         for _ in range(15):
             stepper.step()
@@ -785,44 +817,150 @@ class TestActiveSetMask:
         # shifts.  Count each replication's consumed coins against the
         # listed pairs of every data slot, on a cell where such classes
         # occur while other classes stay live.
-        from repro.vector import collection
-
-        drawn = [0] * len(GOLDEN_SEEDS)
-
-        class CountingCursor(collection._CoinCursor):
-            def __init__(self, gens, n):
-                super().__init__(
-                    [_CountingGen(g, drawn, b) for b, g in enumerate(gens)],
-                    n,
-                )
-
-        monkeypatch.setattr(collection, "_CoinCursor", CountingCursor)
+        drawn = _counting_cursor(monkeypatch, len(GOLDEN_SEEDS))
         graph, tree, sources = _golden_cell()
-        sim = collection.BatchCollection(
-            graph, tree, sources, GOLDEN_SEEDS
-        )
+        sim = BatchCollection(graph, tree, sources, GOLDEN_SEEDS)
         listed = np.zeros(len(GOLDEN_SEEDS), dtype=np.int64)
         dead_class_slots = 0
         while not sim.done.all():
             if sim.slot % sim.phase_length == 0:
                 sim.step()  # lists the phase's pairs, then steps slot 0
-                listed += sim._pairs[0].counts
+                listed += sim._pairs.counts[0]
                 continue
             info = sim.slots.decode(sim.slot)
             if info.kind is SlotKind.DATA:
-                pairs = sim._pairs[info.level_class]
-                listed += pairs.counts
-                others_live = any(
-                    p.rows.size for p in sim._pairs if p is not pairs
-                )
-                if pairs.listed and not pairs.rows.size and others_live:
+                pairs, c = sim._pairs, info.level_class
+                listed += pairs.counts[c]
+                live = np.diff(pairs.bounds)
+                others_live = live.sum() > live[c]
+                if pairs.listed[c] and not live[c] and others_live:
                     dead_class_slots += 1
             sim.step()
         assert dead_class_slots > 0
-        cursor = sim._coin_cursor
-        unread = cursor.buffer.shape[1] - cursor.cursor
-        assert list(np.array(drawn) - unread) == list(listed)
+        assert _coins_consumed(sim, drawn) == listed.tolist()
         assert int(listed.sum()) == sim.mask_stats["active_pairs"]
+
+
+class TestRounds:
+    """A pass resolves a whole round, every class's data and ack slot;
+    it must compute exactly the trajectory of one slot per pass."""
+
+    COUNTERS = ("vector_slots", "vector_awake_pairs", "vector_live_pairs")
+
+    @pytest.mark.parametrize("cell", ["golden", "e2", "e3"])
+    @pytest.mark.parametrize("classes", [1, 2, 3, 4])
+    def test_rounds_match_single_steps(self, cell, classes, monkeypatch):
+        from repro.profiling import profiled
+
+        graph, tree, sources = _cell_by_name(cell)
+        runs = {}
+        for mode in ("rounds", "steps"):
+            drawn = _counting_cursor(monkeypatch, len(GOLDEN_SEEDS))
+            with profiled() as profile:
+                sim = BatchCollection(
+                    graph, tree, sources, GOLDEN_SEEDS,
+                    level_classes=classes,
+                )
+                if mode == "rounds":
+                    sim.run_until_done()
+                else:
+                    while not sim.done.all():
+                        sim.step()
+            runs[mode] = (
+                _snapshot(sim),
+                [profile.counters[name] for name in self.COUNTERS],
+                _coins_consumed(sim, drawn),
+            )
+        assert runs["rounds"] == runs["steps"]
+
+    def test_advance_to_every_slot_of_two_phases(self):
+        # Every ``until`` in phases 0 and 1: the odd ones end a pass
+        # between a class's data slot and its ack slot, whose acks the
+        # next pass must resolve.
+        cell = e3_cell()
+        seeds = GOLDEN_SEEDS[:2]
+
+        def build():
+            return BatchCollection(cell.graph, cell.tree, cell.sources, seeds)
+
+        for until in range(1, 2 * build().phase_length + 1):
+            jumper, stepper = build(), build()
+            jumper.advance(until)
+            for _ in range(until):
+                stepper.step()
+            assert jumper.slot == stepper.slot == until
+            for sim in (jumper, stepper):
+                assert not sim.done.any()
+            assert _snapshot(jumper) == _snapshot(stepper), until
+            for b in range(len(seeds)):
+                assert _queues(jumper, b) == _queues(stepper, b), until
+            jumper.run_until_done()
+            stepper.run_until_done()
+            assert _snapshot(jumper) == _snapshot(stepper), until
+
+    @pytest.mark.parametrize("classes", [3, 4])
+    def test_pass_ends_where_the_batch_drains(self, classes):
+        # The root class (level 1's) is class 1, so a replication drains
+        # one slot after round offset 3, before the data slots of the
+        # classes after it.  The pass that drains the last replication
+        # ends there: the later data slots are not run or counted.
+        from repro.profiling import profiled
+
+        cell = e3_cell()
+        seeds = [81, 82, 83, 84, 85]
+        runs = {}
+        for mode in ("rounds", "steps"):
+            with profiled() as profile:
+                sim = BatchCollection(
+                    cell.graph, cell.tree, cell.sources, seeds,
+                    level_classes=classes,
+                )
+                if mode == "rounds":
+                    sim.run_until_done()
+                else:
+                    while not sim.done.all():
+                        sim.step()
+            runs[mode] = (
+                sim.slot,
+                sim.completion_slots.tolist(),
+                dict(sim.mask_stats),
+                profile.counters["vector_slots"],
+            )
+        assert runs["rounds"] == runs["steps"]
+        slot = runs["rounds"][0]
+        assert slot == max(runs["rounds"][1])
+        assert slot % sim.slots.round_width == 4
+
+    @pytest.mark.parametrize("classes", [2, 3, 4])
+    @pytest.mark.parametrize("queued", [1, 2])
+    def test_forward_and_receive_in_one_round(self, classes, queued):
+        # On a path, station x (level max(2, C-1)) forwards its head to
+        # its parent (not the root) and hears its child's message in the
+        # same round.  With C >= 3 x's class is C-1 and its child's is 0,
+        # so in slot order the push comes first; the pass pops first.
+        x = max(2, classes - 1)
+        graph = path(x + 2)
+        tree = reference_bfs_tree(graph, 0)
+        sources = {x: [f"b{i}" for i in range(queued)], x + 1: ["a"]}
+
+        def build():
+            return BatchCollection(
+                graph, tree, sources, [5, 6], level_classes=classes
+            )
+
+        jumper, stepper = build(), build()
+        round_width = jumper.slots.round_width
+        jumper.advance(round_width)
+        for _ in range(round_width):
+            stepper.step()
+        child_gid = queued  # x's messages come first: ids 0..queued-1
+        for b in range(2):
+            queues = _queues(jumper, b)
+            assert queues == _queues(stepper, b)
+            # Both moves happened in this round.
+            assert queues[x - 1] == [0]
+            assert queues[x] == list(range(1, queued)) + [child_gid]
+        assert _snapshot(jumper) == _snapshot(stepper)
 
 
 class TestE2BatchDriver:
