@@ -11,8 +11,7 @@ service probability exactly µ; model 4's expectation also has Theorem
 from conftest import replication_seeds
 
 from repro.analysis import print_table, summarize
-from repro.core import MU, run_collection
-from repro.core.collection import LAMBDA_STAR
+from repro.core import LAMBDA_STAR, MU, run_collection
 from repro.graphs import path, reference_bfs_tree
 from repro.queueing import (
     model4_prediction,

@@ -80,7 +80,7 @@ def test_e16_true_partition_terminates_structurally():
     """On a path there is no detour: orphans must declare, not hang."""
     graph = path(8)
     tree = reference_bfs_tree(graph, 0)
-    from repro.radio.failures import RegionOutage
+    from repro.radio.faults import RegionOutage
 
     for seed in replication_seeds("e16-partition", 3):
         result = run_resilient_collection(

@@ -22,6 +22,10 @@ The package provides:
 * :mod:`repro.analysis` — replication, statistics and table harnesses for
   the experiments indexed in DESIGN.md / EXPERIMENTS.md.
 
+Loading a package imports none of its submodules: each package states
+its exports in one table (:mod:`repro._exports`), and a name is imported
+from its submodule the first time a caller reads it.
+
 Quickstart::
 
     from repro.graphs import random_geometric, reference_bfs_tree
@@ -38,25 +42,19 @@ Quickstart::
 
 __version__ = "1.11.0"
 
-from repro import core, graphs, radio
-from repro.errors import (
-    ConfigurationError,
-    ProtocolError,
-    ReproError,
-    SimulationTimeout,
-    TopologyError,
-)
-from repro.rng import RngFactory
+from repro._exports import exports
 
-__all__ = [
-    "ConfigurationError",
-    "ProtocolError",
-    "ReproError",
-    "RngFactory",
-    "SimulationTimeout",
-    "TopologyError",
-    "core",
-    "graphs",
-    "radio",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "core": ("core",),
+    "errors": (
+        "ConfigurationError",
+        "ProtocolError",
+        "ReproError",
+        "SimulationTimeout",
+        "TopologyError",
+    ),
+    "graphs": ("graphs",),
+    "radio": ("radio",),
+    "rng": ("RngFactory",),
+})
+__all__.append("__version__")

@@ -21,7 +21,7 @@ from repro.errors import ConfigurationError
 from repro.graphs import layered_band, reference_bfs_tree
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import NodeId
-from repro.radio.failures import (
+from repro.radio.faults import (
     AdversarialJammer,
     GilbertElliott,
     MarkovChurn,

@@ -1,61 +1,39 @@
 """Baseline protocols the paper is compared against (experiment E10/E12)."""
 
-from repro.baselines.aloha import (
-    AlohaSession,
-    aloha_session_factory,
-    aloha_success_probability,
-)
-from repro.baselines.naive_broadcast import (
-    FloodResult,
-    NaiveBroadcastResult,
-    flood_whp_budget,
-    naive_broadcast_reference_slots,
-    staged_flood_slots,
-    run_naive_broadcast,
-    run_single_flood,
-)
-from repro.baselines.spatial_tdma import (
-    SpatialTdmaResult,
-    distance2_coloring,
-    run_spatial_tdma_collection,
-    spatial_tdma_reference_slots,
-    verify_distance2_coloring,
-)
-from repro.baselines.sequential import (
-    SequentialForwardProcess,
-    SequentialResult,
-    run_sequential_p2p,
-    sequential_reference_slots,
-)
-from repro.baselines.tdma import (
-    TdmaCollectionProcess,
-    TdmaCollectionResult,
-    run_tdma_collection,
-    tdma_reference_slots,
-)
+from repro._exports import exports
 
-__all__ = [
-    "AlohaSession",
-    "FloodResult",
-    "NaiveBroadcastResult",
-    "SequentialForwardProcess",
-    "SpatialTdmaResult",
-    "SequentialResult",
-    "TdmaCollectionProcess",
-    "TdmaCollectionResult",
-    "aloha_session_factory",
-    "distance2_coloring",
-    "aloha_success_probability",
-    "flood_whp_budget",
-    "naive_broadcast_reference_slots",
-    "run_naive_broadcast",
-    "run_sequential_p2p",
-    "run_spatial_tdma_collection",
-    "run_single_flood",
-    "run_tdma_collection",
-    "sequential_reference_slots",
-    "spatial_tdma_reference_slots",
-    "staged_flood_slots",
-    "tdma_reference_slots",
-    "verify_distance2_coloring",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "aloha": (
+        "AlohaSession",
+        "aloha_session_factory",
+        "aloha_success_probability",
+    ),
+    "naive_broadcast": (
+        "FloodResult",
+        "NaiveBroadcastResult",
+        "flood_whp_budget",
+        "naive_broadcast_reference_slots",
+        "staged_flood_slots",
+        "run_naive_broadcast",
+        "run_single_flood",
+    ),
+    "sequential": (
+        "SequentialForwardProcess",
+        "SequentialResult",
+        "run_sequential_p2p",
+        "sequential_reference_slots",
+    ),
+    "spatial_tdma": (
+        "SpatialTdmaResult",
+        "distance2_coloring",
+        "run_spatial_tdma_collection",
+        "spatial_tdma_reference_slots",
+        "verify_distance2_coloring",
+    ),
+    "tdma": (
+        "TdmaCollectionProcess",
+        "TdmaCollectionResult",
+        "run_tdma_collection",
+        "tdma_reference_slots",
+    ),
+})

@@ -32,12 +32,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.decay import DecaySession
 from repro.core.messages import AckMessage, DataMessage, JoinMessage
-from repro.core.slots import SlotStructure, decay_budget
+from repro.core.slots import (
+    SlotStructure,
+    decay_budget,
+    expected_collection_slots,
+)
 from repro.core.transport import TransportLane
 from repro.core.tree import TreeInfo, bfs_tree_from_tree_info
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
+from repro.graphs.properties import bfs_levels, require_connected
 from repro.radio.network import RadioNetwork
 from repro.radio.process import QUIET_FOREVER, Process
 from repro.radio.transmission import Transmission
@@ -300,8 +305,6 @@ def expected_setup_slots(n: int, depth: int, max_degree: int) -> float:
     slots, and the confirmation collection costs ``≈ 32.27·(n + D)·log Δ``
     slots (Theorem 4.4 with k = n−1), times the ×3 level multiplexing.
     """
-    from repro.core.collection import expected_collection_slots
-
     log_n = math.log2(max(2, n))
     log_delta = math.log2(max(2, max_degree))
     expansion = (depth + 1) * (2 * log_n) * (2 * log_delta)
@@ -388,8 +391,6 @@ def run_setup_unknown_n(
     :func:`expected_setup_slots` for N stations at depth N, complete or
     not.
     """
-    from repro.graphs.properties import require_connected
-
     require_connected(graph)
     n = graph.num_nodes
     if n_bound is None:
@@ -452,8 +453,6 @@ def run_setup(
     ``SETUP_ATTEMPTS`` failed attempts
     :class:`~repro.errors.SimulationTimeout` is raised.
     """
-    from repro.graphs.properties import bfs_levels, require_connected
-
     require_connected(graph)
     n = graph.num_nodes
     true_levels = bfs_levels(graph, root)

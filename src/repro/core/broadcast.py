@@ -53,6 +53,7 @@ from repro.radio.network import RadioNetwork
 from repro.radio.process import Process
 from repro.radio.trace import NetworkStats
 from repro.radio.transmission import DOWN_CHANNEL, UP_CHANNEL, Transmission
+from repro.rng import RngFactory
 
 #: Marks an end-of-stream announcement: ``seq`` then carries the number of
 #: messages the root has sequenced so far.
@@ -508,8 +509,6 @@ def build_broadcast_network(
     :func:`superphase_invocations` of n), and checkpoints fall every n²
     messages (§6).
     """
-    from repro.rng import RngFactory
-
     factory = RngFactory(seed)
     budget = decay_budget(graph.max_degree())
     up_slots = SlotStructure(

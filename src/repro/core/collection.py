@@ -13,7 +13,7 @@ messages it accepts are the protocol's output.
 
 The protocol is *always successful on the graph spanned by the BFS tree*;
 only its running time is random (Thm 4.4: expected slots ≤
-``32.27·(k + D)·log Δ``).
+``32.27·(k + D)·log Δ``, :func:`~repro.core.slots.expected_collection_slots`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import AckMessage, DataMessage
-from repro.core.slots import SlotStructure, decay_budget
+from repro.core.slots import (
+    SlotStructure,
+    decay_budget,
+    expected_collection_slots,
+)
 from repro.core.transport import TransportLane
 from repro.core.tree import TreeInfo, tree_info_from_bfs_tree
 from repro.errors import ConfigurationError
@@ -33,6 +37,7 @@ from repro.radio.network import RadioNetwork
 from repro.radio.process import Process
 from repro.radio.transmission import UP_CHANNEL
 from repro.radio.trace import NetworkStats
+from repro.rng import RngFactory
 
 
 class CollectionProcess(Process):
@@ -195,8 +200,6 @@ def build_collection_network(
     (open-system service runs pass one; closed runs keep the default
     exact, unbounded set).
     """
-    from repro.rng import RngFactory
-
     unknown = set(sources) - set(graph.nodes)
     if unknown:
         raise ConfigurationError(f"unknown source stations {sorted(unknown)!r}")
@@ -260,41 +263,3 @@ def run_collection(
         slot_structure=slot_structure,
     )
 
-
-import math as _math
-
-#: Per-phase probability that some message advances out of a loaded level
-#: (Theorem 4.1): µ = e⁻¹·(1 − e⁻¹) ≈ 0.2325.
-MU = _math.exp(-1.0) * (1.0 - _math.exp(-1.0))
-
-#: The arrival rate the paper substitutes into Theorem 4.3 to balance the
-#: two terms of ``k/λ + D·(1-λ)/(µ-λ)``: setting them equal gives
-#: ``µ = λ(2-λ)``, i.e. λ* = 1 − √(1 − µ) ≈ 0.12395, whence the expected
-#: number of phases is (k+D)/λ* and each phase lasts twice the Decay time
-#: (data + ack slots) = 4·log Δ slots — yielding Theorem 4.4's constant
-#: 4/λ* ≈ 32.27.
-LAMBDA_STAR = 1.0 - _math.sqrt(1.0 - MU)
-
-
-def theorem_44_constant() -> float:
-    """The slot-bound constant of Theorem 4.4: ``4/λ*`` ≈ 32.27."""
-    return 4.0 / LAMBDA_STAR
-
-
-def expected_collection_phases(k: int, depth: int) -> float:
-    """Theorem 4.3/4.4 bound on expected Decay phases: ``(k + D)/λ*``."""
-    return (k + depth) / LAMBDA_STAR
-
-
-def expected_collection_slots(
-    k: int, depth: int, max_degree: int, level_classes: int = 1
-) -> float:
-    """Theorem 4.4's bound on expected slots: ``32.27·(k + D)·log Δ``.
-
-    The paper's stated constant covers the data+ack doubling but not the
-    ×``level_classes`` slowdown of §2.2 (which §2.2 asks the reader to
-    assume "built into all our protocols"); pass ``level_classes=3`` to
-    include it when comparing against the multiplexed implementation.
-    """
-    log_delta = _math.log2(max(2, max_degree))
-    return theorem_44_constant() * (k + depth) * log_delta * level_classes

@@ -21,6 +21,7 @@ from repro.core.leader import elect_leader
 from repro.core.tree import TreeInfo
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
+from repro.graphs.properties import require_connected
 
 
 @dataclass
@@ -49,8 +50,6 @@ def run_full_setup(graph: Graph, seed: int) -> FullSetupResult:
     up to ``ELECTION_ATTEMPTS`` elections and ``SETUP_ATTEMPTS`` BFS
     attempts.
     """
-    from repro.graphs.properties import require_connected
-
     require_connected(graph)
     election = elect_leader(graph, seed)
     leader = election.leaders[0]

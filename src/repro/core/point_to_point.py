@@ -29,7 +29,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import AckMessage, DataMessage
-from repro.core.slots import SlotStructure, decay_budget
+from repro.core.slots import (
+    SlotStructure,
+    decay_budget,
+    expected_collection_slots,
+)
 from repro.core.transport import TransportLane
 from repro.core.tree import TreeInfo, tree_info_from_bfs_tree
 from repro.errors import ConfigurationError, ProtocolError
@@ -182,8 +186,6 @@ def p2p_reference_slots(
 ) -> float:
     """Reference scale for §5.4's ``O((k + D)·log Δ)``: both directions of
     the collection bound (Theorem 4.4 applied up and down)."""
-    from repro.core.collection import expected_collection_slots
-
     return 2 * expected_collection_slots(k, depth, max_degree, level_classes)
 
 

@@ -33,12 +33,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.collection import (
-    CollectionProcess,
+from repro.core.collection import CollectionProcess
+from repro.core.messages import DataMessage
+from repro.core.slots import (
+    SlotStructure,
+    decay_budget,
     expected_collection_slots,
 )
-from repro.core.messages import DataMessage
-from repro.core.slots import SlotStructure, decay_budget
 from repro.core.tree import TreeInfo, tree_info_from_bfs_tree
 from repro.errors import ConfigurationError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
@@ -46,6 +47,7 @@ from repro.graphs.graph import Graph, NodeId
 from repro.radio.failures import FailureModel
 from repro.radio.network import RadioNetwork
 from repro.radio.trace import NetworkStats
+from repro.rng import RngFactory
 
 
 #: The watchdog threshold: that many *completed* Decay phases attempting
@@ -344,8 +346,6 @@ def build_resilient_collection_network(
     NeighborRegistry,
 ]:
     """Wire a radio network running self-healing collection everywhere."""
-    from repro.rng import RngFactory
-
     unknown = set(sources) - set(graph.nodes)
     if unknown:
         raise ConfigurationError(f"unknown source stations {sorted(unknown)!r}")

@@ -19,6 +19,10 @@ each level class j in order, one data slot (class j transmits a Decay step)
 immediately followed by its ack slot.  Every station derives the whole
 schedule from the global slot number alone — no coordination needed, which
 is exactly how the paper's synchronous model intends it.
+
+The module also states Theorem 4.4's bound on the schedule's length
+(:func:`expected_collection_slots`, from µ and λ*), the cap the scalar
+and the lockstep collection runs share.
 """
 
 from __future__ import annotations
@@ -154,3 +158,42 @@ class SlotStructure:
     def slots_for_phases(self, phases: int) -> int:
         """Total slots consumed by ``phases`` complete phases."""
         return phases * self.phase_length
+
+
+# Theorem 4.4's bound, which caps both engines' collection runs.
+
+#: Per-phase probability that some message advances out of a loaded level
+#: (Theorem 4.1): µ = e⁻¹·(1 − e⁻¹) ≈ 0.2325.
+MU = math.exp(-1.0) * (1.0 - math.exp(-1.0))
+
+#: The arrival rate the paper substitutes into Theorem 4.3 to balance the
+#: two terms of ``k/λ + D·(1-λ)/(µ-λ)``: setting them equal gives
+#: ``µ = λ(2-λ)``, i.e. λ* = 1 − √(1 − µ) ≈ 0.12395, whence the expected
+#: number of phases is (k+D)/λ* and each phase lasts twice the Decay time
+#: (data + ack slots) = 4·log Δ slots — yielding Theorem 4.4's constant
+#: 4/λ* ≈ 32.27.
+LAMBDA_STAR = 1.0 - math.sqrt(1.0 - MU)
+
+
+def theorem_44_constant() -> float:
+    """The slot-bound constant of Theorem 4.4: ``4/λ*`` ≈ 32.27."""
+    return 4.0 / LAMBDA_STAR
+
+
+def expected_collection_phases(k: int, depth: int) -> float:
+    """Theorem 4.3/4.4 bound on expected Decay phases: ``(k + D)/λ*``."""
+    return (k + depth) / LAMBDA_STAR
+
+
+def expected_collection_slots(
+    k: int, depth: int, max_degree: int, level_classes: int = 1
+) -> float:
+    """Theorem 4.4's bound on expected slots: ``32.27·(k + D)·log Δ``.
+
+    The paper's stated constant covers the data+ack doubling but not the
+    ×``level_classes`` slowdown of §2.2 (which §2.2 asks the reader to
+    assume "built into all our protocols"); pass ``level_classes=3`` to
+    include it when comparing against the multiplexed implementation.
+    """
+    log_delta = math.log2(max(2, max_degree))
+    return theorem_44_constant() * (k + depth) * log_delta * level_classes

@@ -1,65 +1,37 @@
 """Topology substrate: graphs, generators, properties, BFS trees."""
 
-from repro.graphs.bfs_tree import BFSTree, reference_bfs_tree
-from repro.graphs.drawing import ascii_map
-from repro.graphs.generators import (
-    balanced_tree,
-    caterpillar,
-    complete,
-    cycle,
-    gnp_connected,
-    grid,
-    hypercube,
-    layered_band,
-    lollipop,
-    path,
-    random_geometric,
-    random_geometric_with_positions,
-    random_tree,
-    star,
-    torus,
-)
-from repro.graphs.graph import Graph, NodeId
-from repro.graphs.properties import (
-    bfs_layers,
-    bfs_levels,
-    degree_histogram,
-    diameter,
-    eccentricity,
-    is_connected,
-    radius_and_center,
-    require_connected,
-    shortest_path,
-)
+from repro._exports import exports
 
-__all__ = [
-    "BFSTree",
-    "Graph",
-    "ascii_map",
-    "NodeId",
-    "balanced_tree",
-    "bfs_layers",
-    "bfs_levels",
-    "caterpillar",
-    "complete",
-    "cycle",
-    "degree_histogram",
-    "diameter",
-    "eccentricity",
-    "gnp_connected",
-    "grid",
-    "hypercube",
-    "is_connected",
-    "layered_band",
-    "lollipop",
-    "path",
-    "radius_and_center",
-    "random_geometric",
-    "random_geometric_with_positions",
-    "random_tree",
-    "reference_bfs_tree",
-    "require_connected",
-    "shortest_path",
-    "star",
-    "torus",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "bfs_tree": ("BFSTree", "reference_bfs_tree"),
+    "drawing": ("ascii_map",),
+    "generators": (
+        "balanced_tree",
+        "caterpillar",
+        "complete",
+        "cycle",
+        "gnp_connected",
+        "grid",
+        "hypercube",
+        "layered_band",
+        "lollipop",
+        "path",
+        "random_geometric",
+        "random_geometric_with_positions",
+        "random_tree",
+        "star",
+        "torus",
+    ),
+    "graph": ("Graph", "NodeId"),
+    "properties": (
+        "bfs_layers",
+        "bfs_levels",
+        "degree_histogram",
+        "diameter",
+        "eccentricity",
+        "is_connected",
+        "radius_and_center",
+        "require_connected",
+        "shortest_path",
+    ),
+})

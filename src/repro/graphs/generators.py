@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.graphs.graph import Graph
+from repro.graphs.properties import is_connected
 
 
 def _require_positive(n: int) -> None:
@@ -221,8 +222,6 @@ def random_geometric_with_positions(
     _require_positive(n)
     if math.isnan(radius):
         raise ConfigurationError("unit-disk radius must be a number, got nan")
-    from repro.graphs.properties import is_connected
-
     build = _unit_disk_graph if n < ARRAY_MIN_N else _unit_disk_array_graph
     for _ in range(SAMPLE_ATTEMPTS):
         points = [(rng.random(), rng.random()) for _ in range(n)]
@@ -369,8 +368,6 @@ def gnp_connected(n: int, p: float, rng: random.Random) -> Graph:
     _require_positive(n)
     if not 0.0 <= p <= 1.0:
         raise ConfigurationError(f"edge probability must be in [0,1], got {p}")
-    from repro.graphs.properties import is_connected
-
     for _ in range(SAMPLE_ATTEMPTS):
         edges = [
             (i, j)

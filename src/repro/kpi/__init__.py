@@ -13,18 +13,14 @@ commands): a flat JSON object whose top-level scalars are directly
 consumable by ``benchmarks/check_regression.py``.
 """
 
-from repro.kpi.processor import (
-    compute_kpis,
-    kpi_filename,
-    kpis_from_report,
-    kpis_from_run_dir,
-    write_kpi_report,
-)
+from repro._exports import exports
 
-__all__ = [
-    "compute_kpis",
-    "kpi_filename",
-    "kpis_from_report",
-    "kpis_from_run_dir",
-    "write_kpi_report",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "processor": (
+        "compute_kpis",
+        "kpi_filename",
+        "kpis_from_report",
+        "kpis_from_run_dir",
+        "write_kpi_report",
+    ),
+})

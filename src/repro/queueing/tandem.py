@@ -40,6 +40,7 @@ from repro.queueing.moves import (
     move,
     random_move_vector,
 )
+from repro.rng import RngFactory
 
 #: Phases a tandem simulation may run before it raises.
 DEFAULT_STEP_LIMIT = 10**7
@@ -146,8 +147,6 @@ def mean_completion(
     seed: int,
 ) -> Tuple[float, List[int]]:
     """Average ``simulate(rng)`` completion over seeded replications."""
-    from repro.rng import RngFactory
-
     factory = RngFactory(seed)
     samples = []
     for index in range(replications):

@@ -5,7 +5,8 @@ The paper's model is failure-free: its acknowledgement determinism
 collisions.  These models let tests and ablation benches explore what
 happens *outside* the model — crashed stations and fading links — and
 quantify how much of the protocols' correctness is load-bearing on the
-model assumptions.
+model assumptions.  The richer models (churn, fading, regional outages,
+jamming) build on :class:`FailureModel` in :mod:`repro.radio.faults`.
 """
 
 from __future__ import annotations
@@ -104,27 +105,10 @@ class ComposedFailures(FailureModel):
         return any(m.drop_delivery(sender, receiver, slot) for m in self.models)
 
 
-# Richer models (churn, fading, regional outages, jamming) live in the
-# repro.radio.faults package; re-exported here so callers have one import
-# site for everything that plugs into RadioNetwork(failures=...).  This
-# import must stay below the base classes the faults package builds on.
-from repro.radio.faults import (  # noqa: E402
-    AdversarialJammer,
-    GilbertElliott,
-    MarkovChurn,
-    RegionOutage,
-    subtree_outage,
-)
-
 __all__ = [
-    "AdversarialJammer",
     "BernoulliLinkLoss",
     "ComposedFailures",
     "CrashSchedule",
     "FailureModel",
-    "GilbertElliott",
-    "MarkovChurn",
     "PermanentCrashes",
-    "RegionOutage",
-    "subtree_outage",
 ]

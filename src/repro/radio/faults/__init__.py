@@ -20,15 +20,11 @@ from a single seed via stable keys, so results are reproducible and
 independent of the order in which the engine queries the model.
 """
 
-from repro.radio.faults.churn import MarkovChurn
-from repro.radio.faults.fading import GilbertElliott
-from repro.radio.faults.jammer import AdversarialJammer
-from repro.radio.faults.regional import RegionOutage, subtree_outage
+from repro._exports import exports
 
-__all__ = [
-    "AdversarialJammer",
-    "GilbertElliott",
-    "MarkovChurn",
-    "RegionOutage",
-    "subtree_outage",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "churn": ("MarkovChurn",),
+    "fading": ("GilbertElliott",),
+    "jammer": ("AdversarialJammer",),
+    "regional": ("RegionOutage", "subtree_outage"),
+})

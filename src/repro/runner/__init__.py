@@ -52,101 +52,51 @@ and ``python -m repro coord serve|submit|worker|status``; runnable
 experiments are registered in :mod:`repro.runner.defs`.
 """
 
-from repro.runner.atomicio import atomic_write_json, atomic_write_text
+from repro._exports import exports
 
-from repro.runner.cache import ResultCache
-from repro.runner.chaos import (
-    ChaosReport,
-    ChaosVerdict,
-    run_chaos,
-    run_coord_chaos,
-    run_fleet_chaos,
-)
-from repro.runner.client import (
-    CoordClient,
-    CoordinatorUnreachable,
-    CoordWorker,
-    Outbox,
-)
-from repro.runner.coord import (
-    CoordServer,
-    coord_report,
-    coord_status,
-    submit_tasks,
-)
-from repro.runner.executor import (
-    RunReport,
-    TaskExecutionError,
-    TaskOutcome,
-    run_experiment,
-    run_tasks,
-)
-from repro.runner.drain import WorkerReport
-from repro.runner.journal import Journal, merge_task_records, read_journal
-from repro.runner.fleet import (
-    FleetQueue,
-    FleetStatus,
-    FleetWorker,
-    fleet_report,
-    fleet_status,
-)
-from repro.runner.lease import LeaseDir, LeaseObserver, LeaseRecord
-from repro.runner.policy import FaultPolicy, QuarantineRecord
-from repro.runner.registry import (
-    ExperimentDef,
-    get_experiment,
-    register,
-    registered_ids,
-    run_registered_batch,
-    run_registered_task,
-)
-from repro.runner.task import TaskSpec, task_grid
-from repro.runner.telemetry import Progress, RunTelemetry
-
-__all__ = [
-    "ChaosReport",
-    "ChaosVerdict",
-    "CoordClient",
-    "CoordServer",
-    "CoordWorker",
-    "CoordinatorUnreachable",
-    "ExperimentDef",
-    "FaultPolicy",
-    "Outbox",
-    "FleetQueue",
-    "FleetStatus",
-    "FleetWorker",
-    "Journal",
-    "LeaseDir",
-    "LeaseObserver",
-    "LeaseRecord",
-    "Progress",
-    "QuarantineRecord",
-    "ResultCache",
-    "RunReport",
-    "RunTelemetry",
-    "TaskExecutionError",
-    "TaskOutcome",
-    "TaskSpec",
-    "WorkerReport",
-    "atomic_write_json",
-    "atomic_write_text",
-    "coord_report",
-    "coord_status",
-    "fleet_report",
-    "fleet_status",
-    "get_experiment",
-    "merge_task_records",
-    "read_journal",
-    "register",
-    "registered_ids",
-    "run_chaos",
-    "run_coord_chaos",
-    "run_experiment",
-    "run_fleet_chaos",
-    "submit_tasks",
-    "run_registered_batch",
-    "run_registered_task",
-    "run_tasks",
-    "task_grid",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "atomicio": ("atomic_write_json", "atomic_write_text"),
+    "cache": ("ResultCache",),
+    "chaos": (
+        "ChaosReport",
+        "ChaosVerdict",
+        "run_chaos",
+        "run_coord_chaos",
+        "run_fleet_chaos",
+    ),
+    "client": (
+        "CoordClient",
+        "CoordinatorUnreachable",
+        "CoordWorker",
+        "Outbox",
+    ),
+    "coord": ("CoordServer", "coord_report", "coord_status", "submit_tasks"),
+    "drain": ("WorkerReport",),
+    "executor": (
+        "RunReport",
+        "TaskExecutionError",
+        "TaskOutcome",
+        "run_experiment",
+        "run_tasks",
+    ),
+    "fleet": (
+        "FleetQueue",
+        "FleetStatus",
+        "FleetWorker",
+        "fleet_report",
+        "fleet_status",
+    ),
+    "journal": ("Journal", "merge_task_records", "read_journal"),
+    "lease": ("LeaseDir", "LeaseObserver", "LeaseRecord"),
+    "policy": ("FaultPolicy", "QuarantineRecord"),
+    "registry": (
+        "ExperimentDef",
+        "get_experiment",
+        "register",
+        "registered_ids",
+        "run_registered_batch",
+        "run_registered_task",
+    ),
+    "task": ("TaskSpec", "task_grid"),
+    "telemetry": ("Progress", "RunTelemetry"),
+})

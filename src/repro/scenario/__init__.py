@@ -21,28 +21,12 @@ Entry points
 * :func:`discover_scenarios` — enumerate ``scenarios/`` spec files.
 """
 
-from repro.scenario.schema import ValidationError
-from repro.scenario.spec import ScenarioSpec, parse_scenario
-from repro.scenario.compile import (
-    CompiledScenario,
-    compile_scenario,
-    run_scenario,
-)
-from repro.scenario.runtime import run_scenario_task, scenario_experiment
-from repro.scenario.discovery import (
-    discover_scenarios,
-    unknown_experiment_message,
-)
+from repro._exports import exports
 
-__all__ = [
-    "CompiledScenario",
-    "ScenarioSpec",
-    "ValidationError",
-    "compile_scenario",
-    "discover_scenarios",
-    "parse_scenario",
-    "run_scenario",
-    "run_scenario_task",
-    "scenario_experiment",
-    "unknown_experiment_message",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "compile": ("CompiledScenario", "compile_scenario", "run_scenario"),
+    "discovery": ("discover_scenarios", "unknown_experiment_message"),
+    "runtime": ("run_scenario_task", "scenario_experiment"),
+    "schema": ("ValidationError",),
+    "spec": ("ScenarioSpec", "parse_scenario"),
+})

@@ -20,37 +20,19 @@ KPIs) and E20 (saturation sweep) are registered in
 :mod:`repro.runner.defs`.
 """
 
-from repro.analysis.sketches import P2Quantile, RateWindow, Welford
-from repro.service.drift import BacklogDriftDetector, DriftVerdict
-from repro.service.loop import (
-    SERVICE_DEDUP_WINDOW,
-    ServiceKPIs,
-    run_service,
-)
-from repro.service.sweep import (
-    OracleComparison,
-    SweepPoint,
-    SweepResult,
-    compare_with_oracle,
-    measure_capacity,
-    saturation_sweep,
-    sweep_rates,
-)
+from repro._exports import exports
 
-__all__ = [
-    "BacklogDriftDetector",
-    "DriftVerdict",
-    "OracleComparison",
-    "P2Quantile",
-    "RateWindow",
-    "SERVICE_DEDUP_WINDOW",
-    "ServiceKPIs",
-    "SweepPoint",
-    "SweepResult",
-    "Welford",
-    "compare_with_oracle",
-    "measure_capacity",
-    "run_service",
-    "saturation_sweep",
-    "sweep_rates",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "drift": ("BacklogDriftDetector", "DriftVerdict"),
+    "loop": ("SERVICE_DEDUP_WINDOW", "ServiceKPIs", "run_service"),
+    "sweep": (
+        "OracleComparison",
+        "SweepPoint",
+        "SweepResult",
+        "compare_with_oracle",
+        "measure_capacity",
+        "saturation_sweep",
+        "sweep_rates",
+    ),
+    ".analysis.sketches": ("P2Quantile", "RateWindow", "Welford"),
+})

@@ -10,30 +10,21 @@ There is one lockstep loop and one kernel set: its per-slot work scales
 with the awake population, not B·n.
 """
 
-from repro.vector.backend import resolve_backend
-from repro.vector.collection import (
-    BatchCollection,
-    BatchCollectionResult,
-    run_collection_batch,
-)
-from repro.vector.decay import BatchDecay
-from repro.vector.engine import (
-    ENGINES,
-    BatchTrace,
-    LockstepRadio,
-    SlotRecord,
-    validate_engine,
-)
+from repro._exports import exports
 
-__all__ = [
-    "BatchCollection",
-    "BatchCollectionResult",
-    "BatchDecay",
-    "BatchTrace",
-    "ENGINES",
-    "LockstepRadio",
-    "SlotRecord",
-    "resolve_backend",
-    "run_collection_batch",
-    "validate_engine",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "backend": ("resolve_backend",),
+    "collection": (
+        "BatchCollection",
+        "BatchCollectionResult",
+        "run_collection_batch",
+    ),
+    "decay": ("BatchDecay",),
+    "engine": (
+        "ENGINES",
+        "BatchTrace",
+        "LockstepRadio",
+        "SlotRecord",
+        "validate_engine",
+    ),
+})

@@ -103,8 +103,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.collection import expected_collection_slots
-from repro.core.slots import SlotKind, SlotStructure, decay_budget
+from repro import profiling
+from repro.core.slots import (
+    SlotKind,
+    SlotStructure,
+    decay_budget,
+    expected_collection_slots,
+)
 from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
@@ -421,8 +426,6 @@ class BatchCollection:
         self.done = np.zeros(B, dtype=bool)
         self.completion_slots = np.full(B, -1, dtype=np.int64)
         self.trace: Optional[BatchTrace] = BatchTrace() if trace else None
-        from repro import profiling
-
         self.profiler = profiling.current_profile()
         self._check_done(0)  # empty workloads complete at slot 0
 

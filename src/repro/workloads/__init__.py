@@ -1,27 +1,19 @@
 """Reactive workloads: arrival processes and streaming drivers."""
 
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    BernoulliArrivals,
-    BurstArrivals,
-    DeterministicSchedule,
-    PoissonArrivals,
-)
-from repro.workloads.driver import (
-    MessageRecord,
-    StreamingResult,
-    run_streaming_collection,
-    run_streaming_p2p,
-)
+from repro._exports import exports
 
-__all__ = [
-    "ArrivalProcess",
-    "BernoulliArrivals",
-    "BurstArrivals",
-    "DeterministicSchedule",
-    "MessageRecord",
-    "PoissonArrivals",
-    "StreamingResult",
-    "run_streaming_collection",
-    "run_streaming_p2p",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    "arrivals": (
+        "ArrivalProcess",
+        "BernoulliArrivals",
+        "BurstArrivals",
+        "DeterministicSchedule",
+        "PoissonArrivals",
+    ),
+    "driver": (
+        "MessageRecord",
+        "StreamingResult",
+        "run_streaming_collection",
+        "run_streaming_p2p",
+    ),
+})

@@ -2,14 +2,9 @@
 
 import gc
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -394,28 +389,10 @@ class TestUnitDiskArrayPath:
 
 
 class TestArrayPathThreshold:
-    """The two costs the size selection exists for."""
-
-    def test_small_fields_never_import_numpy(self):
-        script = textwrap.dedent("""
-            import random, sys
-            from repro.core import run_collection
-            from repro.graphs import random_geometric, reference_bfs_tree
-            graph = random_geometric(200, 0.16, random.Random(4))
-            tree = reference_bfs_tree(graph, 0)
-            run_collection(graph, tree, {v: [v] for v in (5, 50)}, seed=4)
-            print("numpy" in sys.modules)
-        """)
-        src = Path(__file__).resolve().parent.parent / "src"
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["False"]
+    """One of the two costs the size selection exists for: memory on a
+    large field.  The other, that a field below the threshold never
+    imports NumPy, is the ``scalar-collection`` case of
+    ``tests/test_imports.py::test_closure``."""
 
     def test_large_field_memory_no_worse_than_python_path(self):
         import numpy  # noqa: F401  (its import is not the build's cost)

@@ -2,16 +2,22 @@
 
 An import nothing reads still runs on every load, hides the module's
 real dependencies and survives every refactor that removed its last use.
-This check parses every module under ``src/repro`` except the package
-``__init__`` files, whose imports are the packages' public surface, and
-every ``.py`` file under ``tests/``, ``benchmarks/`` and ``examples/``.
-It requires each name an import binds to be read somewhere in that
-module or listed in the module's ``__all__`` (a deliberate re-export).
-A name read only inside a quoted annotation counts as read.  Exempt are
-``from __future__`` imports, which bind no name, and an import whose
-line carries ``# noqa: F401``, the linters' mark for an import made for
-its side effect.  ``perfbench/`` is not scanned: it changes only with
-the benchmark it defines.
+This check parses every module under ``src/repro``, the package
+``__init__`` files included, and every ``.py`` file under ``tests/``,
+``benchmarks/`` and ``examples/``.  It requires each name an import
+binds to be read somewhere in that module or listed in the module's
+``__all__`` (a deliberate re-export).  A name read only inside a quoted
+annotation counts as read.  Exempt are ``from __future__`` imports,
+which bind no name, and an import whose line carries ``# noqa: F401``,
+the linters' mark for an import made for its side effect.
+``perfbench/`` is not scanned: it changes only with the benchmark it
+defines.
+
+A package ``__init__`` states its exports as a table that
+:mod:`repro._exports` resolves on first use, so at load it imports
+nothing from ``repro`` but that helper: an eager re-export would load
+its submodule, and all that submodule imports, for every caller of the
+package.
 """
 
 import ast
@@ -77,9 +83,7 @@ def _exported(tree):
 
 
 def _scanned():
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name != "__init__.py":
-            yield path
+    yield from sorted(PACKAGE.rglob("*.py"))
     for top in SCRIPTS:
         yield from sorted((ROOT / top).rglob("*.py"))
 
@@ -105,4 +109,50 @@ def test_every_import_is_used():
         "imports that no code in their module reads (delete each, or "
         "list a deliberate re-export in the module's __all__):\n"
         + "\n".join(f"  {rel}:{line}: {name}" for rel, line, name in unused)
+    )
+
+
+#: The one ``repro`` module a package ``__init__`` imports at load.
+EXPORTS_HELPER = "repro._exports"
+
+
+def _load_time_imports(node):
+    """Every import in *node* that runs when its module loads."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            yield from _load_time_imports(child)
+
+
+def eager_package_imports():
+    """``(path, line, module)`` of every ``repro`` import a package
+    ``__init__`` makes at load, other than the export helper."""
+    eager = []
+    for path in sorted(PACKAGE.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in _load_time_imports(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif node.level:
+                modules = ["." * node.level + (node.module or "")]
+            else:
+                modules = [node.module]
+            for module in modules:
+                top = module.split(".")[0]
+                if top in ("repro", "") and module != EXPORTS_HELPER:
+                    rel = path.relative_to(ROOT).as_posix()
+                    eager.append((rel, node.lineno, module))
+    return eager
+
+
+def test_package_inits_import_only_the_export_helper():
+    eager = eager_package_imports()
+    assert not eager, (
+        "package __init__ imports that load a repro module with the "
+        "package (name the export in the package's exports table "
+        "instead):\n"
+        + "\n".join(f"  {rel}:{line}: {module}" for rel, line, module in eager)
     )
