@@ -874,7 +874,7 @@ def _fleet_policy(queue, retries):
 
 def _add_grid_args(parser) -> None:
     """The experiment-grid options of ``run``, ``profile`` and ``submit``."""
-    from repro.vector import ENGINES
+    from repro.runner.task import ENGINES
 
     parser.add_argument(
         "--engine",

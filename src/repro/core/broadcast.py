@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.decay import DecaySession
@@ -205,11 +205,11 @@ class BroadcastProcess(Process):
         level = self.info.level
         outgoing: Optional[BroadcastMessage] = None
         if self.info.is_root:
-            outgoing = replace(self._pick_root_message(), sender_level=level)
+            outgoing = self._pick_root_message().at_level(level)
         else:
             entry = self._inbox.get(index - 1)
             if entry is not None:
-                outgoing = replace(entry[0], sender_level=level)
+                outgoing = entry[0].at_level(level)
             # Drop anything older than the previous superphase.
             self._inbox = {
                 sp: value
@@ -403,7 +403,7 @@ class BroadcastProcess(Process):
         self._max_seen_seq = max(self._max_seen_seq, message.seq)
         is_new = message.seq not in self.received
         if is_new:
-            self.received[message.seq] = replace(message, sender_level=0)
+            self.received[message.seq] = message.at_level(0)
         self._consider_relay(slot, message, is_new_data=is_new)
 
     def _consider_relay(

@@ -48,6 +48,7 @@ class LeaderElectionResult:
     true_max: NodeId
     slots: int
     agreed: bool  # every station believes in the true maximum
+    attempts: int = 1  # tournaments run, the last one included
 
     @property
     def unique(self) -> bool:
@@ -310,8 +311,8 @@ def elect_leader(graph: Graph, seed: int) -> LeaderElectionResult:
     Attempt ``a`` runs :func:`run_bit_election` at ``seed + 101·a``.  The
     paper's setup phase detects disagreement by the BFS confirmation
     count; here the simulator's omniscience stands in for it.  The
-    returned result counts the slots of every attempt; after
-    ``ELECTION_ATTEMPTS`` failed attempts
+    returned result counts the slots and the attempts of every
+    tournament run; after ``ELECTION_ATTEMPTS`` failed attempts
     :class:`~repro.errors.SimulationTimeout` is raised.
     """
     total_slots = 0
@@ -319,7 +320,7 @@ def elect_leader(graph: Graph, seed: int) -> LeaderElectionResult:
         result = run_bit_election(graph, seed=seed + 101 * attempt)
         total_slots += result.slots
         if result.agreed and result.unique:
-            return replace(result, slots=total_slots)
+            return replace(result, slots=total_slots, attempts=attempt + 1)
     raise SimulationTimeout(
         f"leader election failed {ELECTION_ATTEMPTS} times"
     )

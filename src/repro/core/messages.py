@@ -5,21 +5,32 @@ transmitted, so — exactly as §4 prescribes — every message carries the IDs
 it needs inside its payload ("To each message we append the ID of the node
 v which sent the message and the ID of v's BFS-parent").
 
-All message types are small frozen dataclasses: hashable, comparable and
-cheap, standing in for the O(log n)-bit packets of the model.  The
-``hop_sender`` / ``hop_dest`` fields change at every hop; the ``origin`` /
-``dest_address`` fields identify the end-to-end flow.
+Messages are values, standing in for the O(log n)-bit packets of the
+model: they compare, hash and print by their fields.  Like
+:class:`~repro.radio.transmission.Transmission` they are immutable by
+contract, not by enforcement: nothing assigns a field after
+construction, and a message that changes on its way (the hop fields of
+:meth:`DataMessage.rehop`, the level stamp of
+:meth:`BroadcastMessage.at_level`) is built anew.  Every hop of every
+protocol builds messages, so each type is a slotted dataclass with the
+plain generated ``__init__``; a frozen one writes each field through
+``object.__setattr__`` and cost about four times as much to build, and
+``dataclasses.replace`` about eight times a direct build
+(docs/performance.md, "What a streamed hop costs").  ``unsafe_hash``
+gives each type the field-tuple hash a frozen dataclass has.  The
+``hop_sender`` / ``hop_dest`` fields change at every hop; the
+``origin`` / ``dest_address`` fields identify the end-to-end flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Tuple
 
 from repro.graphs.graph import NodeId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataMessage:
     """A unicast data packet travelling hop by hop along the BFS tree.
 
@@ -50,10 +61,13 @@ class DataMessage:
 
     def rehop(self, sender: NodeId, dest: NodeId) -> "DataMessage":
         """The same end-to-end message readdressed for the next hop."""
-        return replace(self, hop_sender=sender, hop_dest=dest)
+        return DataMessage(
+            self.msg_id, self.origin, sender, dest, self.dest_address,
+            self.payload,
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AckMessage:
     """A deterministic acknowledgement (§3) for one received data message.
 
@@ -67,7 +81,7 @@ class AckMessage:
     hop_dest: NodeId  # the station whose transmission is being acked
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class JoinMessage:
     """BFS-expansion announcement: "I am at level ``level``, join under me"."""
 
@@ -75,7 +89,7 @@ class JoinMessage:
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LeaderMessage:
     """Bitwise-tournament flood: "a candidate has a 1 in this round's bit"."""
 
@@ -83,7 +97,7 @@ class LeaderMessage:
     round: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TokenMessage:
     """The DFS token of §5.1 (only its holder transmits: conflict-free).
 
@@ -102,7 +116,7 @@ class TokenMessage:
     max_descendant: Optional[int] = None  # reported while backtracking
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BroadcastMessage:
     """A pipelined distribution packet (§6): the root's ``seq``-th message."""
 
@@ -111,8 +125,12 @@ class BroadcastMessage:
     payload: Any = None
     sender_level: int = 0
 
+    def at_level(self, level: int) -> "BroadcastMessage":
+        """The same broadcast, stamped as sent from BFS ``level``."""
+        return BroadcastMessage(self.seq, self.origin, self.payload, level)
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True, unsafe_hash=True)
 class ResendRequest:
     """A NACK travelling to the root: "I am missing broadcast #``seq``".
 
@@ -124,7 +142,7 @@ class ResendRequest:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BroadcastSubmission:
     """A broadcast payload on its way up to the root for sequencing (§6)."""
 
@@ -132,7 +150,7 @@ class BroadcastSubmission:
     body: Any
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckpointAck:
     """§6's checkpoint acknowledgement: "I hold every message of
     checkpoint #``checkpoint``"."""

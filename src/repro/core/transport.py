@@ -331,11 +331,7 @@ class TransportLane:
                 f"station {self.node_id!r} asked to accept a message "
                 f"designated to {message.hop_dest!r}"
             )
-        ack = AckMessage(
-            msg_id=message.msg_id,
-            hop_sender=self.node_id,
-            hop_dest=message.hop_sender,
-        )
+        ack = AckMessage(message.msg_id, self.node_id, message.hop_sender)
         if self._pending_ack is not None:
             if self._pending_ack[0] <= slot:
                 self._pending_ack = None  # expired while crashed
@@ -406,14 +402,18 @@ class TransportLane:
         in this level class's data slots (§2.2).  A live session draws
         one ``should_transmit`` coin per own data slot, so it must be
         polled on each of them (skipping one would shift the coin
-        stream).  Once the lane has opened the current phase with no
-        session or a dead one — the coin fell, the head was acked or
-        retargeted, arrived mid-phase, or is backing off — it does
-        nothing until the next phase begins: a dead session draws no
-        coin.  All other slots are provable no-ops, which is what feeds
-        the engine's :meth:`~repro.radio.process.Process.quiet_until`
-        fast path.  A reception re-wakes the owning process immediately,
-        so new ack duty / forwarded traffic is never missed.
+        stream).  A head that arrived during the current phase may not
+        be sent before the next one (§4.1, ``_earliest_phase``), so the
+        lane sleeps to its first data slot of that phase: before it,
+        :meth:`on_slot` would draw no coin and only reset a session that
+        is already gone.  Once the lane has opened the current phase
+        with no session or a dead one — the coin fell, the head was
+        acked or retargeted, or is backing off — it does nothing until
+        the next phase begins: a dead session draws no coin.  All other
+        slots are provable no-ops, which is what feeds the engine's
+        :meth:`~repro.radio.process.Process.quiet_until` fast path.  A
+        reception re-wakes the owning process immediately, so new ack
+        duty / forwarded traffic is never missed.
         """
         wake = QUIET_FOREVER
         if self._pending_ack is not None and self._pending_ack[0] >= slot:
@@ -422,7 +422,10 @@ class TransportLane:
             slots = self.slots
             phase = slots.phase_of(slot)
             start = slot
-            if self._session_phase == phase and (
+            eligible = self._earliest_phase[0]
+            if eligible > phase:
+                start = slots.first_slot_of_phase(eligible)
+            elif self._session_phase == phase and (
                 self._session is None or not self._session.alive
             ):
                 start = slots.first_slot_of_phase(phase + 1)

@@ -15,6 +15,10 @@ spec stays a plain JSON record that any worker can reconstruct.
 
 Every definition accepts ``quick=True``, a miniature grid used by the CI
 smoke run and the sharding-determinism tests.
+
+The lockstep engine (and with it NumPy) and the resilience harness are
+imported by the functions that run them, so ``python -m repro
+service``, which imports this module for its cells, loads neither.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Sequence, Tuple,
 )
 
-from repro.analysis.resilience import SCENARIOS, scenario_metrics
 from repro.core.collection import build_collection_network, run_collection
 from repro.errors import ConfigurationError
 from repro.graphs import (
@@ -44,7 +47,6 @@ from repro.graphs import (
 )
 from repro.runner.registry import ExperimentDef, register
 from repro.runner.task import TaskSpec, task_grid
-from repro.vector.collection import BatchCollection, run_collection_batch
 
 # ----------------------------------------------------------------------
 # Topologies by name
@@ -158,6 +160,8 @@ def collection_batches(
     deterministic families collapse into a single batch.  Yields
     ``(positions in seeds, cell, batch result)`` per bucket.
     """
+    from repro.vector.collection import run_collection_batch
+
     buckets: Dict[Graph, List[int]] = {}
     cells: Dict[Graph, tuple] = {}
     for position, seed in enumerate(seeds):
@@ -364,6 +368,8 @@ def advance_rate_metrics_batch(
     """
     import numpy as np
 
+    from repro.vector.collection import BatchCollection
+
     graph = contention_graph(parents, children)
     tree = reference_bfs_tree(graph, 0)
     child_ids = [node for node in graph.nodes if tree.level[node] == 2]
@@ -425,12 +431,16 @@ register(
 def _e16_tasks(
     seed: int, replications: int, quick: bool = False
 ) -> List[TaskSpec]:
+    from repro.analysis.resilience import SCENARIOS
+
     scenarios = ("fading", "partition") if quick else SCENARIOS
     cases = [{"scenario": name} for name in scenarios]
     return task_grid("E16", cases, replications, seed)
 
 
 def _e16_run(spec: TaskSpec) -> Dict[str, Any]:
+    from repro.analysis.resilience import scenario_metrics
+
     return scenario_metrics(spec.params["scenario"], spec.seed)
 
 

@@ -91,9 +91,8 @@ from repro.runner.registry import (
     run_registered_batch,
     run_registered_task,
 )
-from repro.runner.task import CaseItems, TaskSpec
+from repro.runner.task import CaseItems, TaskSpec, validate_engine
 from repro.runner.telemetry import Progress, RunTelemetry
-from repro.vector.engine import validate_engine
 
 RunFn = Callable[[TaskSpec], Mapping[str, Any]]
 BatchFn = Callable[[List[TaskSpec]], List[Mapping[str, Any]]]

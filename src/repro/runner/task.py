@@ -20,7 +20,20 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rng import content_key, derive_seed
-from repro.vector.engine import validate_engine
+
+#: The engines a task may select.  ``scalar`` is the reference
+#: slot-by-slot interpreter; ``vector`` is the NumPy lockstep batch
+#: (:mod:`repro.vector`).
+ENGINES: Tuple[str, ...] = ("scalar", "vector")
+
+
+def validate_engine(engine: str) -> str:
+    if engine not in ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {ENGINES}"
+        )
+    return engine
+
 
 #: Parameter values a task case may carry (must survive a JSON round-trip
 #: bit-for-bit, which is what the cache key depends on).

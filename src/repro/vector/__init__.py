@@ -20,11 +20,7 @@ __all__, __getattr__, __dir__ = exports(__name__, {
         "run_collection_batch",
     ),
     "decay": ("BatchDecay",),
-    "engine": (
-        "ENGINES",
-        "BatchTrace",
-        "LockstepRadio",
-        "SlotRecord",
-        "validate_engine",
-    ),
+    "engine": ("BatchTrace", "LockstepRadio", "SlotRecord"),
+    # The engine names live with the task model, which loads no NumPy.
+    ".runner.task": ("ENGINES", "validate_engine"),
 })

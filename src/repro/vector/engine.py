@@ -26,6 +26,8 @@ The runner exposes both engines behind one interface: every
 pure-Python slot loop, the reference implementation) or
 ``engine="vector"`` (this subsystem), the result-cache key covers the
 choice, and experiments opt in by registering a batch task function.
+The names of the engines (:data:`~repro.runner.task.ENGINES`) live with
+the task model, which loads no NumPy.
 Vector runs are *distributionally* equivalent to scalar runs — same
 protocol, same exact invariants, statistically identical outcomes —
 but never coin-flip-identical, because NumPy streams cannot be
@@ -43,18 +45,6 @@ from repro.errors import ConfigurationError
 from repro.graphs.bfs_tree import BFSTree
 from repro.graphs.graph import Graph, NodeId
 from repro.vector.backend import KERNELS, csr_counts
-
-#: The engines a task may select.  ``scalar`` is the reference
-#: slot-by-slot interpreter; ``vector`` is the NumPy lockstep batch.
-ENGINES: Tuple[str, ...] = ("scalar", "vector")
-
-
-def validate_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
 
 
 class LockstepRadio:

@@ -124,24 +124,28 @@ class Drive:
 
         Slots where no station is due and no arrival falls are skipped
         in one jump (:meth:`~repro.radio.network.RadioNetwork.skip_to`):
-        nothing can be sent, heard or delivered in them.
+        nothing can be sent, heard or delivered in them.  The slot that
+        :meth:`~repro.workloads.arrivals.ArrivalProcess.next_arrival_slot`
+        names is kept until the loop reaches it, and ``arrivals_at`` is
+        called only there, since before it every batch is empty.
         """
         network = self.network
+        arrival = -1  # no look-ahead yet
         while network.slot < until:
             slot = network.slot
-            quiet = min(
-                until,
-                network.next_due_slot(),
-                arrivals.next_arrival_slot(slot),
-            )
+            if arrival < slot:
+                arrival = arrivals.next_arrival_slot(slot)
+            quiet = min(until, network.next_due_slot(), arrival)
             if quiet > slot:
                 network.skip_to(quiet)
                 continue
-            batch = arrivals.arrivals_at(slot)
-            if batch:
-                for source, payload in batch:
-                    self.submit(source, payload)
-                self.collect()  # a submission at its destination arrives now
+            if arrival == slot:
+                batch = arrivals.arrivals_at(slot)
+                if batch:
+                    for source, payload in batch:
+                        self.submit(source, payload)
+                    # A submission at its destination arrives now.
+                    self.collect()
             network.step()
             self.collect()
 

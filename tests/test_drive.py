@@ -20,7 +20,12 @@ from repro.rng import derive_seed
 from repro.runner.task import TaskSpec
 from repro.scenario.runtime import run_scenario_task
 from repro.service import run_service
-from repro.workloads import BernoulliArrivals, run_streaming_collection
+from repro.workloads import (
+    ArrivalProcess,
+    BernoulliArrivals,
+    DeterministicSchedule,
+    run_streaming_collection,
+)
 
 #: Base cell: streamed Bernoulli collection from every station.
 BASE = {
@@ -144,8 +149,8 @@ def test_record_sink_and_service_kpis_agree():
 
 def test_service_cell_skips_and_counts_like_stepping(monkeypatch):
     """The drive loop jumps over silent slots, yet the profiler counts
-    every slot as stepping did: these counters were recorded before the
-    loop learned to jump."""
+    every slot as stepping does: these counters were recorded from the
+    same cell run with a loop that calls ``step()`` at every slot."""
     graph = layered_band(4, 3)
     tree = reference_bfs_tree(graph, 0)
     sources = [n for n in tree.nodes if tree.level[n] == tree.depth]
@@ -170,8 +175,61 @@ def test_service_cell_skips_and_counts_like_stepping(monkeypatch):
         for name in ("polled", "skipped", "scalar_slots")
     }
     assert counters == {
-        "polled": 1117,
-        "skipped": 85_283,
+        "polled": 1025,
+        "skipped": 85_375,
         "scalar_slots": 7200,
     }
     assert len(steps) < counters["scalar_slots"] // 4
+
+
+class _Unclaimed(ArrivalProcess):
+    """A schedule's events behind the base ``next_arrival_slot``, which
+    claims nothing."""
+
+    def __init__(self, events):
+        self._schedule = DeterministicSchedule(events)
+
+    def arrivals_at(self, slot):
+        return self._schedule.arrivals_at(slot)
+
+
+def _queries(arrivals):
+    """The slots ``arrivals_at`` is asked about, recorded from now on."""
+    queried = []
+    arrivals_at = arrivals.arrivals_at
+
+    def recorded(slot):
+        queried.append(slot)
+        return arrivals_at(slot)
+
+    arrivals.arrivals_at = recorded
+    return queried
+
+
+def test_drive_asks_for_arrivals_only_where_a_look_ahead_allows():
+    """The drive keeps ``next_arrival_slot``'s look-ahead and asks for a
+    batch only at the slot it names: a schedule is asked at its event
+    slots, a process that claims nothing at every slot, and both runs
+    keep the same records."""
+    graph = layered_band(4, 3)
+    tree = reference_bfs_tree(graph, 0)
+    phase_length = SlotStructure(
+        decay_budget(graph.max_degree()), 3, True
+    ).phase_length
+    events = [
+        (0, 11, "a"), (5, 10, "b"), (5, 9, "c"), (phase_length, 11, "d"),
+        (7 * phase_length + 3, 6, "e"), (9 * phase_length, 11, "f"),
+    ]
+    horizon = 12 * phase_length
+    runs = []
+    for arrivals in (DeterministicSchedule(events), _Unclaimed(events)):
+        queried = _queries(arrivals)
+        result = run_streaming_collection(graph, tree, arrivals, 7, horizon)
+        runs.append((result.slots, result.records))
+        if isinstance(arrivals, DeterministicSchedule):
+            assert queried == sorted({slot for slot, _, _ in events})
+        else:
+            assert queried == list(range(horizon))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == len(events)
+    assert all(record.delivered_slot is not None for record in runs[0][1])

@@ -17,11 +17,13 @@ import pytest
 from repro.baselines import aloha_session_factory
 from repro.core import (
     BitElectionProcess,
+    DataMessage,
     SlotStructure,
     build_broadcast_network,
     build_collection_network,
     decay_budget,
     run_bit_election,
+    run_collection,
     run_dfs_preparation,
     run_point_to_point,
     run_ranking,
@@ -294,6 +296,45 @@ class TestScheduleArithmetic:
                 not slots.is_data_slot_for(s, 2) for s in range(slot, wake)
             )
 
+    def test_head_received_mid_phase_sleeps_to_the_next_phase(self):
+        # §4.1: a hop received during phase p is sent from phase p+1 on,
+        # so the lane's next active slot is its first data slot of phase
+        # p+1; its data slots left in phase p would draw no coin.
+        slots = SlotStructure(decay_budget=4, level_classes=3)
+        lane = TransportLane(
+            node_id=1,
+            level=2,
+            slots=slots,
+            rng=RngFactory(3).for_node(1),
+            channel=0,
+        )
+        phase = 2
+        received = slots.first_slot_of_phase(phase) + 1
+        lane.enqueue(
+            DataMessage(
+                msg_id=(5, 0),
+                origin=5,
+                hop_sender=1,
+                hop_dest=0,
+                payload="x",
+            ),
+            received_at_slot=received,
+        )
+        following = slots.first_slot_of_phase(phase + 1)
+        first = slots.next_data_slot_for(following, 2)
+        left = [
+            s for s in range(received + 1, following)
+            if slots.is_data_slot_for(s, 2)
+        ]
+        assert len(left) == slots.decay_budget
+        state = lane._rng.getstate()
+        for slot in range(received + 1, first + 1):
+            assert lane.next_active_slot(slot) == first
+            if slot in left:
+                assert lane.on_slot(slot) is None
+        assert lane._rng.getstate() == state
+        assert lane.on_slot(first) is not None  # Decay's first send
+
     def test_election_station_is_polled_at_every_round_start(self):
         # on_slot closes the previous round lazily; a reception before
         # that close would be credited to the wrong bit, so a station
@@ -414,6 +455,13 @@ def _aloha_collection(seed):
     return network.slot, [m.msg_id for m in root.delivered]
 
 
+def _collection(seed):
+    graph, tree = _prepared_band()
+    sources = {11: ["a", "b", "c"], 10: ["d"], 6: ["e", "f"]}
+    result = run_collection(graph, tree, sources, seed)
+    return result.slots, result.delivered
+
+
 def _service(seed):
     # run_service's Drive jumps over silent slots on the fast path.
     graph, tree = _prepared_band()
@@ -506,6 +554,37 @@ class TestProtocolEquivalence:
             [net.stats.per_channel for net in networks],
         )
         return fingerprint, profile.counters
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    @pytest.mark.parametrize(
+        "protocol", [_service, _collection],
+        ids=lambda protocol: protocol.__name__.lstrip("_"),
+    )
+    def test_lanes_draw_the_same_coins_with_and_without_fast_path(
+        self, monkeypatch, protocol, seed
+    ):
+        # A lane sleeps through the phase its head must wait out (§4.1)
+        # and through a dead session; polled there instead, it would
+        # draw no coin, so every station's coin stream ends in the same
+        # state either way.
+        runs = []
+        for idle in (True, False):
+            rngs = []
+            for_node = RngFactory.for_node
+
+            def recording(factory, node):
+                rng = for_node(factory, node)
+                rngs.append((node, rng))
+                return rng
+
+            with monkeypatch.context() as patch:
+                patch.setattr(RngFactory, "for_node", recording)
+                fingerprint, _ = self._run(monkeypatch, idle, protocol, seed)
+            runs.append(
+                (fingerprint, [(node, rng.getstate()) for node, rng in rngs])
+            )
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 12
 
     @pytest.mark.parametrize("seed", [2, 5])
     @pytest.mark.parametrize(

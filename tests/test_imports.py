@@ -152,6 +152,25 @@ assert run_service(graph, tree, arrivals, 3, 40 * length).submitted
 """,
         ("numpy", "repro.queueing", "repro.runner"),
     ),
+    # The service command, a cell and then a sweep, as CI's
+    # service-smoke job runs it on a Python without NumPy.
+    "service-cli": (
+        """
+import runpy, sys
+for argv in (
+    "service --topology path-8 --phases 300",
+    "service --sweep --topology band-4x3 --source-mode bottom --points 3"
+    " --phases 220",
+):
+    sys.argv = ["repro", *argv.split()]
+    try:
+        runpy.run_module("repro", run_name="__main__")
+    except SystemExit as exit:
+        assert not exit.code, exit.code
+""",
+        "",
+        ("numpy", "repro.vector"),
+    ),
     "vector": (
         "from repro.vector import run_collection_batch" + FIELD_IMPORTS,
         FIELD + """

@@ -130,15 +130,16 @@ class TestLifecycleGolden:
         }
         assert result.slots == 964
         assert counters == {
-            "polled": 286,
-            "skipped": 45_986,
+            "polled": 276,
+            "skipped": 45_996,
             "scalar_slots": 964,
         }
 
     def test_lifecycle_profile_counters(self):
-        """Every stage polls and skips the station-slots recorded before
-        stations learned to drop a reception without waking: a dropped
-        reception saves the end-of-slot work, never changes a poll."""
+        """Every stage polls and skips the recorded station-slots.  A
+        dropped reception saves the end-of-slot work and never changes a
+        poll; a lane whose head waits for the next phase (§4.1) is not
+        polled before that phase."""
         with profiled() as profile:
             _lifecycle(1)
         counters = {
@@ -146,7 +147,7 @@ class TestLifecycleGolden:
             for name in ("polled", "skipped", "scalar_slots")
         }
         assert counters == {
-            "polled": 18_075,
-            "skipped": 687_909,
+            "polled": 17_978,
+            "skipped": 688_006,
             "scalar_slots": 14_708,
         }

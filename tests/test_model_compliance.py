@@ -36,28 +36,89 @@ from repro.radio import (
 )
 
 
-class TestMessageSizes:
-    @pytest.mark.parametrize(
-        "message",
-        [
-            DataMessage(
-                msg_id=(1, 2),
-                origin=1,
-                hop_sender=1,
-                hop_dest=2,
-                dest_address=3,
-                payload="p",
-            ),
-            AckMessage(msg_id=(1, 2), hop_sender=2, hop_dest=1),
-            JoinMessage(sender=4, level=2),
-            LeaderMessage(sender=1, round=9),
-            BroadcastMessage(seq=7, origin=3, payload="x", sender_level=2),
-            TokenMessage(holder=1, next_holder=2, traversal=1),
-            BroadcastSubmission(origin=3, body="payload"),
-            CheckpointAck(origin=3, checkpoint=2),
-            ResendRequest(requester=3, seq=7),
-        ],
+#: One instance of every message type, every field set.
+MESSAGES = [
+    DataMessage(
+        msg_id=(1, 2),
+        origin=1,
+        hop_sender=1,
+        hop_dest=2,
+        dest_address=3,
+        payload="p",
+    ),
+    AckMessage(msg_id=(1, 2), hop_sender=2, hop_dest=1),
+    JoinMessage(sender=4, level=2),
+    LeaderMessage(sender=1, round=9),
+    BroadcastMessage(seq=7, origin=3, payload="x", sender_level=2),
+    TokenMessage(
+        holder=1,
+        next_holder=2,
+        traversal=2,
+        holder_bfs_parent=0,
+        dfs_number=5,
+        returning=True,
+        max_descendant=6,
+    ),
+    BroadcastSubmission(origin=3, body="payload"),
+    CheckpointAck(origin=3, checkpoint=2),
+    ResendRequest(requester=3, seq=7),
+]
+
+
+def _values(message):
+    return tuple(
+        getattr(message, name) for name in message.__dataclass_fields__
     )
+
+
+class TestMessageValues:
+    """Messages are values: they compare, hash and print by their
+    fields, as the frozen dataclasses they were did."""
+
+    @pytest.mark.parametrize(
+        "message", MESSAGES, ids=lambda m: type(m).__name__
+    )
+    def test_compares_hashes_and_prints_by_fields(self, message):
+        cls = type(message)
+        values = _values(message)
+        twin = cls(*values)
+        assert twin == message and twin is not message
+        assert hash(twin) == hash(message) == hash(values)
+        assert repr(message) == "{}({})".format(
+            cls.__name__,
+            ", ".join(
+                f"{name}={value!r}"
+                for name, value in zip(cls.__dataclass_fields__, values)
+            ),
+        )
+        assert not hasattr(message, "__dict__")
+        for index, name in enumerate(cls.__dataclass_fields__):
+            changed = list(values)
+            changed[index] = ("other", values[index])
+            assert cls(*changed) != message, name
+        assert message != values
+
+    def test_rehop_keeps_the_end_to_end_fields(self):
+        message = MESSAGES[0]
+        hopped = message.rehop(2, 5)
+        assert (hopped.hop_sender, hopped.hop_dest) == (2, 5)
+        for name in ("msg_id", "origin", "dest_address", "payload"):
+            assert getattr(hopped, name) is getattr(message, name), name
+        assert (message.hop_sender, message.hop_dest) == (1, 2)
+
+    def test_at_level_restamps_only_the_level(self):
+        message = MESSAGES[4]
+        stamped = message.at_level(5)
+        assert stamped is not message
+        assert stamped == BroadcastMessage(
+            seq=7, origin=3, payload="x", sender_level=5
+        )
+        assert message.at_level(message.sender_level) == message
+        assert message.sender_level == 2
+
+
+class TestMessageSizes:
+    @pytest.mark.parametrize("message", MESSAGES)
     def test_constant_number_of_words(self, message):
         """Each packet carries O(1) IDs/levels/flags = O(log n) bits."""
         assert message_bits(message) <= 10

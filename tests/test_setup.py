@@ -65,6 +65,38 @@ class TestLeaderElection:
         wrapped = elect_leader(graph, seed=107)
         assert wrapped.leaders == second.leaders == [3]
         assert wrapped.slots == first.slots + second.slots
+        assert wrapped.attempts == 2
+
+    def test_first_attempt_reports_one(self):
+        graph = grid(3, 3)
+        assert run_bit_election(graph, seed=3).attempts == 1
+        result = elect_leader(graph, seed=3)
+        assert result.unique and result.agreed
+        assert result.attempts == 1
+        assert result.slots == run_bit_election(graph, seed=3).slots
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    def test_reports_the_attempt_that_agreed(self, monkeypatch, k):
+        from repro.core import leader
+
+        real = leader.run_bit_election
+        seeds = []
+
+        def disagreeing_until_k(graph, seed):
+            seeds.append(seed)
+            result = real(graph, seed)
+            if len(seeds) < k:
+                result.agreed = False
+            return result
+
+        monkeypatch.setattr(leader, "run_bit_election", disagreeing_until_k)
+        graph = path(3)
+        result = elect_leader(graph, seed=4)
+        assert result.attempts == k
+        assert seeds == [4 + 101 * attempt for attempt in range(k)]
+        assert result.slots == sum(
+            real(graph, seed).slots for seed in seeds
+        )
 
     def test_gives_up_after_ten_attempts(self, monkeypatch):
         from repro.core import leader

@@ -1009,7 +1009,10 @@ class TestE2BatchDriver:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        monkeypatch.setattr(defs, "BatchCollection", Recorded)
+        # The E2 driver imports the batch class when it runs, from here.
+        monkeypatch.setattr(
+            "repro.vector.collection.BatchCollection", Recorded
+        )
         for config in defs.E2_CONFIGS:
             with profiled() as profile:
                 defs.advance_rate_metrics_batch(*config, self.SEEDS)
