@@ -62,9 +62,7 @@ import weakref
 from collections import _count_elements  # type: ignore[attr-defined]
 from itertools import chain
 from types import MappingProxyType
-from typing import (
-    AbstractSet, Callable, Dict, List, Mapping, Optional, Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro import profiling
 from repro.errors import ConfigurationError, ProtocolError, SimulationTimeout
@@ -143,16 +141,11 @@ class RadioNetwork:
         )
         self.slot = 0
         self.stats = NetworkStats()
-        # Per-channel state kept across slots, so a step allocates none
-        # of it: each channel's senders (cleared as a step begins) and
-        # its counters (looked up on its first busy slot, when ``stats``
-        # first lists the channel).
+        # Each channel's senders, kept across slots and cleared as a
+        # step begins, so a step allocates none of them.
         self._transmitters: List[Dict[NodeId, Transmission]] = [
             {} for _ in range(num_channels)
         ]
-        self._channel_stats: List[Optional[ChannelStats]] = (
-            [None] * num_channels
-        )
         self.profiler = profiling.current_profile()
         self.idle_scheduling = True
         # Wake bookkeeping for the idle fast path: ``_wake`` maps each
@@ -184,9 +177,7 @@ class RadioNetwork:
         # * the full-attachment check — an O(n) set difference, re-armed
         #   so a swapped topology is re-validated before the next step;
         # * the wake heap — a swapped topology may change who can hear
-        #   whom, so every station is re-polled from the next slot;
-        # * the last addressed transmission each station was checked
-        #   for (``_addressed``), since a check holds for one topology.
+        #   whom, so every station is re-polled from the next slot.
         self._graph = graph
         self._attachment_validated = False
         self._wake_valid = False
@@ -194,7 +185,6 @@ class RadioNetwork:
             node: graph.neighbors(node) for node in graph.nodes
         }
         self._neighbor_sets = _NeighborSets(self._neighbors)
-        self._addressed: Dict[NodeId, Transmission] = {}
 
     # ------------------------------------------------------------------
     # Wiring processes to stations
@@ -325,18 +315,13 @@ class RadioNetwork:
 
         # Phase 1: gather transmission intents.  A station's entry in a
         # channel's sender dict is also what catches a double
-        # transmission on that channel.  A transmission's addressees are
-        # checked once per sender and object: it is immutable by
-        # contract, so a repeat is checked already.
+        # transmission on that channel.
         transmitters = self._transmitters
         for senders in transmitters:
             if senders:
                 senders.clear()
         neighbor_sets = self._neighbor_sets
-        addressed = self._addressed
-        down_nodes = _NOBODY
-        if failures is not None:
-            down_nodes = set()
+        down_nodes = set()
         for node in poll:
             if failures is not None and failures.node_down(node, slot):
                 down_nodes.add(node)
@@ -363,17 +348,15 @@ class RadioNetwork:
                         f"{channel} in slot {slot}"
                     )
                 to = tx.to
-                if to is not None and addressed.get(node) is not tx:
-                    if not neighbor_sets[node].issuperset(to):
-                        stranger = next(
-                            r for r in to if r not in neighbor_sets[node]
-                        )
-                        raise ProtocolError(
-                            f"node {node!r} addressed {stranger!r} on "
-                            f"channel {channel} in slot {slot}, which is "
-                            f"not its neighbour"
-                        )
-                    addressed[node] = tx
+                if to is not None and not neighbor_sets[node].issuperset(to):
+                    stranger = next(
+                        r for r in to if r not in neighbor_sets[node]
+                    )
+                    raise ProtocolError(
+                        f"node {node!r} addressed {stranger!r} on channel "
+                        f"{channel} in slot {slot}, which is not its "
+                        f"neighbour"
+                    )
                 senders[node] = tx
                 if tracing:
                     trace.record(
@@ -396,11 +379,7 @@ class RadioNetwork:
         for channel, senders in enumerate(transmitters):
             if not senders:
                 continue
-            channel_stats = self._channel_stats[channel]
-            if channel_stats is None:
-                channel_stats = self._channel_stats[channel] = (
-                    self.stats.channel(channel)
-                )
+            channel_stats = self.stats.channel(channel)
             channel_stats.busy_slots += 1
             channel_stats.transmissions += len(senders)
             if each_receiver:
@@ -513,7 +492,7 @@ class RadioNetwork:
         channel: int,
         senders: Dict[NodeId, Transmission],
         channel_stats: ChannelStats,
-        down_nodes: AbstractSet[NodeId],
+        down_nodes: Set[NodeId],
         awake: Optional[Dict[NodeId, None]],
     ) -> None:
         """Receptions on one busy channel, receiver by receiver.
@@ -681,10 +660,6 @@ class RadioNetwork:
                 p.is_done() for p in net._processes.values()
             ),
         )
-
-
-#: The stations down in a slot when no failure model is attached.
-_NOBODY: frozenset = frozenset()
 
 
 class _NeighborSets(dict):

@@ -98,23 +98,36 @@ class TestMessageValues:
             assert cls(*changed) != message, name
         assert message != values
 
+    @staticmethod
+    def _tagged(cls):
+        """A ``cls`` whose every field holds a value naming that field,
+        so a copy that drops, resets or swaps a field is seen."""
+        return cls(*(("field", name) for name in cls.__dataclass_fields__))
+
+    def _assert_carried_over(self, copy, original, restamped):
+        for name in type(original).__dataclass_fields__:
+            if name not in restamped:
+                assert getattr(copy, name) is getattr(original, name), name
+
     def test_rehop_keeps_the_end_to_end_fields(self):
-        message = MESSAGES[0]
+        message = self._tagged(DataMessage)
         hopped = message.rehop(2, 5)
         assert (hopped.hop_sender, hopped.hop_dest) == (2, 5)
-        for name in ("msg_id", "origin", "dest_address", "payload"):
-            assert getattr(hopped, name) is getattr(message, name), name
-        assert (message.hop_sender, message.hop_dest) == (1, 2)
+        self._assert_carried_over(
+            hopped, message, restamped=("hop_sender", "hop_dest")
+        )
+        assert message == self._tagged(DataMessage)
 
     def test_at_level_restamps_only_the_level(self):
-        message = MESSAGES[4]
+        message = self._tagged(BroadcastMessage)
         stamped = message.at_level(5)
-        assert stamped is not message
-        assert stamped == BroadcastMessage(
-            seq=7, origin=3, payload="x", sender_level=5
+        assert stamped is not message and stamped.sender_level == 5
+        self._assert_carried_over(
+            stamped, message, restamped=("sender_level",)
         )
-        assert message.at_level(message.sender_level) == message
-        assert message.sender_level == 2
+        assert message == self._tagged(BroadcastMessage)
+        level_two = MESSAGES[4]
+        assert level_two.at_level(level_two.sender_level) == level_two
 
 
 class TestMessageSizes:
